@@ -17,6 +17,14 @@ A *kernel program* bundles:
 
 Two functions may alias overlapping command-array ranges; aliasing is how
 a kernel re-runs a tail of another function without storing it twice.
+
+:meth:`Controller.run` makes one fabric call per schedule invocation: the
+function's window is compiled once (:func:`~pimcrypt.fabric.compile_window`,
+cached by window content) and run for all of the invocation's iterations,
+and its commands and cycles are counted from the window.  A window the
+compiler rejects, an invocation that starts during a pending activation,
+and every run given a ``trace`` list go through the reference interpreter
+instead, one command sequence per iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import isa
-from .fabric import ROWS, Subarray
+from .fabric import ROWS, CompiledRun, CompiledWindow, Subarray, compile_window
 from .isa import CommandWord, Opcode
 
 __all__ = [
@@ -178,6 +186,7 @@ class Controller:
         self._validate()
         # Per-(function, global-iteration) resolved command tuples.
         self._resolved: dict[tuple[str, int], list[CommandWord]] = {}
+        self._windows: dict[str, CompiledWindow | None] = {}
 
     # -- load-time validation ---------------------------------------------
 
@@ -242,6 +251,17 @@ class Controller:
             self._resolved[key] = cached = cmds
         return cached
 
+    def _window(self, fname: str) -> CompiledWindow | None:
+        if fname not in self._windows:
+            prog = self.program
+            f = prog.functions[fname]
+            window = prog.commands[f.base:f.base + f.count]
+            self._windows[fname] = compile_window(
+                tuple(c.encode() for c in window),
+                tuple((s.offset, s.increment) for s in f.strides),
+                prog.block_width)
+        return self._windows[fname]
+
     def run(self, sub: Subarray, env: dict | None = None,
             trace: list | None = None) -> ExecutionStats:
         env = env if env is not None else {}
@@ -257,19 +277,28 @@ class Controller:
                 HOST_ACTIONS[a.kind](sub, env, **a.params)
             fs = stats.per_function.setdefault(inv.function, FunctionStats())
             fs.invocations += 1
-            for i in range(inv.iterations):
-                cmds = self._commands_for(inv.function, inv.iteration_base + i)
-                if trace is None:
-                    cycles = sub.run(cmds)
-                else:
-                    records = sub.run_traced(cmds)
-                    trace.extend(records)
-                    cycles = sum(r.cycles for r in records)
-                fs.iterations += 1
-                fs.commands += len(cmds)
-                fs.cycles += cycles
-                stats.commands += len(cmds)
-                stats.cycles += cycles
+            window = self._window(inv.function) if trace is None else None
+            if window is not None and sub.pending_row is None:
+                cycles = sub.run(CompiledRun(window, inv.iteration_base,
+                                             inv.iterations))
+                commands = window.commands * inv.iterations
+            else:
+                commands = cycles = 0
+                for i in range(inv.iterations):
+                    cmds = self._commands_for(inv.function,
+                                              inv.iteration_base + i)
+                    if trace is None:
+                        cycles += sub.run(cmds)
+                    else:
+                        records = sub.run_traced(cmds)
+                        trace.extend(records)
+                        cycles += sum(r.cycles for r in records)
+                    commands += len(cmds)
+            fs.iterations += inv.iterations
+            fs.commands += commands
+            fs.cycles += cycles
+            stats.commands += commands
+            stats.cycles += cycles
         for a in actions_at.get(len(prog.schedule), ()):
             HOST_ACTIONS[a.kind](sub, env, **a.params)
         return stats

@@ -20,11 +20,21 @@ Rows are stored as 256-bit Python ints with bit ``c`` holding column ``c``.
 A *left* shift moves data toward column 0, a *right* shift toward column
 255.  Cycle accounting is one cycle per command plus one per shifted bit
 position.
+
+Two engines execute commands.  :meth:`Subarray.execute` is the reference
+interpreter: it decodes, checks and runs one command at a time, and
+:meth:`Subarray.run` uses it for a plain command sequence.
+:func:`compile_window` lowers a whole function window, once per distinct
+window content, to straight-line Python over the row list; ``run`` given a
+:class:`CompiledRun` executes every iteration of one invocation in a single
+call.  Only windows the reference would run without error are compiled,
+so both engines leave the same grid, latch and cycle count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
 
@@ -40,6 +50,9 @@ __all__ = [
     "UnsupportedOption",
     "CycleCostModel",
     "TraceRecord",
+    "CompiledWindow",
+    "CompiledRun",
+    "compile_window",
     "Subarray",
 ]
 
@@ -245,6 +258,18 @@ class Subarray:
         return cost
 
     def run(self, cmds) -> int:
+        """Execute a command sequence or a :class:`CompiledRun`; returns
+        the cycles consumed."""
+        if type(cmds) is CompiledRun:
+            window = cmds.window
+            self.sa_latch = window.fn(self.grid, self.sa_latch,
+                                      cmds.first, cmds.iterations)
+            cost = self.cost_model
+            cycles = cmds.iterations * (
+                window.commands * cost.cycles_per_command
+                + window.shift_steps * cost.cycles_per_shift_step)
+            self.cycle_count += cycles
+            return cycles
         total = 0
         for cmd in cmds:
             total += self.execute(cmd)
@@ -258,3 +283,154 @@ class Subarray:
             records.append(TraceRecord(seq, cmd.encode(), disassemble([cmd]),
                                        cycles, self.sa_latch))
         return records
+
+
+# ---------------------------------------------------------------------------
+# Compiled execution
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompiledWindow:
+    """A function window lowered to Python.
+
+    ``fn(grid, latch, first, iterations)`` runs global iterations
+    ``first .. first + iterations - 1`` on the row list and returns the
+    final latch.  One iteration is ``commands`` commands shifting
+    ``shift_steps`` bit positions in total.
+    """
+    fn: Callable[[list, int, int, int], int]
+    commands: int
+    shift_steps: int
+
+
+class CompiledRun:
+    """One invocation of a compiled window, passed to :meth:`Subarray.run`.
+
+    The subarray must have no pending activation and the block width the
+    window was compiled for.  ``len`` is the number of commands executed.
+    """
+
+    __slots__ = ("window", "first", "iterations")
+
+    def __init__(self, window: CompiledWindow, first: int, iterations: int):
+        self.window = window
+        self.first = first
+        self.iterations = iterations
+
+    def __len__(self) -> int:
+        return self.window.commands * self.iterations
+
+
+_LOGIC_SYMBOLS = {LogicKind.AND: "&", LogicKind.OR: "|", LogicKind.XOR: "^"}
+
+# Compiled windows by (encoded words, stride pairs, block width); None
+# marks a window that runs on the reference interpreter.
+_COMPILED: dict[tuple, CompiledWindow | None] = {}
+
+
+def compile_window(words: tuple[int, ...],
+                   strides: tuple[tuple[int, int], ...],
+                   block_width: int) -> CompiledWindow | None:
+    """Compile a window of encoded command words, or return None.
+
+    ``strides`` holds ``(offset, increment)`` pairs: the command at
+    ``offset`` addresses row ``index + increment * G`` in global
+    iteration ``G``.  The caller must have checked that every such row
+    is on the grid for the iterations it will run.  None means the
+    reference could raise on this window (an option it rejects, a row
+    off the grid, an ext_bit width or column it rejects, an unpaired
+    activation, a strided shift or ext_bit), so it must be interpreted.
+    """
+    # Only ints reach the generated source; 1.0 would also hit the key of 1.
+    if any(type(v) is not int
+           for v in (block_width, *words, *sum(strides, ()))):
+        return None
+    key = (words, strides, block_width)
+    if key not in _COMPILED:
+        _COMPILED[key] = _lower(words, strides, block_width)
+    return _COMPILED[key]
+
+
+def _lower(words, strides, block_width) -> CompiledWindow | None:
+    if block_width not in BLOCK_WIDTHS or block_width > COLS:
+        return None
+    increments: dict[int, int] = {}
+    for offset, increment in strides:
+        if offset in increments:
+            return None      # validation checks each rule, not their sum
+        increments[offset] = increment
+    body: list[str] = []
+    # ``latch`` is an expression for the current latch value.  It is
+    # written out only by wr_row and at the end of the iteration, and
+    # every wr_row sets it to the row just written, so it never refers
+    # to a row that changed after it was formed.
+    latch = "L"
+    pending = None
+    steps = 0
+    for offset, word in enumerate(words):
+        op, index, option = word >> 12, (word >> 4) & 0xFF, word & 0xF
+        if offset in increments:
+            if op in (Opcode.SHIFT, Opcode.EXT_BIT):
+                return None
+            row = f"g[{index} + {increments[offset]} * G]"
+        else:
+            row = f"g[{index}]" if index < ROWS else None
+        if (pending is not None) != (op == Opcode.LOGIC_OP):
+            return None
+        if op == Opcode.LOGIC_OP:
+            kind = (option >> 1) & 0b11
+            if option & 0b1001:
+                return None
+            if kind == LogicKind.NOT:
+                latch = f"~{pending} & {_ROW_MASK:#x}"
+            elif row is None:
+                return None
+            else:
+                latch = f"{pending} {_LOGIC_SYMBOLS[kind]} {row}"
+            pending = None
+        elif op == Opcode.ACT_ROW:
+            if option != 0b0001 or row is None:
+                return None
+            pending = row
+        elif op == Opcode.RD_ROW:
+            if option != 0b1000 or row is None:
+                return None
+            latch = row
+        elif op == Opcode.WR_ROW:
+            if option != 0b1000 or row is None:
+                return None
+            body.append(f"{row} = {latch}")
+            latch = row
+        elif op == Opcode.SHIFT:
+            if option & 0b1001 != 0b1000:
+                return None
+            steps += index
+            right = bool(option & 0b0100)
+            if index >= block_width:
+                latch = "0"
+            elif index:
+                mask = _shift_mask(block_width, index, right) & _ROW_MASK
+                op_text = "<<" if right else ">>"
+                latch = f"({latch}) {op_text} {index} & {mask:#x}"
+        elif op == Opcode.EXT_BIT:
+            code = (option >> 1) & 0b111
+            if (option & 0b0001 or code >= len(BLOCK_WIDTHS)
+                    or BLOCK_WIDTHS[code] != block_width or index >= COLS):
+                return None
+            bases = sum(1 << b for b in range(0, COLS, block_width))
+            latch = (f"(g[{EXT_ROW}] >> {index % block_width} & {bases:#x})"
+                     f" * {(1 << block_width) - 1:#x}")
+        else:
+            return None
+    if pending is not None:
+        return None
+    if latch != "L":
+        body.append(f"L = {latch}")
+    source = "\n".join(
+        ["def window(g, L, first, iterations):",
+         "    for G in range(first, first + iterations):"]
+        + [f"        {line}" for line in body or ["pass"]]
+        + ["    return L"])
+    namespace: dict = {}
+    exec(compile(source, "<compiled window>", "exec"), namespace)
+    return CompiledWindow(namespace["window"], len(words), steps)

@@ -24,7 +24,7 @@ from ..isa import CommandWord, LogicKind
 from . import circuits, hostio
 from .layout import LayoutMap, aes_geometry
 
-__all__ = ["AES_LAYOUT", "build_aes_program", "expand_key_words",
+__all__ = ["AES_LAYOUT", "build_aes_program", "expand_key_words", "key_rows",
            "gen_bit_slice_fwd", "gen_bit_slice_inv", "gen_add_round_key",
            "gen_sub_bytes", "gen_shift_rows", "gen_mix_columns",
            "gen_chain_xor"]
@@ -318,7 +318,7 @@ def build_aes_program(variant: int, direction: str,
                HostAction(len(schedule), "aes_unload", {})]
     if variant == 256:
         actions.append(HostAction(reload_pos, "aes_load_keys",
-                                  {"env_key": "round_keys2"}))
+                                  {"env_key": "key_rows2"}))
     return KernelProgram(
         name=f"aes-{variant}-{direction}" + (f"-{chain}" if chain else ""),
         commands=commands, functions=functions, schedule=schedule,
@@ -329,17 +329,28 @@ def build_aes_program(variant: int, direction: str,
 # Host actions
 # ---------------------------------------------------------------------------
 
+def key_rows(round_keys: list[bytes]) -> list[int]:
+    """Round-key plane rows in load order, each key replicated into all
+    16 tiles: what ``aes_load_keys`` writes to the key region."""
+    rows: list[int] = []
+    for rk in round_keys:
+        rows += hostio.replicate_tiles(_permute(rk))
+    return rows
+
+
+_MASK_ROWS = mask_values()
+
+
 @host_action("aes_load_keys")
-def _load_keys(sub, env, env_key="round_keys"):
+def _load_keys(sub, env, env_key="key_rows"):
     key0 = AES_LAYOUT.row("keys", 0)
-    for r, rk in enumerate(env[env_key]):
-        for b, value in enumerate(hostio.replicate_tiles(_permute(rk))):
-            sub.write_row(key0 + 8 * r + b, value)
+    for i, value in enumerate(env[env_key]):
+        sub.write_row(key0 + i, value)
 
 
 @host_action("aes_load")
 def _load(sub, env, chain=False):
-    for row, value in mask_values().items():
+    for row, value in _MASK_ROWS.items():
         sub.write_row(row, value)
     _load_keys(sub, env)
     staged = hostio.aes_stage_rows([_permute(b) for b in env["blocks"]])

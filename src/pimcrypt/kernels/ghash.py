@@ -182,21 +182,18 @@ def build_ghash_program(nblocks: int = 8, final: bool = True) -> KernelProgram:
 # Host I/O
 # ---------------------------------------------------------------------------
 
+# Each byte value with its bit order reversed.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def block_to_row(block: bytes) -> int:
     """GHASH bit x_i (MSB-first over the byte string) at column i."""
-    value = 0
-    for i in range(128):
-        if block[i // 8] >> (7 - i % 8) & 1:
-            value |= 1 << i
-    return value
+    return int.from_bytes(block.translate(_BIT_REVERSED), "little")
 
 
 def row_to_block(value: int) -> bytes:
-    out = bytearray(16)
-    for i in range(128):
-        if value >> i & 1:
-            out[i // 8] |= 1 << (7 - i % 8)
-    return bytes(out)
+    low = value & ((1 << 128) - 1)
+    return low.to_bytes(16, "little").translate(_BIT_REVERSED)
 
 
 def quarter_rows(block: bytes) -> list[int]:
@@ -205,9 +202,12 @@ def quarter_rows(block: bytes) -> list[int]:
     return [row & (((1 << 32) - 1) << (32 * k)) for k in range(4)]
 
 
+_MASK_ROWS = mask_values()
+
+
 @host_action("ghash_load")
 def _load(sub, env, nblocks):
-    for row, value in mask_values().items():
+    for row, value in _MASK_ROWS.items():
         sub.write_row(row, value)
     sub.write_row(_H, block_to_row(env["hash_key"]))
     for j in range(nblocks):

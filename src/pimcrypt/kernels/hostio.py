@@ -15,10 +15,8 @@ data.  Column conventions:
 from __future__ import annotations
 
 __all__ = [
-    "aes_stage_rows", "aes_unstage_rows", "aes_plane_rows",
-    "aes_planes_to_blocks", "replicate_tiles",
+    "aes_stage_rows", "aes_unstage_rows", "aes_plane_rows", "replicate_tiles",
     "lane_value", "lanes_from_value",
-    "ghash_block_row", "ghash_row_block",
 ]
 
 
@@ -31,45 +29,48 @@ def aes_stage_rows(blocks: list[bytes]) -> list[int]:
     half, so an OR of rows j and j+8 yields the matrix fed to the
     transpose network.
     """
-    rows = [0] * 16
-    for t, block in enumerate(blocks):
-        for j, byte in enumerate(block):
-            base = 16 * t + (0 if j < 8 else 8)
-            rows[j] |= byte << base
+    data = b"".join(blocks)
+    rows = []
+    for j in range(16):
+        field = bytearray(2 * len(blocks))
+        field[j >= 8::2] = data[j::16]
+        rows.append(int.from_bytes(field, "little"))
     return rows
 
 
 def aes_unstage_rows(rows: list[int], count: int) -> list[bytes]:
-    blocks = []
-    for t in range(count):
-        block = bytearray(16)
-        for j in range(16):
-            base = 16 * t + (0 if j < 8 else 8)
-            block[j] = (rows[j] >> base) & 0xFF
-        blocks.append(bytes(block))
-    return blocks
+    data = bytearray(16 * count)
+    for j, row in enumerate(rows):
+        data[j::16] = row.to_bytes(32, "little")[j >= 8::2][:count]
+    return [bytes(data[16 * t:16 * t + 16]) for t in range(count)]
+
+
+def _replicate(mask64: int) -> int:
+    return sum(mask64 << (64 * k) for k in range(32))
+
+
+# Delta swaps of the 8x8 bit-matrix transpose (Hacker's Delight 7-3),
+# applied to 32 independent 64-bit matrices at once.
+_TRANSPOSE_STEPS = ((7, _replicate(0x00AA00AA00AA00AA)),
+                    (14, _replicate(0x0000CCCC0000CCCC)),
+                    (28, _replicate(0x00000000F0F0F0F0)))
 
 
 def aes_plane_rows(blocks: list[bytes]) -> list[int]:
-    """Bit-sliced plane values: plane b, column 16t+j = bit b of byte j."""
-    planes = [0] * 8
-    for t, block in enumerate(blocks):
-        for j, byte in enumerate(block):
-            for b in range(8):
-                if byte >> b & 1:
-                    planes[b] |= 1 << (16 * t + j)
-    return planes
+    """Bit-sliced plane values: plane b, column 16t+j = bit b of byte j.
 
-
-def aes_planes_to_blocks(planes: list[int], count: int) -> list[bytes]:
-    blocks = []
-    for t in range(count):
-        block = bytearray(16)
-        for j in range(16):
-            col = 16 * t + j
-            block[j] = sum(((planes[b] >> col) & 1) << b for b in range(8))
-        blocks.append(bytes(block))
-    return blocks
+    Every 8 staged bytes form an 8x8 bit matrix, one byte per row;
+    after the transpose, byte b of each matrix holds bit b of its eight
+    bytes, so plane b is every eighth byte.
+    """
+    if len(blocks) > 16:
+        raise ValueError("at most 16 blocks, one per tile")
+    x = int.from_bytes(b"".join(blocks), "little")
+    for shift, mask in _TRANSPOSE_STEPS:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    data = x.to_bytes(16 * len(blocks), "little")
+    return [int.from_bytes(data[b::8], "little") for b in range(8)]
 
 
 def replicate_tiles(block: bytes) -> list[int]:
@@ -89,31 +90,3 @@ def lane_value(segments: list[int]) -> int:
 
 def lanes_from_value(value: int) -> list[int]:
     return [(value >> (64 * s)) & ((1 << 64) - 1) for s in range(4)]
-
-
-# -- GHASH -------------------------------------------------------------------
-
-def ghash_block_row(block: bytes, reversed_bytes: bool = False) -> int:
-    """Row value with GHASH bit x_i at column i.
-
-    ``reversed_bytes`` stages the block in arrival order (last byte
-    first), the convention the in-fabric byte-aligning step undoes.
-    """
-    data = block[::-1] if reversed_bytes else block
-    value = 0
-    for i, byte in enumerate(data):
-        for b in range(8):
-            if byte >> (7 - b) & 1:
-                value |= 1 << (8 * i + b)
-    return value
-
-
-def ghash_row_block(value: int) -> bytes:
-    out = bytearray(16)
-    for i in range(16):
-        byte = 0
-        for b in range(8):
-            if value >> (8 * i + b) & 1:
-                byte |= 1 << (7 - b)
-        out[i] = byte
-    return bytes(out)

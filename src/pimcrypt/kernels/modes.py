@@ -15,6 +15,7 @@ decryption, CTR and GHASH batch normally.
 from __future__ import annotations
 
 import hmac as _hmac_mod
+from functools import lru_cache
 
 from ..controller import Controller, ExecutionStats
 from ..fabric import Subarray
@@ -41,24 +42,38 @@ def _merge(stats: ExecutionStats | None, run: ExecutionStats) -> None:
         stats.merge(run)
 
 
+@lru_cache(maxsize=128)
+def _controller(kernel: str, *args) -> Controller:
+    """The validated program ``build(*args)`` of one kernel family.
+
+    Programs depend only on their build arguments, never on key or data,
+    so one per argument tuple serves every call.
+    """
+    build = {"aes": aes.build_aes_program, "ghash": ghash.build_ghash_program,
+             "sha3": keccak.build_sha3_program}[kernel]
+    return Controller(build(*args))
+
+
 # ---------------------------------------------------------------------------
 # AES
 # ---------------------------------------------------------------------------
 
 def _key_env(key: bytes, direction: str) -> dict:
+    """Staged round-key rows, built per call so no key material outlives
+    it."""
     words = aes.expand_key_words(key)
     if direction == "decrypt":
         words = words[::-1]
     if len(key) == 16:
-        return {"round_keys": words}
-    return {"round_keys": words[:8], "round_keys2": words[8:]}
+        return {"key_rows": aes.key_rows(words)}
+    return {"key_rows": aes.key_rows(words[:8]),
+            "key_rows2": aes.key_rows(words[8:])}
 
 
 def _aes_passes(key: bytes, direction: str, blocks: list[bytes],
                 chain: str | None, chain_blocks: list[bytes] | None,
                 stats: ExecutionStats | None) -> list[bytes]:
-    prog = aes.build_aes_program(len(key) * 8, direction, chain)
-    ctrl = Controller(prog)
+    ctrl = _controller("aes", len(key) * 8, direction, chain)
     base_env = _key_env(key, direction)
     out: list[bytes] = []
     for off in range(0, len(blocks), AES_BLOCKS_PER_PASS):
@@ -179,14 +194,16 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
 def ghash_digest(hash_key: bytes, data: bytes,
                  stats: ExecutionStats | None = None) -> bytes:
     blocks = _split_blocks(data)
+    if not blocks:
+        return bytes(16)
     sub = Subarray(block_width=ghash.BLOCK_WIDTH)
     env = {"hash_key": hash_key, "ghash_first": True}
     for off in range(0, len(blocks), 8):
         chunk = blocks[off:off + 8]
         env["xblocks"] = chunk
-        prog = ghash.build_ghash_program(
-            len(chunk), final=off + len(chunk) == len(blocks))
-        _merge(stats, Controller(prog).run(sub, env))
+        final = off + len(chunk) == len(blocks)
+        ctrl = _controller("ghash", len(chunk), final)
+        _merge(stats, ctrl.run(sub, env))
     return ghash.row_to_block(env["digest_row"])
 
 
@@ -251,6 +268,13 @@ def _pack_sha3_blocks(padded: list[bytes], rate: int) -> list[list[int]]:
     return blocks
 
 
+def _rate(bits: int) -> int:
+    if bits not in keccak.RATE_BYTES:
+        raise ValueError(f"SHA3 output size must be one of "
+                         f"{sorted(keccak.RATE_BYTES)} bits, got {bits!r}")
+    return keccak.RATE_BYTES[bits]
+
+
 def _lane_digest(state_rows: list[int], lane: int, nbytes: int) -> bytes:
     lanes = [hostio.lanes_from_value(r)[lane] for r in state_rows[:25]]
     return b"".join(v.to_bytes(8, "little") for v in lanes)[:nbytes]
@@ -261,15 +285,14 @@ def sha3_digest_batch(bits: int, msgs: list[bytes],
     """Hash up to four equal-block-count messages in one fabric run."""
     if not 1 <= len(msgs) <= SHA3_LANES:
         raise ValueError("1..4 messages per batch")
-    rate = keccak.RATE_BYTES[bits]
+    rate = _rate(bits)
     padded = [keccak.pad_sha3(m, rate) for m in msgs]
     if len(set(map(len, padded))) != 1:
         raise ValueError("batched messages must pad to equal block counts")
     padded += [padded[0]] * (SHA3_LANES - len(padded))
     env = {"blocks": _pack_sha3_blocks(padded, rate)}
-    prog = keccak.build_sha3_program(bits, len(env["blocks"]))
-    _merge(stats, Controller(prog).run(
-        Subarray(block_width=keccak.BLOCK_WIDTH), env))
+    ctrl = _controller("sha3", bits, len(env["blocks"]), False)
+    _merge(stats, ctrl.run(Subarray(block_width=keccak.BLOCK_WIDTH), env))
     return [_lane_digest(env["state_rows"], i, bits // 8)
             for i in range(len(msgs))]
 
@@ -285,15 +308,14 @@ def _keyed_absorb(bits: int, key_block: bytes, pad_byte: int, tail: bytes,
     padded = key_block + keccak.pad_sha3(tail, rate)
     env = {"blocks": _pack_sha3_blocks([padded] * SHA3_LANES, rate),
            "pad_lane": int.from_bytes(bytes([pad_byte] * 8), "little")}
-    prog = keccak.build_sha3_program(bits, len(env["blocks"]), key_prep=True)
-    _merge(stats, Controller(prog).run(
-        Subarray(block_width=keccak.BLOCK_WIDTH), env))
+    ctrl = _controller("sha3", bits, len(env["blocks"]), True)
+    _merge(stats, ctrl.run(Subarray(block_width=keccak.BLOCK_WIDTH), env))
     return _lane_digest(env["state_rows"], 0, bits // 8)
 
 
 def hmac_sha3(bits: int, key: bytes, msg: bytes,
               stats: ExecutionStats | None = None) -> bytes:
-    rate = keccak.RATE_BYTES[bits]
+    rate = _rate(bits)
     if len(key) > rate:
         key = sha3_digest(bits, key, stats)
     key_block = key + bytes(rate - len(key))

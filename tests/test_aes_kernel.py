@@ -5,7 +5,7 @@ import pytest
 from pimcrypt import oracle
 from pimcrypt.controller import Controller, ExecutionStats
 from pimcrypt.fabric import Subarray
-from pimcrypt.kernels import aes, modes
+from pimcrypt.kernels import aes, hostio, modes
 
 FIPS_KEY128 = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_KEY256 = bytes.fromhex(
@@ -20,6 +20,35 @@ def test_fips197_vectors_on_fabric():
     assert modes.ecb_crypt(FIPS_KEY256, FIPS_PT) == FIPS_CT256
     assert modes.ecb_crypt(FIPS_KEY128, FIPS_CT128, "decrypt") == FIPS_PT
     assert modes.ecb_crypt(FIPS_KEY256, FIPS_CT256, "decrypt") == FIPS_PT
+
+
+def _planes_by_bit(blocks):
+    """Reference for aes_plane_rows: one bit per loop step."""
+    planes = [0] * 8
+    for t, block in enumerate(blocks):
+        for j, byte in enumerate(block):
+            for b in range(8):
+                if byte >> b & 1:
+                    planes[b] |= 1 << (16 * t + j)
+    return planes
+
+
+def _stage_by_byte(blocks):
+    """Reference for aes_stage_rows: one byte per loop step."""
+    rows = [0] * 16
+    for t, block in enumerate(blocks):
+        for j, byte in enumerate(block):
+            rows[j] |= byte << (16 * t + (0 if j < 8 else 8))
+    return rows
+
+
+def test_staging_matches_bit_loops(rng):
+    for n in range(17):
+        blocks = [rng.randbytes(16) for _ in range(n)]
+        staged = hostio.aes_stage_rows(blocks)
+        assert hostio.aes_plane_rows(blocks) == _planes_by_bit(blocks)
+        assert staged == _stage_by_byte(blocks)
+        assert hostio.aes_unstage_rows(staged, n) == blocks
 
 
 @pytest.mark.parametrize("klen", [16, 32])

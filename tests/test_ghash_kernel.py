@@ -21,10 +21,22 @@ def test_multi_pass_carry(rng):
     assert modes.ghash_digest(h, data + extra) == oracle.ghash(h, data + extra)
 
 
+def _row_by_bit(block):
+    """Reference for block_to_row: one column per loop step."""
+    value = 0
+    for i in range(128):
+        if block[i // 8] >> (7 - i % 8) & 1:
+            value |= 1 << i
+    return value
+
+
 def test_block_row_round_trip(rng):
     for _ in range(10):
         blk = rng.randbytes(16)
+        assert ghash.block_to_row(blk) == _row_by_bit(blk)
         assert ghash.row_to_block(ghash.block_to_row(blk)) == blk
+    # bits above column 127 are not part of the block
+    assert ghash.row_to_block(_row_by_bit(blk) | 1 << 200) == blk
 
 
 # Pinned counts for the control-kernel budget. [DERIVED]

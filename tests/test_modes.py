@@ -88,3 +88,18 @@ def test_stats_accumulate(rng):
     modes.cbc_encrypt(rng.randbytes(16), rng.randbytes(16),
                       rng.randbytes(64), stats=stats2)
     assert stats2.cycles == 2 * two_block
+
+
+def test_ghash_of_empty_input_is_zero():
+    h = bytes(range(16))
+    assert modes.ghash_digest(h, b"") == oracle.ghash(h, b"") == bytes(16)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: modes.sha3_digest(100, b"msg"),
+    lambda: modes.sha3_digest_batch(100, [b"msg"]),
+    lambda: modes.hmac_sha3(100, b"key", b"msg"),
+])
+def test_unsupported_sha3_size_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
