@@ -103,7 +103,7 @@ def cmd_encrypt(args, decrypt: bool = False) -> int:
             ref = oracle.ctr_crypt(key, iv, data)
         elif mode == "ccm":
             nonce = _hex(args.iv, "iv", tuple(range(7, 14)))
-            aad = bytes.fromhex(args.aad or "")
+            aad = _hex(args.aad or "", "aad")
             if decrypt:
                 out = modes.ccm_decrypt(key, nonce, aad, data)
                 ref = oracle.ccm_decrypt(key, nonce, aad, data)
@@ -112,7 +112,7 @@ def cmd_encrypt(args, decrypt: bool = False) -> int:
                 ref = oracle.ccm_encrypt(key, nonce, aad, data)
         elif mode == "gcm":
             iv = _hex(args.iv, "iv")
-            aad = bytes.fromhex(args.aad or "")
+            aad = _hex(args.aad or "", "aad")
             if decrypt:
                 out = modes.gcm_decrypt(key, iv, aad, data)
                 ref = oracle.gcm_decrypt(key, iv, aad, data)
@@ -123,6 +123,8 @@ def cmd_encrypt(args, decrypt: bool = False) -> int:
             raise CliError(f"unknown mode {mode}", USAGE_ERROR)
     except (modes.TagMismatch, oracle.TagMismatch) as exc:
         raise CliError(str(exc), MISMATCH_ERROR)
+    except ValueError as exc:      # parameters the mode rejects
+        raise CliError(str(exc), USAGE_ERROR)
     _verify(f"aes-{len(key)*8}-{mode}", out, ref, verify)
     _write(args.outfile, out)
     return 0

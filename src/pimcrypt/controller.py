@@ -20,11 +20,16 @@ a kernel re-runs a tail of another function without storing it twice.
 
 :meth:`Controller.run` makes one fabric call per schedule invocation: the
 function's window is compiled once (:func:`~pimcrypt.fabric.compile_window`,
-cached by window content) and run for all of the invocation's iterations,
-and its commands and cycles are counted from the window.  A window the
-compiler rejects, an invocation that starts during a pending activation,
-and every run given a ``trace`` list go through the reference interpreter
-instead, one command sequence per iteration.
+cached by window content, bound once per lane count) and run for all of
+the invocation's iterations, and its commands and cycles are counted from
+the window.  A window the compiler rejects, an invocation that starts
+during a pending activation, and every run given a ``trace`` list go
+through the reference interpreter instead, one command sequence per
+iteration.
+
+A run on a subarray with K lanes is K passes in lockstep, one per lane,
+and its :class:`ExecutionStats` count all of them: invocations,
+iterations, commands and cycles equal the sums of K one-lane runs.
 """
 
 from __future__ import annotations
@@ -272,16 +277,17 @@ class Controller:
         actions_at: dict[int, list[HostAction]] = {}
         for a in prog.host_actions:
             actions_at.setdefault(a.position, []).append(a)
+        lanes = sub.lanes
         for slot, inv in enumerate(prog.schedule):
             for a in actions_at.get(slot, ()):
                 HOST_ACTIONS[a.kind](sub, env, **a.params)
             fs = stats.per_function.setdefault(inv.function, FunctionStats())
-            fs.invocations += 1
+            fs.invocations += lanes
             window = self._window(inv.function) if trace is None else None
             if window is not None and sub.pending_row is None:
                 cycles = sub.run(CompiledRun(window, inv.iteration_base,
-                                             inv.iterations))
-                commands = window.commands * inv.iterations
+                                             inv.iterations, lanes))
+                commands = window.commands * inv.iterations * lanes
             else:
                 commands = cycles = 0
                 for i in range(inv.iterations):
@@ -293,8 +299,8 @@ class Controller:
                         records = sub.run_traced(cmds)
                         trace.extend(records)
                         cycles += sum(r.cycles for r in records)
-                    commands += len(cmds)
-            fs.iterations += inv.iterations
+                    commands += len(cmds) * lanes
+            fs.iterations += inv.iterations * lanes
             fs.commands += commands
             fs.cycles += cycles
             stats.commands += commands

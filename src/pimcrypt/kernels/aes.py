@@ -14,6 +14,10 @@ Data layout (16-column tiles, one block per tile, 16 blocks per pass):
 
 The per-pass pipeline is: byte staging -> bit-slice (OR-combine + 8x8
 butterfly transpose) -> rounds -> inverse slice -> byte staging.
+
+On a subarray with K lanes one run is K passes in lockstep: ``aes_load``
+stages up to 16K blocks (block ``16k + t`` in tile ``t`` of lane ``k``)
+and replicates the masks and round keys into every lane.
 """
 
 from __future__ import annotations
@@ -345,13 +349,16 @@ _MASK_ROWS = mask_values()
 def _load_keys(sub, env, env_key="key_rows"):
     key0 = AES_LAYOUT.row("keys", 0)
     for i, value in enumerate(env[env_key]):
-        sub.write_row(key0 + i, value)
+        sub.write_row(key0 + i, sub.replicate(value))
 
 
 @host_action("aes_load")
 def _load(sub, env, chain=False):
+    if len(env["blocks"]) > 16 * sub.lanes:
+        raise ValueError(f"{len(env['blocks'])} blocks for "
+                         f"{16 * sub.lanes} tiles")
     for row, value in _MASK_ROWS.items():
-        sub.write_row(row, value)
+        sub.write_row(row, sub.replicate(value))
     _load_keys(sub, env)
     staged = hostio.aes_stage_rows([_permute(b) for b in env["blocks"]])
     for j, value in enumerate(staged):

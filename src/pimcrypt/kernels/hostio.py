@@ -6,7 +6,9 @@ data.  Column conventions:
 
 * AES: tile ``t`` owns columns ``16t .. 16t+15``; staged byte ``j`` of a
   block sits LSB-first in an 8-column field; sliced planes put bit ``b``
-  of byte ``j`` at column ``16t + j`` of plane row ``b``.
+  of byte ``j`` at column ``16t + j`` of plane row ``b``.  Block ``t`` of
+  a list goes to tile ``t``, so on a subarray with lanes, block
+  ``16k + t`` lands in tile ``t`` of lane ``k`` (columns ``256k + 16t ..``).
 * SHA3: lane segment ``s`` owns columns ``64s .. 64s+63``, lane bit ``z``
   at column ``64s + z``.
 * GHASH: block bit ``x_i`` (MSB-first across the block) at column ``i``.
@@ -39,21 +41,19 @@ def aes_stage_rows(blocks: list[bytes]) -> list[int]:
 
 
 def aes_unstage_rows(rows: list[int], count: int) -> list[bytes]:
+    """The first ``count`` blocks of 16 staging rows of any width."""
     data = bytearray(16 * count)
+    used = (1 << 16 * count) - 1
     for j, row in enumerate(rows):
-        data[j::16] = row.to_bytes(32, "little")[j >= 8::2][:count]
+        data[j::16] = (row & used).to_bytes(2 * count, "little")[j >= 8::2]
     return [bytes(data[16 * t:16 * t + 16]) for t in range(count)]
 
 
-def _replicate(mask64: int) -> int:
-    return sum(mask64 << (64 * k) for k in range(32))
-
-
 # Delta swaps of the 8x8 bit-matrix transpose (Hacker's Delight 7-3),
-# applied to 32 independent 64-bit matrices at once.
-_TRANSPOSE_STEPS = ((7, _replicate(0x00AA00AA00AA00AA)),
-                    (14, _replicate(0x0000CCCC0000CCCC)),
-                    (28, _replicate(0x00000000F0F0F0F0)))
+# as one 64-bit mask each, little-endian.
+_TRANSPOSE_STEPS = ((7, (0x00AA00AA00AA00AA).to_bytes(8, "little")),
+                    (14, (0x0000CCCC0000CCCC).to_bytes(8, "little")),
+                    (28, (0x00000000F0F0F0F0).to_bytes(8, "little")))
 
 
 def aes_plane_rows(blocks: list[bytes]) -> list[int]:
@@ -61,15 +61,18 @@ def aes_plane_rows(blocks: list[bytes]) -> list[int]:
 
     Every 8 staged bytes form an 8x8 bit matrix, one byte per row;
     after the transpose, byte b of each matrix holds bit b of its eight
-    bytes, so plane b is every eighth byte.
+    bytes, so plane b is every eighth byte.  The swap masks repeat once
+    per matrix over the whole input, so every matrix of every lane is
+    transposed in place; masks of a fixed width would leave the blocks
+    past it untransposed.
     """
-    if len(blocks) > 16:
-        raise ValueError("at most 16 blocks, one per tile")
-    x = int.from_bytes(b"".join(blocks), "little")
-    for shift, mask in _TRANSPOSE_STEPS:
+    data = b"".join(blocks)
+    x = int.from_bytes(data, "little")
+    for shift, mask64 in _TRANSPOSE_STEPS:
+        mask = int.from_bytes(mask64 * (len(data) // 8), "little")
         t = (x ^ (x >> shift)) & mask
         x ^= t ^ (t << shift)
-    data = x.to_bytes(16 * len(blocks), "little")
+    data = x.to_bytes(len(data), "little")
     return [int.from_bytes(data[b::8], "little") for b in range(8)]
 
 

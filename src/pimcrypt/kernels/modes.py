@@ -6,16 +6,25 @@ each kernel program expects.  Every block-cipher invocation, Keccak
 permutation and GF(2^128) multiply runs on the simulated fabric; only
 byte shuffling happens here.
 
-Serial chains (CBC encryption, the CCM CBC-MAC) run one block per pass
-in tile 0 — the fabric cannot parallelize a dependency chain, though
-independent streams could still share the remaining tiles.  CBC
-decryption, CTR and GHASH batch normally.
+Independent AES blocks (ECB, CBC decryption, CTR and GCM's CTR) fill
+16-block passes, and up to :data:`LOCKSTEP_LANES` passes of one call run
+in lockstep as the lanes of one wide subarray: one controller run
+drives them all, as the modeled controller drives every compute
+subarray with one command stream.  Modeled commands and cycles still
+count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC,
+GHASH, the SHA3 absorb) run one pass at a time on one lane; a chained
+AES block uses tile 0 only — the fabric cannot parallelize a dependency
+chain, though independent streams could still share the other tiles.
+
+The round-key rows are expanded and staged once per call and dropped
+with it, so no key material outlives the call.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac_mod
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..controller import Controller, ExecutionStats
 from ..fabric import Subarray
@@ -27,6 +36,9 @@ __all__ = ["TagMismatch", "ecb_crypt", "cbc_encrypt", "cbc_decrypt",
 
 AES_BLOCKS_PER_PASS = 16
 SHA3_LANES = 4
+# Compute subarrays behind the controller: 256 KiB of SRAM in 4 KiB
+# subarrays (``perfmodel.FabricConfig().active_subarrays``).
+LOCKSTEP_LANES = 64
 
 
 class TagMismatch(Exception):
@@ -58,6 +70,13 @@ def _controller(kernel: str, *args) -> Controller:
 # AES
 # ---------------------------------------------------------------------------
 
+class _AesKey(NamedTuple):
+    """One call's key: what selects the program, and the staged rows."""
+    variant: int
+    direction: str
+    env: dict
+
+
 def _key_env(key: bytes, direction: str) -> dict:
     """Staged round-key rows, built per call so no key material outlives
     it."""
@@ -70,18 +89,25 @@ def _key_env(key: bytes, direction: str) -> dict:
             "key_rows2": aes.key_rows(words[8:])}
 
 
-def _aes_passes(key: bytes, direction: str, blocks: list[bytes],
-                chain: str | None, chain_blocks: list[bytes] | None,
+def _aes_key(key: bytes, direction: str) -> _AesKey:
+    return _AesKey(len(key) * 8, direction, _key_env(key, direction))
+
+
+def _aes_passes(k: _AesKey, blocks: list[bytes], chain: str | None,
+                chain_blocks: list[bytes] | None,
                 stats: ExecutionStats | None) -> list[bytes]:
-    ctrl = _controller("aes", len(key) * 8, direction, chain)
-    base_env = _key_env(key, direction)
+    """Run ``blocks`` through AES, up to LOCKSTEP_LANES passes per run."""
+    ctrl = _controller("aes", k.variant, k.direction, chain)
+    per_run = AES_BLOCKS_PER_PASS * LOCKSTEP_LANES
     out: list[bytes] = []
-    for off in range(0, len(blocks), AES_BLOCKS_PER_PASS):
-        env = dict(base_env)
-        env["blocks"] = blocks[off:off + AES_BLOCKS_PER_PASS]
+    for off in range(0, len(blocks), per_run):
+        env = dict(k.env)
+        env["blocks"] = blocks[off:off + per_run]
         if chain:
             env["chain_blocks"] = chain_blocks[off:off + len(env["blocks"])]
-        _merge(stats, ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env))
+        lanes = -(-len(env["blocks"]) // AES_BLOCKS_PER_PASS)
+        sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
+        _merge(stats, ctrl.run(sub, env))
         out += env["out_blocks"]
     return out
 
@@ -94,23 +120,30 @@ def _split_blocks(data: bytes) -> list[bytes]:
 
 def ecb_crypt(key: bytes, data: bytes, direction: str = "encrypt",
               stats: ExecutionStats | None = None) -> bytes:
-    return b"".join(_aes_passes(key, direction, _split_blocks(data),
-                                None, None, stats))
+    return b"".join(_aes_passes(_aes_key(key, direction),
+                                _split_blocks(data), None, None, stats))
+
+
+def _cbc_mac(k: _AesKey, iv: bytes, blocks: list[bytes],
+             stats: ExecutionStats | None) -> list[bytes]:
+    """The CBC chain of ``blocks``: one single-block pass per block."""
+    out, prev = [], iv
+    for block in blocks:
+        prev = _aes_passes(k, [block], "pre", [prev], stats)[0]
+        out.append(prev)
+    return out
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
-    out, prev = [], iv
-    for block in _split_blocks(plaintext):
-        prev = _aes_passes(key, "encrypt", [block], "pre", [prev], stats)[0]
-        out.append(prev)
-    return b"".join(out)
+    return b"".join(_cbc_mac(_aes_key(key, "encrypt"), iv,
+                             _split_blocks(plaintext), stats))
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     ct = _split_blocks(ciphertext)
-    return b"".join(_aes_passes(key, "decrypt", ct, "post",
+    return b"".join(_aes_passes(_aes_key(key, "decrypt"), ct, "post",
                                 [iv] + ct[:-1], stats))
 
 
@@ -119,13 +152,18 @@ def _counter_blocks(counter0: bytes, n: int) -> list[bytes]:
     return [((c + i) % (1 << 128)).to_bytes(16, "big") for i in range(n)]
 
 
-def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
-              stats: ExecutionStats | None = None) -> bytes:
+def _ctr(k: _AesKey, counter0: bytes, data: bytes,
+         stats: ExecutionStats | None) -> bytes:
     n = -(-len(data) // 16)
     padded = data + bytes(16 * n - len(data))
-    out = _aes_passes(key, "encrypt", _counter_blocks(counter0, n),
-                      "post", _split_blocks(padded), stats)
+    out = _aes_passes(k, _counter_blocks(counter0, n), "post",
+                      _split_blocks(padded), stats)
     return b"".join(out)[:len(data)]
+
+
+def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
+              stats: ExecutionStats | None = None) -> bytes:
+    return _ctr(_aes_key(key, "encrypt"), counter0, data, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +187,10 @@ def _ccm_format(nonce: bytes, aad: bytes, msg: bytes,
     return _split_blocks(bytes(buf))
 
 
-def _ccm_mac(key: bytes, nonce: bytes, aad: bytes, msg: bytes, tag_len: int,
-             stats: ExecutionStats | None) -> bytes:
-    mac = bytes(16)
-    for block in _ccm_format(nonce, aad, msg, tag_len):
-        mac = _aes_passes(key, "encrypt", [block], "pre", [mac], stats)[0]
-    return mac[:tag_len]
+def _ccm_mac(k: _AesKey, nonce: bytes, aad: bytes, msg: bytes,
+             tag_len: int, stats: ExecutionStats | None) -> bytes:
+    blocks = _ccm_format(nonce, aad, msg, tag_len)
+    return _cbc_mac(k, bytes(16), blocks, stats)[-1][:tag_len]
 
 
 def _ccm_ctr0(nonce: bytes) -> bytes:
@@ -162,14 +198,21 @@ def _ccm_ctr0(nonce: bytes) -> bytes:
     return bytes([q - 1]) + nonce + bytes(q)
 
 
+def _ccm_check(nonce: bytes, tag_len: int) -> None:
+    if not 7 <= len(nonce) <= 13:
+        raise ValueError("CCM nonce must be 7..13 bytes")
+    if tag_len not in (4, 6, 8, 10, 12, 14, 16):
+        raise ValueError(f"CCM tag length must be 4, 6, ..., 16 bytes, "
+                         f"got {tag_len!r}")
+
+
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    if not 7 <= len(nonce) <= 13:
-        raise ValueError("CCM nonce must be 7..13 bytes")
-    mac = _ccm_mac(key, nonce, aad, plaintext, tag_len, stats)
-    ctr0 = _ccm_ctr0(nonce)
-    keystream = ctr_crypt(key, ctr0, bytes(16 + len(plaintext)), stats)
+    _ccm_check(nonce, tag_len)
+    k = _aes_key(key, "encrypt")
+    mac = _ccm_mac(k, nonce, aad, plaintext, tag_len, stats)
+    keystream = _ctr(k, _ccm_ctr0(nonce), bytes(16 + len(plaintext)), stats)
     ct = _xor(plaintext, keystream[16:])
     return ct + _xor(mac, keystream[:tag_len])
 
@@ -177,11 +220,12 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
+    _ccm_check(nonce, tag_len)
+    k = _aes_key(key, "encrypt")
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    ctr0 = _ccm_ctr0(nonce)
-    keystream = ctr_crypt(key, ctr0, bytes(16 + len(ct)), stats)
+    keystream = _ctr(k, _ccm_ctr0(nonce), bytes(16 + len(ct)), stats)
     pt = _xor(ct, keystream[16:])
-    mac = _ccm_mac(key, nonce, aad, pt, tag_len, stats)
+    mac = _ccm_mac(k, nonce, aad, pt, tag_len, stats)
     if not _hmac_mod.compare_digest(_xor(mac, keystream[:tag_len]), tag):
         raise TagMismatch("CCM tag mismatch")
     return pt
@@ -215,40 +259,47 @@ def _pad16(data: bytes) -> bytes:
     return data + bytes(-len(data) % 16)
 
 
-def _gcm_j0(hash_key: bytes, iv: bytes,
-            stats: ExecutionStats | None) -> bytes:
+def _gcm_setup(key: bytes, iv: bytes, tag_len: int,
+               stats: ExecutionStats | None) -> tuple[_AesKey, bytes, bytes]:
+    """The call's key, the hash key H and the pre-counter block J0."""
+    if tag_len not in (4, 8, 12, 13, 14, 15, 16):
+        raise ValueError(f"GCM tag length must be 4, 8 or 12..16 bytes, "
+                         f"got {tag_len!r}")
+    if not iv:
+        raise ValueError("GCM IV must not be empty")
+    k = _aes_key(key, "encrypt")
+    h = _aes_passes(k, [bytes(16)], None, None, stats)[0]
     if len(iv) == 12:
-        return iv + b"\x00\x00\x00\x01"
+        return k, h, iv + b"\x00\x00\x00\x01"
     material = _pad16(iv) + bytes(8) + (8 * len(iv)).to_bytes(8, "big")
-    return ghash_digest(hash_key, material, stats)
+    return k, h, ghash_digest(h, material, stats)
+
+
+def _plus1(block: bytes) -> bytes:
+    return (int.from_bytes(block, "big") + 1).to_bytes(16, "big")
 
 
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    h = ecb_crypt(key, bytes(16), "encrypt", stats)
-    j0 = _gcm_j0(h, iv, stats)
-    ctr1 = (int.from_bytes(j0, "big") + 1).to_bytes(16, "big")
-    ct = ctr_crypt(key, ctr1, plaintext, stats)
+    k, h, j0 = _gcm_setup(key, iv, tag_len, stats)
+    ct = _ctr(k, _plus1(j0), plaintext, stats)
     s = ghash_digest(h, _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct),
                      stats)
-    tag = ctr_crypt(key, j0, s, stats)[:tag_len]
-    return ct + tag
+    return ct + _ctr(k, j0, s, stats)[:tag_len]
 
 
 def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
+    k, h, j0 = _gcm_setup(key, iv, tag_len, stats)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    h = ecb_crypt(key, bytes(16), "encrypt", stats)
-    j0 = _gcm_j0(h, iv, stats)
     s = ghash_digest(h, _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct),
                      stats)
-    expect = ctr_crypt(key, j0, s, stats)[:tag_len]
+    expect = _ctr(k, j0, s, stats)[:tag_len]
     if not _hmac_mod.compare_digest(expect, tag):
         raise TagMismatch("GCM tag mismatch")
-    ctr1 = (int.from_bytes(j0, "big") + 1).to_bytes(16, "big")
-    return ctr_crypt(key, ctr1, ct, stats)
+    return _ctr(k, _plus1(j0), ct, stats)
 
 
 # ---------------------------------------------------------------------------

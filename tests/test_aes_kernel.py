@@ -43,7 +43,8 @@ def _stage_by_byte(blocks):
 
 
 def test_staging_matches_bit_loops(rng):
-    for n in range(17):
+    # past 16 blocks, block 16k + t is tile t of lane k
+    for n in [*range(18), 33, 100]:
         blocks = [rng.randbytes(16) for _ in range(n)]
         staged = hostio.aes_stage_rows(blocks)
         assert hostio.aes_plane_rows(blocks) == _planes_by_bit(blocks)

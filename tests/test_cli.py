@@ -108,3 +108,20 @@ def test_bench_json(capsys):
     import json
     payload = json.loads(capsys.readouterr().out)
     assert "calibration" in payload and payload["rows"]
+
+
+@pytest.mark.parametrize("mode,iv", [("gcm", "00" * 12), ("ccm", "00" * 13)])
+def test_bad_aad_is_usage_error(tmp_path, mode, iv):
+    src = tmp_path / "pt.bin"
+    src.write_bytes(bytes(16))
+    assert run(["encrypt", "--mode", mode, "--key", KEY, "--iv", iv,
+                "--aad", "zz", "--in", str(src),
+                "--out", str(tmp_path / "o")]) == cli.USAGE_ERROR
+
+
+def test_empty_gcm_iv_is_usage_error(tmp_path):
+    src = tmp_path / "pt.bin"
+    src.write_bytes(bytes(16))
+    assert run(["encrypt", "--mode", "gcm", "--key", KEY, "--iv", "",
+                "--in", str(src), "--out", str(tmp_path / "o")]
+               ) == cli.USAGE_ERROR

@@ -1,31 +1,42 @@
-"""Compiled engine vs the reference interpreter.
+"""Compiled engine vs the reference interpreter, and lanes vs lone runs.
 
 ``Controller.run`` runs compiled windows unless it is given a ``trace``
 list, which selects the reference interpreter; both must leave the same
 grid, latch, pending activation, cycle count, statistics and host
-outputs, and raise the same exception type.
+outputs, and raise the same exception type.  A run on K lanes must leave
+each lane as a one-lane run on that lane's grid would, and count the
+cycles and statistics of all K.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimcrypt import perfmodel
-from pimcrypt.controller import (Controller, FunctionDescriptor, Invocation,
+from pimcrypt import fabric, perfmodel
+from pimcrypt.controller import (Controller, ExecutionStats,
+                                 FunctionDescriptor, Invocation,
                                  KernelProgram, StrideRule)
-from pimcrypt.fabric import CycleCostModel, RowOutOfRange, Subarray
+from pimcrypt.fabric import COLS, CycleCostModel, RowOutOfRange, Subarray
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
-from pimcrypt.kernels import ghash
+from pimcrypt.kernels import aes, ghash
 
 COST_MODELS = [CycleCostModel(), CycleCostModel(3, 2)]
+LANE = (1 << COLS) - 1
 
 
-def outcome(prog, env, cost, reference, grid_seed=0, pending=None):
-    sub = Subarray(block_width=prog.block_width, cost_model=cost)
-    rng = random.Random(grid_seed)
+def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
+    """Run ``prog`` on random rows and latch; lane k draws them from seed
+    ``grid_seed + k``."""
+    sub = Subarray(block_width=prog.block_width, cost_model=cost,
+                   lanes=lanes)
+    rngs = [random.Random(grid_seed + k) for k in range(lanes)]
     for row in range(128):
-        sub.write_row(row, rng.getrandbits(256))
+        sub.write_row(row, sum(rng.getrandbits(COLS) << COLS * k
+                               for k, rng in enumerate(rngs)))
+    sub.sa_latch = sum(rng.getrandbits(COLS) << COLS * k
+                       for k, rng in enumerate(rngs))
     if pending is not None:
         sub.execute(CommandWord.act_row(pending))
     env = dict(env)
@@ -45,6 +56,32 @@ def assert_engines_agree(prog, env, cost, **setup):
     return compiled
 
 
+def assert_lanes_agree(prog, cost, lanes, grid_seed=0, pending=None):
+    """Both engines on ``lanes`` lanes equal one-lane runs, lane by lane.
+
+    Host actions are dropped: this checks the command stream alone.
+    """
+    prog = replace(prog, host_actions=[])
+    error, stats, grid, latch, pend, cycles, _ = assert_engines_agree(
+        prog, {}, cost, grid_seed=grid_seed, pending=pending, lanes=lanes)
+    singles = [outcome(prog, {}, cost, reference=False,
+                       grid_seed=grid_seed + k, pending=pending)
+               for k in range(lanes)]
+    assert {s[0] for s in singles} == {error}
+    if error is not None:
+        return
+    total = ExecutionStats()
+    for k, (_, one, one_grid, one_latch, one_pend, _, _) in enumerate(
+            singles):
+        assert [row >> COLS * k & LANE for row in grid] == one_grid
+        assert latch >> COLS * k & LANE == one_latch
+        assert pend == one_pend
+        total.merge(one)
+    assert stats == total
+    assert cycles == sum(s[5] for s in singles) == stats.cycles + (
+        0 if pending is None else lanes * cost.cycles_per_command)
+
+
 @pytest.mark.parametrize("cost", COST_MODELS)
 def test_measured_programs_agree(monkeypatch, cost):
     names = []
@@ -59,6 +96,38 @@ def test_measured_programs_agree(monkeypatch, cost):
     perfmodel.measure_kernels(perfmodel.FabricConfig(cycle_cost=cost))
     # AES x4, SHA3 x4, HMAC x4 (inner and outer), GHASH continuation
     assert len(names) == 4 + 4 + 8 + 1
+
+
+def test_measured_programs_run_in_lanes(monkeypatch):
+    programs = []
+    real_run = perfmodel._run
+
+    def capture(prog, env, cost):
+        programs.append(prog)
+        return real_run(prog, env, cost)
+
+    monkeypatch.setattr(perfmodel, "_run", capture)
+    perfmodel.measure_kernels()
+    assert len(programs) == 4 + 4 + 8 + 1
+    for seed, prog in enumerate(programs):
+        assert_lanes_agree(prog, CycleCostModel(3, 2), 3, grid_seed=3 * seed)
+
+
+def test_compiled_code_is_shared_across_lane_counts(monkeypatch):
+    prog = replace(aes.build_aes_program(128, "decrypt", "post"),
+                   host_actions=[])
+    ctrl = Controller(prog)
+    ctrl.run(Subarray(block_width=prog.block_width))
+    compiled = []
+    monkeypatch.setattr(fabric, "compile",
+                        lambda *args: compiled.append(args) or compile(*args),
+                        raising=False)
+    for lanes in (2, 3, 5, 64):
+        ctrl.run(Subarray(block_width=prog.block_width, lanes=lanes))
+    assert compiled == []
+    for name in prog.functions:
+        window = ctrl._window(name)
+        assert len({window.bind(k).__code__ for k in (1, 2, 3, 5, 64)}) == 1
 
 
 @pytest.mark.parametrize("cost", COST_MODELS)
@@ -130,6 +199,26 @@ def test_non_integer_stride_runs_on_the_reference():
         assert_engines_agree(prog, {}, CycleCostModel())
 
 
+LATCH_WINDOWS = {
+    # the latch one iteration leaves is read by the next
+    "shift only": [CommandWord.shift(3)],
+    "shift, store, reload": [CommandWord.shift(1, right=True),
+                             CommandWord.wr_row(2), CommandWord.rd_row(3)],
+    # every iteration sets the latch before reading it
+    "load, shift, store, shift": [CommandWord.rd_row(1), CommandWord.shift(2),
+                                  CommandWord.wr_row(1), CommandWord.shift(1)],
+}
+
+
+@pytest.mark.parametrize("name", LATCH_WINDOWS)
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_latch_across_iterations(name, lanes):
+    prog = program(LATCH_WINDOWS[name], schedule=[Invocation("F", 3, 0)],
+                   width=16)
+    assert Controller(prog)._window("F") is not None
+    assert_lanes_agree(prog, CycleCostModel(), lanes, grid_seed=5)
+
+
 def test_pending_activation_at_start_matches():
     prog = program(logic(1, LogicKind.OR, 2, 3))
     assert Controller(prog)._window("F") is not None
@@ -151,8 +240,10 @@ def windows(draw):
         st.builds(lambda r: [CommandWord.rd_row(r)], rows),
         st.builds(lambda r: [CommandWord.wr_row(r)], rows),
         st.builds(lambda n, right: [CommandWord.shift(n, right)],
-                  indices, st.booleans()),
-        st.builds(lambda c: [CommandWord.ext_bit(c, width)], indices),
+                  st.one_of(st.integers(0, width - 1), indices),
+                  st.booleans()),
+        st.builds(lambda c: [CommandWord.ext_bit(c, width)],
+                  st.one_of(st.integers(0, 2), indices)),
         st.builds(logic, rows, st.sampled_from(list(LogicKind)), rows, rows))
     cmds = sum(draw(st.lists(segment, min_size=1, max_size=10)), [])
     change = draw(st.sampled_from(["none", "option", "splice"]))
@@ -173,8 +264,10 @@ def windows(draw):
                 max_size=2),
        st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
                 min_size=1, max_size=3),
-       st.integers(0, 2 ** 32), st.sampled_from([None, None, None, 7]))
-def test_generated_windows_agree(window, strides, invocations, seed, pending):
+       st.integers(0, 2 ** 32), st.sampled_from([None, None, None, 7]),
+       st.integers(1, 3))
+def test_generated_windows_agree(window, strides, invocations, seed, pending,
+                                 lanes):
     width, cmds = window
     rules = [StrideRule(off % len(cmds), inc) for off, inc in strides]
     prog = program(cmds, rules,
@@ -185,4 +278,4 @@ def test_generated_windows_agree(window, strides, invocations, seed, pending):
     except Exception:   # rejected at load time: nothing runs on either engine
         return
     for cost in COST_MODELS:
-        assert_engines_agree(prog, {}, cost, grid_seed=seed, pending=pending)
+        assert_lanes_agree(prog, cost, lanes, grid_seed=seed, pending=pending)

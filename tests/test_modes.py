@@ -103,3 +103,120 @@ def test_ghash_of_empty_input_is_zero():
 def test_unsupported_sha3_size_is_a_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+# -- bulk modes against `cryptography`, across lane counts -------------------
+#
+# 16 blocks fill one pass; 17 and 33 spill into a second and third lane;
+# 1025 fills all LOCKSTEP_LANES lanes of one run and starts another.  The
+# chain planes of CBC decryption and CTR are staged per lane, so a block
+# past the 16th that lands in the wrong lane or tile shows here.
+
+def _cipher(key, mode):
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+    return Cipher(algorithms.AES(key), mode)
+
+
+def _crypt(ctx, data):
+    return ctx.update(data) + ctx.finalize()
+
+
+BULK_BLOCKS = [1, 16, 17, 33, 1025]
+
+
+@pytest.mark.parametrize("klen", [16, 32])
+@pytest.mark.parametrize("nblocks", BULK_BLOCKS)
+def test_ecb_and_cbc_decrypt_match_cryptography(nblocks, klen, rng):
+    from cryptography.hazmat.primitives.ciphers import modes as cm
+    key, iv = rng.randbytes(klen), rng.randbytes(16)
+    data = rng.randbytes(16 * nblocks)
+    ecb = _cipher(key, cm.ECB())
+    assert modes.ecb_crypt(key, data) == _crypt(ecb.encryptor(), data)
+    assert modes.ecb_crypt(key, data, "decrypt") == _crypt(ecb.decryptor(),
+                                                           data)
+    cbc = _cipher(key, cm.CBC(iv))
+    assert modes.cbc_decrypt(key, iv, data) == _crypt(cbc.decryptor(), data)
+
+
+@pytest.mark.parametrize("klen", [16, 32])
+@pytest.mark.parametrize("nblocks", BULK_BLOCKS)
+def test_ctr_and_gcm_match_cryptography(nblocks, klen, rng):
+    from cryptography.hazmat.primitives.ciphers import modes as cm
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    key, ctr0, iv = rng.randbytes(klen), rng.randbytes(16), rng.randbytes(12)
+    aad = rng.randbytes(20)
+    for size in (16 * nblocks, 16 * nblocks - 5):   # whole and partial
+        data = rng.randbytes(size)
+        ctr = _cipher(key, cm.CTR(ctr0))
+        assert modes.ctr_crypt(key, ctr0, data) == _crypt(ctr.encryptor(),
+                                                          data)
+        sealed = AESGCM(key).encrypt(iv, data, aad)
+        assert modes.gcm_encrypt(key, iv, aad, data) == sealed
+        assert modes.gcm_decrypt(key, iv, aad, sealed) == data
+
+
+def test_lockstep_lanes_are_the_modeled_subarrays():
+    from pimcrypt.perfmodel import FabricConfig
+    assert modes.LOCKSTEP_LANES == FabricConfig().active_subarrays
+
+
+def test_lockstep_counts_every_pass(rng):
+    # 33 blocks in one 3-lane run cost what three one-pass runs do.
+    key, data = rng.randbytes(16), rng.randbytes(16 * 33)
+    wide, passes = ExecutionStats(), ExecutionStats()
+    modes.ecb_crypt(key, data, stats=wide)
+    for off in range(0, len(data), 256):
+        modes.ecb_crypt(key, data[off:off + 256], stats=passes)
+    assert wide == passes
+
+
+# -- parameter boundaries -----------------------------------------------------
+
+@pytest.mark.parametrize("tag_len", [4, 8, 12, 13, 14, 15, 16])
+def test_gcm_short_tags_truncate_the_full_tag(tag_len, rng):
+    key, iv, pt = rng.randbytes(16), rng.randbytes(12), rng.randbytes(20)
+    full = modes.gcm_encrypt(key, iv, b"", pt)
+    out = modes.gcm_encrypt(key, iv, b"", pt, tag_len=tag_len)
+    assert out == full[:len(pt) + tag_len]
+    assert modes.gcm_decrypt(key, iv, b"", out, tag_len=tag_len) == pt
+
+
+@pytest.mark.parametrize("tag_len", [0, 3, 5, 11, 17])
+def test_gcm_rejects_tag_lengths(tag_len):
+    with pytest.raises(ValueError):
+        modes.gcm_encrypt(bytes(16), bytes(12), b"", b"msg", tag_len=tag_len)
+    with pytest.raises(ValueError):
+        modes.gcm_decrypt(bytes(16), bytes(12), b"", bytes(32),
+                          tag_len=tag_len)
+
+
+def test_gcm_rejects_an_empty_iv():
+    with pytest.raises(ValueError):
+        modes.gcm_encrypt(bytes(16), b"", b"", b"msg")
+    with pytest.raises(ValueError):
+        modes.gcm_decrypt(bytes(16), b"", b"", bytes(32))
+
+
+@pytest.mark.parametrize("tag_len", [4, 6, 10, 16])
+def test_ccm_tag_lengths_match_cryptography(tag_len, rng):
+    from cryptography.hazmat.primitives.ciphers.aead import AESCCM
+    key, nonce = rng.randbytes(16), rng.randbytes(11)
+    aad, pt = rng.randbytes(9), rng.randbytes(40)
+    out = modes.ccm_encrypt(key, nonce, aad, pt, tag_len=tag_len)
+    assert out == AESCCM(key, tag_length=tag_len).encrypt(nonce, pt, aad)
+    assert modes.ccm_decrypt(key, nonce, aad, out, tag_len=tag_len) == pt
+
+
+@pytest.mark.parametrize("tag_len", [0, 2, 5, 15, 18])
+def test_ccm_rejects_tag_lengths(tag_len):
+    with pytest.raises(ValueError, match="tag length"):
+        modes.ccm_encrypt(bytes(16), bytes(13), b"", b"msg", tag_len=tag_len)
+    with pytest.raises(ValueError, match="tag length"):
+        modes.ccm_decrypt(bytes(16), bytes(13), b"", bytes(32),
+                          tag_len=tag_len)
+
+
+@pytest.mark.parametrize("nonce_len", [3, 6, 14])
+def test_ccm_decrypt_checks_the_nonce_length(nonce_len):
+    with pytest.raises(ValueError, match="nonce"):
+        modes.ccm_decrypt(bytes(16), bytes(nonce_len), b"", bytes(32))
