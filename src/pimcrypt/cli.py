@@ -3,7 +3,8 @@
 Crypto subcommands run on the simulated fabric and, by default, verify
 every output against the independent reference implementation (exit 1
 on any mismatch).  ``bench`` reproduces the embedded baseline tables;
-``asm``/``disasm``/``trace`` expose the ISA tooling.
+``asm``/``disasm`` expose the ISA tooling, and ``trace`` shows command by
+command the representative pass ``bench`` measures.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O
 error.
@@ -16,11 +17,10 @@ import json
 import sys
 
 from . import oracle, perfmodel
-from .controller import Controller
-from .fabric import CycleCostModel, Subarray
+from .fabric import CycleCostModel
 from .isa import (AsmError, InvalidOpcode, assemble, disassemble, from_bytes,
                   to_bytes)
-from .kernels import aes, ghash, keccak, modes
+from .kernels import keccak, modes
 
 USAGE_ERROR, MISMATCH_ERROR, IO_ERROR = 2, 1, 3
 
@@ -80,7 +80,7 @@ def cmd_encrypt(args, decrypt: bool = False) -> int:
     verify = not args.no_verify
     mode = args.mode
     direction = "decrypt" if decrypt else "encrypt"
-    if mode in ("ecb", "cbc", "ctr") and mode != "ctr" and len(data) % 16:
+    if mode in ("ecb", "cbc") and len(data) % 16:
         raise CliError("input must be a multiple of 16 bytes", USAGE_ERROR)
     try:
         if mode == "ecb":
@@ -195,39 +195,14 @@ def cmd_disasm(args) -> int:
     return 0
 
 
-_TRACE_KERNELS = ("aes-128-encrypt", "aes-128-decrypt", "aes-256-encrypt",
-                  "aes-256-decrypt", "sha3-224", "sha3-256", "sha3-384",
-                  "sha3-512", "ghash")
-
-
-def _demo_program(alg: str):
-    if alg.startswith("aes"):
-        _, variant, direction = alg.split("-")
-        prog = aes.build_aes_program(int(variant), direction)
-        key = bytes(range(int(variant) // 8))
-        env = modes._key_env(key, direction)
-        env["blocks"] = [bytes([i] * 16) for i in range(16)]
-        return prog, env
-    if alg.startswith("sha3"):
-        bits = _sha3_bits(alg)
-        rate = keccak.RATE_BYTES[bits]
-        padded = [keccak.pad_sha3(b"pimcrypt", rate)] * 4
-        return (keccak.build_sha3_program(bits, 1),
-                {"blocks": modes._pack_sha3_blocks(padded, rate)})
-    if alg == "ghash":
-        return (ghash.build_ghash_program(8),
-                {"hash_key": bytes(range(16)), "ghash_first": True,
-                 "xblocks": [bytes([i] * 16) for i in range(8)]})
-    raise CliError(f"--alg must be one of {', '.join(_TRACE_KERNELS)}",
-                   USAGE_ERROR)
-
-
 def cmd_trace(args) -> int:
-    prog, env = _demo_program(args.alg)
-    sub = Subarray(block_width=prog.block_width,
-                   cost_model=CycleCostModel(args.cycles_per_command))
+    passes = perfmodel.kernel_passes()
+    if args.alg not in passes:
+        raise CliError(f"--alg must be one of {', '.join(passes)}",
+                       USAGE_ERROR)
     records = []
-    Controller(prog).run(sub, env, trace=records)
+    stats = passes[args.alg].run(CycleCostModel(args.cycles_per_command),
+                                 trace=records)
     lines = []
     for i, rec in enumerate(records):
         line = (f"{i:6d}  {rec.word:04x}  {rec.text.strip():<24} "
@@ -235,7 +210,7 @@ def cmd_trace(args) -> int:
         if args.trace > 1:
             line += f"  latch={rec.latch:064x}"
         lines.append(line)
-    lines.append(f"# {len(records)} commands, {sub.cycle_count} cycles")
+    lines.append(f"# {len(records)} commands, {stats.cycles} cycles")
     _write(args.outfile, ("\n".join(lines) + "\n").encode())
     return 0
 
@@ -301,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="1 = commands, 2 = with latch snapshots")
     tr.add_argument("--cycles-per-command", type=int, default=1)
     be = common(sub.add_parser("bench"))
-    be.add_argument("--fraction", type=float, default=1.0)
     be.add_argument("--power-mode", default="run0",
                     choices=list(perfmodel.POWER_MODES))
     be.add_argument("--cycles-per-command", type=int, default=1)

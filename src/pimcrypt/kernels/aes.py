@@ -26,7 +26,7 @@ from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..isa import CommandWord, LogicKind
 from . import circuits, hostio
-from .layout import LayoutMap, aes_geometry
+from .layout import LayoutMap, _logic
 
 __all__ = ["AES_LAYOUT", "build_aes_program", "expand_key_words", "key_rows",
            "gen_bit_slice_fwd", "gen_bit_slice_inv", "gen_add_round_key",
@@ -43,7 +43,6 @@ AES_LAYOUT = LayoutMap({
     "ext": (127, 1),
 })
 
-GEOMETRY = aes_geometry()
 BLOCK_WIDTH = 16
 
 _PLANE = [AES_LAYOUT.row("planes", b) for b in range(8)]
@@ -78,11 +77,6 @@ def mask_values() -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Command generators
 # ---------------------------------------------------------------------------
-
-def _logic(a: int, kind: LogicKind, b: int, dst: int) -> list[CommandWord]:
-    return [CommandWord.act_row(a), CommandWord.logic_op(b, kind),
-            CommandWord.wr_row(dst)]
-
 
 _TRANSPOSE_PAIRS = [(4, 0, 4), (4, 1, 5), (4, 2, 6), (4, 3, 7),
                     (2, 0, 2), (2, 1, 3), (2, 4, 6), (2, 5, 7),

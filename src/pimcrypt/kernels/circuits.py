@@ -28,7 +28,6 @@ __all__ = [
     "inverse_sbox_gates",
     "evaluate",
     "schedule",
-    "command_cost",
 ]
 
 
@@ -292,13 +291,6 @@ def inverse_sbox_gates() -> list[Gate]:
 # ---------------------------------------------------------------------------
 
 _LOGIC = {"and": LogicKind.AND, "or": LogicKind.OR, "xor": LogicKind.XOR}
-
-
-def command_cost(gates: list[Gate]) -> int:
-    cost = 0
-    for g in gates:
-        cost += {"xnor": 6, "copy": 2}.get(g.op, 3)
-    return cost
 
 
 def schedule(gates: list[Gate], inputs: dict[str, int],

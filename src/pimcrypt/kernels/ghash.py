@@ -23,7 +23,7 @@ from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW
 from ..isa import CommandWord, LogicKind
-from .layout import LayoutMap, ghash_geometry
+from .layout import LayoutMap, _logic
 
 __all__ = ["GHASH_LAYOUT", "build_ghash_program", "gen_byte_arrange",
            "gen_byte_aligning", "gen_galois_mult", "mask_values"]
@@ -41,7 +41,6 @@ GHASH_LAYOUT = LayoutMap({
     "scratch": (59, 4),
 })
 
-GEOMETRY = ghash_geometry()
 BLOCK_WIDTH = 256
 
 _V = GHASH_LAYOUT.row("mult")
@@ -69,11 +68,6 @@ def mask_values() -> dict[int, int]:
         masks[_SWAP0 + 2 * i] = a
         masks[_SWAP0 + 2 * i + 1] = lo ^ a
     return masks
-
-
-def _logic(a: int, kind: LogicKind, b: int, dst: int) -> list[CommandWord]:
-    return [CommandWord.act_row(a), CommandWord.logic_op(b, kind),
-            CommandWord.wr_row(dst)]
 
 
 def _shift_into(src: int, count: int, dst: int,

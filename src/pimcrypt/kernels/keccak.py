@@ -22,7 +22,7 @@ from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..isa import CommandWord, LogicKind
 from . import hostio
-from .layout import LayoutMap, sha3_geometry
+from .layout import LayoutMap, _logic
 
 __all__ = ["SHA3_LAYOUT", "build_sha3_program", "gen_theta", "gen_rho_pi",
            "gen_pi", "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
@@ -35,7 +35,6 @@ SHA3_LAYOUT = LayoutMap({
     "pad": (74, 1),
 })
 
-GEOMETRY = sha3_geometry()
 BLOCK_WIDTH = 64
 
 RATE_BYTES = {224: 144, 256: 136, 384: 104, 512: 72}
@@ -63,11 +62,6 @@ _PAD = SHA3_LAYOUT.row("pad")
 
 def _row(x: int, y: int) -> int:
     return 5 * y + x
-
-
-def _logic(a: int, kind: LogicKind, b: int, dst: int) -> list[CommandWord]:
-    return [CommandWord.act_row(a), CommandWord.logic_op(b, kind),
-            CommandWord.wr_row(dst)]
 
 
 def _rot_into(src: int, dst: int, s: int, w1: int, w2: int) -> list[CommandWord]:

@@ -1,50 +1,21 @@
-"""Subarray geometries and named row layouts for the kernels.
-
-A :class:`BlockGeometry` describes how a kernel tiles the 128 x 256 grid:
-``unit_bits`` data bits per processed unit, ``tile_cols`` columns per
-independent tile, ``temp_rows`` scratch rows the kernel claims, and
-``parallel`` independent units processed side by side.
+"""Named row layouts for the kernels, and the one command idiom they share.
 
 A :class:`LayoutMap` names disjoint row regions so generators and host
-actions never hard-code row numbers twice.
+actions never hard-code row numbers twice.  ``_logic`` emits the
+``act_row`` + ``logic_op`` + ``wr_row`` triple that computes
+``dst = a <kind> b``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fabric import ROWS
+from ..isa import CommandWord, LogicKind
 
-__all__ = ["BlockGeometry", "LayoutMap", "LayoutError",
-           "aes_geometry", "sha3_geometry", "ghash_geometry"]
+__all__ = ["LayoutMap", "LayoutError"]
 
 
 class LayoutError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class BlockGeometry:
-    unit_bits: int
-    tile_cols: int
-    temp_rows: int
-    parallel: int
-
-
-def aes_geometry() -> BlockGeometry:
-    # 8 bit-planes, 16-column tiles, 16 blocks per pass; the row budget
-    # beyond the state planes (keys + staging + masks + chain) is 100.
-    return BlockGeometry(unit_bits=8, tile_cols=16, temp_rows=100, parallel=16)
-
-
-def sha3_geometry() -> BlockGeometry:
-    # lane-per-row state, 64-column lanes, 4 states side by side
-    return BlockGeometry(unit_bits=25, tile_cols=64, temp_rows=6, parallel=4)
-
-
-def ghash_geometry() -> BlockGeometry:
-    # one 128-bit block in a full-width 256-column workspace
-    return BlockGeometry(unit_bits=128, tile_cols=256, temp_rows=8, parallel=1)
 
 
 class LayoutMap:
@@ -71,5 +42,7 @@ class LayoutMap:
         start, count = self.regions[name]
         return range(start, start + count)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.regions
+
+def _logic(a: int, kind: LogicKind, b: int, dst: int) -> list[CommandWord]:
+    return [CommandWord.act_row(a), CommandWord.logic_op(b, kind),
+            CommandWord.wr_row(dst)]

@@ -147,16 +147,21 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
                                 [iv] + ct[:-1], stats))
 
 
-def _counter_blocks(counter0: bytes, n: int) -> list[bytes]:
+def _counter_blocks(counter0: bytes, n: int, width: int = 128) -> list[bytes]:
+    """``counter0`` and the ``n - 1`` blocks after it, counting in the low
+    ``width`` bits only: GCM's inc32 (SP 800-38D) wraps the low 32 bits;
+    CTR counts over the whole block, as ``cryptography`` does."""
     c = int.from_bytes(counter0, "big")
-    return [((c + i) % (1 << 128)).to_bytes(16, "big") for i in range(n)]
+    low = (1 << width) - 1
+    return [(c & ~low | (c + i) & low).to_bytes(16, "big")
+            for i in range(n)]
 
 
 def _ctr(k: _AesKey, counter0: bytes, data: bytes,
-         stats: ExecutionStats | None) -> bytes:
+         stats: ExecutionStats | None, width: int = 128) -> bytes:
     n = -(-len(data) // 16)
     padded = data + bytes(16 * n - len(data))
-    out = _aes_passes(k, _counter_blocks(counter0, n), "post",
+    out = _aes_passes(k, _counter_blocks(counter0, n, width), "post",
                       _split_blocks(padded), stats)
     return b"".join(out)[:len(data)]
 
@@ -198,9 +203,13 @@ def _ccm_ctr0(nonce: bytes) -> bytes:
     return bytes([q - 1]) + nonce + bytes(q)
 
 
-def _ccm_check(nonce: bytes, tag_len: int) -> None:
+def _ccm_check(nonce: bytes, tag_len: int, msg_len: int) -> None:
     if not 7 <= len(nonce) <= 13:
         raise ValueError("CCM nonce must be 7..13 bytes")
+    q = 15 - len(nonce)
+    if msg_len >= 1 << 8 * q:
+        raise ValueError(f"CCM message must be shorter than 2^{8 * q} "
+                         f"bytes with a {len(nonce)}-byte nonce")
     if tag_len not in (4, 6, 8, 10, 12, 14, 16):
         raise ValueError(f"CCM tag length must be 4, 6, ..., 16 bytes, "
                          f"got {tag_len!r}")
@@ -209,7 +218,7 @@ def _ccm_check(nonce: bytes, tag_len: int) -> None:
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    _ccm_check(nonce, tag_len)
+    _ccm_check(nonce, tag_len, len(plaintext))
     k = _aes_key(key, "encrypt")
     mac = _ccm_mac(k, nonce, aad, plaintext, tag_len, stats)
     keystream = _ctr(k, _ccm_ctr0(nonce), bytes(16 + len(plaintext)), stats)
@@ -220,7 +229,7 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    _ccm_check(nonce, tag_len)
+    _ccm_check(nonce, tag_len, len(ciphertext) - tag_len)
     k = _aes_key(key, "encrypt")
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
     keystream = _ctr(k, _ccm_ctr0(nonce), bytes(16 + len(ct)), stats)
@@ -275,15 +284,17 @@ def _gcm_setup(key: bytes, iv: bytes, tag_len: int,
     return k, h, ghash_digest(h, material, stats)
 
 
-def _plus1(block: bytes) -> bytes:
-    return (int.from_bytes(block, "big") + 1).to_bytes(16, "big")
+def _gcm_ctr(k: _AesKey, j0: bytes, data: bytes,
+             stats: ExecutionStats | None) -> bytes:
+    """GCTR from inc32(J0): the GCM payload keystream."""
+    return _ctr(k, _counter_blocks(j0, 2, 32)[1], data, stats, 32)
 
 
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
     k, h, j0 = _gcm_setup(key, iv, tag_len, stats)
-    ct = _ctr(k, _plus1(j0), plaintext, stats)
+    ct = _gcm_ctr(k, j0, plaintext, stats)
     s = ghash_digest(h, _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct),
                      stats)
     return ct + _ctr(k, j0, s, stats)[:tag_len]
@@ -299,7 +310,7 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
     expect = _ctr(k, j0, s, stats)[:tag_len]
     if not _hmac_mod.compare_digest(expect, tag):
         raise TagMismatch("GCM tag mismatch")
-    return _ctr(k, _plus1(j0), ct, stats)
+    return _gcm_ctr(k, j0, ct, stats)
 
 
 # ---------------------------------------------------------------------------

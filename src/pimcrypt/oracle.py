@@ -214,8 +214,12 @@ def _ccm_mac(key: bytes, nonce: bytes, aad: bytes, msg: bytes,
     return mac[:tag_len]
 
 
-def _ccm_ctr0(nonce: bytes) -> bytes:
+def _ccm_ctr0(nonce: bytes, msg_len: int) -> bytes:
+    """Counter block 0; the length field of B0 must hold ``msg_len``."""
     q = 15 - len(nonce)
+    if msg_len >= 256 ** q:
+        raise ValueError(f"CCM message too long for a {len(nonce)}-byte "
+                         f"nonce")
     return bytes([q - 1]) + nonce + bytes(q)
 
 
@@ -223,8 +227,8 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16) -> bytes:
     if not 7 <= len(nonce) <= 13:
         raise ValueError("CCM nonce must be 7..13 bytes")
+    ctr0 = _ccm_ctr0(nonce, len(plaintext))
     mac = _ccm_mac(key, nonce, aad, plaintext, tag_len)
-    ctr0 = _ccm_ctr0(nonce)
     s0 = aes_encrypt_block(key, ctr0)
     ct = ctr_crypt(key, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
                    plaintext)
@@ -234,7 +238,7 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16) -> bytes:
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    ctr0 = _ccm_ctr0(nonce)
+    ctr0 = _ccm_ctr0(nonce, len(ct))
     s0 = aes_encrypt_block(key, ctr0)
     pt = ctr_crypt(key, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
                    ct)
@@ -313,12 +317,21 @@ def _gcm_j0(key: bytes, iv: bytes) -> bytes:
                  + (8 * len(iv)).to_bytes(16, "big"))
 
 
+def _gctr(key: bytes, j0: bytes, data: bytes) -> bytes:
+    """Keystream from inc32(J0) on: only the low 32 counter bits count."""
+    out = bytearray()
+    for i in range(0, len(data), 16):
+        low = (int.from_bytes(j0[12:], "big") + 1 + i // 16) & 0xFFFFFFFF
+        stream = aes_encrypt_block(key, j0[:12] + low.to_bytes(4, "big"))
+        out += _xor(data[i:i + 16], stream)
+    return bytes(out)
+
+
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes,
                 plaintext: bytes) -> bytes:
     h = aes_encrypt_block(key, bytes(16))
     j0 = _gcm_j0(key, iv)
-    ctr1 = (int.from_bytes(j0, "big") + 1).to_bytes(16, "big")
-    ct = ctr_crypt(key, ctr1, plaintext)
+    ct = _gctr(key, j0, plaintext)
     tag = _xor(aes_encrypt_block(key, j0),
                ghash(h, _gcm_ghash_input(aad, ct)))
     return ct + tag
@@ -333,8 +346,7 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes,
                   ghash(h, _gcm_ghash_input(aad, ct)))
     if not _hmac_mod.compare_digest(expect, tag):
         raise TagMismatch("GCM tag mismatch")
-    ctr1 = (int.from_bytes(j0, "big") + 1).to_bytes(16, "big")
-    return ctr_crypt(key, ctr1, ct)
+    return _gctr(key, j0, ct)
 
 
 # ---------------------------------------------------------------------------

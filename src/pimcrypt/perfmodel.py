@@ -6,9 +6,13 @@ Throughput of one kernel is modeled as
 
 where cycles come from actually running one representative pass of the
 kernel program on the simulated fabric (1 cycle per command plus 1 per
-1-bit shift step by default).  The reference hardware is a 256 KiB SRAM
-of 4 KiB subarrays (64 total) with 25/50/100% of them compute-enabled,
-clocked and powered like the three MCU operating points below.
+1-bit shift step by default).  ``kernel_passes`` is the one registry of
+those passes: ``measure_kernels`` runs it, ``pimcrypt trace`` shows it
+command by command, and the engine tests check both engines on it.
+
+The reference hardware is a 256 KiB SRAM of 4 KiB subarrays (64 total)
+with 25/50/100% of them compute-enabled, clocked and powered like the
+three MCU operating points below.
 
 Mode composition follows the reference data's own internal structure:
 CCM costs exactly twice CBC (MAC pass plus CTR pass), and GCM costs a
@@ -25,16 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from .controller import Controller, ExecutionStats
 from .fabric import CycleCostModel, Subarray
 from .kernels import aes, ghash, keccak, modes
 
 __all__ = ["PowerMode", "POWER_MODES", "FabricConfig", "KernelMeasurement",
-           "PerfReport", "measure_kernels", "mode_cycles", "throughput",
-           "energy_efficiency", "calibrate", "compare_to_paper",
-           "count_commands", "PAPER"]
+           "KernelPass", "PerfReport", "kernel_passes", "measure_kernels",
+           "mode_cycles", "throughput", "energy_efficiency", "calibrate",
+           "compare_to_paper", "count_commands", "PAPER"]
 
 
 @dataclass(frozen=True)
@@ -175,73 +180,98 @@ def count_commands(program) -> dict[str, int]:
     return counts
 
 
-def _run(program, env, cost: CycleCostModel) -> ExecutionStats:
-    sub = Subarray(block_width=program.block_width, cost_model=cost)
-    return Controller(program).run(sub, env)
+@dataclass(frozen=True)
+class KernelPass:
+    """One representative pass of a kernel: what ``measure_kernels``
+    measures and ``pimcrypt trace`` shows.
+
+    ``build`` returns the pass's ordered runs as (``modes._controller``
+    arguments, env) pairs.  Envs are built on every call because host
+    actions mutate them (``ghash_load`` pops ``ghash_first``,
+    ``aes_unload`` writes ``out_blocks``); programs come from the
+    ``modes`` cache, so nothing is built before first use.
+    """
+    family: str               # calibration family: aes / sha3 / ghash
+    payload_bytes: int        # per subarray pass
+    build: Callable[[], list[tuple[tuple, dict]]]
+
+    def runs(self) -> list[tuple[Controller, dict]]:
+        """The validated programs in order, each with a fresh env."""
+        return [(modes._controller(*args), env) for args, env in self.build()]
+
+    def run(self, cost: CycleCostModel,
+            trace: list | None = None) -> ExecutionStats:
+        """Run every program on a fresh one-lane subarray; ``trace``
+        selects the reference interpreter and collects its records."""
+        stats = ExecutionStats()
+        for ctrl, env in self.runs():
+            sub = Subarray(block_width=ctrl.program.block_width,
+                           cost_model=cost)
+            stats.merge(ctrl.run(sub, env, trace=trace))
+        return stats
 
 
-def _measure_aes(variant: int, direction: str,
-                 cost: CycleCostModel) -> KernelMeasurement:
+def _aes_runs(variant: int, direction: str) -> list[tuple[tuple, dict]]:
     chain = "pre" if direction == "encrypt" else "post"
-    prog = aes.build_aes_program(variant, direction, chain)
     blocks = [bytes([(17 * i + j) & 0xFF for j in range(16)])
               for i in range(16)]
     env = modes._key_env(bytes(range(variant // 8)), direction)
     env.update(blocks=blocks, chain_blocks=blocks[::-1])
-    stats = _run(prog, env, cost)
-    return KernelMeasurement(f"aes-{variant}-{direction}", "aes",
-                             stats.cycles, 256, stats)
+    return [(("aes", variant, direction, chain), env)]
 
 
-def _measure_sha3(bits: int, cost: CycleCostModel) -> KernelMeasurement:
+def _sha3_run(bits: int, padded: bytes, key_prep: bool = False,
+              **env) -> tuple[tuple, dict]:
+    blocks = modes._pack_sha3_blocks([padded] * modes.SHA3_LANES,
+                                     keccak.RATE_BYTES[bits])
+    return ("sha3", bits, len(blocks), key_prep), dict(env, blocks=blocks)
+
+
+def _sha3_runs(bits: int) -> list[tuple[tuple, dict]]:
     rate = keccak.RATE_BYTES[bits]
     msg = bytes(i & 0xFF for i in range(3 * rate))   # pads to 4 blocks
-    padded = [keccak.pad_sha3(msg, rate)] * modes.SHA3_LANES
-    env = {"blocks": modes._pack_sha3_blocks(padded, rate)}
-    prog = keccak.build_sha3_program(bits, 4)
-    stats = _run(prog, env, cost)
-    return KernelMeasurement(f"sha3-{bits}", "sha3", stats.cycles,
-                             modes.SHA3_LANES * len(msg), stats)
+    return [_sha3_run(bits, keccak.pad_sha3(msg, rate))]
 
 
-def _measure_hmac(bits: int, cost: CycleCostModel) -> KernelMeasurement:
+def _hmac_runs(bits: int) -> list[tuple[tuple, dict]]:
     rate = keccak.RATE_BYTES[bits]
     key = msg = bytes(i & 0xFF for i in range(rate))
-    stats = ExecutionStats()
     # inner: key block + 2 message blocks; outer: key block + digest block
-    for tail in (msg, bytes(bits // 8)):
-        padded = [key + keccak.pad_sha3(tail, rate)] * modes.SHA3_LANES
-        env = {"blocks": modes._pack_sha3_blocks(padded, rate),
-               "pad_lane": 0x3636363636363636}
-        prog = keccak.build_sha3_program(bits, len(env["blocks"]),
-                                         key_prep=True)
-        stats.merge(_run(prog, env, cost))
-    return KernelMeasurement(f"hmac-sha3-{bits}", "sha3", stats.cycles,
-                             modes.SHA3_LANES * rate, stats)
+    return [_sha3_run(bits, key + keccak.pad_sha3(tail, rate), True,
+                      pad_lane=0x3636363636363636)
+            for tail in (msg, bytes(bits // 8))]
 
 
-def _measure_ghash(cost: CycleCostModel) -> KernelMeasurement:
-    prog = ghash.build_ghash_program(8, final=False)
-    env = {"hash_key": bytes(range(16)), "ghash_first": True,
-           "xblocks": [bytes([i] * 16) for i in range(8)]}
-    stats = _run(prog, env, cost)
-    return KernelMeasurement("ghash", "ghash", stats.cycles, 128, stats)
+def _ghash_runs() -> list[tuple[tuple, dict]]:
+    return [(("ghash", 8, False),
+             {"hash_key": bytes(range(16)), "ghash_first": True,
+              "xblocks": [bytes([i] * 16) for i in range(8)]})]
+
+
+def kernel_passes() -> dict[str, KernelPass]:
+    """The representative pass of every measured kernel, by name."""
+    passes = {}
+    for variant in (128, 256):
+        for direction in ("encrypt", "decrypt"):
+            passes[f"aes-{variant}-{direction}"] = KernelPass(
+                "aes", 256, partial(_aes_runs, variant, direction))
+    for bits, rate in keccak.RATE_BYTES.items():
+        passes[f"sha3-{bits}"] = KernelPass(
+            "sha3", modes.SHA3_LANES * 3 * rate, partial(_sha3_runs, bits))
+        passes[f"hmac-sha3-{bits}"] = KernelPass(
+            "sha3", modes.SHA3_LANES * rate, partial(_hmac_runs, bits))
+    passes["ghash"] = KernelPass("ghash", 128, _ghash_runs)
+    return passes
 
 
 def measure_kernels(config: FabricConfig | None = None
                     ) -> dict[str, KernelMeasurement]:
     cost = (config or FabricConfig()).cycle_cost
     out = {}
-    for variant in (128, 256):
-        for direction in ("encrypt", "decrypt"):
-            m = _measure_aes(variant, direction, cost)
-            out[m.name] = m
-    for bits in keccak.RATE_BYTES:
-        m = _measure_sha3(bits, cost)
-        out[m.name] = m
-        m = _measure_hmac(bits, cost)
-        out[m.name] = m
-    out["ghash"] = _measure_ghash(cost)
+    for name, kp in kernel_passes().items():
+        stats = kp.run(cost)
+        out[name] = KernelMeasurement(name, kp.family, stats.cycles,
+                                      kp.payload_bytes, stats)
     return out
 
 

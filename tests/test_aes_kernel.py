@@ -5,7 +5,7 @@ import pytest
 from pimcrypt import oracle
 from pimcrypt.controller import Controller, ExecutionStats
 from pimcrypt.fabric import Subarray
-from pimcrypt.kernels import aes, hostio, modes
+from pimcrypt.kernels import aes, circuits, hostio, modes
 
 FIPS_KEY128 = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_KEY256 = bytes.fromhex(
@@ -78,6 +78,42 @@ def test_key_schedule_matches_oracle():
     assert b"".join(words[:11]) == b"".join(oracle.expand_key(FIPS_KEY128))
     words256 = aes.expand_key_words(FIPS_KEY256)
     assert b"".join(words256[:15]) == b"".join(oracle.expand_key(FIPS_KEY256))
+
+
+# -- S-box circuits over all 256 inputs -----------------------------------------
+#
+# Column c carries byte value c; circuit signal x_k / s_k is byte bit 7 - k
+# (x0 is the MSB), which is AES plane 7 - k.
+
+def _byte_planes(table):
+    """Bit-parallel columns: plane b holds bit b of ``table[c]`` at c."""
+    return [sum((table[c] >> b & 1) << c for c in range(256))
+            for b in range(8)]
+
+
+SBOX_TABLES = {False: oracle.SBOX, True: oracle.INV_SBOX}
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_sbox_circuit_is_exhaustively_right(inverse):
+    gates = (circuits.inverse_sbox_gates() if inverse
+             else circuits.forward_sbox_gates())
+    planes = _byte_planes(range(256))
+    wires = circuits.evaluate(gates, {f"x{k}": planes[7 - k]
+                                      for k in range(8)})
+    expect = _byte_planes(SBOX_TABLES[inverse])
+    assert [wires[f"s{7 - b}"] for b in range(8)] == expect
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_scheduled_sub_bytes_is_exhaustively_right(inverse):
+    sub = Subarray(block_width=aes.BLOCK_WIDTH)
+    for b, value in enumerate(_byte_planes(range(256))):
+        sub.write_row(aes.AES_LAYOUT.row("planes", b), value)
+    for cmd in aes.gen_sub_bytes(inverse):
+        sub.execute(cmd)
+    assert [sub.read_row(aes.AES_LAYOUT.row("planes", b))
+            for b in range(8)] == _byte_planes(SBOX_TABLES[inverse])
 
 
 # Pinned counts for the control-kernel budget. [DERIVED]

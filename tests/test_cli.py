@@ -1,8 +1,14 @@
 """CLI behavior: exit codes, file IO, and asm/disasm identity."""
 
+import json
+import pathlib
+
 import pytest
 
-from pimcrypt import cli, isa, oracle
+from pimcrypt import cli, isa, oracle, perfmodel
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden_counts.json").read_text())
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 IV = "0f0e0d0c0b0a09080706050403020100"
@@ -103,6 +109,23 @@ def test_trace_emits_records(tmp_path, capsys):
     assert "act_row" in out or "rd_row" in out
 
 
+@pytest.mark.parametrize("alg", ["aes-128-encrypt", "aes-256-decrypt",
+                                 "sha3-384", "hmac-sha3-256", "ghash"])
+def test_trace_shows_the_measured_pass(tmp_path, alg):
+    # the pass `bench` measures, on the reference interpreter
+    out = tmp_path / "trace.txt"
+    assert run(["trace", "--alg", alg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[-1] == (f"# {len(lines) - 1} commands, "
+                         f"{GOLDEN['cycles'][alg]} cycles")
+
+
+def test_trace_accepts_exactly_the_measured_kernels(capsys):
+    assert run(["trace", "--alg", "sha3-100"]) == cli.USAGE_ERROR
+    names = capsys.readouterr().err.split("one of ")[1].strip().split(", ")
+    assert names == list(perfmodel.kernel_passes()) == list(GOLDEN["cycles"])
+
+
 def test_bench_json(capsys):
     assert run(["bench", "--format", "json"]) == 0
     import json
@@ -123,5 +146,15 @@ def test_empty_gcm_iv_is_usage_error(tmp_path):
     src = tmp_path / "pt.bin"
     src.write_bytes(bytes(16))
     assert run(["encrypt", "--mode", "gcm", "--key", KEY, "--iv", "",
+                "--in", str(src), "--out", str(tmp_path / "o")]
+               ) == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize("command,extra", [("encrypt", 0), ("decrypt", 16)])
+def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
+    # a 13-byte nonce leaves a 2-byte length field: messages < 65536 bytes
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(65536 + extra))
+    assert run([command, "--mode", "ccm", "--key", KEY, "--iv", "00" * 13,
                 "--in", str(src), "--out", str(tmp_path / "o")]
                ) == cli.USAGE_ERROR

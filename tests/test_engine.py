@@ -82,32 +82,26 @@ def assert_lanes_agree(prog, cost, lanes, grid_seed=0, pending=None):
         0 if pending is None else lanes * cost.cycles_per_command)
 
 
-@pytest.mark.parametrize("cost", COST_MODELS)
-def test_measured_programs_agree(monkeypatch, cost):
-    names = []
+def measured_runs():
+    """Every (validated program, fresh env) run of every registered pass."""
+    return [run for kp in perfmodel.kernel_passes().values()
+            for run in kp.runs()]
 
-    def run_both(prog, env, cost):
-        ctrl = Controller(prog)
+
+@pytest.mark.parametrize("cost", COST_MODELS)
+def test_measured_programs_agree(cost):
+    names = []
+    for ctrl, env in measured_runs():
+        prog = ctrl.program
         assert all(ctrl._window(f) is not None for f in prog.functions)
         names.append(prog.name)
-        return assert_engines_agree(prog, env, cost)[1]
-
-    monkeypatch.setattr(perfmodel, "_run", run_both)
-    perfmodel.measure_kernels(perfmodel.FabricConfig(cycle_cost=cost))
+        assert assert_engines_agree(prog, env, cost)[0] is None
     # AES x4, SHA3 x4, HMAC x4 (inner and outer), GHASH continuation
     assert len(names) == 4 + 4 + 8 + 1
 
 
-def test_measured_programs_run_in_lanes(monkeypatch):
-    programs = []
-    real_run = perfmodel._run
-
-    def capture(prog, env, cost):
-        programs.append(prog)
-        return real_run(prog, env, cost)
-
-    monkeypatch.setattr(perfmodel, "_run", capture)
-    perfmodel.measure_kernels()
+def test_measured_programs_run_in_lanes():
+    programs = [ctrl.program for ctrl, _ in measured_runs()]
     assert len(programs) == 4 + 4 + 8 + 1
     for seed, prog in enumerate(programs):
         assert_lanes_agree(prog, CycleCostModel(3, 2), 3, grid_seed=3 * seed)

@@ -220,3 +220,45 @@ def test_ccm_rejects_tag_lengths(tag_len):
 def test_ccm_decrypt_checks_the_nonce_length(nonce_len):
     with pytest.raises(ValueError, match="nonce"):
         modes.ccm_decrypt(bytes(16), bytes(nonce_len), b"", bytes(32))
+
+
+def _iv_for_j0(key: bytes, j0: bytes) -> bytes:
+    """The 16-byte GCM IV whose pre-counter block is ``j0``.
+
+    J0 = GHASH_H(IV || 0^64 || [128]_64) = IV·H² ⊕ 128·H, so
+    IV = (J0 ⊕ 128·H) · H^(2^128 − 3), H^(2^128 − 3) being H⁻².
+    """
+    h = int.from_bytes(oracle.aes_encrypt_block(key, bytes(16)), "big")
+    inv2, base, e = 1 << 127, h, 2 ** 128 - 3   # 1 << 127 is GF(2^128)'s 1
+    while e:
+        if e & 1:
+            inv2 = oracle.gf128_mul(inv2, base)
+        base, e = oracle.gf128_mul(base, base), e >> 1
+    x = int.from_bytes(j0, "big") ^ oracle.gf128_mul(128, h)
+    iv = oracle.gf128_mul(x, inv2).to_bytes(16, "big")
+    assert oracle.ghash(h.to_bytes(16, "big"),
+                        iv + (128).to_bytes(16, "big")) == j0
+    return iv
+
+
+@pytest.mark.parametrize("klen", [16, 32])
+def test_gcm_counter_wraps_in_its_low_32_bits(klen, rng):
+    # inc32 (SP 800-38D): J0 = 5a..5a fffffffe counts the payload as
+    # ...ffffffff, ...00000000, ...00000001, never carrying into byte 11.
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    key, aad, pt = rng.randbytes(klen), rng.randbytes(7), rng.randbytes(64)
+    iv = _iv_for_j0(key, b"\x5a" * 12 + b"\xff\xff\xff\xfe")
+    sealed = AESGCM(key).encrypt(iv, pt, aad)
+    for impl in (modes, oracle):
+        assert impl.gcm_encrypt(key, iv, aad, pt) == sealed
+        assert impl.gcm_decrypt(key, iv, aad, sealed) == pt
+
+
+@pytest.mark.parametrize("nonce_len,limit", [(13, 1 << 16), (12, 1 << 24)])
+def test_ccm_rejects_messages_its_length_field_cannot_hold(nonce_len, limit):
+    nonce = bytes(nonce_len)
+    for impl in (modes, oracle):
+        with pytest.raises(ValueError, match="CCM message"):
+            impl.ccm_encrypt(bytes(16), nonce, b"", bytes(limit))
+        with pytest.raises(ValueError, match="CCM message"):
+            impl.ccm_decrypt(bytes(16), nonce, b"", bytes(limit + 16))
