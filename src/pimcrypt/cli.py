@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import oracle, perfmodel
@@ -195,14 +196,20 @@ def cmd_disasm(args) -> int:
     return 0
 
 
+def _cost(args) -> CycleCostModel:
+    try:
+        return CycleCostModel(args.cycles_per_command)
+    except ValueError as exc:
+        raise CliError(f"--cycles-per-command: {exc}", USAGE_ERROR)
+
+
 def cmd_trace(args) -> int:
     passes = perfmodel.kernel_passes()
     if args.alg not in passes:
         raise CliError(f"--alg must be one of {', '.join(passes)}",
                        USAGE_ERROR)
     records = []
-    stats = passes[args.alg].run(CycleCostModel(args.cycles_per_command),
-                                 trace=records)
+    stats = passes[args.alg].run(_cost(args), trace=records)
     lines = []
     for i, rec in enumerate(records):
         line = (f"{i:6d}  {rec.word:04x}  {rec.text.strip():<24} "
@@ -216,10 +223,14 @@ def cmd_trace(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cost = CycleCostModel(args.cycles_per_command)
+    cost = _cost(args)
+    if args.calibration is not None and not (
+            math.isfinite(args.calibration) and args.calibration > 0):
+        raise CliError(f"--calibration must be a positive number, got "
+                       f"{args.calibration}", USAGE_ERROR)
     ms = perfmodel.measure_kernels(perfmodel.FabricConfig(cycle_cost=cost))
     cal = ({"aes": args.calibration, "sha3": args.calibration,
-            "ghash": args.calibration} if args.calibration
+            "ghash": args.calibration} if args.calibration is not None
            else perfmodel.calibrate(ms))
     report = perfmodel.compare_to_paper(ms, cal)
     if args.format == "json":

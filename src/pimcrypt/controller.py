@@ -18,6 +18,12 @@ A *kernel program* bundles:
 Two functions may alias overlapping command-array ranges; aliasing is how
 a kernel re-runs a tail of another function without storing it twice.
 
+:class:`Controller` validates a program when it is loaded: it must fit
+the command array, use a block width a subarray supports, hold int
+windows, strides and iteration counts, and keep every stride-rewritten
+index on the fabric.  Anything else raises :class:`ControllerError`
+before a command runs.
+
 :meth:`Controller.run` makes one fabric call per schedule invocation: the
 function's window is compiled once (:func:`~pimcrypt.fabric.compile_window`,
 cached by window content, bound once per lane count) and run for all of
@@ -34,11 +40,10 @@ iterations, commands and cycles equal the sums of K one-lane runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from . import isa
-from .fabric import ROWS, CompiledRun, CompiledWindow, Subarray, compile_window
+from .fabric import (ROWS, CompiledRun, CompiledWindow, Subarray,
+                     compile_window, supported_width)
 from .isa import CommandWord, Opcode
 
 __all__ = [
@@ -99,50 +104,6 @@ class KernelProgram:
     host_actions: list[HostAction] = field(default_factory=list)
     block_width: int = 256
 
-    def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "block_width": self.block_width,
-            "commands": [f"{c.encode():04x}" for c in self.commands],
-            "functions": [
-                {
-                    "name": f.name,
-                    "base": f.base,
-                    "count": f.count,
-                    "iterations": f.iterations,
-                    "strides": [[s.offset, s.increment] for s in f.strides],
-                }
-                for f in self.functions.values()
-            ],
-            "schedule": [
-                [inv.function, inv.iterations, inv.iteration_base]
-                for inv in self.schedule
-            ],
-            "host_actions": [
-                {"position": a.position, "kind": a.kind, "params": a.params}
-                for a in self.host_actions
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelProgram":
-        doc = json.loads(text)
-        return cls(
-            name=doc["name"],
-            commands=[isa.decode(int(w, 16)) for w in doc["commands"]],
-            functions={
-                f["name"]: FunctionDescriptor(
-                    f["name"], f["base"], f["count"], f["iterations"],
-                    tuple(StrideRule(o, i) for o, i in f["strides"]))
-                for f in doc["functions"]
-            },
-            schedule=[Invocation(*s) for s in doc["schedule"]],
-            host_actions=[HostAction(a["position"], a["kind"], a["params"])
-                          for a in doc["host_actions"]],
-            block_width=doc["block_width"],
-        )
-
 
 @dataclass
 class FunctionStats:
@@ -169,6 +130,10 @@ class ExecutionStats:
         self.cycles += other.cycles
 
 
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
 # Registry mapping host-action kinds to callables
 # ``fn(subarray, env, **params)``.  Kernels register theirs at import time.
 HOST_ACTIONS: dict[str, callable] = {}
@@ -184,10 +149,8 @@ def host_action(kind: str):
 class Controller:
     """Validates a program against the command array and runs it."""
 
-    def __init__(self, program: KernelProgram,
-                 capacity: int = COMMAND_ARRAY_BYTES):
+    def __init__(self, program: KernelProgram):
         self.program = program
-        self.capacity = capacity
         self._validate()
         # Per-(function, global-iteration) resolved command tuples.
         self._resolved: dict[tuple[str, int], list[CommandWord]] = {}
@@ -198,12 +161,19 @@ class Controller:
     def _validate(self) -> None:
         prog = self.program
         nbytes = 2 * len(prog.commands)
-        if nbytes > self.capacity:
+        if nbytes > COMMAND_ARRAY_BYTES:
             raise ControllerError(
                 f"program needs {nbytes} B but command array holds "
-                f"{self.capacity} B")
+                f"{COMMAND_ARRAY_BYTES} B")
+        if not supported_width(prog.block_width):
+            raise ControllerError(
+                f"unsupported block width {prog.block_width!r}")
         spans: dict[str, range] = {}
         for f in prog.functions.values():
+            if not _ints(f.base, f.count, *(v for s in f.strides
+                                            for v in (s.offset, s.increment))):
+                raise ControllerError(f"function {f.name} has a non-int "
+                                      f"window or stride")
             if f.base < 0 or f.base + f.count > len(prog.commands):
                 raise ControllerError(f"function {f.name} window out of range")
             for s in f.strides:
@@ -216,6 +186,9 @@ class Controller:
             if inv.function not in prog.functions:
                 raise ControllerError(f"schedule names unknown function "
                                       f"{inv.function!r}")
+            if not _ints(inv.iterations, inv.iteration_base):
+                raise ControllerError(f"invocation of {inv.function} has "
+                                      f"non-int iterations or base")
             if inv.iterations < 1:
                 raise ControllerError("invocation iterations must be >= 1")
             iter_spans[inv.function].update(

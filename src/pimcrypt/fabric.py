@@ -24,11 +24,13 @@ position.
 A subarray with ``lanes`` K > 1 holds K such subarrays side by side, as
 the controller's one command stream drives every compute subarray at
 once: each row is a K x 256-bit int and lane ``k`` owns columns
-``256k .. 256k+255``.  Every block width divides 256, so a lane boundary
-is a segment boundary; segment-confined shifts, ``ext_bit`` and NOT use
-their masks replicated into every lane and act on each lane exactly as
-on a lone subarray.  Cycles count every lane: a command costs K times
-its single-subarray cycles, so K lanes cost what K one-lane runs do.
+``256k .. 256k+255``.  Every supported block width divides 256
+(:func:`supported_width`, checked when a subarray is built and when the
+controller loads a program), so a lane boundary is a segment boundary;
+segment-confined shifts, ``ext_bit`` and NOT use their masks replicated
+into every lane and act on each lane exactly as on a lone subarray.
+Cycles count every lane: a command costs K times its single-subarray
+cycles, so K lanes cost what K one-lane runs do.
 
 Two engines execute commands.  :meth:`Subarray.execute` is the reference
 interpreter: it decodes, checks and runs one command at a time, and
@@ -62,6 +64,7 @@ __all__ = [
     "BlockWidthMismatch",
     "UnsupportedOption",
     "CycleCostModel",
+    "supported_width",
     "TraceRecord",
     "CompiledWindow",
     "CompiledRun",
@@ -102,8 +105,19 @@ class UnsupportedOption(FabricError):
 
 @dataclass(frozen=True)
 class CycleCostModel:
+    """Cycles per command (at least 1) and per 1-bit shift step."""
     cycles_per_command: int = 1
     cycles_per_shift_step: int = 1
+
+    def __post_init__(self):
+        if (type(self.cycles_per_command) is not int
+                or self.cycles_per_command < 1):
+            raise ValueError(f"cycles per command must be an int >= 1, "
+                             f"got {self.cycles_per_command!r}")
+        if (type(self.cycles_per_shift_step) is not int
+                or self.cycles_per_shift_step < 0):
+            raise ValueError(f"cycles per shift step must be an int >= 0, "
+                             f"got {self.cycles_per_shift_step!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,13 @@ def _shift_mask(width: int, count: int, right: bool) -> int:
     return mask
 
 
+def supported_width(width) -> bool:
+    """Whether a subarray can be configured for block width ``width``:
+    an int ext_bit width that divides the 256 columns."""
+    return (type(width) is int and width in BLOCK_WIDTHS
+            and COLS % width == 0)
+
+
 def _lane_fill(lanes: int) -> int:
     """The int with bit ``256k`` set for every lane ``k``: multiplying a
     one-lane row value by it repeats the value in every lane."""
@@ -154,7 +175,7 @@ class Subarray:
     def __init__(self, block_width: int = 256,
                  cost_model: CycleCostModel = CycleCostModel(),
                  lanes: int = 1):
-        if block_width not in BLOCK_WIDTHS or block_width > COLS:
+        if not supported_width(block_width):
             raise BlockWidthMismatch(f"unsupported block width {block_width}")
         if type(lanes) is not int or lanes < 1:
             raise ValueError(f"lanes must be a positive int, got {lanes!r}")
@@ -395,18 +416,16 @@ def compile_window(words: tuple[int, ...],
                    block_width: int) -> CompiledWindow | None:
     """Compile a window of encoded command words, or return None.
 
-    ``strides`` holds ``(offset, increment)`` pairs: the command at
+    ``strides`` holds int ``(offset, increment)`` pairs: the command at
     ``offset`` addresses row ``index + increment * G`` in global
-    iteration ``G``.  The caller must have checked that every such row
-    is on the grid for the iterations it will run.  None means the
-    reference could raise on this window (an option it rejects, a row
-    off the grid, an ext_bit width or column it rejects, an unpaired
-    activation, a strided shift or ext_bit), so it must be interpreted.
+    iteration ``G``.  The caller must have checked that ``block_width``
+    is supported and that every such row is on the grid for the
+    iterations it will run, as :class:`~pimcrypt.controller.Controller`
+    does at load.  None means the reference could raise on this window
+    (an option it rejects, a row off the grid, an ext_bit width or
+    column it rejects, an unpaired activation, a strided shift or
+    ext_bit), so it must be interpreted.
     """
-    # Only ints reach the generated source; 1.0 would also hit the key of 1.
-    if any(type(v) is not int
-           for v in (block_width, *words, *sum(strides, ()))):
-        return None
     key = (words, strides, block_width)
     if key not in _COMPILED:
         _COMPILED[key] = _lower(words, strides, block_width)
@@ -414,8 +433,6 @@ def compile_window(words: tuple[int, ...],
 
 
 def _lower(words, strides, block_width) -> CompiledWindow | None:
-    if block_width not in BLOCK_WIDTHS or block_width > COLS:
-        return None
     increments: dict[int, int] = {}
     for offset, increment in strides:
         if offset in increments:

@@ -33,7 +33,6 @@ __all__ = [
     "IsaError",
     "InvalidOpcode",
     "AsmError",
-    "encode",
     "decode",
     "to_bytes",
     "from_bytes",
@@ -120,28 +119,6 @@ class CommandWord:
     @classmethod
     def ext_bit(cls, col: int, width: int) -> "CommandWord":
         return cls(Opcode.EXT_BIT, col, BLOCK_WIDTHS.index(width) << 1)
-
-    # -- option field accessors ------------------------------------------
-
-    @property
-    def logic_kind(self) -> LogicKind:
-        return LogicKind((self.option >> 1) & 0b11)
-
-    @property
-    def shift_right(self) -> bool:
-        return bool(self.option & 0b0100)
-
-    @property
-    def sa_routed(self) -> bool:
-        return bool(self.option & 0b1000)
-
-    @property
-    def width_code(self) -> int:
-        return (self.option >> 1) & 0b111
-
-
-def encode(cmd: CommandWord) -> int:
-    return cmd.encode()
 
 
 def decode(word: int) -> CommandWord:

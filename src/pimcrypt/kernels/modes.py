@@ -18,6 +18,12 @@ chain, though independent streams could still share the other tiles.
 
 The round-key rows are expanded and staged once per call and dropped
 with it, so no key material outlives the call.
+
+Each kernel family has one staging step, :meth:`_AesKey.stage`,
+:func:`_ghash_stage` and :func:`_sponge`, which returns the
+:func:`_controller` arguments of a run and a fresh env (the dict its
+host actions read and write).  The mode functions here and
+``perfmodel.kernel_passes`` both stage through them.
 """
 
 from __future__ import annotations
@@ -49,11 +55,6 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def _merge(stats: ExecutionStats | None, run: ExecutionStats) -> None:
-    if stats is not None:
-        stats.merge(run)
-
-
 @lru_cache(maxsize=128)
 def _controller(kernel: str, *args) -> Controller:
     """The validated program ``build(*args)`` of one kernel family.
@@ -66,6 +67,17 @@ def _controller(kernel: str, *args) -> Controller:
     return Controller(build(*args))
 
 
+def _run(staged: tuple[tuple, dict], sub: Subarray,
+         stats: ExecutionStats | None) -> dict:
+    """Run one staged (``_controller`` arguments, env) pair on ``sub``;
+    returns the env, which holds what the unload actions read out."""
+    args, env = staged
+    run = _controller(*args).run(sub, env)
+    if stats is not None:
+        stats.merge(run)
+    return env
+
+
 # ---------------------------------------------------------------------------
 # AES
 # ---------------------------------------------------------------------------
@@ -75,6 +87,16 @@ class _AesKey(NamedTuple):
     variant: int
     direction: str
     env: dict
+
+    def stage(self, blocks: list[bytes], chain: str | None = None,
+              chain_blocks: list[bytes] | None = None) -> tuple[tuple, dict]:
+        """The ``_controller`` arguments and a fresh env for one run of
+        ``blocks``, XORed with ``chain_blocks`` before (``"pre"``) or
+        after (``"post"``) the cipher."""
+        env = dict(self.env, blocks=blocks)
+        if chain:
+            env["chain_blocks"] = chain_blocks
+        return ("aes", self.variant, self.direction, chain), env
 
 
 def _key_env(key: bytes, direction: str) -> dict:
@@ -97,18 +119,15 @@ def _aes_passes(k: _AesKey, blocks: list[bytes], chain: str | None,
                 chain_blocks: list[bytes] | None,
                 stats: ExecutionStats | None) -> list[bytes]:
     """Run ``blocks`` through AES, up to LOCKSTEP_LANES passes per run."""
-    ctrl = _controller("aes", k.variant, k.direction, chain)
     per_run = AES_BLOCKS_PER_PASS * LOCKSTEP_LANES
     out: list[bytes] = []
     for off in range(0, len(blocks), per_run):
-        env = dict(k.env)
-        env["blocks"] = blocks[off:off + per_run]
-        if chain:
-            env["chain_blocks"] = chain_blocks[off:off + len(env["blocks"])]
-        lanes = -(-len(env["blocks"]) // AES_BLOCKS_PER_PASS)
+        run = blocks[off:off + per_run]
+        lanes = -(-len(run) // AES_BLOCKS_PER_PASS)
+        staged = k.stage(run, chain,
+                         chain_blocks[off:off + per_run] if chain else None)
         sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
-        _merge(stats, ctrl.run(sub, env))
-        out += env["out_blocks"]
+        out += _run(staged, sub, stats)["out_blocks"]
     return out
 
 
@@ -244,19 +263,24 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
 # GHASH and GCM
 # ---------------------------------------------------------------------------
 
+def _ghash_stage(hash_key: bytes, blocks: list[bytes], first: bool,
+                 final: bool) -> tuple[tuple, dict]:
+    """The ``_controller`` arguments and a fresh env for one GHASH pass of
+    up to 8 blocks: ``first`` clears the running product, ``final``
+    reduces it and reads out the digest."""
+    return (("ghash", len(blocks), final),
+            {"hash_key": hash_key, "ghash_first": first, "xblocks": blocks})
+
+
 def ghash_digest(hash_key: bytes, data: bytes,
                  stats: ExecutionStats | None = None) -> bytes:
     blocks = _split_blocks(data)
     if not blocks:
         return bytes(16)
     sub = Subarray(block_width=ghash.BLOCK_WIDTH)
-    env = {"hash_key": hash_key, "ghash_first": True}
     for off in range(0, len(blocks), 8):
-        chunk = blocks[off:off + 8]
-        env["xblocks"] = chunk
-        final = off + len(chunk) == len(blocks)
-        ctrl = _controller("ghash", len(chunk), final)
-        _merge(stats, ctrl.run(sub, env))
+        env = _run(_ghash_stage(hash_key, blocks[off:off + 8], off == 0,
+                                off + 8 >= len(blocks)), sub, stats)
     return ghash.row_to_block(env["digest_row"])
 
 
@@ -317,24 +341,44 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
 # SHA3 / HMAC
 # ---------------------------------------------------------------------------
 
-def _pack_sha3_blocks(padded: list[bytes], rate: int) -> list[list[int]]:
-    nblk = len(padded[0]) // rate
-    blocks = []
-    for b in range(nblk):
-        rows = []
-        for i in range(rate // 8):
-            rows.append(hostio.lane_value(
-                [int.from_bytes(p[b * rate + 8 * i:b * rate + 8 * i + 8],
-                                "little") for p in padded]))
-        blocks.append(rows)
-    return blocks
-
-
 def _rate(bits: int) -> int:
     if bits not in keccak.RATE_BYTES:
         raise ValueError(f"SHA3 output size must be one of "
                          f"{sorted(keccak.RATE_BYTES)} bits, got {bits!r}")
     return keccak.RATE_BYTES[bits]
+
+
+def _sponge(bits: int, msgs: list[bytes],
+            pad_byte: int | None = None) -> tuple[tuple, dict]:
+    """The ``_controller`` arguments and a fresh env that absorb 1..4
+    messages, one per sponge lane; unused lanes repeat the first.
+
+    The messages must pad to equal block counts.  ``pad_byte`` selects
+    the keyed program, which XORs that byte into every byte of the
+    first block (HMAC's ipad or opad).
+    """
+    rate = _rate(bits)
+    padded = [keccak.pad_sha3(m, rate) for m in msgs]
+    if len(set(map(len, padded))) != 1:
+        raise ValueError("batched messages must pad to equal block counts")
+    padded += [padded[0]] * (SHA3_LANES - len(padded))
+    blocks = [[hostio.lane_value([int.from_bytes(p[off:off + 8], "little")
+                                  for p in padded])
+               for off in range(b, b + rate, 8)]
+              for b in range(0, len(padded[0]), rate)]
+    env = {"blocks": blocks}
+    if pad_byte is not None:
+        env["pad_lane"] = int.from_bytes(bytes([pad_byte] * 8), "little")
+    return ("sha3", bits, len(blocks), pad_byte is not None), env
+
+
+def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
+            pad_byte: int | None = None) -> list[bytes]:
+    """The digests of ``msgs``, absorbed by one ``_sponge`` run."""
+    env = _run(_sponge(bits, msgs, pad_byte),
+               Subarray(block_width=keccak.BLOCK_WIDTH), stats)
+    return [_lane_digest(env["state_rows"], i, bits // 8)
+            for i in range(len(msgs))]
 
 
 def _lane_digest(state_rows: list[int], lane: int, nbytes: int) -> bytes:
@@ -347,32 +391,12 @@ def sha3_digest_batch(bits: int, msgs: list[bytes],
     """Hash up to four equal-block-count messages in one fabric run."""
     if not 1 <= len(msgs) <= SHA3_LANES:
         raise ValueError("1..4 messages per batch")
-    rate = _rate(bits)
-    padded = [keccak.pad_sha3(m, rate) for m in msgs]
-    if len(set(map(len, padded))) != 1:
-        raise ValueError("batched messages must pad to equal block counts")
-    padded += [padded[0]] * (SHA3_LANES - len(padded))
-    env = {"blocks": _pack_sha3_blocks(padded, rate)}
-    ctrl = _controller("sha3", bits, len(env["blocks"]), False)
-    _merge(stats, ctrl.run(Subarray(block_width=keccak.BLOCK_WIDTH), env))
-    return [_lane_digest(env["state_rows"], i, bits // 8)
-            for i in range(len(msgs))]
+    return _absorb(bits, msgs, stats)
 
 
 def sha3_digest(bits: int, msg: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     return sha3_digest_batch(bits, [msg], stats)[0]
-
-
-def _keyed_absorb(bits: int, key_block: bytes, pad_byte: int, tail: bytes,
-                  stats: ExecutionStats | None) -> bytes:
-    rate = keccak.RATE_BYTES[bits]
-    padded = key_block + keccak.pad_sha3(tail, rate)
-    env = {"blocks": _pack_sha3_blocks([padded] * SHA3_LANES, rate),
-           "pad_lane": int.from_bytes(bytes([pad_byte] * 8), "little")}
-    ctrl = _controller("sha3", bits, len(env["blocks"]), True)
-    _merge(stats, ctrl.run(Subarray(block_width=keccak.BLOCK_WIDTH), env))
-    return _lane_digest(env["state_rows"], 0, bits // 8)
 
 
 def hmac_sha3(bits: int, key: bytes, msg: bytes,
@@ -381,5 +405,5 @@ def hmac_sha3(bits: int, key: bytes, msg: bytes,
     if len(key) > rate:
         key = sha3_digest(bits, key, stats)
     key_block = key + bytes(rate - len(key))
-    inner = _keyed_absorb(bits, key_block, 0x36, msg, stats)
-    return _keyed_absorb(bits, key_block, 0x5C, inner, stats)
+    inner = _absorb(bits, [key_block + msg], stats, 0x36)[0]
+    return _absorb(bits, [key_block + inner], stats, 0x5C)[0]

@@ -6,7 +6,7 @@ routines are the ground truth the simulator is checked against.
 
 Covers AES-128/256 block ops and the FIPS-197 key schedule, CBC / CTR /
 CCM / GCM modes, GHASH (two formulations), Keccak-f[1600], the four SHA3
-digests, HMAC, and a simple known-answer-test file format.
+digests and HMAC.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "TagMismatch",
     "ghash", "ghash_bitserial", "gf128_mul",
     "keccak_f1600", "sha3", "SHA3_RATES", "hmac_sha3",
-    "load_kat", "save_kat",
 ]
 
 
@@ -215,7 +214,10 @@ def _ccm_mac(key: bytes, nonce: bytes, aad: bytes, msg: bytes,
 
 
 def _ccm_ctr0(nonce: bytes, msg_len: int) -> bytes:
-    """Counter block 0; the length field of B0 must hold ``msg_len``."""
+    """Counter block 0 of a 7..13-byte nonce; the length field of B0 must
+    hold ``msg_len``."""
+    if not 7 <= len(nonce) <= 13:
+        raise ValueError("CCM nonce must be 7..13 bytes")
     q = 15 - len(nonce)
     if msg_len >= 256 ** q:
         raise ValueError(f"CCM message too long for a {len(nonce)}-byte "
@@ -225,8 +227,6 @@ def _ccm_ctr0(nonce: bytes, msg_len: int) -> bytes:
 
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16) -> bytes:
-    if not 7 <= len(nonce) <= 13:
-        raise ValueError("CCM nonce must be 7..13 bytes")
     ctr0 = _ccm_ctr0(nonce, len(plaintext))
     mac = _ccm_mac(key, nonce, aad, plaintext, tag_len)
     s0 = aes_encrypt_block(key, ctr0)
@@ -425,33 +425,3 @@ def hmac_sha3(bits: int, key: bytes, msg: bytes) -> bytes:
     ipad = bytes(k ^ 0x36 for k in key)
     opad = bytes(k ^ 0x5C for k in key)
     return sha3(bits, opad + sha3(bits, ipad + msg))
-
-
-# ---------------------------------------------------------------------------
-# Known-answer-test files:  ``Field = hexvalue`` lines, blank-line separated
-# ---------------------------------------------------------------------------
-
-def load_kat(text: str) -> list[dict]:
-    cases, current = [], {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if current:
-                cases.append(current)
-                current = {}
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        current[key] = value if key == "Alg" else bytes.fromhex(value)
-    if current:
-        cases.append(current)
-    return cases
-
-
-def save_kat(cases: list[dict]) -> str:
-    chunks = []
-    for case in cases:
-        lines = [f"{k} = {v if k == 'Alg' else v.hex()}"
-                 for k, v in case.items()]
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"

@@ -8,7 +8,11 @@ where cycles come from actually running one representative pass of the
 kernel program on the simulated fabric (1 cycle per command plus 1 per
 1-bit shift step by default).  ``kernel_passes`` is the one registry of
 those passes: ``measure_kernels`` runs it, ``pimcrypt trace`` shows it
-command by command, and the engine tests check both engines on it.
+command by command, and the engine tests check both engines on it.  The
+registry only chooses the pass's inputs; ``modes`` stages them, as it
+does for every mode call.  The control-overhead table (commands per
+iteration and iterations per function) is read from the measured
+passes' per-function statistics, so nothing here builds a program.
 
 The reference hardware is a 256 KiB SRAM of 4 KiB subarrays (64 total)
 with 25/50/100% of them compute-enabled, clocked and powered like the
@@ -32,14 +36,14 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping
 
-from .controller import Controller, ExecutionStats
+from .controller import Controller, ExecutionStats, FunctionStats
 from .fabric import CycleCostModel, Subarray
-from .kernels import aes, ghash, keccak, modes
+from .kernels import keccak, modes
 
 __all__ = ["PowerMode", "POWER_MODES", "FabricConfig", "KernelMeasurement",
            "KernelPass", "PerfReport", "kernel_passes", "measure_kernels",
            "mode_cycles", "throughput", "energy_efficiency", "calibrate",
-           "compare_to_paper", "count_commands", "PAPER"]
+           "compare_to_paper", "control_counts", "PAPER"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ POWER_MODES = {
 }
 
 SUBARRAY_BITS = 128 * 256
+# Relative tolerance of every calibrated throughput cell.
+THROUGHPUT_TOLERANCE = 0.05
 
 
 @dataclass
@@ -174,22 +180,16 @@ PAPER = {
 # Measurement
 # ---------------------------------------------------------------------------
 
-def count_commands(program) -> dict[str, int]:
-    counts = {name: fd.count for name, fd in program.functions.items()}
-    counts["total"] = len(program.commands)
-    return counts
-
-
 @dataclass(frozen=True)
 class KernelPass:
     """One representative pass of a kernel: what ``measure_kernels``
     measures and ``pimcrypt trace`` shows.
 
     ``build`` returns the pass's ordered runs as (``modes._controller``
-    arguments, env) pairs.  Envs are built on every call because host
-    actions mutate them (``ghash_load`` pops ``ghash_first``,
-    ``aes_unload`` writes ``out_blocks``); programs come from the
-    ``modes`` cache, so nothing is built before first use.
+    arguments, env) pairs, staged by the same ``modes`` steps the mode
+    functions use.  Envs are staged on every call because host actions
+    mutate them; programs come from the ``modes`` cache, so nothing is
+    built before first use.
     """
     family: str               # calibration family: aes / sha3 / ghash
     payload_bytes: int        # per subarray pass
@@ -215,37 +215,26 @@ def _aes_runs(variant: int, direction: str) -> list[tuple[tuple, dict]]:
     chain = "pre" if direction == "encrypt" else "post"
     blocks = [bytes([(17 * i + j) & 0xFF for j in range(16)])
               for i in range(16)]
-    env = modes._key_env(bytes(range(variant // 8)), direction)
-    env.update(blocks=blocks, chain_blocks=blocks[::-1])
-    return [(("aes", variant, direction, chain), env)]
-
-
-def _sha3_run(bits: int, padded: bytes, key_prep: bool = False,
-              **env) -> tuple[tuple, dict]:
-    blocks = modes._pack_sha3_blocks([padded] * modes.SHA3_LANES,
-                                     keccak.RATE_BYTES[bits])
-    return ("sha3", bits, len(blocks), key_prep), dict(env, blocks=blocks)
+    key = modes._aes_key(bytes(range(variant // 8)), direction)
+    return [key.stage(blocks, chain, blocks[::-1])]
 
 
 def _sha3_runs(bits: int) -> list[tuple[tuple, dict]]:
-    rate = keccak.RATE_BYTES[bits]
-    msg = bytes(i & 0xFF for i in range(3 * rate))   # pads to 4 blocks
-    return [_sha3_run(bits, keccak.pad_sha3(msg, rate))]
+    msg = bytes(i & 0xFF for i in range(3 * keccak.RATE_BYTES[bits]))
+    return [modes._sponge(bits, [msg])]          # pads to 4 blocks
 
 
 def _hmac_runs(bits: int) -> list[tuple[tuple, dict]]:
     rate = keccak.RATE_BYTES[bits]
     key = msg = bytes(i & 0xFF for i in range(rate))
     # inner: key block + 2 message blocks; outer: key block + digest block
-    return [_sha3_run(bits, key + keccak.pad_sha3(tail, rate), True,
-                      pad_lane=0x3636363636363636)
+    return [modes._sponge(bits, [key + tail], 0x36)
             for tail in (msg, bytes(bits // 8))]
 
 
 def _ghash_runs() -> list[tuple[tuple, dict]]:
-    return [(("ghash", 8, False),
-             {"hash_key": bytes(range(16)), "ghash_first": True,
-              "xblocks": [bytes([i] * 16) for i in range(8)]})]
+    blocks = [bytes([i] * 16) for i in range(8)]
+    return [modes._ghash_stage(bytes(range(16)), blocks, True, False)]
 
 
 def kernel_passes() -> dict[str, KernelPass]:
@@ -406,8 +395,8 @@ class PerfReport:
 
 
 def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
-                     calibration: dict[str, float] | None = None,
-                     abs_tolerance: float = 0.05) -> PerfReport:
+                     calibration: dict[str, float] | None = None
+                     ) -> PerfReport:
     ms = measurements or measure_kernels()
     cal = calibration or calibrate(ms)
     rows: list[ReportRow] = []
@@ -422,21 +411,22 @@ def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
             rows.append(ReportRow(
                 "aes throughput (MB/s)",
                 f"aes-{key[0]}-{key[1]}-{key[2]} @{int(frac*100)}%",
-                throughput(m, config, run0) / 1e6, target, abs_tolerance))
+                throughput(m, config, run0) / 1e6, target,
+                THROUGHPUT_TOLERANCE))
     for frac, cells in PAPER["sha3_throughput"].items():
         config = FabricConfig(isc_fraction=frac, calibration=cal)
         for bits, target in cells.items():
             rows.append(ReportRow(
                 "sha3 throughput (MB/s)", f"sha3-{bits} @{int(frac*100)}%",
                 throughput(ms[f"sha3-{bits}"], config, run0) / 1e6,
-                target, abs_tolerance))
+                target, THROUGHPUT_TOLERANCE))
     for frac, cells in PAPER["hmac_throughput"].items():
         config = FabricConfig(isc_fraction=frac, calibration=cal)
         for bits, target in cells.items():
             rows.append(ReportRow(
                 "hmac throughput (MB/s)", f"hmac-{bits} @{int(frac*100)}%",
                 throughput(ms[f"hmac-sha3-{bits}"], config, run0) / 1e6,
-                target, abs_tolerance))
+                target, THROUGHPUT_TOLERANCE))
 
     # Energy tables isolate the power model: the throughput feeding them
     # is pinned to the corresponding published cell with its own scalar,
@@ -480,7 +470,7 @@ def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
                 cells[mname], 1e-3))
 
     # control-overhead counts (our achieved vs published, loose window)
-    achieved = control_counts()
+    achieved = control_counts(ms)
     for name, (inst, iters) in PAPER["control_counts"].items():
         ours_inst, ours_iter = achieved[name]
         rows.append(ReportRow("control overhead (#inst per iteration)",
@@ -503,22 +493,28 @@ def baseline_efficiency(tput_110mhz: float, mode: PowerMode,
     return tput / mode.power
 
 
-def control_counts() -> dict[str, tuple[float, int]]:
+def control_counts(measurements: dict[str, KernelMeasurement] | None = None
+                   ) -> dict[str, tuple[float, int]]:
     """Achieved (commands per iteration, iterations) per named function,
-    matching the shape of the published control-overhead table."""
-    prog = aes.build_aes_program(128, "encrypt")
-    f = prog.functions
-    counts = {
-        "BitSlicing": ((f["BitSliceFwd"].count + f["BitSliceInv"].count) / 2, 2),
-        "AddRoundKey": (f["AddRoundKey"].count, 11),
-        "SubBytes": (f["SubBytes"].count, 10),
-        "ShiftRows": (f["ShiftRows"].count, 10),
-        "MixColumns": (f["MixColumns"].count, 9),
-    }
-    gprog = ghash.build_ghash_program(8)
-    counts["ByteArrange"] = (gprog.functions["ByteArrange"].count, 1)
-    counts["ByteAligning"] = (gprog.functions["ByteAligning"].count, 8)
-    counts["GaloisMult"] = (gprog.functions["GaloisMult"].count, 1024)
-    sprog = keccak.build_sha3_program(256, 1)
-    counts["StatePermute"] = (sprog.functions["StatePermute"].count, 24)
+    matching the shape of the published control-overhead table, read
+    from the measured AES-128 encryption, GHASH and SHA3-256 passes."""
+    ms = measurements or measure_kernels()
+    aes_f = ms["aes-128-encrypt"].stats.per_function
+    ghash_f = ms["ghash"].stats.per_function
+    perm = ms["sha3-256"].stats.per_function["StatePermute"]
+
+    def row(fs: FunctionStats) -> tuple[int, int]:
+        return fs.commands // fs.iterations, fs.iterations
+
+    fwd, inv = aes_f["BitSliceFwd"], aes_f["BitSliceInv"]
+    slicing = fwd.iterations + inv.iterations
+    counts = {"BitSlicing": ((fwd.commands + inv.commands) / slicing,
+                             slicing)}
+    counts.update((name, row(aes_f[name])) for name in
+                  ("AddRoundKey", "SubBytes", "ShiftRows", "MixColumns"))
+    counts.update((name, row(ghash_f[name])) for name in
+                  ("ByteArrange", "ByteAligning", "GaloisMult"))
+    # The pass absorbs 4 blocks; the table counts one block's permutation.
+    counts["StatePermute"] = (perm.commands // perm.iterations,
+                              perm.iterations // perm.invocations)
     return counts

@@ -158,3 +158,24 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     assert run([command, "--mode", "ccm", "--key", KEY, "--iv", "00" * 13,
                 "--in", str(src), "--out", str(tmp_path / "o")]
                ) == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--alg", "ghash", "--cycles-per-command", "-5"],
+    ["trace", "--alg", "ghash", "--cycles-per-command", "0"],
+    ["bench", "--cycles-per-command", "-5"],
+    ["bench", "--calibration", "0"],
+    ["bench", "--calibration", "-1"],
+    ["bench", "--calibration", "nan"],
+    ["bench", "--calibration", "inf"],
+])
+def test_bad_cost_or_calibration_is_usage_error(argv, capsys):
+    assert run(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_uses_the_given_calibration(capsys):
+    assert run(["bench", "--format", "json", "--calibration", "2.5"]) in (
+        0, cli.MISMATCH_ERROR)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["calibration"] == {"aes": 2.5, "sha3": 2.5, "ghash": 2.5}

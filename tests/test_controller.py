@@ -108,14 +108,26 @@ def test_stats_per_function():
     assert stats.commands == 15 and stats.cycles == 25
 
 
-def test_json_round_trip():
-    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1)]
-    prog = prog_of(cmds, {"Copy": FunctionDescriptor(
-        "Copy", 0, 2, strides=(StrideRule(1, 1),))},
-        [Invocation("Copy", 2, 0)],
-        actions=[HostAction(0, "t_noop", {})])
-    again = KernelProgram.from_json(prog.to_json())
-    assert again.commands == prog.commands
-    assert again.functions == prog.functions
-    assert again.schedule == prog.schedule
-    assert again.host_actions == prog.host_actions
+@pytest.mark.parametrize("width", [512, 8, 16.0, True])
+def test_unsupported_block_width_rejected_at_load(width):
+    # 512 is an ext_bit width code, but a 256-column subarray cannot
+    # hold one segment of it, so a lane boundary would split a segment
+    cmds = [CommandWord.ext_bit(0, 16), CommandWord.wr_row(2)]
+    with pytest.raises(ControllerError):
+        Controller(prog_of(cmds, {"F": FunctionDescriptor("F", 0, 2)},
+                           [Invocation("F")], width=width))
+
+
+@pytest.mark.parametrize("fd,inv", [
+    (FunctionDescriptor("F", 0, 2, strides=(StrideRule(0, 1.0),)),
+     Invocation("F")),
+    (FunctionDescriptor("F", 0, 2, strides=(StrideRule(0.0, 1),)),
+     Invocation("F")),
+    (FunctionDescriptor("F", 0.0, 2), Invocation("F")),
+    (FunctionDescriptor("F", 0, 2), Invocation("F", 1.0)),
+    (FunctionDescriptor("F", 0, 2), Invocation("F", 1, 0.0)),
+])
+def test_non_int_fields_rejected_at_load(fd, inv):
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
+    with pytest.raises(ControllerError):
+        Controller(prog_of(cmds, {"F": fd}, [inv]))

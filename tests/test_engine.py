@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pimcrypt import fabric, perfmodel
-from pimcrypt.controller import (Controller, ExecutionStats,
-                                 FunctionDescriptor, Invocation,
-                                 KernelProgram, StrideRule)
+from pimcrypt.controller import (Controller, ControllerError,
+                                 ExecutionStats, FunctionDescriptor,
+                                 Invocation, KernelProgram, StrideRule)
 from pimcrypt.fabric import COLS, CycleCostModel, RowOutOfRange, Subarray
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
 from pimcrypt.kernels import aes, ghash
@@ -182,15 +182,13 @@ def test_two_stride_rules_on_one_command_run_on_the_reference():
     assert error is RowOutOfRange
 
 
-def test_non_integer_stride_runs_on_the_reference():
-    # A JSON-loaded program can carry 1.0; it must not share the cached
-    # window of the rule with increment 1 or reach generated source.
+def test_non_integer_stride_is_rejected_at_load():
+    # 1.0 must not share the cached window of the rule with increment 1
+    # or reach generated source: no engine runs it.
     cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
-    for increment in (1, 1.0):
-        prog = program(cmds, [StrideRule(0, increment)])
-        compiled = Controller(prog)._window("F") is not None
-        assert compiled == (type(increment) is int)
-        assert_engines_agree(prog, {}, CycleCostModel())
+    assert Controller(program(cmds, [StrideRule(0, 1)]))._window("F")
+    with pytest.raises(ControllerError):
+        Controller(program(cmds, [StrideRule(0, 1.0)]))
 
 
 LATCH_WINDOWS = {

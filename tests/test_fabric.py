@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimcrypt.fabric import (COLS, CycleCostModel, EXT_ROW, PendingActivation,
-                             RowOutOfRange, Subarray, UnsupportedOption)
+from pimcrypt.fabric import (COLS, BlockWidthMismatch, CycleCostModel,
+                             EXT_ROW, PendingActivation, RowOutOfRange,
+                             Subarray, UnsupportedOption)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind
 
 row_values = st.integers(0, (1 << 256) - 1)
@@ -127,3 +128,21 @@ def test_host_port_costs_no_cycles():
     sub.write_row(0, 1)
     assert sub.read_row(0) == 1
     assert sub.cycle_count == 0
+
+
+@pytest.mark.parametrize("command,step", [(0, 0), (-5, 1), (1, -1),
+                                          (1.0, 1), (1, 0.5)])
+def test_cost_model_rejects_what_no_hardware_costs(command, step):
+    with pytest.raises(ValueError):
+        CycleCostModel(command, step)
+
+
+def test_cost_model_allows_free_shifts():
+    sub = Subarray(cost_model=CycleCostModel(1, 0))
+    assert sub.run([CommandWord.shift(5)]) == 1
+
+
+@pytest.mark.parametrize("width", [512, 8, 16.0])
+def test_unsupported_block_width_rejected(width):
+    with pytest.raises(BlockWidthMismatch):
+        Subarray(block_width=width)

@@ -1,5 +1,6 @@
 """Performance-model checks: scaling laws, calibrated absolutes, energy."""
 
+import copy
 import json
 import pathlib
 
@@ -118,6 +119,17 @@ def test_control_counts_golden():
     for name, (per_iter, iters) in GOLDEN["control_counts"].items():
         got = counts[name]
         assert got[0] == per_iter and got[1] == iters, name
+
+
+def test_control_counts_read_the_measured_passes(measurements):
+    assert pm.control_counts(measurements) == {
+        name: tuple(pin) for name, pin in GOLDEN["control_counts"].items()}
+    # an AddRoundKey iteration more in the measured pass shows in the table
+    ms = copy.deepcopy(measurements)
+    ms["aes-128-encrypt"].stats.per_function["AddRoundKey"].iterations = 12
+    bad = [r.label for r in pm.compare_to_paper(ms).violations
+           if r.table == "control overhead (#iterations)"]
+    assert bad == ["AddRoundKey"]
 
 
 def test_control_counts_vs_published():
