@@ -20,18 +20,23 @@ a kernel re-runs a tail of another function without storing it twice.
 
 :class:`Controller` validates a program when it is loaded: it must fit
 the command array, use a block width a subarray supports, hold int
-windows, strides and iteration counts, and keep every stride-rewritten
-index on the fabric.  Anything else raises :class:`ControllerError`
-before a command runs.
+windows, strides and iteration counts, keep every stride-rewritten
+index on the fabric, and every function window must compile
+(:func:`~pimcrypt.fabric.compile_window`).  Anything else raises
+:class:`ControllerError`, naming the function and command offset for a
+window the compiler declines, before a command runs.
 
-:meth:`Controller.run` makes one fabric call per schedule invocation: the
-function's window is compiled once (:func:`~pimcrypt.fabric.compile_window`,
-cached by window content, bound once per lane count) and run for all of
-the invocation's iterations, and its commands and cycles are counted from
-the window.  A window the compiler rejects, an invocation that starts
-during a pending activation, and every run given a ``trace`` list go
+A run's statistics and cycles depend only on the program, the lane
+count and the cost model, never on data.  So :meth:`Controller.run`
+builds, once per lane count and cost model, a plan: the schedule cut at
+the host-action slots into stretches of invocations, each bound as one
+:class:`~pimcrypt.fabric.CompiledRun`, and the run's
+:class:`ExecutionStats`.  A run then does the host actions, one fabric
+call per stretch and one stats merge.  A run given a ``trace`` list goes
 through the reference interpreter instead, one command sequence per
-iteration.
+iteration, and counts its statistics from what the interpreter reports.
+A run that starts during a pending activation raises
+:class:`~pimcrypt.fabric.PendingActivation` before anything runs.
 
 A run on a subarray with K lanes is K passes in lockstep, one per lane,
 and its :class:`ExecutionStats` count all of them: invocations,
@@ -42,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fabric import (ROWS, CompiledRun, CompiledWindow, Subarray,
+from .fabric import (ROWS, CompiledRun, CompiledWindow, CycleCostModel,
+                     PendingActivation, Subarray, WindowRejected,
                      compile_window, supported_width)
 from .isa import CommandWord, Opcode
 
@@ -119,15 +125,20 @@ class ExecutionStats:
     commands: int = 0
     cycles: int = 0
 
+    def add(self, function: str, invocations: int, iterations: int,
+            commands: int, cycles: int) -> None:
+        fs = self.per_function.setdefault(function, FunctionStats())
+        fs.invocations += invocations
+        fs.iterations += iterations
+        fs.commands += commands
+        fs.cycles += cycles
+        self.commands += commands
+        self.cycles += cycles
+
     def merge(self, other: "ExecutionStats") -> None:
         for name, fs in other.per_function.items():
-            tgt = self.per_function.setdefault(name, FunctionStats())
-            tgt.invocations += fs.invocations
-            tgt.iterations += fs.iterations
-            tgt.commands += fs.commands
-            tgt.cycles += fs.cycles
-        self.commands += other.commands
-        self.cycles += other.cycles
+            self.add(name, fs.invocations, fs.iterations, fs.commands,
+                     fs.cycles)
 
 
 def _ints(*values) -> bool:
@@ -151,10 +162,22 @@ class Controller:
 
     def __init__(self, program: KernelProgram):
         self.program = program
+        self._windows: dict[str, CompiledWindow] = {}
         self._validate()
+        actions_at: dict[int, list[tuple[str, dict]]] = {}
+        for a in program.host_actions:
+            actions_at.setdefault(a.position, []).append((a.kind, a.params))
+        cuts = sorted(actions_at.keys() | {0})
+        # The schedule cut at host-action slots: (host actions, the
+        # invocations after them) in run order.
+        self._segments = [
+            (actions_at.get(start, ()), program.schedule[start:end])
+            for start, end in zip(cuts, cuts[1:] + [len(program.schedule)])]
         # Per-(function, global-iteration) resolved command tuples.
         self._resolved: dict[tuple[str, int], list[CommandWord]] = {}
-        self._windows: dict[str, CompiledWindow | None] = {}
+        # Per (lanes, cost model): a CompiledRun or None per segment, and
+        # the run's statistics.
+        self._plans: dict[tuple[int, CycleCostModel], tuple] = {}
 
     # -- load-time validation ---------------------------------------------
 
@@ -209,15 +232,23 @@ class Controller:
                         raise ControllerError(
                             f"stride drives {f.name}+{s.offset} to index "
                             f"{idx} at iteration {g}")
+        # Every window must compile, so no run needs the reference.
+        for f in prog.functions.values():
+            words = prog.commands[f.base:f.base + f.count]
+            try:
+                self._windows[f.name] = compile_window(
+                    tuple(c.encode() for c in words),
+                    tuple((s.offset, s.increment) for s in f.strides),
+                    prog.block_width)
+            except WindowRejected as exc:
+                raise ControllerError(f"function {f.name} command "
+                                      f"{exc.offset}: {exc}") from None
 
     # -- execution ---------------------------------------------------------
 
     def _commands_for(self, fname: str, global_iter: int) -> list[CommandWord]:
         f = self.program.functions[fname]
-        if not f.strides:
-            key = (fname, 0)
-        else:
-            key = (fname, global_iter)
+        key = (fname, global_iter if f.strides else 0)
         cached = self._resolved.get(key)
         if cached is None:
             cmds = self.program.commands[f.base:f.base + f.count]
@@ -229,55 +260,56 @@ class Controller:
             self._resolved[key] = cached = cmds
         return cached
 
-    def _window(self, fname: str) -> CompiledWindow | None:
-        if fname not in self._windows:
-            prog = self.program
-            f = prog.functions[fname]
-            window = prog.commands[f.base:f.base + f.count]
-            self._windows[fname] = compile_window(
-                tuple(c.encode() for c in window),
-                tuple((s.offset, s.increment) for s in f.strides),
-                prog.block_width)
+    def _window(self, fname: str) -> CompiledWindow:
         return self._windows[fname]
+
+    def _plan(self, lanes: int, cost: CycleCostModel) -> tuple:
+        stats = ExecutionStats()
+        runs = []
+        for _, invocations in self._segments:
+            calls = [(self._window(inv.function), inv.iteration_base,
+                      inv.iterations) for inv in invocations]
+            for inv, (window, _, iterations) in zip(invocations, calls):
+                n = iterations * lanes
+                stats.add(inv.function, lanes, n, window.commands * n,
+                          window.cycles(cost) * n)
+            runs.append(CompiledRun(calls, lanes, cost) if calls else None)
+        return runs, stats
+
+    def _interpret(self, sub: Subarray, inv: Invocation, trace: list,
+                   stats: ExecutionStats) -> None:
+        """Run one invocation on the reference interpreter, appending its
+        records to ``trace`` and counting them in ``stats``."""
+        records = []
+        first = inv.iteration_base
+        for g in range(first, first + inv.iterations):
+            records += sub.run_traced(self._commands_for(inv.function, g))
+        trace += records
+        stats.add(inv.function, sub.lanes, inv.iterations * sub.lanes,
+                  len(records) * sub.lanes, sum(r.cycles for r in records))
 
     def run(self, sub: Subarray, env: dict | None = None,
             trace: list | None = None) -> ExecutionStats:
         env = env if env is not None else {}
-        prog = self.program
-        if sub.block_width != prog.block_width:
-            sub.block_width = prog.block_width
+        if sub.block_width != self.program.block_width:
+            sub.block_width = self.program.block_width
+        if sub.pending_row is not None:
+            raise PendingActivation(f"run starts during the activation of "
+                                    f"row {sub.pending_row}")
+        key = (sub.lanes, sub.cost_model)
+        plan = self._plans.get(key)
+        if plan is None:
+            self._plans[key] = plan = self._plan(*key)
+        runs, static = plan
         stats = ExecutionStats()
-        actions_at: dict[int, list[HostAction]] = {}
-        for a in prog.host_actions:
-            actions_at.setdefault(a.position, []).append(a)
-        lanes = sub.lanes
-        for slot, inv in enumerate(prog.schedule):
-            for a in actions_at.get(slot, ()):
-                HOST_ACTIONS[a.kind](sub, env, **a.params)
-            fs = stats.per_function.setdefault(inv.function, FunctionStats())
-            fs.invocations += lanes
-            window = self._window(inv.function) if trace is None else None
-            if window is not None and sub.pending_row is None:
-                cycles = sub.run(CompiledRun(window, inv.iteration_base,
-                                             inv.iterations, lanes))
-                commands = window.commands * inv.iterations * lanes
-            else:
-                commands = cycles = 0
-                for i in range(inv.iterations):
-                    cmds = self._commands_for(inv.function,
-                                              inv.iteration_base + i)
-                    if trace is None:
-                        cycles += sub.run(cmds)
-                    else:
-                        records = sub.run_traced(cmds)
-                        trace.extend(records)
-                        cycles += sum(r.cycles for r in records)
-                    commands += len(cmds) * lanes
-            fs.iterations += inv.iterations * lanes
-            fs.commands += commands
-            fs.cycles += cycles
-            stats.commands += commands
-            stats.cycles += cycles
-        for a in actions_at.get(len(prog.schedule), ()):
-            HOST_ACTIONS[a.kind](sub, env, **a.params)
+        for (actions, invocations), compiled in zip(self._segments, runs):
+            for kind, params in actions:
+                HOST_ACTIONS[kind](sub, env, **params)
+            if trace is not None:
+                for inv in invocations:
+                    self._interpret(sub, inv, trace, stats)
+            elif compiled is not None:
+                sub.run(compiled)
+        if trace is None:
+            stats.merge(static)
         return stats

@@ -34,14 +34,17 @@ cycles, so K lanes cost what K one-lane runs do.
 
 Two engines execute commands.  :meth:`Subarray.execute` is the reference
 interpreter: it decodes, checks and runs one command at a time, and
-:meth:`Subarray.run` uses it for a plain command sequence.
-:func:`compile_window` lowers a whole function window, once per distinct
-window content, to straight-line Python over the row list; ``run`` given a
-:class:`CompiledRun` executes every iteration of one invocation in a single
-call.  Only windows the reference would run without error are compiled,
-so both engines leave the same grid, latch and cycle count.  A window's
-source is compiled once with its masks as names, and bound to
-lane-replicated masks once per lane count.
+:meth:`Subarray.run` uses it for a plain command sequence; it runs traced
+runs and the differential tests.  :func:`compile_window` lowers a whole
+function window, once per distinct window content, to straight-line
+Python over the row list, or raises :class:`WindowRejected` for a window
+the reference could reject or that it does not lower, which the
+controller turns into a load-time error.  A :class:`CompiledRun` holds
+the invocations between two host actions, bound once per lane count and
+cost model, and ``run`` executes it in one call.  Both engines leave the
+same grid, latch and cycle count.  A window's source is compiled once
+with its masks as names, bound to lane-replicated masks once per lane
+count, and keeps its rows in locals if it has no strided row.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import lru_cache
 from types import CodeType
 from typing import Callable
 
-from .isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
+from .isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, disassemble
 
 __all__ = [
     "ROWS",
@@ -63,6 +66,7 @@ __all__ = [
     "PendingActivation",
     "BlockWidthMismatch",
     "UnsupportedOption",
+    "WindowRejected",
     "CycleCostModel",
     "supported_width",
     "TraceRecord",
@@ -101,6 +105,15 @@ class BlockWidthMismatch(FabricError):
 
 class UnsupportedOption(FabricError):
     """Option nibble requests behavior the fabric does not implement."""
+
+
+class WindowRejected(Exception):
+    """:func:`compile_window` declines a window; ``offset`` is the
+    command at fault."""
+
+    def __init__(self, offset: int, reason: str):
+        super().__init__(reason)
+        self.offset = offset
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,17 @@ class Subarray:
         if self.pending_row is not None:
             raise PendingActivation("host access during dual-row activation")
         self.grid[row] = value & self.row_mask
+
+    def write_rows(self, first: int, values: list[int]) -> None:
+        """Write ``values`` to rows ``first``, ``first + 1``, ... in one
+        host transfer."""
+        end = first + len(values)
+        if first < 0 or end > ROWS:
+            raise RowOutOfRange(f"rows {first}..{end - 1}")
+        if self.pending_row is not None:
+            raise PendingActivation("host access during dual-row activation")
+        mask = self.row_mask
+        self.grid[first:end] = [value & mask for value in values]
 
     def replicate(self, value: int) -> int:
         """A one-lane (256-column) row value repeated in every lane."""
@@ -316,34 +340,36 @@ class Subarray:
         return cost
 
     def run(self, cmds) -> int:
-        """Execute a command sequence or a :class:`CompiledRun`; returns
-        the cycles consumed."""
+        """Execute a command sequence on the reference interpreter, or a
+        :class:`CompiledRun`; returns the cycles consumed."""
         if type(cmds) is CompiledRun:
-            if cmds.lanes != self.lanes:
-                raise ValueError(f"run bound for {cmds.lanes} lanes on a "
-                                 f"{self.lanes}-lane subarray")
-            window = cmds.window
-            self.sa_latch = cmds.fn(self.grid, self.sa_latch,
-                                    cmds.first, cmds.iterations)
-            cost = self.cost_model
-            cycles = cmds.iterations * self.lanes * (
-                window.commands * cost.cycles_per_command
-                + window.shift_steps * cost.cycles_per_shift_step)
-            self.cycle_count += cycles
-            return cycles
+            if cmds.lanes != self.lanes or cmds.cost_model != self.cost_model:
+                raise ValueError(
+                    f"run bound for {cmds.lanes} lanes and {cmds.cost_model} "
+                    f"on a {self.lanes}-lane subarray with {self.cost_model}")
+            grid, latch = self.grid, self.sa_latch
+            for fn, first, iterations in cmds.calls:
+                latch = fn(grid, latch, first, iterations)
+            self.sa_latch = latch
+            self.cycle_count += cmds.cycles
+            return cmds.cycles
         total = 0
         for cmd in cmds:
             total += self.execute(cmd)
         return total
 
     def run_traced(self, cmds) -> list[TraceRecord]:
-        from .isa import disassemble
         records = []
         for seq, cmd in enumerate(cmds):
             cycles = self.execute(cmd)
-            records.append(TraceRecord(seq, cmd.encode(), disassemble([cmd]),
+            records.append(TraceRecord(seq, cmd.encode(), _text(cmd),
                                        cycles, self.sa_latch))
         return records
+
+
+@lru_cache(maxsize=None)
+def _text(cmd: CommandWord) -> str:
+    return disassemble([cmd])
 
 
 # ---------------------------------------------------------------------------
@@ -381,68 +407,108 @@ class CompiledWindow:
             self._bound[lanes] = fn = namespace["window"]
         return fn
 
+    def cycles(self, cost: CycleCostModel) -> int:
+        """The cycles of one iteration on one lane."""
+        return (self.commands * cost.cycles_per_command
+                + self.shift_steps * cost.cycles_per_shift_step)
+
 
 class CompiledRun:
-    """One invocation of a compiled window, passed to :meth:`Subarray.run`.
+    """Invocations of compiled windows run back to back, bound for one
+    lane count and cost model: the stretch of a controller run between
+    two host-action slots, passed to :meth:`Subarray.run`.
 
-    The subarray must have no pending activation, the block width the
-    window was compiled for and ``lanes`` lanes.  ``len`` is the number
-    of commands executed, counted in every lane.
+    ``calls`` holds one (bound window, first global iteration,
+    iterations) triple per invocation.  The subarray must have no
+    pending activation, the block width the windows were compiled for,
+    ``lanes`` lanes and ``cost_model``.  ``len`` is the number of
+    commands executed and ``cycles`` their cycles, both counted in
+    every lane.
     """
 
-    __slots__ = ("window", "fn", "first", "iterations", "lanes")
+    __slots__ = ("calls", "lanes", "cost_model", "commands", "cycles")
 
-    def __init__(self, window: CompiledWindow, first: int, iterations: int,
-                 lanes: int = 1):
-        self.window = window
-        self.fn = window.bind(lanes)
-        self.first = first
-        self.iterations = iterations
+    def __init__(self, invocations: list[tuple[CompiledWindow, int, int]],
+                 lanes: int, cost_model: CycleCostModel):
+        self.calls = tuple((window.bind(lanes), first, iterations)
+                           for window, first, iterations in invocations)
         self.lanes = lanes
+        self.cost_model = cost_model
+        self.commands = lanes * sum(window.commands * iterations
+                                    for window, _, iterations in invocations)
+        self.cycles = lanes * sum(window.cycles(cost_model) * iterations
+                                  for window, _, iterations in invocations)
 
     def __len__(self) -> int:
-        return self.window.commands * self.iterations * self.lanes
+        return self.commands
 
 
 _LOGIC_SYMBOLS = {LogicKind.AND: "&", LogicKind.OR: "|", LogicKind.XOR: "^"}
 
-# Compiled windows by (encoded words, stride pairs, block width); None
-# marks a window that runs on the reference interpreter.
-_COMPILED: dict[tuple, CompiledWindow | None] = {}
+# The (mask, value) each opcode's option nibble must match to compile;
+# an ext_bit's width code must also name the block width.
+_OPTIONS = {Opcode.RD_ROW: (0xF, 0b1000), Opcode.WR_ROW: (0xF, 0b1000),
+            Opcode.SHIFT: (0b1001, 0b1000), Opcode.ACT_ROW: (0xF, 0b0001),
+            Opcode.LOGIC_OP: (0b1001, 0), Opcode.EXT_BIT: (0b0001, 0)}
+
+# Compiled windows by (encoded words, stride pairs, block width).
+_COMPILED: dict[tuple, CompiledWindow] = {}
 
 
 def compile_window(words: tuple[int, ...],
                    strides: tuple[tuple[int, int], ...],
-                   block_width: int) -> CompiledWindow | None:
-    """Compile a window of encoded command words, or return None.
+                   block_width: int) -> CompiledWindow:
+    """Compile a window of encoded command words.
 
     ``strides`` holds int ``(offset, increment)`` pairs: the command at
     ``offset`` addresses row ``index + increment * G`` in global
     iteration ``G``.  The caller must have checked that ``block_width``
     is supported and that every such row is on the grid for the
     iterations it will run, as :class:`~pimcrypt.controller.Controller`
-    does at load.  None means the reference could raise on this window
-    (an option it rejects, a row off the grid, an ext_bit width or
-    column it rejects, an unpaired activation, a strided shift or
-    ext_bit), so it must be interpreted.
+    does at load.  Raises :class:`WindowRejected` for a window the
+    reference could raise on (an option it rejects, a row off the grid,
+    an ext_bit width it rejects, an unpaired activation), and
+    for a strided shift or ext_bit or two stride rules on one command,
+    which are not lowered.
     """
     key = (words, strides, block_width)
-    if key not in _COMPILED:
-        _COMPILED[key] = _lower(words, strides, block_width)
-    return _COMPILED[key]
+    window = _COMPILED.get(key)
+    if window is None:
+        _COMPILED[key] = window = _lower(words, strides, block_width)
+    return window
 
 
-def _lower(words, strides, block_width) -> CompiledWindow | None:
+def _lower(words, strides, block_width) -> CompiledWindow:
     increments: dict[int, int] = {}
     for offset, increment in strides:
         if offset in increments:
-            return None      # validation checks each rule, not their sum
+            # validation checks each rule, not their sum
+            raise WindowRejected(offset, "two stride rules on one command")
         increments[offset] = increment
+    # Without strided rows every row index is a constant, so each row
+    # lives in a local ``r<index>`` for the whole loop: the rows read
+    # before the window writes them are loaded before it and the rows
+    # written are stored once after it.  A strided row could alias any
+    # row, so such windows index ``g`` throughout.
+    in_locals = not increments
+    loads: set[int] = set()
+    writes: set[int] = set()
     body: list[str] = []
     masks: dict[int, str] = {}      # one-lane mask value -> its name
 
     def mask(value: int) -> str:
         return masks.setdefault(value, f"M{len(masks)}")
+
+    def row(offset: int, index: int, written: bool = False) -> str:
+        if offset in increments:
+            return f"g[{index} + {increments[offset]} * G]"
+        if index >= ROWS:
+            raise WindowRejected(offset, f"row {index} off the grid")
+        if written:
+            writes.add(index)
+        elif index not in writes:
+            loads.add(index)
+        return f"r{index}" if in_locals else f"g[{index}]"
 
     # ``latch`` is an expression for the current latch value.  It is
     # written out only by wr_row and at the end of the window, and every
@@ -452,47 +518,38 @@ def _lower(words, strides, block_width) -> CompiledWindow | None:
     # statement does, the latch is not carried from one iteration to the
     # next and is written once, after the loop.
     latch, reads_latch, carried = "L", True, False
-    pending = None
+    pending = None          # (offset, row) of an act_row awaiting logic_op
     steps = 0
     for offset, word in enumerate(words):
         op, index, option = word >> 12, (word >> 4) & 0xFF, word & 0xF
-        if offset in increments:
-            if op in (Opcode.SHIFT, Opcode.EXT_BIT):
-                return None
-            row = f"g[{index} + {increments[offset]} * G]"
-        else:
-            row = f"g[{index}]" if index < ROWS else None
+        need, value = _OPTIONS.get(op, (0, 1))
+        if option & need != value:
+            raise WindowRejected(offset, f"word {word:#06x} has an opcode "
+                                 f"or option the fabric rejects")
+        if op in (Opcode.SHIFT, Opcode.EXT_BIT) and offset in increments:
+            raise WindowRejected(offset, "strided shift or ext_bit")
         if (pending is not None) != (op == Opcode.LOGIC_OP):
-            return None
+            raise WindowRejected(offset if pending is None else pending[0],
+                                 "unpaired act_row or logic_op")
         if op == Opcode.LOGIC_OP:
             kind = (option >> 1) & 0b11
-            if option & 0b1001:
-                return None
             if kind == LogicKind.NOT:
-                latch = f"~{pending} & {mask(_ROW_MASK)}"
-            elif row is None:
-                return None
+                latch = f"~{pending[1]} & {mask(_ROW_MASK)}"
             else:
-                latch = f"{pending} {_LOGIC_SYMBOLS[kind]} {row}"
+                latch = (f"{pending[1]} {_LOGIC_SYMBOLS[kind]} "
+                         f"{row(offset, index)}")
             reads_latch = False
             pending = None
         elif op == Opcode.ACT_ROW:
-            if option != 0b0001 or row is None:
-                return None
-            pending = row
+            pending = offset, row(offset, index)
         elif op == Opcode.RD_ROW:
-            if option != 0b1000 or row is None:
-                return None
-            latch, reads_latch = row, False
+            latch, reads_latch = row(offset, index), False
         elif op == Opcode.WR_ROW:
-            if option != 0b1000 or row is None:
-                return None
-            body.append(f"{row} = {latch}")
+            target = row(offset, index, written=True)
+            body.append(f"{target} = {latch}")
             carried |= reads_latch
-            latch, reads_latch = row, False
+            latch, reads_latch = target, False
         elif op == Opcode.SHIFT:
-            if option & 0b1001 != 0b1000:
-                return None
             steps += index
             right = bool(option & 0b0100)
             if index >= block_width:
@@ -501,28 +558,30 @@ def _lower(words, strides, block_width) -> CompiledWindow | None:
                 op_text = "<<" if right else ">>"
                 latch = (f"({latch}) {op_text} {index} & "
                          f"{mask(_shift_mask(block_width, index, right))}")
-        elif op == Opcode.EXT_BIT:
-            code = (option >> 1) & 0b111
-            if (option & 0b0001 or code >= len(BLOCK_WIDTHS)
-                    or BLOCK_WIDTHS[code] != block_width or index >= COLS):
-                return None
+        else:  # EXT_BIT
+            code = option >> 1
+            if code >= len(BLOCK_WIDTHS) or BLOCK_WIDTHS[code] != block_width:
+                raise WindowRejected(offset, f"ext_bit width code {code} "
+                                     f"on block width {block_width}")
             bases = sum(1 << b for b in range(0, COLS, block_width))
-            src = f"g[{EXT_ROW}]"
+            src = row(offset, EXT_ROW)
             if index % block_width:
                 src += f" >> {index % block_width}"
             latch = f"({src} & {mask(bases)}) * {(1 << block_width) - 1:#x}"
             reads_latch = False
-        else:
-            return None
     if pending is not None:
-        return None
+        raise WindowRejected(pending[0], "unpaired act_row or logic_op")
     carried |= reads_latch
     if carried and latch != "L":
         body.append(f"L = {latch}")
+    if not in_locals:
+        loads = writes = ()
     source = "\n".join(
-        ["def window(g, L, first, iterations):",
-         "    for G in range(first, first + iterations):"]
+        ["def window(g, L, first, iterations):"]
+        + [f"    r{i} = g[{i}]" for i in sorted(loads)]
+        + ["    for G in range(first, first + iterations):"]
         + [f"        {line}" for line in body or ["pass"]]
+        + [f"    g[{i}] = r{i}" for i in sorted(writes)]
         + [f"    return {'L' if carried else latch}"])
     code = compile(source, "<compiled window>", "exec")
     return CompiledWindow(code, tuple((name, value)

@@ -86,6 +86,11 @@ class CommandWord:
     option: int
 
     def __post_init__(self):
+        if not isinstance(self.opcode, Opcode):
+            raise IsaError(f"opcode {self.opcode!r} is not an Opcode")
+        for name, value in (("index", self.index), ("option", self.option)):
+            if type(value) is bool or not isinstance(value, int):
+                raise IsaError(f"{name} {value!r} is not an int")
         if not 0 <= self.index <= 0xFF:
             raise IsaError(f"index {self.index} out of range 0..255")
         if not 0 <= self.option <= 0xF:

@@ -18,6 +18,12 @@ butterfly transpose) -> rounds -> inverse slice -> byte staging.
 On a subarray with K lanes one run is K passes in lockstep: ``aes_load``
 stages up to 16K blocks (block ``16k + t`` in tile ``t`` of lane ``k``)
 and replicates the masks and round keys into every lane.
+
+A pass uses the round-key-0 rows (8..15) as SubBytes scratch once the
+first AddRoundKey has consumed them, so it leaves the key region dirty:
+``aes_load`` restages the whole key region, with one bulk host write,
+on every pass, and a serial chain keeps no subarray resident between
+its passes.
 """
 
 from __future__ import annotations
@@ -336,14 +342,21 @@ def key_rows(round_keys: list[bytes]) -> list[int]:
     return rows
 
 
-_MASK_ROWS = mask_values()
+# The mask rows are contiguous: tmask then srmask.
+_MASK_FIRST = AES_LAYOUT.row("tmask", 0)
+_MASK_ROWS = [value for _, value in sorted(mask_values().items())]
 
 
 @host_action("aes_load_keys")
 def _load_keys(sub, env, env_key="key_rows"):
-    key0 = AES_LAYOUT.row("keys", 0)
-    for i, value in enumerate(env[env_key]):
-        sub.write_row(key0 + i, sub.replicate(value))
+    # The rows replicated per lane count are cached in the env's
+    # ``lane_key_rows``, which every run of one call shares.
+    cache = env.setdefault("lane_key_rows", {})
+    rows = cache.get((env_key, sub.lanes))
+    if rows is None:
+        rows = cache[env_key, sub.lanes] = [sub.replicate(value)
+                                            for value in env[env_key]]
+    sub.write_rows(AES_LAYOUT.row("keys", 0), rows)
 
 
 @host_action("aes_load")
@@ -351,17 +364,13 @@ def _load(sub, env, chain=False):
     if len(env["blocks"]) > 16 * sub.lanes:
         raise ValueError(f"{len(env['blocks'])} blocks for "
                          f"{16 * sub.lanes} tiles")
-    for row, value in _MASK_ROWS.items():
-        sub.write_row(row, sub.replicate(value))
+    sub.write_rows(_MASK_FIRST, [sub.replicate(v) for v in _MASK_ROWS])
     _load_keys(sub, env)
-    staged = hostio.aes_stage_rows([_permute(b) for b in env["blocks"]])
-    for j, value in enumerate(staged):
-        sub.write_row(_STAGE[j], value)
+    sub.write_rows(_STAGE[0], hostio.aes_stage_rows(
+        [_permute(b) for b in env["blocks"]]))
     if chain:
-        planes = hostio.aes_plane_rows(
-            [_permute(b) for b in env["chain_blocks"]])
-        for b, value in enumerate(planes):
-            sub.write_row(_CHAIN[b], value)
+        sub.write_rows(_CHAIN[0], hostio.aes_plane_rows(
+            [_permute(b) for b in env["chain_blocks"]]))
 
 
 @host_action("aes_unload")

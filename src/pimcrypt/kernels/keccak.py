@@ -230,20 +230,15 @@ def build_sha3_program(bits: int, nblocks: int,
 
 @host_action("sha3_init")
 def _init(sub, env):
-    for i in range(25):
-        sub.write_row(i, 0)
-    for i, rc in enumerate(_RC):
-        sub.write_row(_RC0 + i, hostio.lane_value([rc] * 4))
+    sub.write_rows(0, [0] * 25)
+    sub.write_rows(_RC0, [hostio.lane_value([rc] * 4) for rc in _RC])
     sub.write_row(_PAD, hostio.lane_value([env.get("pad_lane", 0)] * 4))
 
 
 @host_action("sha3_load_block")
 def _load_block(sub, env, index):
     rows = env["blocks"][index]      # already packed row values
-    for i, value in enumerate(rows):
-        sub.write_row(_STAGE0 + i, value)
-    for i in range(len(rows), 18):
-        sub.write_row(_STAGE0 + i, 0)
+    sub.write_rows(_STAGE0, rows + [0] * (18 - len(rows)))
 
 
 @host_action("sha3_read_state")

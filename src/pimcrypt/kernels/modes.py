@@ -17,7 +17,10 @@ AES block uses tile 0 only — the fabric cannot parallelize a dependency
 chain, though independent streams could still share the other tiles.
 
 The round-key rows are expanded and staged once per call and dropped
-with it, so no key material outlives the call.
+with it, so no key material outlives the call; so are their copies
+replicated per lane count, which ``aes_load_keys`` caches in the call's
+env.  Every AES mode checks the key length, and CBC and CTR check that
+the IV or counter block is one block, raising ``ValueError``.
 
 Each kernel family has one staging step, :meth:`_AesKey.stage`,
 :func:`_ghash_stage` and :func:`_sponge`, which returns the
@@ -101,17 +104,20 @@ class _AesKey(NamedTuple):
 
 def _key_env(key: bytes, direction: str) -> dict:
     """Staged round-key rows, built per call so no key material outlives
-    it."""
+    it, with an empty cache that ``aes_load_keys`` fills with the rows
+    replicated per lane count, shared by every run of the call."""
     words = aes.expand_key_words(key)
     if direction == "decrypt":
         words = words[::-1]
     if len(key) == 16:
-        return {"key_rows": aes.key_rows(words)}
+        return {"key_rows": aes.key_rows(words), "lane_key_rows": {}}
     return {"key_rows": aes.key_rows(words[:8]),
-            "key_rows2": aes.key_rows(words[8:])}
+            "key_rows2": aes.key_rows(words[8:]), "lane_key_rows": {}}
 
 
 def _aes_key(key: bytes, direction: str) -> _AesKey:
+    if len(key) not in (16, 32):
+        raise ValueError(f"AES key must be 16 or 32 bytes, got {len(key)}")
     return _AesKey(len(key) * 8, direction, _key_env(key, direction))
 
 
@@ -153,14 +159,21 @@ def _cbc_mac(k: _AesKey, iv: bytes, blocks: list[bytes],
     return out
 
 
+def _check_block(name: str, value: bytes) -> None:
+    if len(value) != 16:
+        raise ValueError(f"{name} must be 16 bytes, got {len(value)}")
+
+
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
+    _check_block("CBC IV", iv)
     return b"".join(_cbc_mac(_aes_key(key, "encrypt"), iv,
                              _split_blocks(plaintext), stats))
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
+    _check_block("CBC IV", iv)
     ct = _split_blocks(ciphertext)
     return b"".join(_aes_passes(_aes_key(key, "decrypt"), ct, "post",
                                 [iv] + ct[:-1], stats))
@@ -187,6 +200,7 @@ def _ctr(k: _AesKey, counter0: bytes, data: bytes,
 
 def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
               stats: ExecutionStats | None = None) -> bytes:
+    _check_block("CTR counter block", counter0)
     return _ctr(_aes_key(key, "encrypt"), counter0, data, stats)
 
 

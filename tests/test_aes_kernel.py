@@ -156,3 +156,37 @@ def test_chain_xor_adds_24_commands():
     m = sum(i.iterations * base.functions[i.function].count
             for i in base.schedule)
     assert n - m == 24
+
+
+def _chain_pass(k, sub, block, prev):
+    """One CBC-encrypt pass of ``block`` on ``sub``."""
+    return modes._run(k.stage([block], "pre", [prev]), sub, None)[
+        "out_blocks"][0]
+
+
+def test_a_pass_uses_the_first_round_key_rows_as_scratch(rng):
+    k = modes._aes_key(rng.randbytes(16), "encrypt")
+    sub = Subarray(block_width=aes.BLOCK_WIDTH)
+    _chain_pass(k, sub, rng.randbytes(16), rng.randbytes(16))
+    staged = k.env["key_rows"]
+    key0 = aes.AES_LAYOUT.row("keys", 0)
+    assert all(sub.read_row(key0 + i) != staged[i] for i in range(8))
+    assert [sub.read_row(key0 + i) for i in range(8, 88)] == staged[8:]
+    masks = aes.mask_values()
+    assert {row: sub.read_row(row) for row in masks} == masks
+
+
+@pytest.mark.parametrize("klen", [16, 32])
+def test_a_chain_on_one_subarray_matches_cryptography(klen, rng):
+    from cryptography.hazmat.primitives.ciphers import (Cipher, algorithms,
+                                                        modes as cm)
+    key, iv = rng.randbytes(klen), rng.randbytes(16)
+    blocks = [rng.randbytes(16) for _ in range(2)]
+    k = modes._aes_key(key, "encrypt")
+    sub = Subarray(block_width=aes.BLOCK_WIDTH)
+    out, prev = [], iv
+    for block in blocks:      # aes_load restages the dirty key region
+        prev = _chain_pass(k, sub, block, prev)
+        out.append(prev)
+    cbc = Cipher(algorithms.AES(key), cm.CBC(iv)).encryptor()
+    assert b"".join(out) == cbc.update(b"".join(blocks)) + cbc.finalize()

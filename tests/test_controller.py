@@ -4,8 +4,9 @@ from pimcrypt.controller import (COMMAND_ARRAY_BYTES, Controller,
                                  ControllerError, FunctionDescriptor,
                                  HostAction, Invocation, KernelProgram,
                                  StrideRule, host_action)
-from pimcrypt.fabric import Subarray
-from pimcrypt.isa import CommandWord, LogicKind
+from pimcrypt.fabric import (PendingActivation, Subarray, WindowRejected,
+                             compile_window)
+from pimcrypt.isa import CommandWord, LogicKind, Opcode
 
 
 def prog_of(commands, functions, schedule, actions=(), width=256):
@@ -131,3 +132,100 @@ def test_non_int_fields_rejected_at_load(fd, inv):
     cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
     with pytest.raises(ControllerError):
         Controller(prog_of(cmds, {"F": fd}, [inv]))
+
+
+# name: (window, stride rules, block width, offset of the command at fault)
+DECLINED = {
+    "logic_op without act_row": (
+        [CommandWord.rd_row(1), CommandWord.logic_op(2, LogicKind.OR)],
+        (), 256, 1),
+    "act_row before a non-logic command": (
+        [CommandWord.act_row(1), CommandWord.rd_row(2)], (), 256, 0),
+    "dangling act_row": (
+        [CommandWord.act_row(1), CommandWord.logic_op(2, LogicKind.XOR),
+         CommandWord.wr_row(3), CommandWord.act_row(4)], (), 256, 3),
+    "rd_row over the data bus": (
+        [CommandWord.rd_row(1, sa=False)], (), 256, 0),
+    "wr_row over the data bus": (
+        [CommandWord.rd_row(1), CommandWord.wr_row(2, sa=False)], (), 256, 1),
+    "unarmed act_row": (
+        [CommandWord(Opcode.ACT_ROW, 1, 0),
+         CommandWord.logic_op(2, LogicKind.AND)], (), 256, 0),
+    "logic_op reserved bit": (
+        [CommandWord.act_row(1), CommandWord(Opcode.LOGIC_OP, 2, 0b1000)],
+        (), 256, 1),
+    "shift without valid flag": (
+        [CommandWord(Opcode.SHIFT, 1, 0b0100)], (), 256, 0),
+    "ext_bit reserved bit": (
+        [CommandWord(Opcode.EXT_BIT, 0, 0b1001)], (), 256, 0),
+    "row off the grid": (
+        [CommandWord.rd_row(1), CommandWord.wr_row(200)], (), 256, 1),
+    "ext_bit width mismatch": (
+        [CommandWord.rd_row(1), CommandWord.ext_bit(0, 64)], (), 16, 1),
+    "ext_bit width code 6": (
+        [CommandWord(Opcode.EXT_BIT, 0, 6 << 1)], (), 256, 0),
+    "strided shift": (
+        [CommandWord.rd_row(1), CommandWord.shift(1), CommandWord.wr_row(2)],
+        (StrideRule(1, 1),), 16, 1),
+    "strided ext_bit": (
+        [CommandWord.ext_bit(0, 16), CommandWord.wr_row(2)],
+        (StrideRule(0, 1),), 16, 0),
+    "two stride rules on one command": (
+        [CommandWord.rd_row(1), CommandWord.wr_row(2)],
+        (StrideRule(1, 1), StrideRule(1, 2)), 256, 1),
+}
+
+
+@pytest.mark.parametrize("name", DECLINED)
+def test_load_rejects_what_the_compiler_declines(name):
+    cmds, strides, width, offset = DECLINED[name]
+    with pytest.raises(WindowRejected) as declined:
+        compile_window(tuple(c.encode() for c in cmds),
+                       tuple((s.offset, s.increment) for s in strides), width)
+    assert declined.value.offset == offset
+    fd = FunctionDescriptor("Bad", 0, len(cmds), strides=strides)
+    with pytest.raises(ControllerError,
+                       match=f"^function Bad command {offset}: "):
+        Controller(prog_of(cmds, {"Bad": fd}, [Invocation("Bad")],
+                           width=width))
+
+
+def test_load_rejects_a_declined_function_outside_the_schedule():
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1),
+            CommandWord.act_row(2)]
+    functions = {"Copy": FunctionDescriptor("Copy", 0, 2),
+                 "Bad": FunctionDescriptor("Bad", 2, 1)}
+    with pytest.raises(ControllerError, match="^function Bad command 0: "):
+        Controller(prog_of(cmds, functions, [Invocation("Copy")]))
+
+
+def test_not_ignores_its_second_row():
+    # The reference never reads a NOT's second operand, so any index
+    # compiles, as the reference runs it.
+    cmds = [CommandWord.act_row(1), CommandWord.logic_op(200, LogicKind.NOT),
+            CommandWord.wr_row(2)]
+    sub = Subarray()
+    sub.write_row(1, 5)
+    Controller(prog_of(cmds, {"F": FunctionDescriptor("F", 0, 3)},
+                       [Invocation("F")])).run(sub)
+    assert sub.read_row(2) == ~5 & (1 << 256) - 1
+
+
+def test_run_during_a_pending_activation_raises_before_anything_runs():
+    calls = []
+
+    @host_action("t_first")
+    def _first(sub, env):
+        calls.append(sub.read_row(1))
+
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1)]
+    prog = prog_of(cmds, {"Copy": FunctionDescriptor("Copy", 0, 2)},
+                   [Invocation("Copy")], actions=[HostAction(0, "t_first")])
+    ctrl = Controller(prog)
+    for trace in (None, []):
+        sub = Subarray()
+        sub.write_row(0, 5)
+        sub.execute(CommandWord.act_row(3))
+        with pytest.raises(PendingActivation):
+            ctrl.run(sub, trace=trace)
+        assert calls == [] and sub.read_row(1) == 0 and sub.cycle_count == 1

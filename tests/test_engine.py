@@ -1,26 +1,30 @@
 """Compiled engine vs the reference interpreter, and lanes vs lone runs.
 
-``Controller.run`` runs compiled windows unless it is given a ``trace``
-list, which selects the reference interpreter; both must leave the same
+``Controller.run`` runs compiled windows, one fabric call per stretch
+between host actions, with statistics fixed when its plan is built,
+unless it is given a ``trace`` list, which selects the reference
+interpreter and counts statistics from it; both must leave the same
 grid, latch, pending activation, cycle count, statistics and host
 outputs, and raise the same exception type.  A run on K lanes must leave
 each lane as a one-lane run on that lane's grid would, and count the
-cycles and statistics of all K.
+cycles and statistics of all K.  Load rejects exactly the windows the
+compiler declines, so no loaded program runs on the reference untraced.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pimcrypt import fabric, perfmodel
 from pimcrypt.controller import (Controller, ControllerError,
                                  ExecutionStats, FunctionDescriptor,
                                  Invocation, KernelProgram, StrideRule)
-from pimcrypt.fabric import COLS, CycleCostModel, RowOutOfRange, Subarray
+from pimcrypt.fabric import (COLS, CycleCostModel, RowOutOfRange, Subarray,
+                             compile_window)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
-from pimcrypt.kernels import aes, ghash
+from pimcrypt.kernels import aes, ghash, modes
 
 COST_MODELS = [CycleCostModel(), CycleCostModel(3, 2)]
 LANE = (1 << COLS) - 1
@@ -107,6 +111,30 @@ def test_measured_programs_run_in_lanes():
         assert_lanes_agree(prog, CycleCostModel(3, 2), 3, grid_seed=3 * seed)
 
 
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("cost", COST_MODELS)
+def test_static_stats_equal_the_reference_stats(cost, lanes):
+    for ctrl, env in measured_runs():
+        width = ctrl.program.block_width
+        static = ctrl.run(Subarray(width, cost, lanes), dict(env))
+        counted = ctrl.run(Subarray(width, cost, lanes), dict(env), trace=[])
+        assert static == counted, ctrl.program.name
+
+
+@pytest.mark.parametrize("variant,calls", [(128, 1), (256, 2)])
+def test_an_aes_pass_is_one_fabric_call_per_stretch(monkeypatch, variant,
+                                                   calls):
+    # AES-256 reloads its key region halfway, which cuts the pass in two.
+    runs = []
+    run = Subarray.run
+    monkeypatch.setattr(Subarray, "run",
+                        lambda sub, cmds: runs.append(len(cmds)) or
+                        run(sub, cmds))
+    stats = ExecutionStats()
+    modes.ecb_crypt(bytes(variant // 8), bytes(16), stats=stats)
+    assert len(runs) == calls and sum(runs) == stats.commands
+
+
 def test_compiled_code_is_shared_across_lane_counts(monkeypatch):
     prog = replace(aes.build_aes_program(128, "decrypt", "post"),
                    host_actions=[])
@@ -146,40 +174,50 @@ def logic(a, kind, b, dst):
 
 
 UNCLEAN = {
-    "bad option": [CommandWord(Opcode.RD_ROW, 1, 0b1001),
-                   CommandWord.wr_row(2)],
-    "row off the grid": [CommandWord.rd_row(1), CommandWord.wr_row(128)],
-    "dangling act_row": logic(1, LogicKind.XOR, 2, 3)
-    + [CommandWord.act_row(4)],
-    "logic_op without act_row": [CommandWord.logic_op(1, LogicKind.AND)],
-    "ext_bit width mismatch": [CommandWord.ext_bit(3, 64),
-                               CommandWord.wr_row(5)],
+    # name: (window, offset of the command load names)
+    "bad option": ([CommandWord(Opcode.RD_ROW, 1, 0b1001),
+                    CommandWord.wr_row(2)], 0),
+    "row off the grid": ([CommandWord.rd_row(1), CommandWord.wr_row(128)], 1),
+    "dangling act_row": (logic(1, LogicKind.XOR, 2, 3)
+                         + [CommandWord.act_row(4)], 3),
+    "logic_op without act_row": ([CommandWord.logic_op(1, LogicKind.AND)], 0),
+    "ext_bit width mismatch": ([CommandWord.ext_bit(3, 64),
+                                CommandWord.wr_row(5)], 0),
 }
 
 
 @pytest.mark.parametrize("name", UNCLEAN)
 def test_unclean_windows_run_on_the_reference(name):
-    prog = program(UNCLEAN[name])
-    assert Controller(prog)._window("F") is None
-    assert assert_engines_agree(prog, {}, CycleCostModel())[0] is not None
+    # Only the reference runs them, and it raises; load rejects them.
+    cmds, offset = UNCLEAN[name]
+    with pytest.raises(ControllerError, match=f"function F command {offset}:"):
+        Controller(program(cmds))
+    with pytest.raises(fabric.FabricError):
+        Subarray().run(cmds * 2)
 
 
 def test_strided_shift_runs_on_the_reference():
+    # The compiler does not lower a strided shift, so load rejects it;
+    # the reference runs its resolved commands.
     cmds = [CommandWord.rd_row(1), CommandWord.shift(3),
             CommandWord.wr_row(2)]
-    prog = program(cmds, [StrideRule(1, 4)],
-                   [Invocation("F", 3, 0)], width=16)
-    assert Controller(prog)._window("F") is None
-    assert assert_engines_agree(prog, {}, CycleCostModel())[0] is None
+    with pytest.raises(ControllerError, match="function F command 1:"):
+        Controller(program(cmds, [StrideRule(1, 4)],
+                           [Invocation("F", 3, 0)], width=16))
+    sub = Subarray(block_width=16)
+    for g in range(3):
+        sub.run([cmds[0], CommandWord.shift(3 + 4 * g), cmds[2]])
+    assert sub.cycle_count == 3 * 3 + (3 + 7 + 11)
 
 
 def test_two_stride_rules_on_one_command_run_on_the_reference():
-    # Validation checks each rule alone; together they reach row 140.
+    # Validation checks each rule alone; together they reach row 140,
+    # which the reference rejects.  Load rejects the pair.
     cmds = [CommandWord.rd_row(100), CommandWord.wr_row(1)]
-    prog = program(cmds, [StrideRule(0, 20), StrideRule(0, 20)])
-    assert Controller(prog)._window("F") is None
-    error = assert_engines_agree(prog, {}, CycleCostModel())[0]
-    assert error is RowOutOfRange
+    with pytest.raises(ControllerError, match="function F command 0:"):
+        Controller(program(cmds, [StrideRule(0, 20), StrideRule(0, 20)]))
+    with pytest.raises(RowOutOfRange):
+        Subarray().run([CommandWord.rd_row(140), cmds[1]])
 
 
 def test_non_integer_stride_is_rejected_at_load():
@@ -209,6 +247,18 @@ def test_latch_across_iterations(name, lanes):
                    width=16)
     assert Controller(prog)._window("F") is not None
     assert_lanes_agree(prog, CycleCostModel(), lanes, grid_seed=5)
+
+
+def test_strided_rows_alias_constant_rows():
+    # Iteration G reads rows G and G + 1 through strided commands, and
+    # every iteration writes rows 2 and 4 through constant ones, so
+    # iterations 1 to 3 read rows an earlier iteration wrote: a window
+    # with strided rows must not keep any row in a local.
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(2),
+            CommandWord.rd_row(1), CommandWord.shift(1), CommandWord.wr_row(4)]
+    prog = program(cmds, [StrideRule(0, 1), StrideRule(2, 1)],
+                   [Invocation("F", 5, 0)], width=16)
+    assert_lanes_agree(prog, CycleCostModel(), 2, grid_seed=9)
 
 
 def test_pending_activation_at_start_matches():
@@ -271,3 +321,24 @@ def test_generated_windows_agree(window, strides, invocations, seed, pending,
         return
     for cost in COST_MODELS:
         assert_lanes_agree(prog, cost, lanes, grid_seed=seed, pending=pending)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 2)),
+                           max_size=2))
+def test_load_rejects_exactly_what_the_compiler_declines(window, strides):
+    width, cmds = window
+    rules = [StrideRule(off % len(cmds), inc) for off, inc in strides]
+    # Iteration 0 only; load rejects a strided row off the grid first.
+    assume(all(cmds[r.offset].index < 128 or cmds[r.offset].opcode
+               is Opcode.SHIFT for r in rules))
+    prog = program(cmds, rules, [Invocation("F", 1, 0)], width)
+    try:
+        compile_window(tuple(c.encode() for c in cmds),
+                       tuple((r.offset, r.increment) for r in rules), width)
+    except fabric.WindowRejected as exc:
+        with pytest.raises(ControllerError,
+                           match=f"^function F command {exc.offset}: "):
+            Controller(prog)
+    else:
+        Controller(prog)

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimcrypt.fabric import (COLS, BlockWidthMismatch, CycleCostModel,
-                             EXT_ROW, PendingActivation, RowOutOfRange,
-                             Subarray, UnsupportedOption)
+from pimcrypt.fabric import (COLS, BlockWidthMismatch, CompiledRun,
+                             CycleCostModel, EXT_ROW, PendingActivation,
+                             RowOutOfRange, Subarray, UnsupportedOption,
+                             compile_window)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind
 
 row_values = st.integers(0, (1 << 256) - 1)
@@ -146,3 +147,43 @@ def test_cost_model_allows_free_shifts():
 def test_unsupported_block_width_rejected(width):
     with pytest.raises(BlockWidthMismatch):
         Subarray(block_width=width)
+
+
+def test_write_rows_is_write_row_per_row():
+    # Values are masked to the lanes' columns, as write_row masks them.
+    values = [-1, 1 << 600, (1 << 512) + 7, 3]
+    bulk, single = Subarray(lanes=2), Subarray(lanes=2)
+    bulk.write_rows(124, values)
+    for i, value in enumerate(values):
+        single.write_row(124 + i, value)
+    assert bulk.grid == single.grid
+    assert bulk.read_row(124) == (1 << 512) - 1 and bulk.read_row(126) == 7
+    assert len(bulk.grid) == 128 and bulk.cycle_count == 0
+
+
+@pytest.mark.parametrize("first,count", [(-1, 1), (126, 3), (128, 1)])
+def test_write_rows_checks_the_whole_range(first, count):
+    sub = Subarray()
+    with pytest.raises(RowOutOfRange):
+        sub.write_rows(first, [1] * count)
+    assert sub.grid == [0] * 128
+
+
+def test_write_rows_during_a_pending_activation():
+    sub = Subarray()
+    sub.execute(CommandWord.act_row(3))
+    with pytest.raises(PendingActivation):
+        sub.write_rows(0, [1, 2])
+    assert sub.grid == [0] * 128
+
+
+def test_compiled_run_must_match_lanes_and_cost():
+    window = compile_window((CommandWord.rd_row(0).encode(),), (), 256)
+    run = CompiledRun([(window, 0, 2)], 2, CycleCostModel(3, 1))
+    assert len(run) == 4 and run.cycles == 12
+    for sub in (Subarray(lanes=1, cost_model=CycleCostModel(3, 1)),
+                Subarray(lanes=2)):
+        with pytest.raises(ValueError):
+            sub.run(run)
+    sub = Subarray(lanes=2, cost_model=CycleCostModel(3, 1))
+    assert sub.run(run) == 12 and sub.cycle_count == 12

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pimcrypt.isa import (AsmError, BLOCK_WIDTHS, CommandWord, InvalidOpcode,
+                          IsaError,
                           LogicKind, Opcode, assemble, decode, disassemble,
                           from_bytes, to_bytes)
 
@@ -82,3 +83,14 @@ def test_asm_errors_name_line():
     with pytest.raises(AsmError) as exc:
         assemble("rd_row 1, sa\nbogus_op 3\n")
     assert "2" in str(exc.value)
+
+
+@pytest.mark.parametrize("opcode,index,option", [
+    (Opcode.RD_ROW, 1.0, 8), (Opcode.RD_ROW, 1, 8.0),
+    (Opcode.RD_ROW, True, 8), (Opcode.RD_ROW, 1, True),
+    (Opcode.RD_ROW, "1", 8), (1, 1, 8), ("rd_row", 1, 8),
+])
+def test_command_word_rejects_non_int_fields(opcode, index, option):
+    # A float index used to load and then fail at run time with TypeError.
+    with pytest.raises(IsaError):
+        CommandWord(opcode, index, option)

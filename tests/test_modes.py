@@ -155,6 +155,31 @@ def test_ctr_and_gcm_match_cryptography(nblocks, klen, rng):
         assert modes.gcm_decrypt(key, iv, aad, sealed) == data
 
 
+@pytest.mark.parametrize("klen", [0, 15, 20, 33])
+def test_bad_key_length_is_a_value_error(klen):
+    from cryptography.hazmat.primitives.ciphers import modes as cm
+    with pytest.raises(ValueError):
+        _cipher(bytes(klen), cm.ECB())
+    with pytest.raises(ValueError):
+        modes.ecb_crypt(bytes(klen), bytes(16))
+    with pytest.raises(ValueError):
+        modes.gcm_encrypt(bytes(klen), bytes(12), b"", bytes(16))
+
+
+@pytest.mark.parametrize("length", [0, 8, 15, 17])
+def test_iv_and_counter_block_must_be_one_block(length):
+    from cryptography.hazmat.primitives.ciphers import modes as cm
+    key, block = bytes(16), bytes(length)
+    for mode in (cm.CBC(block), cm.CTR(block)):
+        with pytest.raises(ValueError):
+            _cipher(key, mode)
+    for call in (lambda: modes.cbc_encrypt(key, block, bytes(32)),
+                 lambda: modes.cbc_decrypt(key, block, bytes(32)),
+                 lambda: modes.ctr_crypt(key, block, bytes(20))):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_lockstep_lanes_are_the_modeled_subarrays():
     from pimcrypt.perfmodel import FabricConfig
     assert modes.LOCKSTEP_LANES == FabricConfig().active_subarrays
