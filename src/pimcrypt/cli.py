@@ -176,7 +176,7 @@ def cmd_hmac(args) -> int:
 def cmd_asm(args) -> int:
     try:
         cmds = assemble(_read(args.infile).decode())
-    except AsmError as exc:
+    except (AsmError, UnicodeDecodeError) as exc:
         raise CliError(str(exc), USAGE_ERROR)
     _write(args.outfile, to_bytes(cmds))
     return 0
@@ -234,12 +234,15 @@ def cmd_bench(args) -> int:
            else perfmodel.calibrate(ms))
     report = perfmodel.compare_to_paper(ms, cal)
     if args.format == "json":
+        if args.power_mode is not None:
+            raise CliError("--power-mode applies to the text format only",
+                           USAGE_ERROR)
         _write(args.outfile, json.dumps(report.to_dict(), indent=2).encode())
     else:
         lines = [report.to_text()]
         for frac in (0.25, 0.5, 1.0):
             config = perfmodel.FabricConfig(isc_fraction=frac, calibration=cal)
-            mode = perfmodel.POWER_MODES[args.power_mode]
+            mode = perfmodel.POWER_MODES[args.power_mode or "run0"]
             lines.append(f"-- modeled throughput @{int(frac*100)}% "
                          f"{mode.name} (MB/s) --")
             for name, m in ms.items():
@@ -257,12 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="in-SRAM crypto fabric simulator and kernel compiler")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, key=False, iv=False, aad=False, alg=None, mode=False):
-        sp.add_argument("--in", dest="infile", help="input file (- = stdin)")
+    def common(sp, *, infile=True, verify=True, key=False, iv=False,
+               aad=False, alg=None, mode=False):
+        if infile:
+            sp.add_argument("--in", dest="infile",
+                            help="input file (- = stdin)")
         sp.add_argument("--out", dest="outfile",
                         help="output file (- = stdout)")
-        sp.add_argument("--no-verify", action="store_true",
-                        help="skip oracle cross-check")
+        if verify:
+            sp.add_argument("--no-verify", action="store_true",
+                            help="skip oracle cross-check")
         if alg is not None:
             sp.add_argument("--alg", default=alg)
         if mode:
@@ -280,15 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("decrypt"), key=True, iv=True, aad=True, mode=True)
     common(sub.add_parser("hash"), alg="sha3-256")
     common(sub.add_parser("hmac"), alg="sha3-256", key=True)
-    common(sub.add_parser("asm"))
-    common(sub.add_parser("disasm"))
-    tr = common(sub.add_parser("trace"), alg="aes-128-encrypt")
-    tr.add_argument("--trace", type=int, default=1,
+    common(sub.add_parser("asm"), verify=False)
+    common(sub.add_parser("disasm"), verify=False)
+    tr = common(sub.add_parser("trace"), infile=False, verify=False,
+                alg="aes-128-encrypt")
+    tr.add_argument("--trace", type=int, default=1, choices=(1, 2),
                     help="1 = commands, 2 = with latch snapshots")
     tr.add_argument("--cycles-per-command", type=int, default=1)
-    be = common(sub.add_parser("bench"))
-    be.add_argument("--power-mode", default="run0",
-                    choices=list(perfmodel.POWER_MODES))
+    be = common(sub.add_parser("bench"), infile=False, verify=False)
+    be.add_argument("--power-mode", choices=list(perfmodel.POWER_MODES),
+                    help="operating point of the text tables (default run0)")
     be.add_argument("--cycles-per-command", type=int, default=1)
     be.add_argument("--calibration", type=float, default=None,
                     help="override the fitted per-family calibration")

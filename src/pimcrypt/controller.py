@@ -83,7 +83,6 @@ class FunctionDescriptor:
     name: str
     base: int
     count: int
-    iterations: int = 1            # nominal per-pass iteration count
     strides: tuple[StrideRule, ...] = ()
 
 
@@ -173,8 +172,6 @@ class Controller:
         self._segments = [
             (actions_at.get(start, ()), program.schedule[start:end])
             for start, end in zip(cuts, cuts[1:] + [len(program.schedule)])]
-        # Per-(function, global-iteration) resolved command tuples.
-        self._resolved: dict[tuple[str, int], list[CommandWord]] = {}
         # Per (lanes, cost model): a CompiledRun or None per segment, and
         # the run's statistics.
         self._plans: dict[tuple[int, CycleCostModel], tuple] = {}
@@ -248,17 +245,12 @@ class Controller:
 
     def _commands_for(self, fname: str, global_iter: int) -> list[CommandWord]:
         f = self.program.functions[fname]
-        key = (fname, global_iter if f.strides else 0)
-        cached = self._resolved.get(key)
-        if cached is None:
-            cmds = self.program.commands[f.base:f.base + f.count]
-            for s in f.strides:
-                old = cmds[s.offset]
-                cmds[s.offset] = CommandWord(
-                    old.opcode, old.index + global_iter * s.increment,
-                    old.option)
-            self._resolved[key] = cached = cmds
-        return cached
+        cmds = self.program.commands[f.base:f.base + f.count]
+        for s in f.strides:
+            old = cmds[s.offset]
+            cmds[s.offset] = CommandWord(
+                old.opcode, old.index + global_iter * s.increment, old.option)
+        return cmds
 
     def _window(self, fname: str) -> CompiledWindow:
         return self._windows[fname]

@@ -135,7 +135,6 @@ class CycleCostModel:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    seq: int
     word: int
     text: str
     cycles: int
@@ -360,10 +359,10 @@ class Subarray:
 
     def run_traced(self, cmds) -> list[TraceRecord]:
         records = []
-        for seq, cmd in enumerate(cmds):
+        for cmd in cmds:
             cycles = self.execute(cmd)
-            records.append(TraceRecord(seq, cmd.encode(), _text(cmd),
-                                       cycles, self.sa_latch))
+            records.append(TraceRecord(cmd.encode(), _text(cmd), cycles,
+                                       self.sa_latch))
         return records
 
 

@@ -5,7 +5,8 @@ Data layout (16-column tiles, one block per tile, 16 blocks per pass):
 * state bit-planes in rows 0..7; plane ``b`` column ``16t + 4r + c``
   holds bit ``b`` of state byte ``s[r,c]`` of block ``t`` (row-major
   within the tile, so the MixColumns byte rotations are plain 4/8-column
-  tile rotations and ShiftRows is a masked per-row rotation),
+  tile rotations and ShiftRows is a masked per-row rotation; the host
+  side of this byte order is ``hostio``'s, see its docstring),
 * round-key planes in rows 8..95 (8 rows per round, AddRoundKey walks
   them with a +8 stride rule; AES-256 reloads the region halfway),
 * byte staging rows 96..111 (doubling as scratch inside the rounds),
@@ -28,11 +29,11 @@ its passes.
 
 from __future__ import annotations
 
-from ..controller import (FunctionDescriptor, HostAction, Invocation,
-                          KernelProgram, StrideRule, host_action)
+from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
+                          host_action)
 from ..isa import CommandWord, LogicKind
 from . import circuits, hostio
-from .layout import LayoutMap, _logic
+from .layout import LayoutMap, _logic, pack_functions
 
 __all__ = ["AES_LAYOUT", "build_aes_program", "expand_key_words", "key_rows",
            "gen_bit_slice_fwd", "gen_bit_slice_inv", "gen_add_round_key",
@@ -56,18 +57,6 @@ _STAGE = list(AES_LAYOUT.span("stage"))
 _TMASK = {k: AES_LAYOUT.row("tmask", i) for i, k in enumerate((4, 2, 1))}
 _SRMASK = [AES_LAYOUT.row("srmask", i) for i in range(4)]
 _CHAIN = list(AES_LAYOUT.span("chain"))
-
-# Fabric byte order: block byte j = state s[j%4, j//4] lives at tile
-# column 4*(j%4) + j//4.  The permutation is an involution.
-_SIGMA = [4 * (j % 4) + j // 4 for j in range(16)]
-
-
-def _permute(block: bytes) -> bytes:
-    out = bytearray(16)
-    for j, v in enumerate(block):
-        out[_SIGMA[j]] = v
-    return bytes(out)
-
 
 def mask_values() -> dict[int, int]:
     """Constant mask rows, replicated across the 16 tiles."""
@@ -253,20 +242,6 @@ def expand_key_words(key: bytes) -> list[bytes]:
             for r in range(rounds + 1)]
 
 
-def _functions(direction: str) -> dict[str, list]:
-    inverse = direction == "decrypt"
-    ark_cmds, ark_strides = gen_add_round_key()
-    return {
-        "BitSliceFwd": (gen_bit_slice_fwd(), ()),
-        "BitSliceInv": (gen_bit_slice_inv(), ()),
-        "AddRoundKey": (ark_cmds, tuple(ark_strides)),
-        "SubBytes": (gen_sub_bytes(inverse), ()),
-        "ShiftRows": (gen_shift_rows(inverse), ()),
-        "MixColumns": (gen_mix_columns(inverse), ()),
-        "ChainXor": (gen_chain_xor(), ()),
-    }
-
-
 def build_aes_program(variant: int, direction: str,
                       chain: str | None = None) -> KernelProgram:
     """Build the per-pass program.
@@ -278,12 +253,16 @@ def build_aes_program(variant: int, direction: str,
     if variant not in (128, 256) or direction not in ("encrypt", "decrypt"):
         raise ValueError("variant must be 128/256, direction encrypt/decrypt")
     rounds = 10 if variant == 128 else 14
-    commands: list[CommandWord] = []
-    functions: dict[str, FunctionDescriptor] = {}
-    for name, (cmds, strides) in _functions(direction).items():
-        functions[name] = FunctionDescriptor(
-            name, len(commands), len(cmds), strides=strides)
-        commands += cmds
+    inverse = direction == "decrypt"
+    commands, functions = pack_functions({
+        "BitSliceFwd": (gen_bit_slice_fwd(), ()),
+        "BitSliceInv": (gen_bit_slice_inv(), ()),
+        "AddRoundKey": gen_add_round_key(),
+        "SubBytes": (gen_sub_bytes(inverse), ()),
+        "ShiftRows": (gen_shift_rows(inverse), ()),
+        "MixColumns": (gen_mix_columns(inverse), ()),
+        "ChainXor": (gen_chain_xor(), ()),
+    })
 
     def ark(round_no: int) -> Invocation:
         # AES-256 reloads the key region after round 7's key is consumed,
@@ -295,7 +274,7 @@ def build_aes_program(variant: int, direction: str,
     if chain == "pre":
         schedule.append(Invocation("ChainXor"))
     reload_pos = None
-    if direction == "encrypt":
+    if not inverse:
         schedule.append(ark(0))
         for r in range(1, rounds):
             if variant == 256 and r == 8:
@@ -333,13 +312,16 @@ def build_aes_program(variant: int, direction: str,
 # Host actions
 # ---------------------------------------------------------------------------
 
+# Multiplying a 16-column value by this repeats it in all 16 tiles.
+_EVERY_TILE = sum(1 << 16 * t for t in range(16))
+
+
 def key_rows(round_keys: list[bytes]) -> list[int]:
     """Round-key plane rows in load order, each key replicated into all
     16 tiles: what ``aes_load_keys`` writes to the key region."""
-    rows: list[int] = []
-    for rk in round_keys:
-        rows += hostio.replicate_tiles(_permute(rk))
-    return rows
+    planes = hostio.aes_plane_rows(round_keys)     # key r in tile r
+    return [(plane >> 16 * r & 0xFFFF) * _EVERY_TILE
+            for r in range(len(round_keys)) for plane in planes]
 
 
 # The mask rows are contiguous: tmask then srmask.
@@ -366,15 +348,12 @@ def _load(sub, env, chain=False):
                          f"{16 * sub.lanes} tiles")
     sub.write_rows(_MASK_FIRST, [sub.replicate(v) for v in _MASK_ROWS])
     _load_keys(sub, env)
-    sub.write_rows(_STAGE[0], hostio.aes_stage_rows(
-        [_permute(b) for b in env["blocks"]]))
+    sub.write_rows(_STAGE[0], hostio.aes_stage_rows(env["blocks"]))
     if chain:
-        sub.write_rows(_CHAIN[0], hostio.aes_plane_rows(
-            [_permute(b) for b in env["chain_blocks"]]))
+        sub.write_rows(_CHAIN[0], hostio.aes_plane_rows(env["chain_blocks"]))
 
 
 @host_action("aes_unload")
 def _unload(sub, env):
     rows = [sub.read_row(r) for r in _STAGE]
-    blocks = hostio.aes_unstage_rows(rows, len(env["blocks"]))
-    env["out_blocks"] = [_permute(b) for b in blocks]
+    env["out_blocks"] = hostio.aes_unstage_rows(rows, len(env["blocks"]))

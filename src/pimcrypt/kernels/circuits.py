@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Gate:
-    op: str            # xor | and | or | not | xnor | copy
+    op: str            # xor | and | not | xnor | copy
     dst: str
     a: str
     b: str | None = None
@@ -112,8 +112,6 @@ def evaluate(gates: list[Gate], inputs: dict[str, int],
             wires[g.dst] = a ^ wires[g.b]
         elif g.op == "and":
             wires[g.dst] = a & wires[g.b]
-        elif g.op == "or":
-            wires[g.dst] = a | wires[g.b]
         elif g.op == "not":
             wires[g.dst] = ~a & mask
         elif g.op == "xnor":
@@ -290,7 +288,7 @@ def inverse_sbox_gates() -> list[Gate]:
 # Lowering gate lists onto fabric rows
 # ---------------------------------------------------------------------------
 
-_LOGIC = {"and": LogicKind.AND, "or": LogicKind.OR, "xor": LogicKind.XOR}
+_LOGIC = {"and": LogicKind.AND, "xor": LogicKind.XOR}
 
 
 def schedule(gates: list[Gate], inputs: dict[str, int],
@@ -311,9 +309,6 @@ def schedule(gates: list[Gate], inputs: dict[str, int],
     pool = list(scratch)
     out_rows = set(outputs.values())
     cmds: list[CommandWord] = []
-
-    def free(row: int) -> None:
-        pool.append(row)
 
     for i, g in enumerate(gates):
         srcs = [g.a] if g.b is None or g.op == "not" else [g.a, g.b]
@@ -360,12 +355,11 @@ def schedule(gates: list[Gate], inputs: dict[str, int],
                      CommandWord.wr_row(dst_row)]
         else:
             cmds += [CommandWord.act_row(a_row),
-                     CommandWord.logic_op(rows[g.b], LogicKind.XOR
-                                          if g.op == "xor" else _LOGIC[g.op]),
+                     CommandWord.logic_op(rows[g.b], _LOGIC[g.op]),
                      CommandWord.wr_row(dst_row)]
         for w in dying:
             if rows[w] != dst_row:
-                free(rows[w])
+                pool.append(rows[w])
         for w, r in list(where.items()):
             if r == dst_row:
                 del where[w]

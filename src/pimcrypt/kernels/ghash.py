@@ -23,7 +23,7 @@ from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW
 from ..isa import CommandWord, LogicKind
-from .layout import LayoutMap, _logic
+from .layout import LayoutMap, _logic, pack_functions
 
 __all__ = ["GHASH_LAYOUT", "build_ghash_program", "gen_byte_arrange",
            "gen_byte_aligning", "gen_galois_mult", "mask_values"]
@@ -142,17 +142,11 @@ def build_ghash_program(nblocks: int = 8, final: bool = True) -> KernelProgram:
         raise ValueError(f"nblocks must be 1..{len(_QUEUE)}, got {nblocks}")
     aligning, strides = gen_byte_aligning()
     reduce_cmds = _gen_reduce()
-    commands: list[CommandWord] = []
-    functions: dict[str, FunctionDescriptor] = {}
-
-    def add(name, cmds, strides=()):
-        functions[name] = FunctionDescriptor(name, len(commands), len(cmds),
-                                             strides=tuple(strides))
-        commands.extend(cmds)
-
-    add("ByteArrange", gen_byte_arrange())
-    add("ByteAligning", aligning, strides)
-    add("GaloisMult", gen_galois_mult())
+    commands, functions = pack_functions({
+        "ByteArrange": (gen_byte_arrange(), ()),
+        "ByteAligning": (aligning, strides),
+        "GaloisMult": (gen_galois_mult(), ()),
+    })
     # The closing fold is the aligning function's own reduction prefix:
     # an aliased window costs no command-array storage.
     functions["Reduce"] = FunctionDescriptor(
@@ -196,20 +190,18 @@ def quarter_rows(block: bytes) -> list[int]:
     return [row & (((1 << 32) - 1) << (32 * k)) for k in range(4)]
 
 
-_MASK_ROWS = mask_values()
+# The mask rows are contiguous: fold, swap, then zero.
+_MASK_ROWS = [value for _, value in sorted(mask_values().items())]
 
 
 @host_action("ghash_load")
 def _load(sub, env, nblocks):
-    for row, value in _MASK_ROWS.items():
-        sub.write_row(row, value)
+    sub.write_rows(_MLO, _MASK_ROWS)
     sub.write_row(_H, block_to_row(env["hash_key"]))
-    for j in range(nblocks):
-        for k, value in enumerate(quarter_rows(env["xblocks"][j])):
-            sub.write_row(_STAGE0 + 4 * j + k, value)
+    sub.write_rows(_STAGE0, [value for j in range(nblocks)
+                             for value in quarter_rows(env["xblocks"][j])])
     if env.pop("ghash_first", False):
-        sub.write_row(_P, 0)
-        sub.write_row(_Z, 0)
+        sub.write_rows(_P, [0, 0])       # P and Z
 
 
 @host_action("ghash_unload")

@@ -4,11 +4,15 @@ These run on the host port (zero fabric cycles) and model the DMA engine
 plus whatever register shuffling the MCU does for free while staging
 data.  Column conventions:
 
-* AES: tile ``t`` owns columns ``16t .. 16t+15``; staged byte ``j`` of a
-  block sits LSB-first in an 8-column field; sliced planes put bit ``b``
-  of byte ``j`` at column ``16t + j`` of plane row ``b``.  Block ``t`` of
-  a list goes to tile ``t``, so on a subarray with lanes, block
-  ``16k + t`` lands in tile ``t`` of lane ``k`` (columns ``256k + 16t ..``).
+* AES: tile ``t`` owns columns ``16t .. 16t+15``.  Block ``t`` of a
+  list goes to tile ``t``, so on a subarray with lanes, block ``16k + t``
+  lands in tile ``t`` of lane ``k`` (columns ``256k + 16t ..``).  Within
+  a tile the fabric byte order is row-major over the AES state: block
+  byte ``j`` (state byte ``s[j mod 4, j div 4]``) sits at tile column
+  ``4(j mod 4) + j div 4``, a map that is its own inverse.  Staging row
+  ``c`` holds the byte of tile column ``c``, LSB-first in an 8-column
+  field; sliced planes put bit ``b`` of that byte at column ``16t + c``
+  of plane row ``b``.
 * SHA3: lane segment ``s`` owns columns ``64s .. 64s+63``, lane bit ``z``
   at column ``64s + z``.
 * GHASH: block bit ``x_i`` (MSB-first across the block) at column ``i``.
@@ -16,26 +20,29 @@ data.  Column conventions:
 
 from __future__ import annotations
 
-__all__ = [
-    "aes_stage_rows", "aes_unstage_rows", "aes_plane_rows", "replicate_tiles",
-    "lane_value", "lanes_from_value",
-]
+__all__ = ["aes_stage_rows", "aes_unstage_rows", "aes_plane_rows",
+           "lane_value", "lanes_from_value"]
 
 
 # -- AES ---------------------------------------------------------------------
 
-def aes_stage_rows(blocks: list[bytes]) -> list[int]:
-    """16 staging-row values; row j holds byte j of every block.
+# The fabric byte order: tile column c holds block byte _BYTE_AT[c], and
+# block byte j sits at tile column _BYTE_AT[j] (the map is an involution).
+_BYTE_AT = [4 * (j % 4) + j // 4 for j in range(16)]
 
-    Bytes 0..7 occupy the low half of each tile, bytes 8..15 the high
-    half, so an OR of rows j and j+8 yields the matrix fed to the
+
+def aes_stage_rows(blocks: list[bytes]) -> list[int]:
+    """16 staging-row values; row c holds tile column c of every block.
+
+    Columns 0..7 occupy the low half of each tile, columns 8..15 the
+    high half, so an OR of rows c and c+8 yields the matrix fed to the
     transpose network.
     """
     data = b"".join(blocks)
     rows = []
-    for j in range(16):
+    for c in range(16):
         field = bytearray(2 * len(blocks))
-        field[j >= 8::2] = data[j::16]
+        field[c >= 8::2] = data[_BYTE_AT[c]::16]
         rows.append(int.from_bytes(field, "little"))
     return rows
 
@@ -44,8 +51,9 @@ def aes_unstage_rows(rows: list[int], count: int) -> list[bytes]:
     """The first ``count`` blocks of 16 staging rows of any width."""
     data = bytearray(16 * count)
     used = (1 << 16 * count) - 1
-    for j, row in enumerate(rows):
-        data[j::16] = (row & used).to_bytes(2 * count, "little")[j >= 8::2]
+    for c, row in enumerate(rows):
+        field = (row & used).to_bytes(2 * count, "little")
+        data[_BYTE_AT[c]::16] = field[c >= 8::2]
     return [bytes(data[16 * t:16 * t + 16]) for t in range(count)]
 
 
@@ -57,16 +65,20 @@ _TRANSPOSE_STEPS = ((7, (0x00AA00AA00AA00AA).to_bytes(8, "little")),
 
 
 def aes_plane_rows(blocks: list[bytes]) -> list[int]:
-    """Bit-sliced plane values: plane b, column 16t+j = bit b of byte j.
+    """Bit-sliced plane values: plane b, column 16t+c = bit b of the byte
+    at tile column c of block t.
 
-    Every 8 staged bytes form an 8x8 bit matrix, one byte per row;
+    Every 8 reordered bytes form an 8x8 bit matrix, one byte per row;
     after the transpose, byte b of each matrix holds bit b of its eight
     bytes, so plane b is every eighth byte.  The swap masks repeat once
     per matrix over the whole input, so every matrix of every lane is
     transposed in place; masks of a fixed width would leave the blocks
     past it untransposed.
     """
-    data = b"".join(blocks)
+    joined = b"".join(blocks)
+    data = bytearray(len(joined))
+    for c in range(16):
+        data[c::16] = joined[_BYTE_AT[c]::16]
     x = int.from_bytes(data, "little")
     for shift, mask64 in _TRANSPOSE_STEPS:
         mask = int.from_bytes(mask64 * (len(data) // 8), "little")
@@ -74,11 +86,6 @@ def aes_plane_rows(blocks: list[bytes]) -> list[int]:
         x ^= t ^ (t << shift)
     data = x.to_bytes(len(data), "little")
     return [int.from_bytes(data[b::8], "little") for b in range(8)]
-
-
-def replicate_tiles(block: bytes) -> list[int]:
-    """Plane values of one 16-byte value replicated into all 16 tiles."""
-    return aes_plane_rows([block] * 16)
 
 
 # -- SHA3 --------------------------------------------------------------------

@@ -18,11 +18,11 @@ place with two saved lanes per group.
 
 from __future__ import annotations
 
-from ..controller import (FunctionDescriptor, HostAction, Invocation,
-                          KernelProgram, StrideRule, host_action)
+from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
+                          host_action)
 from ..isa import CommandWord, LogicKind
 from . import hostio
-from .layout import LayoutMap, _logic
+from .layout import LayoutMap, _logic, pack_functions
 
 __all__ = ["SHA3_LAYOUT", "build_sha3_program", "gen_theta", "gen_rho_pi",
            "gen_pi", "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
@@ -194,19 +194,14 @@ def build_sha3_program(bits: int, nblocks: int,
     iota, iota_strides = gen_iota()
     perm = theta + rho + chi + iota
     iota_off = len(theta) + len(rho) + len(chi)
-    commands: list[CommandWord] = []
-    functions: dict[str, FunctionDescriptor] = {}
-
-    def add(name, cmds, strides=()):
-        functions[name] = FunctionDescriptor(name, len(commands), len(cmds),
-                                             strides=tuple(strides))
-        commands.extend(cmds)
-
-    add("StatePermute", perm,
-        [StrideRule(iota_off + s.offset, s.increment) for s in iota_strides])
-    add("AddState", gen_add_state(rate_lanes))
+    windows = {
+        "StatePermute": (perm, [StrideRule(iota_off + s.offset, s.increment)
+                                for s in iota_strides]),
+        "AddState": (gen_add_state(rate_lanes), ()),
+    }
     if key_prep:
-        add("KeyXorPad", gen_key_xor_pad(rate_lanes))
+        windows["KeyXorPad"] = (gen_key_xor_pad(rate_lanes), ())
+    commands, functions = pack_functions(windows)
 
     schedule: list[Invocation] = []
     actions = [HostAction(0, "sha3_init", {})]

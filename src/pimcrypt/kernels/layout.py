@@ -1,17 +1,19 @@
-"""Named row layouts for the kernels, and the one command idiom they share.
+"""Named row layouts for the kernels, and the idioms they share.
 
 A :class:`LayoutMap` names disjoint row regions so generators and host
 actions never hard-code row numbers twice.  ``_logic`` emits the
 ``act_row`` + ``logic_op`` + ``wr_row`` triple that computes
-``dst = a <kind> b``.
+``dst = a <kind> b``, and :func:`pack_functions` lays a kernel's
+function windows out in one command array.
 """
 
 from __future__ import annotations
 
+from ..controller import FunctionDescriptor
 from ..fabric import ROWS
 from ..isa import CommandWord, LogicKind
 
-__all__ = ["LayoutMap", "LayoutError"]
+__all__ = ["LayoutMap", "LayoutError", "pack_functions"]
 
 
 class LayoutError(Exception):
@@ -46,3 +48,16 @@ class LayoutMap:
 def _logic(a: int, kind: LogicKind, b: int, dst: int) -> list[CommandWord]:
     return [CommandWord.act_row(a), CommandWord.logic_op(b, kind),
             CommandWord.wr_row(dst)]
+
+
+def pack_functions(windows: dict[str, tuple[list[CommandWord], tuple]]
+                   ) -> tuple[list[CommandWord], dict[str, FunctionDescriptor]]:
+    """The command array and descriptors of ``name -> (commands,
+    strides)`` windows, laid out end to end in the given order."""
+    commands: list[CommandWord] = []
+    functions: dict[str, FunctionDescriptor] = {}
+    for name, (cmds, strides) in windows.items():
+        functions[name] = FunctionDescriptor(name, len(commands), len(cmds),
+                                             strides=tuple(strides))
+        commands += cmds
+    return commands, functions

@@ -243,7 +243,7 @@ def _ccm_check(nonce: bytes, tag_len: int, msg_len: int) -> None:
     if msg_len >= 1 << 8 * q:
         raise ValueError(f"CCM message must be shorter than 2^{8 * q} "
                          f"bytes with a {len(nonce)}-byte nonce")
-    if tag_len not in (4, 6, 8, 10, 12, 14, 16):
+    if type(tag_len) is not int or tag_len not in (4, 6, 8, 10, 12, 14, 16):
         raise ValueError(f"CCM tag length must be 4, 6, ..., 16 bytes, "
                          f"got {tag_len!r}")
 
@@ -288,6 +288,7 @@ def _ghash_stage(hash_key: bytes, blocks: list[bytes], first: bool,
 
 def ghash_digest(hash_key: bytes, data: bytes,
                  stats: ExecutionStats | None = None) -> bytes:
+    _check_block("GHASH hash key", hash_key)
     blocks = _split_blocks(data)
     if not blocks:
         return bytes(16)
@@ -309,7 +310,7 @@ def _pad16(data: bytes) -> bytes:
 def _gcm_setup(key: bytes, iv: bytes, tag_len: int,
                stats: ExecutionStats | None) -> tuple[_AesKey, bytes, bytes]:
     """The call's key, the hash key H and the pre-counter block J0."""
-    if tag_len not in (4, 8, 12, 13, 14, 15, 16):
+    if type(tag_len) is not int or tag_len not in (4, 8, 12, 13, 14, 15, 16):
         raise ValueError(f"GCM tag length must be 4, 8 or 12..16 bytes, "
                          f"got {tag_len!r}")
     if not iv:
@@ -356,7 +357,7 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
 # ---------------------------------------------------------------------------
 
 def _rate(bits: int) -> int:
-    if bits not in keccak.RATE_BYTES:
+    if type(bits) is not int or bits not in keccak.RATE_BYTES:
         raise ValueError(f"SHA3 output size must be one of "
                          f"{sorted(keccak.RATE_BYTES)} bits, got {bits!r}")
     return keccak.RATE_BYTES[bits]

@@ -42,7 +42,6 @@ SBOX = bytes.fromhex(
     "ba78252e1ca6b4c6e8dd741f4bbd8b8a703eb5664803f60e613557b986c11d9e"
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16")
 
-INV_SBOX = bytes(256)
 _inv = bytearray(256)
 for _i, _v in enumerate(SBOX):
     _inv[_v] = _i
@@ -213,9 +212,12 @@ def _ccm_mac(key: bytes, nonce: bytes, aad: bytes, msg: bytes,
     return mac[:tag_len]
 
 
-def _ccm_ctr0(nonce: bytes, msg_len: int) -> bytes:
-    """Counter block 0 of a 7..13-byte nonce; the length field of B0 must
-    hold ``msg_len``."""
+def _ccm_ctr0(nonce: bytes, tag_len: int, msg_len: int) -> bytes:
+    """Counter block 0 of a 7..13-byte nonce; the tag length must be one
+    CCM allows and the length field of B0 must hold ``msg_len``."""
+    if type(tag_len) is not int or tag_len not in range(4, 17, 2):
+        raise ValueError(f"CCM tag length must be 4, 6, ..., 16 bytes, "
+                         f"got {tag_len!r}")
     if not 7 <= len(nonce) <= 13:
         raise ValueError("CCM nonce must be 7..13 bytes")
     q = 15 - len(nonce)
@@ -227,7 +229,7 @@ def _ccm_ctr0(nonce: bytes, msg_len: int) -> bytes:
 
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16) -> bytes:
-    ctr0 = _ccm_ctr0(nonce, len(plaintext))
+    ctr0 = _ccm_ctr0(nonce, tag_len, len(plaintext))
     mac = _ccm_mac(key, nonce, aad, plaintext, tag_len)
     s0 = aes_encrypt_block(key, ctr0)
     ct = ctr_crypt(key, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
@@ -237,8 +239,8 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
 
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16) -> bytes:
+    ctr0 = _ccm_ctr0(nonce, tag_len, len(ciphertext) - tag_len)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    ctr0 = _ccm_ctr0(nonce, len(ct))
     s0 = aes_encrypt_block(key, ctr0)
     pt = ctr_crypt(key, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
                    ct)
@@ -272,11 +274,18 @@ def gf128_mul(x: int, y: int) -> int:
     return int(f"{prod & ((1 << 128) - 1):0128b}"[::-1], 2)
 
 
-def ghash_bitserial(h: bytes, data: bytes) -> bytes:
-    """GHASH via the NIST bit-serial multiply, structured per the standard."""
+def _ghash_key(h: bytes, data: bytes) -> int:
+    """The hash key as an int, once ``h`` and ``data`` are checked."""
+    if len(h) != 16:
+        raise ValueError(f"GHASH hash key must be 16 bytes, got {len(h)}")
     if len(data) % 16:
         raise ValueError("GHASH input must be whole blocks")
-    hint = int.from_bytes(h, "big")
+    return int.from_bytes(h, "big")
+
+
+def ghash_bitserial(h: bytes, data: bytes) -> bytes:
+    """GHASH via the NIST bit-serial multiply, structured per the standard."""
+    hint = _ghash_key(h, data)
     y = 0
     for i in range(0, len(data), 16):
         x = y ^ int.from_bytes(data[i:i + 16], "big")
@@ -294,9 +303,7 @@ def ghash_bitserial(h: bytes, data: bytes) -> bytes:
 
 def ghash(h: bytes, data: bytes) -> bytes:
     """GHASH via deferred-reduction carry-less multiplication."""
-    if len(data) % 16:
-        raise ValueError("GHASH input must be whole blocks")
-    hint = int.from_bytes(h, "big")
+    hint = _ghash_key(h, data)
     y = 0
     for i in range(0, len(data), 16):
         y = gf128_mul(y ^ int.from_bytes(data[i:i + 16], "big"), hint)
@@ -398,8 +405,15 @@ def keccak_f1600(lanes: list[list[int]]) -> list[list[int]]:
     return a
 
 
+def _sha3_rate(bits: int) -> int:
+    if type(bits) is not int or bits not in SHA3_RATES:
+        raise ValueError(f"SHA3 output size must be 224, 256, 384 or 512 "
+                         f"bits, got {bits!r}")
+    return SHA3_RATES[bits]
+
+
 def sha3(bits: int, msg: bytes) -> bytes:
-    rate = SHA3_RATES[bits]
+    rate = _sha3_rate(bits)
     pad_len = -len(msg) % rate or rate
     padded = bytearray(msg) + bytearray(pad_len)
     padded[len(msg)] ^= 0x06
@@ -418,7 +432,7 @@ def sha3(bits: int, msg: bytes) -> bytes:
 
 
 def hmac_sha3(bits: int, key: bytes, msg: bytes) -> bytes:
-    rate = SHA3_RATES[bits]
+    rate = _sha3_rate(bits)
     if len(key) > rate:
         key = sha3(bits, key)
     key = key + bytes(rate - len(key))

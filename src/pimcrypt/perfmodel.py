@@ -65,26 +65,24 @@ POWER_MODES = {
 }
 
 SUBARRAY_BITS = 128 * 256
+SRAM_BYTES = 256 * 1024
 # Relative tolerance of every calibrated throughput cell.
 THROUGHPUT_TOLERANCE = 0.05
 
 
 @dataclass
 class FabricConfig:
-    sram_total: int = 256 * 1024              # bytes
     isc_fraction: float = 1.0                 # 0.25 / 0.5 / 1.0
     cycle_cost: CycleCostModel = field(default_factory=CycleCostModel)
-    calibration: float | Mapping[str, float] = 1.0
+    calibration: Mapping[str, float] = field(default_factory=dict)
     isc_power_factor: float = 1.0
 
     @property
     def active_subarrays(self) -> float:
-        return (self.sram_total * 8 // SUBARRAY_BITS) * self.isc_fraction
+        return (SRAM_BYTES * 8 // SUBARRAY_BITS) * self.isc_fraction
 
     def cal(self, family: str) -> float:
-        if isinstance(self.calibration, Mapping):
-            return self.calibration.get(family, 1.0)
-        return self.calibration
+        return self.calibration.get(family, 1.0)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ def test_fips197_vectors_on_fabric():
     assert modes.ecb_crypt(FIPS_KEY256, FIPS_CT256, "decrypt") == FIPS_PT
 
 
+def _column(j):
+    """Tile column of block byte j: state byte s[j % 4, j // 4], row-major."""
+    return 4 * (j % 4) + j // 4
+
+
 def _planes_by_bit(blocks):
     """Reference for aes_plane_rows: one bit per loop step."""
     planes = [0] * 8
@@ -29,7 +34,7 @@ def _planes_by_bit(blocks):
         for j, byte in enumerate(block):
             for b in range(8):
                 if byte >> b & 1:
-                    planes[b] |= 1 << (16 * t + j)
+                    planes[b] |= 1 << (16 * t + _column(j))
     return planes
 
 
@@ -38,7 +43,8 @@ def _stage_by_byte(blocks):
     rows = [0] * 16
     for t, block in enumerate(blocks):
         for j, byte in enumerate(block):
-            rows[j] |= byte << (16 * t + (0 if j < 8 else 8))
+            c = _column(j)
+            rows[c] |= byte << (16 * t + (0 if c < 8 else 8))
     return rows
 
 

@@ -179,3 +179,34 @@ def test_bench_uses_the_given_calibration(capsys):
         0, cli.MISMATCH_ERROR)
     payload = json.loads(capsys.readouterr().out)
     assert payload["calibration"] == {"aes": 2.5, "sha3": 2.5, "ghash": 2.5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--in", "x"],
+    ["trace", "--no-verify"],
+    ["bench", "--in", "x"],
+    ["bench", "--no-verify"],
+    ["asm", "--no-verify"],
+    ["disasm", "--no-verify"],
+    ["trace", "--trace", "0"],
+    ["trace", "--trace", "7"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == cli.USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["run0", "sleep"])
+def test_bench_json_rejects_a_power_mode(mode, capsys):
+    assert run(["bench", "--format", "json", "--power-mode", mode]
+               ) == cli.USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+def test_asm_of_non_utf8_input_is_usage_error(tmp_path):
+    src = tmp_path / "bad.s"
+    src.write_bytes(b"rd_row 1\n\xff\xfe\n")
+    assert run(["asm", "--in", str(src),
+                "--out", str(tmp_path / "o")]) == cli.USAGE_ERROR

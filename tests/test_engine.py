@@ -272,13 +272,9 @@ rows = st.integers(0, 127)
 indices = st.integers(0, 255)
 
 
-@st.composite
-def windows(draw):
-    """A block width and a window of valid commands, in which at most one
-    command may get an arbitrary option nibble or one arbitrary command
-    word may be spliced in."""
-    width = draw(st.sampled_from(BLOCK_WIDTHS[:5]))
-    segment = st.one_of(
+def segments(width):
+    """One valid command, or one act_row + logic_op + wr_row triple."""
+    return st.one_of(
         st.builds(lambda r: [CommandWord.rd_row(r)], rows),
         st.builds(lambda r: [CommandWord.wr_row(r)], rows),
         st.builds(lambda n, right: [CommandWord.shift(n, right)],
@@ -287,7 +283,15 @@ def windows(draw):
         st.builds(lambda c: [CommandWord.ext_bit(c, width)],
                   st.one_of(st.integers(0, 2), indices)),
         st.builds(logic, rows, st.sampled_from(list(LogicKind)), rows, rows))
-    cmds = sum(draw(st.lists(segment, min_size=1, max_size=10)), [])
+
+
+@st.composite
+def windows(draw):
+    """A block width and a window of valid commands, in which at most one
+    command may get an arbitrary option nibble or one arbitrary command
+    word may be spliced in."""
+    width = draw(st.sampled_from(BLOCK_WIDTHS[:5]))
+    cmds = sum(draw(st.lists(segments(width), min_size=1, max_size=10)), [])
     change = draw(st.sampled_from(["none", "option", "splice"]))
     if change == "option":
         i = draw(st.integers(0, len(cmds) - 1))
@@ -300,25 +304,59 @@ def windows(draw):
     return width, cmds
 
 
-@settings(max_examples=300, deadline=None)
-@given(windows(),
-       st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 2)),
-                max_size=2),
-       st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
-                min_size=1, max_size=3),
-       st.integers(0, 2 ** 32), st.sampled_from([None, None, None, 7]),
-       st.integers(1, 3))
-def test_generated_windows_agree(window, strides, invocations, seed, pending,
-                                 lanes):
-    width, cmds = window
-    rules = [StrideRule(off % len(cmds), inc) for off, inc in strides]
-    prog = program(cmds, rules,
+ROW_OPCODES = (Opcode.RD_ROW, Opcode.WR_ROW, Opcode.ACT_ROW, Opcode.LOGIC_OP)
+
+
+def accepted_options(opcode, width):
+    """The option nibbles the fabric accepts; shift ignores bit 1."""
+    return {Opcode.RD_ROW: [0b1000], Opcode.WR_ROW: [0b1000],
+            Opcode.SHIFT: [0b1000, 0b1010, 0b1100, 0b1110],
+            Opcode.ACT_ROW: [0b0001], Opcode.LOGIC_OP: [0, 2, 4, 6],
+            Opcode.EXT_BIT: [BLOCK_WIDTHS.index(width) << 1]}[opcode]
+
+
+@st.composite
+def loadable_programs(draw):
+    """A one-function program that loads: like :func:`windows`, but the
+    option mutation draws a nibble the fabric accepts, the splice puts a
+    valid rd_row, wr_row, shift or ext_bit word between two segments, and
+    at most two stride rules sit on distinct row-addressing commands and
+    keep their rows on the grid for every iteration the schedule runs."""
+    width = draw(st.sampled_from(BLOCK_WIDTHS[:5]))
+    parts = draw(st.lists(segments(width), min_size=1, max_size=10))
+    change = draw(st.sampled_from(["none", "option", "splice"]))
+    if change == "splice":
+        op = draw(st.sampled_from([Opcode.RD_ROW, Opcode.WR_ROW,
+                                   Opcode.SHIFT, Opcode.EXT_BIT]))
+        word = CommandWord(op, draw(rows if op in ROW_OPCODES else indices),
+                           draw(st.sampled_from(accepted_options(op, width))))
+        parts.insert(draw(st.integers(0, len(parts))), [word])
+    cmds = sum(parts, [])
+    if change == "option":
+        i = draw(st.integers(0, len(cmds) - 1))
+        cmds[i] = CommandWord(cmds[i].opcode, cmds[i].index, draw(
+            st.sampled_from(accepted_options(cmds[i].opcode, width))))
+    invocations = draw(st.lists(st.tuples(st.integers(1, 3),
+                                          st.integers(0, 3)),
+                                min_size=1, max_size=3))
+    last = max(n + base - 1 for n, base in invocations)
+    strided = [i for i, c in enumerate(cmds) if c.opcode in ROW_OPCODES]
+    rules = []
+    for off in draw(st.lists(st.sampled_from(strided), max_size=2,
+                             unique=True)) if strided else []:
+        index = cmds[off].index
+        rules.append(StrideRule(off, draw(st.integers(-2, 2).filter(
+            lambda inc: 0 <= index + inc * last < 128))))
+    return program(cmds, rules,
                    [Invocation("F", n, base) for n, base in invocations],
                    width)
-    try:
-        Controller(prog)
-    except Exception:   # rejected at load time: nothing runs on either engine
-        return
+
+
+@settings(max_examples=300, deadline=None)
+@given(loadable_programs(), st.integers(0, 2 ** 32),
+       st.sampled_from([None, None, None, 7]), st.integers(1, 3))
+def test_generated_windows_agree(prog, seed, pending, lanes):
+    Controller(prog)    # loads, so both engines run every example
     for cost in COST_MODELS:
         assert_lanes_agree(prog, cost, lanes, grid_seed=seed, pending=pending)
 

@@ -287,3 +287,29 @@ def test_ccm_rejects_messages_its_length_field_cannot_hold(nonce_len, limit):
             impl.ccm_encrypt(bytes(16), nonce, b"", bytes(limit))
         with pytest.raises(ValueError, match="CCM message"):
             impl.ccm_decrypt(bytes(16), nonce, b"", bytes(limit + 16))
+
+
+@pytest.mark.parametrize("klen", [8, 17])
+def test_ghash_hash_key_must_be_one_block(klen):
+    for data in (b"", bytes(16)):
+        with pytest.raises(ValueError, match="hash key"):
+            modes.ghash_digest(bytes(klen), data)
+
+
+@pytest.mark.parametrize("tag_len", [16.0, 8.0, True])
+def test_tag_length_must_be_an_int(tag_len):
+    key, iv = bytes(16), bytes(12)
+    for encrypt, decrypt in ((modes.gcm_encrypt, modes.gcm_decrypt),
+                             (modes.ccm_encrypt, modes.ccm_decrypt)):
+        with pytest.raises(ValueError, match="tag length"):
+            encrypt(key, iv, b"", b"msg", tag_len=tag_len)
+        with pytest.raises(ValueError, match="tag length"):
+            decrypt(key, iv, b"", bytes(32), tag_len=tag_len)
+
+
+@pytest.mark.parametrize("bits", [256.0, True])
+def test_sha3_size_must_be_an_int(bits):
+    for call in (lambda: modes.sha3_digest(bits, b"msg"),
+                 lambda: modes.hmac_sha3(bits, b"key", b"msg")):
+        with pytest.raises(ValueError, match="SHA3 output size"):
+            call()

@@ -133,3 +133,27 @@ def test_ccm_decrypt_checks_the_nonce_length(nonce_len):
     # as ccm_encrypt does, before any tag arithmetic
     with pytest.raises(ValueError):
         oracle.ccm_decrypt(bytes(16), bytes(nonce_len), b"", bytes(32))
+
+
+@pytest.mark.parametrize("klen", [8, 17])
+def test_ghash_hash_key_must_be_one_block(klen):
+    for ghash in (oracle.ghash, oracle.ghash_bitserial):
+        with pytest.raises(ValueError, match="hash key"):
+            ghash(bytes(klen), bytes(16))
+
+
+@pytest.mark.parametrize("tag_len", [3, 5, 18, 16.0])
+def test_ccm_rejects_tag_lengths(tag_len):
+    with pytest.raises(ValueError, match="tag length"):
+        oracle.ccm_encrypt(bytes(16), bytes(13), b"", b"msg", tag_len=tag_len)
+    with pytest.raises(ValueError, match="tag length"):
+        oracle.ccm_decrypt(bytes(16), bytes(13), b"", bytes(32),
+                           tag_len=tag_len)
+
+
+@pytest.mark.parametrize("bits", [100, 256.0])
+def test_unsupported_sha3_size_is_a_value_error(bits):
+    with pytest.raises(ValueError, match="SHA3 output size"):
+        oracle.sha3(bits, b"msg")
+    with pytest.raises(ValueError, match="SHA3 output size"):
+        oracle.hmac_sha3(bits, b"key", b"msg")
