@@ -228,7 +228,7 @@ def cmd_bench(args) -> int:
             math.isfinite(args.calibration) and args.calibration > 0):
         raise CliError(f"--calibration must be a positive number, got "
                        f"{args.calibration}", USAGE_ERROR)
-    ms = perfmodel.measure_kernels(perfmodel.FabricConfig(cycle_cost=cost))
+    ms = perfmodel.measure_kernels(cost)
     cal = ({"aes": args.calibration, "sha3": args.calibration,
             "ghash": args.calibration} if args.calibration is not None
            else perfmodel.calibrate(ms))

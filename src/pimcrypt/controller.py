@@ -36,7 +36,9 @@ call per stretch and one stats merge.  A run given a ``trace`` list goes
 through the reference interpreter instead, one command sequence per
 iteration, and counts its statistics from what the interpreter reports.
 A run that starts during a pending activation raises
-:class:`~pimcrypt.fabric.PendingActivation` before anything runs.
+:class:`~pimcrypt.fabric.PendingActivation`, and one on a subarray of
+another block width :class:`~pimcrypt.fabric.BlockWidthMismatch`,
+before anything runs.
 
 A run on a subarray with K lanes is K passes in lockstep, one per lane,
 and its :class:`ExecutionStats` count all of them: invocations,
@@ -47,9 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fabric import (ROWS, CompiledRun, CompiledWindow, CycleCostModel,
-                     PendingActivation, Subarray, WindowRejected,
-                     compile_window, supported_width)
+from .fabric import (ROWS, BlockWidthMismatch, CompiledRun, CompiledWindow,
+                     CycleCostModel, PendingActivation, Subarray,
+                     WindowRejected, compile_window, supported_width)
 from .isa import CommandWord, Opcode
 
 __all__ = [
@@ -284,7 +286,10 @@ class Controller:
             trace: list | None = None) -> ExecutionStats:
         env = env if env is not None else {}
         if sub.block_width != self.program.block_width:
-            sub.block_width = self.program.block_width
+            raise BlockWidthMismatch(
+                f"program {self.program.name} has block width "
+                f"{self.program.block_width}; the subarray has "
+                f"{sub.block_width}")
         if sub.pending_row is not None:
             raise PendingActivation(f"run starts during the activation of "
                                     f"row {sub.pending_row}")

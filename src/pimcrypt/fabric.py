@@ -100,7 +100,8 @@ class PendingActivation(FabricError):
 
 
 class BlockWidthMismatch(FabricError):
-    """ext_bit width code disagrees with the configured block width."""
+    """An ext_bit width code, or a program run on the subarray, disagrees
+    with the subarray's block width."""
 
 
 class UnsupportedOption(FabricError):

@@ -25,15 +25,21 @@ first AddRoundKey has consumed them, so it leaves the key region dirty:
 ``aes_load`` restages the whole key region, with one bulk host write,
 on every pass, and a serial chain keeps no subarray resident between
 its passes.
+
+The host expands the round keys (:func:`expand_key_words`) with an
+S-box table read off the forward SubBytes circuit itself, evaluated over
+all 256 byte values, so the fabric path imports nothing from the oracle.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
                           host_action)
 from ..isa import CommandWord, LogicKind
 from . import circuits, hostio
-from .layout import LayoutMap, _logic, pack_functions
+from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
 __all__ = ["AES_LAYOUT", "build_aes_program", "expand_key_words", "key_rows",
            "gen_bit_slice_fwd", "gen_bit_slice_inv", "gen_add_round_key",
@@ -84,13 +90,11 @@ def _gen_transpose() -> list[CommandWord]:
     cmds: list[CommandWord] = []
     for k, i, j in _TRANSPOSE_PAIRS:
         pi, pj = _PLANE[i], _PLANE[j]
-        cmds += [CommandWord.rd_row(pi), CommandWord.shift(k),
-                 CommandWord.wr_row(tmp)]
+        cmds += _shift_into(pi, k, tmp)
         cmds += _logic(tmp, LogicKind.XOR, pj, tmp)
         cmds += _logic(tmp, LogicKind.AND, _TMASK[k], tmp)
         cmds += _logic(pj, LogicKind.XOR, tmp, pj)
-        cmds += [CommandWord.rd_row(tmp), CommandWord.shift(k, right=True),
-                 CommandWord.wr_row(tmp)]
+        cmds += _shift_into(tmp, k, tmp, right=True)
         cmds += _logic(pi, LogicKind.XOR, tmp, pi)
     return cmds
 
@@ -144,10 +148,8 @@ def gen_shift_rows(inverse: bool = False) -> list[CommandWord]:
         for r in (1, 2, 3):
             s = (4 - r) if inverse else r
             cmds += _logic(plane, LogicKind.AND, _SRMASK[r], t)
-            cmds += [CommandWord.rd_row(t), CommandWord.shift(s),
-                     CommandWord.wr_row(x)]
-            cmds += [CommandWord.rd_row(t), CommandWord.shift(4 - s, right=True),
-                     CommandWord.wr_row(y)]
+            cmds += _shift_into(t, s, x)
+            cmds += _shift_into(t, 4 - s, y, right=True)
             cmds += _logic(x, LogicKind.OR, y, x)
             cmds += _logic(x, LogicKind.AND, _SRMASK[r], x)
             cmds += _logic(acc, LogicKind.OR, x, acc)
@@ -158,11 +160,9 @@ def gen_shift_rows(inverse: bool = False) -> list[CommandWord]:
 def _gen_tile_rotate(src: int, dst: int, cols: int,
                      t1: int, t2: int) -> list[CommandWord]:
     """dst = src rotated by ``cols`` toward column 0 within each tile."""
-    cmds = [CommandWord.rd_row(src), CommandWord.shift(cols),
-            CommandWord.wr_row(t1),
-            CommandWord.rd_row(src), CommandWord.shift(16 - cols, right=True),
-            CommandWord.wr_row(t2)]
-    return cmds + _logic(t1, LogicKind.OR, t2, dst)
+    return (_shift_into(src, cols, t1)
+            + _shift_into(src, 16 - cols, t2, right=True)
+            + _logic(t1, LogicKind.OR, t2, dst))
 
 
 def gen_mix_columns(inverse: bool = False) -> list[CommandWord]:
@@ -214,21 +214,27 @@ def gen_chain_xor() -> list[CommandWord]:
 # Program assembly
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _sbox() -> bytes:
+    """The key schedule's S-box: the forward SubBytes circuit evaluated
+    at every byte value, one column each."""
+    return circuits.lookup_table(circuits.forward_sbox_gates())
+
+
 def expand_key_words(key: bytes) -> list[bytes]:
     """Round keys for the fabric path (numpy-free, word oriented).
 
-    Kept separate from the oracle's byte schedule so the two AES routes
-    share no code.
+    Its S-box table comes from the fabric's own SubBytes circuit
+    (:func:`_sbox`), so the fabric path shares no code with the oracle.
     """
-    from ..oracle import SBOX  # table only
+    sbox = _sbox()
     nk = len(key) // 4
     rounds = {4: 10, 8: 14}[nk]
     w = [int.from_bytes(key[4 * i:4 * i + 4], "big") for i in range(nk)]
     rcon = 1
 
     def subword(v: int) -> int:
-        return int.from_bytes(bytes(SBOX[b] for b in v.to_bytes(4, "big")),
-                              "big")
+        return int.from_bytes(v.to_bytes(4, "big").translate(sbox), "big")
 
     for i in range(nk, 4 * (rounds + 1)):
         t = w[i - 1]
@@ -270,29 +276,23 @@ def build_aes_program(variant: int, direction: str,
         base = round_no if variant == 128 or round_no < 8 else round_no - 8
         return Invocation("AddRoundKey", 1, base)
 
+    # The straight inverse cipher only reorders a round's body; its keys
+    # are host-loaded in usage order.
+    body = (("ShiftRows", "SubBytes", "AddRoundKey", "MixColumns") if inverse
+            else ("SubBytes", "ShiftRows", "MixColumns", "AddRoundKey"))
     schedule = [Invocation("BitSliceFwd")]
     if chain == "pre":
         schedule.append(Invocation("ChainXor"))
+    schedule.append(ark(0))
     reload_pos = None
-    if not inverse:
-        schedule.append(ark(0))
-        for r in range(1, rounds):
-            if variant == 256 and r == 8:
-                reload_pos = len(schedule) + 3   # before round 8's ARK
-            schedule += [Invocation("SubBytes"), Invocation("ShiftRows"),
-                         Invocation("MixColumns"), ark(r)]
-        schedule += [Invocation("SubBytes"), Invocation("ShiftRows"),
-                     ark(rounds)]
-    else:
-        # straight inverse cipher; keys are host-loaded in usage order
-        schedule.append(Invocation("AddRoundKey", 1, 0))
-        for r in range(1, rounds):
-            if variant == 256 and r == 8:
-                reload_pos = len(schedule) + 2
-            schedule += [Invocation("ShiftRows"), Invocation("SubBytes"),
-                         ark(r), Invocation("MixColumns")]
-        schedule += [Invocation("ShiftRows"), Invocation("SubBytes"),
-                     ark(rounds)]
+    for r in range(1, rounds + 1):
+        for name in body:
+            if name == "AddRoundKey":
+                if variant == 256 and r == 8:
+                    reload_pos = len(schedule)   # before round 8's ARK
+                schedule.append(ark(r))
+            elif name != "MixColumns" or r < rounds:   # last round: none
+                schedule.append(Invocation(name))
     if chain == "post":
         schedule.append(Invocation("ChainXor"))
     schedule.append(Invocation("BitSliceInv"))

@@ -8,7 +8,11 @@ The inverse S-box circuit is *derived* here rather than transcribed:
 ``inv_sbox = affine^-1 . sbox-core``, so the middle nonlinear layer is
 reused verbatim while fresh top/bottom linear layers are synthesized with
 a greedy shared-XOR (Paar) pass from the composed affine transforms.
-Both circuits are validated exhaustively by the tests.
+Each composed layer is read off by :func:`evaluate`, the one gate-list
+evaluator: run bit-parallel at the unit points and at 0, one column
+each, an affine layer shows every output's mask and constant.
+:func:`lookup_table` evaluates a whole circuit over all 256 byte values
+the same way.  Both circuits are validated exhaustively by the tests.
 
 ``schedule`` lowers a gate list onto fabric commands with liveness-driven
 row allocation: 3 commands per 2-input gate or NOT, 6 per XNOR.
@@ -27,6 +31,7 @@ __all__ = [
     "forward_sbox_gates",
     "inverse_sbox_gates",
     "evaluate",
+    "lookup_table",
     "schedule",
 ]
 
@@ -122,46 +127,42 @@ def evaluate(gates: list[Gate], inputs: dict[str, int],
 
 
 # ---------------------------------------------------------------------------
-# Inverse circuit derivation
+# Byte columns and the inverse circuit derivation
 # ---------------------------------------------------------------------------
 
-def _affine_matrix() -> list[int]:
-    """Rows (LSB-first) of the S-box affine matrix M: b'_i = sum M[i]."""
-    rows = []
-    for i in range(8):
-        rows.append(sum(1 << (j % 8) for j in (i, i + 4, i + 5, i + 6, i + 7)))
-    return rows
+def _signals(prefix: str, values) -> dict[str, int]:
+    """Signals ``prefix0..prefix7`` carrying byte ``values[c]`` in
+    column ``c`` (``prefix0`` is the MSB)."""
+    return {f"{prefix}{k}": sum((v >> 7 - k & 1) << c
+                                for c, v in enumerate(values))
+            for k in range(8)}
 
 
-def _mat_apply(rows: list[int], v: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        if bin(row & v).count("1") & 1:
-            out |= 1 << i
-    return out
+def _bytes(wires: dict[str, int], columns: int) -> bytes:
+    """The byte ``s0..s7`` carry in each of the first ``columns``."""
+    return bytes(sum((wires[f"s{7 - b}"] >> c & 1) << b for b in range(8))
+                 for c in range(columns))
 
 
-def _mat_invert(rows: list[int]) -> list[int]:
-    n = len(rows)
-    aug = [(rows[i], 1 << i) for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][0] >> col & 1)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r][0] >> col & 1:
-                aug[r] = (aug[r][0] ^ aug[col][0], aug[r][1] ^ aug[col][1])
-    return [inv for _, inv in aug]
+def lookup_table(gates: list[Gate]) -> bytes:
+    """The byte a circuit maps each byte value to, one column per value."""
+    return _bytes(evaluate(gates, _signals("x", range(256))), 256)
 
 
-def _linear_forms(gates: list[Gate], base: list[str],
-                  targets: list[str]) -> dict[str, int]:
-    """Masks (over ``base``) of XOR-only outputs reachable from ``base``."""
-    masks = {name: 1 << i for i, name in enumerate(base)}
-    for g in gates:
-        if g.op != "xor":
-            raise ValueError("linear layer expected")
-        masks[g.dst] = masks[g.a] ^ masks[g.b]
-    return {t: masks[t] for t in targets}
+def _affine(v: int) -> int:
+    """The S-box affine map A: ``v ^ rotl(v, 1..4) ^ 0x63``."""
+    r = v | v << 8
+    return (v ^ r >> 7 ^ r >> 6 ^ r >> 5 ^ r >> 4 ^ 0x63) & 0xFF
+
+
+_AFFINE_INV = bytes(sorted(range(256), key=_affine))   # A^-1 by value
+
+
+def _affine_form(value: int, n: int) -> tuple[int, int]:
+    """(mask, constant) of an affine signal evaluated at e_0 .. e_n-1
+    (columns 0 .. n-1) and at 0 (column n)."""
+    const = value >> n & 1
+    return (value ^ -const) & ((1 << n) - 1), const
 
 
 def _paar(targets: dict[str, tuple[int, int]], base: list[str],
@@ -214,33 +215,21 @@ def _paar(targets: dict[str, tuple[int, int]], base: list[str],
 
 @lru_cache(maxsize=1)
 def inverse_sbox_gates() -> list[Gate]:
-    """Derive the inverse S-box circuit: affine^-1 on both sides."""
-    m = _affine_matrix()
-    minv = _mat_invert(m)
-    cinv = _mat_apply(minv, 0x63)  # A^-1(v) = Minv v ^ Minv c
+    """Derive the inverse S-box circuit: A^-1 on both sides of the core.
 
-    top = _parse(_FORWARD_TOP)
-    x_names = [f"x{i}" for i in range(8)]  # x0 = bit 7
-    fwd_forms = _linear_forms(top, x_names, list(MIDDLE_INPUTS))
-
-    def xmask_to_lsb(mask_x: int) -> int:
-        return sum(1 << (7 - k) for k in range(8) if mask_x >> k & 1)
-
-    # New top: w'(v) = w(Minv v) ^ w(Minv c) for each middle input w.
-    new_top_targets: dict[str, tuple[int, int]] = {}
-    for w, mask_x in fwd_forms.items():
-        lsb_mask = xmask_to_lsb(mask_x)
-        new_mask = 0
-        for b in range(8):
-            # coefficient of input bit b in w(Minv v)
-            col = sum(1 << i for i in range(8) if minv[i] >> b & 1)
-            if bin(lsb_mask & col).count("1") & 1:
-                new_mask |= 1 << b
-        const = bin(lsb_mask & cinv).count("1") & 1
-        new_top_targets[f"i_{w}"] = (new_mask, const)
+    The forward circuit is S = A . inv, so S^-1 = inv . A^-1 with
+    inv = A^-1 . S: the new top layer is the forward top after A^-1 and
+    the new bottom is A^-1 after the forward bottom.  Both are affine,
+    so evaluating one at the unit points and at 0, one column each,
+    reads off each output's (mask, constant) for ``_paar``.
+    """
+    # Top: each middle input at A^-1(e_b) (column b) and A^-1(0).
+    points = [_AFFINE_INV[1 << b] for b in range(8)] + [_AFFINE_INV[0]]
+    wires = evaluate(_parse(_FORWARD_TOP), _signals("x", points))
     # Column b of the masks is byte bit b, carried by signal x(7-b).
-    top_gates, top_homes = _paar(new_top_targets,
-                                 [f"x{7 - b}" for b in range(8)], "u")
+    top_gates, top_homes = _paar(
+        {f"i_{w}": _affine_form(wires[w], 8) for w in MIDDLE_INPUTS},
+        [f"x{7 - b}" for b in range(8)], "u")
 
     # Middle reused verbatim with renamed inputs.
     rename = {w: top_homes[f"i_{w}"] for w in MIDDLE_INPUTS}
@@ -249,31 +238,15 @@ def inverse_sbox_gates() -> list[Gate]:
                    rename.get(g.b, "m_" + g.b) if g.b else None)
               for g in _parse(_MIDDLE)]
 
-    # Forward bottom as affine forms over z0..z17 (s0 = bit 7).
-    bottom = _parse(_FORWARD_BOTTOM)
-    masks = {z: 1 << i for i, z in enumerate(_Z_SIGNALS)}
-    consts = {z: 0 for z in _Z_SIGNALS}
-    for g in bottom:
-        masks[g.dst] = masks[g.a] ^ masks[g.b]
-        consts[g.dst] = consts[g.a] ^ consts[g.b] ^ (1 if g.op == "xnor" else 0)
-    out_mask = [masks[f"s{7 - b}"] for b in range(8)]   # LSB-indexed
-    out_const = [consts[f"s{7 - b}"] for b in range(8)]
-
-    # New bottom rows: A^-1 applied to the output vector, i.e. Minv plus
-    # the folded-in constant Minv c.
-    new_bottom_targets: dict[str, tuple[int, int]] = {}
-    for b in range(8):
-        mask = 0
-        const = cinv >> b & 1
-        for j in range(8):
-            if minv[b] >> j & 1:
-                mask ^= out_mask[j]
-                const ^= out_const[j]
-        new_bottom_targets[f"s{7 - b}"] = (mask, const)
-    z_renamed = [f"m_{z}" for z in _Z_SIGNALS]
+    # Bottom: A^-1 of the output byte at z = e_i (column i) and z = 0.
+    n = len(_Z_SIGNALS)
+    wires = evaluate(_parse(_FORWARD_BOTTOM),
+                     {z: 1 << i for i, z in enumerate(_Z_SIGNALS)},
+                     (1 << n + 1) - 1)
+    outs = _signals("s", [_AFFINE_INV[v] for v in _bytes(wires, n + 1)])
     bot_gates, bot_homes = _paar(
-        {k: (m_, c_) for k, (m_, c_) in new_bottom_targets.items()},
-        z_renamed, "v")
+        {f"s{7 - b}": _affine_form(outs[f"s{7 - b}"], n) for b in range(8)},
+        [f"m_{z}" for z in _Z_SIGNALS], "v")
 
     # Materialize outputs that ended up as aliases of shared signals.
     finals = []

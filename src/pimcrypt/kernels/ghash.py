@@ -23,7 +23,7 @@ from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW
 from ..isa import CommandWord, LogicKind
-from .layout import LayoutMap, _logic, pack_functions
+from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
 __all__ = ["GHASH_LAYOUT", "build_ghash_program", "gen_byte_arrange",
            "gen_byte_aligning", "gen_galois_mult", "mask_values"]
@@ -68,12 +68,6 @@ def mask_values() -> dict[int, int]:
         masks[_SWAP0 + 2 * i] = a
         masks[_SWAP0 + 2 * i + 1] = lo ^ a
     return masks
-
-
-def _shift_into(src: int, count: int, dst: int,
-                right: bool = False) -> list[CommandWord]:
-    return [CommandWord.rd_row(src), CommandWord.shift(count, right=right),
-            CommandWord.wr_row(dst)]
 
 
 def _gen_reduce() -> list[CommandWord]:

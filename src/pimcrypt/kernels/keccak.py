@@ -22,7 +22,7 @@ from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
                           host_action)
 from ..isa import CommandWord, LogicKind
 from . import hostio
-from .layout import LayoutMap, _logic, pack_functions
+from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
 __all__ = ["SHA3_LAYOUT", "build_sha3_program", "gen_theta", "gen_rho_pi",
            "gen_pi", "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
@@ -66,10 +66,7 @@ def _row(x: int, y: int) -> int:
 
 def _rot_into(src: int, dst: int, s: int, w1: int, w2: int) -> list[CommandWord]:
     """dst = src rotated left (toward higher z) by s within each lane."""
-    return ([CommandWord.rd_row(src), CommandWord.shift(s, right=True),
-             CommandWord.wr_row(w1),
-             CommandWord.rd_row(src), CommandWord.shift(64 - s),
-             CommandWord.wr_row(w2)]
+    return (_shift_into(src, s, w1, right=True) + _shift_into(src, 64 - s, w2)
             + _logic(w1, LogicKind.OR, w2, dst))
 
 

@@ -3,8 +3,10 @@
 A :class:`LayoutMap` names disjoint row regions so generators and host
 actions never hard-code row numbers twice.  ``_logic`` emits the
 ``act_row`` + ``logic_op`` + ``wr_row`` triple that computes
-``dst = a <kind> b``, and :func:`pack_functions` lays a kernel's
-function windows out in one command array.
+``dst = a <kind> b``, ``_shift_into`` the ``rd_row`` + ``shift`` +
+``wr_row`` triple that computes ``dst = src`` shifted, and
+:func:`pack_functions` lays a kernel's function windows out in one
+command array.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ class LayoutMap:
 
 def _logic(a: int, kind: LogicKind, b: int, dst: int) -> list[CommandWord]:
     return [CommandWord.act_row(a), CommandWord.logic_op(b, kind),
+            CommandWord.wr_row(dst)]
+
+
+def _shift_into(src: int, count: int, dst: int,
+                right: bool = False) -> list[CommandWord]:
+    return [CommandWord.rd_row(src), CommandWord.shift(count, right=right),
             CommandWord.wr_row(dst)]
 
 

@@ -120,7 +120,13 @@ def _inv_mix_columns(state: bytearray) -> None:
                                 ^ _gmul(col[(r + 3) % 4], 9))
 
 
+def _check_block(name: str, value: bytes) -> None:
+    if len(value) != 16:
+        raise ValueError(f"{name} must be 16 bytes, got {len(value)}")
+
+
 def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
+    _check_block("AES block", block)
     rks = expand_key(key)
     state = bytearray(block)
     _add_round_key(state, rks[0])
@@ -136,6 +142,7 @@ def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
 
 
 def aes_decrypt_block(key: bytes, block: bytes) -> bytes:
+    _check_block("AES block", block)
     rks = expand_key(key)
     state = bytearray(block)
     _add_round_key(state, rks[-1])
@@ -159,6 +166,7 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
+    _check_block("CBC IV", iv)
     if len(plaintext) % 16:
         raise ValueError("CBC needs a whole number of blocks")
     out, chain = bytearray(), iv
@@ -169,6 +177,7 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
+    _check_block("CBC IV", iv)
     if len(ciphertext) % 16:
         raise ValueError("CBC needs a whole number of blocks")
     out, chain = bytearray(), iv
@@ -180,6 +189,7 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
 
 
 def ctr_crypt(key: bytes, counter0: bytes, data: bytes) -> bytes:
+    _check_block("CTR counter block", counter0)
     out = bytearray()
     ctr = int.from_bytes(counter0, "big")
     for i in range(0, len(data), 16):
@@ -317,6 +327,8 @@ def _gcm_ghash_input(aad: bytes, ct: bytes) -> bytes:
 
 
 def _gcm_j0(key: bytes, iv: bytes) -> bytes:
+    if not iv:
+        raise ValueError("GCM IV must not be empty")
     if len(iv) == 12:
         return iv + b"\x00\x00\x00\x01"
     h = aes_encrypt_block(key, bytes(16))

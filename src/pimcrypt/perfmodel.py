@@ -73,7 +73,6 @@ THROUGHPUT_TOLERANCE = 0.05
 @dataclass
 class FabricConfig:
     isc_fraction: float = 1.0                 # 0.25 / 0.5 / 1.0
-    cycle_cost: CycleCostModel = field(default_factory=CycleCostModel)
     calibration: Mapping[str, float] = field(default_factory=dict)
     isc_power_factor: float = 1.0
 
@@ -251,9 +250,9 @@ def kernel_passes() -> dict[str, KernelPass]:
     return passes
 
 
-def measure_kernels(config: FabricConfig | None = None
+def measure_kernels(cost: CycleCostModel = CycleCostModel()
                     ) -> dict[str, KernelMeasurement]:
-    cost = (config or FabricConfig()).cycle_cost
+    """Run every registry pass under ``cost``, by name."""
     out = {}
     for name, kp in kernel_passes().items():
         stats = kp.run(cost)
@@ -303,23 +302,25 @@ def energy_efficiency(tput: float, mode: PowerMode,
     return tput / (mode.power * config.isc_power_factor)
 
 
+def _exact_calibration(m: KernelMeasurement, target_mbs: float) -> float:
+    """The calibration that lands ``m`` exactly on a published cell: its
+    MB/s at 100% compute-enabled subarrays in RUN-Range0."""
+    return target_mbs * 1e6 * m.cycles / (
+        FabricConfig().active_subarrays * POWER_MODES["run0"].frequency
+        * m.payload_bytes)
+
+
 def calibrate(measurements: dict[str, KernelMeasurement] | None = None
               ) -> dict[str, float]:
     """Fit one scalar per kernel family to the published absolutes."""
     ms = measurements or measure_kernels()
-    config = FabricConfig()
-    run0 = POWER_MODES["run0"]
-    base = config.active_subarrays * run0.frequency
-
-    def needed(meas, target_mbs, cycles=None):
-        return target_mbs * 1e6 * (cycles or meas.cycles) \
-            / (base * meas.payload_bytes)
-
-    aes_cals = [needed(ms[f"aes-{v}-{d}"],
-                       PAPER["aes_throughput"][1.0][(v, d, "cbc")])
+    base = FabricConfig().active_subarrays * POWER_MODES["run0"].frequency
+    aes_cals = [_exact_calibration(ms[f"aes-{v}-{d}"],
+                                   PAPER["aes_throughput"][1.0][(v, d, "cbc")])
                 for v in (128, 256) for d in ("encrypt", "decrypt")]
     cal = {"aes": math.prod(aes_cals) ** (1 / len(aes_cals))}
-    sha3_cals = [needed(ms[f"sha3-{b}"], PAPER["sha3_throughput"][1.0][b])
+    sha3_cals = [_exact_calibration(ms[f"sha3-{b}"],
+                                    PAPER["sha3_throughput"][1.0][b])
                  for b in keccak.RATE_BYTES]
     cal["sha3"] = math.prod(sha3_cals) ** (1 / len(sha3_cals))
     # ghash: fit the GCM cells given the AES calibration
@@ -429,15 +430,11 @@ def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
     # Energy tables isolate the power model: the throughput feeding them
     # is pinned to the corresponding published cell with its own scalar,
     # so a residual family-calibration error is not double-counted here.
-    e128 = ms["aes-128-encrypt"]
-    aes_exact = {"aes": PAPER["aes_throughput"][1.0][(128, "encrypt", "cbc")]
-                 * 1e6 * e128.cycles
-                 / (FabricConfig().active_subarrays * run0.frequency * 256)}
-    s256 = ms["sha3-256"]
-    sha3_exact = {"sha3": PAPER["sha3_throughput"][1.0][256] * 1e6
-                  * s256.cycles
-                  / (FabricConfig().active_subarrays * run0.frequency
-                     * s256.payload_bytes)}
+    e128, s256 = ms["aes-128-encrypt"], ms["sha3-256"]
+    aes_exact = {"aes": _exact_calibration(
+        e128, PAPER["aes_throughput"][1.0][(128, "encrypt", "cbc")])}
+    sha3_exact = {"sha3": _exact_calibration(
+        s256, PAPER["sha3_throughput"][1.0][256])}
     for frac in (0.25, 0.5, 1.0):
         for mname, mode in POWER_MODES.items():
             config = FabricConfig(isc_fraction=frac, calibration=aes_exact,

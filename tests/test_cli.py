@@ -210,3 +210,73 @@ def test_asm_of_non_utf8_input_is_usage_error(tmp_path):
     src.write_bytes(b"rd_row 1\n\xff\xfe\n")
     assert run(["asm", "--in", str(src),
                 "--out", str(tmp_path / "o")]) == cli.USAGE_ERROR
+
+
+def test_hmac_matches_hashlib(tmp_path, capsys):
+    import hashlib
+    import hmac
+    src = tmp_path / "msg.bin"
+    src.write_bytes(b"the message")
+    assert run(["hmac", "--alg", "sha3-384", "--key", KEY,
+                "--in", str(src)]) == 0
+    assert capsys.readouterr().out.strip() == hmac.new(
+        bytes.fromhex(KEY), b"the message", hashlib.sha3_384).hexdigest()
+
+
+def test_ecb_round_trip_matches_cryptography(tmp_path, rng):
+    from cryptography.hazmat.primitives.ciphers import (Cipher, algorithms,
+                                                        modes)
+    pt, ct, out = (tmp_path / n for n in ("pt.bin", "ct.bin", "out.bin"))
+    data = rng.randbytes(48)
+    pt.write_bytes(data)
+    assert run(["encrypt", "--mode", "ecb", "--key", KEY * 2,
+                "--in", str(pt), "--out", str(ct)]) == 0
+    enc = Cipher(algorithms.AES(bytes.fromhex(KEY * 2)), modes.ECB())
+    enc = enc.encryptor()
+    assert ct.read_bytes() == enc.update(data) + enc.finalize()
+    assert run(["decrypt", "--mode", "ecb", "--key", KEY * 2,
+                "--in", str(ct), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+
+
+def test_ccm_round_trip_matches_cryptography(tmp_path, rng):
+    from cryptography.hazmat.primitives.ciphers.aead import AESCCM
+    pt, ct, out = (tmp_path / n for n in ("pt.bin", "ct.bin", "out.bin"))
+    data, nonce, aad = rng.randbytes(40), "0a" * 11, "ad" * 5
+    pt.write_bytes(data)
+    common = ["--mode", "ccm", "--key", KEY, "--iv", nonce, "--aad", aad]
+    assert run(["encrypt", *common, "--in", str(pt), "--out", str(ct)]) == 0
+    assert ct.read_bytes() == AESCCM(bytes.fromhex(KEY)).encrypt(
+        bytes.fromhex(nonce), data, bytes.fromhex(aad))
+    assert run(["decrypt", *common, "--in", str(ct), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+
+
+def test_bench_text_names_every_measured_kernel(capsys):
+    assert run(["bench"]) == 0
+    out = capsys.readouterr().out
+    tables = out.split("-- modeled throughput")[1:]
+    assert len(tables) == 3
+    for table in tables:
+        names = [line.split()[0] for line in table.splitlines()[1:]]
+        assert names == list(perfmodel.kernel_passes())
+
+
+def test_trace_2_adds_a_latch_snapshot_per_command(tmp_path):
+    out = tmp_path / "trace.txt"
+    assert run(["trace", "--alg", "ghash", "--trace", "2",
+                "--out", str(out)]) == 0
+    *records, summary = out.read_text().splitlines()
+    assert summary.startswith(f"# {len(records)} commands")
+    assert all(" latch=" in line and len(line.split("latch=")[1]) == 64
+               for line in records)
+
+
+def test_fabric_and_oracle_disagreeing_exits_1(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "msg.bin"
+    src.write_bytes(b"abc")
+    monkeypatch.setattr(oracle, "sha3", lambda bits, msg: bytes(bits // 8))
+    assert run(["hash", "--alg", "sha3-256", "--in", str(src)]
+               ) == cli.MISMATCH_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "mismatch" in captured.err

@@ -4,8 +4,8 @@ from pimcrypt.controller import (COMMAND_ARRAY_BYTES, Controller,
                                  ControllerError, FunctionDescriptor,
                                  HostAction, Invocation, KernelProgram,
                                  StrideRule, host_action)
-from pimcrypt.fabric import (PendingActivation, Subarray, WindowRejected,
-                             compile_window)
+from pimcrypt.fabric import (BlockWidthMismatch, PendingActivation, Subarray,
+                             WindowRejected, compile_window)
 from pimcrypt.isa import CommandWord, LogicKind, Opcode
 
 
@@ -229,3 +229,16 @@ def test_run_during_a_pending_activation_raises_before_anything_runs():
         with pytest.raises(PendingActivation):
             ctrl.run(sub, trace=trace)
         assert calls == [] and sub.read_row(1) == 0 and sub.cycle_count == 1
+
+
+def test_run_on_another_block_width_raises_and_leaves_the_subarray():
+    # The subarray is the caller's: a run never changes its block width.
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1)]
+    ctrl = Controller(prog_of(cmds, {"Copy": FunctionDescriptor("Copy", 0, 2)},
+                              [Invocation("Copy")], width=64))
+    for trace in (None, []):
+        sub = Subarray(block_width=16)
+        sub.write_row(0, 5)
+        with pytest.raises(BlockWidthMismatch, match="64.*16"):
+            ctrl.run(sub, trace=trace)
+        assert sub.block_width == 16 and sub.read_row(1) == 0

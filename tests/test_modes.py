@@ -105,6 +105,14 @@ def test_unsupported_sha3_size_is_a_value_error(call):
         call()
 
 
+@pytest.mark.parametrize("msgs", [
+    [], [b"m"] * 5, [b"short", bytes(136)],
+], ids=["none", "five", "unequal-blocks"])
+def test_sha3_digest_batch_rejects_what_one_run_cannot_absorb(msgs):
+    with pytest.raises(ValueError):
+        modes.sha3_digest_batch(256, msgs)
+
+
 # -- bulk modes against `cryptography`, across lane counts -------------------
 #
 # 16 blocks fill one pass; 17 and 33 spill into a second and third lane;
@@ -313,3 +321,13 @@ def test_sha3_size_must_be_an_int(bits):
                  lambda: modes.hmac_sha3(bits, b"key", b"msg")):
         with pytest.raises(ValueError, match="SHA3 output size"):
             call()
+
+
+def test_ccm_aad_of_0xff00_bytes_takes_the_six_byte_length_form():
+    # 0xFF00 is the first AAD length SP 800-38C encodes as ff fe + 4 bytes
+    from cryptography.hazmat.primitives.ciphers.aead import AESCCM
+    key, nonce, pt = bytes(range(16)), bytes(range(13)), b"payload"
+    aad = bytes(i & 0xFF for i in range(0xFF00))
+    sealed = AESCCM(key).encrypt(nonce, pt, aad)
+    for impl in (modes, oracle):
+        assert impl.ccm_encrypt(key, nonce, aad, pt) == sealed

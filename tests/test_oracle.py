@@ -1,7 +1,9 @@
 """Reference-crypto oracle checks against published vectors and `cryptography`."""
 
+import ast
 import hashlib
 import hmac as _hmac
+import pathlib
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -9,6 +11,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESCCM, AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pimcrypt
 from pimcrypt import oracle
 
 # FIPS-197 appendix C vectors, asserted directly.
@@ -157,3 +160,48 @@ def test_unsupported_sha3_size_is_a_value_error(bits):
         oracle.sha3(bits, b"msg")
     with pytest.raises(ValueError, match="SHA3 output size"):
         oracle.hmac_sha3(bits, b"key", b"msg")
+
+
+_KEY = bytes(16)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle.aes_encrypt_block(_KEY, bytes(15)),
+    lambda: oracle.aes_decrypt_block(_KEY, bytes(17)),
+    lambda: oracle.cbc_encrypt(_KEY, bytes(8), bytes(16)),
+    lambda: oracle.cbc_decrypt(_KEY, bytes(8), bytes(16)),
+    lambda: oracle.ctr_crypt(_KEY, bytes(8), b"msg"),
+    lambda: oracle.gcm_encrypt(_KEY, b"", b"", b"msg"),
+    lambda: oracle.gcm_decrypt(_KEY, b"", b"", bytes(32)),
+], ids=["encrypt-15", "decrypt-17", "cbc-enc-iv8", "cbc-dec-iv8", "ctr-8",
+        "gcm-enc-empty-iv", "gcm-dec-empty-iv"])
+def test_wrong_block_and_iv_lengths_are_value_errors(call):
+    # as `modes` rejects them; the oracle checks on its own
+    with pytest.raises(ValueError):
+        call()
+
+
+def _oracle_imports(path: pathlib.Path) -> list[int]:
+    """Lines of ``path`` that import the oracle, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "oracle" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_fabric_path_imports_nothing_from_the_oracle():
+    # The oracle is only a reference if it shares no code with what it
+    # checks: the ISA, fabric, controller and every kernel module.
+    src = pathlib.Path(pimcrypt.__file__).parent
+    paths = [src / f"{name}.py" for name in ("isa", "fabric", "controller")]
+    paths += sorted((src / "kernels").glob("*.py"))
+    assert len(paths) > 3
+    found = {p.name: lines for p in paths if (lines := _oracle_imports(p))}
+    assert found == {}
