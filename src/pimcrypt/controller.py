@@ -24,7 +24,10 @@ windows, strides and iteration counts, keep every stride-rewritten
 index on the fabric, and every function window must compile
 (:func:`~pimcrypt.fabric.compile_window`).  Anything else raises
 :class:`ControllerError`, naming the function and command offset for a
-window the compiler declines, before a command runs.
+window the compiler declines, before a command runs.  Load also computes
+each window's shared rows, every row its stride rules reach over the
+global iterations the schedule runs: the compiled window indexes the
+grid for those rows and keeps every other row in a local.
 
 A run's statistics and cycles depend only on the program, the lane
 count and the cost model, never on data.  So :meth:`Controller.run`
@@ -220,17 +223,21 @@ class Controller:
                 raise ControllerError(f"host action position {a.position}")
             if a.kind not in HOST_ACTIONS:
                 raise ControllerError(f"unknown host action kind {a.kind!r}")
-        # Every stride-rewritten index must stay on the fabric.
+        # Every stride-rewritten index must stay on the fabric.  The
+        # indices a window's strides reach are its shared rows (the
+        # compiler declines a strided shift or ext_bit).
+        shared: dict[str, set[int]] = {name: set() for name in spans}
         for f in prog.functions.values():
             for s in f.strides:
                 cmd = prog.commands[f.base + s.offset]
+                limit = ROWS if cmd.opcode is not Opcode.SHIFT else 256
                 for g in iter_spans[f.name] or {0}:
                     idx = cmd.index + g * s.increment
-                    limit = ROWS if cmd.opcode is not Opcode.SHIFT else 256
                     if not 0 <= idx < limit:
                         raise ControllerError(
                             f"stride drives {f.name}+{s.offset} to index "
                             f"{idx} at iteration {g}")
+                    shared[f.name].add(idx)
         # Every window must compile, so no run needs the reference.
         for f in prog.functions.values():
             words = prog.commands[f.base:f.base + f.count]
@@ -238,7 +245,7 @@ class Controller:
                 self._windows[f.name] = compile_window(
                     tuple(c.encode() for c in words),
                     tuple((s.offset, s.increment) for s in f.strides),
-                    prog.block_width)
+                    prog.block_width, frozenset(shared[f.name]))
             except WindowRejected as exc:
                 raise ControllerError(f"function {f.name} command "
                                       f"{exc.offset}: {exc}") from None

@@ -43,15 +43,18 @@ controller turns into a load-time error.  A :class:`CompiledRun` holds
 the invocations between two host actions, bound once per lane count and
 cost model, and ``run`` executes it in one call.  Both engines leave the
 same grid, latch and cycle count.  A window's source is compiled once
-with its masks as names, bound to lane-replicated masks once per lane
-count, and keeps its rows in locals if it has no strided row.
+with its masks as names and bound to lane-replicated masks once per lane
+count.  Its *shared* rows, every row a stride rule can address over the
+global iterations the program runs (the controller computes them at
+load), are indexed in the row list on every access; every other row
+lives in a local for the whole call, loaded before the loop and stored
+after it, so no strided access can miss a write to a local.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import CodeType
 from typing import Callable
 
 from .isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, disassemble
@@ -385,14 +388,19 @@ class CompiledWindow:
     returns the final latch.  One iteration is ``commands`` commands
     shifting ``shift_steps`` bit positions in total.  ``code`` is compiled
     once; each lane count binds the one-lane ``masks`` (name, value)
-    replicated into every lane.
+    replicated into every lane.  ``source``, the text ``code`` was
+    compiled from, indexes the row list only for the window's shared
+    rows, those its stride rules can address; it keeps every other row
+    in a local ``r<index>``.
     """
 
-    __slots__ = ("code", "masks", "commands", "shift_steps", "_bound")
+    __slots__ = ("source", "code", "masks", "commands", "shift_steps",
+                 "_bound")
 
-    def __init__(self, code: CodeType, masks: tuple[tuple[str, int], ...],
+    def __init__(self, source: str, masks: tuple[tuple[str, int], ...],
                  commands: int, shift_steps: int):
-        self.code = code
+        self.source = source
+        self.code = compile(source, "<compiled window>", "exec")
         self.masks = masks
         self.commands = commands
         self.shift_steps = shift_steps
@@ -451,46 +459,50 @@ _OPTIONS = {Opcode.RD_ROW: (0xF, 0b1000), Opcode.WR_ROW: (0xF, 0b1000),
             Opcode.SHIFT: (0b1001, 0b1000), Opcode.ACT_ROW: (0xF, 0b0001),
             Opcode.LOGIC_OP: (0b1001, 0), Opcode.EXT_BIT: (0b0001, 0)}
 
-# Compiled windows by (encoded words, stride pairs, block width).
+# Compiled windows by (encoded words, stride pairs, block width, shared
+# rows).
 _COMPILED: dict[tuple, CompiledWindow] = {}
 
 
 def compile_window(words: tuple[int, ...],
                    strides: tuple[tuple[int, int], ...],
-                   block_width: int) -> CompiledWindow:
+                   block_width: int,
+                   shared: frozenset[int]) -> CompiledWindow:
     """Compile a window of encoded command words.
 
     ``strides`` holds int ``(offset, increment)`` pairs: the command at
     ``offset`` addresses row ``index + increment * G`` in global
-    iteration ``G``.  The caller must have checked that ``block_width``
-    is supported and that every such row is on the grid for the
-    iterations it will run, as :class:`~pimcrypt.controller.Controller`
-    does at load.  Raises :class:`WindowRejected` for a window the
-    reference could raise on (an option it rejects, a row off the grid,
-    an ext_bit width it rejects, an unpaired activation), and
-    for a strided shift or ext_bit or two stride rules on one command,
-    which are not lowered.
+    iteration ``G``.  ``shared`` holds every row those commands address
+    over the iterations the window will run.  The caller must have
+    checked that ``block_width`` is supported and that every such row is
+    on the grid, and must run the window only for those iterations, as
+    :class:`~pimcrypt.controller.Controller` does.  Raises
+    :class:`WindowRejected` for a window the reference could raise on
+    (an option it rejects, a row off the grid, an ext_bit width it
+    rejects, an unpaired activation), and for a strided shift or ext_bit
+    or two stride rules on one command, which are not lowered.
     """
-    key = (words, strides, block_width)
+    key = (words, strides, block_width, shared)
     window = _COMPILED.get(key)
     if window is None:
-        _COMPILED[key] = window = _lower(words, strides, block_width)
+        _COMPILED[key] = window = _lower(words, strides, block_width, shared)
     return window
 
 
-def _lower(words, strides, block_width) -> CompiledWindow:
+def _lower(words, strides, block_width, shared) -> CompiledWindow:
     increments: dict[int, int] = {}
     for offset, increment in strides:
         if offset in increments:
             # validation checks each rule, not their sum
             raise WindowRejected(offset, "two stride rules on one command")
         increments[offset] = increment
-    # Without strided rows every row index is a constant, so each row
-    # lives in a local ``r<index>`` for the whole loop: the rows read
-    # before the window writes them are loaded before it and the rows
-    # written are stored once after it.  A strided row could alias any
-    # row, so such windows index ``g`` throughout.
-    in_locals = not increments
+    # A shared row, one a stride rule can address in some iteration, is
+    # read and written as ``g[...]`` by every command, strided or
+    # constant.  Every other row is only ever named by a constant index,
+    # so it lives in a local ``r<index>`` for the whole loop: the rows
+    # read before the window writes them are loaded before it and the
+    # rows written are stored once after it.  A strided access can thus
+    # only meet a row that is in ``g`` at that moment.
     loads: set[int] = set()
     writes: set[int] = set()
     body: list[str] = []
@@ -504,11 +516,13 @@ def _lower(words, strides, block_width) -> CompiledWindow:
             return f"g[{index} + {increments[offset]} * G]"
         if index >= ROWS:
             raise WindowRejected(offset, f"row {index} off the grid")
+        if index in shared:
+            return f"g[{index}]"
         if written:
             writes.add(index)
         elif index not in writes:
             loads.add(index)
-        return f"r{index}" if in_locals else f"g[{index}]"
+        return f"r{index}"
 
     # ``latch`` is an expression for the current latch value.  It is
     # written out only by wr_row and at the end of the window, and every
@@ -574,8 +588,6 @@ def _lower(words, strides, block_width) -> CompiledWindow:
     carried |= reads_latch
     if carried and latch != "L":
         body.append(f"L = {latch}")
-    if not in_locals:
-        loads = writes = ()
     source = "\n".join(
         ["def window(g, L, first, iterations):"]
         + [f"    r{i} = g[{i}]" for i in sorted(loads)]
@@ -583,7 +595,6 @@ def _lower(words, strides, block_width) -> CompiledWindow:
         + [f"        {line}" for line in body or ["pass"]]
         + [f"    g[{i}] = r{i}" for i in sorted(writes)]
         + [f"    return {'L' if carried else latch}"])
-    code = compile(source, "<compiled window>", "exec")
-    return CompiledWindow(code, tuple((name, value)
-                                      for value, name in masks.items()),
+    return CompiledWindow(source, tuple((name, value)
+                                        for value, name in masks.items()),
                           len(words), steps)

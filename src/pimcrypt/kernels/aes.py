@@ -226,10 +226,13 @@ def expand_key_words(key: bytes) -> list[bytes]:
 
     Its S-box table comes from the fabric's own SubBytes circuit
     (:func:`_sbox`), so the fabric path shares no code with the oracle.
+    Raises ``ValueError`` unless ``key`` is 16 or 32 bytes.
     """
+    if len(key) not in (16, 32):
+        raise ValueError(f"AES key must be 16 or 32 bytes, got {len(key)}")
     sbox = _sbox()
     nk = len(key) // 4
-    rounds = {4: 10, 8: 14}[nk]
+    rounds = 10 if nk == 4 else 14
     w = [int.from_bytes(key[4 * i:4 * i + 4], "big") for i in range(nk)]
     rcon = 1
 
@@ -258,6 +261,8 @@ def build_aes_program(variant: int, direction: str,
     """
     if variant not in (128, 256) or direction not in ("encrypt", "decrypt"):
         raise ValueError("variant must be 128/256, direction encrypt/decrypt")
+    if chain not in (None, "pre", "post"):
+        raise ValueError(f"chain must be None, 'pre' or 'post', got {chain!r}")
     rounds = 10 if variant == 128 else 14
     inverse = direction == "decrypt"
     commands, functions = pack_functions({

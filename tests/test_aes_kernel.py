@@ -86,6 +86,18 @@ def test_key_schedule_matches_oracle():
     assert b"".join(words256[:15]) == b"".join(oracle.expand_key(FIPS_KEY256))
 
 
+@pytest.mark.parametrize("klen", [0, 15, 20, 24, 33])
+def test_key_schedule_rejects_other_key_lengths(klen):
+    with pytest.raises(ValueError, match="16 or 32 bytes"):
+        aes.expand_key_words(bytes(klen))
+
+
+@pytest.mark.parametrize("chain", ["bogus", "", "PRE", 0])
+def test_aes_program_rejects_an_unknown_chain(chain):
+    with pytest.raises(ValueError, match="chain must be"):
+        aes.build_aes_program(128, "encrypt", chain)
+
+
 # -- S-box circuits over all 256 inputs -----------------------------------------
 #
 # Column c carries byte value c; circuit signal x_k / s_k is byte bit 7 - k

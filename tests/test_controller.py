@@ -181,7 +181,8 @@ def test_load_rejects_what_the_compiler_declines(name):
     cmds, strides, width, offset = DECLINED[name]
     with pytest.raises(WindowRejected) as declined:
         compile_window(tuple(c.encode() for c in cmds),
-                       tuple((s.offset, s.increment) for s in strides), width)
+                       tuple((s.offset, s.increment) for s in strides), width,
+                       frozenset(c.index for c in cmds))
     assert declined.value.offset == offset
     fd = FunctionDescriptor("Bad", 0, len(cmds), strides=strides)
     with pytest.raises(ControllerError,

@@ -9,9 +9,13 @@ outputs, and raise the same exception type.  A run on K lanes must leave
 each lane as a one-lane run on that lane's grid would, and count the
 cycles and statistics of all K.  Load rejects exactly the windows the
 compiler declines, so no loaded program runs on the reference untraced.
+A compiled window indexes the grid for the rows its strides reach and
+keeps every other row in a local, even where a strided access aliases a
+row the window also names by constant index.
 """
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -24,7 +28,7 @@ from pimcrypt.controller import (Controller, ControllerError,
 from pimcrypt.fabric import (COLS, CycleCostModel, RowOutOfRange, Subarray,
                              compile_window)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
-from pimcrypt.kernels import aes, ghash, modes
+from pimcrypt.kernels import aes, ghash, keccak, modes
 
 COST_MODELS = [CycleCostModel(), CycleCostModel(3, 2)]
 LANE = (1 << COLS) - 1
@@ -252,13 +256,65 @@ def test_latch_across_iterations(name, lanes):
 def test_strided_rows_alias_constant_rows():
     # Iteration G reads rows G and G + 1 through strided commands, and
     # every iteration writes rows 2 and 4 through constant ones, so
-    # iterations 1 to 3 read rows an earlier iteration wrote: a window
-    # with strided rows must not keep any row in a local.
+    # iterations 1 to 3 read rows an earlier iteration wrote: rows a
+    # stride reaches must not be kept in locals.
     cmds = [CommandWord.rd_row(0), CommandWord.wr_row(2),
             CommandWord.rd_row(1), CommandWord.shift(1), CommandWord.wr_row(4)]
     prog = program(cmds, [StrideRule(0, 1), StrideRule(2, 1)],
                    [Invocation("F", 5, 0)], width=16)
     assert_lanes_agree(prog, CycleCostModel(), 2, grid_seed=9)
+
+
+def loop_rows(window):
+    """The ``g[...]`` subscripts and the ``r<index>`` locals the loop body
+    of a compiled window names."""
+    body = window.source.split("    for G in ")[1].splitlines()[1:]
+    body = "\n".join(line for line in body if line.startswith(" " * 8))
+    return (set(re.findall(r"g\[(\d+)(?: \+ (-?\d+) \* G)?\]", body)),
+            {int(i) for i in re.findall(r"\br(\d+)\b", body)})
+
+
+def test_strided_write_and_read_alias_constant_rows():
+    # Iterations 2..5: the strided wr_row writes rows 8, 6, 4, 2 and the
+    # strided logic_op reads rows 7, 6, 5, 4, while constant commands
+    # read and write rows 4 and 6 every iteration.  Rows 20 and 21 are
+    # out of every stride's reach.
+    cmds = ([CommandWord.rd_row(4), CommandWord.shift(1),
+             CommandWord.wr_row(12)]
+            + logic(6, LogicKind.XOR, 9, 6)
+            + [CommandWord.rd_row(6), CommandWord.shift(2, right=True),
+               CommandWord.wr_row(4)]
+            + logic(20, LogicKind.OR, 4, 21))
+    prog = program(cmds, [StrideRule(2, -2), StrideRule(4, -1)],
+                   [Invocation("F", 4, 2)], width=16)
+    subscripts, local_rows = loop_rows(Controller(prog)._window("F"))
+    assert subscripts == {("4", ""), ("6", ""), ("12", "-2"), ("9", "-1")}
+    assert local_rows == {20, 21}
+    for lanes in (1, 2, 3):
+        for cost in COST_MODELS:
+            assert_lanes_agree(prog, cost, lanes, grid_seed=11 * lanes)
+
+
+def test_measured_windows_index_the_grid_only_for_shared_rows():
+    for ctrl, _ in measured_runs():
+        prog = ctrl.program
+        for f in prog.functions.values():
+            spans = {g for inv in prog.schedule if inv.function == f.name
+                     for g in range(inv.iteration_base,
+                                    inv.iteration_base + inv.iterations)}
+            strided = {(str(prog.commands[f.base + s.offset].index),
+                        str(s.increment)) for s in f.strides}
+            shared = {int(index) + int(inc) * g
+                      for index, inc in strided for g in spans}
+            subscripts, local_rows = loop_rows(ctrl._window(f.name))
+            assert {(i, inc) for i, inc in subscripts if inc} == strided
+            assert {int(i) for i, inc in subscripts if not inc} <= shared
+            assert not local_rows & shared, (prog.name, f.name)
+            if f.name == "StatePermute":
+                # Only iota's round-constant read goes through the grid.
+                assert subscripts == {(str(keccak.SHA3_LAYOUT.row("rc", 0)),
+                                       "1")}
+                assert len(local_rows) > 25
 
 
 def test_pending_activation_at_start_matches():
@@ -373,7 +429,8 @@ def test_load_rejects_exactly_what_the_compiler_declines(window, strides):
     prog = program(cmds, rules, [Invocation("F", 1, 0)], width)
     try:
         compile_window(tuple(c.encode() for c in cmds),
-                       tuple((r.offset, r.increment) for r in rules), width)
+                       tuple((r.offset, r.increment) for r in rules), width,
+                       frozenset(cmds[r.offset].index for r in rules))
     except fabric.WindowRejected as exc:
         with pytest.raises(ControllerError,
                            match=f"^function F command {exc.offset}: "):

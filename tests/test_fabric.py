@@ -178,7 +178,8 @@ def test_write_rows_during_a_pending_activation():
 
 
 def test_compiled_run_must_match_lanes_and_cost():
-    window = compile_window((CommandWord.rd_row(0).encode(),), (), 256)
+    window = compile_window((CommandWord.rd_row(0).encode(),), (), 256,
+                            frozenset())
     run = CompiledRun([(window, 0, 2)], 2, CycleCostModel(3, 1))
     assert len(run) == 4 and run.cycles == 12
     for sub in (Subarray(lanes=1, cost_model=CycleCostModel(3, 1)),
