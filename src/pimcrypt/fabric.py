@@ -55,9 +55,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, disassemble
+from .isa import (BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, decode,
+                  disassemble)
 
 __all__ = [
     "ROWS",
@@ -137,8 +138,7 @@ class CycleCostModel:
                              f"got {self.cycles_per_shift_step!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     word: int
     text: str
     cycles: int
@@ -365,14 +365,15 @@ class Subarray:
         records = []
         for cmd in cmds:
             cycles = self.execute(cmd)
-            records.append(TraceRecord(cmd.encode(), _text(cmd), cycles,
+            word = cmd.encode()
+            records.append(TraceRecord(word, _text(word), cycles,
                                        self.sa_latch))
         return records
 
 
 @lru_cache(maxsize=None)
-def _text(cmd: CommandWord) -> str:
-    return disassemble([cmd])
+def _text(word: int) -> str:
+    return disassemble([decode(word)])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,10 @@ def _lower(words, strides, block_width, shared) -> CompiledWindow:
             src = row(offset, EXT_ROW)
             if index % block_width:
                 src += f" >> {index % block_width}"
-            latch = f"({src} & {mask(bases)}) * {(1 << block_width) - 1:#x}"
+            # Fill each segment from its base bit: (B << w) - B equals
+            # B * (2**w - 1), because the segments do not overlap, and
+            # costs a shift instead of a wide multiply.
+            latch = f"((B := {src} & {mask(bases)}) << {block_width}) - B"
             reads_latch = False
     if pending is not None:
         raise WindowRejected(pending[0], "unpaired act_row or logic_op")

@@ -15,18 +15,30 @@ The accumulator crossing pass boundaries is the *unreduced* product
 row: each block-setup step first folds it into Z, so a message longer
 than eight blocks just runs more passes and only the final pass
 appends the closing fold.
+
+On a subarray with lanes every lane runs its own GHASH in lockstep:
+``ghash_load`` stages one hash key and one block list per lane (the
+constant mask rows are replicated once per lane count and cached), and
+``ghash_unload`` reads one digest per lane.  The fold program
+(:func:`build_ghash_fold_program`) runs on one lane and XORs staged
+digests into the digest row: the lane digests of one message split
+across lanes, and for a GCM tag also E(J0).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW
 from ..isa import CommandWord, LogicKind
+from . import hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
-__all__ = ["GHASH_LAYOUT", "build_ghash_program", "gen_byte_arrange",
-           "gen_byte_aligning", "gen_galois_mult", "mask_values"]
+__all__ = ["GHASH_LAYOUT", "build_ghash_program", "build_ghash_fold_program",
+           "gen_byte_arrange", "gen_byte_aligning", "gen_galois_mult",
+           "mask_values"]
 
 GHASH_LAYOUT = LayoutMap({
     "mult": (0, 1),        # V: shifted copy of H
@@ -48,7 +60,8 @@ _P = GHASH_LAYOUT.row("product")
 _Z = GHASH_LAYOUT.row("digest")
 _H = GHASH_LAYOUT.row("hashkey")
 _QUEUE = GHASH_LAYOUT.span("queue")
-_STAGE0 = GHASH_LAYOUT.row("stage", 0)
+_STAGE = GHASH_LAYOUT.span("stage")
+_STAGE0 = _STAGE[0]
 _MLO, _MHI = GHASH_LAYOUT.span("fold")
 _SWAP0 = GHASH_LAYOUT.row("swap", 0)
 _ZERO = GHASH_LAYOUT.row("zero")
@@ -160,6 +173,27 @@ def build_ghash_program(nblocks: int = 8, final: bool = True) -> KernelProgram:
         host_actions=actions, block_width=BLOCK_WIDTH)
 
 
+def build_ghash_fold_program(nrows: int) -> KernelProgram:
+    """XOR ``nrows`` (2..32) staged rows into the digest row.
+
+    One lane runs it: the host stages the digests of the lanes one
+    message was split across, and for a GCM tag also E(J0), one per
+    stage row.
+    """
+    if not 2 <= nrows <= len(_STAGE):
+        raise ValueError(f"nrows must be 2..{len(_STAGE)}, got {nrows}")
+    cmds = _logic(_STAGE[0], LogicKind.XOR, _STAGE[1], _Z)
+    for row in _STAGE[2:nrows]:
+        cmds += _logic(_Z, LogicKind.XOR, row, _Z)
+    return KernelProgram(
+        name=f"ghash-fold-{nrows}", commands=cmds,
+        functions={"Fold": FunctionDescriptor("Fold", 0, len(cmds))},
+        schedule=[Invocation("Fold")],
+        host_actions=[HostAction(0, "ghash_fold_load", {}),
+                      HostAction(1, "ghash_unload", {})],
+        block_width=BLOCK_WIDTH)
+
+
 # ---------------------------------------------------------------------------
 # Host I/O
 # ---------------------------------------------------------------------------
@@ -178,26 +212,49 @@ def row_to_block(value: int) -> bytes:
     return low.to_bytes(16, "little").translate(_BIT_REVERSED)
 
 
-def quarter_rows(block: bytes) -> list[int]:
-    """Stage a block byte-reversed, one 32-column quarter per row."""
-    row = block_to_row(block[::-1])
-    return [row & (((1 << 32) - 1) << (32 * k)) for k in range(4)]
+def quarter_rows(blocks: list[bytes]) -> list[int]:
+    """Stage one block per lane byte-reversed, one 32-column quarter per
+    row."""
+    row = hostio.lanes_to_row([block_to_row(b[::-1]) for b in blocks])
+    return [row & quarter for quarter in _lane_rows(len(blocks))[1]]
 
 
 # The mask rows are contiguous: fold, swap, then zero.
 _MASK_ROWS = [value for _, value in sorted(mask_values().items())]
 
 
+@lru_cache(maxsize=None)
+def _lane_rows(lanes: int) -> tuple[list[int], list[int]]:
+    """The mask rows and the four quarter masks, repeated in every lane."""
+    def wide(value: int) -> int:
+        return hostio.lanes_to_row([value] * lanes)
+    return ([wide(v) for v in _MASK_ROWS],
+            [wide(((1 << 32) - 1) << (32 * k)) for k in range(4)])
+
+
 @host_action("ghash_load")
 def _load(sub, env, nblocks):
-    sub.write_rows(_MLO, _MASK_ROWS)
-    sub.write_row(_H, block_to_row(env["hash_key"]))
+    # Lane k hashes xblocks[k] with hash_keys[k]; lanes past the lists
+    # run on zero rows, as AES tiles past the blocks do.
+    keys, lane_blocks = env["hash_keys"], env["xblocks"]
+    if not len(keys) == len(lane_blocks) <= sub.lanes:
+        raise ValueError(f"{len(keys)} hash keys and {len(lane_blocks)} "
+                         f"block lists for {sub.lanes} lanes")
+    sub.write_rows(_MLO, _lane_rows(sub.lanes)[0])
+    sub.write_row(_H, hostio.lanes_to_row([block_to_row(h) for h in keys]))
     sub.write_rows(_STAGE0, [value for j in range(nblocks)
-                             for value in quarter_rows(env["xblocks"][j])])
+                             for value in quarter_rows([blocks[j] for blocks
+                                                        in lane_blocks])])
     if env.pop("ghash_first", False):
         sub.write_rows(_P, [0, 0])       # P and Z
 
 
+@host_action("ghash_fold_load")
+def _fold_load(sub, env):
+    sub.write_rows(_STAGE0, [block_to_row(b) for b in env["fold_blocks"]])
+
+
 @host_action("ghash_unload")
 def _unload(sub, env):
-    env["digest_row"] = sub.read_row(_Z)
+    env["digests"] = [row_to_block(value) for value
+                      in hostio.row_to_lanes(sub.read_row(_Z), sub.lanes)]

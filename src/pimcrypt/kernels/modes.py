@@ -11,10 +11,21 @@ Independent AES blocks (ECB, CBC decryption, CTR and GCM's CTR) fill
 in lockstep as the lanes of one wide subarray: one controller run
 drives them all, as the modeled controller drives every compute
 subarray with one command stream.  Modeled commands and cycles still
-count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC,
-GHASH, the SHA3 absorb) run one pass at a time on one lane; a chained
-AES block uses tile 0 only — the fabric cannot parallelize a dependency
-chain, though independent streams could still share the other tiles.
+count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC, the
+SHA3 absorb) run one pass at a time on one lane; a chained AES block
+uses tile 0 only — the fabric cannot parallelize a dependency chain,
+though independent streams could still share the other tiles.
+
+GHASH splits one message across K lanes in lockstep (aggregated Horner,
+:func:`_ghash`): K is a power of two up to 8 that grows with the block
+count, lane j hashes every K-th block with H^K and finishes with
+H^(K-j), the powers of H are fabric multiplies computed inside the call,
+and a one-lane fold program XORs the lane digests.  A GCM call runs one
+AES run for E(0), E(J0) and its counter blocks where the IV allows; the
+fold XORs E(J0) into the tag.  GCM decryption computes E(0) and E(J0),
+checks the tag, and only then runs the counter blocks, so a tampered
+input is never decrypted.  CCM takes its ciphertext and tag from one CTR
+run over the MAC and the payload.
 
 The round-key rows are expanded and staged once per call and dropped
 with it, so no key material outlives the call; so are their copies
@@ -26,7 +37,8 @@ Each kernel family has one staging step, :meth:`_AesKey.stage`,
 :func:`_ghash_stage` and :func:`_sponge`, which returns the
 :func:`_controller` arguments of a run and a fresh env (the dict its
 host actions read and write).  The mode functions here and
-``perfmodel.kernel_passes`` both stage through them.
+``perfmodel.kernel_passes`` both stage through them; only the GHASH
+fold, which :func:`_ghash` alone runs, stages its rows in place.
 """
 
 from __future__ import annotations
@@ -54,10 +66,6 @@ class TagMismatch(Exception):
     pass
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=128)
 def _controller(kernel: str, *args) -> Controller:
     """The validated program ``build(*args)`` of one kernel family.
@@ -66,6 +74,7 @@ def _controller(kernel: str, *args) -> Controller:
     so one per argument tuple serves every call.
     """
     build = {"aes": aes.build_aes_program, "ghash": ghash.build_ghash_program,
+             "ghash_fold": ghash.build_ghash_fold_program,
              "sha3": keccak.build_sha3_program}[kernel]
     return Controller(build(*args))
 
@@ -141,6 +150,10 @@ def _split_blocks(data: bytes) -> list[bytes]:
     if len(data) % 16:
         raise ValueError("data length must be a multiple of 16 bytes")
     return [data[i:i + 16] for i in range(0, len(data), 16)]
+
+
+def _pad16(data: bytes) -> bytes:
+    return data + bytes(-len(data) % 16)
 
 
 def ecb_crypt(key: bytes, data: bytes, direction: str = "encrypt",
@@ -254,9 +267,8 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
     _ccm_check(nonce, tag_len, len(plaintext))
     k = _aes_key(key, "encrypt")
     mac = _ccm_mac(k, nonce, aad, plaintext, tag_len, stats)
-    keystream = _ctr(k, _ccm_ctr0(nonce), bytes(16 + len(plaintext)), stats)
-    ct = _xor(plaintext, keystream[16:])
-    return ct + _xor(mac, keystream[:tag_len])
+    out = _ctr(k, _ccm_ctr0(nonce), _pad16(mac) + plaintext, stats)
+    return out[16:] + out[:tag_len]
 
 
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
@@ -265,10 +277,12 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
     _ccm_check(nonce, tag_len, len(ciphertext) - tag_len)
     k = _aes_key(key, "encrypt")
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    keystream = _ctr(k, _ccm_ctr0(nonce), bytes(16 + len(ct)), stats)
-    pt = _xor(ct, keystream[16:])
+    out = _ctr(k, _ccm_ctr0(nonce), _pad16(tag) + ct, stats)
+    # out[:len(tag)] is the MAC the tag encrypts; a ciphertext shorter
+    # than the tag leaves it short, so it cannot match.
+    pt, expect = out[16:], out[:len(tag)]
     mac = _ccm_mac(k, nonce, aad, pt, tag_len, stats)
-    if not _hmac_mod.compare_digest(_xor(mac, keystream[:tag_len]), tag):
+    if not _hmac_mod.compare_digest(mac, expect):
         raise TagMismatch("CCM tag mismatch")
     return pt
 
@@ -277,79 +291,159 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
 # GHASH and GCM
 # ---------------------------------------------------------------------------
 
-def _ghash_stage(hash_key: bytes, blocks: list[bytes], first: bool,
-                 final: bool) -> tuple[tuple, dict]:
+# One GHASH of n blocks runs on K lanes: the largest power of two up to
+# _GHASH_MAX_LANES with _GHASH_BLOCKS_PER_LANE * K <= n, and 1 below.
+# Each lane past the first adds one modeled power multiply and up to one
+# zero block: at most about 5% of the GHASH's cycles from 48 blocks per
+# lane on, less than the AES passes a GCM call saves over perfbench's
+# aead-bulk mix (at 32 it is more).  Past 8 lanes, host time per block
+# stops falling.
+_GHASH_MAX_LANES = 8
+_GHASH_BLOCKS_PER_LANE = 48
+
+
+def _ghash_lanes(nblocks: int) -> int:
+    """K, the lanes a GHASH of ``nblocks`` blocks is split across."""
+    k = 1
+    while (2 * k <= _GHASH_MAX_LANES
+           and _GHASH_BLOCKS_PER_LANE * 2 * k <= nblocks):
+        k *= 2
+    return k
+
+
+def _ghash_stage(hash_keys: list[bytes], blocks: list[list[bytes]],
+                 first: bool, final: bool) -> tuple[tuple, dict]:
     """The ``_controller`` arguments and a fresh env for one GHASH pass of
-    up to 8 blocks: ``first`` clears the running product, ``final``
-    reduces it and reads out the digest."""
-    return (("ghash", len(blocks), final),
-            {"hash_key": hash_key, "ghash_first": first, "xblocks": blocks})
+    up to 8 blocks per lane, lane k with hash key ``hash_keys[k]`` and
+    blocks ``blocks[k]``: ``first`` clears the running product,
+    ``final`` reduces it and reads out each lane's digest."""
+    return (("ghash", len(blocks[0]), final),
+            {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
+
+
+def _hash_powers(hash_key: bytes, k: int,
+                 stats: ExecutionStats | None) -> list[bytes]:
+    """H^1 .. H^K for a power of two K.  Each doubling is one 1-block
+    final pass on as many lanes as powers are known: lane j multiplies
+    H^(j+1) by the highest known power."""
+    powers = [hash_key]
+    while len(powers) < k:
+        sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(powers))
+        staged = _ghash_stage([powers[-1]] * len(powers),
+                              [[p] for p in powers], True, True)
+        powers += _run(staged, sub, stats)["digests"]
+    return powers
+
+
+def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
+           mask: bytes | None = None) -> bytes:
+    """GHASH_H of one or more ``blocks``, XORed with ``mask`` (E(J0) for a
+    GCM tag) if given.
+
+    Aggregated Horner (SP 800-38D section 6.4; Gueron and Kounavis,
+    "Intel Carry-Less Multiplication Instruction and its Usage for
+    Computing the GCM Mode", 2010): zero blocks, which leave GHASH
+    unchanged, pad the front to n' = K*m blocks, and lane j runs Horner
+    with H^K over padded blocks j, j + K, ..., except that its last step
+    multiplies by H^(K-j).  Block p then carries H^(n'-p), as in the
+    serial form, and the fold program XORs the lane digests and ``mask``.
+    """
+    k = _ghash_lanes(len(blocks))
+    powers = _hash_powers(hash_key, k, stats)
+    m = -(-len(blocks) // k)
+    padded = [bytes(16)] * (k * m - len(blocks)) + blocks
+    lanes = [padded[j::k] for j in range(k)]
+    # Passes of up to 8 block steps share each lane's hash key, so the
+    # last step runs alone; with K = 1 its key is H^K as well, and the
+    # passes are those of the serial form.
+    last = m - 1 if k > 1 else m
+    bounds = sorted({*range(0, last, 8), last, m})
+    sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=k)
+    for lo, hi in zip(bounds, bounds[1:]):
+        keys = powers[::-1] if hi == m else [powers[-1]] * k
+        staged = _ghash_stage(keys, [lane[lo:hi] for lane in lanes],
+                              lo == 0, hi == m)
+        digests = _run(staged, sub, stats)["digests"]
+    if mask is not None:
+        digests.append(mask)
+    if len(digests) == 1:
+        return digests[0]
+    staged = ("ghash_fold", len(digests)), {"fold_blocks": digests}
+    return _run(staged, Subarray(block_width=ghash.BLOCK_WIDTH),
+                stats)["digests"][0]
 
 
 def ghash_digest(hash_key: bytes, data: bytes,
                  stats: ExecutionStats | None = None) -> bytes:
     _check_block("GHASH hash key", hash_key)
     blocks = _split_blocks(data)
-    if not blocks:
-        return bytes(16)
-    sub = Subarray(block_width=ghash.BLOCK_WIDTH)
-    for off in range(0, len(blocks), 8):
-        env = _run(_ghash_stage(hash_key, blocks[off:off + 8], off == 0,
-                                off + 8 >= len(blocks)), sub, stats)
-    return ghash.row_to_block(env["digest_row"])
+    return _ghash(hash_key, blocks, stats) if blocks else bytes(16)
 
 
 def _gcm_lengths(aad: bytes, ct: bytes) -> bytes:
     return (8 * len(aad)).to_bytes(8, "big") + (8 * len(ct)).to_bytes(8, "big")
 
 
-def _pad16(data: bytes) -> bytes:
-    return data + bytes(-len(data) % 16)
+def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
+               stats: ExecutionStats | None
+               ) -> tuple[_AesKey, bytes, bytes, bytes, bytes]:
+    """The call's key, the hash key H, the pre-counter block J0, E(J0)
+    and the GCTR encryption of ``plaintext``, from inc32(J0).
 
-
-def _gcm_setup(key: bytes, iv: bytes, tag_len: int,
-               stats: ExecutionStats | None) -> tuple[_AesKey, bytes, bytes]:
-    """The call's key, the hash key H and the pre-counter block J0."""
+    With a 12-byte IV, E(0), E(J0) and the payload's counter blocks are
+    one AES run.  Any other IV needs H for J0 = GHASH_H(IV ...), so E(0)
+    runs first and E(J0) joins the payload's run.
+    """
     if type(tag_len) is not int or tag_len not in (4, 8, 12, 13, 14, 15, 16):
         raise ValueError(f"GCM tag length must be 4, 8 or 12..16 bytes, "
                          f"got {tag_len!r}")
     if not iv:
         raise ValueError("GCM IV must not be empty")
     k = _aes_key(key, "encrypt")
-    h = _aes_passes(k, [bytes(16)], None, None, stats)[0]
+    zero = bytes(16)
     if len(iv) == 12:
-        return k, h, iv + b"\x00\x00\x00\x01"
-    material = _pad16(iv) + bytes(8) + (8 * len(iv)).to_bytes(8, "big")
-    return k, h, ghash_digest(h, material, stats)
+        head, j0 = [zero], iv + b"\x00\x00\x00\x01"
+    else:
+        h = _aes_passes(k, [zero], None, None, stats)[0]
+        material = _pad16(iv) + bytes(8) + (8 * len(iv)).to_bytes(8, "big")
+        head, j0 = [], _ghash(h, _split_blocks(material), stats)
+    n = -(-len(plaintext) // 16)
+    blocks = head + _counter_blocks(j0, 1 + n, 32)
+    if n:
+        chain = [zero] * (len(head) + 1) + _split_blocks(_pad16(plaintext))
+        out = _aes_passes(k, blocks, "post", chain, stats)
+    else:
+        out = _aes_passes(k, blocks, None, None, stats)
+    if head:
+        h = out.pop(0)
+    return k, h, j0, out[0], b"".join(out[1:])[:len(plaintext)]
 
 
-def _gcm_ctr(k: _AesKey, j0: bytes, data: bytes,
+def _gcm_tag(h: bytes, ej0: bytes, aad: bytes, ct: bytes,
              stats: ExecutionStats | None) -> bytes:
-    """GCTR from inc32(J0): the GCM payload keystream."""
-    return _ctr(k, _counter_blocks(j0, 2, 32)[1], data, stats, 32)
+    """E(J0) xor GHASH_H(A, C), both on the fabric."""
+    data = _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct)
+    return _ghash(h, _split_blocks(data), stats, ej0)
 
 
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    k, h, j0 = _gcm_setup(key, iv, tag_len, stats)
-    ct = _gcm_ctr(k, j0, plaintext, stats)
-    s = ghash_digest(h, _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct),
-                     stats)
-    return ct + _ctr(k, j0, s, stats)[:tag_len]
+    _, h, _, ej0, ct = _gcm_start(key, iv, tag_len, plaintext, stats)
+    return ct + _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
 
 
 def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    k, h, j0 = _gcm_setup(key, iv, tag_len, stats)
+    """Checks the tag before any payload counter block runs, so a
+    tampered input is never decrypted."""
+    k, h, j0, ej0, _ = _gcm_start(key, iv, tag_len, b"", stats)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    s = ghash_digest(h, _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct),
-                     stats)
-    expect = _ctr(k, j0, s, stats)[:tag_len]
+    expect = _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
     if not _hmac_mod.compare_digest(expect, tag):
         raise TagMismatch("GCM tag mismatch")
-    return _gcm_ctr(k, j0, ct, stats)
+    return _ctr(k, _counter_blocks(j0, 2, 32)[1], ct, stats, 32)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def _hmac_runs(bits: int) -> list[tuple[tuple, dict]]:
 
 def _ghash_runs() -> list[tuple[tuple, dict]]:
     blocks = [bytes([i] * 16) for i in range(8)]
-    return [modes._ghash_stage(bytes(range(16)), blocks, True, False)]
+    return [modes._ghash_stage([bytes(range(16))], [blocks], True, False)]
 
 
 def kernel_passes() -> dict[str, KernelPass]:

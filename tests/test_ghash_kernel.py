@@ -3,6 +3,8 @@
 import pytest
 
 from pimcrypt import oracle
+from pimcrypt.controller import ExecutionStats
+from pimcrypt.fabric import Subarray
 from pimcrypt.kernels import ghash, modes
 
 
@@ -64,3 +66,127 @@ def test_bit_serial_pass_structure():
     prog = ghash.build_ghash_program(nblocks=8)
     mult = next(i for i in prog.schedule if i.function == "GaloisMult")
     assert mult.iterations == 128  # one step per GF(2^128) coefficient bit
+
+
+# -- one message split across lanes ------------------------------------------
+#
+# A GHASH of n blocks runs on K = modes._ghash_lanes(n) lanes: lane j
+# hashes padded blocks j, j + K, ... with H^K and finishes with
+# H^(K - j), and the fold program XORs the lane digests.
+
+# n on both sides of every threshold 48 * K, and far past the last.
+LANE_THRESHOLDS = {1: 1, 95: 1, 96: 2, 97: 2, 191: 2, 192: 4, 193: 4,
+                   383: 4, 384: 8, 385: 8, 4096: 8}
+
+
+def test_lane_count_grows_with_the_block_count():
+    assert {n: modes._ghash_lanes(n) for n in LANE_THRESHOLDS} == \
+        LANE_THRESHOLDS
+
+
+def test_one_lane_digests_match_the_oracle(rng):
+    # K = 1 from 0 to 8 * K_max + 1 blocks: every queue fill of the
+    # serial passes.
+    for n in range(8 * 8 + 2):
+        h, data = rng.randbytes(16), rng.randbytes(16 * n)
+        assert modes.ghash_digest(h, data) == oracle.ghash(h, data), n
+
+
+@pytest.mark.parametrize("nblocks", sorted(n for n in LANE_THRESHOLDS
+                                           if n > 1))
+def test_lane_split_digests_match_the_oracle(nblocks, rng):
+    h, data = rng.randbytes(16), rng.randbytes(16 * nblocks)
+    assert modes.ghash_digest(h, data) == oracle.ghash(h, data)
+
+
+def test_how_the_lanes_split_a_message(monkeypatch, rng):
+    # 97 blocks on K = 2 lanes: one leading zero block pads them to 98,
+    # lane j takes padded blocks j, j + 2, ..., 48 steps run as six
+    # 8-block passes with H^2 in both lanes, and the last step runs alone
+    # with H^2 in lane 0 and H in lane 1.
+    h, data = rng.randbytes(16), rng.randbytes(16 * 97)
+    padded = [bytes(16)] + [data[i:i + 16] for i in range(0, len(data), 16)]
+    h2 = oracle.ghash(h, h)        # the GHASH of one block X is X * H
+    passes = []
+    run = modes._run
+    monkeypatch.setattr(modes, "_run", lambda staged, sub, stats: passes.append(
+        (staged[0], sub.lanes, dict(staged[1]))) or run(staged, sub, stats))
+    assert modes.ghash_digest(h, data) == oracle.ghash(h, data)
+    power, *lane_passes, fold = passes
+    assert power[:2] == (("ghash", 1, True), 1)
+    assert power[2]["hash_keys"] == [h] and power[2]["xblocks"] == [[h]]
+    assert [(args, lanes) for args, lanes, _ in lane_passes] == \
+        [(("ghash", 8, False), 2)] * 6 + [(("ghash", 1, True), 2)]
+    for i, (_, _, env) in enumerate(lane_passes):
+        steps = range(8 * i, min(8 * i + 8, 49))
+        assert env["xblocks"] == [[padded[2 * s + j] for s in steps]
+                                  for j in range(2)]
+        assert env["hash_keys"] == ([h2, h] if i == 6 else [h2, h2])
+        assert env["ghash_first"] == (i == 0)
+    assert fold[:2] == (("ghash_fold", 2), 1)
+
+
+@pytest.mark.parametrize("nblocks,lanes", [(20, 1), (97, 2), (385, 8)])
+def test_lane_split_costs(nblocks, lanes, rng):
+    # K = 1 runs the serial passes; each further lane adds one power
+    # multiply (a 1-block final pass), at most one zero block and one
+    # closing reduction, and the fold XORs K rows.
+    stats = ExecutionStats()
+    modes.ghash_digest(rng.randbytes(16), bytes(16 * nblocks), stats)
+    steps = -(-nblocks // lanes)
+    passes = -(-steps // 8) if lanes == 1 else -(-(steps - 1) // 8) + 1
+    fs = stats.per_function
+    assert fs["ByteAligning"].invocations == lanes * steps + lanes - 1
+    assert fs["ByteArrange"].invocations == lanes * passes + lanes - 1
+    assert fs["Reduce"].invocations == 2 * lanes - 1
+    assert ("Fold" in fs) == (lanes > 1)
+    if lanes > 1:
+        assert fs["Fold"].commands == 3 * (lanes - 1)
+
+
+def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
+    # Each lane has its own hash key and blocks; a non-final 8-block pass
+    # and a final 3-block pass carry the product between them.
+    keys = [rng.randbytes(16) for _ in range(3)]
+    blocks = [[rng.randbytes(16) for _ in range(11)] for _ in range(3)]
+
+    def passes(lane_keys, lane_blocks, stats):
+        sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(lane_keys))
+        for lo, hi, final in ((0, 8, False), (8, 11, True)):
+            staged = modes._ghash_stage(
+                lane_keys, [b[lo:hi] for b in lane_blocks], lo == 0, final)
+            digests = modes._run(staged, sub, stats)["digests"]
+        return digests
+
+    wide, single = ExecutionStats(), ExecutionStats()
+    digests = passes(keys, blocks, wide)
+    assert digests == [d for k in range(3)
+                       for d in passes([keys[k]], [blocks[k]], single)]
+    assert digests == [oracle.ghash(keys[k], b"".join(blocks[k]))
+                       for k in range(3)]
+    assert wide == single
+
+
+def test_ghash_load_rejects_more_lists_than_lanes():
+    staged = modes._ghash_stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True)
+    with pytest.raises(ValueError, match="for 1 lanes"):
+        modes._run(staged, Subarray(block_width=ghash.BLOCK_WIDTH), None)
+
+
+@pytest.mark.parametrize("nrows", [2, 3, 9])
+def test_fold_xors_its_rows(nrows, rng):
+    rows = [rng.randbytes(16) for _ in range(nrows)]
+    stats = ExecutionStats()
+    env = modes._run((("ghash_fold", nrows), {"fold_blocks": rows}),
+                     Subarray(block_width=ghash.BLOCK_WIDTH), stats)
+    want = bytes(16)
+    for row in rows:
+        want = bytes(a ^ b for a, b in zip(want, row))
+    assert env["digests"] == [want]
+    assert stats.commands == 3 * (nrows - 1)
+
+
+@pytest.mark.parametrize("nrows", [0, 1, 33])
+def test_fold_program_rejects_row_counts(nrows):
+    with pytest.raises(ValueError, match="nrows"):
+        ghash.build_ghash_fold_program(nrows)

@@ -331,3 +331,100 @@ def test_ccm_aad_of_0xff00_bytes_takes_the_six_byte_length_form():
     sealed = AESCCM(key).encrypt(nonce, pt, aad)
     for impl in (modes, oracle):
         assert impl.ccm_encrypt(key, nonce, aad, pt) == sealed
+
+
+# -- GCM with its GHASH split across lanes ------------------------------------
+#
+# A GCM call hashes n = ceil(|A| / 16) + ceil(|C| / 16) + 1 blocks, on
+# K = modes._ghash_lanes(n) lanes.  The cases put n on both sides of
+# every lane threshold, with whole and partial final blocks, AAD, 8-,
+# 12- and 16-byte IVs and both key sizes.
+
+GCM_CASES = [(16, 12, False), (32, 12, True), (16, 8, True), (32, 16, False)]
+GCM_GHASH_BLOCKS = [1, 2, 9, 95, 96, 97, 191, 192, 193, 383, 384, 385]
+
+
+@pytest.mark.parametrize("nblocks", GCM_GHASH_BLOCKS)
+def test_gcm_across_lane_thresholds_matches_cryptography(nblocks, rng):
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    klen, ivlen, partial = GCM_CASES[GCM_GHASH_BLOCKS.index(nblocks) % 4]
+    key, iv = rng.randbytes(klen), rng.randbytes(ivlen)
+    aad = rng.randbytes(13 if nblocks > 2 else 0)
+    payload_blocks = nblocks - 1 - (1 if aad else 0)
+    pt = rng.randbytes(16 * payload_blocks - (7 if partial and payload_blocks
+                                              else 0))
+    sealed = AESGCM(key).encrypt(iv, pt, aad)
+    assert modes.gcm_encrypt(key, iv, aad, pt) == sealed
+    assert modes.gcm_decrypt(key, iv, aad, sealed) == pt
+    if nblocks < 100:
+        assert oracle.gcm_encrypt(key, iv, aad, pt) == sealed
+    with pytest.raises(TagMismatch):
+        modes.gcm_decrypt(key, iv, aad, sealed[:-1] + bytes([sealed[-1] ^ 4]))
+
+
+def test_gcm_counter_wraps_with_the_ghash_in_lanes(rng):
+    # 100 payload blocks (K = 2) from J0 = 5a..5a fffffff0: the counter
+    # wraps in its low 32 bits 15 blocks into the payload's AES run.
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    key, pt = rng.randbytes(32), rng.randbytes(16 * 100 - 9)
+    iv = _iv_for_j0(key, b"\x5a" * 12 + b"\xff\xff\xff\xf0")
+    sealed = AESGCM(key).encrypt(iv, pt, b"")
+    assert modes._ghash_lanes(101) == 2
+    assert modes.gcm_encrypt(key, iv, b"", pt) == sealed
+    assert modes.gcm_decrypt(key, iv, b"", sealed) == pt
+
+
+@pytest.mark.parametrize("ivlen,passes", [(12, 1), (16, 2)])
+def test_gcm_encrypt_runs_e0_ej0_and_the_counter_blocks_together(
+        ivlen, passes, rng):
+    # 14 payload blocks, E(0) and E(J0) fill one 16-block pass; any IV
+    # but 12 bytes needs E(0) first, for J0 = GHASH_H(IV ...).
+    stats = ExecutionStats()
+    modes.gcm_encrypt(rng.randbytes(16), rng.randbytes(ivlen), b"",
+                      rng.randbytes(16 * 14), stats=stats)
+    assert stats.per_function["BitSliceFwd"].invocations == passes
+
+
+@pytest.mark.parametrize("ivlen", [12, 16])
+def test_a_tampered_gcm_decrypt_runs_no_counter_blocks(ivlen, rng):
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    key, iv, aad = rng.randbytes(16), rng.randbytes(ivlen), b"header"
+    pt = rng.randbytes(16 * 40)
+    sealed = AESGCM(key).encrypt(iv, pt, aad)
+    good, bad = ExecutionStats(), ExecutionStats()
+    assert modes.gcm_decrypt(key, iv, aad, sealed, stats=good) == pt
+    with pytest.raises(TagMismatch):
+        modes.gcm_decrypt(key, iv, aad, bytes([sealed[0] ^ 1]) + sealed[1:],
+                          stats=bad)
+    # E(0) and E(J0) only: one pass with a 12-byte IV, else two; the
+    # payload's counter blocks (three passes) would XOR in ChainXor.
+    aes_passes = bad.per_function["BitSliceFwd"].invocations
+    assert aes_passes == (1 if ivlen == 12 else 2)
+    assert "ChainXor" not in bad.per_function
+    assert good.per_function["BitSliceFwd"].invocations == aes_passes + 3
+
+
+@pytest.mark.parametrize("tag_len", [4, 6, 8, 10, 12, 14, 16])
+def test_ccm_matches_cryptography_across_lengths(tag_len, rng):
+    from cryptography.hazmat.primitives.ciphers.aead import AESCCM
+    for klen, nonce_len, size in ((16, 13, 0), (32, 7, 1), (16, 12, 16),
+                                  (32, 11, 31), (16, 8, 100), (32, 10, 480)):
+        key, nonce = rng.randbytes(klen), rng.randbytes(nonce_len)
+        aad, pt = rng.randbytes(size % 23), rng.randbytes(size)
+        sealed = AESCCM(key, tag_length=tag_len).encrypt(nonce, pt, aad)
+        assert modes.ccm_encrypt(key, nonce, aad, pt, tag_len) == sealed
+        assert modes.ccm_decrypt(key, nonce, aad, sealed, tag_len) == pt
+
+
+def test_ccm_rejects_a_ciphertext_shorter_than_its_tag():
+    # An empty message's 16-byte tag ending in a zero byte: the first 15
+    # bytes decrypt to the first 15 bytes of the MAC, so only the length
+    # tells the truncated input apart.
+    from cryptography.hazmat.primitives.ciphers.aead import AESCCM
+    key = bytes(16)
+    nonce = next(n for n in (i.to_bytes(13, "big") for i in range(100000))
+                 if AESCCM(key).encrypt(n, b"", b"")[-1] == 0)
+    sealed = AESCCM(key).encrypt(nonce, b"", b"")
+    assert modes.ccm_decrypt(key, nonce, b"", sealed) == b""
+    with pytest.raises(TagMismatch):
+        modes.ccm_decrypt(key, nonce, b"", sealed[:-1])
