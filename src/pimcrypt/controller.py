@@ -35,9 +35,12 @@ builds, once per lane count and cost model, a plan: the schedule cut at
 the host-action slots into stretches of invocations, each bound as one
 :class:`~pimcrypt.fabric.CompiledRun`, and the run's
 :class:`ExecutionStats`.  A run then does the host actions, one fabric
-call per stretch and one stats merge.  A run given a ``trace`` list goes
-through the reference interpreter instead, one command sequence per
-iteration, and counts its statistics from what the interpreter reports.
+call per stretch and, if the caller passed an :class:`ExecutionStats`,
+one merge into it; a caller that passed none is counted nothing, and
+:meth:`Controller.run_stats` gives what any number of runs count.  A run
+given a ``trace`` list goes through the reference interpreter instead,
+one command sequence per iteration, and counts its statistics from what
+the interpreter reports.
 A run that starts during a pending activation raises
 :class:`~pimcrypt.fabric.PendingActivation`, and one on a subarray of
 another block width :class:`~pimcrypt.fabric.BlockWidthMismatch`,
@@ -277,20 +280,44 @@ class Controller:
             runs.append(CompiledRun(calls, lanes, cost) if calls else None)
         return runs, stats
 
+    def _plan_for(self, sub: Subarray) -> tuple:
+        key = (sub.lanes, sub.cost_model)
+        plan = self._plans.get(key)
+        if plan is None:
+            self._plans[key] = plan = self._plan(*key)
+        return plan
+
+    def run_stats(self, sub: Subarray, runs: int = 1) -> ExecutionStats:
+        """What ``runs`` untraced runs on ``sub`` count.  They depend only
+        on the program, the lane count and the cost model, so a caller
+        that runs one program over and over can count every run with one
+        merge."""
+        stats = ExecutionStats()
+        for name, fs in self._plan_for(sub)[1].per_function.items():
+            stats.add(name, runs * fs.invocations, runs * fs.iterations,
+                      runs * fs.commands, runs * fs.cycles)
+        return stats
+
     def _interpret(self, sub: Subarray, inv: Invocation, trace: list,
-                   stats: ExecutionStats) -> None:
+                   stats: ExecutionStats | None) -> None:
         """Run one invocation on the reference interpreter, appending its
-        records to ``trace`` and counting them in ``stats``."""
+        records to ``trace`` and counting them in ``stats`` if given."""
         records = []
         first = inv.iteration_base
         for g in range(first, first + inv.iterations):
             records += sub.run_traced(self._commands_for(inv.function, g))
         trace += records
-        stats.add(inv.function, sub.lanes, inv.iterations * sub.lanes,
-                  len(records) * sub.lanes, sum(r.cycles for r in records))
+        if stats is not None:
+            stats.add(inv.function, sub.lanes, inv.iterations * sub.lanes,
+                      len(records) * sub.lanes,
+                      sum(r.cycles for r in records))
 
     def run(self, sub: Subarray, env: dict | None = None,
-            trace: list | None = None) -> ExecutionStats:
+            trace: list | None = None,
+            stats: ExecutionStats | None = None) -> ExecutionStats | None:
+        """Run the program on ``sub`` with the host actions reading and
+        writing ``env``; count the run into ``stats``, if given, and
+        return it."""
         env = env if env is not None else {}
         if sub.block_width != self.program.block_width:
             raise BlockWidthMismatch(
@@ -300,12 +327,7 @@ class Controller:
         if sub.pending_row is not None:
             raise PendingActivation(f"run starts during the activation of "
                                     f"row {sub.pending_row}")
-        key = (sub.lanes, sub.cost_model)
-        plan = self._plans.get(key)
-        if plan is None:
-            self._plans[key] = plan = self._plan(*key)
-        runs, static = plan
-        stats = ExecutionStats()
+        runs, static = self._plan_for(sub)
         for (actions, invocations), compiled in zip(self._segments, runs):
             for kind, params in actions:
                 HOST_ACTIONS[kind](sub, env, **params)
@@ -314,6 +336,6 @@ class Controller:
                     self._interpret(sub, inv, trace, stats)
             elif compiled is not None:
                 sub.run(compiled)
-        if trace is None:
+        if trace is None and stats is not None:
             stats.merge(static)
         return stats

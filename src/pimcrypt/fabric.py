@@ -72,6 +72,7 @@ __all__ = [
     "UnsupportedOption",
     "WindowRejected",
     "CycleCostModel",
+    "LaneRows",
     "supported_width",
     "TraceRecord",
     "CompiledWindow",
@@ -181,6 +182,24 @@ def _lane_wide(value: int, lanes: int) -> int:
     return value * _lane_fill(lanes)
 
 
+class LaneRows(tuple):
+    """One-lane (256-column) row values, each repeated in every lane of a
+    ``lanes``-lane subarray.
+
+    Host actions build their constant rows (masks, a call's round keys)
+    this way once per lane count; :meth:`Subarray.write_rows` on a
+    subarray with ``lanes`` lanes stores them as they are, since they fit
+    its rows by construction, where it masks any other value.
+    """
+
+    def __new__(cls, values, lanes: int):
+        fill = _lane_fill(lanes)
+        rows = super().__new__(cls, [(value & _ROW_MASK) * fill
+                                     for value in values])
+        rows.lanes = lanes
+        return rows
+
+
 class Subarray:
     """One subarray, or ``lanes`` of them in lockstep: grid, SA latch,
     pending-activation state, cycle count."""
@@ -216,23 +235,32 @@ class Subarray:
 
     def write_rows(self, first: int, values: list[int]) -> None:
         """Write ``values`` to rows ``first``, ``first + 1``, ... in one
-        host transfer."""
+        host transfer; :class:`LaneRows` built for this lane count are
+        stored unmasked."""
         end = first + len(values)
         if first < 0 or end > ROWS:
             raise RowOutOfRange(f"rows {first}..{end - 1}")
         if self.pending_row is not None:
             raise PendingActivation("host access during dual-row activation")
-        mask = self.row_mask
-        self.grid[first:end] = [value & mask for value in values]
-
-    def replicate(self, value: int) -> int:
-        """A one-lane (256-column) row value repeated in every lane."""
-        return (value & _ROW_MASK) * self._fill
+        if type(values) is LaneRows and values.lanes == self.lanes:
+            self.grid[first:end] = values
+        else:
+            mask = self.row_mask
+            self.grid[first:end] = [value & mask for value in values]
 
     def read_row(self, row: int) -> int:
         if not 0 <= row < ROWS:
             raise RowOutOfRange(f"row {row}")
         return self.grid[row]
+
+    def read_rows(self, first: int, count: int) -> list[int]:
+        """Rows ``first .. first + count - 1`` in one host transfer."""
+        end = first + count
+        if first < 0 or count < 0 or end > ROWS:
+            raise RowOutOfRange(f"rows {first}..{end - 1}")
+        if self.pending_row is not None:
+            raise PendingActivation("host access during dual-row activation")
+        return self.grid[first:end]
 
     def reset(self) -> None:
         self.grid = [0] * ROWS

@@ -18,13 +18,15 @@ butterfly transpose) -> rounds -> inverse slice -> byte staging.
 
 On a subarray with K lanes one run is K passes in lockstep: ``aes_load``
 stages up to 16K blocks (block ``16k + t`` in tile ``t`` of lane ``k``)
-and replicates the masks and round keys into every lane.
+and writes the masks and round keys replicated into every lane, as
+:class:`~pimcrypt.fabric.LaneRows` built once per lane count: the masks
+once per process, the keys once per call.
 
 A pass uses the round-key-0 rows (8..15) as SubBytes scratch once the
 first AddRoundKey has consumed them, so it leaves the key region dirty:
 ``aes_load`` restages the whole key region, with one bulk host write,
-on every pass, and a serial chain keeps no subarray resident between
-its passes.
+on every pass.  The passes of a serial chain share one subarray, and
+each starts from freshly staged keys, masks, blocks and chain planes.
 
 The host expands the round keys (:func:`expand_key_words`) with an
 S-box table read off the forward SubBytes circuit itself, evaluated over
@@ -37,6 +39,7 @@ from functools import lru_cache
 
 from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
                           host_action)
+from ..fabric import LaneRows
 from ..isa import CommandWord, LogicKind
 from . import circuits, hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
@@ -329,9 +332,15 @@ def key_rows(round_keys: list[bytes]) -> list[int]:
             for r in range(len(round_keys)) for plane in planes]
 
 
-# The mask rows are contiguous: tmask then srmask.
-_MASK_FIRST = AES_LAYOUT.row("tmask", 0)
+# The staging rows, the mask rows (tmask then srmask) and the chain rows
+# are contiguous, so one host transfer writes them.
 _MASK_ROWS = [value for _, value in sorted(mask_values().items())]
+_KEY0 = AES_LAYOUT.row("keys", 0)
+
+
+@lru_cache(maxsize=None)
+def _lane_masks(lanes: int) -> LaneRows:
+    return LaneRows(_MASK_ROWS, lanes)
 
 
 @host_action("aes_load_keys")
@@ -341,24 +350,24 @@ def _load_keys(sub, env, env_key="key_rows"):
     cache = env.setdefault("lane_key_rows", {})
     rows = cache.get((env_key, sub.lanes))
     if rows is None:
-        rows = cache[env_key, sub.lanes] = [sub.replicate(value)
-                                            for value in env[env_key]]
-    sub.write_rows(AES_LAYOUT.row("keys", 0), rows)
+        rows = cache[env_key, sub.lanes] = LaneRows(env[env_key], sub.lanes)
+    sub.write_rows(_KEY0, rows)
 
 
 @host_action("aes_load")
 def _load(sub, env, chain=False):
-    if len(env["blocks"]) > 16 * sub.lanes:
-        raise ValueError(f"{len(env['blocks'])} blocks for "
-                         f"{16 * sub.lanes} tiles")
-    sub.write_rows(_MASK_FIRST, [sub.replicate(v) for v in _MASK_ROWS])
+    blocks = env["blocks"]
+    if len(blocks) > 16 * sub.lanes:
+        raise ValueError(f"{len(blocks)} blocks for {16 * sub.lanes} tiles")
     _load_keys(sub, env)
-    sub.write_rows(_STAGE[0], hostio.aes_stage_rows(env["blocks"]))
+    rows = hostio.aes_stage_rows(blocks)
+    rows += _lane_masks(sub.lanes)
     if chain:
-        sub.write_rows(_CHAIN[0], hostio.aes_plane_rows(env["chain_blocks"]))
+        rows += hostio.aes_plane_rows(env["chain_blocks"])
+    sub.write_rows(_STAGE[0], rows)
 
 
 @host_action("aes_unload")
 def _unload(sub, env):
-    rows = [sub.read_row(r) for r in _STAGE]
-    env["out_blocks"] = hostio.aes_unstage_rows(rows, len(env["blocks"]))
+    env["out_blocks"] = hostio.aes_unstage_rows(sub.read_rows(_STAGE[0], 16),
+                                                len(env["blocks"]))

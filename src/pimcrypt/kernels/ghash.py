@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from ..controller import (FunctionDescriptor, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
-from ..fabric import EXT_ROW
+from ..fabric import EXT_ROW, LaneRows
 from ..isa import CommandWord, LogicKind
 from . import hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
@@ -224,12 +224,10 @@ _MASK_ROWS = [value for _, value in sorted(mask_values().items())]
 
 
 @lru_cache(maxsize=None)
-def _lane_rows(lanes: int) -> tuple[list[int], list[int]]:
+def _lane_rows(lanes: int) -> tuple[LaneRows, LaneRows]:
     """The mask rows and the four quarter masks, repeated in every lane."""
-    def wide(value: int) -> int:
-        return hostio.lanes_to_row([value] * lanes)
-    return ([wide(v) for v in _MASK_ROWS],
-            [wide(((1 << 32) - 1) << (32 * k)) for k in range(4)])
+    return (LaneRows(_MASK_ROWS, lanes),
+            LaneRows([((1 << 32) - 1) << (32 * k) for k in range(4)], lanes))
 
 
 @host_action("ghash_load")

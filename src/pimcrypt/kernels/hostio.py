@@ -24,6 +24,12 @@ data.  Column conventions:
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
+from itertools import repeat
+from operator import and_, itemgetter, lshift, rshift
+from typing import NamedTuple
+
 __all__ = ["aes_stage_rows", "aes_unstage_rows", "aes_plane_rows",
            "lane_value", "lanes_from_value", "lanes_to_row", "row_to_lanes"]
 
@@ -51,6 +57,61 @@ def row_to_lanes(row: int, lanes: int) -> list[int]:
 # The fabric byte order: tile column c holds block byte _BYTE_AT[c], and
 # block byte j sits at tile column _BYTE_AT[j] (the map is an involution).
 _BYTE_AT = [4 * (j % 4) + j // 4 for j in range(16)]
+# Reorders 16 items between block byte order and tile column order,
+# either way, since _BYTE_AT is an involution.
+_REORDER = itemgetter(*_BYTE_AT)
+# Staging rows 0..7 hold their byte in the low half of each tile's
+# 16-bit field and rows 8..15 in the high half.  Per staging row: the
+# block byte it holds (rows 0..7, then 8..15), the slice of its field
+# bytes that holds it, and the slice of the block bytes it fills; per
+# block byte, the shift of its half.
+_LOW_ROWS, _HIGH_ROWS = itemgetter(*_BYTE_AT[:8]), itemgetter(*_BYTE_AT[8:])
+_HALF = [slice(0, None, 2)] * 8 + [slice(1, None, 2)] * 8
+_COLUMN = [slice(j, None, 16) for j in _BYTE_AT]
+_HALF_SHIFT = [8 * (c >= 8) for c in _BYTE_AT]
+
+# Delta swaps (Hacker's Delight 7-3) as (shift in bits, mask over one
+# 16-byte block, little-endian): the 4x4 byte transpose of the block
+# into the fabric byte order (swap the off-diagonal 2x2 quarters, then
+# within each quarter), then the 8x8 bit-matrix transpose of each half.
+_PLANE_STEPS = ((48, bytes(0xFF if k in (2, 3, 6, 7) else 0
+                           for k in range(16))),
+                (24, bytes(0xFF if k in (1, 3, 9, 11) else 0
+                           for k in range(16))),
+                (7, (0x00AA00AA00AA00AA).to_bytes(8, "little") * 2),
+                (14, (0x0000CCCC0000CCCC).to_bytes(8, "little") * 2),
+                (28, (0x00000000F0F0F0F0).to_bytes(8, "little") * 2))
+# One block's planes as 16-bit fields of one int: byte value v at tile
+# column c adds _SPREAD[v] << c, bit b of v landing in plane b's field.
+_SPREAD = [sum((v >> b & 1) << 16 * b for b in range(8)) for v in range(256)]
+_ONE_BLOCK_PLANES = struct.Struct("<8H")
+
+
+class _Shapes(NamedTuple):
+    """What the AES staging helpers need for ``n`` blocks, built once."""
+    fields: struct.Struct        # 16 fields of 2n bytes: staging rows
+    blocks: struct.Struct        # n 16-byte blocks
+    plane_steps: tuple[tuple[int, int], ...]   # masks over n blocks
+
+
+@lru_cache(maxsize=64)
+def _shapes(n: int) -> _Shapes:
+    return _Shapes(struct.Struct(f"{2 * n}s" * 16), struct.Struct("16s" * n),
+                   tuple((shift, int.from_bytes(mask * n, "little"))
+                         for shift, mask in _PLANE_STEPS))
+
+
+def _byte_major(data: bytes) -> bytes:
+    """``data``, n 16-byte blocks, reordered so that byte j of block t
+    sits at ``n * j + t``.
+
+    With M = 16n - 1, output index k = nj + t must read input index
+    16t + j, which is 16k mod M (16n is 1 mod M) for every k < M, and
+    the last byte stays last.  Every 16th byte of ``data[:-1]`` repeated
+    16 times is exactly that sequence, so the reorder is two C-level
+    copies whatever n is.
+    """
+    return (data[:-1] * 16)[::16] + data[-1:]
 
 
 def aes_stage_rows(blocks: list[bytes]) -> list[int]:
@@ -60,53 +121,50 @@ def aes_stage_rows(blocks: list[bytes]) -> list[int]:
     high half, so an OR of rows c and c+8 yields the matrix fed to the
     transpose network.
     """
-    data = b"".join(blocks)
-    rows = []
-    for c in range(16):
-        field = bytearray(2 * len(blocks))
-        field[c >= 8::2] = data[_BYTE_AT[c]::16]
-        rows.append(int.from_bytes(field, "little"))
-    return rows
+    n = len(blocks)
+    if n == 1:                      # a serial chain's pass: each field
+        by_byte = blocks[0]         # is one byte of the block
+    else:
+        spread = bytearray(32 * n)  # one 2n-byte field per block byte
+        spread[::2] = _byte_major(b"".join(blocks))
+        by_byte = tuple(map(int.from_bytes, _shapes(n).fields.unpack(spread),
+                            repeat("little")))
+    return [*_LOW_ROWS(by_byte), *map(lshift, _HIGH_ROWS(by_byte), repeat(8))]
 
 
 def aes_unstage_rows(rows: list[int], count: int) -> list[bytes]:
     """The first ``count`` blocks of 16 staging rows of any width."""
+    if count == 1:                  # block byte j is in row _BYTE_AT[j]
+        by_byte = map(rshift, _REORDER(rows), _HALF_SHIFT)
+        return [bytes(map(and_, by_byte, repeat(0xFF)))]
+    nbytes = 2 * count
+    used = (1 << 8 * nbytes) - 1
     data = bytearray(16 * count)
-    used = (1 << 16 * count) - 1
-    for c, row in enumerate(rows):
-        field = (row & used).to_bytes(2 * count, "little")
-        data[_BYTE_AT[c]::16] = field[c >= 8::2]
-    return [bytes(data[16 * t:16 * t + 16]) for t in range(count)]
-
-
-# Delta swaps of the 8x8 bit-matrix transpose (Hacker's Delight 7-3),
-# as one 64-bit mask each, little-endian.
-_TRANSPOSE_STEPS = ((7, (0x00AA00AA00AA00AA).to_bytes(8, "little")),
-                    (14, (0x0000CCCC0000CCCC).to_bytes(8, "little")),
-                    (28, (0x00000000F0F0F0F0).to_bytes(8, "little")))
+    for column, half, row in zip(_COLUMN, _HALF, rows):
+        data[column] = (row & used).to_bytes(nbytes, "little")[half]
+    return list(_shapes(count).blocks.unpack(data))
 
 
 def aes_plane_rows(blocks: list[bytes]) -> list[int]:
     """Bit-sliced plane values: plane b, column 16t+c = bit b of the byte
     at tile column c of block t.
 
-    Every 8 reordered bytes form an 8x8 bit matrix, one byte per row;
-    after the transpose, byte b of each matrix holds bit b of its eight
-    bytes, so plane b is every eighth byte.  The swap masks repeat once
-    per matrix over the whole input, so every matrix of every lane is
-    transposed in place; masks of a fixed width would leave the blocks
-    past it untransposed.
+    After the byte transpose every 8 bytes form an 8x8 bit matrix, one
+    byte per row; after the bit transpose, byte b of each matrix holds
+    bit b of its eight bytes, so plane b is every eighth byte.  The swap
+    masks repeat once per block over the whole input, so every matrix of
+    every lane is transposed in place.
     """
-    joined = b"".join(blocks)
-    data = bytearray(len(joined))
-    for c in range(16):
-        data[c::16] = joined[_BYTE_AT[c]::16]
-    x = int.from_bytes(data, "little")
-    for shift, mask64 in _TRANSPOSE_STEPS:
-        mask = int.from_bytes(mask64 * (len(data) // 8), "little")
+    n = len(blocks)
+    if n == 1:                      # a serial chain's pass
+        fields = sum(map(lshift, map(_SPREAD.__getitem__,
+                                     _REORDER(blocks[0])), range(16)))
+        return list(_ONE_BLOCK_PLANES.unpack(fields.to_bytes(16, "little")))
+    x = int.from_bytes(b"".join(blocks), "little")
+    for shift, mask in _shapes(n).plane_steps:
         t = (x ^ (x >> shift)) & mask
         x ^= t ^ (t << shift)
-    data = x.to_bytes(len(data), "little")
+    data = x.to_bytes(16 * n, "little")
     return [int.from_bytes(data[b::8], "little") for b in range(8)]
 
 

@@ -18,8 +18,11 @@ place with two saved lanes per group.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
                           host_action)
+from ..fabric import LaneRows
 from ..isa import CommandWord, LogicKind
 from . import hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
@@ -220,10 +223,17 @@ def build_sha3_program(bits: int, nblocks: int,
 # Host actions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _rc_rows(lanes: int) -> LaneRows:
+    """The round-constant rows, each constant in all four segments of
+    every lane."""
+    return LaneRows([hostio.lane_value([rc] * 4) for rc in _RC], lanes)
+
+
 @host_action("sha3_init")
 def _init(sub, env):
     sub.write_rows(0, [0] * 25)
-    sub.write_rows(_RC0, [hostio.lane_value([rc] * 4) for rc in _RC])
+    sub.write_rows(_RC0, _rc_rows(sub.lanes))
     sub.write_row(_PAD, hostio.lane_value([env.get("pad_lane", 0)] * 4))
 
 
@@ -235,4 +245,4 @@ def _load_block(sub, env, index):
 
 @host_action("sha3_read_state")
 def _read_state(sub, env):
-    env["state_rows"] = [sub.read_row(i) for i in range(25)]
+    env["state_rows"] = sub.read_rows(0, 25)

@@ -33,6 +33,18 @@ replicated per lane count, which ``aes_load_keys`` caches in the call's
 env.  Every AES mode checks the key length, and CBC and CTR check that
 the IV or counter block is one block, raising ``ValueError``.
 
+Every public function takes its keys, IVs, nonces, AAD and messages as
+any bytes-like object (``bytes``, ``bytearray``, ``memoryview``, ...),
+converted to ``bytes`` once at entry, and returns ``bytes``.  Any other
+type, ``str`` and ``int`` included, raises ``TypeError``: an ``int`` is
+not read as a length, as ``bytes(5)`` would read it.
+
+Every run counts into the caller's
+:class:`~pimcrypt.controller.ExecutionStats` once, and nothing is
+counted when the caller passed none.  A serial chain (:func:`_cbc_mac`)
+runs all its single-block passes on one subarray and one env, and
+counts them with one merge.
+
 Each kernel family has one staging step, :meth:`_AesKey.stage`,
 :func:`_ghash_stage` and :func:`_sponge`, which returns the
 :func:`_controller` arguments of a run and a fresh env (the dict its
@@ -81,13 +93,18 @@ def _controller(kernel: str, *args) -> Controller:
 
 def _run(staged: tuple[tuple, dict], sub: Subarray,
          stats: ExecutionStats | None) -> dict:
-    """Run one staged (``_controller`` arguments, env) pair on ``sub``;
-    returns the env, which holds what the unload actions read out."""
+    """Run one staged (``_controller`` arguments, env) pair on ``sub``,
+    counted into ``stats`` if given; returns the env, which holds what
+    the unload actions read out."""
     args, env = staged
-    run = _controller(*args).run(sub, env)
-    if stats is not None:
-        stats.merge(run)
+    _controller(*args).run(sub, env, stats=stats)
     return env
+
+
+def _bytes(value) -> bytes:
+    """``value``, any bytes-like object, as ``bytes``; ``TypeError`` for
+    anything else, ``str`` and ``int`` included."""
+    return value if type(value) is bytes else bytes(memoryview(value))
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +175,32 @@ def _pad16(data: bytes) -> bytes:
 
 def ecb_crypt(key: bytes, data: bytes, direction: str = "encrypt",
               stats: ExecutionStats | None = None) -> bytes:
+    key, data = _bytes(key), _bytes(data)
     return b"".join(_aes_passes(_aes_key(key, direction),
                                 _split_blocks(data), None, None, stats))
 
 
 def _cbc_mac(k: _AesKey, iv: bytes, blocks: list[bytes],
              stats: ExecutionStats | None) -> list[bytes]:
-    """The CBC chain of ``blocks``: one single-block pass per block."""
+    """The CBC chain of ``blocks``: one single-block pass per block.
+
+    The passes share one one-lane subarray and one env: ``aes_load``
+    stages every row a pass reads, round keys included, before the pass
+    runs, and each pass sets its own block and chain block.  Every pass
+    counts the same statistics, so the chain adds them to ``stats`` with
+    one merge.
+    """
+    args, env = k.stage([], "pre", [])
+    ctrl = _controller(*args)
+    sub = Subarray(block_width=aes.BLOCK_WIDTH)
     out, prev = [], iv
     for block in blocks:
-        prev = _aes_passes(k, [block], "pre", [prev], stats)[0]
+        env["blocks"], env["chain_blocks"] = [block], [prev]
+        ctrl.run(sub, env)
+        prev = env["out_blocks"][0]
         out.append(prev)
+    if stats is not None and blocks:
+        stats.merge(ctrl.run_stats(sub, len(blocks)))
     return out
 
 
@@ -179,6 +211,7 @@ def _check_block(name: str, value: bytes) -> None:
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
+    key, iv, plaintext = _bytes(key), _bytes(iv), _bytes(plaintext)
     _check_block("CBC IV", iv)
     return b"".join(_cbc_mac(_aes_key(key, "encrypt"), iv,
                              _split_blocks(plaintext), stats))
@@ -186,6 +219,7 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
+    key, iv, ciphertext = _bytes(key), _bytes(iv), _bytes(ciphertext)
     _check_block("CBC IV", iv)
     ct = _split_blocks(ciphertext)
     return b"".join(_aes_passes(_aes_key(key, "decrypt"), ct, "post",
@@ -213,6 +247,7 @@ def _ctr(k: _AesKey, counter0: bytes, data: bytes,
 
 def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
               stats: ExecutionStats | None = None) -> bytes:
+    key, counter0, data = _bytes(key), _bytes(counter0), _bytes(data)
     _check_block("CTR counter block", counter0)
     return _ctr(_aes_key(key, "encrypt"), counter0, data, stats)
 
@@ -264,6 +299,7 @@ def _ccm_check(nonce: bytes, tag_len: int, msg_len: int) -> None:
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
+    key, nonce, aad, plaintext = map(_bytes, (key, nonce, aad, plaintext))
     _ccm_check(nonce, tag_len, len(plaintext))
     k = _aes_key(key, "encrypt")
     mac = _ccm_mac(k, nonce, aad, plaintext, tag_len, stats)
@@ -274,6 +310,7 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
+    key, nonce, aad, ciphertext = map(_bytes, (key, nonce, aad, ciphertext))
     _ccm_check(nonce, tag_len, len(ciphertext) - tag_len)
     k = _aes_key(key, "encrypt")
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
@@ -375,6 +412,7 @@ def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
 
 def ghash_digest(hash_key: bytes, data: bytes,
                  stats: ExecutionStats | None = None) -> bytes:
+    hash_key, data = _bytes(hash_key), _bytes(data)
     _check_block("GHASH hash key", hash_key)
     blocks = _split_blocks(data)
     return _ghash(hash_key, blocks, stats) if blocks else bytes(16)
@@ -429,6 +467,7 @@ def _gcm_tag(h: bytes, ej0: bytes, aad: bytes, ct: bytes,
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
+    key, iv, aad, plaintext = map(_bytes, (key, iv, aad, plaintext))
     _, h, _, ej0, ct = _gcm_start(key, iv, tag_len, plaintext, stats)
     return ct + _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
 
@@ -438,6 +477,7 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     """Checks the tag before any payload counter block runs, so a
     tampered input is never decrypted."""
+    key, iv, aad, ciphertext = map(_bytes, (key, iv, aad, ciphertext))
     k, h, j0, ej0, _ = _gcm_start(key, iv, tag_len, b"", stats)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
     expect = _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
@@ -498,6 +538,7 @@ def _lane_digest(state_rows: list[int], lane: int, nbytes: int) -> bytes:
 def sha3_digest_batch(bits: int, msgs: list[bytes],
                       stats: ExecutionStats | None = None) -> list[bytes]:
     """Hash up to four equal-block-count messages in one fabric run."""
+    msgs = [_bytes(m) for m in msgs]
     if not 1 <= len(msgs) <= SHA3_LANES:
         raise ValueError("1..4 messages per batch")
     return _absorb(bits, msgs, stats)
@@ -510,6 +551,7 @@ def sha3_digest(bits: int, msg: bytes,
 
 def hmac_sha3(bits: int, key: bytes, msg: bytes,
               stats: ExecutionStats | None = None) -> bytes:
+    key, msg = _bytes(key), _bytes(msg)
     rate = _rate(bits)
     if len(key) > rate:
         key = sha3_digest(bits, key, stats)

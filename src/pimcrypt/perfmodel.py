@@ -204,7 +204,7 @@ class KernelPass:
         for ctrl, env in self.runs():
             sub = Subarray(block_width=ctrl.program.block_width,
                            cost_model=cost)
-            stats.merge(ctrl.run(sub, env, trace=trace))
+            ctrl.run(sub, env, trace=trace, stats=stats)
         return stats
 
 

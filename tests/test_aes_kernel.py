@@ -49,13 +49,35 @@ def _stage_by_byte(blocks):
 
 
 def test_staging_matches_bit_loops(rng):
-    # past 16 blocks, block 16k + t is tile t of lane k
-    for n in [*range(18), 33, 100]:
+    # past 16 blocks, block 16k + t is tile t of lane k; 1024 blocks
+    # fill the 64 lanes of a lockstep run
+    for n in [*range(18), 33, 100, 1024]:
         blocks = [rng.randbytes(16) for _ in range(n)]
         staged = hostio.aes_stage_rows(blocks)
         assert hostio.aes_plane_rows(blocks) == _planes_by_bit(blocks)
         assert staged == _stage_by_byte(blocks)
         assert hostio.aes_unstage_rows(staged, n) == blocks
+    # one block at a time, as a serial chain stages them: every byte
+    # value at every tile column
+    for k in range(256):
+        block = bytes((k + 17 * j) % 256 for j in range(16))
+        staged = hostio.aes_stage_rows([block])
+        assert hostio.aes_plane_rows([block]) == _planes_by_bit([block])
+        assert staged == _stage_by_byte([block])
+        assert hostio.aes_unstage_rows(staged, 1) == [block]
+
+
+def test_unstaging_reads_only_its_blocks_and_halves(rng):
+    # Tiles past the count and the other byte of each row's fields, as
+    # a pass leaves them in the unused tiles, do not reach the output.
+    blocks = [rng.randbytes(16) for _ in range(20)]
+    noise = [rng.getrandbits(512) for _ in range(16)]
+    halves = [int.from_bytes(b"\xff\x00" * 32, "little") << 8 * (c < 8)
+              for c in range(16)]
+    rows = [row | extra & half for row, extra, half
+            in zip(hostio.aes_stage_rows(blocks), noise, halves)]
+    for count in (0, 1, 2, 17, 20):
+        assert hostio.aes_unstage_rows(rows, count) == blocks[:count]
 
 
 @pytest.mark.parametrize("klen", [16, 32])
@@ -161,7 +183,8 @@ def test_pass_cycles(variant, direction, rng):
     prog = aes.build_aes_program(variant, direction)
     env = dict(modes._key_env(rng.randbytes(variant // 8), direction))
     env["blocks"] = [rng.randbytes(16) for _ in range(16)]
-    stats = Controller(prog).run(Subarray(block_width=aes.BLOCK_WIDTH), env)
+    stats = Controller(prog).run(Subarray(block_width=aes.BLOCK_WIDTH), env,
+                                 stats=ExecutionStats())
     assert stats.cycles == GOLDEN_CYCLES[(variant, direction)]
 
 

@@ -1,9 +1,9 @@
 import pytest
 
 from pimcrypt.controller import (COMMAND_ARRAY_BYTES, Controller,
-                                 ControllerError, FunctionDescriptor,
-                                 HostAction, Invocation, KernelProgram,
-                                 StrideRule, host_action)
+                                 ControllerError, ExecutionStats,
+                                 FunctionDescriptor, HostAction, Invocation,
+                                 KernelProgram, StrideRule, host_action)
 from pimcrypt.fabric import (BlockWidthMismatch, PendingActivation, Subarray,
                              WindowRejected, compile_window)
 from pimcrypt.isa import CommandWord, LogicKind, Opcode
@@ -21,9 +21,25 @@ def test_copy_program():
                    [Invocation("Copy")])
     sub = Subarray()
     sub.write_row(0, 42)
-    stats = Controller(prog).run(sub)
+    stats = Controller(prog).run(sub, stats=ExecutionStats())
     assert sub.read_row(1) == 42
     assert stats.commands == 2 and stats.cycles == 2
+
+
+def test_a_run_counts_only_into_the_stats_it_is_given():
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1)]
+    ctrl = Controller(prog_of(cmds, {"Copy": FunctionDescriptor("Copy", 0, 2)},
+                              [Invocation("Copy", 3, 0)]))
+    assert ctrl.run(Subarray()) is None
+    trace = []
+    assert ctrl.run(Subarray(), trace=trace) is None and len(trace) == 6
+    stats = ExecutionStats()
+    assert ctrl.run(Subarray(), stats=stats) is stats
+    ctrl.run(Subarray(), trace=[], stats=stats)
+    assert stats.commands == 12 and stats.cycles == 12
+    assert stats.per_function["Copy"].invocations == 2
+    # what two runs count, without running them
+    assert ctrl.run_stats(Subarray(), 2) == stats
 
 
 def test_stride_rules_walk_rows():
@@ -102,7 +118,7 @@ def test_stats_per_function():
              CommandWord.wr_row(1)])
     fd = FunctionDescriptor("S", 0, 3)
     prog = prog_of(cmds, {"S": fd}, [Invocation("S", 5, 0)])
-    stats = Controller(prog).run(Subarray())
+    stats = Controller(prog).run(Subarray(), stats=ExecutionStats())
     fs = stats.per_function["S"]
     assert fs.invocations == 1 and fs.iterations == 5
     assert fs.commands == 15 and fs.cycles == 5 * (3 + 2)

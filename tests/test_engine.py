@@ -51,7 +51,8 @@ def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
     stats, error = None, None
     try:
         stats = Controller(prog).run(sub, env,
-                                     trace=[] if reference else None)
+                                     trace=[] if reference else None,
+                                     stats=ExecutionStats())
     except Exception as exc:   # the type is what both engines must share
         error = type(exc)
     return (error, stats, sub.grid, sub.sa_latch, sub.pending_row,
@@ -133,7 +134,8 @@ def test_static_stats_equal_the_reference_stats(cost, lanes, references):
     # a random grid are those a traced run on any grid counts.
     for ctrl, env, reference in references[cost, lanes]:
         width = ctrl.program.block_width
-        static = ctrl.run(Subarray(width, cost, lanes), dict(env))
+        static = ctrl.run(Subarray(width, cost, lanes), dict(env),
+                          stats=ExecutionStats())
         assert static == reference[1], ctrl.program.name
 
 

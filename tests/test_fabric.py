@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pimcrypt.fabric import (COLS, BlockWidthMismatch, CompiledRun,
-                             CycleCostModel, EXT_ROW, PendingActivation,
-                             RowOutOfRange, Subarray, UnsupportedOption,
-                             compile_window)
+                             CycleCostModel, EXT_ROW, LaneRows,
+                             PendingActivation, RowOutOfRange, Subarray,
+                             UnsupportedOption, compile_window)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind
 
 row_values = st.integers(0, (1 << 256) - 1)
@@ -175,6 +175,43 @@ def test_write_rows_during_a_pending_activation():
     with pytest.raises(PendingActivation):
         sub.write_rows(0, [1, 2])
     assert sub.grid == [0] * 128
+
+
+def test_read_rows_is_read_row_per_row():
+    sub = Subarray(lanes=2)
+    sub.write_rows(124, [-1, 5, 1 << 300, 3])
+    assert sub.read_rows(124, 4) == [sub.read_row(124 + i) for i in range(4)]
+    assert sub.read_rows(0, 0) == [] and sub.read_rows(0, 128) == sub.grid
+
+
+@pytest.mark.parametrize("first,count",
+                         [(-1, 1), (126, 3), (128, 1), (0, -1)])
+def test_read_rows_checks_the_whole_range(first, count):
+    with pytest.raises(RowOutOfRange):
+        Subarray().read_rows(first, count)
+
+
+def test_read_rows_during_a_pending_activation():
+    sub = Subarray()
+    sub.execute(CommandWord.act_row(3))
+    with pytest.raises(PendingActivation):
+        sub.read_rows(0, 2)
+
+
+def test_lane_rows_are_written_as_a_masked_replicated_write():
+    values = [-1, 1 << 600, 7]
+    for lanes in (1, 3):
+        rows = LaneRows(values, lanes)
+        assert rows.lanes == lanes and len(rows) == 3
+        sub, ref = Subarray(lanes=lanes), Subarray(lanes=lanes)
+        sub.write_rows(10, rows)
+        fill = sum(1 << 256 * k for k in range(lanes))
+        ref.write_rows(10, [(v & (1 << 256) - 1) * fill for v in values])
+        assert sub.grid == ref.grid
+    # Rows built for another lane count are masked like any values.
+    sub = Subarray(lanes=1)
+    sub.write_rows(0, LaneRows([-1], 2))
+    assert sub.read_row(0) == (1 << 256) - 1
 
 
 def test_compiled_run_must_match_lanes_and_cost():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from pimcrypt import oracle
+from pimcrypt import controller, oracle
+from pimcrypt.fabric import Subarray
 from pimcrypt.isa import Opcode
 from pimcrypt.kernels import keccak, modes
 
@@ -67,3 +68,11 @@ def test_permute_function_count():
 def test_constants_match_oracle():
     # Same published standard, independently transcribed.
     assert keccak.RATE_BYTES == oracle.SHA3_RATES
+
+
+def test_init_stages_the_round_constants_in_every_lane():
+    sub = Subarray(block_width=keccak.BLOCK_WIDTH, lanes=3)
+    controller.HOST_ACTIONS["sha3_init"](sub, {})
+    rc0 = keccak.SHA3_LAYOUT.row("rc", 0)
+    for row, rc in zip(sub.read_rows(rc0, 24), keccak._RC):
+        assert row == sum(rc << 64 * s for s in range(12))

@@ -4,7 +4,7 @@ import pytest
 
 from pimcrypt import oracle
 from pimcrypt.controller import ExecutionStats
-from pimcrypt.kernels import modes
+from pimcrypt.kernels import aes, modes
 from pimcrypt.kernels.modes import TagMismatch
 
 
@@ -78,16 +78,28 @@ def test_tamper_detection(rng):
 
 
 def test_stats_accumulate(rng):
-    stats = ExecutionStats()
-    modes.cbc_encrypt(rng.randbytes(16), rng.randbytes(16),
-                      rng.randbytes(32), stats=stats)
-    assert stats.cycles > 0 and stats.commands > 0
-    # serial chaining: one pass per block
-    two_block = stats.cycles
-    stats2 = ExecutionStats()
-    modes.cbc_encrypt(rng.randbytes(16), rng.randbytes(16),
-                      rng.randbytes(64), stats=stats2)
-    assert stats2.cycles == 2 * two_block
+    # Serial chaining is one pass per block, and each pass counts into
+    # the caller's stats once: one block adds its program's schedule
+    # once, and n blocks add exactly n one-block calls.
+    for klen in (16, 32):
+        key, iv = rng.randbytes(klen), rng.randbytes(16)
+        one = ExecutionStats()
+        modes.cbc_encrypt(key, iv, rng.randbytes(16), stats=one)
+        prog = aes.build_aes_program(8 * klen, "encrypt", "pre")
+        assert set(one.per_function) == set(prog.functions)
+        for name, fs in one.per_function.items():
+            runs = [inv for inv in prog.schedule if inv.function == name]
+            iterations = sum(inv.iterations for inv in runs)
+            assert (fs.invocations, fs.iterations, fs.commands) == (
+                len(runs), iterations,
+                iterations * prog.functions[name].count)
+        for n in (2, 5):
+            stats = ExecutionStats()
+            modes.cbc_encrypt(key, iv, rng.randbytes(16 * n), stats=stats)
+            expect = ExecutionStats()
+            for _ in range(n):
+                expect.merge(one)
+            assert stats == expect
 
 
 def test_ghash_of_empty_input_is_zero():
@@ -428,3 +440,55 @@ def test_ccm_rejects_a_ciphertext_shorter_than_its_tag():
     assert modes.ccm_decrypt(key, nonce, b"", sealed) == b""
     with pytest.raises(TagMismatch):
         modes.ccm_decrypt(key, nonce, b"", sealed[:-1])
+
+
+def _bytes_args():
+    """Every public function of ``modes`` with valid arguments, the
+    positions of its bytes-like ones, and its output on ``bytes``."""
+    key, key32 = bytes(range(16)), bytes(range(32))
+    iv, block = bytes(16), bytes(range(1, 17))
+    msg, aad = bytes(range(40)), b"header"
+    ccm = modes.ccm_encrypt(key, bytes(13), aad, msg)
+    gcm = modes.gcm_encrypt(key32, bytes(12), aad, msg)
+    return {
+        "ecb_crypt": ((key, block * 2), (0, 1)),
+        "cbc_encrypt": ((key, iv, block * 2), (0, 1, 2)),
+        "cbc_decrypt": ((key, iv, block * 2), (0, 1, 2)),
+        "ctr_crypt": ((key, block, msg), (0, 1, 2)),
+        "ccm_encrypt": ((key, bytes(13), aad, msg), (0, 1, 2, 3)),
+        "ccm_decrypt": ((key, bytes(13), aad, ccm), (0, 1, 2, 3)),
+        "gcm_encrypt": ((key32, bytes(12), aad, msg), (0, 1, 2, 3)),
+        "gcm_decrypt": ((key32, bytes(12), aad, gcm), (0, 1, 2, 3)),
+        "ghash_digest": ((block, msg[:32]), (0, 1)),
+        "sha3_digest": ((256, msg), (1,)),
+        "hmac_sha3": ((256, key, msg), (1, 2)),
+    }
+
+
+_BYTES_ARGS = _bytes_args()
+
+
+@pytest.mark.parametrize("name", sorted(set(modes.__all__) - {"TagMismatch"}))
+def test_bytes_like_arguments(name):
+    # Any bytes-like value is read as its bytes; str is no bytes-like
+    # value, and an int is not read as a length.
+    fn = getattr(modes, name)
+    args, where = _BYTES_ARGS[name]
+    want = fn(*args)
+    assert type(want) is bytes
+    for kind in (bytearray, memoryview):
+        got = fn(*(kind(a) if i in where else a for i, a in enumerate(args)))
+        assert type(got) is bytes and got == want, kind
+    for i in where:
+        for bad in (args[i].hex(), len(args[i])):
+            with pytest.raises(TypeError):
+                fn(*(bad if j == i else a for j, a in enumerate(args)))
+
+
+def test_sha3_digest_batch_takes_bytes_like_messages():
+    msgs = [b"abc", bytes(100)]      # one 136-byte block each
+    want = modes.sha3_digest_batch(256, msgs)
+    assert modes.sha3_digest_batch(
+        256, [bytearray(msgs[0]), memoryview(msgs[1])]) == want
+    with pytest.raises(TypeError):
+        modes.sha3_digest_batch(256, ["abc"])
