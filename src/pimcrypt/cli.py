@@ -81,8 +81,6 @@ def cmd_encrypt(args, decrypt: bool = False) -> int:
     verify = not args.no_verify
     mode = args.mode
     direction = "decrypt" if decrypt else "encrypt"
-    if mode in ("ecb", "cbc") and len(data) % 16:
-        raise CliError("input must be a multiple of 16 bytes", USAGE_ERROR)
     try:
         if mode == "ecb":
             out = modes.ecb_crypt(key, data, direction)

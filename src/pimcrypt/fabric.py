@@ -63,6 +63,7 @@ from .isa import (BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, decode,
 __all__ = [
     "ROWS",
     "COLS",
+    "SUBARRAYS",
     "EXT_ROW",
     "FabricError",
     "RowOutOfRange",
@@ -84,6 +85,9 @@ __all__ = [
 ROWS = 128
 COLS = 256
 EXT_ROW = 127
+# The modeled 256 KiB SRAM in ROWS x COLS (4 KiB) subarrays, all driven
+# by one controller's command stream.
+SUBARRAYS = 256 * 1024 * 8 // (ROWS * COLS)
 
 _ROW_MASK = (1 << COLS) - 1
 

@@ -254,6 +254,11 @@ def expand_key_words(key: bytes) -> list[bytes]:
             for r in range(rounds + 1)]
 
 
+# AES-256 loads its first 8 round keys, then reloads the key region with
+# the other 7 before round 8's AddRoundKey.
+_FIRST_LOAD = 8
+
+
 def build_aes_program(variant: int, direction: str,
                       chain: str | None = None) -> KernelProgram:
     """Build the per-pass program.
@@ -279,9 +284,10 @@ def build_aes_program(variant: int, direction: str,
     })
 
     def ark(round_no: int) -> Invocation:
-        # AES-256 reloads the key region after round 7's key is consumed,
-        # so its stride numbering restarts; AES-128 keys fit resident.
-        base = round_no if variant == 128 or round_no < 8 else round_no - 8
+        # AES-256's stride numbering restarts at the reload; AES-128
+        # keys fit resident.
+        base = (round_no if variant == 128 or round_no < _FIRST_LOAD
+                else round_no - _FIRST_LOAD)
         return Invocation("AddRoundKey", 1, base)
 
     # The straight inverse cipher only reorders a round's body; its keys
@@ -296,8 +302,8 @@ def build_aes_program(variant: int, direction: str,
     for r in range(1, rounds + 1):
         for name in body:
             if name == "AddRoundKey":
-                if variant == 256 and r == 8:
-                    reload_pos = len(schedule)   # before round 8's ARK
+                if variant == 256 and r == _FIRST_LOAD:
+                    reload_pos = len(schedule)
                 schedule.append(ark(r))
             elif name != "MixColumns" or r < rounds:   # last round: none
                 schedule.append(Invocation(name))
@@ -330,6 +336,20 @@ def key_rows(round_keys: list[bytes]) -> list[int]:
     planes = hostio.aes_plane_rows(round_keys)     # key r in tile r
     return [(plane >> 16 * r & 0xFFFF) * _EVERY_TILE
             for r in range(len(round_keys)) for plane in planes]
+
+
+def _key_env(key: bytes, direction: str) -> dict:
+    """One call's round-key rows in load order, split at AES-256's key
+    reload, and an empty cache that ``aes_load_keys`` fills with them
+    replicated per lane count; built per call, so no key material
+    outlives it."""
+    words = expand_key_words(key)
+    if direction == "decrypt":
+        words = words[::-1]
+    if len(key) == 16:
+        return {"key_rows": key_rows(words), "lane_key_rows": {}}
+    return {"key_rows": key_rows(words[:_FIRST_LOAD]),
+            "key_rows2": key_rows(words[_FIRST_LOAD:]), "lane_key_rows": {}}
 
 
 # The staging rows, the mask rows (tmask then srmask) and the chain rows

@@ -2,21 +2,23 @@
 
 These run on the host port (zero fabric cycles) and model the DMA engine
 plus whatever register shuffling the MCU does for free while staging
-data.  Column conventions:
+data.  Each row layout is implemented in one module:
 
-* AES: tile ``t`` owns columns ``16t .. 16t+15``.  Block ``t`` of a
-  list goes to tile ``t``, so on a subarray with lanes, block ``16k + t``
-  lands in tile ``t`` of lane ``k`` (columns ``256k + 16t ..``).  Within
-  a tile the fabric byte order is row-major over the AES state: block
-  byte ``j`` (state byte ``s[j mod 4, j div 4]``) sits at tile column
-  ``4(j mod 4) + j div 4``, a map that is its own inverse.  Staging row
-  ``c`` holds the byte of tile column ``c``, LSB-first in an 8-column
-  field; sliced planes put bit ``b`` of that byte at column ``16t + c``
-  of plane row ``b``.
-* SHA3: lane segment ``s`` owns columns ``64s .. 64s+63``, lane bit ``z``
-  at column ``64s + z``.
-* GHASH: block bit ``x_i`` (MSB-first across the block) at column ``i``.
-* Lanes: on a subarray with lanes, lane ``k`` owns columns
+* AES blocks, here: tile ``t`` owns columns ``16t .. 16t+15``.  Block
+  ``t`` of a list goes to tile ``t``, so on a subarray with lanes, block
+  ``16k + t`` lands in tile ``t`` of lane ``k`` (columns ``256k + 16t
+  ..``).  Within a tile the fabric byte order is row-major over the AES
+  state: block byte ``j`` (state byte ``s[j mod 4, j div 4]``) sits at
+  tile column ``4(j mod 4) + j div 4``, a map that is its own inverse.
+  Staging row ``c`` holds the byte of tile column ``c``, LSB-first in an
+  8-column field; sliced planes put bit ``b`` of that byte at column
+  ``16t + c`` of plane row ``b``.
+* AES round-key rows and AES-256's key split, in ``aes``.
+* SHA3's 64-bit row segments, in ``keccak``; :func:`lanes_from_value`
+  here splits a row into them for readers outside the kernels.
+* GHASH, in ``ghash``: block bit ``x_i`` (MSB-first across the block) at
+  column ``i``.
+* Lanes, here: on a subarray with lanes, lane ``k`` owns columns
   ``256k .. 256k+255`` of every row; :func:`lanes_to_row` joins one
   256-column value per lane into a row and :func:`row_to_lanes` splits
   it again.
@@ -31,7 +33,7 @@ from operator import and_, itemgetter, lshift, rshift
 from typing import NamedTuple
 
 __all__ = ["aes_stage_rows", "aes_unstage_rows", "aes_plane_rows",
-           "lane_value", "lanes_from_value", "lanes_to_row", "row_to_lanes"]
+           "lanes_from_value", "lanes_to_row", "row_to_lanes"]
 
 _LANE_BYTES = 32    # 256 columns per subarray lane
 
@@ -81,10 +83,6 @@ _PLANE_STEPS = ((48, bytes(0xFF if k in (2, 3, 6, 7) else 0
                 (7, (0x00AA00AA00AA00AA).to_bytes(8, "little") * 2),
                 (14, (0x0000CCCC0000CCCC).to_bytes(8, "little") * 2),
                 (28, (0x00000000F0F0F0F0).to_bytes(8, "little") * 2))
-# One block's planes as 16-bit fields of one int: byte value v at tile
-# column c adds _SPREAD[v] << c, bit b of v landing in plane b's field.
-_SPREAD = [sum((v >> b & 1) << 16 * b for b in range(8)) for v in range(256)]
-_ONE_BLOCK_PLANES = struct.Struct("<8H")
 
 
 class _Shapes(NamedTuple):
@@ -156,10 +154,6 @@ def aes_plane_rows(blocks: list[bytes]) -> list[int]:
     every lane is transposed in place.
     """
     n = len(blocks)
-    if n == 1:                      # a serial chain's pass
-        fields = sum(map(lshift, map(_SPREAD.__getitem__,
-                                     _REORDER(blocks[0])), range(16)))
-        return list(_ONE_BLOCK_PLANES.unpack(fields.to_bytes(16, "little")))
     x = int.from_bytes(b"".join(blocks), "little")
     for shift, mask in _shapes(n).plane_steps:
         t = (x ^ (x >> shift)) & mask
@@ -170,13 +164,6 @@ def aes_plane_rows(blocks: list[bytes]) -> list[int]:
 
 # -- SHA3 --------------------------------------------------------------------
 
-def lane_value(segments: list[int]) -> int:
-    """Pack up to four 64-bit lane values into one row."""
-    value = 0
-    for s, lane in enumerate(segments):
-        value |= (lane & ((1 << 64) - 1)) << (64 * s)
-    return value
-
-
 def lanes_from_value(value: int) -> list[int]:
+    """The four 64-bit segments of a SHA3 row, as ``keccak`` packs them."""
     return [(value >> (64 * s)) & ((1 << 64) - 1) for s in range(4)]

@@ -2,7 +2,8 @@
 
 Lane-per-row layout: lane ``A[x,y]`` lives in row ``5y + x``, packed as
 four 64-bit segments so four independent states run side by side
-(block width 64 keeps every shift lane-confined).  Rows:
+(block width 64 keeps every shift lane-confined), packed and read only
+here (:func:`_stage_blocks`, :func:`_digests`).  Rows:
 
 * 0..24    state lanes
 * 25..31   theta parity lanes / rotation work rows (chi reuses them)
@@ -18,13 +19,14 @@ place with two saved lanes per group.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
+from itertools import repeat
 
 from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
                           host_action)
-from ..fabric import LaneRows
+from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
-from . import hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
 __all__ = ["SHA3_LAYOUT", "build_sha3_program", "gen_theta", "gen_rho_pi",
@@ -39,6 +41,8 @@ SHA3_LAYOUT = LayoutMap({
 })
 
 BLOCK_WIDTH = 64
+# Sponges side by side: one per 64-bit segment of a row.
+SHA3_LANES = COLS // BLOCK_WIDTH
 
 RATE_BYTES = {224: 144, 256: 136, 384: 104, 512: 72}
 
@@ -223,24 +227,47 @@ def build_sha3_program(bits: int, nblocks: int,
 # Host actions
 # ---------------------------------------------------------------------------
 
+def _stage_blocks(msgs: list[bytes], rate: int) -> list[list[int]]:
+    """The rows of each ``rate``-byte block of 1..4 messages of one
+    length: 64-bit little-endian word ``w`` of ``msgs[s]`` in segment
+    ``s`` of row ``w``, unused segments repeating the first message."""
+    msgs = msgs + msgs[:1] * (SHA3_LANES - len(msgs))
+    data = bytearray(SHA3_LANES * len(msgs[0]))
+    words = memoryview(data).cast("Q")
+    for s, msg in enumerate(msgs):      # one C-level copy per segment
+        words[s::SHA3_LANES] = memoryview(msg).cast("Q")
+    rows = list(map(int.from_bytes, struct.unpack(
+        f"{COLS // 8}s" * (len(data) * 8 // COLS), data), repeat("little")))
+    return [rows[i:i + rate // 8] for i in range(0, len(rows), rate // 8)]
+
+
+def _digests(state_rows: list[int], bits: int, count: int) -> list[bytes]:
+    """The ``bits``-bit digests of the first ``count`` sponges, read from
+    the state rows that hold them."""
+    data = b"".join(r.to_bytes(COLS // 8, "little")
+                    for r in state_rows[:-(-bits // 64)])
+    words = memoryview(data).cast("Q")
+    return [bytes(words[s::SHA3_LANES])[:bits // 8] for s in range(count)]
+
+
 @lru_cache(maxsize=None)
 def _rc_rows(lanes: int) -> LaneRows:
-    """The round-constant rows, each constant in all four segments of
-    every lane."""
-    return LaneRows([hostio.lane_value([rc] * 4) for rc in _RC], lanes)
+    """The round-constant rows, each constant in every segment."""
+    constants = b"".join(rc.to_bytes(8, "little") for rc in _RC)
+    return LaneRows(_stage_blocks([constants], len(constants))[0], lanes)
 
 
 @host_action("sha3_init")
 def _init(sub, env):
     sub.write_rows(0, [0] * 25)
     sub.write_rows(_RC0, _rc_rows(sub.lanes))
-    sub.write_row(_PAD, hostio.lane_value([env.get("pad_lane", 0)] * 4))
+    pad = bytes([env.get("pad_byte", 0)]) * 8
+    sub.write_row(_PAD, _stage_blocks([pad], 8)[0][0])
 
 
 @host_action("sha3_load_block")
 def _load_block(sub, env, index):
-    rows = env["blocks"][index]      # already packed row values
-    sub.write_rows(_STAGE0, rows + [0] * (18 - len(rows)))
+    sub.write_rows(_STAGE0, env["blocks"][index])
 
 
 @host_action("sha3_read_state")

@@ -6,12 +6,18 @@ each kernel program expects.  Every block-cipher invocation, Keccak
 permutation and GF(2^128) multiply runs on the simulated fabric; only
 byte shuffling happens here.
 
+No row layout is known here: this module hands bytes to ``aes``,
+``ghash`` and ``keccak`` and gets bytes back.  The AES block byte order
+lives in ``hostio``, the round-key rows and AES-256's key split in
+``aes``, SHA3's 64-bit row segments in ``keccak`` and the GHASH bit
+order in ``ghash``.
+
 Independent AES blocks (ECB, CBC decryption, CTR and GCM's CTR) fill
-16-block passes, and up to :data:`LOCKSTEP_LANES` passes of one call run
-in lockstep as the lanes of one wide subarray: one controller run
-drives them all, as the modeled controller drives every compute
-subarray with one command stream.  Modeled commands and cycles still
-count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC, the
+16-block passes, and up to :data:`~pimcrypt.fabric.SUBARRAYS` passes of
+one call run in lockstep as the lanes of one wide subarray: one
+controller run drives them all, as the modeled controller drives every
+compute subarray with one command stream.  Modeled commands and cycles
+still count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC, the
 SHA3 absorb) run one pass at a time on one lane; a chained AES block
 uses tile 0 only — the fabric cannot parallelize a dependency chain,
 though independent streams could still share the other tiles.
@@ -30,8 +36,9 @@ run over the MAC and the payload.
 The round-key rows are expanded and staged once per call and dropped
 with it, so no key material outlives the call; so are their copies
 replicated per lane count, which ``aes_load_keys`` caches in the call's
-env.  Every AES mode checks the key length, and CBC and CTR check that
-the IV or counter block is one block, raising ``ValueError``.
+env.  Every AES mode rejects a key that is not 16 or 32 bytes (the key
+expansion checks it), and CBC and CTR check that the IV or counter
+block is one block, raising ``ValueError``.
 
 Every public function takes its keys, IVs, nonces, AAD and messages as
 any bytes-like object (``bytes``, ``bytearray``, ``memoryview``, ...),
@@ -60,18 +67,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ..controller import Controller, ExecutionStats
-from ..fabric import Subarray
-from . import aes, ghash, hostio, keccak
+from ..fabric import SUBARRAYS, Subarray
+from . import aes, ghash, keccak
 
 __all__ = ["TagMismatch", "ecb_crypt", "cbc_encrypt", "cbc_decrypt",
            "ctr_crypt", "ccm_encrypt", "ccm_decrypt", "gcm_encrypt",
            "gcm_decrypt", "ghash_digest", "sha3_digest", "hmac_sha3"]
 
 AES_BLOCKS_PER_PASS = 16
-SHA3_LANES = 4
-# Compute subarrays behind the controller: 256 KiB of SRAM in 4 KiB
-# subarrays (``perfmodel.FabricConfig().active_subarrays``).
-LOCKSTEP_LANES = 64
 
 
 class TagMismatch(Exception):
@@ -128,30 +131,15 @@ class _AesKey(NamedTuple):
         return ("aes", self.variant, self.direction, chain), env
 
 
-def _key_env(key: bytes, direction: str) -> dict:
-    """Staged round-key rows, built per call so no key material outlives
-    it, with an empty cache that ``aes_load_keys`` fills with the rows
-    replicated per lane count, shared by every run of the call."""
-    words = aes.expand_key_words(key)
-    if direction == "decrypt":
-        words = words[::-1]
-    if len(key) == 16:
-        return {"key_rows": aes.key_rows(words), "lane_key_rows": {}}
-    return {"key_rows": aes.key_rows(words[:8]),
-            "key_rows2": aes.key_rows(words[8:]), "lane_key_rows": {}}
-
-
 def _aes_key(key: bytes, direction: str) -> _AesKey:
-    if len(key) not in (16, 32):
-        raise ValueError(f"AES key must be 16 or 32 bytes, got {len(key)}")
-    return _AesKey(len(key) * 8, direction, _key_env(key, direction))
+    return _AesKey(len(key) * 8, direction, aes._key_env(key, direction))
 
 
 def _aes_passes(k: _AesKey, blocks: list[bytes], chain: str | None,
                 chain_blocks: list[bytes] | None,
                 stats: ExecutionStats | None) -> list[bytes]:
-    """Run ``blocks`` through AES, up to LOCKSTEP_LANES passes per run."""
-    per_run = AES_BLOCKS_PER_PASS * LOCKSTEP_LANES
+    """Run ``blocks`` through AES, up to SUBARRAYS passes per run."""
+    per_run = AES_BLOCKS_PER_PASS * SUBARRAYS
     out: list[bytes] = []
     for off in range(0, len(blocks), per_run):
         run = blocks[off:off + per_run]
@@ -510,15 +498,10 @@ def _sponge(bits: int, msgs: list[bytes],
     padded = [keccak.pad_sha3(m, rate) for m in msgs]
     if len(set(map(len, padded))) != 1:
         raise ValueError("batched messages must pad to equal block counts")
-    padded += [padded[0]] * (SHA3_LANES - len(padded))
-    blocks = [[hostio.lane_value([int.from_bytes(p[off:off + 8], "little")
-                                  for p in padded])
-               for off in range(b, b + rate, 8)]
-              for b in range(0, len(padded[0]), rate)]
-    env = {"blocks": blocks}
+    env = {"blocks": keccak._stage_blocks(padded, rate)}
     if pad_byte is not None:
-        env["pad_lane"] = int.from_bytes(bytes([pad_byte] * 8), "little")
-    return ("sha3", bits, len(blocks), pad_byte is not None), env
+        env["pad_byte"] = pad_byte
+    return ("sha3", bits, len(env["blocks"]), pad_byte is not None), env
 
 
 def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
@@ -526,20 +509,14 @@ def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
     """The digests of ``msgs``, absorbed by one ``_sponge`` run."""
     env = _run(_sponge(bits, msgs, pad_byte),
                Subarray(block_width=keccak.BLOCK_WIDTH), stats)
-    return [_lane_digest(env["state_rows"], i, bits // 8)
-            for i in range(len(msgs))]
-
-
-def _lane_digest(state_rows: list[int], lane: int, nbytes: int) -> bytes:
-    lanes = [hostio.lanes_from_value(r)[lane] for r in state_rows[:25]]
-    return b"".join(v.to_bytes(8, "little") for v in lanes)[:nbytes]
+    return keccak._digests(env["state_rows"], bits, len(msgs))
 
 
 def sha3_digest_batch(bits: int, msgs: list[bytes],
                       stats: ExecutionStats | None = None) -> list[bytes]:
     """Hash up to four equal-block-count messages in one fabric run."""
     msgs = [_bytes(m) for m in msgs]
-    if not 1 <= len(msgs) <= SHA3_LANES:
+    if not 1 <= len(msgs) <= keccak.SHA3_LANES:
         raise ValueError("1..4 messages per batch")
     return _absorb(bits, msgs, stats)
 

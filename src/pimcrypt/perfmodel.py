@@ -37,7 +37,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .controller import Controller, ExecutionStats, FunctionStats
-from .fabric import CycleCostModel, Subarray
+from .fabric import SUBARRAYS, CycleCostModel, Subarray
 from .kernels import keccak, modes
 
 __all__ = ["PowerMode", "POWER_MODES", "FabricConfig", "KernelMeasurement",
@@ -64,8 +64,6 @@ POWER_MODES = {
     "sleep": PowerMode("SLEEP", 2e6, 1.8, 230e-6),
 }
 
-SUBARRAY_BITS = 128 * 256
-SRAM_BYTES = 256 * 1024
 # Relative tolerance of every calibrated throughput cell.
 THROUGHPUT_TOLERANCE = 0.05
 
@@ -78,7 +76,7 @@ class FabricConfig:
 
     @property
     def active_subarrays(self) -> float:
-        return (SRAM_BYTES * 8 // SUBARRAY_BITS) * self.isc_fraction
+        return SUBARRAYS * self.isc_fraction
 
     def cal(self, family: str) -> float:
         return self.calibration.get(family, 1.0)
@@ -243,9 +241,9 @@ def kernel_passes() -> dict[str, KernelPass]:
                 "aes", 256, partial(_aes_runs, variant, direction))
     for bits, rate in keccak.RATE_BYTES.items():
         passes[f"sha3-{bits}"] = KernelPass(
-            "sha3", modes.SHA3_LANES * 3 * rate, partial(_sha3_runs, bits))
+            "sha3", keccak.SHA3_LANES * 3 * rate, partial(_sha3_runs, bits))
         passes[f"hmac-sha3-{bits}"] = KernelPass(
-            "sha3", modes.SHA3_LANES * rate, partial(_hmac_runs, bits))
+            "sha3", keccak.SHA3_LANES * rate, partial(_hmac_runs, bits))
     passes["ghash"] = KernelPass("ghash", 128, _ghash_runs)
     return passes
 
@@ -402,56 +400,42 @@ def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
     run0 = POWER_MODES["run0"]
     per_mode = mode_cycles(ms)
 
-    # throughput tables, calibrated, all fractions
-    for frac, cells in PAPER["aes_throughput"].items():
-        config = FabricConfig(isc_fraction=frac, calibration=cal)
-        for key, target in cells.items():
-            m = per_mode[key]
-            rows.append(ReportRow(
-                "aes throughput (MB/s)",
-                f"aes-{key[0]}-{key[1]}-{key[2]} @{int(frac*100)}%",
-                throughput(m, config, run0) / 1e6, target,
-                THROUGHPUT_TOLERANCE))
-    for frac, cells in PAPER["sha3_throughput"].items():
-        config = FabricConfig(isc_fraction=frac, calibration=cal)
-        for bits, target in cells.items():
-            rows.append(ReportRow(
-                "sha3 throughput (MB/s)", f"sha3-{bits} @{int(frac*100)}%",
-                throughput(ms[f"sha3-{bits}"], config, run0) / 1e6,
-                target, THROUGHPUT_TOLERANCE))
-    for frac, cells in PAPER["hmac_throughput"].items():
-        config = FabricConfig(isc_fraction=frac, calibration=cal)
-        for bits, target in cells.items():
-            rows.append(ReportRow(
-                "hmac throughput (MB/s)", f"hmac-{bits} @{int(frac*100)}%",
-                throughput(ms[f"hmac-sha3-{bits}"], config, run0) / 1e6,
-                target, THROUGHPUT_TOLERANCE))
+    # throughput tables, calibrated, all fractions: cell key -> kernel
+    sizes = keccak.RATE_BYTES
+    for table, kernels in (
+            ("aes", {key: ("aes-%d-%s-%s" % key, m)
+                     for key, m in per_mode.items()}),
+            ("sha3", {b: (f"sha3-{b}", ms[f"sha3-{b}"]) for b in sizes}),
+            ("hmac", {b: (f"hmac-{b}", ms[f"hmac-sha3-{b}"]) for b in sizes})):
+        for frac, cells in PAPER[f"{table}_throughput"].items():
+            config = FabricConfig(isc_fraction=frac, calibration=cal)
+            for key, target in cells.items():
+                label, m = kernels[key]
+                rows.append(ReportRow(
+                    f"{table} throughput (MB/s)", f"{label} @{int(frac*100)}%",
+                    throughput(m, config, run0) / 1e6, target,
+                    THROUGHPUT_TOLERANCE))
 
     # Energy tables isolate the power model: the throughput feeding them
     # is pinned to the corresponding published cell with its own scalar,
     # so a residual family-calibration error is not double-counted here.
-    e128, s256 = ms["aes-128-encrypt"], ms["sha3-256"]
-    aes_exact = {"aes": _exact_calibration(
-        e128, PAPER["aes_throughput"][1.0][(128, "encrypt", "cbc")])}
-    sha3_exact = {"sha3": _exact_calibration(
-        s256, PAPER["sha3_throughput"][1.0][256])}
+    energy = (("aes-128-cbc", ms["aes-128-encrypt"],
+               PAPER["aes_throughput"][1.0][(128, "encrypt", "cbc")],
+               PAPER["aes_power_factor"], 0.01),
+              ("sha3-256", ms["sha3-256"],
+               PAPER["sha3_throughput"][1.0][256], 1.0, 0.06))
     for frac in (0.25, 0.5, 1.0):
         for mname, mode in POWER_MODES.items():
-            config = FabricConfig(isc_fraction=frac, calibration=aes_exact,
-                                  isc_power_factor=PAPER["aes_power_factor"])
-            tput = throughput(e128, config, mode)
-            rows.append(ReportRow(
-                "aes-128-cbc efficiency (GB/s/W)",
-                f"@{int(frac*100)}% {mode.name}",
-                energy_efficiency(tput, mode, config) / 1e9,
-                PAPER["aes_energy"][frac][mname], 0.01))
-            config = FabricConfig(isc_fraction=frac, calibration=sha3_exact)
-            tput = throughput(s256, config, mode)
-            rows.append(ReportRow(
-                "sha3-256 efficiency (GB/s/W)",
-                f"@{int(frac*100)}% {mode.name}",
-                energy_efficiency(tput, mode, config) / 1e9,
-                PAPER["sha3_energy"][frac][mname], 0.06))
+            for table, m, target, power_factor, tolerance in energy:
+                config = FabricConfig(
+                    isc_fraction=frac, isc_power_factor=power_factor,
+                    calibration={m.family: _exact_calibration(m, target)})
+                rows.append(ReportRow(
+                    f"{table} efficiency (GB/s/W)",
+                    f"@{int(frac*100)}% {mode.name}",
+                    energy_efficiency(throughput(m, config, mode), mode,
+                                      config) / 1e9,
+                    PAPER[f"{m.family}_energy"][frac][mname], tolerance))
     for label, tput0, cells in (
             ("cpu aes", PAPER["aes_cpu"][(128, "encrypt", "cbc")],
              PAPER["aes_energy"]["cpu"]),

@@ -181,7 +181,7 @@ GOLDEN_CYCLES = {(128, "encrypt"): 14875, (128, "decrypt"): 18179,
 @pytest.mark.parametrize("variant,direction", sorted(GOLDEN_CYCLES))
 def test_pass_cycles(variant, direction, rng):
     prog = aes.build_aes_program(variant, direction)
-    env = dict(modes._key_env(rng.randbytes(variant // 8), direction))
+    env = aes._key_env(rng.randbytes(variant // 8), direction)
     env["blocks"] = [rng.randbytes(16) for _ in range(16)]
     stats = Controller(prog).run(Subarray(block_width=aes.BLOCK_WIDTH), env,
                                  stats=ExecutionStats())

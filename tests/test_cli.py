@@ -6,6 +6,9 @@ import pathlib
 import pytest
 
 from pimcrypt import cli, isa, oracle, perfmodel
+from pimcrypt.controller import HOST_ACTIONS
+from pimcrypt.fabric import Subarray
+from pimcrypt.kernels import aes, ghash, modes
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_counts.json").read_text())
@@ -157,6 +160,36 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     src.write_bytes(bytes(65536 + extra))
     assert run([command, "--mode", "ccm", "--key", KEY, "--iv", "00" * 13,
                 "--in", str(src), "--out", str(tmp_path / "o")]
+               ) == cli.USAGE_ERROR
+
+
+# Inputs the front end and the kernels reject: a command line exits 2
+# (the modes' ValueError for a partial block is the usage error) and a
+# library call raises ValueError.
+@pytest.mark.parametrize("case", [
+    ["encrypt", "--mode", "ecb", "--key", KEY],
+    ["decrypt", "--mode", "ecb", "--key", KEY],
+    ["encrypt", "--mode", "cbc", "--key", KEY, "--iv", IV],
+    ["decrypt", "--mode", "cbc", "--key", KEY, "--iv", IV],
+    ["hash", "--alg", "sha3-100"],
+    ["hmac", "--alg", "sha3-100", "--key", KEY],
+    lambda: modes.ecb_crypt(bytes(16), bytes(15)),
+    lambda: aes.build_aes_program(192, "encrypt"),
+    lambda: ghash.build_ghash_program(0),
+    lambda: ghash.build_ghash_program(9),
+    lambda: HOST_ACTIONS["aes_load"](Subarray(block_width=aes.BLOCK_WIDTH),
+                                     {"blocks": [bytes(16)] * 17}),
+], ids=["ecb-encrypt", "ecb-decrypt", "cbc-encrypt", "cbc-decrypt",
+        "hash-alg", "hmac-alg", "ecb_crypt", "aes-192", "ghash-0-blocks",
+        "ghash-9-blocks", "aes_load-17-blocks"])
+def test_rejected_inputs(case, tmp_path):
+    if callable(case):
+        with pytest.raises(ValueError):
+            case()
+        return
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(15))
+    assert run(case + ["--in", str(src), "--out", str(tmp_path / "o")]
                ) == cli.USAGE_ERROR
 
 

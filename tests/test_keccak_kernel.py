@@ -1,5 +1,7 @@
 """Fabric SHA3/Keccak vs the independent oracle, plus structural properties."""
 
+import hashlib
+
 import pytest
 
 from pimcrypt import controller, oracle
@@ -17,9 +19,37 @@ def test_digest_vs_oracle(bits, rng):
 
 
 def test_four_lane_batch_independent(rng):
-    msgs = [rng.randbytes(40) for _ in range(4)]
-    outs = modes.sha3_digest_batch(256, msgs)
-    assert outs == [oracle.sha3(256, m) for m in msgs]
+    # every sponge lane's digest, read back at every output size
+    for bits in keccak.RATE_BYTES:
+        msgs = [rng.randbytes(40) for _ in range(4)]
+        outs = modes.sha3_digest_batch(bits, msgs)
+        assert outs == [oracle.sha3(bits, m) for m in msgs]
+        assert outs == [hashlib.new(f"sha3_{bits}", m).digest() for m in msgs]
+
+
+def _stage_by_bit(padded, rate):
+    """Reference for keccak._stage_blocks: one bit per loop step, bit b
+    of byte i of message s at column 64s + 8(i mod 8) + b of row i div 8;
+    segments past the messages repeat the first."""
+    rows = [0] * (len(padded[0]) // 8)
+    for s, msg in enumerate(padded + [padded[0]] * (4 - len(padded))):
+        for i, byte in enumerate(msg):
+            for b in range(8):
+                if byte >> b & 1:
+                    rows[i // 8] |= 1 << (64 * s + 8 * (i % 8) + b)
+    lanes = rate // 8
+    return [rows[i:i + lanes] for i in range(0, len(rows), lanes)]
+
+
+@pytest.mark.parametrize("bits", [224, 256, 384, 512])
+def test_staging_matches_bit_loops(bits, rng):
+    rate = keccak.RATE_BYTES[bits]
+    for count in range(1, 5):
+        for n in (0, rate, 2 * rate + 5):        # 1, 2 and 3 blocks
+            padded = [keccak.pad_sha3(rng.randbytes(n), rate)
+                      for _ in range(count)]
+            assert keccak._stage_blocks(padded, rate) == \
+                _stage_by_bit(padded, rate)
 
 
 @pytest.mark.parametrize("bits", [256, 512])

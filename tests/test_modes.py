@@ -128,7 +128,7 @@ def test_sha3_digest_batch_rejects_what_one_run_cannot_absorb(msgs):
 # -- bulk modes against `cryptography`, across lane counts -------------------
 #
 # 16 blocks fill one pass; 17 and 33 spill into a second and third lane;
-# 1025 fills all LOCKSTEP_LANES lanes of one run and starts another.  The
+# 1025 fills all fabric.SUBARRAYS lanes of one run and starts another.  The
 # chain planes of CBC decryption and CTR are staged per lane, so a block
 # past the 16th that lands in the wrong lane or tile shows here.
 
@@ -201,8 +201,10 @@ def test_iv_and_counter_block_must_be_one_block(length):
 
 
 def test_lockstep_lanes_are_the_modeled_subarrays():
+    # 256 KiB of SRAM in 4 KiB subarrays, all of them compute-enabled
+    from pimcrypt.fabric import SUBARRAYS
     from pimcrypt.perfmodel import FabricConfig
-    assert modes.LOCKSTEP_LANES == FabricConfig().active_subarrays
+    assert SUBARRAYS == FabricConfig().active_subarrays == 64
 
 
 def test_lockstep_counts_every_pass(rng):
