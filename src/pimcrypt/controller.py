@@ -27,7 +27,8 @@ index on the fabric, and every function window must compile
 window the compiler declines, before a command runs.  Load also computes
 each window's shared rows, every row its stride rules reach over the
 global iterations the schedule runs: the compiled window indexes the
-grid for those rows and keeps every other row in a local.
+grid for those rows and keeps every other row in a local.  A window no
+invocation runs for more than one iteration is compiled without a loop.
 
 A run's statistics and cycles depend only on the program, the lane
 count and the cost model, never on data.  So :meth:`Controller.run`
@@ -210,6 +211,7 @@ class Controller:
                         f"stride offset {s.offset} outside function {f.name}")
             spans[f.name] = range(f.base, f.base + f.count)
         iter_spans: dict[str, set[int]] = {name: set() for name in spans}
+        looped: set[str] = set()     # functions some invocation repeats
         for inv in prog.schedule:
             if inv.function not in prog.functions:
                 raise ControllerError(f"schedule names unknown function "
@@ -219,6 +221,8 @@ class Controller:
                                       f"non-int iterations or base")
             if inv.iterations < 1:
                 raise ControllerError("invocation iterations must be >= 1")
+            if inv.iterations > 1:
+                looped.add(inv.function)
             iter_spans[inv.function].update(
                 range(inv.iteration_base, inv.iteration_base + inv.iterations))
         for a in prog.host_actions:
@@ -248,7 +252,8 @@ class Controller:
                 self._windows[f.name] = compile_window(
                     tuple(c.encode() for c in words),
                     tuple((s.offset, s.increment) for s in f.strides),
-                    prog.block_width, frozenset(shared[f.name]))
+                    prog.block_width, frozenset(shared[f.name]),
+                    f.name not in looped)
             except WindowRejected as exc:
                 raise ControllerError(f"function {f.name} command "
                                       f"{exc.offset}: {exc}") from None

@@ -48,7 +48,9 @@ count.  Its *shared* rows, every row a stride rule can address over the
 global iterations the program runs (the controller computes them at
 load), are indexed in the row list on every access; every other row
 lives in a local for the whole call, loaded before the loop and stored
-after it, so no strided access can miss a write to a local.
+after it, so no strided access can miss a write to a local.  A window
+that every invocation runs for one iteration (every AES window, for
+instance) is lowered without the loop.
 """
 
 from __future__ import annotations
@@ -239,17 +241,19 @@ class Subarray:
 
     def write_rows(self, first: int, values: list[int]) -> None:
         """Write ``values`` to rows ``first``, ``first + 1``, ... in one
-        host transfer; :class:`LaneRows` built for this lane count are
-        stored unmasked."""
+        host transfer, each masked to the row width; :class:`LaneRows`
+        built for this lane count, and values that one range check finds
+        already inside the row width, are stored as they are."""
         end = first + len(values)
         if first < 0 or end > ROWS:
             raise RowOutOfRange(f"rows {first}..{end - 1}")
         if self.pending_row is not None:
             raise PendingActivation("host access during dual-row activation")
-        if type(values) is LaneRows and values.lanes == self.lanes:
+        mask = self.row_mask
+        if ((type(values) is LaneRows and values.lanes == self.lanes)
+                or (values and min(values) >= 0 and max(values) <= mask)):
             self.grid[first:end] = values
         else:
-            mask = self.row_mask
             self.grid[first:end] = [value & mask for value in values]
 
     def read_row(self, row: int) -> int:
@@ -417,8 +421,9 @@ class CompiledWindow:
 
     ``bind(lanes)`` returns ``fn(grid, latch, first, iterations)``, which
     runs global iterations ``first .. first + iterations - 1``
-    (``iterations`` >= 1) on the row list of a ``lanes``-lane subarray and
-    returns the final latch.  One iteration is ``commands`` commands
+    (``iterations`` >= 1; only ``first`` for a window compiled without a
+    loop) on the row list of a ``lanes``-lane subarray and returns the
+    final latch.  One iteration is ``commands`` commands
     shifting ``shift_steps`` bit positions in total.  ``code`` is compiled
     once; each lane count binds the one-lane ``masks`` (name, value)
     replicated into every lane.  ``source``, the text ``code`` was
@@ -500,7 +505,8 @@ _COMPILED: dict[tuple, CompiledWindow] = {}
 def compile_window(words: tuple[int, ...],
                    strides: tuple[tuple[int, int], ...],
                    block_width: int,
-                   shared: frozenset[int]) -> CompiledWindow:
+                   shared: frozenset[int],
+                   single: bool = False) -> CompiledWindow:
     """Compile a window of encoded command words.
 
     ``strides`` holds int ``(offset, increment)`` pairs: the command at
@@ -509,20 +515,24 @@ def compile_window(words: tuple[int, ...],
     over the iterations the window will run.  The caller must have
     checked that ``block_width`` is supported and that every such row is
     on the grid, and must run the window only for those iterations, as
-    :class:`~pimcrypt.controller.Controller` does.  Raises
-    :class:`WindowRejected` for a window the reference could raise on
-    (an option it rejects, a row off the grid, an ext_bit width it
-    rejects, an unpaired activation), and for a strided shift or ext_bit
-    or two stride rules on one command, which are not lowered.
+    :class:`~pimcrypt.controller.Controller` does.  ``single`` lowers
+    the window without a loop: it then runs one iteration, global
+    iteration ``first``, whatever ``iterations`` says, so the caller
+    must pass 1, as the controller does for a window no invocation runs
+    more than once.  Raises :class:`WindowRejected` for a window the
+    reference could raise on (an option it rejects, a row off the grid,
+    an ext_bit width it rejects, an unpaired activation), and for a
+    strided shift or ext_bit or two stride rules on one command, which
+    are not lowered.
     """
-    key = (words, strides, block_width, shared)
+    key = (words, strides, block_width, shared, single)
     window = _COMPILED.get(key)
     if window is None:
-        _COMPILED[key] = window = _lower(words, strides, block_width, shared)
+        _COMPILED[key] = window = _lower(*key)
     return window
 
 
-def _lower(words, strides, block_width, shared) -> CompiledWindow:
+def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
     increments: dict[int, int] = {}
     for offset, increment in strides:
         if offset in increments:
@@ -624,11 +634,15 @@ def _lower(words, strides, block_width, shared) -> CompiledWindow:
     carried |= reads_latch
     if carried and latch != "L":
         body.append(f"L = {latch}")
+    # A one-iteration window names its first global iteration G and runs
+    # its body once, without a loop.
+    loop = ([f"    {line}" for line in body] if single else
+            ["    for G in range(first, first + iterations):"]
+            + [f"        {line}" for line in body or ["pass"]])
     source = "\n".join(
-        ["def window(g, L, first, iterations):"]
+        [f"def window(g, L, {'G' if single else 'first'}, iterations):"]
         + [f"    r{i} = g[{i}]" for i in sorted(loads)]
-        + ["    for G in range(first, first + iterations):"]
-        + [f"        {line}" for line in body or ["pass"]]
+        + loop
         + [f"    g[{i}] = r{i}" for i in sorted(writes)]
         + [f"    return {'L' if carried else latch}"])
     return CompiledWindow(source, tuple((name, value)

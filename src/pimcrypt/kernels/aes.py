@@ -11,7 +11,9 @@ Data layout (16-column tiles, one block per tile, 16 blocks per pass):
   them with a +8 stride rule; AES-256 reloads the region halfway),
 * byte staging rows 96..111 (doubling as scratch inside the rounds),
 * transpose masks 112..114 and ShiftRows masks 115..118,
-* chain-value planes 119..126 for the mode-level XOR.
+* chain-value planes 119..126 for the mode-level XOR; with chain mode
+  ``"both"`` the host restages them between the XOR before the rounds
+  and the one after.
 
 The per-pass pipeline is: byte staging -> bit-slice (OR-combine + 8x8
 butterfly transpose) -> rounds -> inverse slice -> byte staging.
@@ -35,7 +37,10 @@ all 256 byte values, so the fabric path imports nothing from the oracle.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable
 
 from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
                           host_action)
@@ -224,34 +229,42 @@ def _sbox() -> bytes:
     return circuits.lookup_table(circuits.forward_sbox_gates())
 
 
-def expand_key_words(key: bytes) -> list[bytes]:
-    """Round keys for the fabric path (numpy-free, word oriented).
+# Multiplying a 32-bit word by this repeats it in all four words of a
+# round key.
+_EVERY_WORD = sum(1 << 32 * i for i in range(4))
 
-    Its S-box table comes from the fabric's own SubBytes circuit
-    (:func:`_sbox`), so the fabric path shares no code with the oracle.
-    Raises ``ValueError`` unless ``key`` is 16 or 32 bytes.
+
+def expand_key_words(key: bytes) -> list[bytes]:
+    """Round keys for the fabric path (numpy-free, one round key at a time).
+
+    Round key r follows from round key r - nk/4 (nk the key's words) and
+    the last word t of round key r - 1 (FIPS 197 section 5.2): its word i
+    is t' xor words 0..i of round key r - nk/4, t' being
+    SubWord(RotWord(t)) xor Rcon, or SubWord(t) alone for AES-256's odd
+    round keys; as a 128-bit int, word 0 highest, that is four shifted
+    copies of the old key and t' in every word.  The S-box table comes
+    from the fabric's own SubBytes circuit (:func:`_sbox`), so the
+    fabric path shares no code with the oracle.  Raises ``ValueError``
+    unless ``key`` is 16 or 32 bytes.
     """
     if len(key) not in (16, 32):
         raise ValueError(f"AES key must be 16 or 32 bytes, got {len(key)}")
     sbox = _sbox()
-    nk = len(key) // 4
-    rounds = 10 if nk == 4 else 14
-    w = [int.from_bytes(key[4 * i:4 * i + 4], "big") for i in range(nk)]
+    step = len(key) // 16           # nk / 4
+    keys = [int.from_bytes(key[16 * i:16 * i + 16], "big")
+            for i in range(step)]
     rcon = 1
-
-    def subword(v: int) -> int:
-        return int.from_bytes(v.to_bytes(4, "big").translate(sbox), "big")
-
-    for i in range(nk, 4 * (rounds + 1)):
-        t = w[i - 1]
-        if i % nk == 0:
-            t = subword(((t << 8) | (t >> 24)) & 0xFFFFFFFF) ^ (rcon << 24)
+    for r in range(step, 11 if step == 1 else 15):
+        last = (keys[-1] & 0xFFFFFFFF).to_bytes(4, "big")
+        if r % step:
+            t = int.from_bytes(last.translate(sbox), "big")
+        else:
+            t = (int.from_bytes((last[1:] + last[:1]).translate(sbox), "big")
+                 ^ rcon << 24)
             rcon = (rcon << 1) ^ (0x11B if rcon & 0x80 else 0)
-        elif nk == 8 and i % nk == 4:
-            t = subword(t)
-        w.append(w[i - nk] ^ t)
-    return [b"".join(x.to_bytes(4, "big") for x in w[4 * r:4 * r + 4])
-            for r in range(rounds + 1)]
+        old = keys[-step]
+        keys.append(old ^ old >> 32 ^ old >> 64 ^ old >> 96 ^ t * _EVERY_WORD)
+    return [k.to_bytes(16, "big") for k in keys]
 
 
 # AES-256 loads its first 8 round keys, then reloads the key region with
@@ -259,19 +272,10 @@ def expand_key_words(key: bytes) -> list[bytes]:
 _FIRST_LOAD = 8
 
 
-def build_aes_program(variant: int, direction: str,
-                      chain: str | None = None) -> KernelProgram:
-    """Build the per-pass program.
-
-    ``chain`` is ``None``, ``"pre"`` (XOR the chain planes into the state
-    before the rounds, CBC encrypt) or ``"post"`` (after the rounds, CBC
-    decrypt / CTR).
-    """
-    if variant not in (128, 256) or direction not in ("encrypt", "decrypt"):
-        raise ValueError("variant must be 128/256, direction encrypt/decrypt")
-    if chain not in (None, "pre", "post"):
-        raise ValueError(f"chain must be None, 'pre' or 'post', got {chain!r}")
-    rounds = 10 if variant == 128 else 14
+@lru_cache(maxsize=None)
+def _functions(direction: str) -> tuple[tuple[CommandWord, ...], dict]:
+    """The command array and function windows of every program of one
+    direction: they depend on nothing else, so they are packed once."""
     inverse = direction == "decrypt"
     commands, functions = pack_functions({
         "BitSliceFwd": (gen_bit_slice_fwd(), ()),
@@ -282,6 +286,30 @@ def build_aes_program(variant: int, direction: str,
         "MixColumns": (gen_mix_columns(inverse), ()),
         "ChainXor": (gen_chain_xor(), ()),
     })
+    return tuple(commands), functions
+
+
+_CHAINS = (None, "pre", "post", "both")
+
+
+def build_aes_program(variant: int, direction: str,
+                      chain: str | None = None) -> KernelProgram:
+    """Build the per-pass program.
+
+    ``chain`` is ``None``, ``"pre"`` (XOR the chain planes into the state
+    before the rounds, CBC encrypt), ``"post"`` (after the rounds, CBC
+    decrypt / CTR) or ``"both"``: before the rounds with the chain planes
+    ``aes_load`` stages from ``chain_blocks``, and after them with those
+    the ``aes_load_chain`` action restages from ``post_chain_blocks``, so
+    each tile can run a CBC step or a counter block (CCM).
+    """
+    if variant not in (128, 256) or direction not in ("encrypt", "decrypt"):
+        raise ValueError("variant must be 128/256, direction encrypt/decrypt")
+    if chain not in _CHAINS:
+        raise ValueError(f"chain must be one of {_CHAINS}, got {chain!r}")
+    rounds = 10 if variant == 128 else 14
+    inverse = direction == "decrypt"
+    commands, functions = _functions(direction)
 
     def ark(round_no: int) -> Invocation:
         # AES-256's stride numbering restarts at the reload; AES-128
@@ -295,7 +323,7 @@ def build_aes_program(variant: int, direction: str,
     body = (("ShiftRows", "SubBytes", "AddRoundKey", "MixColumns") if inverse
             else ("SubBytes", "ShiftRows", "MixColumns", "AddRoundKey"))
     schedule = [Invocation("BitSliceFwd")]
-    if chain == "pre":
+    if chain in ("pre", "both"):
         schedule.append(Invocation("ChainXor"))
     schedule.append(ark(0))
     reload_pos = None
@@ -307,19 +335,21 @@ def build_aes_program(variant: int, direction: str,
                 schedule.append(ark(r))
             elif name != "MixColumns" or r < rounds:   # last round: none
                 schedule.append(Invocation(name))
-    if chain == "post":
+    actions = [HostAction(0, "aes_load", {"chain": chain is not None})]
+    if chain in ("post", "both"):
+        if chain == "both":
+            actions.append(HostAction(len(schedule), "aes_load_chain", {}))
         schedule.append(Invocation("ChainXor"))
     schedule.append(Invocation("BitSliceInv"))
 
-    actions = [HostAction(0, "aes_load", {"chain": chain is not None}),
-               HostAction(len(schedule), "aes_unload", {})]
+    actions.append(HostAction(len(schedule), "aes_unload", {}))
     if variant == 256:
         actions.append(HostAction(reload_pos, "aes_load_keys",
                                   {"env_key": "key_rows2"}))
     return KernelProgram(
         name=f"aes-{variant}-{direction}" + (f"-{chain}" if chain else ""),
-        commands=commands, functions=functions, schedule=schedule,
-        host_actions=actions, block_width=BLOCK_WIDTH)
+        commands=list(commands), functions=dict(functions),
+        schedule=schedule, host_actions=actions, block_width=BLOCK_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +360,21 @@ def build_aes_program(variant: int, direction: str,
 _EVERY_TILE = sum(1 << 16 * t for t in range(16))
 
 
+@lru_cache(maxsize=4)
+def _load_order(n: int) -> Callable[[tuple], tuple]:
+    """Picks the (round key, plane) fields of ``n`` round keys in load
+    order from the plane-major order of their plane rows."""
+    return itemgetter(*(b * n + r for r in range(n) for b in range(8)))
+
+
 def key_rows(round_keys: list[bytes]) -> list[int]:
     """Round-key plane rows in load order, each key replicated into all
     16 tiles: what ``aes_load_keys`` writes to the key region."""
+    n = len(round_keys)
     planes = hostio.aes_plane_rows(round_keys)     # key r in tile r
-    return [(plane >> 16 * r & 0xFFFF) * _EVERY_TILE
-            for r in range(len(round_keys)) for plane in planes]
+    fields = struct.unpack(f"<{8 * n}H", b"".join(
+        plane.to_bytes(2 * n, "little") for plane in planes))
+    return [field * _EVERY_TILE for field in _load_order(n)(fields)]
 
 
 def _key_env(key: bytes, direction: str) -> dict:
@@ -385,6 +424,12 @@ def _load(sub, env, chain=False):
     if chain:
         rows += hostio.aes_plane_rows(env["chain_blocks"])
     sub.write_rows(_STAGE[0], rows)
+
+
+@host_action("aes_load_chain")
+def _load_chain(sub, env):
+    # Chain mode "both": the chain planes of the XOR after the rounds.
+    sub.write_rows(_CHAIN[0], hostio.aes_plane_rows(env["post_chain_blocks"]))
 
 
 @host_action("aes_unload")

@@ -257,12 +257,17 @@ def _rc_rows(lanes: int) -> LaneRows:
     return LaneRows(_stage_blocks([constants], len(constants))[0], lanes)
 
 
+@lru_cache(maxsize=None)
+def _pad_row(pad_byte: int) -> int:
+    """The HMAC pad row: ``pad_byte`` in every byte of every segment."""
+    return _stage_blocks([bytes([pad_byte]) * 8], 8)[0][0]
+
+
 @host_action("sha3_init")
 def _init(sub, env):
     sub.write_rows(0, [0] * 25)
     sub.write_rows(_RC0, _rc_rows(sub.lanes))
-    pad = bytes([env.get("pad_byte", 0)]) * 8
-    sub.write_row(_PAD, _stage_blocks([pad], 8)[0][0])
+    sub.write_row(_PAD, _pad_row(env.get("pad_byte", 0)))
 
 
 @host_action("sha3_load_block")

@@ -19,8 +19,9 @@ controller run drives them all, as the modeled controller drives every
 compute subarray with one command stream.  Modeled commands and cycles
 still count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC, the
 SHA3 absorb) run one pass at a time on one lane; a chained AES block
-uses tile 0 only — the fabric cannot parallelize a dependency chain,
-though independent streams could still share the other tiles.
+uses tile 0 only, as the fabric cannot parallelize a dependency chain,
+but a CCM call runs its own independent blocks in the other 15 tiles
+(:func:`_ccm`).
 
 GHASH splits one message across K lanes in lockstep (aggregated Horner,
 :func:`_ghash`): K is a power of two up to 8 that grows with the block
@@ -30,8 +31,11 @@ and a one-lane fold program XORs the lane digests.  A GCM call runs one
 AES run for E(0), E(J0) and its counter blocks where the IV allows; the
 fold XORs E(J0) into the tag.  GCM decryption computes E(0) and E(J0),
 checks the tag, and only then runs the counter blocks, so a tampered
-input is never decrypted.  CCM takes its ciphertext and tag from one CTR
-run over the MAC and the payload.
+input is never decrypted.  A CCM call runs S0 and its payload's counter
+blocks in tiles 1-15 of its first CBC-MAC passes, 15 per pass, so it
+runs one AES pass per formatted block and no separate CTR run: the
+encrypt tag, MAC xor S0, is a fold on the fabric, and decryption
+compares the MAC with S0 xor tag, which the tile of S0 computes.
 
 The round-key rows are expanded and staged once per call and dropped
 with it, so no key material outlives the call; so are their copies
@@ -121,13 +125,18 @@ class _AesKey(NamedTuple):
     env: dict
 
     def stage(self, blocks: list[bytes], chain: str | None = None,
-              chain_blocks: list[bytes] | None = None) -> tuple[tuple, dict]:
+              chain_blocks: list[bytes] | None = None,
+              post_chain_blocks: list[bytes] | None = None
+              ) -> tuple[tuple, dict]:
         """The ``_controller`` arguments and a fresh env for one run of
         ``blocks``, XORed with ``chain_blocks`` before (``"pre"``) or
-        after (``"post"``) the cipher."""
+        after (``"post"``) the cipher, or with ``chain_blocks`` before it
+        and ``post_chain_blocks`` after it (``"both"``)."""
         env = dict(self.env, blocks=blocks)
         if chain:
             env["chain_blocks"] = chain_blocks
+        if chain == "both":
+            env["post_chain_blocks"] = post_chain_blocks
         return ("aes", self.variant, self.direction, chain), env
 
 
@@ -244,11 +253,12 @@ def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
 # CCM
 # ---------------------------------------------------------------------------
 
-def _ccm_format(nonce: bytes, aad: bytes, msg: bytes,
-                tag_len: int) -> list[bytes]:
+def _ccm_head(nonce: bytes, aad: bytes, msg_len: int,
+              tag_len: int) -> list[bytes]:
+    """The formatted blocks before the payload's: B0 and the AAD's."""
     q = 15 - len(nonce)
     flags = (64 if aad else 0) | (((tag_len - 2) // 2) << 3) | (q - 1)
-    buf = bytearray([flags]) + nonce + len(msg).to_bytes(q, "big")
+    buf = bytearray([flags]) + nonce + msg_len.to_bytes(q, "big")
     if aad:
         if len(aad) < 0xFF00:
             buf += len(aad).to_bytes(2, "big")
@@ -256,20 +266,67 @@ def _ccm_format(nonce: bytes, aad: bytes, msg: bytes,
             buf += b"\xff\xfe" + len(aad).to_bytes(4, "big")
         buf += aad
         buf += bytes(-len(buf) % 16)
-    buf += msg
-    buf += bytes(-len(buf) % 16)
     return _split_blocks(bytes(buf))
-
-
-def _ccm_mac(k: _AesKey, nonce: bytes, aad: bytes, msg: bytes,
-             tag_len: int, stats: ExecutionStats | None) -> bytes:
-    blocks = _ccm_format(nonce, aad, msg, tag_len)
-    return _cbc_mac(k, bytes(16), blocks, stats)[-1][:tag_len]
 
 
 def _ccm_ctr0(nonce: bytes) -> bytes:
     q = 15 - len(nonce)
     return bytes([q - 1]) + nonce + bytes(q)
+
+
+# The tiles of a CBC-MAC pass that run CCM counter blocks: all but tile 0.
+_CCM_COUNTERS_PER_PASS = AES_BLOCKS_PER_PASS - 1
+
+
+def _ccm(k: _AesKey, nonce: bytes, aad: bytes, tag_len: int, msg_len: int,
+         post: list[bytes], decrypt: bool,
+         stats: ExecutionStats | None) -> tuple[bytes, list[bytes]]:
+    """One CCM call's CBC-MAC and counter blocks, as one chain of
+    single-lane passes: returns the MAC and E(Ctr_j) xor ``post[j]`` for
+    every counter block Ctr_j, j = 0 .. len(post) - 1.
+
+    Pass i runs MAC step i in tile 0 and, while any are left, counter
+    blocks 15i .. 15i + 14 in tiles 1..15, on the ``"both"`` program:
+    tile 0 XORs the previous MAC value in before the rounds and zero
+    after them, a counter tile zero before and its ``post`` block after.
+    :func:`_cbc_mac` runs the MAC steps after them.  The MAC's payload
+    block j (1-based, cut to ``msg_len`` and zero-padded) is ``post[j]``
+    when encrypting and counter output j when ``decrypt``: pass
+    h + j - 1 reads it, h being the number of head blocks, and the
+    front-loaded counter blocks put it out in pass j // 15, at least one
+    pass before.
+    """
+    head = _ccm_head(nonce, aad, msg_len, tag_len)
+    counters = _counter_blocks(_ccm_ctr0(nonce), len(post))
+    tail, out = msg_len % 16, []
+
+    def mac_block(i: int) -> bytes:
+        j = i - len(head) + 1
+        if j < 1:
+            return head[i]
+        block = (out if decrypt else post)[j]
+        if tail and j == len(post) - 1:
+            return block[:tail] + bytes(16 - tail)
+        return block
+
+    args, env = k.stage([], "both", [], [])
+    both = _controller(*args)
+    sub = Subarray(block_width=aes.BLOCK_WIDTH)
+    mac = zero = bytes(16)
+    side = -(-len(post) // _CCM_COUNTERS_PER_PASS)
+    for i in range(side):
+        first = _CCM_COUNTERS_PER_PASS * i
+        run = counters[first:first + _CCM_COUNTERS_PER_PASS]
+        env["blocks"] = [mac_block(i)] + run
+        env["chain_blocks"] = [mac] + [zero] * len(run)
+        env["post_chain_blocks"] = [zero] + post[first:first + len(run)]
+        both.run(sub, env)
+        mac, *blocks = env["out_blocks"]
+        out += blocks
+    if stats is not None:
+        stats.merge(both.run_stats(sub, side))
+    rest = [mac_block(i) for i in range(side, len(head) + len(post) - 1)]
+    return (_cbc_mac(k, mac, rest, stats)[-1] if rest else mac), out
 
 
 def _ccm_check(nonce: bytes, tag_len: int, msg_len: int) -> None:
@@ -289,10 +346,12 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     key, nonce, aad, plaintext = map(_bytes, (key, nonce, aad, plaintext))
     _ccm_check(nonce, tag_len, len(plaintext))
-    k = _aes_key(key, "encrypt")
-    mac = _ccm_mac(k, nonce, aad, plaintext, tag_len, stats)
-    out = _ctr(k, _ccm_ctr0(nonce), _pad16(mac) + plaintext, stats)
-    return out[16:] + out[:tag_len]
+    post = [bytes(16)] + _split_blocks(_pad16(plaintext))
+    mac, out = _ccm(_aes_key(key, "encrypt"), nonce, aad, tag_len,
+                    len(plaintext), post, False, stats)
+    # out[0] is S0 = E(Ctr_0), and the tag is MAC xor S0.
+    tag = _xor_blocks([mac, out[0]], stats)
+    return b"".join(out[1:])[:len(plaintext)] + tag[:tag_len]
 
 
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
@@ -300,16 +359,15 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     key, nonce, aad, ciphertext = map(_bytes, (key, nonce, aad, ciphertext))
     _ccm_check(nonce, tag_len, len(ciphertext) - tag_len)
-    k = _aes_key(key, "encrypt")
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    out = _ctr(k, _ccm_ctr0(nonce), _pad16(tag) + ct, stats)
-    # out[:len(tag)] is the MAC the tag encrypts; a ciphertext shorter
+    post = [_pad16(tag)] + _split_blocks(_pad16(ct))
+    mac, out = _ccm(_aes_key(key, "encrypt"), nonce, aad, tag_len, len(ct),
+                    post, True, stats)
+    # out[0][:len(tag)] is the MAC the tag encrypts; a ciphertext shorter
     # than the tag leaves it short, so it cannot match.
-    pt, expect = out[16:], out[:len(tag)]
-    mac = _ccm_mac(k, nonce, aad, pt, tag_len, stats)
-    if not _hmac_mod.compare_digest(mac, expect):
+    if not _hmac_mod.compare_digest(mac[:tag_len], out[0][:len(tag)]):
         raise TagMismatch("CCM tag mismatch")
-    return pt
+    return b"".join(out[1:])[:len(ct)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +449,14 @@ def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
         digests = _run(staged, sub, stats)["digests"]
     if mask is not None:
         digests.append(mask)
-    if len(digests) == 1:
-        return digests[0]
-    staged = ("ghash_fold", len(digests)), {"fold_blocks": digests}
+    return digests[0] if len(digests) == 1 else _xor_blocks(digests, stats)
+
+
+def _xor_blocks(blocks: list[bytes], stats: ExecutionStats | None) -> bytes:
+    """The XOR of 2..32 blocks, run by the one-lane GHASH fold program:
+    the GHASH bit order is a permutation of a block's bits, so the XOR of
+    the staged rows is the row of the XOR of any blocks."""
+    staged = ("ghash_fold", len(blocks)), {"fold_blocks": blocks}
     return _run(staged, Subarray(block_width=ghash.BLOCK_WIDTH),
                 stats)["digests"][0]
 

@@ -21,7 +21,10 @@ three MCU operating points below.
 Mode composition follows the reference data's own internal structure:
 CCM costs exactly twice CBC (MAC pass plus CTR pass), and GCM costs a
 CBC-equivalent CTR pass plus two 8-block GHASH passes per 256-byte
-payload.  All ratio and scaling checks hold with calibration 1.0; one
+payload.  "CCM = 2x CBC" is a full-occupancy figure, every tile of
+both passes busy, and ``compare_to_paper`` keeps it; a single CCM call
+of ``modes`` runs its counter blocks in the idle tiles of its serial
+MAC passes, so its modeled count is less than that.  All ratio and scaling checks hold with calibration 1.0; one
 scalar per kernel family (aes / sha3 / ghash) may be fitted to land on
 the absolute published numbers.
 

@@ -188,15 +188,51 @@ def test_pass_cycles(variant, direction, rng):
     assert stats.cycles == GOLDEN_CYCLES[(variant, direction)]
 
 
+def _commands(prog) -> int:
+    return sum(i.iterations * prog.functions[i.function].count
+               for i in prog.schedule)
+
+
 def test_chain_xor_adds_24_commands():
-    base = aes.build_aes_program(128, "encrypt")
-    chained = aes.build_aes_program(128, "encrypt", chain="pre")
-    assert chained.functions["ChainXor"].count == 24
-    n = sum(i.iterations * chained.functions[i.function].count
-            for i in chained.schedule)
-    m = sum(i.iterations * base.functions[i.function].count
-            for i in base.schedule)
-    assert n - m == 24
+    # Each chain XOR adds 24 commands; "both" XORs twice and restages the
+    # chain rows in between, at no cycle cost.
+    for variant in (128, 256):
+        base, pre, both = (aes.build_aes_program(variant, "encrypt", chain)
+                           for chain in (None, "pre", "both"))
+        assert pre.functions["ChainXor"].count == 24
+        assert both.functions == pre.functions == base.functions
+        assert _commands(pre) - _commands(base) == 24
+        assert _commands(both) - _commands(pre) == 24
+        kinds = [a.kind for a in sorted(both.host_actions,
+                                        key=lambda a: a.position)]
+        assert kinds == (["aes_load"] + ["aes_load_keys"] * (variant == 256)
+                         + ["aes_load_chain", "aes_unload"])
+
+
+@pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("klen", [16, 32])
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_both_chains_xor_before_and_after_the_rounds(lanes, klen, direction,
+                                                     rng):
+    # Each tile's block is XORed with its own chain block before the
+    # rounds and with a restaged one after them.
+    cipher = (oracle.aes_encrypt_block if direction == "encrypt"
+              else oracle.aes_decrypt_block)
+    key = rng.randbytes(klen)
+    blocks, pre, post = ([rng.randbytes(16) for _ in range(16 * lanes - 3)]
+                         for _ in range(3))
+    k = modes._aes_key(key, direction)
+    staged = k.stage(blocks, "both", pre, post)
+    stats = ExecutionStats()
+    out = modes._run(staged, Subarray(block_width=aes.BLOCK_WIDTH,
+                                      lanes=lanes), stats)["out_blocks"]
+    assert out == [_xor(cipher(key, _xor(b, a)), c)
+                   for b, a, c in zip(blocks, pre, post)]
+    assert stats.per_function["ChainXor"].invocations == 2 * lanes
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 def _chain_pass(k, sub, block, prev):

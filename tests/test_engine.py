@@ -279,11 +279,17 @@ def test_strided_rows_alias_constant_rows():
     assert_lanes_agree(prog, CycleCostModel(), 2, grid_seed=9)
 
 
-def loop_rows(window):
-    """The ``g[...]`` subscripts and the ``r<index>`` locals the loop body
-    of a compiled window names."""
-    body = window.source.split("    for G in ")[1].splitlines()[1:]
-    body = "\n".join(line for line in body if line.startswith(" " * 8))
+# A load of a local before the body, or its store after it: the only
+# lines that name one row both as a local and in ``g``.
+_LOAD_OR_STORE = re.compile(r" *(r(\d+) = g\[\2\]|g\[(\d+)\] = r\3)$")
+
+
+def body_rows(window):
+    """The ``g[...]`` subscripts and the ``r<index>`` locals the body of a
+    compiled window names, looped or not."""
+    body = "\n".join(line for line in window.source.splitlines()[1:]
+                     if not _LOAD_OR_STORE.match(line)
+                     and "for G in" not in line)
     return (set(re.findall(r"g\[(\d+)(?: \+ (-?\d+) \* G)?\]", body)),
             {int(i) for i in re.findall(r"\br(\d+)\b", body)})
 
@@ -301,7 +307,7 @@ def test_strided_write_and_read_alias_constant_rows():
             + logic(20, LogicKind.OR, 4, 21))
     prog = program(cmds, [StrideRule(2, -2), StrideRule(4, -1)],
                    [Invocation("F", 4, 2)], width=16)
-    subscripts, local_rows = loop_rows(Controller(prog)._window("F"))
+    subscripts, local_rows = body_rows(Controller(prog)._window("F"))
     assert subscripts == {("4", ""), ("6", ""), ("12", "-2"), ("9", "-1")}
     assert local_rows == {20, 21}
     for lanes in (1, 2, 3):
@@ -320,7 +326,11 @@ def test_measured_windows_index_the_grid_only_for_shared_rows():
                         str(s.increment)) for s in f.strides}
             shared = {int(index) + int(inc) * g
                       for index, inc in strided for g in spans}
-            subscripts, local_rows = loop_rows(ctrl._window(f.name))
+            window = ctrl._window(f.name)
+            looped = any(inv.iterations > 1 for inv in prog.schedule
+                         if inv.function == f.name)
+            assert ("for G in" in window.source) == looped
+            subscripts, local_rows = body_rows(window)
             assert {(i, inc) for i, inc in subscripts if inc} == strided
             assert {int(i) for i, inc in subscripts if not inc} <= shared
             assert not local_rows & shared, (prog.name, f.name)
@@ -386,14 +396,14 @@ def accepted_options(opcode, width):
 
 
 @st.composite
-def loadable_programs(draw):
+def loadable_programs(draw, max_iterations=3):
     """A one-function program that loads: like :func:`windows`, but the
     option mutation draws a nibble the fabric accepts, the splice puts a
     valid rd_row, wr_row, shift or ext_bit word between two segments, and
     at most two stride rules sit on distinct row-addressing commands and
     keep their rows on the grid for every iteration the schedule runs;
     some row-addressing commands without a rule address rows a rule
-    reaches."""
+    reaches.  Each invocation runs 1 to ``max_iterations`` iterations."""
     width = draw(st.sampled_from(BLOCK_WIDTHS[:5]))
     parts = draw(st.lists(segments(width), min_size=1, max_size=10))
     change = draw(st.sampled_from(["none", "option", "splice"]))
@@ -408,7 +418,7 @@ def loadable_programs(draw):
         i = draw(st.integers(0, len(cmds) - 1))
         cmds[i] = CommandWord(cmds[i].opcode, cmds[i].index, draw(
             st.sampled_from(accepted_options(cmds[i].opcode, width))))
-    invocations = draw(st.lists(st.tuples(st.integers(1, 3),
+    invocations = draw(st.lists(st.tuples(st.integers(1, max_iterations),
                                           st.integers(0, 3)),
                                 min_size=1, max_size=3))
     last = max(n + base - 1 for n, base in invocations)
@@ -438,6 +448,17 @@ def loadable_programs(draw):
        st.sampled_from([None, None, None, 7]), st.integers(1, 3))
 def test_generated_windows_agree(prog, seed, pending, lanes):
     Controller(prog)    # loads, so both engines run every example
+    for cost in COST_MODELS:
+        assert_lanes_agree(prog, cost, lanes, grid_seed=seed, pending=pending)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loadable_programs(max_iterations=1), st.integers(0, 2 ** 32),
+       st.sampled_from([None, None, None, 7]), st.integers(1, 3))
+def test_generated_one_iteration_windows_agree(prog, seed, pending, lanes):
+    # No invocation repeats the window, so it compiles without a loop and
+    # runs its global iteration (each invocation's base) once.
+    assert "for G in" not in Controller(prog)._window("F").source
     for cost in COST_MODELS:
         assert_lanes_agree(prog, cost, lanes, grid_seed=seed, pending=pending)
 

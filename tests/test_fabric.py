@@ -161,6 +161,25 @@ def test_write_rows_is_write_row_per_row():
     assert len(bulk.grid) == 128 and bulk.cycle_count == 0
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("bad", [-1, -(1 << 300), "wide"])
+def test_write_rows_masks_one_value_out_of_range(lanes, bad):
+    # In-range rows skip the per-value mask; one value outside the row
+    # width, below 0 or above, still masks the whole write.
+    width = 256 * lanes
+    bad = (1 << width) + 9 if bad == "wide" else bad
+    top = (1 << width) - 1
+    for at in (0, 2):
+        values = [top, 5, 0]
+        values[at] = bad
+        sub = Subarray(lanes=lanes)
+        sub.write_rows(10, values)
+        assert sub.read_rows(10, 3) == [v & top for v in values]
+    sub = Subarray(lanes=lanes)
+    sub.write_rows(10, [top, 5, 0])
+    assert sub.read_rows(10, 3) == [top, 5, 0]
+
+
 @pytest.mark.parametrize("first,count", [(-1, 1), (126, 3), (128, 1)])
 def test_write_rows_checks_the_whole_range(first, count):
     sub = Subarray()

@@ -494,3 +494,87 @@ def test_sha3_digest_batch_takes_bytes_like_messages():
         256, [bytearray(msgs[0]), memoryview(msgs[1])]) == want
     with pytest.raises(TypeError):
         modes.sha3_digest_batch(256, ["abc"])
+
+
+# -- CCM: counter blocks in the idle tiles of the CBC-MAC passes --------------
+#
+# S0 and the payload's counter blocks ride 15 per pass in tiles 1-15 of
+# the first MAC passes.  14, 29 and 44 payload blocks fill those tiles
+# exactly (with S0); 15 and 30 spill one counter block into the next
+# pass.  Partial last blocks add one more block, and AAD of 0, 1 and 2
+# blocks moves the first payload block's MAC pass.
+
+CCM_PAYLOAD_BLOCKS = [0, 1, 14, 15, 16, 29, 30, 31]
+CCM_TAG_LENGTHS = [4, 6, 8, 10, 12, 14, 16]
+
+
+def _flip(data: bytes, rng) -> bytes:
+    """``data`` with one random bit flipped."""
+    out = bytearray(data)
+    bit = rng.randrange(8 * len(data))
+    out[bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("nblocks", CCM_PAYLOAD_BLOCKS)
+def test_ccm_across_pass_boundaries_matches_cryptography(nblocks, partial,
+                                                         rng):
+    from cryptography.hazmat.primitives.ciphers.aead import AESCCM
+    case = 2 * CCM_PAYLOAD_BLOCKS.index(nblocks) + partial
+    pt = rng.randbytes(16 * nblocks + (5 if partial else 0))
+    for aad_len in (0, 9, 25):          # 0, 1 and 2 AAD blocks
+        tag_len = CCM_TAG_LENGTHS[(case + aad_len) % 7]
+        nonce_len = 7 + (3 * case + aad_len) % 7
+        key = rng.randbytes(16 if (case + aad_len) % 2 else 32)
+        nonce, aad = rng.randbytes(nonce_len), rng.randbytes(aad_len)
+        sealed = AESCCM(key, tag_length=tag_len).encrypt(nonce, pt, aad)
+        assert modes.ccm_encrypt(key, nonce, aad, pt, tag_len) == sealed
+        assert modes.ccm_decrypt(key, nonce, aad, sealed, tag_len) == pt
+        tampered = [(aad, sealed[:-tag_len] + _flip(sealed[-tag_len:], rng))]
+        if pt:
+            tampered.append((aad, _flip(sealed[:-tag_len], rng)
+                             + sealed[-tag_len:]))
+        if aad:
+            tampered.append((_flip(aad, rng), sealed))
+        for bad_aad, bad in tampered:
+            with pytest.raises(TagMismatch):
+                modes.ccm_decrypt(key, nonce, bad_aad, bad, tag_len)
+
+
+@pytest.mark.parametrize("nblocks", [0, 14, 15, 31])
+def test_ccm_runs_its_counter_blocks_in_the_mac_passes(nblocks, rng):
+    # One AES pass per formatted block and no separate counter run; the
+    # passes that carry counter blocks XOR chain planes twice.
+    key, nonce, aad = rng.randbytes(16), rng.randbytes(12), rng.randbytes(20)
+    pt = rng.randbytes(max(16 * nblocks - 3, 0))
+    payload = -(-len(pt) // 16)
+    formatted = len(modes._ccm_head(nonce, aad, len(pt), 16)) + payload
+    carrying = -(-(1 + payload) // 15)
+    enc, dec = ExecutionStats(), ExecutionStats()
+    sealed = modes.ccm_encrypt(key, nonce, aad, pt, stats=enc)
+    assert modes.ccm_decrypt(key, nonce, aad, sealed, stats=dec) == pt
+    for stats in (enc, dec):
+        assert stats.per_function["BitSliceFwd"].invocations == formatted
+        assert stats.per_function["ChainXor"].invocations == (formatted
+                                                               + carrying)
+    # The encrypt tag, MAC xor S0, is one fold; decryption compares the
+    # MAC with S0 xor tag, which its own tile computes.
+    assert enc.per_function["Fold"].invocations == 1
+    assert "Fold" not in dec.per_function
+
+
+@pytest.mark.parametrize("klen,counts", [
+    (16, {"cbc": (56335, 74495), "gcm": (44239, 74375)}),
+    (32, {"cbc": (78215, 103415), "gcm": (48615, 80159)}),
+])
+def test_cbc_and_gcm_counts_are_pinned(klen, counts, rng):
+    # Five chained CBC blocks and a 14-block GCM call with a 12-byte IV
+    # count what they counted before CCM shared its MAC passes.
+    key = rng.randbytes(klen)
+    cbc, gcm = ExecutionStats(), ExecutionStats()
+    modes.cbc_encrypt(key, rng.randbytes(16), rng.randbytes(80), stats=cbc)
+    modes.gcm_encrypt(key, rng.randbytes(12), rng.randbytes(20),
+                      rng.randbytes(16 * 14), stats=gcm)
+    assert (cbc.commands, cbc.cycles) == counts["cbc"]
+    assert (gcm.commands, gcm.cycles) == counts["gcm"]
