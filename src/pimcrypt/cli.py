@@ -139,8 +139,7 @@ def _sha3_bits(alg: str) -> int:
         if prefix != "sha3":
             raise ValueError
         bits = int(bits)
-        if bits not in keccak.RATE_BYTES:
-            raise ValueError
+        keccak.rate(bits)
         return bits
     except ValueError:
         raise CliError(f"--alg must be sha3-{{224,256,384,512}}, got {alg}",

@@ -72,6 +72,7 @@ __all__ = [
     "FunctionStats",
     "ExecutionStats",
     "Controller",
+    "OUTPUT",
 ]
 
 COMMAND_ARRAY_BYTES = 8192
@@ -156,6 +157,10 @@ def _ints(*values) -> bool:
 # Registry mapping host-action kinds to callables
 # ``fn(subarray, env, **params)``.  Kernels register theirs at import time.
 HOST_ACTIONS: dict[str, callable] = {}
+
+# The env key under which a program's unload action leaves the run's
+# output: a list of blocks or digests.
+OUTPUT = "out"
 
 
 def host_action(kind: str):

@@ -18,11 +18,14 @@ Data layout (16-column tiles, one block per tile, 16 blocks per pass):
 The per-pass pipeline is: byte staging -> bit-slice (OR-combine + 8x8
 butterfly transpose) -> rounds -> inverse slice -> byte staging.
 
-On a subarray with K lanes one run is K passes in lockstep: ``aes_load``
-stages up to 16K blocks (block ``16k + t`` in tile ``t`` of lane ``k``)
-and writes the masks and round keys replicated into every lane, as
+On a subarray with K lanes one run is K passes in lockstep:
+:meth:`Key.stage` takes up to 16K blocks (block ``16k + t`` in tile
+``t`` of lane ``k``) and the chain blocks of its chain mode, and returns
+the run's validated program and a fresh env.  ``aes_load`` writes the
+masks and round keys replicated into every lane, as
 :class:`~pimcrypt.fabric.LaneRows` built once per lane count: the masks
-once per process, the keys once per call.
+once per process, the keys once per call.  ``aes_unload`` leaves one
+output block per staged block under :data:`~pimcrypt.controller.OUTPUT`.
 
 A pass uses the round-key-0 rows (8..15) as SubBytes scratch once the
 first AddRoundKey has consumed them, so it leaves the key region dirty:
@@ -42,17 +45,17 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
-from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
-                          host_action)
-from ..fabric import LaneRows
+from ..controller import (OUTPUT, Controller, HostAction, Invocation,
+                          KernelProgram, StrideRule, host_action)
+from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
 from . import circuits, hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
-__all__ = ["AES_LAYOUT", "build_aes_program", "expand_key_words", "key_rows",
-           "gen_bit_slice_fwd", "gen_bit_slice_inv", "gen_add_round_key",
-           "gen_sub_bytes", "gen_shift_rows", "gen_mix_columns",
-           "gen_chain_xor"]
+__all__ = ["AES_LAYOUT", "BLOCKS_PER_PASS", "Key", "build_aes_program",
+           "expand_key_words", "key_rows", "gen_bit_slice_fwd",
+           "gen_bit_slice_inv", "gen_add_round_key", "gen_sub_bytes",
+           "gen_shift_rows", "gen_mix_columns", "gen_chain_xor"]
 
 AES_LAYOUT = LayoutMap({
     "planes": (0, 8),
@@ -65,6 +68,8 @@ AES_LAYOUT = LayoutMap({
 })
 
 BLOCK_WIDTH = 16
+# One block per 16-column tile.
+BLOCKS_PER_PASS = COLS // BLOCK_WIDTH
 
 _PLANE = [AES_LAYOUT.row("planes", b) for b in range(8)]
 _STAGE = list(AES_LAYOUT.span("stage"))
@@ -289,6 +294,7 @@ def _functions(direction: str) -> tuple[tuple[CommandWord, ...], dict]:
     return tuple(commands), functions
 
 
+_DIRECTIONS = ("encrypt", "decrypt")
 _CHAINS = (None, "pre", "post", "both")
 
 
@@ -303,7 +309,7 @@ def build_aes_program(variant: int, direction: str,
     the ``aes_load_chain`` action restages from ``post_chain_blocks``, so
     each tile can run a CBC step or a counter block (CCM).
     """
-    if variant not in (128, 256) or direction not in ("encrypt", "decrypt"):
+    if variant not in (128, 256) or direction not in _DIRECTIONS:
         raise ValueError("variant must be 128/256, direction encrypt/decrypt")
     if chain not in _CHAINS:
         raise ValueError(f"chain must be one of {_CHAINS}, got {chain!r}")
@@ -356,8 +362,8 @@ def build_aes_program(variant: int, direction: str,
 # Host actions
 # ---------------------------------------------------------------------------
 
-# Multiplying a 16-column value by this repeats it in all 16 tiles.
-_EVERY_TILE = sum(1 << 16 * t for t in range(16))
+# Multiplying a tile's value by this repeats it in every tile.
+_EVERY_TILE = sum(1 << BLOCK_WIDTH * t for t in range(BLOCKS_PER_PASS))
 
 
 @lru_cache(maxsize=4)
@@ -368,8 +374,8 @@ def _load_order(n: int) -> Callable[[tuple], tuple]:
 
 
 def key_rows(round_keys: list[bytes]) -> list[int]:
-    """Round-key plane rows in load order, each key replicated into all
-    16 tiles: what ``aes_load_keys`` writes to the key region."""
+    """Round-key plane rows in load order, each key replicated into
+    every tile: what ``aes_load_keys`` writes to the key region."""
     n = len(round_keys)
     planes = hostio.aes_plane_rows(round_keys)     # key r in tile r
     fields = struct.unpack(f"<{8 * n}H", b"".join(
@@ -377,18 +383,42 @@ def key_rows(round_keys: list[bytes]) -> list[int]:
     return [field * _EVERY_TILE for field in _load_order(n)(fields)]
 
 
-def _key_env(key: bytes, direction: str) -> dict:
-    """One call's round-key rows in load order, split at AES-256's key
-    reload, and an empty cache that ``aes_load_keys`` fills with them
-    replicated per lane count; built per call, so no key material
-    outlives it."""
-    words = expand_key_words(key)
-    if direction == "decrypt":
-        words = words[::-1]
-    if len(key) == 16:
-        return {"key_rows": key_rows(words), "lane_key_rows": {}}
-    return {"key_rows": key_rows(words[:_FIRST_LOAD]),
-            "key_rows2": key_rows(words[_FIRST_LOAD:]), "lane_key_rows": {}}
+# Programs depend on their build arguments alone, never on key or data.
+@lru_cache(maxsize=None)
+def _controller(variant: int, direction: str, chain: str | None) -> Controller:
+    return Controller(build_aes_program(variant, direction, chain))
+
+
+class Key:
+    """One call's key for one direction: its round-key rows in load
+    order, split at AES-256's key reload, and an empty cache that
+    ``aes_load_keys`` fills with them replicated per lane count.  Built
+    per call, so no key material outlives it.  ``ValueError`` unless
+    ``key`` is 16 or 32 bytes and ``direction`` encrypt or decrypt.
+    """
+
+    def __init__(self, key: bytes, direction: str):
+        if direction not in _DIRECTIONS:
+            raise ValueError(f"direction must be encrypt or decrypt, "
+                             f"got {direction!r}")
+        words = expand_key_words(key)[::1 if direction == "encrypt" else -1]
+        self.variant, self.direction = 8 * len(key), direction
+        split = _FIRST_LOAD if len(key) == 32 else None
+        self.env = {"key_rows": key_rows(words[:split]), "lane_key_rows": {}}
+        if split:
+            self.env["key_rows2"] = key_rows(words[split:])
+
+    def stage(self, blocks: list[bytes], chain: str | None = None,
+              chain_blocks: list[bytes] | None = None,
+              post_chain_blocks: list[bytes] | None = None
+              ) -> tuple[Controller, dict]:
+        """One run of ``blocks``, XORed with ``chain_blocks`` before
+        (``"pre"``) or after (``"post"``) the cipher, or with
+        ``chain_blocks`` before it and ``post_chain_blocks`` after it
+        (``"both"``)."""
+        return (_controller(self.variant, self.direction, chain),
+                dict(self.env, blocks=blocks, chain_blocks=chain_blocks,
+                     post_chain_blocks=post_chain_blocks))
 
 
 # The staging rows, the mask rows (tmask then srmask) and the chain rows
@@ -416,8 +446,9 @@ def _load_keys(sub, env, env_key="key_rows"):
 @host_action("aes_load")
 def _load(sub, env, chain=False):
     blocks = env["blocks"]
-    if len(blocks) > 16 * sub.lanes:
-        raise ValueError(f"{len(blocks)} blocks for {16 * sub.lanes} tiles")
+    tiles = BLOCKS_PER_PASS * sub.lanes
+    if len(blocks) > tiles:
+        raise ValueError(f"{len(blocks)} blocks for {tiles} tiles")
     _load_keys(sub, env)
     rows = hostio.aes_stage_rows(blocks)
     rows += _lane_masks(sub.lanes)
@@ -434,5 +465,5 @@ def _load_chain(sub, env):
 
 @host_action("aes_unload")
 def _unload(sub, env):
-    env["out_blocks"] = hostio.aes_unstage_rows(sub.read_rows(_STAGE[0], 16),
-                                                len(env["blocks"]))
+    env[OUTPUT] = hostio.aes_unstage_rows(sub.read_rows(_STAGE[0], 16),
+                                          len(env["blocks"]))

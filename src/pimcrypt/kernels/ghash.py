@@ -17,26 +17,28 @@ than eight blocks just runs more passes and only the final pass
 appends the closing fold.
 
 On a subarray with lanes every lane runs its own GHASH in lockstep:
-``ghash_load`` stages one hash key and one block list per lane (the
-constant mask rows are replicated once per lane count and cached), and
-``ghash_unload`` reads one digest per lane.  The fold program
-(:func:`build_ghash_fold_program`) runs on one lane and XORs staged
-digests into the digest row: the lane digests of one message split
-across lanes, and for a GCM tag also E(J0).
+:func:`stage` takes one hash key and one block list per lane and returns
+the run's validated program and a fresh env (the constant mask rows are
+replicated once per lane count and cached), and ``ghash_unload`` leaves
+one digest per lane under :data:`~pimcrypt.controller.OUTPUT`.  The fold
+program (:func:`stage_fold`) runs on one lane and XORs staged digests
+into the digest row: the lane digests of one message split across
+lanes, and for a GCM tag also E(J0).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..controller import (FunctionDescriptor, HostAction, Invocation,
-                          KernelProgram, StrideRule, host_action)
+from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
+                          Invocation, KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW, LaneRows
 from ..isa import CommandWord, LogicKind
 from . import hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
-__all__ = ["GHASH_LAYOUT", "build_ghash_program", "build_ghash_fold_program",
+__all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "stage", "stage_fold",
+           "build_ghash_program", "build_ghash_fold_program",
            "gen_byte_arrange", "gen_byte_aligning", "gen_galois_mult",
            "mask_values"]
 
@@ -60,6 +62,8 @@ _P = GHASH_LAYOUT.row("product")
 _Z = GHASH_LAYOUT.row("digest")
 _H = GHASH_LAYOUT.row("hashkey")
 _QUEUE = GHASH_LAYOUT.span("queue")
+# One queue row per block a pass multiplies in.
+BLOCKS_PER_PASS = len(_QUEUE)
 _STAGE = GHASH_LAYOUT.span("stage")
 _STAGE0 = _STAGE[0]
 _MLO, _MHI = GHASH_LAYOUT.span("fold")
@@ -139,14 +143,15 @@ def gen_galois_mult() -> list[CommandWord]:
     return cmds
 
 
-def build_ghash_program(nblocks: int = 8, final: bool = True) -> KernelProgram:
-    """Accumulate ``nblocks`` (1..8) staged blocks into the digest row.
+def build_ghash_program(nblocks: int, final: bool = True) -> KernelProgram:
+    """Accumulate ``nblocks`` (1..``BLOCKS_PER_PASS``) staged blocks into Z.
 
     ``final`` appends the closing fold; omit it when more passes follow
     (the unreduced product row then carries the state).
     """
-    if not 1 <= nblocks <= len(_QUEUE):
-        raise ValueError(f"nblocks must be 1..{len(_QUEUE)}, got {nblocks}")
+    if not 1 <= nblocks <= BLOCKS_PER_PASS:
+        raise ValueError(f"nblocks must be 1..{BLOCKS_PER_PASS}, "
+                         f"got {nblocks}")
     aligning, strides = gen_byte_aligning()
     reduce_cmds = _gen_reduce()
     commands, functions = pack_functions({
@@ -192,6 +197,32 @@ def build_ghash_fold_program(nrows: int) -> KernelProgram:
         host_actions=[HostAction(0, "ghash_fold_load", {}),
                       HostAction(1, "ghash_unload", {})],
         block_width=BLOCK_WIDTH)
+
+
+@lru_cache(maxsize=None)
+def _controller(nblocks: int, final: bool) -> Controller:
+    return Controller(build_ghash_program(nblocks, final))
+
+
+@lru_cache(maxsize=None)
+def _fold_controller(nrows: int) -> Controller:
+    return Controller(build_ghash_fold_program(nrows))
+
+
+def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
+          final: bool) -> tuple[Controller, dict]:
+    """One pass of up to ``BLOCKS_PER_PASS`` blocks per lane, lane k with
+    hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
+    the running product, ``final`` reduces it and reads out each lane's
+    digest."""
+    return (_controller(len(blocks[0]), final),
+            {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
+
+
+def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
+    """XOR 2..32 ``blocks`` on one lane: the GHASH bit order permutes a
+    block's bits, so the XOR of the rows is the row of the blocks' XOR."""
+    return _fold_controller(len(blocks)), {"fold_blocks": blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -254,5 +285,5 @@ def _fold_load(sub, env):
 
 @host_action("ghash_unload")
 def _unload(sub, env):
-    env["digests"] = [row_to_block(value) for value
-                      in hostio.row_to_lanes(sub.read_row(_Z), sub.lanes)]
+    env[OUTPUT] = [row_to_block(value) for value
+                   in hostio.row_to_lanes(sub.read_row(_Z), sub.lanes)]

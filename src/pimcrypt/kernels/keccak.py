@@ -3,7 +3,7 @@
 Lane-per-row layout: lane ``A[x,y]`` lives in row ``5y + x``, packed as
 four 64-bit segments so four independent states run side by side
 (block width 64 keeps every shift lane-confined), packed and read only
-here (:func:`_stage_blocks`, :func:`_digests`).  Rows:
+here.  Rows:
 
 * 0..24    state lanes
 * 25..31   theta parity lanes / rotation work rows (chi reuses them)
@@ -15,6 +15,11 @@ The permutation round is one fixed command stream: pi emits no commands
 at all — the rho rotations simply deposit each lane at its permuted
 row by walking the permutation cycle backwards — and chi then runs in
 place with two saved lanes per group.
+
+Staging: :func:`stage` takes 1..4 messages, one per sponge lane, and
+returns the run's validated program and a fresh env;
+``sha3_read_state`` leaves one digest per sponge lane under
+:data:`~pimcrypt.controller.OUTPUT`.
 """
 
 from __future__ import annotations
@@ -23,14 +28,15 @@ import struct
 from functools import lru_cache
 from itertools import repeat
 
-from ..controller import (HostAction, Invocation, KernelProgram, StrideRule,
-                          host_action)
+from ..controller import (OUTPUT, Controller, HostAction, Invocation,
+                          KernelProgram, StrideRule, host_action)
 from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
-__all__ = ["SHA3_LAYOUT", "build_sha3_program", "gen_theta", "gen_rho_pi",
-           "gen_pi", "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
+__all__ = ["SHA3_LAYOUT", "SHA3_LANES", "RATE_BYTES", "rate", "stage",
+           "build_sha3_program", "gen_theta", "gen_rho_pi", "gen_pi",
+           "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
 
 SHA3_LAYOUT = LayoutMap({
     "lanes": (0, 25),
@@ -45,6 +51,15 @@ BLOCK_WIDTH = 64
 SHA3_LANES = COLS // BLOCK_WIDTH
 
 RATE_BYTES = {224: 144, 256: 136, 384: 104, 512: 72}
+
+
+def rate(bits: int) -> int:
+    """The rate in bytes of SHA3-``bits``; ``ValueError`` for any other
+    output size."""
+    if type(bits) is not int or bits not in RATE_BYTES:
+        raise ValueError(f"SHA3 output size must be one of "
+                         f"{sorted(RATE_BYTES)} bits, got {bits!r}")
+    return RATE_BYTES[bits]
 
 _ROT = [[0, 36, 3, 41, 18],
         [1, 44, 10, 45, 2],
@@ -216,11 +231,39 @@ def build_sha3_program(bits: int, nblocks: int,
             schedule.append(Invocation("KeyXorPad"))
         schedule.append(Invocation("AddState"))
         schedule.append(Invocation("StatePermute", 24, 0))
-    actions.append(HostAction(len(schedule), "sha3_read_state", {}))
+    actions.append(HostAction(len(schedule), "sha3_read_state",
+                              {"bits": bits}))
     return KernelProgram(
         name=f"sha3-{bits}-{nblocks}blk" + ("-keyed" if key_prep else ""),
         commands=commands, functions=functions, schedule=schedule,
         host_actions=actions, block_width=BLOCK_WIDTH)
+
+
+# Bounded: each message length may need its own block count.
+@lru_cache(maxsize=128)
+def _controller(bits: int, nblocks: int, keyed: bool) -> Controller:
+    return Controller(build_sha3_program(bits, nblocks, keyed))
+
+
+def stage(bits: int, msgs: list[bytes],
+          pad_byte: int | None = None) -> tuple[Controller, dict]:
+    """Absorb 1..4 messages, one per sponge lane; unused lanes repeat the
+    first.
+
+    The messages must pad to equal block counts (``ValueError``
+    otherwise).  ``pad_byte`` selects the keyed program, which XORs that
+    byte into every byte of the first block (HMAC's ipad or opad).
+    """
+    r = rate(bits)
+    if not 1 <= len(msgs) <= SHA3_LANES:
+        raise ValueError(f"1..{SHA3_LANES} messages per run")
+    padded = [pad_sha3(m, r) for m in msgs]
+    if len(set(map(len, padded))) != 1:
+        raise ValueError("batched messages must pad to equal block counts")
+    env = {"blocks": _stage_blocks(padded, r)}
+    if pad_byte is not None:
+        env["pad_byte"] = pad_byte
+    return _controller(bits, len(env["blocks"]), pad_byte is not None), env
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +282,6 @@ def _stage_blocks(msgs: list[bytes], rate: int) -> list[list[int]]:
     rows = list(map(int.from_bytes, struct.unpack(
         f"{COLS // 8}s" * (len(data) * 8 // COLS), data), repeat("little")))
     return [rows[i:i + rate // 8] for i in range(0, len(rows), rate // 8)]
-
-
-def _digests(state_rows: list[int], bits: int, count: int) -> list[bytes]:
-    """The ``bits``-bit digests of the first ``count`` sponges, read from
-    the state rows that hold them."""
-    data = b"".join(r.to_bytes(COLS // 8, "little")
-                    for r in state_rows[:-(-bits // 64)])
-    words = memoryview(data).cast("Q")
-    return [bytes(words[s::SHA3_LANES])[:bits // 8] for s in range(count)]
 
 
 @lru_cache(maxsize=None)
@@ -276,5 +310,11 @@ def _load_block(sub, env, index):
 
 
 @host_action("sha3_read_state")
-def _read_state(sub, env):
-    env["state_rows"] = sub.read_rows(0, 25)
+def _read_state(sub, env, bits):
+    # Segment s of subarray lane k is sponge 4k + s; only the first
+    # ceil(bits / 64) rows hold digest words.
+    data = b"".join(r.to_bytes(sub.lanes * COLS // 8, "little")
+                    for r in sub.read_rows(0, -(-bits // 64)))
+    words, sponges = memoryview(data).cast("Q"), SHA3_LANES * sub.lanes
+    env[OUTPUT] = [bytes(words[s::sponges])[:bits // 8]
+                   for s in range(sponges)]

@@ -1,27 +1,26 @@
 """Cipher modes and hashes orchestrated over the fabric kernels.
 
 This is the host-software layer: it formats counters, padding and tag
-material, chops work into subarray passes, and binds the staged data
-each kernel program expects.  Every block-cipher invocation, Keccak
-permutation and GF(2^128) multiply runs on the simulated fabric; only
-byte shuffling happens here.
+material and chops work into subarray passes.  Every block-cipher
+invocation, Keccak permutation and GF(2^128) multiply runs on the
+simulated fabric; only byte shuffling happens here.
 
-No row layout is known here: this module hands bytes to ``aes``,
-``ghash`` and ``keccak`` and gets bytes back.  The AES block byte order
-lives in ``hostio``, the round-key rows and AES-256's key split in
-``aes``, SHA3's 64-bit row segments in ``keccak`` and the GHASH bit
-order in ``ghash``.
+No row layout, program or env key is known here: each kernel module
+stages its own runs (``aes.Key.stage``, ``ghash.stage``,
+``ghash.stage_fold`` and ``keccak.stage``; see their docstrings), so
+this module hands bytes to ``aes``, ``ghash`` and ``keccak`` and gets
+the run's output blocks or digests back.
 
 Independent AES blocks (ECB, CBC decryption, CTR and GCM's CTR) fill
-16-block passes, and up to :data:`~pimcrypt.fabric.SUBARRAYS` passes of
-one call run in lockstep as the lanes of one wide subarray: one
-controller run drives them all, as the modeled controller drives every
-compute subarray with one command stream.  Modeled commands and cycles
-still count every pass.  Serial chains (CBC encryption, the CCM CBC-MAC, the
-SHA3 absorb) run one pass at a time on one lane; a chained AES block
-uses tile 0 only, as the fabric cannot parallelize a dependency chain,
-but a CCM call runs its own independent blocks in the other 15 tiles
-(:func:`_ccm`).
+passes of ``aes.BLOCKS_PER_PASS`` blocks, and up to
+:data:`~pimcrypt.fabric.SUBARRAYS` passes of one call run in lockstep as
+the lanes of one wide subarray: one controller run drives them all, as
+the modeled controller drives every compute subarray with one command
+stream.  Modeled commands and cycles still count every pass.  Serial
+chains (CBC encryption, the CCM CBC-MAC, the SHA3 absorb) run one pass
+at a time on one lane; a chained AES block uses tile 0 only, as the
+fabric cannot parallelize a dependency chain, but a CCM call runs its
+own independent blocks in the other tiles (:func:`_chain`).
 
 GHASH splits one message across K lanes in lockstep (aggregated Horner,
 :func:`_ghash`): K is a power of two up to 8 that grows with the block
@@ -37,12 +36,11 @@ runs one AES pass per formatted block and no separate CTR run: the
 encrypt tag, MAC xor S0, is a fold on the fabric, and decryption
 compares the MAC with S0 xor tag, which the tile of S0 computes.
 
-The round-key rows are expanded and staged once per call and dropped
-with it, so no key material outlives the call; so are their copies
-replicated per lane count, which ``aes_load_keys`` caches in the call's
-env.  Every AES mode rejects a key that is not 16 or 32 bytes (the key
-expansion checks it), and CBC and CTR check that the IV or counter
-block is one block, raising ``ValueError``.
+Each call expands its own AES key (``aes.Key``), so no key material
+outlives the call.  Every AES mode rejects a key that is not 16 or 32
+bytes, ECB a direction other than ``"encrypt"`` or ``"decrypt"`` (both
+checked where the key is staged, whatever the data), and CBC and CTR an
+IV or counter block that is not one block, raising ``ValueError``.
 
 Every public function takes its keys, IVs, nonces, AAD and messages as
 any bytes-like object (``bytes``, ``bytearray``, ``memoryview``, ...),
@@ -52,25 +50,15 @@ not read as a length, as ``bytes(5)`` would read it.
 
 Every run counts into the caller's
 :class:`~pimcrypt.controller.ExecutionStats` once, and nothing is
-counted when the caller passed none.  A serial chain (:func:`_cbc_mac`)
-runs all its single-block passes on one subarray and one env, and
-counts them with one merge.
-
-Each kernel family has one staging step, :meth:`_AesKey.stage`,
-:func:`_ghash_stage` and :func:`_sponge`, which returns the
-:func:`_controller` arguments of a run and a fresh env (the dict its
-host actions read and write).  The mode functions here and
-``perfmodel.kernel_passes`` both stage through them; only the GHASH
-fold, which :func:`_ghash` alone runs, stages its rows in place.
+counted when the caller passed none.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac_mod
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable
 
-from ..controller import Controller, ExecutionStats
+from ..controller import OUTPUT, Controller, ExecutionStats
 from ..fabric import SUBARRAYS, Subarray
 from . import aes, ghash, keccak
 
@@ -78,34 +66,18 @@ __all__ = ["TagMismatch", "ecb_crypt", "cbc_encrypt", "cbc_decrypt",
            "ctr_crypt", "ccm_encrypt", "ccm_decrypt", "gcm_encrypt",
            "gcm_decrypt", "ghash_digest", "sha3_digest", "hmac_sha3"]
 
-AES_BLOCKS_PER_PASS = 16
-
 
 class TagMismatch(Exception):
     pass
 
 
-@lru_cache(maxsize=128)
-def _controller(kernel: str, *args) -> Controller:
-    """The validated program ``build(*args)`` of one kernel family.
-
-    Programs depend only on their build arguments, never on key or data,
-    so one per argument tuple serves every call.
-    """
-    build = {"aes": aes.build_aes_program, "ghash": ghash.build_ghash_program,
-             "ghash_fold": ghash.build_ghash_fold_program,
-             "sha3": keccak.build_sha3_program}[kernel]
-    return Controller(build(*args))
-
-
-def _run(staged: tuple[tuple, dict], sub: Subarray,
-         stats: ExecutionStats | None) -> dict:
-    """Run one staged (``_controller`` arguments, env) pair on ``sub``,
-    counted into ``stats`` if given; returns the env, which holds what
-    the unload actions read out."""
-    args, env = staged
-    _controller(*args).run(sub, env, stats=stats)
-    return env
+def _run(staged: tuple[Controller, dict], sub: Subarray,
+         stats: ExecutionStats | None) -> list[bytes]:
+    """Run one staged (program, env) pair on ``sub``, counted into
+    ``stats`` if given; returns the run's output blocks or digests."""
+    ctrl, env = staged
+    ctrl.run(sub, env, stats=stats)
+    return env[OUTPUT]
 
 
 def _bytes(value) -> bytes:
@@ -118,45 +90,19 @@ def _bytes(value) -> bytes:
 # AES
 # ---------------------------------------------------------------------------
 
-class _AesKey(NamedTuple):
-    """One call's key: what selects the program, and the staged rows."""
-    variant: int
-    direction: str
-    env: dict
-
-    def stage(self, blocks: list[bytes], chain: str | None = None,
-              chain_blocks: list[bytes] | None = None,
-              post_chain_blocks: list[bytes] | None = None
-              ) -> tuple[tuple, dict]:
-        """The ``_controller`` arguments and a fresh env for one run of
-        ``blocks``, XORed with ``chain_blocks`` before (``"pre"``) or
-        after (``"post"``) the cipher, or with ``chain_blocks`` before it
-        and ``post_chain_blocks`` after it (``"both"``)."""
-        env = dict(self.env, blocks=blocks)
-        if chain:
-            env["chain_blocks"] = chain_blocks
-        if chain == "both":
-            env["post_chain_blocks"] = post_chain_blocks
-        return ("aes", self.variant, self.direction, chain), env
-
-
-def _aes_key(key: bytes, direction: str) -> _AesKey:
-    return _AesKey(len(key) * 8, direction, aes._key_env(key, direction))
-
-
-def _aes_passes(k: _AesKey, blocks: list[bytes], chain: str | None,
+def _aes_passes(k: aes.Key, blocks: list[bytes], chain: str | None,
                 chain_blocks: list[bytes] | None,
                 stats: ExecutionStats | None) -> list[bytes]:
     """Run ``blocks`` through AES, up to SUBARRAYS passes per run."""
-    per_run = AES_BLOCKS_PER_PASS * SUBARRAYS
+    per_run = aes.BLOCKS_PER_PASS * SUBARRAYS
     out: list[bytes] = []
     for off in range(0, len(blocks), per_run):
         run = blocks[off:off + per_run]
-        lanes = -(-len(run) // AES_BLOCKS_PER_PASS)
+        lanes = -(-len(run) // aes.BLOCKS_PER_PASS)
         staged = k.stage(run, chain,
                          chain_blocks[off:off + per_run] if chain else None)
         sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
-        out += _run(staged, sub, stats)["out_blocks"]
+        out += _run(staged, sub, stats)
     return out
 
 
@@ -173,32 +119,50 @@ def _pad16(data: bytes) -> bytes:
 def ecb_crypt(key: bytes, data: bytes, direction: str = "encrypt",
               stats: ExecutionStats | None = None) -> bytes:
     key, data = _bytes(key), _bytes(data)
-    return b"".join(_aes_passes(_aes_key(key, direction),
+    return b"".join(_aes_passes(aes.Key(key, direction),
                                 _split_blocks(data), None, None, stats))
 
 
-def _cbc_mac(k: _AesKey, iv: bytes, blocks: list[bytes],
-             stats: ExecutionStats | None) -> list[bytes]:
-    """The CBC chain of ``blocks``: one single-block pass per block.
+# The tiles of a chain pass that run side blocks: all but tile 0.
+_SIDE_PER_PASS = aes.BLOCKS_PER_PASS - 1
 
-    The passes share one one-lane subarray and one env: ``aes_load``
-    stages every row a pass reads, round keys included, before the pass
-    runs, and each pass sets its own block and chain block.  Every pass
-    counts the same statistics, so the chain adds them to ``stats`` with
-    one merge.
+
+def _chain(k: aes.Key, prev: bytes, steps: int,
+           step: Callable[[int, list[bytes]], bytes], side: list[bytes],
+           post: list[bytes], stats: ExecutionStats | None
+           ) -> tuple[list[bytes], list[bytes]]:
+    """An AES chain of ``steps`` one-lane passes from chain value
+    ``prev``: returns the chain outputs and E(``side[j]``) xor
+    ``post[j]`` for every side block.
+
+    Pass i runs chain step i in tile 0, ``step(i, side_out)`` xor the
+    previous output, ``side_out`` being the side outputs of the passes
+    before it.  While side blocks remain, the pass also runs the next
+    up to 15 of them in tiles 1..15 on the ``"both"`` program: tile 0
+    XORs zero after the rounds, a side tile zero before and its ``post``
+    block after.  Otherwise the pass runs ``"pre"``.  The passes share
+    one subarray; each program counts its passes into ``stats`` with one
+    merge.
     """
-    args, env = k.stage([], "pre", [])
-    ctrl = _controller(*args)
-    sub = Subarray(block_width=aes.BLOCK_WIDTH)
-    out, prev = [], iv
-    for block in blocks:
-        env["blocks"], env["chain_blocks"] = [block], [prev]
-        ctrl.run(sub, env)
-        prev = env["out_blocks"][0]
+    sub, zero = Subarray(block_width=aes.BLOCK_WIDTH), bytes(16)
+    out, side_out, passes = [], [], {}   # passes: runs per program
+    for i in range(steps):
+        first = _SIDE_PER_PASS * i
+        run = side[first:first + _SIDE_PER_PASS]
+        if run:
+            staged = k.stage([step(i, side_out), *run], "both",
+                             [prev] + [zero] * len(run),
+                             [zero, *post[first:first + len(run)]])
+        else:
+            staged = k.stage([step(i, side_out)], "pre", [prev])
+        prev, *blocks = _run(staged, sub, None)
         out.append(prev)
-    if stats is not None and blocks:
-        stats.merge(ctrl.run_stats(sub, len(blocks)))
-    return out
+        side_out += blocks
+        passes[staged[0]] = passes.get(staged[0], 0) + 1
+    if stats is not None:
+        for ctrl, n in passes.items():
+            stats.merge(ctrl.run_stats(sub, n))
+    return out, side_out
 
 
 def _check_block(name: str, value: bytes) -> None:
@@ -210,8 +174,9 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     key, iv, plaintext = _bytes(key), _bytes(iv), _bytes(plaintext)
     _check_block("CBC IV", iv)
-    return b"".join(_cbc_mac(_aes_key(key, "encrypt"), iv,
-                             _split_blocks(plaintext), stats))
+    blocks = _split_blocks(plaintext)
+    return b"".join(_chain(aes.Key(key, "encrypt"), iv, len(blocks),
+                           lambda i, _: blocks[i], [], [], stats)[0])
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
@@ -219,7 +184,7 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
     key, iv, ciphertext = _bytes(key), _bytes(iv), _bytes(ciphertext)
     _check_block("CBC IV", iv)
     ct = _split_blocks(ciphertext)
-    return b"".join(_aes_passes(_aes_key(key, "decrypt"), ct, "post",
+    return b"".join(_aes_passes(aes.Key(key, "decrypt"), ct, "post",
                                 [iv] + ct[:-1], stats))
 
 
@@ -233,7 +198,7 @@ def _counter_blocks(counter0: bytes, n: int, width: int = 128) -> list[bytes]:
             for i in range(n)]
 
 
-def _ctr(k: _AesKey, counter0: bytes, data: bytes,
+def _ctr(k: aes.Key, counter0: bytes, data: bytes,
          stats: ExecutionStats | None, width: int = 128) -> bytes:
     n = -(-len(data) // 16)
     padded = data + bytes(16 * n - len(data))
@@ -246,7 +211,7 @@ def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
               stats: ExecutionStats | None = None) -> bytes:
     key, counter0, data = _bytes(key), _bytes(counter0), _bytes(data)
     _check_block("CTR counter block", counter0)
-    return _ctr(_aes_key(key, "encrypt"), counter0, data, stats)
+    return _ctr(aes.Key(key, "encrypt"), counter0, data, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -269,38 +234,25 @@ def _ccm_head(nonce: bytes, aad: bytes, msg_len: int,
     return _split_blocks(bytes(buf))
 
 
-def _ccm_ctr0(nonce: bytes) -> bytes:
-    q = 15 - len(nonce)
-    return bytes([q - 1]) + nonce + bytes(q)
-
-
-# The tiles of a CBC-MAC pass that run CCM counter blocks: all but tile 0.
-_CCM_COUNTERS_PER_PASS = AES_BLOCKS_PER_PASS - 1
-
-
-def _ccm(k: _AesKey, nonce: bytes, aad: bytes, tag_len: int, msg_len: int,
+def _ccm(k: aes.Key, nonce: bytes, aad: bytes, tag_len: int, msg_len: int,
          post: list[bytes], decrypt: bool,
          stats: ExecutionStats | None) -> tuple[bytes, list[bytes]]:
-    """One CCM call's CBC-MAC and counter blocks, as one chain of
-    single-lane passes: returns the MAC and E(Ctr_j) xor ``post[j]`` for
-    every counter block Ctr_j, j = 0 .. len(post) - 1.
+    """One CCM call's CBC-MAC and counter blocks, as one :func:`_chain`:
+    returns the MAC and E(Ctr_j) xor ``post[j]`` for every counter block
+    Ctr_j, j = 0 .. len(post) - 1, which ride as side blocks.
 
-    Pass i runs MAC step i in tile 0 and, while any are left, counter
-    blocks 15i .. 15i + 14 in tiles 1..15, on the ``"both"`` program:
-    tile 0 XORs the previous MAC value in before the rounds and zero
-    after them, a counter tile zero before and its ``post`` block after.
-    :func:`_cbc_mac` runs the MAC steps after them.  The MAC's payload
-    block j (1-based, cut to ``msg_len`` and zero-padded) is ``post[j]``
-    when encrypting and counter output j when ``decrypt``: pass
-    h + j - 1 reads it, h being the number of head blocks, and the
-    front-loaded counter blocks put it out in pass j // 15, at least one
-    pass before.
+    The MAC's payload block j (1-based, cut to ``msg_len`` and
+    zero-padded) is ``post[j]`` when encrypting and counter output j when
+    ``decrypt``: pass h + j - 1 reads it, h being the number of head
+    blocks, and the front-loaded counter blocks put it out in pass
+    j // 15, at least one pass before.
     """
     head = _ccm_head(nonce, aad, msg_len, tag_len)
-    counters = _counter_blocks(_ccm_ctr0(nonce), len(post))
-    tail, out = msg_len % 16, []
+    q = 15 - len(nonce)             # Ctr_0: flags q - 1, nonce, zero count
+    counters = _counter_blocks(bytes([q - 1]) + nonce + bytes(q), len(post))
+    tail = msg_len % 16
 
-    def mac_block(i: int) -> bytes:
+    def mac_block(i: int, out: list[bytes]) -> bytes:
         j = i - len(head) + 1
         if j < 1:
             return head[i]
@@ -309,24 +261,9 @@ def _ccm(k: _AesKey, nonce: bytes, aad: bytes, tag_len: int, msg_len: int,
             return block[:tail] + bytes(16 - tail)
         return block
 
-    args, env = k.stage([], "both", [], [])
-    both = _controller(*args)
-    sub = Subarray(block_width=aes.BLOCK_WIDTH)
-    mac = zero = bytes(16)
-    side = -(-len(post) // _CCM_COUNTERS_PER_PASS)
-    for i in range(side):
-        first = _CCM_COUNTERS_PER_PASS * i
-        run = counters[first:first + _CCM_COUNTERS_PER_PASS]
-        env["blocks"] = [mac_block(i)] + run
-        env["chain_blocks"] = [mac] + [zero] * len(run)
-        env["post_chain_blocks"] = [zero] + post[first:first + len(run)]
-        both.run(sub, env)
-        mac, *blocks = env["out_blocks"]
-        out += blocks
-    if stats is not None:
-        stats.merge(both.run_stats(sub, side))
-    rest = [mac_block(i) for i in range(side, len(head) + len(post) - 1)]
-    return (_cbc_mac(k, mac, rest, stats)[-1] if rest else mac), out
+    macs, out = _chain(k, bytes(16), len(head) + len(post) - 1, mac_block,
+                       counters, post, stats)
+    return macs[-1], out
 
 
 def _ccm_check(nonce: bytes, tag_len: int, msg_len: int) -> None:
@@ -347,7 +284,7 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
     key, nonce, aad, plaintext = map(_bytes, (key, nonce, aad, plaintext))
     _ccm_check(nonce, tag_len, len(plaintext))
     post = [bytes(16)] + _split_blocks(_pad16(plaintext))
-    mac, out = _ccm(_aes_key(key, "encrypt"), nonce, aad, tag_len,
+    mac, out = _ccm(aes.Key(key, "encrypt"), nonce, aad, tag_len,
                     len(plaintext), post, False, stats)
     # out[0] is S0 = E(Ctr_0), and the tag is MAC xor S0.
     tag = _xor_blocks([mac, out[0]], stats)
@@ -361,7 +298,7 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
     _ccm_check(nonce, tag_len, len(ciphertext) - tag_len)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
     post = [_pad16(tag)] + _split_blocks(_pad16(ct))
-    mac, out = _ccm(_aes_key(key, "encrypt"), nonce, aad, tag_len, len(ct),
+    mac, out = _ccm(aes.Key(key, "encrypt"), nonce, aad, tag_len, len(ct),
                     post, True, stats)
     # out[0][:len(tag)] is the MAC the tag encrypts; a ciphertext shorter
     # than the tag leaves it short, so it cannot match.
@@ -394,16 +331,6 @@ def _ghash_lanes(nblocks: int) -> int:
     return k
 
 
-def _ghash_stage(hash_keys: list[bytes], blocks: list[list[bytes]],
-                 first: bool, final: bool) -> tuple[tuple, dict]:
-    """The ``_controller`` arguments and a fresh env for one GHASH pass of
-    up to 8 blocks per lane, lane k with hash key ``hash_keys[k]`` and
-    blocks ``blocks[k]``: ``first`` clears the running product,
-    ``final`` reduces it and reads out each lane's digest."""
-    return (("ghash", len(blocks[0]), final),
-            {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
-
-
 def _hash_powers(hash_key: bytes, k: int,
                  stats: ExecutionStats | None) -> list[bytes]:
     """H^1 .. H^K for a power of two K.  Each doubling is one 1-block
@@ -412,9 +339,9 @@ def _hash_powers(hash_key: bytes, k: int,
     powers = [hash_key]
     while len(powers) < k:
         sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(powers))
-        staged = _ghash_stage([powers[-1]] * len(powers),
-                              [[p] for p in powers], True, True)
-        powers += _run(staged, sub, stats)["digests"]
+        staged = ghash.stage([powers[-1]] * len(powers),
+                             [[p] for p in powers], True, True)
+        powers += _run(staged, sub, stats)
     return powers
 
 
@@ -436,29 +363,26 @@ def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
     m = -(-len(blocks) // k)
     padded = [bytes(16)] * (k * m - len(blocks)) + blocks
     lanes = [padded[j::k] for j in range(k)]
-    # Passes of up to 8 block steps share each lane's hash key, so the
-    # last step runs alone; with K = 1 its key is H^K as well, and the
-    # passes are those of the serial form.
+    # Passes of up to BLOCKS_PER_PASS block steps share each lane's hash
+    # key, so the last step runs alone; with K = 1 its key is H^K as
+    # well, and the passes are those of the serial form.
     last = m - 1 if k > 1 else m
-    bounds = sorted({*range(0, last, 8), last, m})
+    bounds = sorted({*range(0, last, ghash.BLOCKS_PER_PASS), last, m})
     sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=k)
     for lo, hi in zip(bounds, bounds[1:]):
         keys = powers[::-1] if hi == m else [powers[-1]] * k
-        staged = _ghash_stage(keys, [lane[lo:hi] for lane in lanes],
-                              lo == 0, hi == m)
-        digests = _run(staged, sub, stats)["digests"]
+        staged = ghash.stage(keys, [lane[lo:hi] for lane in lanes],
+                             lo == 0, hi == m)
+        digests = _run(staged, sub, stats)
     if mask is not None:
         digests.append(mask)
     return digests[0] if len(digests) == 1 else _xor_blocks(digests, stats)
 
 
 def _xor_blocks(blocks: list[bytes], stats: ExecutionStats | None) -> bytes:
-    """The XOR of 2..32 blocks, run by the one-lane GHASH fold program:
-    the GHASH bit order is a permutation of a block's bits, so the XOR of
-    the staged rows is the row of the XOR of any blocks."""
-    staged = ("ghash_fold", len(blocks)), {"fold_blocks": blocks}
-    return _run(staged, Subarray(block_width=ghash.BLOCK_WIDTH),
-                stats)["digests"][0]
+    """The XOR of 2..32 blocks, run by the one-lane GHASH fold program."""
+    return _run(ghash.stage_fold(blocks),
+                Subarray(block_width=ghash.BLOCK_WIDTH), stats)[0]
 
 
 def ghash_digest(hash_key: bytes, data: bytes,
@@ -469,13 +393,9 @@ def ghash_digest(hash_key: bytes, data: bytes,
     return _ghash(hash_key, blocks, stats) if blocks else bytes(16)
 
 
-def _gcm_lengths(aad: bytes, ct: bytes) -> bytes:
-    return (8 * len(aad)).to_bytes(8, "big") + (8 * len(ct)).to_bytes(8, "big")
-
-
 def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
                stats: ExecutionStats | None
-               ) -> tuple[_AesKey, bytes, bytes, bytes, bytes]:
+               ) -> tuple[aes.Key, bytes, bytes, bytes, bytes]:
     """The call's key, the hash key H, the pre-counter block J0, E(J0)
     and the GCTR encryption of ``plaintext``, from inc32(J0).
 
@@ -488,7 +408,7 @@ def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
                          f"got {tag_len!r}")
     if not iv:
         raise ValueError("GCM IV must not be empty")
-    k = _aes_key(key, "encrypt")
+    k = aes.Key(key, "encrypt")
     zero = bytes(16)
     if len(iv) == 12:
         head, j0 = [zero], iv + b"\x00\x00\x00\x01"
@@ -511,7 +431,8 @@ def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
 def _gcm_tag(h: bytes, ej0: bytes, aad: bytes, ct: bytes,
              stats: ExecutionStats | None) -> bytes:
     """E(J0) xor GHASH_H(A, C), both on the fabric."""
-    data = _pad16(aad) + _pad16(ct) + _gcm_lengths(aad, ct)
+    data = (_pad16(aad) + _pad16(ct) + (8 * len(aad)).to_bytes(8, "big")
+            + (8 * len(ct)).to_bytes(8, "big"))
     return _ghash(h, _split_blocks(data), stats, ej0)
 
 
@@ -541,47 +462,18 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
 # SHA3 / HMAC
 # ---------------------------------------------------------------------------
 
-def _rate(bits: int) -> int:
-    if type(bits) is not int or bits not in keccak.RATE_BYTES:
-        raise ValueError(f"SHA3 output size must be one of "
-                         f"{sorted(keccak.RATE_BYTES)} bits, got {bits!r}")
-    return keccak.RATE_BYTES[bits]
-
-
-def _sponge(bits: int, msgs: list[bytes],
-            pad_byte: int | None = None) -> tuple[tuple, dict]:
-    """The ``_controller`` arguments and a fresh env that absorb 1..4
-    messages, one per sponge lane; unused lanes repeat the first.
-
-    The messages must pad to equal block counts.  ``pad_byte`` selects
-    the keyed program, which XORs that byte into every byte of the
-    first block (HMAC's ipad or opad).
-    """
-    rate = _rate(bits)
-    padded = [keccak.pad_sha3(m, rate) for m in msgs]
-    if len(set(map(len, padded))) != 1:
-        raise ValueError("batched messages must pad to equal block counts")
-    env = {"blocks": keccak._stage_blocks(padded, rate)}
-    if pad_byte is not None:
-        env["pad_byte"] = pad_byte
-    return ("sha3", bits, len(env["blocks"]), pad_byte is not None), env
-
-
 def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
             pad_byte: int | None = None) -> list[bytes]:
-    """The digests of ``msgs``, absorbed by one ``_sponge`` run."""
-    env = _run(_sponge(bits, msgs, pad_byte),
-               Subarray(block_width=keccak.BLOCK_WIDTH), stats)
-    return keccak._digests(env["state_rows"], bits, len(msgs))
+    """The digests of ``msgs``, absorbed by one ``keccak.stage`` run."""
+    digests = _run(keccak.stage(bits, msgs, pad_byte),
+                   Subarray(block_width=keccak.BLOCK_WIDTH), stats)
+    return digests[:len(msgs)]
 
 
 def sha3_digest_batch(bits: int, msgs: list[bytes],
                       stats: ExecutionStats | None = None) -> list[bytes]:
     """Hash up to four equal-block-count messages in one fabric run."""
-    msgs = [_bytes(m) for m in msgs]
-    if not 1 <= len(msgs) <= keccak.SHA3_LANES:
-        raise ValueError("1..4 messages per batch")
-    return _absorb(bits, msgs, stats)
+    return _absorb(bits, [_bytes(m) for m in msgs], stats)
 
 
 def sha3_digest(bits: int, msg: bytes,
@@ -592,7 +484,7 @@ def sha3_digest(bits: int, msg: bytes,
 def hmac_sha3(bits: int, key: bytes, msg: bytes,
               stats: ExecutionStats | None = None) -> bytes:
     key, msg = _bytes(key), _bytes(msg)
-    rate = _rate(bits)
+    rate = keccak.rate(bits)
     if len(key) > rate:
         key = sha3_digest(bits, key, stats)
     key_block = key + bytes(rate - len(key))

@@ -9,10 +9,11 @@ kernel program on the simulated fabric (1 cycle per command plus 1 per
 1-bit shift step by default).  ``kernel_passes`` is the one registry of
 those passes: ``measure_kernels`` runs it, ``pimcrypt trace`` shows it
 command by command, and the engine tests check both engines on it.  The
-registry only chooses the pass's inputs; ``modes`` stages them, as it
-does for every mode call.  The control-overhead table (commands per
-iteration and iterations per function) is read from the measured
-passes' per-function statistics, so nothing here builds a program.
+registry only chooses the pass's inputs; each kernel module stages them
+(``aes.Key.stage``, ``ghash.stage``, ``keccak.stage``), as it does for
+every mode call.  The control-overhead table (commands per iteration and
+iterations per function) is read from the measured passes'
+per-function statistics, so nothing here builds a program.
 
 The reference hardware is a 256 KiB SRAM of 4 KiB subarrays (64 total)
 with 25/50/100% of them compute-enabled, clocked and powered like the
@@ -24,9 +25,10 @@ CBC-equivalent CTR pass plus two 8-block GHASH passes per 256-byte
 payload.  "CCM = 2x CBC" is a full-occupancy figure, every tile of
 both passes busy, and ``compare_to_paper`` keeps it; a single CCM call
 of ``modes`` runs its counter blocks in the idle tiles of its serial
-MAC passes, so its modeled count is less than that.  All ratio and scaling checks hold with calibration 1.0; one
-scalar per kernel family (aes / sha3 / ghash) may be fitted to land on
-the absolute published numbers.
+MAC passes, so its modeled count is less than that.  All ratio and
+scaling checks hold with calibration 1.0; one scalar per kernel family
+(aes / sha3 / ghash) may be fitted to land on the absolute published
+numbers.
 
 Baseline CPU/ASIC rows are quoted measurements of an STM32L562-class
 part, embedded here purely as comparison targets.
@@ -41,7 +43,7 @@ from typing import Callable, Mapping
 
 from .controller import Controller, ExecutionStats, FunctionStats
 from .fabric import SUBARRAYS, CycleCostModel, Subarray
-from .kernels import keccak, modes
+from .kernels import aes, ghash, keccak
 
 __all__ = ["PowerMode", "POWER_MODES", "FabricConfig", "KernelMeasurement",
            "KernelPass", "PerfReport", "kernel_passes", "measure_kernels",
@@ -183,56 +185,51 @@ class KernelPass:
     """One representative pass of a kernel: what ``measure_kernels``
     measures and ``pimcrypt trace`` shows.
 
-    ``build`` returns the pass's ordered runs as (``modes._controller``
-    arguments, env) pairs, staged by the same ``modes`` steps the mode
-    functions use.  Envs are staged on every call because host actions
-    mutate them; programs come from the ``modes`` cache, so nothing is
-    built before first use.
+    ``build`` returns the pass's ordered runs as (validated program,
+    env) pairs from the kernels' staging functions, which the mode
+    functions use too: fresh envs on every call, as host actions mutate
+    them, and programs from the kernels' caches.
     """
     family: str               # calibration family: aes / sha3 / ghash
     payload_bytes: int        # per subarray pass
-    build: Callable[[], list[tuple[tuple, dict]]]
-
-    def runs(self) -> list[tuple[Controller, dict]]:
-        """The validated programs in order, each with a fresh env."""
-        return [(modes._controller(*args), env) for args, env in self.build()]
+    build: Callable[[], list[tuple[Controller, dict]]]
 
     def run(self, cost: CycleCostModel,
             trace: list | None = None) -> ExecutionStats:
         """Run every program on a fresh one-lane subarray; ``trace``
         selects the reference interpreter and collects its records."""
         stats = ExecutionStats()
-        for ctrl, env in self.runs():
+        for ctrl, env in self.build():
             sub = Subarray(block_width=ctrl.program.block_width,
                            cost_model=cost)
             ctrl.run(sub, env, trace=trace, stats=stats)
         return stats
 
 
-def _aes_runs(variant: int, direction: str) -> list[tuple[tuple, dict]]:
+def _aes_runs(variant: int, direction: str) -> list[tuple[Controller, dict]]:
     chain = "pre" if direction == "encrypt" else "post"
     blocks = [bytes([(17 * i + j) & 0xFF for j in range(16)])
-              for i in range(16)]
-    key = modes._aes_key(bytes(range(variant // 8)), direction)
+              for i in range(aes.BLOCKS_PER_PASS)]
+    key = aes.Key(bytes(range(variant // 8)), direction)
     return [key.stage(blocks, chain, blocks[::-1])]
 
 
-def _sha3_runs(bits: int) -> list[tuple[tuple, dict]]:
+def _sha3_runs(bits: int) -> list[tuple[Controller, dict]]:
     msg = bytes(i & 0xFF for i in range(3 * keccak.RATE_BYTES[bits]))
-    return [modes._sponge(bits, [msg])]          # pads to 4 blocks
+    return [keccak.stage(bits, [msg])]          # pads to 4 blocks
 
 
-def _hmac_runs(bits: int) -> list[tuple[tuple, dict]]:
+def _hmac_runs(bits: int) -> list[tuple[Controller, dict]]:
     rate = keccak.RATE_BYTES[bits]
     key = msg = bytes(i & 0xFF for i in range(rate))
     # inner: key block + 2 message blocks; outer: key block + digest block
-    return [modes._sponge(bits, [key + tail], 0x36)
+    return [keccak.stage(bits, [key + tail], 0x36)
             for tail in (msg, bytes(bits // 8))]
 
 
-def _ghash_runs() -> list[tuple[tuple, dict]]:
-    blocks = [bytes([i] * 16) for i in range(8)]
-    return [modes._ghash_stage([bytes(range(16))], [blocks], True, False)]
+def _ghash_runs() -> list[tuple[Controller, dict]]:
+    blocks = [bytes([i] * 16) for i in range(ghash.BLOCKS_PER_PASS)]
+    return [ghash.stage([bytes(range(16))], [blocks], True, False)]
 
 
 def kernel_passes() -> dict[str, KernelPass]:
@@ -241,13 +238,15 @@ def kernel_passes() -> dict[str, KernelPass]:
     for variant in (128, 256):
         for direction in ("encrypt", "decrypt"):
             passes[f"aes-{variant}-{direction}"] = KernelPass(
-                "aes", 256, partial(_aes_runs, variant, direction))
+                "aes", 16 * aes.BLOCKS_PER_PASS,
+                partial(_aes_runs, variant, direction))
     for bits, rate in keccak.RATE_BYTES.items():
         passes[f"sha3-{bits}"] = KernelPass(
             "sha3", keccak.SHA3_LANES * 3 * rate, partial(_sha3_runs, bits))
         passes[f"hmac-sha3-{bits}"] = KernelPass(
             "sha3", keccak.SHA3_LANES * rate, partial(_hmac_runs, bits))
-    passes["ghash"] = KernelPass("ghash", 128, _ghash_runs)
+    passes["ghash"] = KernelPass("ghash", 16 * ghash.BLOCKS_PER_PASS,
+                                 _ghash_runs)
     return passes
 
 
@@ -264,7 +263,7 @@ def measure_kernels(cost: CycleCostModel = CycleCostModel()
 
 def mode_cycles(measurements: dict[str, KernelMeasurement]
                 ) -> dict[tuple, KernelMeasurement]:
-    """Compose per-mode measurements over a 256-byte payload."""
+    """Compose per-mode measurements over one AES pass's payload."""
     out = {}
     g = measurements["ghash"]
     for variant in (128, 256):
@@ -275,7 +274,7 @@ def mode_cycles(measurements: dict[str, KernelMeasurement]
                 base, name=base.name + "-ccm", cycles=2 * base.cycles)
             out[(variant, direction, "gcm")] = KernelMeasurement(
                 base.name + "-gcm", "aes+ghash",
-                base.cycles + 2 * g.cycles, 256, base.stats)
+                base.cycles + 2 * g.cycles, base.payload_bytes, base.stats)
     return out
 
 
@@ -330,8 +329,9 @@ def calibrate(measurements: dict[str, KernelMeasurement] | None = None
     for v in (128, 256):
         for d in ("encrypt", "decrypt"):
             target = PAPER["aes_throughput"][1.0][(v, d, "gcm")]
-            total = base * 256 / (target * 1e6)
-            g_share = total - ms[f"aes-{v}-{d}"].cycles / cal["aes"]
+            a = ms[f"aes-{v}-{d}"]
+            total = base * a.payload_bytes / (target * 1e6)
+            g_share = total - a.cycles / cal["aes"]
             g_cals.append(2 * g.cycles / g_share)
     cal["ghash"] = math.prod(g_cals) ** (1 / len(g_cals))
     return cal

@@ -3,7 +3,7 @@
 import pytest
 
 from pimcrypt import oracle
-from pimcrypt.controller import Controller, ExecutionStats
+from pimcrypt.controller import OUTPUT, ExecutionStats
 from pimcrypt.fabric import Subarray
 from pimcrypt.kernels import aes, circuits, hostio, modes
 
@@ -180,11 +180,11 @@ GOLDEN_CYCLES = {(128, "encrypt"): 14875, (128, "decrypt"): 18179,
 
 @pytest.mark.parametrize("variant,direction", sorted(GOLDEN_CYCLES))
 def test_pass_cycles(variant, direction, rng):
-    prog = aes.build_aes_program(variant, direction)
-    env = aes._key_env(rng.randbytes(variant // 8), direction)
-    env["blocks"] = [rng.randbytes(16) for _ in range(16)]
-    stats = Controller(prog).run(Subarray(block_width=aes.BLOCK_WIDTH), env,
-                                 stats=ExecutionStats())
+    ctrl, env = aes.Key(rng.randbytes(variant // 8), direction).stage(
+        [rng.randbytes(16) for _ in range(16)])
+    assert ctrl.program.name == f"aes-{variant}-{direction}"
+    stats = ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env,
+                     stats=ExecutionStats())
     assert stats.cycles == GOLDEN_CYCLES[(variant, direction)]
 
 
@@ -221,11 +221,10 @@ def test_both_chains_xor_before_and_after_the_rounds(lanes, klen, direction,
     key = rng.randbytes(klen)
     blocks, pre, post = ([rng.randbytes(16) for _ in range(16 * lanes - 3)]
                          for _ in range(3))
-    k = modes._aes_key(key, direction)
-    staged = k.stage(blocks, "both", pre, post)
-    stats = ExecutionStats()
-    out = modes._run(staged, Subarray(block_width=aes.BLOCK_WIDTH,
-                                      lanes=lanes), stats)["out_blocks"]
+    ctrl, env = aes.Key(key, direction).stage(blocks, "both", pre, post)
+    stats = ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes), env,
+                     stats=ExecutionStats())
+    out = env[OUTPUT]
     assert out == [_xor(cipher(key, _xor(b, a)), c)
                    for b, a, c in zip(blocks, pre, post)]
     assert stats.per_function["ChainXor"].invocations == 2 * lanes
@@ -237,12 +236,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 def _chain_pass(k, sub, block, prev):
     """One CBC-encrypt pass of ``block`` on ``sub``."""
-    return modes._run(k.stage([block], "pre", [prev]), sub, None)[
-        "out_blocks"][0]
+    ctrl, env = k.stage([block], "pre", [prev])
+    ctrl.run(sub, env)
+    return env[OUTPUT][0]
 
 
 def test_a_pass_uses_the_first_round_key_rows_as_scratch(rng):
-    k = modes._aes_key(rng.randbytes(16), "encrypt")
+    k = aes.Key(rng.randbytes(16), "encrypt")
     sub = Subarray(block_width=aes.BLOCK_WIDTH)
     _chain_pass(k, sub, rng.randbytes(16), rng.randbytes(16))
     staged = k.env["key_rows"]
@@ -259,7 +259,7 @@ def test_a_chain_on_one_subarray_matches_cryptography(klen, rng):
                                                         modes as cm)
     key, iv = rng.randbytes(klen), rng.randbytes(16)
     blocks = [rng.randbytes(16) for _ in range(2)]
-    k = modes._aes_key(key, "encrypt")
+    k = aes.Key(key, "encrypt")
     sub = Subarray(block_width=aes.BLOCK_WIDTH)
     out, prev = [], iv
     for block in blocks:      # aes_load restages the dirty key region

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file IO, and asm/disasm identity."""
 
+import hashlib
 import json
 import pathlib
 
@@ -7,7 +8,7 @@ import pytest
 
 from pimcrypt import cli, isa, oracle, perfmodel
 from pimcrypt.controller import HOST_ACTIONS
-from pimcrypt.fabric import Subarray
+from pimcrypt.fabric import CycleCostModel, Subarray
 from pimcrypt.kernels import aes, ghash, modes
 
 GOLDEN = json.loads(
@@ -127,6 +128,7 @@ def test_trace_accepts_exactly_the_measured_kernels(capsys):
     assert run(["trace", "--alg", "sha3-100"]) == cli.USAGE_ERROR
     names = capsys.readouterr().err.split("one of ")[1].strip().split(", ")
     assert names == list(perfmodel.kernel_passes()) == list(GOLDEN["cycles"])
+    assert names == list(GOLDEN["trace_sha256"])
 
 
 def test_bench_json(capsys):
@@ -293,6 +295,18 @@ def test_bench_text_names_every_measured_kernel(capsys):
     for table in tables:
         names = [line.split()[0] for line in table.splitlines()[1:]]
         assert names == list(perfmodel.kernel_passes())
+
+
+@pytest.mark.parametrize("alg", list(GOLDEN["trace_sha256"]))
+def test_every_traced_command_stream_and_latch_is_pinned(alg):
+    # What `trace --trace 2` prints per command: word, cycles and latch.
+    records = []
+    perfmodel.kernel_passes()[alg].run(CycleCostModel(), trace=records)
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(f"{rec.word:04x} {rec.cycles} {rec.latch:064x}\n"
+                      .encode())
+    assert digest.hexdigest() == GOLDEN["trace_sha256"][alg]
 
 
 def test_trace_2_adds_a_latch_snapshot_per_command(tmp_path):

@@ -94,7 +94,7 @@ def assert_lanes_agree(prog, cost, lanes, grid_seed=0, pending=None):
 def measured_runs():
     """Every (validated program, fresh env) run of every registered pass."""
     return [run for kp in perfmodel.kernel_passes().values()
-            for run in kp.runs()]
+            for run in kp.build()]
 
 
 @pytest.fixture(scope="module")

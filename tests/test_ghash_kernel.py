@@ -3,7 +3,7 @@
 import pytest
 
 from pimcrypt import oracle
-from pimcrypt.controller import ExecutionStats
+from pimcrypt.controller import OUTPUT, ExecutionStats
 from pimcrypt.fabric import Subarray
 from pimcrypt.kernels import ghash, modes
 
@@ -110,20 +110,21 @@ def test_how_the_lanes_split_a_message(monkeypatch, rng):
     passes = []
     run = modes._run
     monkeypatch.setattr(modes, "_run", lambda staged, sub, stats: passes.append(
-        (staged[0], sub.lanes, dict(staged[1]))) or run(staged, sub, stats))
+        (staged[0].program.name, sub.lanes, dict(staged[1])))
+        or run(staged, sub, stats))
     assert modes.ghash_digest(h, data) == oracle.ghash(h, data)
     power, *lane_passes, fold = passes
-    assert power[:2] == (("ghash", 1, True), 1)
+    assert power[:2] == ("ghash-1blk", 1)
     assert power[2]["hash_keys"] == [h] and power[2]["xblocks"] == [[h]]
-    assert [(args, lanes) for args, lanes, _ in lane_passes] == \
-        [(("ghash", 8, False), 2)] * 6 + [(("ghash", 1, True), 2)]
+    assert [(name, lanes) for name, lanes, _ in lane_passes] == \
+        [("ghash-8blk-cont", 2)] * 6 + [("ghash-1blk", 2)]
     for i, (_, _, env) in enumerate(lane_passes):
         steps = range(8 * i, min(8 * i + 8, 49))
         assert env["xblocks"] == [[padded[2 * s + j] for s in steps]
                                   for j in range(2)]
         assert env["hash_keys"] == ([h2, h] if i == 6 else [h2, h2])
         assert env["ghash_first"] == (i == 0)
-    assert fold[:2] == (("ghash_fold", 2), 1)
+    assert fold[:2] == ("ghash-fold-2", 1)
 
 
 @pytest.mark.parametrize("nblocks,lanes", [(20, 1), (97, 2), (385, 8)])
@@ -153,10 +154,10 @@ def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
     def passes(lane_keys, lane_blocks, stats):
         sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(lane_keys))
         for lo, hi, final in ((0, 8, False), (8, 11, True)):
-            staged = modes._ghash_stage(
+            ctrl, env = ghash.stage(
                 lane_keys, [b[lo:hi] for b in lane_blocks], lo == 0, final)
-            digests = modes._run(staged, sub, stats)["digests"]
-        return digests
+            ctrl.run(sub, env, stats=stats)
+        return env[OUTPUT]
 
     wide, single = ExecutionStats(), ExecutionStats()
     digests = passes(keys, blocks, wide)
@@ -168,21 +169,21 @@ def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
 
 
 def test_ghash_load_rejects_more_lists_than_lanes():
-    staged = modes._ghash_stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True)
+    ctrl, env = ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True)
     with pytest.raises(ValueError, match="for 1 lanes"):
-        modes._run(staged, Subarray(block_width=ghash.BLOCK_WIDTH), None)
+        ctrl.run(Subarray(block_width=ghash.BLOCK_WIDTH), env)
 
 
 @pytest.mark.parametrize("nrows", [2, 3, 9])
 def test_fold_xors_its_rows(nrows, rng):
     rows = [rng.randbytes(16) for _ in range(nrows)]
-    stats = ExecutionStats()
-    env = modes._run((("ghash_fold", nrows), {"fold_blocks": rows}),
-                     Subarray(block_width=ghash.BLOCK_WIDTH), stats)
+    ctrl, env = ghash.stage_fold(rows)
+    stats = ctrl.run(Subarray(block_width=ghash.BLOCK_WIDTH), env,
+                     stats=ExecutionStats())
     want = bytes(16)
     for row in rows:
         want = bytes(a ^ b for a, b in zip(want, row))
-    assert env["digests"] == [want]
+    assert env[OUTPUT] == [want]
     assert stats.commands == 3 * (nrows - 1)
 
 

@@ -1,0 +1,88 @@
+"""Module boundaries: each kernel family stages and reads its own runs.
+
+``modes``, ``perfmodel`` and ``cli`` use only the public names of other
+``pimcrypt`` modules; ``modes`` hands bytes to the kernels' staging
+functions and gets the run's output back without naming any key of the
+env the host actions read and write; ``perfmodel`` stages its
+representative passes through the kernels, not through ``modes``.
+"""
+
+import ast
+import inspect
+import types
+
+import pytest
+
+from pimcrypt import cli, perfmodel
+from pimcrypt.controller import OUTPUT, Controller
+from pimcrypt.fabric import Subarray
+from pimcrypt.kernels import aes, ghash, keccak, modes
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(inspect.getsource(module))
+
+
+def _private_reads(module) -> list[str]:
+    """Every underscore-prefixed, non-dunder name ``module`` imports from
+    or reads off another ``pimcrypt`` module."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("pimcrypt")):
+            found += [f"from {node.module}: {a.name}" for a in node.names
+                      if private(a.name)]
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
+              and isinstance(node.value, ast.Name)):
+            owner = getattr(module, node.value.id, None)
+            if (isinstance(owner, types.ModuleType) and owner is not module
+                    and owner.__name__.startswith("pimcrypt")):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", [modes, perfmodel, cli],
+                         ids=lambda m: m.__name__)
+def test_reads_no_private_name_of_another_module(module):
+    assert _private_reads(module) == []
+
+
+def _staged_runs() -> list[tuple[Controller, dict]]:
+    """One staged run of every staging function and program shape."""
+    runs = [run for kp in perfmodel.kernel_passes().values()
+            for run in kp.build()]
+    blocks = [bytes(range(16))] * 3
+    for chain in (None, "pre", "post", "both"):
+        runs.append(aes.Key(bytes(32), "decrypt").stage(
+            blocks, chain, blocks if chain else None,
+            blocks if chain == "both" else None))
+    runs.append(ghash.stage([bytes(16)], [blocks], True, True))
+    runs.append(ghash.stage_fold(blocks))
+    runs.append(keccak.stage(256, [b"abc", b"de"], 0x5C))
+    return runs
+
+
+def test_modes_names_no_host_action_env_key():
+    keys = set()
+    for ctrl, env in _staged_runs():
+        ctrl.run(Subarray(block_width=ctrl.program.block_width), env)
+        keys |= env.keys()
+    assert OUTPUT in keys and {"blocks", "hash_keys", "fold_blocks"} <= keys
+    strings = {node.value for node in ast.walk(_tree(modes))
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    assert strings & keys == set()
+
+
+def test_perfmodel_stages_through_the_kernels_not_modes():
+    imported = set()
+    for node in ast.walk(_tree(perfmodel)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not any(name.split(".")[-1] == "modes" for name in imported)
+    assert not hasattr(perfmodel.KernelPass, "runs")

@@ -186,6 +186,15 @@ def test_bad_key_length_is_a_value_error(klen):
         modes.gcm_encrypt(bytes(klen), bytes(12), b"", bytes(16))
 
 
+@pytest.mark.parametrize("direction", ["bogus", "Encrypt", 5, None])
+def test_ecb_rejects_a_bad_direction_whatever_the_data(direction):
+    # Checked where the key is staged: empty data runs no pass at all.
+    for key in (bytes(16), bytes(32)):
+        for data in (b"", bytes(16), bytes(48)):
+            with pytest.raises(ValueError, match="direction"):
+                modes.ecb_crypt(key, data, direction)
+
+
 @pytest.mark.parametrize("length", [0, 8, 15, 17])
 def test_iv_and_counter_block_must_be_one_block(length):
     from cryptography.hazmat.primitives.ciphers import modes as cm
