@@ -20,11 +20,11 @@ butterfly transpose) -> rounds -> inverse slice -> byte staging.
 
 On a subarray with K lanes one run is K passes in lockstep:
 :meth:`Key.stage` takes up to 16K blocks (block ``16k + t`` in tile
-``t`` of lane ``k``) and the chain blocks of its chain mode, and returns
-the run's validated program and a fresh env.  ``aes_load`` writes the
-masks and round keys replicated into every lane, as
-:class:`~pimcrypt.fabric.LaneRows` built once per lane count: the masks
-once per process, the keys once per call.  ``aes_unload`` leaves one
+``t`` of lane ``k``) and the blocks XORed into each before and after the
+cipher, and returns the run's validated program and a fresh env.
+``aes_load`` writes the masks and round keys replicated into every lane,
+as :class:`~pimcrypt.fabric.LaneRows` built once per lane count: the
+masks once per process, the keys once per call.  ``aes_unload`` leaves one
 output block per staged block under :data:`~pimcrypt.controller.OUTPUT`.
 
 A pass uses the round-key-0 rows (8..15) as SubBytes scratch once the
@@ -305,9 +305,9 @@ def build_aes_program(variant: int, direction: str,
     ``chain`` is ``None``, ``"pre"`` (XOR the chain planes into the state
     before the rounds, CBC encrypt), ``"post"`` (after the rounds, CBC
     decrypt / CTR) or ``"both"``: before the rounds with the chain planes
-    ``aes_load`` stages from ``chain_blocks``, and after them with those
-    the ``aes_load_chain`` action restages from ``post_chain_blocks``, so
-    each tile can run a CBC step or a counter block (CCM).
+    ``aes_load`` stages, and after them with those the ``aes_load_chain``
+    action restages, so each tile can run a CBC step or a counter block
+    (CCM).  :meth:`Key.stage` picks the mode from the lists it is given.
     """
     if variant not in (128, 256) or direction not in _DIRECTIONS:
         raise ValueError("variant must be 128/256, direction encrypt/decrypt")
@@ -408,17 +408,17 @@ class Key:
         if split:
             self.env["key_rows2"] = key_rows(words[split:])
 
-    def stage(self, blocks: list[bytes], chain: str | None = None,
-              chain_blocks: list[bytes] | None = None,
-              post_chain_blocks: list[bytes] | None = None
-              ) -> tuple[Controller, dict]:
-        """One run of ``blocks``, XORed with ``chain_blocks`` before
-        (``"pre"``) or after (``"post"``) the cipher, or with
-        ``chain_blocks`` before it and ``post_chain_blocks`` after it
-        (``"both"``)."""
+    def stage(self, blocks: list[bytes], pre: list[bytes] | None = None,
+              post: list[bytes] | None = None) -> tuple[Controller, dict]:
+        """One run of ``blocks``, each XORed with its ``pre`` block before
+        the cipher and its ``post`` block after it.  The lists given pick
+        the program's chain mode: ``pre`` alone ``"pre"``, ``post`` alone
+        ``"post"``, both ``"both"``; an empty list counts as not given."""
+        # _CHAINS lists None, "pre", "post" and "both" in this order.
+        chain = _CHAINS[bool(pre) + 2 * bool(post)]
         return (_controller(self.variant, self.direction, chain),
-                dict(self.env, blocks=blocks, chain_blocks=chain_blocks,
-                     post_chain_blocks=post_chain_blocks))
+                dict(self.env, blocks=blocks, chain_blocks=pre or post,
+                     post_chain_blocks=post))
 
 
 # The staging rows, the mask rows (tmask then srmask) and the chain rows

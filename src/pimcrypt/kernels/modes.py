@@ -11,16 +11,18 @@ stages its own runs (``aes.Key.stage``, ``ghash.stage``,
 this module hands bytes to ``aes``, ``ghash`` and ``keccak`` and gets
 the run's output blocks or digests back.
 
-Independent AES blocks (ECB, CBC decryption, CTR and GCM's CTR) fill
-passes of ``aes.BLOCKS_PER_PASS`` blocks, and up to
-:data:`~pimcrypt.fabric.SUBARRAYS` passes of one call run in lockstep as
-the lanes of one wide subarray: one controller run drives them all, as
-the modeled controller drives every compute subarray with one command
-stream.  Modeled commands and cycles still count every pass.  Serial
-chains (CBC encryption, the CCM CBC-MAC, the SHA3 absorb) run one pass
-at a time on one lane; a chained AES block uses tile 0 only, as the
-fabric cannot parallelize a dependency chain, but a CCM call runs its
-own independent blocks in the other tiles (:func:`_chain`).
+One pass loop, :func:`_aes`, runs every AES call.  A serial chain (CBC
+encryption, the CCM CBC-MAC) runs first, one pass per step on one lane:
+the fabric cannot parallelize a dependency chain, so the step uses tile
+0, and the call's first independent blocks (a CCM call's counter blocks)
+fill tiles 1..15.  The independent blocks left (all of them in ECB, CBC
+decryption, CTR and GCM's CTR) then fill passes of
+``aes.BLOCKS_PER_PASS`` blocks, and up to
+:data:`~pimcrypt.fabric.SUBARRAYS` passes run in lockstep as the lanes
+of one wide subarray: one controller run drives them all, as the modeled
+controller drives every compute subarray with one command stream.
+Modeled commands and cycles still count every pass.  The SHA3 absorb is
+a serial chain too, one pass at a time on one lane.
 
 GHASH splits one message across K lanes in lockstep (aggregated Horner,
 :func:`_ghash`): K is a power of two up to 8 that grows with the block
@@ -90,20 +92,48 @@ def _bytes(value) -> bytes:
 # AES
 # ---------------------------------------------------------------------------
 
-def _aes_passes(k: aes.Key, blocks: list[bytes], chain: str | None,
-                chain_blocks: list[bytes] | None,
-                stats: ExecutionStats | None) -> list[bytes]:
-    """Run ``blocks`` through AES, up to SUBARRAYS passes per run."""
-    per_run = aes.BLOCKS_PER_PASS * SUBARRAYS
-    out: list[bytes] = []
-    for off in range(0, len(blocks), per_run):
-        run = blocks[off:off + per_run]
-        lanes = -(-len(run) // aes.BLOCKS_PER_PASS)
-        staged = k.stage(run, chain,
-                         chain_blocks[off:off + per_run] if chain else None)
-        sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
-        out += _run(staged, sub, stats)
-    return out
+def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
+         stats: ExecutionStats | None, steps: int = 0,
+         step: Callable[[int, list[bytes]], bytes] | None = None,
+         prev: bytes = bytes(16)) -> list[bytes]:
+    """The AES pass loop: returns the outputs of a chain of ``steps``
+    steps from chain value ``prev``, then E(``blocks[j]``) xor
+    ``post[j]`` for every block, ``post`` being aligned with the last
+    blocks (the ones before it XOR zero; an empty ``post`` XORs none).
+
+    While chain steps remain, each pass is one lane: tile 0 runs chain
+    step i, ``step(i, out)`` xor the previous chain output, ``out`` being
+    the block outputs of the passes before it, and tiles 1..15 the next
+    up to 15 blocks, which XOR zero before the rounds.  Then each run
+    takes up to ``BLOCKS_PER_PASS * SUBARRAYS`` blocks on as many lanes
+    as they fill.  Runs share one subarray per lane count, and each
+    (program, lane count) pair counts its runs into ``stats`` with one
+    merge.
+    """
+    zero, room = bytes(16), aes.BLOCKS_PER_PASS * SUBARRAYS
+    if post:
+        post = [zero] * (len(blocks) - len(post)) + post
+    chained, out = [prev], []        # chained[i]: the value step i XORs
+    subs, runs = {}, {}              # runs: by (program, lane count)
+    while len(chained) <= steps or len(out) < len(blocks):
+        i, lo = len(chained) - 1, len(out)
+        head = [step(i, out)] if i < steps else []
+        tiles = blocks[lo:lo + (aes.BLOCKS_PER_PASS - 1 if head else room)]
+        after = post[lo:lo + len(tiles)]
+        staged = k.stage(head + tiles,
+                         head and [chained[-1]] + [zero] * len(tiles),
+                         after and [zero] * len(head) + after)
+        lanes = -(-(len(head) + len(tiles)) // aes.BLOCKS_PER_PASS)
+        if lanes not in subs:
+            subs[lanes] = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
+        got = _run(staged, subs[lanes], None)
+        chained += got[:len(head)]
+        out += got[len(head):]
+        runs[staged[0], lanes] = runs.get((staged[0], lanes), 0) + 1
+    if stats is not None:
+        for (ctrl, lanes), n in runs.items():
+            stats.merge(ctrl.run_stats(subs[lanes], n))
+    return chained[1:] + out
 
 
 def _split_blocks(data: bytes) -> list[bytes]:
@@ -119,50 +149,8 @@ def _pad16(data: bytes) -> bytes:
 def ecb_crypt(key: bytes, data: bytes, direction: str = "encrypt",
               stats: ExecutionStats | None = None) -> bytes:
     key, data = _bytes(key), _bytes(data)
-    return b"".join(_aes_passes(aes.Key(key, direction),
-                                _split_blocks(data), None, None, stats))
-
-
-# The tiles of a chain pass that run side blocks: all but tile 0.
-_SIDE_PER_PASS = aes.BLOCKS_PER_PASS - 1
-
-
-def _chain(k: aes.Key, prev: bytes, steps: int,
-           step: Callable[[int, list[bytes]], bytes], side: list[bytes],
-           post: list[bytes], stats: ExecutionStats | None
-           ) -> tuple[list[bytes], list[bytes]]:
-    """An AES chain of ``steps`` one-lane passes from chain value
-    ``prev``: returns the chain outputs and E(``side[j]``) xor
-    ``post[j]`` for every side block.
-
-    Pass i runs chain step i in tile 0, ``step(i, side_out)`` xor the
-    previous output, ``side_out`` being the side outputs of the passes
-    before it.  While side blocks remain, the pass also runs the next
-    up to 15 of them in tiles 1..15 on the ``"both"`` program: tile 0
-    XORs zero after the rounds, a side tile zero before and its ``post``
-    block after.  Otherwise the pass runs ``"pre"``.  The passes share
-    one subarray; each program counts its passes into ``stats`` with one
-    merge.
-    """
-    sub, zero = Subarray(block_width=aes.BLOCK_WIDTH), bytes(16)
-    out, side_out, passes = [], [], {}   # passes: runs per program
-    for i in range(steps):
-        first = _SIDE_PER_PASS * i
-        run = side[first:first + _SIDE_PER_PASS]
-        if run:
-            staged = k.stage([step(i, side_out), *run], "both",
-                             [prev] + [zero] * len(run),
-                             [zero, *post[first:first + len(run)]])
-        else:
-            staged = k.stage([step(i, side_out)], "pre", [prev])
-        prev, *blocks = _run(staged, sub, None)
-        out.append(prev)
-        side_out += blocks
-        passes[staged[0]] = passes.get(staged[0], 0) + 1
-    if stats is not None:
-        for ctrl, n in passes.items():
-            stats.merge(ctrl.run_stats(sub, n))
-    return out, side_out
+    return b"".join(_aes(aes.Key(key, direction), _split_blocks(data), [],
+                         stats))
 
 
 def _check_block(name: str, value: bytes) -> None:
@@ -175,8 +163,8 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
     key, iv, plaintext = _bytes(key), _bytes(iv), _bytes(plaintext)
     _check_block("CBC IV", iv)
     blocks = _split_blocks(plaintext)
-    return b"".join(_chain(aes.Key(key, "encrypt"), iv, len(blocks),
-                           lambda i, _: blocks[i], [], [], stats)[0])
+    return b"".join(_aes(aes.Key(key, "encrypt"), [], [], stats, len(blocks),
+                         lambda i, _: blocks[i], iv))
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
@@ -184,8 +172,7 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
     key, iv, ciphertext = _bytes(key), _bytes(iv), _bytes(ciphertext)
     _check_block("CBC IV", iv)
     ct = _split_blocks(ciphertext)
-    return b"".join(_aes_passes(aes.Key(key, "decrypt"), ct, "post",
-                                [iv] + ct[:-1], stats))
+    return b"".join(_aes(aes.Key(key, "decrypt"), ct, [iv] + ct[:-1], stats))
 
 
 def _counter_blocks(counter0: bytes, n: int, width: int = 128) -> list[bytes]:
@@ -202,8 +189,8 @@ def _ctr(k: aes.Key, counter0: bytes, data: bytes,
          stats: ExecutionStats | None, width: int = 128) -> bytes:
     n = -(-len(data) // 16)
     padded = data + bytes(16 * n - len(data))
-    out = _aes_passes(k, _counter_blocks(counter0, n, width), "post",
-                      _split_blocks(padded), stats)
+    out = _aes(k, _counter_blocks(counter0, n, width), _split_blocks(padded),
+               stats)
     return b"".join(out)[:len(data)]
 
 
@@ -237,9 +224,9 @@ def _ccm_head(nonce: bytes, aad: bytes, msg_len: int,
 def _ccm(k: aes.Key, nonce: bytes, aad: bytes, tag_len: int, msg_len: int,
          post: list[bytes], decrypt: bool,
          stats: ExecutionStats | None) -> tuple[bytes, list[bytes]]:
-    """One CCM call's CBC-MAC and counter blocks, as one :func:`_chain`:
+    """One CCM call's CBC-MAC and counter blocks, as one :func:`_aes`:
     returns the MAC and E(Ctr_j) xor ``post[j]`` for every counter block
-    Ctr_j, j = 0 .. len(post) - 1, which ride as side blocks.
+    Ctr_j, j = 0 .. len(post) - 1, which ride in the chain's passes.
 
     The MAC's payload block j (1-based, cut to ``msg_len`` and
     zero-padded) is ``post[j]`` when encrypting and counter output j when
@@ -261,21 +248,25 @@ def _ccm(k: aes.Key, nonce: bytes, aad: bytes, tag_len: int, msg_len: int,
             return block[:tail] + bytes(16 - tail)
         return block
 
-    macs, out = _chain(k, bytes(16), len(head) + len(post) - 1, mac_block,
-                       counters, post, stats)
-    return macs[-1], out
+    steps = len(head) + len(post) - 1
+    out = _aes(k, counters, post, stats, steps, mac_block)
+    return out[steps - 1], out[steps:]
 
 
-def _ccm_check(nonce: bytes, tag_len: int, msg_len: int) -> None:
+def _ccm_check(nonce: bytes, tag_len: int, length: int,
+               sealed: bool = False) -> None:
+    """``length`` is the plaintext's, or with ``sealed`` the input's,
+    whose last ``tag_len`` bytes are the tag; ``tag_len`` is checked
+    before any arithmetic on it."""
     if not 7 <= len(nonce) <= 13:
         raise ValueError("CCM nonce must be 7..13 bytes")
-    q = 15 - len(nonce)
-    if msg_len >= 1 << 8 * q:
-        raise ValueError(f"CCM message must be shorter than 2^{8 * q} "
-                         f"bytes with a {len(nonce)}-byte nonce")
     if type(tag_len) is not int or tag_len not in (4, 6, 8, 10, 12, 14, 16):
         raise ValueError(f"CCM tag length must be 4, 6, ..., 16 bytes, "
                          f"got {tag_len!r}")
+    q = 15 - len(nonce)
+    if length - sealed * tag_len >= 1 << 8 * q:
+        raise ValueError(f"CCM message must be shorter than 2^{8 * q} "
+                         f"bytes with a {len(nonce)}-byte nonce")
 
 
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
@@ -295,7 +286,7 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
     key, nonce, aad, ciphertext = map(_bytes, (key, nonce, aad, ciphertext))
-    _ccm_check(nonce, tag_len, len(ciphertext) - tag_len)
+    _ccm_check(nonce, tag_len, len(ciphertext), True)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
     post = [_pad16(tag)] + _split_blocks(_pad16(ct))
     mac, out = _ccm(aes.Key(key, "encrypt"), nonce, aad, tag_len, len(ct),
@@ -413,16 +404,12 @@ def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
     if len(iv) == 12:
         head, j0 = [zero], iv + b"\x00\x00\x00\x01"
     else:
-        h = _aes_passes(k, [zero], None, None, stats)[0]
+        h = _aes(k, [zero], [], stats)[0]
         material = _pad16(iv) + bytes(8) + (8 * len(iv)).to_bytes(8, "big")
         head, j0 = [], _ghash(h, _split_blocks(material), stats)
-    n = -(-len(plaintext) // 16)
-    blocks = head + _counter_blocks(j0, 1 + n, 32)
-    if n:
-        chain = [zero] * (len(head) + 1) + _split_blocks(_pad16(plaintext))
-        out = _aes_passes(k, blocks, "post", chain, stats)
-    else:
-        out = _aes_passes(k, blocks, None, None, stats)
+    payload = _split_blocks(_pad16(plaintext))
+    out = _aes(k, head + _counter_blocks(j0, 1 + len(payload), 32), payload,
+               stats)
     if head:
         h = out.pop(0)
     return k, h, j0, out[0], b"".join(out[1:])[:len(plaintext)]

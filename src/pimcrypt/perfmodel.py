@@ -207,11 +207,11 @@ class KernelPass:
 
 
 def _aes_runs(variant: int, direction: str) -> list[tuple[Controller, dict]]:
-    chain = "pre" if direction == "encrypt" else "post"
     blocks = [bytes([(17 * i + j) & 0xFF for j in range(16)])
               for i in range(aes.BLOCKS_PER_PASS)]
     key = aes.Key(bytes(range(variant // 8)), direction)
-    return [key.stage(blocks, chain, blocks[::-1])]
+    chain = {"pre" if direction == "encrypt" else "post": blocks[::-1]}
+    return [key.stage(blocks, **chain)]
 
 
 def _sha3_runs(bits: int) -> list[tuple[Controller, dict]]:

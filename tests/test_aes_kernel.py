@@ -221,7 +221,7 @@ def test_both_chains_xor_before_and_after_the_rounds(lanes, klen, direction,
     key = rng.randbytes(klen)
     blocks, pre, post = ([rng.randbytes(16) for _ in range(16 * lanes - 3)]
                          for _ in range(3))
-    ctrl, env = aes.Key(key, direction).stage(blocks, "both", pre, post)
+    ctrl, env = aes.Key(key, direction).stage(blocks, pre, post)
     stats = ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes), env,
                      stats=ExecutionStats())
     out = env[OUTPUT]
@@ -230,13 +230,35 @@ def test_both_chains_xor_before_and_after_the_rounds(lanes, klen, direction,
     assert stats.per_function["ChainXor"].invocations == 2 * lanes
 
 
+@pytest.mark.parametrize("suffix,given", [
+    ("", ()), ("-pre", ("pre",)), ("-post", ("post",)),
+    ("-both", ("pre", "post")),
+])
+def test_stage_takes_its_chain_mode_from_the_lists_given(suffix, given, rng):
+    # Each block is XORed with its pre block before the cipher and its
+    # post block after it, zero where a list is not given.
+    key = rng.randbytes(16)
+    k = aes.Key(key, "encrypt")
+    blocks = [rng.randbytes(16) for _ in range(5)]
+    chains = {name: [rng.randbytes(16) for _ in blocks] for name in given}
+    ctrl, env = k.stage(blocks, **chains)
+    assert ctrl.program.name == "aes-128-encrypt" + suffix
+    if not given:     # an empty list counts as not given
+        assert k.stage(blocks, [], [])[0] is ctrl
+    ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env)
+    zero = [bytes(16)] * len(blocks)
+    pre, post = chains.get("pre", zero), chains.get("post", zero)
+    assert env[OUTPUT] == [_xor(oracle.aes_encrypt_block(key, _xor(b, a)), c)
+                           for b, a, c in zip(blocks, pre, post)]
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
 def _chain_pass(k, sub, block, prev):
     """One CBC-encrypt pass of ``block`` on ``sub``."""
-    ctrl, env = k.stage([block], "pre", [prev])
+    ctrl, env = k.stage([block], [prev])
     ctrl.run(sub, env)
     return env[OUTPUT][0]
 

@@ -55,10 +55,9 @@ def _staged_runs() -> list[tuple[Controller, dict]]:
     runs = [run for kp in perfmodel.kernel_passes().values()
             for run in kp.build()]
     blocks = [bytes(range(16))] * 3
-    for chain in (None, "pre", "post", "both"):
-        runs.append(aes.Key(bytes(32), "decrypt").stage(
-            blocks, chain, blocks if chain else None,
-            blocks if chain == "both" else None))
+    for pre, post in ((None, None), (blocks, None), (None, blocks),
+                      (blocks, blocks)):
+        runs.append(aes.Key(bytes(32), "decrypt").stage(blocks, pre, post))
     runs.append(ghash.stage([bytes(16)], [blocks], True, True))
     runs.append(ghash.stage_fold(blocks))
     runs.append(keccak.stage(256, [b"abc", b"de"], 0x5C))
@@ -75,6 +74,23 @@ def test_modes_names_no_host_action_env_key():
                if isinstance(node, ast.Constant)
                and isinstance(node.value, str)}
     assert strings & keys == set()
+
+
+def test_one_modes_function_stages_aes_runs():
+    # Every AES call goes through one pass loop.  A ``.stage`` call on
+    # anything but a kernel module (``ghash``, ``keccak``) is on an
+    # ``aes.Key``.
+    def stages_aes(node) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "stage"
+                and not isinstance(getattr(modes, getattr(
+                    node.func.value, "id", ""), None), types.ModuleType))
+
+    staging = [fn.name for fn in _tree(modes).body
+               if isinstance(fn, ast.FunctionDef)
+               and any(map(stages_aes, ast.walk(fn)))]
+    assert len(staging) == 1, staging
 
 
 def test_perfmodel_stages_through_the_kernels_not_modes():

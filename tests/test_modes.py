@@ -327,7 +327,7 @@ def test_ghash_hash_key_must_be_one_block(klen):
             modes.ghash_digest(bytes(klen), data)
 
 
-@pytest.mark.parametrize("tag_len", [16.0, 8.0, True])
+@pytest.mark.parametrize("tag_len", [16.0, 8.0, True, "16", None])
 def test_tag_length_must_be_an_int(tag_len):
     key, iv = bytes(16), bytes(12)
     for encrypt, decrypt in ((modes.gcm_encrypt, modes.gcm_decrypt),
@@ -574,8 +574,15 @@ def test_ccm_runs_its_counter_blocks_in_the_mac_passes(nblocks, rng):
 
 
 @pytest.mark.parametrize("klen,counts", [
-    (16, {"cbc": (56335, 74495), "gcm": (44239, 74375)}),
-    (32, {"cbc": (78215, 103415), "gcm": (48615, 80159)}),
+    (16, {"cbc": (56335, 74495), "gcm": (44239, 74375),
+          "ecb-encrypt": (730795, 966875), "ecb-decrypt": (870675, 1181635),
+          "cbc-decrypt": (872235, 1183195), "ctr": (732355, 968435),
+          "ccm": (383153, 506641)}),
+    (32, {"cbc": (78215, 103415), "gcm": (48615, 80159),
+          "ecb-encrypt": (1015235, 1342835),
+          "ecb-decrypt": (1214655, 1650415),
+          "cbc-decrypt": (1216215, 1651975), "ctr": (1016795, 1344395),
+          "ccm": (531937, 703297)}),
 ])
 def test_cbc_and_gcm_counts_are_pinned(klen, counts, rng):
     # Five chained CBC blocks and a 14-block GCM call with a 12-byte IV
@@ -587,3 +594,19 @@ def test_cbc_and_gcm_counts_are_pinned(klen, counts, rng):
                       rng.randbytes(16 * 14), stats=gcm)
     assert (cbc.commands, cbc.cycles) == counts["cbc"]
     assert (gcm.commands, gcm.cycles) == counts["gcm"]
+    # ECB, CBC decryption and CTR on 1025 blocks (one 64-lane run and one
+    # more) and CCM on 31 payload blocks with 20 bytes of AAD count what
+    # they counted before one pass loop ran every AES call.
+    iv, data = rng.randbytes(16), rng.randbytes(16 * 1025)
+    calls = {
+        "ecb-encrypt": lambda s: modes.ecb_crypt(key, data, stats=s),
+        "ecb-decrypt": lambda s: modes.ecb_crypt(key, data, "decrypt", s),
+        "cbc-decrypt": lambda s: modes.cbc_decrypt(key, iv, data, stats=s),
+        "ctr": lambda s: modes.ctr_crypt(key, iv, data, stats=s),
+        "ccm": lambda s: modes.ccm_encrypt(key, iv[:12], data[:20],
+                                           data[:16 * 31], stats=s),
+    }
+    for name, call in calls.items():
+        stats = ExecutionStats()
+        call(stats)
+        assert (stats.commands, stats.cycles) == counts[name], name
