@@ -30,7 +30,11 @@ controller loads a program), so a lane boundary is a segment boundary;
 segment-confined shifts, ``ext_bit`` and NOT use their masks replicated
 into every lane and act on each lane exactly as on a lone subarray.
 Cycles count every lane: a command costs K times its single-subarray
-cycles, so K lanes cost what K one-lane runs do.
+cycles, so K lanes cost what K one-lane runs do.  This module is the
+only one that knows the lane layout: :func:`lanes_to_row` joins one
+256-column value per lane into a row and :func:`row_to_lanes` splits it
+again, and a :class:`LaneRows` of one-lane rows is written repeated in
+every lane of whatever subarray it is written to.
 
 Two engines execute commands.  :meth:`Subarray.execute` is the reference
 interpreter: it decodes, checks and runs one command at a time, and
@@ -76,6 +80,8 @@ __all__ = [
     "WindowRejected",
     "CycleCostModel",
     "LaneRows",
+    "lanes_to_row",
+    "row_to_lanes",
     "supported_width",
     "TraceRecord",
     "CompiledWindow",
@@ -92,6 +98,7 @@ EXT_ROW = 127
 SUBARRAYS = 256 * 1024 * 8 // (ROWS * COLS)
 
 _ROW_MASK = (1 << COLS) - 1
+_LANE_BYTES = COLS // 8
 
 
 class FabricError(Exception):
@@ -176,33 +183,40 @@ def supported_width(width) -> bool:
             and COLS % width == 0)
 
 
-def _lane_fill(lanes: int) -> int:
-    """The int with bit ``256k`` set for every lane ``k``: multiplying a
-    one-lane row value by it repeats the value in every lane."""
-    return int.from_bytes((b"\x01" + bytes(COLS // 8 - 1)) * lanes, "little")
+def lanes_to_row(values: list[int]) -> int:
+    """One row of ``len(values)`` lanes, lane ``k`` holding ``values[k]``
+    (each below 2**256)."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE_BYTES, "little")
+                                   for v in values), "little")
 
 
-@lru_cache(maxsize=None)
-def _lane_wide(value: int, lanes: int) -> int:
-    """A one-lane mask repeated in every lane; shared by all windows."""
-    return value * _lane_fill(lanes)
+def row_to_lanes(row: int, lanes: int) -> list[int]:
+    """The 256-column value of each of the ``lanes`` lanes of ``row``."""
+    data = row.to_bytes(_LANE_BYTES * lanes, "little")
+    return [int.from_bytes(data[k * _LANE_BYTES:(k + 1) * _LANE_BYTES],
+                           "little") for k in range(lanes)]
 
 
 class LaneRows(tuple):
-    """One-lane (256-column) row values, each repeated in every lane of a
-    ``lanes``-lane subarray.
+    """One-lane (256-column) row values, each masked to one lane, that
+    :meth:`Subarray.write_rows` stores repeated in every lane.
 
-    Host actions build their constant rows (masks, a call's round keys)
-    this way once per lane count; :meth:`Subarray.write_rows` on a
-    subarray with ``lanes`` lanes stores them as they are, since they fit
-    its rows by construction, where it masks any other value.
+    Host actions hold their constant rows (masks, a call's round keys)
+    this way; one instance serves every lane count, building its rows
+    for a lane count on first use (:meth:`for_lanes`) and keeping them.
     """
 
-    def __new__(cls, values, lanes: int):
-        fill = _lane_fill(lanes)
-        rows = super().__new__(cls, [(value & _ROW_MASK) * fill
-                                     for value in values])
-        rows.lanes = lanes
+    def __new__(cls, values):
+        rows = super().__new__(cls, [value & _ROW_MASK for value in values])
+        rows._wide = {}
+        return rows
+
+    def for_lanes(self, lanes: int) -> list[int]:
+        """The rows repeated in each of ``lanes`` lanes."""
+        rows = self._wide.get(lanes)
+        if rows is None:
+            fill = lanes_to_row([1] * lanes)
+            rows = self._wide[lanes] = [value * fill for value in self]
         return rows
 
 
@@ -221,7 +235,8 @@ class Subarray:
         if type(lanes) is not int or lanes < 1:
             raise ValueError(f"lanes must be a positive int, got {lanes!r}")
         self.lanes = lanes
-        self._fill = _lane_fill(lanes)
+        # Multiplying a one-lane value by this repeats it in every lane.
+        self._fill = lanes_to_row([1] * lanes)
         self.row_mask = _ROW_MASK * self._fill
         self.grid = [0] * ROWS
         self.sa_latch = 0
@@ -242,16 +257,17 @@ class Subarray:
     def write_rows(self, first: int, values: list[int]) -> None:
         """Write ``values`` to rows ``first``, ``first + 1``, ... in one
         host transfer, each masked to the row width; :class:`LaneRows`
-        built for this lane count, and values that one range check finds
-        already inside the row width, are stored as they are."""
+        are stored repeated in every lane, and values that one range
+        check finds already inside the row width as they are."""
         end = first + len(values)
         if first < 0 or end > ROWS:
             raise RowOutOfRange(f"rows {first}..{end - 1}")
         if self.pending_row is not None:
             raise PendingActivation("host access during dual-row activation")
         mask = self.row_mask
-        if ((type(values) is LaneRows and values.lanes == self.lanes)
-                or (values and min(values) >= 0 and max(values) <= mask)):
+        if type(values) is LaneRows:
+            self.grid[first:end] = values.for_lanes(self.lanes)
+        elif values and min(values) >= 0 and max(values) <= mask:
             self.grid[first:end] = values
         else:
             self.grid[first:end] = [value & mask for value in values]
@@ -447,8 +463,8 @@ class CompiledWindow:
     def bind(self, lanes: int) -> Callable[[list, int, int, int], int]:
         fn = self._bound.get(lanes)
         if fn is None:
-            namespace = {name: _lane_wide(value, lanes)
-                         for name, value in self.masks}
+            fill = lanes_to_row([1] * lanes)
+            namespace = {name: value * fill for name, value in self.masks}
             exec(self.code, namespace)
             self._bound[lanes] = fn = namespace["window"]
         return fn

@@ -22,10 +22,10 @@ On a subarray with K lanes one run is K passes in lockstep:
 :meth:`Key.stage` takes up to 16K blocks (block ``16k + t`` in tile
 ``t`` of lane ``k``) and the blocks XORed into each before and after the
 cipher, and returns the run's validated program and a fresh env.
-``aes_load`` writes the masks and round keys replicated into every lane,
-as :class:`~pimcrypt.fabric.LaneRows` built once per lane count: the
-masks once per process, the keys once per call.  ``aes_unload`` leaves one
-output block per staged block under :data:`~pimcrypt.controller.OUTPUT`.
+``aes_load`` writes the masks and round keys repeated in every lane:
+both are :class:`~pimcrypt.fabric.LaneRows`, the masks one per process
+and the keys one per call.  ``aes_unload`` leaves one output block per
+staged block under :data:`~pimcrypt.controller.OUTPUT`.
 
 A pass uses the round-key-0 rows (8..15) as SubBytes scratch once the
 first AddRoundKey has consumed them, so it leaves the key region dirty:
@@ -373,14 +373,14 @@ def _load_order(n: int) -> Callable[[tuple], tuple]:
     return itemgetter(*(b * n + r for r in range(n) for b in range(8)))
 
 
-def key_rows(round_keys: list[bytes]) -> list[int]:
+def key_rows(round_keys: list[bytes]) -> LaneRows:
     """Round-key plane rows in load order, each key replicated into
     every tile: what ``aes_load_keys`` writes to the key region."""
     n = len(round_keys)
     planes = hostio.aes_plane_rows(round_keys)     # key r in tile r
     fields = struct.unpack(f"<{8 * n}H", b"".join(
         plane.to_bytes(2 * n, "little") for plane in planes))
-    return [field * _EVERY_TILE for field in _load_order(n)(fields)]
+    return LaneRows([field * _EVERY_TILE for field in _load_order(n)(fields)])
 
 
 # Programs depend on their build arguments alone, never on key or data.
@@ -391,10 +391,9 @@ def _controller(variant: int, direction: str, chain: str | None) -> Controller:
 
 class Key:
     """One call's key for one direction: its round-key rows in load
-    order, split at AES-256's key reload, and an empty cache that
-    ``aes_load_keys`` fills with them replicated per lane count.  Built
-    per call, so no key material outlives it.  ``ValueError`` unless
-    ``key`` is 16 or 32 bytes and ``direction`` encrypt or decrypt.
+    order, split at AES-256's key reload.  Built per call, so no key
+    material outlives it.  ``ValueError`` unless ``key`` is 16 or 32
+    bytes and ``direction`` encrypt or decrypt.
     """
 
     def __init__(self, key: bytes, direction: str):
@@ -404,7 +403,7 @@ class Key:
         words = expand_key_words(key)[::1 if direction == "encrypt" else -1]
         self.variant, self.direction = 8 * len(key), direction
         split = _FIRST_LOAD if len(key) == 32 else None
-        self.env = {"key_rows": key_rows(words[:split]), "lane_key_rows": {}}
+        self.env = {"key_rows": key_rows(words[:split])}
         if split:
             self.env["key_rows2"] = key_rows(words[split:])
 
@@ -423,24 +422,13 @@ class Key:
 
 # The staging rows, the mask rows (tmask then srmask) and the chain rows
 # are contiguous, so one host transfer writes them.
-_MASK_ROWS = [value for _, value in sorted(mask_values().items())]
+_MASK_ROWS = LaneRows(value for _, value in sorted(mask_values().items()))
 _KEY0 = AES_LAYOUT.row("keys", 0)
-
-
-@lru_cache(maxsize=None)
-def _lane_masks(lanes: int) -> LaneRows:
-    return LaneRows(_MASK_ROWS, lanes)
 
 
 @host_action("aes_load_keys")
 def _load_keys(sub, env, env_key="key_rows"):
-    # The rows replicated per lane count are cached in the env's
-    # ``lane_key_rows``, which every run of one call shares.
-    cache = env.setdefault("lane_key_rows", {})
-    rows = cache.get((env_key, sub.lanes))
-    if rows is None:
-        rows = cache[env_key, sub.lanes] = LaneRows(env[env_key], sub.lanes)
-    sub.write_rows(_KEY0, rows)
+    sub.write_rows(_KEY0, env[env_key])
 
 
 @host_action("aes_load")
@@ -449,9 +437,13 @@ def _load(sub, env, chain=False):
     tiles = BLOCKS_PER_PASS * sub.lanes
     if len(blocks) > tiles:
         raise ValueError(f"{len(blocks)} blocks for {tiles} tiles")
+    for chained in (env["chain_blocks"], env["post_chain_blocks"]):
+        if chained and len(chained) != len(blocks):
+            raise ValueError(f"{len(chained)} chain blocks for "
+                             f"{len(blocks)} blocks")
     _load_keys(sub, env)
     rows = hostio.aes_stage_rows(blocks)
-    rows += _lane_masks(sub.lanes)
+    rows += _MASK_ROWS.for_lanes(sub.lanes)
     if chain:
         rows += hostio.aes_plane_rows(env["chain_blocks"])
     sub.write_rows(_STAGE[0], rows)

@@ -18,8 +18,7 @@ appends the closing fold.
 
 On a subarray with lanes every lane runs its own GHASH in lockstep:
 :func:`stage` takes one hash key and one block list per lane and returns
-the run's validated program and a fresh env (the constant mask rows are
-replicated once per lane count and cached), and ``ghash_unload`` leaves
+the run's validated program and a fresh env, and ``ghash_unload`` leaves
 one digest per lane under :data:`~pimcrypt.controller.OUTPUT`.  The fold
 program (:func:`stage_fold`) runs on one lane and XORs staged digests
 into the digest row: the lane digests of one message split across
@@ -32,9 +31,8 @@ from functools import lru_cache
 
 from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
                           Invocation, KernelProgram, StrideRule, host_action)
-from ..fabric import EXT_ROW, LaneRows
+from ..fabric import EXT_ROW, LaneRows, lanes_to_row, row_to_lanes
 from ..isa import CommandWord, LogicKind
-from . import hostio
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
 __all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "stage", "stage_fold",
@@ -214,7 +212,11 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     """One pass of up to ``BLOCKS_PER_PASS`` blocks per lane, lane k with
     hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
     the running product, ``final`` reduces it and reads out each lane's
-    digest."""
+    digest.  ``ValueError`` unless there is at least one lane and every
+    lane has as many blocks."""
+    if not blocks or len(set(map(len, blocks))) != 1:
+        raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
+                         f"want one or more lanes of equal length")
     return (_controller(len(blocks[0]), final),
             {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
 
@@ -246,19 +248,13 @@ def row_to_block(value: int) -> bytes:
 def quarter_rows(blocks: list[bytes]) -> list[int]:
     """Stage one block per lane byte-reversed, one 32-column quarter per
     row."""
-    row = hostio.lanes_to_row([block_to_row(b[::-1]) for b in blocks])
-    return [row & quarter for quarter in _lane_rows(len(blocks))[1]]
+    row = lanes_to_row([block_to_row(b[::-1]) for b in blocks])
+    return [row & quarter for quarter in _QUARTERS.for_lanes(len(blocks))]
 
 
 # The mask rows are contiguous: fold, swap, then zero.
-_MASK_ROWS = [value for _, value in sorted(mask_values().items())]
-
-
-@lru_cache(maxsize=None)
-def _lane_rows(lanes: int) -> tuple[LaneRows, LaneRows]:
-    """The mask rows and the four quarter masks, repeated in every lane."""
-    return (LaneRows(_MASK_ROWS, lanes),
-            LaneRows([((1 << 32) - 1) << (32 * k) for k in range(4)], lanes))
+_MASK_ROWS = LaneRows(value for _, value in sorted(mask_values().items()))
+_QUARTERS = LaneRows(((1 << 32) - 1) << (32 * k) for k in range(4))
 
 
 @host_action("ghash_load")
@@ -269,8 +265,8 @@ def _load(sub, env, nblocks):
     if not len(keys) == len(lane_blocks) <= sub.lanes:
         raise ValueError(f"{len(keys)} hash keys and {len(lane_blocks)} "
                          f"block lists for {sub.lanes} lanes")
-    sub.write_rows(_MLO, _lane_rows(sub.lanes)[0])
-    sub.write_row(_H, hostio.lanes_to_row([block_to_row(h) for h in keys]))
+    sub.write_rows(_MLO, _MASK_ROWS)
+    sub.write_row(_H, lanes_to_row([block_to_row(h) for h in keys]))
     sub.write_rows(_STAGE0, [value for j in range(nblocks)
                              for value in quarter_rows([blocks[j] for blocks
                                                         in lane_blocks])])
@@ -286,4 +282,4 @@ def _fold_load(sub, env):
 @host_action("ghash_unload")
 def _unload(sub, env):
     env[OUTPUT] = [row_to_block(value) for value
-                   in hostio.row_to_lanes(sub.read_row(_Z), sub.lanes)]
+                   in row_to_lanes(sub.read_row(_Z), sub.lanes)]

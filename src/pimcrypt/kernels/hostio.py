@@ -18,10 +18,8 @@ data.  Each row layout is implemented in one module:
   here splits a row into them for readers outside the kernels.
 * GHASH, in ``ghash``: block bit ``x_i`` (MSB-first across the block) at
   column ``i``.
-* Lanes, here: on a subarray with lanes, lane ``k`` owns columns
-  ``256k .. 256k+255`` of every row; :func:`lanes_to_row` joins one
-  256-column value per lane into a row and :func:`row_to_lanes` splits
-  it again.
+* Lanes, in ``fabric``: on a subarray with lanes, lane ``k`` owns
+  columns ``256k .. 256k+255`` of every row.
 """
 
 from __future__ import annotations
@@ -33,25 +31,7 @@ from operator import and_, itemgetter, lshift, rshift
 from typing import NamedTuple
 
 __all__ = ["aes_stage_rows", "aes_unstage_rows", "aes_plane_rows",
-           "lanes_from_value", "lanes_to_row", "row_to_lanes"]
-
-_LANE_BYTES = 32    # 256 columns per subarray lane
-
-
-# -- subarray lanes ------------------------------------------------------------
-
-def lanes_to_row(values: list[int]) -> int:
-    """One row of ``len(values)`` lanes, lane ``k`` holding ``values[k]``
-    (each below 2**256)."""
-    return int.from_bytes(b"".join(v.to_bytes(_LANE_BYTES, "little")
-                                   for v in values), "little")
-
-
-def row_to_lanes(row: int, lanes: int) -> list[int]:
-    """The 256-column value of each of the ``lanes`` lanes of ``row``."""
-    data = row.to_bytes(_LANE_BYTES * lanes, "little")
-    return [int.from_bytes(data[k * _LANE_BYTES:(k + 1) * _LANE_BYTES],
-                           "little") for k in range(lanes)]
+           "lanes_from_value"]
 
 
 # -- AES ---------------------------------------------------------------------

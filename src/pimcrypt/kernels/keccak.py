@@ -284,11 +284,9 @@ def _stage_blocks(msgs: list[bytes], rate: int) -> list[list[int]]:
     return [rows[i:i + rate // 8] for i in range(0, len(rows), rate // 8)]
 
 
-@lru_cache(maxsize=None)
-def _rc_rows(lanes: int) -> LaneRows:
-    """The round-constant rows, each constant in every segment."""
-    constants = b"".join(rc.to_bytes(8, "little") for rc in _RC)
-    return LaneRows(_stage_blocks([constants], len(constants))[0], lanes)
+# The round-constant rows, each constant in every segment.
+_RC_ROWS = LaneRows(_stage_blocks(
+    [b"".join(rc.to_bytes(8, "little") for rc in _RC)], 8 * len(_RC))[0])
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +298,7 @@ def _pad_row(pad_byte: int) -> int:
 @host_action("sha3_init")
 def _init(sub, env):
     sub.write_rows(0, [0] * 25)
-    sub.write_rows(_RC0, _rc_rows(sub.lanes))
+    sub.write_rows(_RC0, _RC_ROWS)
     sub.write_row(_PAD, _pad_row(env.get("pad_byte", 0)))
 
 

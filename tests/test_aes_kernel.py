@@ -252,6 +252,16 @@ def test_stage_takes_its_chain_mode_from_the_lists_given(suffix, given, rng):
                            for b, a, c in zip(blocks, pre, post)]
 
 
+@pytest.mark.parametrize("given", [("pre",), ("post",), ("pre", "post")],
+                         ids=["pre", "post", "both"])
+def test_aes_load_rejects_chain_lists_of_another_length(given):
+    # One chain block for three blocks: the missing tiles would XOR zero.
+    chains = {name: [b"\x01" * 16] for name in given}
+    ctrl, env = aes.Key(bytes(16), "encrypt").stage([bytes(16)] * 3, **chains)
+    with pytest.raises(ValueError, match="1 chain blocks for 3 blocks"):
+        ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env)
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
@@ -267,7 +277,7 @@ def test_a_pass_uses_the_first_round_key_rows_as_scratch(rng):
     k = aes.Key(rng.randbytes(16), "encrypt")
     sub = Subarray(block_width=aes.BLOCK_WIDTH)
     _chain_pass(k, sub, rng.randbytes(16), rng.randbytes(16))
-    staged = k.env["key_rows"]
+    staged = list(k.env["key_rows"])
     key0 = aes.AES_LAYOUT.row("keys", 0)
     assert all(sub.read_row(key0 + i) != staged[i] for i in range(8))
     assert [sub.read_row(key0 + i) for i in range(8, 88)] == staged[8:]

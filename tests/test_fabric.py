@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from pimcrypt.fabric import (COLS, BlockWidthMismatch, CompiledRun,
                              CycleCostModel, EXT_ROW, LaneRows,
                              PendingActivation, RowOutOfRange, Subarray,
-                             UnsupportedOption, compile_window)
+                             UnsupportedOption, compile_window, row_to_lanes)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind
 
 row_values = st.integers(0, (1 << 256) - 1)
@@ -218,19 +218,16 @@ def test_read_rows_during_a_pending_activation():
 
 
 def test_lane_rows_are_written_as_a_masked_replicated_write():
-    values = [-1, 1 << 600, 7]
-    for lanes in (1, 3):
-        rows = LaneRows(values, lanes)
-        assert rows.lanes == lanes and len(rows) == 3
-        sub, ref = Subarray(lanes=lanes), Subarray(lanes=lanes)
-        sub.write_rows(10, rows)
-        fill = sum(1 << 256 * k for k in range(lanes))
-        ref.write_rows(10, [(v & (1 << 256) - 1) * fill for v in values])
-        assert sub.grid == ref.grid
-    # Rows built for another lane count are masked like any values.
-    sub = Subarray(lanes=1)
-    sub.write_rows(0, LaneRows([-1], 2))
-    assert sub.read_row(0) == (1 << 256) - 1
+    # One instance fills every lane of a subarray of any lane count.
+    values = [-1, 1 << 600 | 0xABC, 7 << 253, 0]
+    rows = LaneRows(values)
+    masked = [v & (1 << 256) - 1 for v in values]
+    assert rows == tuple(masked)
+    for lanes in (1, 3, 64, 3):
+        sub = Subarray(lanes=lanes)
+        sub.write_rows(40, rows)
+        assert [row_to_lanes(row, lanes) for row in sub.read_rows(40, 4)
+                ] == [[v] * lanes for v in masked]
 
 
 def test_compiled_run_must_match_lanes_and_cost():

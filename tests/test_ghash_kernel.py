@@ -174,6 +174,17 @@ def test_ghash_load_rejects_more_lists_than_lanes():
         ctrl.run(Subarray(block_width=ghash.BLOCK_WIDTH), env)
 
 
+@pytest.mark.parametrize("lengths", [[1, 2], [2, 1], []],
+                         ids=["1-2", "2-1", "no-lanes"])
+def test_stage_rejects_unequal_or_no_block_lists(lengths):
+    # [1, 2] used to drop lane 1's second block and return lane 0's
+    # one-block digest for it; the others raised IndexError.
+    h = bytes(range(16))
+    blocks = [[bytes([n]) * 16 for n in range(count)] for count in lengths]
+    with pytest.raises(ValueError, match="block lists"):
+        ghash.stage([h] * len(lengths), blocks, True, True)
+
+
 @pytest.mark.parametrize("nrows", [2, 3, 9])
 def test_fold_xors_its_rows(nrows, rng):
     rows = [rng.randbytes(16) for _ in range(nrows)]
