@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from .fabric import (ROWS, BlockWidthMismatch, CompiledRun, CompiledWindow,
                      CycleCostModel, PendingActivation, Subarray,
                      WindowRejected, compile_window, supported_width)
-from .isa import CommandWord, Opcode
+from .isa import CommandWord
 
 __all__ = [
     "COMMAND_ARRAY_BYTES",
@@ -235,21 +235,12 @@ class Controller:
                 raise ControllerError(f"host action position {a.position}")
             if a.kind not in HOST_ACTIONS:
                 raise ControllerError(f"unknown host action kind {a.kind!r}")
-        # Every stride-rewritten index must stay on the fabric.  The
-        # indices a window's strides reach are its shared rows (the
-        # compiler declines a strided shift or ext_bit).
-        shared: dict[str, set[int]] = {name: set() for name in spans}
-        for f in prog.functions.values():
-            for s in f.strides:
-                cmd = prog.commands[f.base + s.offset]
-                limit = ROWS if cmd.opcode is not Opcode.SHIFT else 256
-                for g in iter_spans[f.name] or {0}:
-                    idx = cmd.index + g * s.increment
-                    if not 0 <= idx < limit:
-                        raise ControllerError(
-                            f"stride drives {f.name}+{s.offset} to index "
-                            f"{idx} at iteration {g}")
-                    shared[f.name].add(idx)
+        # The indices a window's strides reach are its shared rows.
+        reach = {f.name: [(s, g, prog.commands[f.base + s.offset].index
+                           + g * s.increment)
+                          for s in f.strides
+                          for g in iter_spans[f.name] or {0}]
+                 for f in prog.functions.values()}
         # Every window must compile, so no run needs the reference.
         for f in prog.functions.values():
             words = prog.commands[f.base:f.base + f.count]
@@ -257,11 +248,20 @@ class Controller:
                 self._windows[f.name] = compile_window(
                     tuple(c.encode() for c in words),
                     tuple((s.offset, s.increment) for s in f.strides),
-                    prog.block_width, frozenset(shared[f.name]),
+                    prog.block_width,
+                    frozenset(idx for _, _, idx in reach[f.name]),
                     f.name not in looped)
             except WindowRejected as exc:
                 raise ControllerError(f"function {f.name} command "
                                       f"{exc.offset}: {exc}") from None
+        # The compiler declines a strided shift or ext_bit, so every
+        # stride-rewritten index is a row and must stay on the fabric.
+        for name, indices in reach.items():
+            for s, g, idx in indices:
+                if not 0 <= idx < ROWS:
+                    raise ControllerError(
+                        f"stride drives {name}+{s.offset} to index "
+                        f"{idx} at iteration {g}")
 
     # -- execution ---------------------------------------------------------
 

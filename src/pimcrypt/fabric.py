@@ -73,7 +73,6 @@ __all__ = [
     "EXT_ROW",
     "FabricError",
     "RowOutOfRange",
-    "ColumnOutOfRange",
     "PendingActivation",
     "BlockWidthMismatch",
     "UnsupportedOption",
@@ -106,10 +105,6 @@ class FabricError(Exception):
 
 
 class RowOutOfRange(FabricError):
-    pass
-
-
-class ColumnOutOfRange(FabricError):
     pass
 
 
@@ -379,8 +374,6 @@ class Subarray:
                 raise BlockWidthMismatch(
                     f"ext_bit width {width} but fabric configured for "
                     f"{self.block_width}")
-            if index >= COLS:
-                raise ColumnOutOfRange(f"ext_bit column {index}")
             src = self.grid[EXT_ROW]
             latch = 0
             seg_fill = (1 << width) - 1

@@ -3,13 +3,18 @@
 Data layout (16-column tiles, one block per tile, 16 blocks per pass):
 
 * state bit-planes in rows 0..7; plane ``b`` column ``16t + 4r + c``
-  holds bit ``b`` of state byte ``s[r,c]`` of block ``t`` (row-major
-  within the tile, so the MixColumns byte rotations are plain 4/8-column
-  tile rotations and ShiftRows is a masked per-row rotation; the host
-  side of this byte order is ``hostio``'s, see its docstring),
+  holds bit ``b`` of state byte ``s[r,c]`` of block ``t``.  This byte
+  order is row-major within the tile, so the MixColumns byte rotations
+  are plain 4/8-column tile rotations and ShiftRows is a masked per-row
+  rotation.  Block byte ``j`` is state byte ``s[j mod 4, j div 4]``, so
+  it sits at tile column ``4(j mod 4) + j div 4``, a map that is its own
+  inverse,
 * round-key planes in rows 8..95 (8 rows per round, AddRoundKey walks
   them with a +8 stride rule; AES-256 reloads the region halfway),
-* byte staging rows 96..111 (doubling as scratch inside the rounds),
+* byte staging rows 96..111 (doubling as scratch inside the rounds):
+  staging row ``c`` holds the byte at tile column ``c`` of every block,
+  LSB-first in an 8-column field, columns 0..7 in the low half of the
+  tile and 8..15 in the high half,
 * transpose masks 112..114 and ShiftRows masks 115..118,
 * chain-value planes 119..126 for the mode-level XOR; with chain mode
   ``"both"`` the host restages them between the XOR before the rounds
@@ -42,14 +47,15 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable
+from itertools import repeat
+from operator import and_, itemgetter, lshift, rshift
+from typing import NamedTuple
 
 from ..controller import (OUTPUT, Controller, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
-from . import circuits, hostio
+from . import circuits
 from .layout import LayoutMap, _logic, _shift_into, pack_functions
 
 __all__ = ["AES_LAYOUT", "BLOCKS_PER_PASS", "Key", "build_aes_program",
@@ -366,21 +372,122 @@ def build_aes_program(variant: int, direction: str,
 _EVERY_TILE = sum(1 << BLOCK_WIDTH * t for t in range(BLOCKS_PER_PASS))
 
 
-@lru_cache(maxsize=4)
-def _load_order(n: int) -> Callable[[tuple], tuple]:
-    """Picks the (round key, plane) fields of ``n`` round keys in load
-    order from the plane-major order of their plane rows."""
-    return itemgetter(*(b * n + r for r in range(n) for b in range(8)))
+# The byte order of the module docstring as a table: tile column c holds
+# block byte _BYTE_AT[c], and block byte j sits at tile column _BYTE_AT[j].
+_BYTE_AT = [4 * (j % 4) + j // 4 for j in range(16)]
+# Reorders 16 items between block byte order and tile column order,
+# either way, since _BYTE_AT is an involution.
+_REORDER = itemgetter(*_BYTE_AT)
+# Staging rows 0..7 hold their byte in the low half of each tile's
+# 16-bit field and rows 8..15 in the high half.  Per staging row: the
+# block byte it holds (rows 0..7, then 8..15), the slice of its field
+# bytes that holds it, and the slice of the block bytes it fills; per
+# block byte, the shift of its half.
+_LOW_ROWS, _HIGH_ROWS = itemgetter(*_BYTE_AT[:8]), itemgetter(*_BYTE_AT[8:])
+_HALF = [slice(0, None, 2)] * 8 + [slice(1, None, 2)] * 8
+_COLUMN = [slice(j, None, 16) for j in _BYTE_AT]
+_HALF_SHIFT = [8 * (c >= 8) for c in _BYTE_AT]
+
+# Delta swaps (Hacker's Delight 7-3) as (shift in bits, mask over one
+# 16-byte block, little-endian): the 4x4 byte transpose of the block
+# into the tile byte order (swap the off-diagonal 2x2 quarters, then
+# within each quarter), then the 8x8 bit-matrix transpose of each half.
+_PLANE_STEPS = ((48, bytes(0xFF if k in (2, 3, 6, 7) else 0
+                           for k in range(16))),
+                (24, bytes(0xFF if k in (1, 3, 9, 11) else 0
+                           for k in range(16))),
+                (7, (0x00AA00AA00AA00AA).to_bytes(8, "little") * 2),
+                (14, (0x0000CCCC0000CCCC).to_bytes(8, "little") * 2),
+                (28, (0x00000000F0F0F0F0).to_bytes(8, "little") * 2))
+
+
+class _Shapes(NamedTuple):
+    """What the staging helpers need for ``n`` blocks, built once."""
+    fields: struct.Struct        # 16 fields of 2n bytes: staging rows
+    blocks: struct.Struct        # n 16-byte blocks
+    plane_steps: tuple[tuple[int, int], ...]   # masks over n blocks
+
+
+@lru_cache(maxsize=64)
+def _shapes(n: int) -> _Shapes:
+    return _Shapes(struct.Struct(f"{2 * n}s" * 16), struct.Struct("16s" * n),
+                   tuple((shift, int.from_bytes(mask * n, "little"))
+                         for shift, mask in _PLANE_STEPS))
+
+
+def _byte_major(data: bytes) -> bytes:
+    """``data``, n 16-byte blocks, reordered so that byte j of block t
+    sits at ``n * j + t``.
+
+    With M = 16n - 1, output index k = nj + t must read input index
+    16t + j, which is 16k mod M (16n is 1 mod M) for every k < M, and
+    the last byte stays last.  Every 16th byte of ``data[:-1]`` repeated
+    16 times is exactly that sequence, so the reorder is two C-level
+    copies whatever n is.
+    """
+    return (data[:-1] * 16)[::16] + data[-1:]
+
+
+def _stage_rows(blocks: list[bytes]) -> list[int]:
+    """16 staging-row values; row c holds tile column c of every block.
+
+    Columns 0..7 occupy the low half of each tile, columns 8..15 the
+    high half, so an OR of rows c and c+8 yields the matrix fed to the
+    transpose network.
+    """
+    n = len(blocks)
+    if n == 1:                      # a serial chain's pass: each field
+        by_byte = blocks[0]         # is one byte of the block
+    else:
+        spread = bytearray(32 * n)  # one 2n-byte field per block byte
+        spread[::2] = _byte_major(b"".join(blocks))
+        by_byte = tuple(map(int.from_bytes, _shapes(n).fields.unpack(spread),
+                            repeat("little")))
+    return [*_LOW_ROWS(by_byte), *map(lshift, _HIGH_ROWS(by_byte), repeat(8))]
+
+
+def _unstage_rows(rows: list[int], count: int) -> list[bytes]:
+    """The first ``count`` blocks of 16 staging rows of any width."""
+    if count == 1:                  # block byte j is in row _BYTE_AT[j]
+        by_byte = map(rshift, _REORDER(rows), _HALF_SHIFT)
+        return [bytes(map(and_, by_byte, repeat(0xFF)))]
+    nbytes = 2 * count
+    used = (1 << 8 * nbytes) - 1
+    data = bytearray(16 * count)
+    for column, half, row in zip(_COLUMN, _HALF, rows):
+        data[column] = (row & used).to_bytes(nbytes, "little")[half]
+    return list(_shapes(count).blocks.unpack(data))
+
+
+def _plane_rows(blocks: list[bytes]) -> list[int]:
+    """Bit-sliced plane values: plane b, column 16t+c = bit b of the byte
+    at tile column c of block t.
+
+    After the byte transpose every 8 bytes form an 8x8 bit matrix, one
+    byte per row; after the bit transpose, byte b of each matrix holds
+    bit b of its eight bytes, so plane b is every eighth byte.  The swap
+    masks repeat once per block over the whole input, so every matrix of
+    every lane is transposed in place.
+    """
+    n = len(blocks)
+    x = int.from_bytes(b"".join(blocks), "little")
+    for shift, mask in _shapes(n).plane_steps:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    data = x.to_bytes(16 * n, "little")
+    return [int.from_bytes(data[b::8], "little") for b in range(8)]
 
 
 def key_rows(round_keys: list[bytes]) -> LaneRows:
     """Round-key plane rows in load order, each key replicated into
     every tile: what ``aes_load_keys`` writes to the key region."""
     n = len(round_keys)
-    planes = hostio.aes_plane_rows(round_keys)     # key r in tile r
+    planes = _plane_rows(round_keys)               # key r in tile r
     fields = struct.unpack(f"<{8 * n}H", b"".join(
         plane.to_bytes(2 * n, "little") for plane in planes))
-    return LaneRows([field * _EVERY_TILE for field in _load_order(n)(fields)])
+    # fields[b * n + r] is plane b of key r, so fields[r::n] is key r's.
+    return LaneRows([field * _EVERY_TILE
+                     for r in range(n) for field in fields[r::n]])
 
 
 # Programs depend on their build arguments alone, never on key or data.
@@ -442,20 +549,20 @@ def _load(sub, env, chain=False):
             raise ValueError(f"{len(chained)} chain blocks for "
                              f"{len(blocks)} blocks")
     _load_keys(sub, env)
-    rows = hostio.aes_stage_rows(blocks)
+    rows = _stage_rows(blocks)
     rows += _MASK_ROWS.for_lanes(sub.lanes)
     if chain:
-        rows += hostio.aes_plane_rows(env["chain_blocks"])
+        rows += _plane_rows(env["chain_blocks"])
     sub.write_rows(_STAGE[0], rows)
 
 
 @host_action("aes_load_chain")
 def _load_chain(sub, env):
     # Chain mode "both": the chain planes of the XOR after the rounds.
-    sub.write_rows(_CHAIN[0], hostio.aes_plane_rows(env["post_chain_blocks"]))
+    sub.write_rows(_CHAIN[0], _plane_rows(env["post_chain_blocks"]))
 
 
 @host_action("aes_unload")
 def _unload(sub, env):
-    env[OUTPUT] = hostio.aes_unstage_rows(sub.read_rows(_STAGE[0], 16),
-                                          len(env["blocks"]))
+    env[OUTPUT] = _unstage_rows(sub.read_rows(_STAGE[0], 16),
+                                len(env["blocks"]))

@@ -206,9 +206,12 @@ def build_sha3_program(bits: int, nblocks: int,
     """Absorb ``nblocks`` staged rate-blocks and leave the state readable.
 
     ``key_prep`` XORs the pad-constant row into the first staged block
-    before absorption (the HMAC key preparation).
+    before absorption (the HMAC key preparation).  ``ValueError`` unless
+    ``bits`` is a SHA3 output size and ``nblocks`` an int of at least 1.
     """
-    rate_lanes = RATE_BYTES[bits] // 8
+    if type(nblocks) is not int or nblocks < 1:
+        raise ValueError(f"nblocks must be an int >= 1, got {nblocks!r}")
+    rate_lanes = rate(bits) // 8
     theta, rho, chi = gen_theta(), gen_rho_pi(), gen_chi()
     iota, iota_strides = gen_iota()
     perm = theta + rho + chi + iota

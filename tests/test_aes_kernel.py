@@ -5,7 +5,7 @@ import pytest
 from pimcrypt import oracle
 from pimcrypt.controller import OUTPUT, ExecutionStats
 from pimcrypt.fabric import Subarray
-from pimcrypt.kernels import aes, circuits, hostio, modes
+from pimcrypt.kernels import aes, circuits, modes
 
 FIPS_KEY128 = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_KEY256 = bytes.fromhex(
@@ -28,7 +28,7 @@ def _column(j):
 
 
 def _planes_by_bit(blocks):
-    """Reference for aes_plane_rows: one bit per loop step."""
+    """Reference for aes._plane_rows: one bit per loop step."""
     planes = [0] * 8
     for t, block in enumerate(blocks):
         for j, byte in enumerate(block):
@@ -39,7 +39,7 @@ def _planes_by_bit(blocks):
 
 
 def _stage_by_byte(blocks):
-    """Reference for aes_stage_rows: one byte per loop step."""
+    """Reference for aes._stage_rows: one byte per loop step."""
     rows = [0] * 16
     for t, block in enumerate(blocks):
         for j, byte in enumerate(block):
@@ -53,18 +53,18 @@ def test_staging_matches_bit_loops(rng):
     # fill the 64 lanes of a lockstep run
     for n in [*range(18), 33, 100, 1024]:
         blocks = [rng.randbytes(16) for _ in range(n)]
-        staged = hostio.aes_stage_rows(blocks)
-        assert hostio.aes_plane_rows(blocks) == _planes_by_bit(blocks)
+        staged = aes._stage_rows(blocks)
+        assert aes._plane_rows(blocks) == _planes_by_bit(blocks)
         assert staged == _stage_by_byte(blocks)
-        assert hostio.aes_unstage_rows(staged, n) == blocks
+        assert aes._unstage_rows(staged, n) == blocks
     # one block at a time, as a serial chain stages them: every byte
     # value at every tile column
     for k in range(256):
         block = bytes((k + 17 * j) % 256 for j in range(16))
-        staged = hostio.aes_stage_rows([block])
-        assert hostio.aes_plane_rows([block]) == _planes_by_bit([block])
+        staged = aes._stage_rows([block])
+        assert aes._plane_rows([block]) == _planes_by_bit([block])
         assert staged == _stage_by_byte([block])
-        assert hostio.aes_unstage_rows(staged, 1) == [block]
+        assert aes._unstage_rows(staged, 1) == [block]
 
 
 def test_unstaging_reads_only_its_blocks_and_halves(rng):
@@ -75,9 +75,9 @@ def test_unstaging_reads_only_its_blocks_and_halves(rng):
     halves = [int.from_bytes(b"\xff\x00" * 32, "little") << 8 * (c < 8)
               for c in range(16)]
     rows = [row | extra & half for row, extra, half
-            in zip(hostio.aes_stage_rows(blocks), noise, halves)]
+            in zip(aes._stage_rows(blocks), noise, halves)]
     for count in (0, 1, 2, 17, 20):
-        assert hostio.aes_unstage_rows(rows, count) == blocks[:count]
+        assert aes._unstage_rows(rows, count) == blocks[:count]
 
 
 @pytest.mark.parametrize("klen", [16, 32])

@@ -1,15 +1,17 @@
 """CLI behavior: exit codes, file IO, and asm/disasm identity."""
 
 import hashlib
+import io
 import json
 import pathlib
+import sys
 
 import pytest
 
 from pimcrypt import cli, isa, oracle, perfmodel
 from pimcrypt.controller import HOST_ACTIONS
 from pimcrypt.fabric import CycleCostModel, Subarray
-from pimcrypt.kernels import aes, ghash, modes
+from pimcrypt.kernels import aes, ghash, keccak, modes
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_counts.json").read_text())
@@ -175,15 +177,23 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     ["decrypt", "--mode", "cbc", "--key", KEY, "--iv", IV],
     ["hash", "--alg", "sha3-100"],
     ["hmac", "--alg", "sha3-100", "--key", KEY],
+    ["encrypt", "--mode", "ctr", "--iv", IV],
+    ["encrypt", "--mode", "ctr", "--key", KEY, "--iv", "00" * 8],
+    ["disasm"],
     lambda: modes.ecb_crypt(bytes(16), bytes(15)),
     lambda: aes.build_aes_program(192, "encrypt"),
     lambda: ghash.build_ghash_program(0),
     lambda: ghash.build_ghash_program(9),
+    lambda: keccak.build_sha3_program(100, 1),
+    lambda: keccak.build_sha3_program(256, 0),
+    lambda: keccak.build_sha3_program(256, -1),
     lambda: HOST_ACTIONS["aes_load"](Subarray(block_width=aes.BLOCK_WIDTH),
                                      {"blocks": [bytes(16)] * 17}),
 ], ids=["ecb-encrypt", "ecb-decrypt", "cbc-encrypt", "cbc-decrypt",
-        "hash-alg", "hmac-alg", "ecb_crypt", "aes-192", "ghash-0-blocks",
-        "ghash-9-blocks", "aes_load-17-blocks"])
+        "hash-alg", "hmac-alg", "missing-key", "8-byte-ctr-iv",
+        "odd-length-disasm", "ecb_crypt", "aes-192", "ghash-0-blocks",
+        "ghash-9-blocks", "sha3-100", "sha3-0-blocks", "sha3--1-blocks",
+        "aes_load-17-blocks"])
 def test_rejected_inputs(case, tmp_path):
     if callable(case):
         with pytest.raises(ValueError):
@@ -285,6 +295,36 @@ def test_ccm_round_trip_matches_cryptography(tmp_path, rng):
         bytes.fromhex(nonce), data, bytes.fromhex(aad))
     assert run(["decrypt", *common, "--in", str(ct), "--out", str(out)]) == 0
     assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("iv_bytes", [12, 8])
+def test_gcm_round_trip_matches_cryptography(tmp_path, rng, iv_bytes):
+    # The decryption succeeds, so its output is cross-checked against
+    # the oracle before it is written.
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    pt, ct, out = (tmp_path / n for n in ("pt.bin", "ct.bin", "out.bin"))
+    data, iv, aad = rng.randbytes(70), rng.randbytes(iv_bytes).hex(), "ad" * 9
+    pt.write_bytes(data)
+    common = ["--mode", "gcm", "--key", KEY, "--iv", iv, "--aad", aad]
+    assert run(["encrypt", *common, "--in", str(pt), "--out", str(ct)]) == 0
+    assert ct.read_bytes() == AESGCM(bytes.fromhex(KEY)).encrypt(
+        bytes.fromhex(iv), data, bytes.fromhex(aad))
+    assert run(["decrypt", *common, "--in", str(ct), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+
+
+def test_input_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"abc")))
+    assert run(["hash", "--alg", "sha3-256", "--in", "-"]) == 0
+    assert capsys.readouterr().out.strip() == hashlib.sha3_256(
+        b"abc").hexdigest()
+
+
+def test_output_in_a_missing_directory_is_io_error(tmp_path):
+    src = tmp_path / "msg.bin"
+    src.write_bytes(b"abc")
+    assert run(["hash", "--in", str(src),
+                "--out", str(tmp_path / "nope" / "o")]) == cli.IO_ERROR
 
 
 def test_bench_text_names_every_measured_kernel(capsys):

@@ -150,6 +150,24 @@ def test_non_int_fields_rejected_at_load(fd, inv):
         Controller(prog_of(cmds, {"F": fd}, [inv]))
 
 
+@pytest.mark.parametrize("fd,inv,action,message", [
+    (FunctionDescriptor("F", 1, 2), Invocation("F"), None, "out of range"),
+    (FunctionDescriptor("F", 0, 2, strides=(StrideRule(2, 1),)),
+     Invocation("F"), None, "stride offset 2 outside"),
+    (FunctionDescriptor("F", 0, 2), Invocation("F", 0), None, ">= 1"),
+    (FunctionDescriptor("F", 0, 2), Invocation("F"), HostAction(2, "aes_load"),
+     "position 2"),
+    (FunctionDescriptor("F", 0, 2), Invocation("F"), HostAction(0, "t_none"),
+     "unknown host action kind"),
+], ids=["window past the commands", "stride offset outside its window",
+        "zero iterations", "host action past the schedule",
+        "unknown host action"])
+def test_malformed_program_rejected_at_load(fd, inv, action, message):
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
+    with pytest.raises(ControllerError, match=message):
+        Controller(prog_of(cmds, {"F": fd}, [inv], [action] if action else ()))
+
+
 # name: (window, stride rules, block width, offset of the command at fault)
 DECLINED = {
     "logic_op without act_row": (

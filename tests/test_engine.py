@@ -201,6 +201,23 @@ UNCLEAN = {
     "logic_op without act_row": ([CommandWord.logic_op(1, LogicKind.AND)], 0),
     "ext_bit width mismatch": ([CommandWord.ext_bit(3, 64),
                                 CommandWord.wr_row(5)], 0),
+    "logic_op option bit 3": ([CommandWord.act_row(1),
+                               CommandWord(Opcode.LOGIC_OP, 2, 0b1000)], 1),
+    "logic_op option bit 0": ([CommandWord.act_row(1),
+                               CommandWord(Opcode.LOGIC_OP, 2, 0b0001)], 1),
+    "unarmed act_row": ([CommandWord(Opcode.ACT_ROW, 1, 0),
+                         CommandWord.logic_op(2, LogicKind.XOR)], 0),
+    "act_row off the grid": (logic(200, LogicKind.XOR, 2, 3), 0),
+    "logic_op off the grid": (logic(1, LogicKind.XOR, 200, 3), 1),
+    **{f"wr_row option bit {b}": ([CommandWord.rd_row(1), CommandWord(
+        Opcode.WR_ROW, 2, 0b1000 | 1 << b)], 1) for b in range(3)},
+    "shift without valid flag": ([CommandWord.rd_row(1),
+                                  CommandWord(Opcode.SHIFT, 3, 0b0000)], 1),
+    "shift option bit 0": ([CommandWord.rd_row(1),
+                            CommandWord(Opcode.SHIFT, 3, 0b1001)], 1),
+    "ext_bit option bit 0": ([CommandWord(
+        Opcode.EXT_BIT, 3, BLOCK_WIDTHS.index(COLS) << 1 | 1)], 0),
+    "ext_bit width code 6": ([CommandWord(Opcode.EXT_BIT, 3, 6 << 1)], 0),
 }
 
 

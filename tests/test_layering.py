@@ -5,18 +5,23 @@
 functions and gets the run's output back without naming any key of the
 env the host actions read and write; ``perfmodel`` stages its
 representative passes through the kernels, not through ``modes``.
+Each row layout lives in one module; ``hostio`` keeps only the SHA3 row
+split that ``perfbench/tracing.py`` imports, and no package module
+imports it.
 """
 
 import ast
 import inspect
+import pathlib
 import types
 
 import pytest
 
+import pimcrypt
 from pimcrypt import cli, perfmodel
 from pimcrypt.controller import OUTPUT, Controller
 from pimcrypt.fabric import Subarray
-from pimcrypt.kernels import aes, ghash, keccak, modes
+from pimcrypt.kernels import aes, ghash, hostio, keccak, modes
 
 
 def _tree(module) -> ast.Module:
@@ -102,3 +107,35 @@ def test_perfmodel_stages_through_the_kernels_not_modes():
             imported |= {a.name for a in node.names}
     assert not any(name.split(".")[-1] == "modes" for name in imported)
     assert not hasattr(perfmodel.KernelPass, "runs")
+
+
+def test_no_package_module_imports_hostio():
+    importers = []
+    for path in pathlib.Path(pimcrypt.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any("hostio" in name.split(".") for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+def test_hostio_defines_only_the_sha3_row_split():
+    tree = _tree(hostio)
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assigned = {name.id for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for name in ast.walk(node) if isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Store)}
+    assert defined == ["lanes_from_value"] and assigned <= {"__all__"}
+    imported = {(node.module, a.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert {("keccak", "BLOCK_WIDTH"), ("keccak", "SHA3_LANES")} <= imported
+    segments = [(s + 1) << 60 for s in range(keccak.SHA3_LANES)]
+    row = sum(v << keccak.BLOCK_WIDTH * s for s, v in enumerate(segments))
+    assert hostio.lanes_from_value(row) == segments
