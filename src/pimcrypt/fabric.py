@@ -21,6 +21,12 @@ A *left* shift moves data toward column 0, a *right* shift toward column
 255.  Cycle accounting is one cycle per command plus one per shifted bit
 position.
 
+Every grid row and every latch value is a non-negative int no larger
+than the row mask: the host port masks what it writes, and no command
+can leave that range.  Both engines rely on it and compute NOT as an
+XOR with the row mask.  For such a row that equals ``~row & mask``, and
+it keeps CPython off its slower path for negative ints.
+
 A subarray with ``lanes`` K > 1 holds K such subarrays side by side, as
 the controller's one command stream drives every compute subarray at
 once: each row is a K x 256-bit int and lane ``k`` owns columns
@@ -309,7 +315,7 @@ class Subarray:
             src1 = self.grid[self.pending_row]
             kind = (option >> 1) & 0b11
             if kind == LogicKind.NOT:
-                self.sa_latch = ~src1 & self.row_mask
+                self.sa_latch = src1 ^ self.row_mask
             else:
                 if index >= ROWS:
                     raise RowOutOfRange(f"logic_op row {index}")
@@ -600,7 +606,7 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
         if op == Opcode.LOGIC_OP:
             kind = (option >> 1) & 0b11
             if kind == LogicKind.NOT:
-                latch = f"~{pending[1]} & {mask(_ROW_MASK)}"
+                latch = f"{pending[1]} ^ {mask(_ROW_MASK)}"
             else:
                 latch = (f"{pending[1]} {_LOGIC_SYMBOLS[kind]} "
                          f"{row(offset, index)}")

@@ -56,7 +56,8 @@ from ..controller import (OUTPUT, Controller, HostAction, Invocation,
 from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
 from . import circuits
-from .layout import LayoutMap, _logic, _shift_into, pack_functions
+from .layout import (LayoutMap, _check_blocks, _logic, _shift_into,
+                     pack_functions)
 
 __all__ = ["AES_LAYOUT", "BLOCKS_PER_PASS", "Key", "build_aes_program",
            "expand_key_words", "key_rows", "gen_bit_slice_fwd",
@@ -519,7 +520,12 @@ class Key:
         """One run of ``blocks``, each XORed with its ``pre`` block before
         the cipher and its ``post`` block after it.  The lists given pick
         the program's chain mode: ``pre`` alone ``"pre"``, ``post`` alone
-        ``"post"``, both ``"both"``; an empty list counts as not given."""
+        ``"post"``, both ``"both"``; an empty list counts as not given.
+        ``ValueError`` unless every block, ``pre`` and ``post`` entry is
+        16 bytes."""
+        for what, given in (("AES block", blocks), ("pre block", pre or ()),
+                            ("post block", post or ())):
+            _check_blocks(what, given)
         # _CHAINS lists None, "pre", "post" and "both" in this order.
         chain = _CHAINS[bool(pre) + 2 * bool(post)]
         return (_controller(self.variant, self.direction, chain),

@@ -33,7 +33,8 @@ from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
                           Invocation, KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW, LaneRows, lanes_to_row, row_to_lanes
 from ..isa import CommandWord, LogicKind
-from .layout import LayoutMap, _logic, _shift_into, pack_functions
+from .layout import (LayoutMap, _check_blocks, _logic, _shift_into,
+                     pack_functions)
 
 __all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "stage", "stage_fold",
            "build_ghash_program", "build_ghash_fold_program",
@@ -212,18 +213,23 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     """One pass of up to ``BLOCKS_PER_PASS`` blocks per lane, lane k with
     hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
     the running product, ``final`` reduces it and reads out each lane's
-    digest.  ``ValueError`` unless there is at least one lane and every
-    lane has as many blocks."""
+    digest.  ``ValueError`` unless there is at least one lane, every
+    lane has as many blocks, and every hash key and block is 16 bytes."""
     if not blocks or len(set(map(len, blocks))) != 1:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
                          f"want one or more lanes of equal length")
+    _check_blocks("GHASH hash key", hash_keys)
+    for lane in blocks:
+        _check_blocks("GHASH block", lane)
     return (_controller(len(blocks[0]), final),
             {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
 
 
 def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
     """XOR 2..32 ``blocks`` on one lane: the GHASH bit order permutes a
-    block's bits, so the XOR of the rows is the row of the blocks' XOR."""
+    block's bits, so the XOR of the rows is the row of the blocks' XOR.
+    ``ValueError`` unless every block is 16 bytes."""
+    _check_blocks("GHASH block", blocks)
     return _fold_controller(len(blocks)), {"fold_blocks": blocks}
 
 

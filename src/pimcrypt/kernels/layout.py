@@ -4,9 +4,10 @@ A :class:`LayoutMap` names disjoint row regions so generators and host
 actions never hard-code row numbers twice.  ``_logic`` emits the
 ``act_row`` + ``logic_op`` + ``wr_row`` triple that computes
 ``dst = a <kind> b``, ``_shift_into`` the ``rd_row`` + ``shift`` +
-``wr_row`` triple that computes ``dst = src`` shifted, and
+``wr_row`` triple that computes ``dst = src`` shifted,
 :func:`pack_functions` lays a kernel's function windows out in one
-command array.
+command array, and ``_check_blocks`` rejects staged 16-byte blocks of
+another length.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def _shift_into(src: int, count: int, dst: int,
                 right: bool = False) -> list[CommandWord]:
     return [CommandWord.rd_row(src), CommandWord.shift(count, right=right),
             CommandWord.wr_row(dst)]
+
+
+def _check_blocks(what: str, blocks) -> None:
+    """``ValueError`` unless every one of ``blocks`` is 16 bytes long."""
+    lengths = set(map(len, blocks)) - {16}
+    if lengths:
+        raise ValueError(f"{what} must be 16 bytes, got lengths "
+                         f"{sorted(lengths)}")
 
 
 def pack_functions(windows: dict[str, tuple[list[CommandWord], tuple]]

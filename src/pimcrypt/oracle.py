@@ -2,7 +2,10 @@
 
 Everything here is deliberately byte/table oriented (the fabric path is
 bit-sliced), so the two implementations share no structure.  These
-routines are the ground truth the simulator is checked against.
+routines are the ground truth the simulator is checked against.  AES
+substitutes bytes with ``bytes.translate`` and multiplies in MixColumns
+through GF(2^8) tables built from ``_xtime`` at import; each mode call
+expands its key once.
 
 Covers AES-128/256 block ops and the FIPS-197 key schedule, CBC / CTR /
 CCM / GCM modes, GHASH (two formulations), Keccak-f[1600], the four SHA3
@@ -56,14 +59,22 @@ def _xtime(b: int) -> int:
     return (b ^ 0x1B) & 0xFF if b & 0x100 else b
 
 
-def _gmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a = _xtime(a)
-        b >>= 1
-    return r
+def _mul_table(c: int) -> bytes:
+    """``c`` times each byte value in GF(2^8), by shift-and-add."""
+    table = bytearray(256)
+    for b in range(256):
+        a, k = b, c
+        while k:
+            if k & 1:
+                table[b] ^= a
+            a = _xtime(a)
+            k >>= 1
+    return bytes(table)
+
+
+# The MixColumns coefficients' multiply tables, built once at import.
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = map(_mul_table,
+                                                 (2, 3, 9, 11, 13, 14))
 
 
 def expand_key(key: bytes) -> list[bytes]:
@@ -76,48 +87,54 @@ def expand_key(key: bytes) -> list[bytes]:
     for i in range(nk, 4 * (rounds + 1)):
         tmp = words[i - 1]
         if i % nk == 0:
-            tmp = bytes(SBOX[b] for b in tmp[1:] + tmp[:1])
+            tmp = (tmp[1:] + tmp[:1]).translate(SBOX)
             tmp = bytes([tmp[0] ^ _RCON[i // nk - 1]]) + tmp[1:]
         elif nk == 8 and i % nk == 4:
-            tmp = bytes(SBOX[b] for b in tmp)
-        words.append(bytes(a ^ b for a, b in zip(words[i - nk], tmp)))
+            tmp = tmp.translate(SBOX)
+        words.append(_xor(words[i - nk], tmp))
     return [b"".join(words[4 * r:4 * r + 4]) for r in range(rounds + 1)]
 
 
-def _add_round_key(state: bytearray, rk: bytes) -> None:
-    for i in range(16):
-        state[i] ^= rk[i]
+# State byte 4c + r is s[r, c].  ShiftRows moves s[r, c + r] to s[r, c].
+_SHIFT_ROWS = [(r + 4 * (c + r)) % 16 for c in range(4) for r in range(4)]
+_INV_SHIFT_ROWS = [(r + 4 * (c - r)) % 16 for c in range(4) for r in range(4)]
 
 
-def _shift_rows(state: bytearray) -> None:
-    for r in range(1, 4):
-        row = [state[r + 4 * c] for c in range(4)]
-        for c in range(4):
-            state[r + 4 * c] = row[(c + r) % 4]
+def _xor(a: bytes, b: bytes) -> bytes:
+    """The XOR of ``a`` and ``b``, as long as the shorter of the two."""
+    n = min(len(a), len(b))
+    return (int.from_bytes(a[:n], "big")
+            ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
-def _inv_shift_rows(state: bytearray) -> None:
-    for r in range(1, 4):
-        row = [state[r + 4 * c] for c in range(4)]
-        for c in range(4):
-            state[r + 4 * c] = row[(c - r) % 4]
+def _sub_shift(state: bytes, box: bytes, order: list[int]) -> bytes:
+    """SubBytes with ``box``, then the row shift ``order``."""
+    state = state.translate(box)
+    return bytes([state[i] for i in order])
 
 
-def _mix_columns(state: bytearray) -> None:
-    for c in range(4):
-        col = state[4 * c:4 * c + 4]
-        for r in range(4):
-            state[4 * c + r] = (_gmul(col[r], 2) ^ _gmul(col[(r + 1) % 4], 3)
-                                ^ col[(r + 2) % 4] ^ col[(r + 3) % 4])
+def _mix_columns(state: bytes) -> bytes:
+    m2, m3 = _MUL2, _MUL3
+    out = bytearray(16)
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = state[c:c + 4]
+        out[c] = m2[a0] ^ m3[a1] ^ a2 ^ a3
+        out[c + 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
+        out[c + 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
+        out[c + 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
+    return bytes(out)
 
 
-def _inv_mix_columns(state: bytearray) -> None:
-    for c in range(4):
-        col = state[4 * c:4 * c + 4]
-        for r in range(4):
-            state[4 * c + r] = (_gmul(col[r], 14) ^ _gmul(col[(r + 1) % 4], 11)
-                                ^ _gmul(col[(r + 2) % 4], 13)
-                                ^ _gmul(col[(r + 3) % 4], 9))
+def _inv_mix_columns(state: bytes) -> bytes:
+    m9, m11, m13, m14 = _MUL9, _MUL11, _MUL13, _MUL14
+    out = bytearray(16)
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = state[c:c + 4]
+        out[c] = m14[a0] ^ m11[a1] ^ m13[a2] ^ m9[a3]
+        out[c + 1] = m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3]
+        out[c + 2] = m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3]
+        out[c + 3] = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
+    return bytes(out)
 
 
 def _check_block(name: str, value: bytes) -> None:
@@ -125,53 +142,46 @@ def _check_block(name: str, value: bytes) -> None:
         raise ValueError(f"{name} must be 16 bytes, got {len(value)}")
 
 
-def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
+def _encrypt(rks: list[bytes], block: bytes) -> bytes:
+    """One block under the expanded key ``rks``."""
     _check_block("AES block", block)
-    rks = expand_key(key)
-    state = bytearray(block)
-    _add_round_key(state, rks[0])
-    for r in range(1, len(rks) - 1):
-        state = bytearray(SBOX[b] for b in state)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, rks[r])
-    state = bytearray(SBOX[b] for b in state)
-    _shift_rows(state)
-    _add_round_key(state, rks[-1])
-    return bytes(state)
+    state = _xor(block, rks[0])
+    for rk in rks[1:-1]:
+        state = _xor(_mix_columns(_sub_shift(state, SBOX, _SHIFT_ROWS)), rk)
+    return _xor(_sub_shift(state, SBOX, _SHIFT_ROWS), rks[-1])
+
+
+def _decrypt(rks: list[bytes], block: bytes) -> bytes:
+    _check_block("AES block", block)
+    state = _xor(block, rks[-1])
+    for rk in rks[-2:0:-1]:
+        state = _inv_mix_columns(_xor(
+            _sub_shift(state, INV_SBOX, _INV_SHIFT_ROWS), rk))
+    return _xor(_sub_shift(state, INV_SBOX, _INV_SHIFT_ROWS), rks[0])
+
+
+def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
+    return _encrypt(expand_key(key), block)
 
 
 def aes_decrypt_block(key: bytes, block: bytes) -> bytes:
-    _check_block("AES block", block)
-    rks = expand_key(key)
-    state = bytearray(block)
-    _add_round_key(state, rks[-1])
-    for r in range(len(rks) - 2, 0, -1):
-        _inv_shift_rows(state)
-        state = bytearray(INV_SBOX[b] for b in state)
-        _add_round_key(state, rks[r])
-        _inv_mix_columns(state)
-    _inv_shift_rows(state)
-    state = bytearray(INV_SBOX[b] for b in state)
-    _add_round_key(state, rks[0])
-    return bytes(state)
+    return _decrypt(expand_key(key), block)
 
 
 # ---------------------------------------------------------------------------
 # Block cipher modes
 # ---------------------------------------------------------------------------
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
+# Each mode call expands its key once and runs every block on the
+# expanded key.
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     _check_block("CBC IV", iv)
     if len(plaintext) % 16:
         raise ValueError("CBC needs a whole number of blocks")
-    out, chain = bytearray(), iv
+    rks, out, chain = expand_key(key), bytearray(), iv
     for i in range(0, len(plaintext), 16):
-        chain = aes_encrypt_block(key, _xor(plaintext[i:i + 16], chain))
+        chain = _encrypt(rks, _xor(plaintext[i:i + 16], chain))
         out += chain
     return bytes(out)
 
@@ -180,28 +190,32 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     _check_block("CBC IV", iv)
     if len(ciphertext) % 16:
         raise ValueError("CBC needs a whole number of blocks")
-    out, chain = bytearray(), iv
+    rks, out, chain = expand_key(key), bytearray(), iv
     for i in range(0, len(ciphertext), 16):
         block = ciphertext[i:i + 16]
-        out += _xor(aes_decrypt_block(key, block), chain)
+        out += _xor(_decrypt(rks, block), chain)
         chain = block
     return bytes(out)
 
 
-def ctr_crypt(key: bytes, counter0: bytes, data: bytes) -> bytes:
-    _check_block("CTR counter block", counter0)
+def _ctr(rks: list[bytes], counter0: bytes, data: bytes) -> bytes:
     out = bytearray()
     ctr = int.from_bytes(counter0, "big")
     for i in range(0, len(data), 16):
-        stream = aes_encrypt_block(key, ctr.to_bytes(16, "big"))
+        stream = _encrypt(rks, ctr.to_bytes(16, "big"))
         out += _xor(data[i:i + 16], stream)
         ctr = (ctr + 1) % (1 << 128)
     return bytes(out)
 
 
+def ctr_crypt(key: bytes, counter0: bytes, data: bytes) -> bytes:
+    _check_block("CTR counter block", counter0)
+    return _ctr(expand_key(key), counter0, data)
+
+
 # -- CCM (SP 800-38C) -------------------------------------------------------
 
-def _ccm_mac(key: bytes, nonce: bytes, aad: bytes, msg: bytes,
+def _ccm_mac(rks: list[bytes], nonce: bytes, aad: bytes, msg: bytes,
              tag_len: int) -> bytes:
     q = 15 - len(nonce)
     flags = (64 if aad else 0) | (((tag_len - 2) // 2) << 3) | (q - 1)
@@ -218,7 +232,7 @@ def _ccm_mac(key: bytes, nonce: bytes, aad: bytes, msg: bytes,
     blocks += bytes(-len(blocks) % 16)
     mac = bytes(16)
     for i in range(0, len(blocks), 16):
-        mac = aes_encrypt_block(key, _xor(mac, blocks[i:i + 16]))
+        mac = _encrypt(rks, _xor(mac, blocks[i:i + 16]))
     return mac[:tag_len]
 
 
@@ -240,21 +254,22 @@ def _ccm_ctr0(nonce: bytes, tag_len: int, msg_len: int) -> bytes:
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16) -> bytes:
     ctr0 = _ccm_ctr0(nonce, tag_len, len(plaintext))
-    mac = _ccm_mac(key, nonce, aad, plaintext, tag_len)
-    s0 = aes_encrypt_block(key, ctr0)
-    ct = ctr_crypt(key, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
-                   plaintext)
+    rks = expand_key(key)
+    mac = _ccm_mac(rks, nonce, aad, plaintext, tag_len)
+    s0 = _encrypt(rks, ctr0)
+    ct = _ctr(rks, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
+              plaintext)
     return ct + _xor(mac, s0[:tag_len])
 
 
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16) -> bytes:
     ctr0 = _ccm_ctr0(nonce, tag_len, len(ciphertext) - tag_len)
+    rks = expand_key(key)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    s0 = aes_encrypt_block(key, ctr0)
-    pt = ctr_crypt(key, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"),
-                   ct)
-    mac = _ccm_mac(key, nonce, aad, pt, tag_len)
+    s0 = _encrypt(rks, ctr0)
+    pt = _ctr(rks, (int.from_bytes(ctr0, "big") + 1).to_bytes(16, "big"), ct)
+    mac = _ccm_mac(rks, nonce, aad, pt, tag_len)
     if not _hmac_mod.compare_digest(_xor(mac, s0[:tag_len]), tag):
         raise TagMismatch("CCM tag mismatch")
     return pt
@@ -326,46 +341,45 @@ def _gcm_ghash_input(aad: bytes, ct: bytes) -> bytes:
             + (8 * len(ct)).to_bytes(8, "big"))
 
 
-def _gcm_j0(key: bytes, iv: bytes) -> bytes:
+def _gcm_j0(h: bytes, iv: bytes) -> bytes:
     if not iv:
         raise ValueError("GCM IV must not be empty")
     if len(iv) == 12:
         return iv + b"\x00\x00\x00\x01"
-    h = aes_encrypt_block(key, bytes(16))
     return ghash(h, iv + bytes(-len(iv) % 16)
                  + (8 * len(iv)).to_bytes(16, "big"))
 
 
-def _gctr(key: bytes, j0: bytes, data: bytes) -> bytes:
+def _gctr(rks: list[bytes], j0: bytes, data: bytes) -> bytes:
     """Keystream from inc32(J0) on: only the low 32 counter bits count."""
     out = bytearray()
     for i in range(0, len(data), 16):
         low = (int.from_bytes(j0[12:], "big") + 1 + i // 16) & 0xFFFFFFFF
-        stream = aes_encrypt_block(key, j0[:12] + low.to_bytes(4, "big"))
+        stream = _encrypt(rks, j0[:12] + low.to_bytes(4, "big"))
         out += _xor(data[i:i + 16], stream)
     return bytes(out)
 
 
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes,
                 plaintext: bytes) -> bytes:
-    h = aes_encrypt_block(key, bytes(16))
-    j0 = _gcm_j0(key, iv)
-    ct = _gctr(key, j0, plaintext)
-    tag = _xor(aes_encrypt_block(key, j0),
-               ghash(h, _gcm_ghash_input(aad, ct)))
+    rks = expand_key(key)
+    h = _encrypt(rks, bytes(16))
+    j0 = _gcm_j0(h, iv)
+    ct = _gctr(rks, j0, plaintext)
+    tag = _xor(_encrypt(rks, j0), ghash(h, _gcm_ghash_input(aad, ct)))
     return ct + tag
 
 
 def gcm_decrypt(key: bytes, iv: bytes, aad: bytes,
                 ciphertext: bytes) -> bytes:
     ct, tag = ciphertext[:-16], ciphertext[-16:]
-    h = aes_encrypt_block(key, bytes(16))
-    j0 = _gcm_j0(key, iv)
-    expect = _xor(aes_encrypt_block(key, j0),
-                  ghash(h, _gcm_ghash_input(aad, ct)))
+    rks = expand_key(key)
+    h = _encrypt(rks, bytes(16))
+    j0 = _gcm_j0(h, iv)
+    expect = _xor(_encrypt(rks, j0), ghash(h, _gcm_ghash_input(aad, ct)))
     if not _hmac_mod.compare_digest(expect, tag):
         raise TagMismatch("GCM tag mismatch")
-    return _gctr(key, j0, ct)
+    return _gctr(rks, j0, ct)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,18 @@ def test_aes_load_rejects_chain_lists_of_another_length(given):
         ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env)
 
 
+@pytest.mark.parametrize("size", [0, 15, 17, 32])
+@pytest.mark.parametrize("where", ["blocks", "pre", "post"])
+def test_stage_rejects_blocks_that_are_not_16_bytes(where, size):
+    # A 15-byte block used to raise IndexError once run, a 17-byte one
+    # to encrypt its first 16 bytes, and a short chain block to pass.
+    lists = {"blocks": [bytes(16)] * 3, "pre": [bytes(16)] * 3,
+             "post": [bytes(16)] * 3}
+    lists[where][1] = bytes(size)
+    with pytest.raises(ValueError, match="must be 16 bytes"):
+        aes.Key(bytes(16), "encrypt").stage(**lists)
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 

@@ -120,6 +120,32 @@ def test_measured_programs_agree(cost, references):
     assert len(names) == 4 + 4 + 8 + 1
 
 
+def test_measured_windows_lower_not_without_unary_invert():
+    # NOT is an XOR with the row mask: ``~row`` makes a negative int,
+    # which CPython handles on a slower path.
+    for ctrl, _ in measured_runs():
+        for name in ctrl.program.functions:
+            assert "~" not in ctrl._window(name).source, name
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64])
+def test_rows_and_latch_stay_inside_the_row_mask(lanes, references):
+    # The XOR with the row mask equals ``~row & mask`` only for rows in
+    # [0, mask], so both engines must keep every row and the latch there.
+    cost = COST_MODELS[0]
+    runs = [outcome(ctrl.program, env, cost, reference=False, lanes=lanes)
+            for ctrl, env in measured_runs()]
+    if lanes in (1, 3):     # the fixture holds these reference runs
+        runs += [reference for _, _, reference in references[cost, lanes]]
+    else:
+        runs += [outcome(ctrl.program, env, cost, reference=True, lanes=lanes)
+                 for ctrl, env in measured_runs()]
+    mask = Subarray(lanes=lanes).row_mask
+    for error, _, grid, latch, *_ in runs:
+        assert error is None
+        assert 0 <= min(grid) and max(grid) <= mask and 0 <= latch <= mask
+
+
 def test_measured_programs_run_in_lanes():
     programs = [ctrl.program for ctrl, _ in measured_runs()]
     assert len(programs) == 4 + 4 + 8 + 1

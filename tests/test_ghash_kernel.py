@@ -185,6 +185,21 @@ def test_stage_rejects_unequal_or_no_block_lists(lengths):
         ghash.stage([h] * len(lengths), blocks, True, True)
 
 
+@pytest.mark.parametrize("size", [0, 15, 17])
+@pytest.mark.parametrize("where", ["key", "block", "fold"])
+def test_staging_rejects_keys_and_blocks_that_are_not_16_bytes(where, size):
+    # These used to run and return a digest without a word.
+    keys, blocks = [bytes(16)] * 2, [[bytes(16)] * 2, [bytes(16)] * 2]
+    with pytest.raises(ValueError, match="must be 16 bytes"):
+        if where == "fold":
+            ghash.stage_fold([bytes(16), bytes(size)])
+        elif where == "key":
+            ghash.stage([bytes(16), bytes(size)], blocks, True, True)
+        else:
+            blocks[1] = [bytes(16), bytes(size)]
+            ghash.stage(keys, blocks, True, True)
+
+
 @pytest.mark.parametrize("nrows", [2, 3, 9])
 def test_fold_xors_its_rows(nrows, rng):
     rows = [rng.randbytes(16) for _ in range(nrows)]

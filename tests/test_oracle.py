@@ -37,46 +37,53 @@ def test_key_expansion_last_round():
     assert rks[10] == bytes.fromhex("d014f9a8c9ee2589e13f0cc8b6630ca6")
 
 
-@given(key=st.binary(min_size=16, max_size=16),
-       block=st.binary(min_size=16, max_size=16))
+# AES-128 and AES-256 keys.
+KEYS = st.one_of(st.binary(min_size=16, max_size=16),
+                 st.binary(min_size=32, max_size=32))
+
+
+@given(key=KEYS, block=st.binary(min_size=16, max_size=16))
 @settings(max_examples=40, deadline=None)
 def test_aes_block_matches_cryptography(key, block):
     enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
     assert oracle.aes_encrypt_block(key, block) == (
         enc.update(block) + enc.finalize())
-    assert oracle.aes_decrypt_block(
-        key, oracle.aes_encrypt_block(key, block)) == block
+    assert oracle.aes_decrypt_block(key, block) == (
+        dec.update(block) + dec.finalize())
 
 
-@given(key=st.binary(min_size=32, max_size=32),
-       iv=st.binary(min_size=16, max_size=16),
-       pt=st.binary(min_size=16, max_size=96).filter(lambda b: len(b) % 16 == 0))
+@given(key=KEYS, iv=st.binary(min_size=16, max_size=16),
+       pt=st.binary(min_size=16, max_size=96).filter(lambda b: len(b) % 16 == 0),
+       tail=st.binary(max_size=15))
 @settings(max_examples=25, deadline=None)
-def test_cbc_ctr_match_cryptography(key, iv, pt):
+def test_cbc_ctr_match_cryptography(key, iv, pt, tail):
     ct = oracle.cbc_encrypt(key, iv, pt)
     ref = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
     assert ct == ref.update(pt) + ref.finalize()
     assert oracle.cbc_decrypt(key, iv, ct) == pt
 
+    # CTR keeps a partial last block.
     ks = Cipher(algorithms.AES(key), modes.CTR(iv)).encryptor()
-    assert oracle.ctr_crypt(key, iv, pt) == ks.update(pt) + ks.finalize()
+    assert oracle.ctr_crypt(key, iv, pt + tail) == (ks.update(pt + tail)
+                                                    + ks.finalize())
 
 
-@given(key=st.binary(min_size=16, max_size=16),
-       nonce=st.binary(min_size=12, max_size=12),
+@given(key=KEYS,
+       nonce=st.one_of(st.binary(min_size=12, max_size=12),
+                       st.binary(min_size=8, max_size=40)),
        aad=st.binary(max_size=32),
-       pt=st.binary(max_size=48))
+       pt=st.binary(max_size=80))
 @settings(max_examples=25, deadline=None)
 def test_gcm_matches_cryptography(key, nonce, aad, pt):
+    # IVs other than 12 bytes derive J0 through GHASH.
     out = oracle.gcm_encrypt(key, nonce, aad, pt)
     assert out == AESGCM(key).encrypt(nonce, pt, aad)
     assert oracle.gcm_decrypt(key, nonce, aad, out) == pt
 
 
-@given(key=st.binary(min_size=16, max_size=16),
-       nonce=st.binary(min_size=13, max_size=13),
-       aad=st.binary(max_size=24),
-       pt=st.binary(max_size=48))
+@given(key=KEYS, nonce=st.binary(min_size=7, max_size=13),
+       aad=st.binary(max_size=24), pt=st.binary(max_size=48))
 @settings(max_examples=25, deadline=None)
 def test_ccm_matches_cryptography(key, nonce, aad, pt):
     out = oracle.ccm_encrypt(key, nonce, aad, pt)
