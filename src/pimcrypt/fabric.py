@@ -61,6 +61,17 @@ lives in a local for the whole call, loaded before the loop and stored
 after it, so no strided access can miss a write to a local.  A window
 that every invocation runs for one iteration (every AES window, for
 instance) is lowered without the loop.
+
+One looped window is lowered as a whole rather than command by command:
+the bit-serial multiply-accumulate step GHASH's GaloisMult repeats, on
+block width 256 and without stride rules (``ext_bit 0``, ``wr M``;
+``V AND M`` into U; ``P XOR U`` into P; V shifted right by one and the
+broadcast row E left by one, each written back; V, P, M and U four
+distinct rows other than E).  Its N iterations are one carry-less
+multiply per lane (:class:`CompiledWindow` gives the closed form), so
+an untraced GHASH pass no longer runs 128 Python iterations per block.
+The reference still runs the commands one at a time, and the commands,
+cycles and statistics are those of the N iterations.
 """
 
 from __future__ import annotations
@@ -445,18 +456,33 @@ class CompiledWindow:
     compiled from, indexes the row list only for the window's shared
     rows, those its stride rules can address; it keeps every other row
     in a local ``r<index>``.
+
+    A ``fused`` window is the multiply-accumulate loop the module
+    docstring describes; its source calls ``mac``, bound to the lane
+    count, once for all N = ``iterations`` iterations.  Per lane, within
+    the lane's 256 columns and with ``<<`` toward column 255:
+
+    * P ^= clmul(V, E mod 2**min(N, 256)) mod 2**256
+    * V <- V << N and E <- E >> N
+    * M <- bit N - 1 of E, filled across the lane
+    * U <- (V << N - 1) & M
+
+    where V and E on the right are the rows before the call, so for
+    N > 256, V, E, M and U end as zero.  The latch it returns is the new
+    E, as the last command of the loop leaves it.
     """
 
     __slots__ = ("source", "code", "masks", "commands", "shift_steps",
-                 "_bound")
+                 "fused", "_bound")
 
     def __init__(self, source: str, masks: tuple[tuple[str, int], ...],
-                 commands: int, shift_steps: int):
+                 commands: int, shift_steps: int, fused: bool = False):
         self.source = source
         self.code = compile(source, "<compiled window>", "exec")
         self.masks = masks
         self.commands = commands
         self.shift_steps = shift_steps
+        self.fused = fused
         self._bound: dict[int, Callable[[list, int, int, int], int]] = {}
 
     def bind(self, lanes: int) -> Callable[[list, int, int, int], int]:
@@ -464,6 +490,8 @@ class CompiledWindow:
         if fn is None:
             fill = lanes_to_row([1] * lanes)
             namespace = {name: value * fill for name, value in self.masks}
+            if self.fused:
+                namespace["mac"] = _multiply_accumulate(lanes)
             exec(self.code, namespace)
             self._bound[lanes] = fn = namespace["window"]
         return fn
@@ -547,7 +575,98 @@ def compile_window(words: tuple[int, ...],
     return window
 
 
+def _mac_words(v: int, p: int, m: int, u: int) -> tuple[int, ...]:
+    """The encoded words of one bit-serial multiply-accumulate step on
+    rows V, P, M and U (GHASH's GaloisMult): M = fill(E[0]); U = V & M;
+    P ^= U; V steps right and the broadcast row E left by one column."""
+    return tuple(cmd.encode() for cmd in (
+        CommandWord.ext_bit(0, COLS), CommandWord.wr_row(m),
+        CommandWord.act_row(v), CommandWord.logic_op(m, LogicKind.AND),
+        CommandWord.wr_row(u),
+        CommandWord.act_row(p), CommandWord.logic_op(u, LogicKind.XOR),
+        CommandWord.wr_row(p),
+        CommandWord.rd_row(v), CommandWord.shift(1, right=True),
+        CommandWord.wr_row(v),
+        CommandWord.rd_row(EXT_ROW), CommandWord.shift(1),
+        CommandWord.wr_row(EXT_ROW)))
+
+
+def _mac_rows(words) -> tuple[int, int, int, int] | None:
+    """Rows (V, P, M, U) if ``words`` is one multiply-accumulate step on
+    four distinct grid rows other than the broadcast row, else None."""
+    if len(words) != 14:
+        return None
+    rows = tuple((words[i] >> 4) & 0xFF for i in (2, 5, 1, 4))
+    if (len(set(rows)) == 4 and EXT_ROW not in rows
+            and max(rows) < ROWS and words == _mac_words(*rows)):
+        return rows
+    return None
+
+
+# Swaps the ASCII digits "0"/"1" with the byte values 0/1: it spreads a
+# binary string one bit per byte, and packs such bytes back into digits.
+_DIGIT_BYTES = bytes.maketrans(b"01\0\1", b"\0\1" b"01")
+
+
+def _multiply_accumulate(lanes: int):
+    """``mac(v, e, p, n)`` for a ``lanes``-lane subarray: rows V, E, M,
+    U and P after ``n`` multiply-accumulate steps on rows V, E (the
+    broadcast row) and P, each lane on its own.  See
+    :class:`CompiledWindow` for the closed form."""
+    fill = lanes_to_row([1] * lanes)
+    digits = f"0{COLS * lanes}b"
+    # Lane k's digits, most significant first, lane K-1 first.
+    starts = range(0, COLS * lanes, COLS)
+    # Bit 0 of each of the 256 byte fields of a lane's product.
+    field_bits = int.from_bytes(b"\1" * COLS, "big")
+    masks: dict[int, tuple[int, int, int]] = {}
+
+    def mac(v, e, p, n):
+        # Carry-less V * (E mod 2**k) per lane: spread each bit into a
+        # byte, multiply once, keep each byte's parity.  Byte j sums at
+        # most j + 1 products, so only byte 255 can reach 256, and its
+        # carry lands in a byte that is dropped.
+        k = n if n < COLS else COLS
+        sv = format(v, digits).encode().translate(_DIGIT_BYTES)
+        se = format(e, digits).encode().translate(_DIGIT_BYTES)
+        product = b"".join(
+            (int.from_bytes(sv[s:s + COLS], "big")
+             * int.from_bytes(se[s + COLS - k:s + COLS], "big")
+             & field_bits).to_bytes(COLS, "big") for s in starts)
+        p ^= int(product.translate(_DIGIT_BYTES), 2)
+        if n > COLS:
+            return 0, 0, 0, 0, p
+        shifted = masks.get(n)
+        if shifted is None:
+            shifted = masks[n] = (_shift_mask(COLS, n, True) * fill,
+                                  _shift_mask(COLS, n, False) * fill,
+                                  _shift_mask(COLS, n - 1, True) * fill)
+        high, low, previous = shifted
+        last = e >> (n - 1) & fill
+        m = (last << COLS) - last
+        return ((v << n) & high, (e >> n) & low, m,
+                (v << (n - 1)) & previous & m, p)
+
+    return mac
+
+
+def _lower_mac(v: int, p: int, m: int, u: int) -> CompiledWindow:
+    e = EXT_ROW
+    source = "\n".join(
+        ["def window(g, L, first, iterations):"]
+        + [f"    r{i} = g[{i}]" for i in sorted((v, e, p))]
+        + [f"    r{v}, r{e}, r{m}, r{u}, r{p} = "
+           f"mac(r{v}, r{e}, r{p}, iterations)"]
+        + [f"    g[{i}] = r{i}" for i in sorted((v, e, p, m, u))]
+        + [f"    return r{e}"])
+    return CompiledWindow(source, (), 14, 2, fused=True)
+
+
 def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
+    if not (single or strides) and block_width == COLS:
+        rows = _mac_rows(words)
+        if rows is not None:
+            return _lower_mac(*rows)
     increments: dict[int, int] = {}
     for offset, increment in strides:
         if offset in increments:

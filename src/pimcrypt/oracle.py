@@ -278,25 +278,36 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
 # -- GHASH and GCM (SP 800-38D) --------------------------------------------
 
 _R_POLY = 0xE1000000000000000000000000000000
+# x^128 + x^7 + x^2 + x + 1, the GHASH field polynomial, in plain
+# (reflected) bit order.
+_FIELD_POLY = (1 << 128) | 0x87
+
+# Byte b with its eight bits in reverse order.
+_REFLECTED_BYTE = bytes(sum((b >> i & 1) << (7 - i) for i in range(8))
+                        for b in range(256))
+
+
+def _reflect(x: int) -> int:
+    """The 128-bit ``x`` with bit i moved to bit 127 - i."""
+    return int.from_bytes(x.to_bytes(16, "big").translate(_REFLECTED_BYTE),
+                          "little")
 
 
 def gf128_mul(x: int, y: int) -> int:
     """Carry-less multiply in GF(2^128), MSB-first bit convention."""
     # Plain polynomial product on reflected operands, then reduce.
-    xr = int(f"{x:0128b}"[::-1], 2) if x else 0
-    yr = int(f"{y:0128b}"[::-1], 2) if y else 0
+    xr, yr = _reflect(x), _reflect(y)
     prod = 0
     while yr:
         if yr & 1:
             prod ^= xr
         xr <<= 1
         yr >>= 1
-    # prod is a reflected polynomial of degree < 255; reduce mod
-    # x^128 + x^7 + x^2 + x + 1.
-    for bit in range(prod.bit_length() - 1, 127, -1):
-        if prod >> bit & 1:
-            prod ^= (1 << bit) | (0x87 << (bit - 128))
-    return int(f"{prod & ((1 << 128) - 1):0128b}"[::-1], 2)
+    # prod is a reflected polynomial of degree < 255; divide by the
+    # field polynomial, clearing its highest set bit each step.
+    while prod >> 128:
+        prod ^= _FIELD_POLY << (prod.bit_length() - 129)
+    return _reflect(prod)
 
 
 def _ghash_key(h: bytes, data: bytes) -> int:

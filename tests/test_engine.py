@@ -11,7 +11,10 @@ cycles and statistics of all K.  Load rejects exactly the windows the
 compiler declines, so no loaded program runs on the reference untraced.
 A compiled window indexes the grid for the rows its strides reach and
 keeps every other row in a local, even where a strided access aliases a
-row the window also names by constant index.
+row the window also names by constant index.  The one window the
+compiler lowers whole, GHASH's multiply-accumulate loop, must agree with
+the reference for any iteration count, and windows one change away from
+it must take the generic lowering.
 """
 
 import random
@@ -19,14 +22,14 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from pimcrypt import fabric, perfmodel
 from pimcrypt.controller import (Controller, ControllerError,
                                  ExecutionStats, FunctionDescriptor,
                                  Invocation, KernelProgram, StrideRule)
-from pimcrypt.fabric import (COLS, CycleCostModel, RowOutOfRange, Subarray,
-                             compile_window)
+from pimcrypt.fabric import (COLS, CompiledRun, CycleCostModel,
+                             RowOutOfRange, Subarray, compile_window)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
 from pimcrypt.kernels import aes, ghash, keccak, modes
 
@@ -34,17 +37,24 @@ COST_MODELS = [CycleCostModel(), CycleCostModel(3, 2)]
 LANE = (1 << COLS) - 1
 
 
-def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
-    """Run ``prog`` on random rows and latch; lane k draws them from seed
-    ``grid_seed + k``."""
-    sub = Subarray(block_width=prog.block_width, cost_model=cost,
-                   lanes=lanes)
+def random_subarray(width, cost, lanes=1, grid_seed=0, ones=()):
+    """A subarray with random rows and latch, except that the rows in
+    ``ones`` are all ones; lane k draws them from seed ``grid_seed + k``."""
+    sub = Subarray(block_width=width, cost_model=cost, lanes=lanes)
     rngs = [random.Random(grid_seed + k) for k in range(lanes)]
     for row in range(128):
         sub.write_row(row, sum(rng.getrandbits(COLS) << COLS * k
                                for k, rng in enumerate(rngs)))
+    for row in ones:
+        sub.write_row(row, sub.row_mask)
     sub.sa_latch = sum(rng.getrandbits(COLS) << COLS * k
                        for k, rng in enumerate(rngs))
+    return sub
+
+
+def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
+    """Run ``prog`` on a :func:`random_subarray`."""
+    sub = random_subarray(prog.block_width, cost, lanes, grid_seed)
     if pending is not None:
         sub.execute(CommandWord.act_row(pending))
     env = dict(env)
@@ -359,6 +369,7 @@ def test_strided_write_and_read_alias_constant_rows():
 
 
 def test_measured_windows_index_the_grid_only_for_shared_rows():
+    fused = set()
     for ctrl, _ in measured_runs():
         prog = ctrl.program
         for f in prog.functions.values():
@@ -372,7 +383,12 @@ def test_measured_windows_index_the_grid_only_for_shared_rows():
             window = ctrl._window(f.name)
             looped = any(inv.iterations > 1 for inv in prog.schedule
                          if inv.function == f.name)
-            assert ("for G in" in window.source) == looped
+            if window.fused:
+                # One multiply per lane runs every iteration: no loop.
+                fused.add((prog.name, f.name))
+                assert "for G in" not in window.source
+            else:
+                assert ("for G in" in window.source) == looped
             subscripts, local_rows = body_rows(window)
             assert {(i, inc) for i, inc in subscripts if inc} == strided
             assert {int(i) for i, inc in subscripts if not inc} <= shared
@@ -382,6 +398,11 @@ def test_measured_windows_index_the_grid_only_for_shared_rows():
                 assert subscripts == {(str(keccak.SHA3_LAYOUT.row("rc", 0)),
                                        "1")}
                 assert len(local_rows) > 25
+    # Exactly the GHASH programs' multiply loops are fused.
+    ghash_programs = {ctrl.program.name for ctrl, _ in measured_runs()
+                      if ctrl.program.name.startswith("ghash")}
+    assert ghash_programs
+    assert fused == {(name, "GaloisMult") for name in ghash_programs}
 
 
 def test_pending_activation_at_start_matches():
@@ -389,6 +410,96 @@ def test_pending_activation_at_start_matches():
     assert Controller(prog)._window("F") is not None
     error = assert_engines_agree(prog, {}, CycleCostModel(), pending=7)[0]
     assert error is not None
+
+
+def mac_window(v=0, p=1, m=2, u=3, width=COLS, bit=0, count=1,
+               multiply=LogicKind.AND, add=LogicKind.XOR):
+    """GHASH's multiply-accumulate step on rows V, P, M and U, or with
+    keyword arguments a near miss of it."""
+    ext = fabric.EXT_ROW
+    return ([CommandWord.ext_bit(bit, width), CommandWord.wr_row(m)]
+            + logic(v, multiply, m, u) + logic(p, add, u, p)
+            + [CommandWord.rd_row(v), CommandWord.shift(count, right=True),
+               CommandWord.wr_row(v), CommandWord.rd_row(ext),
+               CommandWord.shift(count), CommandWord.wr_row(ext)])
+
+
+def assert_loop_agrees(cmds, width, iterations, first, cost, **setup):
+    """Run ``cmds`` as a looped window compiled without strides, from
+    global iteration ``first``, and on the reference; both must leave
+    the same rows, latch and cycles.  Returns the compiled window."""
+    window = compile_window(tuple(c.encode() for c in cmds), (), width,
+                            frozenset())
+    ends = []
+    for compiled in (True, False):
+        sub = random_subarray(width, cost, **setup)
+        run = (CompiledRun([(window, first, iterations)], sub.lanes, cost)
+               if compiled else cmds * iterations)
+        ends.append((sub.run(run), sub.grid, sub.sa_latch, sub.cycle_count))
+    assert ends[0] == ends[1]
+    return window
+
+
+# Iteration counts around the 128 GHASH runs and the 256 columns past
+# which V and the broadcast row are all shifted out.
+MAC_ITERATIONS = [1, 2, 127, 128, 129, 255, 256, 257]
+
+
+def test_the_ghash_multiply_loop_is_fused():
+    layout = ghash.GHASH_LAYOUT
+    assert ghash.gen_galois_mult() == mac_window(
+        layout.row("mult"), layout.row("product"), layout.row("scratch", 3),
+        layout.row("scratch", 1))
+    assert Controller(ghash.build_ghash_program(1))._window(
+        "GaloisMult").fused
+    # A window every invocation runs once compiles without a loop, and
+    # is not fused.
+    assert not Controller(program(mac_window(), schedule=[
+        Invocation("F", 1, 0), Invocation("F", 1, 1)]))._window("F").fused
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 8])
+@settings(max_examples=2, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.lists(st.integers(0, 126), min_size=4, max_size=4, unique=True),
+       st.integers(1, 2 ** 16), st.integers(0, 2 ** 32))
+def test_fused_multiply_accumulate_agrees(lanes, rows, first, seed):
+    # On random rows, and on all-ones V and broadcast row, the most
+    # carries a product can make.  A failing example is reported as
+    # drawn: each example runs every iteration count, so shrinking one
+    # reruns thousands of reference iterations per step.
+    cmds = mac_window(*rows)
+    for iterations in MAC_ITERATIONS:
+        for ones in ((), (rows[0], fabric.EXT_ROW)):
+            for cost in COST_MODELS:
+                assert assert_loop_agrees(cmds, COLS, iterations, first, cost,
+                                          lanes=lanes, grid_seed=seed,
+                                          ones=ones).fused
+
+
+NEAR_MISSES = {
+    "shift count 2": {"count": 2},
+    "ext_bit 1": {"bit": 1},
+    "AND to OR": {"multiply": LogicKind.OR},
+    "XOR to OR": {"add": LogicKind.OR},
+    "M aliased to U": {"u": 2},
+    "V aliased to P": {"p": 0},
+    "block width 128": {"width": 128},
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+@settings(max_examples=3, deadline=None)
+@given(st.sampled_from(MAC_ITERATIONS), st.sampled_from([1, 2, 3, 8]),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_near_miss_multiply_loops_agree(name, iterations, lanes, ones, seed):
+    # The generic lowering runs them.
+    change = NEAR_MISSES[name]
+    for cost in COST_MODELS:
+        assert not assert_loop_agrees(
+            mac_window(**change), change.get("width", COLS), iterations, 5,
+            cost, lanes=lanes, grid_seed=seed,
+            ones=(0, fabric.EXT_ROW) if ones else ()).fused
 
 
 rows = st.integers(0, 127)
