@@ -146,11 +146,12 @@ def build_ghash_program(nblocks: int, final: bool = True) -> KernelProgram:
     """Accumulate ``nblocks`` (1..``BLOCKS_PER_PASS``) staged blocks into Z.
 
     ``final`` appends the closing fold; omit it when more passes follow
-    (the unreduced product row then carries the state).
+    (the unreduced product row then carries the state).  ``ValueError``
+    unless ``nblocks`` is an int in range.
     """
-    if not 1 <= nblocks <= BLOCKS_PER_PASS:
-        raise ValueError(f"nblocks must be 1..{BLOCKS_PER_PASS}, "
-                         f"got {nblocks}")
+    if type(nblocks) is not int or not 1 <= nblocks <= BLOCKS_PER_PASS:
+        raise ValueError(f"nblocks must be an int 1..{BLOCKS_PER_PASS}, "
+                         f"got {nblocks!r}")
     aligning, strides = gen_byte_aligning()
     reduce_cmds = _gen_reduce()
     commands, functions = pack_functions({
@@ -182,10 +183,11 @@ def build_ghash_fold_program(nrows: int) -> KernelProgram:
 
     One lane runs it: the host stages the digests of the lanes one
     message was split across, and for a GCM tag also E(J0), one per
-    stage row.
+    stage row.  ``ValueError`` unless ``nrows`` is an int in range.
     """
-    if not 2 <= nrows <= len(_STAGE):
-        raise ValueError(f"nrows must be 2..{len(_STAGE)}, got {nrows}")
+    if type(nrows) is not int or not 2 <= nrows <= len(_STAGE):
+        raise ValueError(f"nrows must be an int 2..{len(_STAGE)}, "
+                         f"got {nrows!r}")
     cmds = _logic(_STAGE[0], LogicKind.XOR, _STAGE[1], _Z)
     for row in _STAGE[2:nrows]:
         cmds += _logic(_Z, LogicKind.XOR, row, _Z)
@@ -213,11 +215,15 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     """One pass of up to ``BLOCKS_PER_PASS`` blocks per lane, lane k with
     hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
     the running product, ``final`` reduces it and reads out each lane's
-    digest.  ``ValueError`` unless there is at least one lane, every
-    lane has as many blocks, and every hash key and block is 16 bytes."""
+    digest.  ``ValueError`` unless there is at least one lane, one hash
+    key per lane, every lane has as many blocks, and every hash key and
+    block is 16 bytes."""
     if not blocks or len(set(map(len, blocks))) != 1:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
                          f"want one or more lanes of equal length")
+    if len(hash_keys) != len(blocks):
+        raise ValueError(f"{len(hash_keys)} hash keys for {len(blocks)} "
+                         f"block lists")
     _check_blocks("GHASH hash key", hash_keys)
     for lane in blocks:
         _check_blocks("GHASH block", lane)
@@ -251,11 +257,23 @@ def row_to_block(value: int) -> bytes:
     return low.to_bytes(16, "little").translate(_BIT_REVERSED)
 
 
-def quarter_rows(blocks: list[bytes]) -> list[int]:
-    """Stage one block per lane byte-reversed, one 32-column quarter per
-    row."""
-    row = lanes_to_row([block_to_row(b[::-1]) for b in blocks])
-    return [row & quarter for quarter in _QUARTERS.for_lanes(len(blocks))]
+def quarter_rows(lane_blocks: list[list[bytes]], nblocks: int) -> list[int]:
+    """The stage rows of blocks 0..``nblocks`` - 1 of every lane: lane k
+    holds block j of ``lane_blocks[k]`` byte-reversed, one 32-column
+    quarter per row, four rows per block.
+
+    Lane k's 256 columns of block j's row are ``block_to_row`` of the
+    reversed block, which read big-endian is the block's own bit-reversed
+    bytes under 16 zero bytes.  So the rows of all blocks come from one
+    big-endian byte string, the lanes of each block highest first.
+    """
+    lanes, pad = len(lane_blocks), bytes(16)
+    data = (pad + pad.join(lane[j] for j in range(nblocks)
+                           for lane in reversed(lane_blocks))
+            ).translate(_BIT_REVERSED)
+    quarters, step = _QUARTERS.for_lanes(lanes), 32 * lanes
+    return [int.from_bytes(data[i:i + step], "big") & quarter
+            for i in range(0, len(data), step) for quarter in quarters]
 
 
 # The mask rows are contiguous: fold, swap, then zero.
@@ -273,9 +291,7 @@ def _load(sub, env, nblocks):
                          f"block lists for {sub.lanes} lanes")
     sub.write_rows(_MLO, _MASK_ROWS)
     sub.write_row(_H, lanes_to_row([block_to_row(h) for h in keys]))
-    sub.write_rows(_STAGE0, [value for j in range(nblocks)
-                             for value in quarter_rows([blocks[j] for blocks
-                                                        in lane_blocks])])
+    sub.write_rows(_STAGE0, quarter_rows(lane_blocks, nblocks))
     if env.pop("ghash_first", False):
         sub.write_rows(_P, [0, 0])       # P and Z
 

@@ -4,16 +4,23 @@ Throughput of one kernel is modeled as
 
     calibration x active_subarrays x payload_bytes x frequency / cycles
 
-where cycles come from actually running one representative pass of the
-kernel program on the simulated fabric (1 cycle per command plus 1 per
-1-bit shift step by default).  ``kernel_passes`` is the one registry of
-those passes: ``measure_kernels`` runs it, ``pimcrypt trace`` shows it
-command by command, and the engine tests check both engines on it.  The
-registry only chooses the pass's inputs; each kernel module stages them
+where cycles are those of one representative pass of the kernel program
+on the simulated fabric (1 cycle per command plus 1 per 1-bit shift step
+by default).  ``kernel_passes`` is the one registry of those passes:
+``measure_kernels`` counts it, ``pimcrypt trace`` runs it command by
+command, and the engine tests run it on both engines.  The registry only
+chooses the pass's inputs; each kernel module stages them
 (``aes.Key.stage``, ``ghash.stage``, ``keccak.stage``), as it does for
-every mode call.  The control-overhead table (commands per iteration and
-iterations per function) is read from the measured passes'
-per-function statistics, so nothing here builds a program.
+every mode call.
+
+The count is exact without running a command: a run's statistics depend
+only on its validated program, the lane count and the cost model, never
+on data, so ``Controller.run_stats`` gives what a run on the fabric
+counts, and the engine tests check it against the reference
+interpreter's own count on every registry pass.  The control-overhead
+table (commands per iteration and iterations per function) is read from
+the measured passes' per-function statistics, so nothing here builds a
+program.
 
 The reference hardware is a 256 KiB SRAM of 4 KiB subarrays (64 total)
 with 25/50/100% of them compute-enabled, clocked and powered like the
@@ -196,32 +203,48 @@ class KernelPass:
 
     def run(self, cost: CycleCostModel,
             trace: list | None = None) -> ExecutionStats:
-        """Run every program on a fresh one-lane subarray; ``trace``
-        selects the reference interpreter and collects its records."""
+        """The pass's statistics on a one-lane subarray under ``cost``.
+
+        Without ``trace`` nothing runs: each run's statistics are fixed
+        by its validated program, the lane count and the cost model
+        (``Controller.run_stats``), so counting them is exact.  With a
+        ``trace`` list every program runs on a fresh subarray through
+        the reference interpreter, which appends its records there."""
         stats = ExecutionStats()
         for ctrl, env in self.build():
             sub = Subarray(block_width=ctrl.program.block_width,
                            cost_model=cost)
-            ctrl.run(sub, env, trace=trace, stats=stats)
+            if trace is None:
+                stats.merge(ctrl.run_stats(sub))
+            else:
+                ctrl.run(sub, env, trace=trace, stats=stats)
         return stats
 
 
+_BYTES = bytes(range(256))
+
+
+def _ramp(start: int, n: int) -> bytes:
+    """``n`` bytes counting up from ``start`` modulo 256: the registry's
+    blocks and messages."""
+    return (_BYTES * (2 + n // 256))[start % 256:][:n]
+
+
 def _aes_runs(variant: int, direction: str) -> list[tuple[Controller, dict]]:
-    blocks = [bytes([(17 * i + j) & 0xFF for j in range(16)])
-              for i in range(aes.BLOCKS_PER_PASS)]
+    blocks = [_ramp(17 * i, 16) for i in range(aes.BLOCKS_PER_PASS)]
     key = aes.Key(bytes(range(variant // 8)), direction)
     chain = {"pre" if direction == "encrypt" else "post": blocks[::-1]}
     return [key.stage(blocks, **chain)]
 
 
 def _sha3_runs(bits: int) -> list[tuple[Controller, dict]]:
-    msg = bytes(i & 0xFF for i in range(3 * keccak.RATE_BYTES[bits]))
+    msg = _ramp(0, 3 * keccak.RATE_BYTES[bits])
     return [keccak.stage(bits, [msg])]          # pads to 4 blocks
 
 
 def _hmac_runs(bits: int) -> list[tuple[Controller, dict]]:
     rate = keccak.RATE_BYTES[bits]
-    key = msg = bytes(i & 0xFF for i in range(rate))
+    key = msg = _ramp(0, rate)
     # inner: key block + 2 message blocks; outer: key block + digest block
     return [keccak.stage(bits, [key + tail], 0x36)
             for tail in (msg, bytes(bits // 8))]
@@ -252,7 +275,7 @@ def kernel_passes() -> dict[str, KernelPass]:
 
 def measure_kernels(cost: CycleCostModel = CycleCostModel()
                     ) -> dict[str, KernelMeasurement]:
-    """Run every registry pass under ``cost``, by name."""
+    """Count every registry pass under ``cost``, by name."""
     out = {}
     for name, kp in kernel_passes().items():
         stats = kp.run(cost)

@@ -4,7 +4,7 @@ import pytest
 
 from pimcrypt import oracle
 from pimcrypt.controller import OUTPUT, ExecutionStats
-from pimcrypt.fabric import Subarray
+from pimcrypt.fabric import Subarray, lanes_to_row
 from pimcrypt.kernels import ghash, modes
 
 
@@ -39,6 +39,23 @@ def test_block_row_round_trip(rng):
         assert ghash.row_to_block(ghash.block_to_row(blk)) == blk
     # bits above column 127 are not part of the block
     assert ghash.row_to_block(_row_by_bit(blk) | 1 << 200) == blk
+
+
+def test_quarter_rows_match_one_row_per_block(rng):
+    # The reference builds each block's row on its own: every lane's
+    # block reversed, as one lane row, masked to each quarter.
+    for lanes in range(1, 9):
+        fill = lanes_to_row([1] * lanes)
+        quarters = [(((1 << 32) - 1) << 32 * q) * fill for q in range(4)]
+        for nblocks in range(1, 9):
+            lane_blocks = [[rng.randbytes(16) for _ in range(nblocks)]
+                           for _ in range(lanes)]
+            want = []
+            for j in range(nblocks):
+                row = lanes_to_row([ghash.block_to_row(blocks[j][::-1])
+                                    for blocks in lane_blocks])
+                want += [row & quarter for quarter in quarters]
+            assert ghash.quarter_rows(lane_blocks, nblocks) == want
 
 
 # Pinned counts for the control-kernel budget. [DERIVED]
@@ -217,3 +234,22 @@ def test_fold_xors_its_rows(nrows, rng):
 def test_fold_program_rejects_row_counts(nrows):
     with pytest.raises(ValueError, match="nrows"):
         ghash.build_ghash_fold_program(nrows)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ghash.build_ghash_program(True),
+    lambda: ghash.build_ghash_program(2.0),
+    lambda: ghash.build_ghash_fold_program(True),
+    lambda: ghash.build_ghash_fold_program(2.0),
+], ids=["blocks-True", "blocks-2.0", "rows-True", "rows-2.0"])
+def test_programs_reject_counts_that_are_not_ints(build):
+    # True used to build "ghash-Trueblk"; 2.0 raised TypeError.
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
+@pytest.mark.parametrize("keys", [0, 2])
+def test_stage_rejects_a_hash_key_count_other_than_the_lanes(keys):
+    # No key for the one lane used to stage and fail only once run.
+    with pytest.raises(ValueError, match="hash keys for 1 block lists"):
+        ghash.stage([bytes(16)] * keys, [[bytes(16)]], True, True)

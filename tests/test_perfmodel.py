@@ -7,6 +7,8 @@ import pathlib
 import pytest
 
 from pimcrypt import perfmodel as pm
+from pimcrypt.controller import ExecutionStats
+from pimcrypt.fabric import CycleCostModel, Subarray
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_counts.json").read_text())
@@ -25,6 +27,33 @@ def calibration(measurements):
 def test_golden_cycles(measurements):
     for name, expect in GOLDEN["cycles"].items():
         assert measurements[name].cycles == expect, name
+
+
+@pytest.mark.parametrize("cost", [CycleCostModel(), CycleCostModel(2, 1),
+                                  CycleCostModel(1, 0)], ids=repr)
+def test_measured_stats_are_those_of_running_each_pass(cost):
+    # measure_kernels counts the passes without running them; running
+    # every staged run on the compiled engine counts the same.
+    ms = pm.measure_kernels(cost)
+    for name, kp in pm.kernel_passes().items():
+        ran, cycles = ExecutionStats(), 0
+        for ctrl, env in kp.build():
+            sub = Subarray(block_width=ctrl.program.block_width,
+                           cost_model=cost)
+            ctrl.run(sub, env, stats=ran)
+            cycles += sub.cycle_count
+        assert ms[name].stats == ran, name
+        assert ms[name].cycles == ran.cycles == cycles, name
+
+
+def test_measuring_runs_no_command(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fabric ran a command")
+
+    monkeypatch.setattr(Subarray, "run", refuse)
+    monkeypatch.setattr(Subarray, "execute", refuse)
+    ms = pm.measure_kernels()
+    assert {name: m.cycles for name, m in ms.items()} == GOLDEN["cycles"]
 
 
 def test_fraction_scaling_exact(measurements):
