@@ -16,7 +16,7 @@ from pimcrypt.kernels import keccak, modes
 
 rng = random.Random(4)
 
-# Four different messages, hashed in a single fabric run.
+# Four different messages, hashed side by side on one subarray.
 msgs = [rng.randbytes(50) for _ in range(4)]
 stats = ExecutionStats()
 digests = modes.sha3_digest_batch(256, msgs, stats=stats)

@@ -17,8 +17,12 @@ row by walking the permutation cycle backwards — and chi then runs in
 place with two saved lanes per group.
 
 Staging: :func:`stage` takes 1..4 messages, one per sponge lane, and
-returns the run's validated program and a fresh env;
-``sha3_read_state`` leaves one digest per sponge lane under
+returns the sponge's runs, one (validated program, fresh env) pair per
+rate block, to run in order on one subarray.  Each run loads one block
+and absorbs it, so no program depends on the message length, only on
+the output size and on whether the run is keyed, first or last.  The
+first run also clears the state and stages the constant rows, and the
+last one's ``sha3_read_state`` leaves one digest per sponge lane under
 :data:`~pimcrypt.controller.OUTPUT`.
 """
 
@@ -201,16 +205,22 @@ def pad_sha3(msg: bytes, rate: int) -> bytes:
     return bytes(padded)
 
 
-def build_sha3_program(bits: int, nblocks: int,
-                       key_prep: bool = False) -> KernelProgram:
-    """Absorb ``nblocks`` staged rate-blocks and leave the state readable.
+def build_sha3_program(bits: int, key_prep: bool = False, first: bool = True,
+                       final: bool = True) -> KernelProgram:
+    """Absorb one staged rate-block: load it, XOR the pad-constant row
+    into it if ``key_prep`` (the HMAC key preparation), add it into the
+    state and permute.
 
-    ``key_prep`` XORs the pad-constant row into the first staged block
-    before absorption (the HMAC key preparation).  ``ValueError`` unless
-    ``bits`` is a SHA3 output size and ``nblocks`` an int of at least 1.
+    A sponge of n blocks is n runs on one subarray, which keeps the state
+    rows between them: ``first`` clears the state and stages the
+    constant rows before the block loads, and ``final`` reads the state
+    out after the permutation.  ``ValueError`` unless ``bits`` is a SHA3
+    output size and every flag a bool.
     """
-    if type(nblocks) is not int or nblocks < 1:
-        raise ValueError(f"nblocks must be an int >= 1, got {nblocks!r}")
+    for name, flag in (("key_prep", key_prep), ("first", first),
+                       ("final", final)):
+        if type(flag) is not bool:
+            raise ValueError(f"{name} must be a bool, got {flag!r}")
     rate_lanes = rate(bits) // 8
     theta, rho, chi = gen_theta(), gen_rho_pi(), gen_chi()
     iota, iota_strides = gen_iota()
@@ -221,52 +231,65 @@ def build_sha3_program(bits: int, nblocks: int,
                                 for s in iota_strides]),
         "AddState": (gen_add_state(rate_lanes), ()),
     }
+    schedule = [Invocation("AddState"), Invocation("StatePermute", 24, 0)]
     if key_prep:
         windows["KeyXorPad"] = (gen_key_xor_pad(rate_lanes), ())
+        schedule.insert(0, Invocation("KeyXorPad"))
     commands, functions = pack_functions(windows)
 
-    schedule: list[Invocation] = []
-    actions = [HostAction(0, "sha3_init", {})]
-    for blk in range(nblocks):
-        actions.append(HostAction(len(schedule), "sha3_load_block",
-                                  {"index": blk}))
-        if key_prep and blk == 0:
-            schedule.append(Invocation("KeyXorPad"))
-        schedule.append(Invocation("AddState"))
-        schedule.append(Invocation("StatePermute", 24, 0))
-    actions.append(HostAction(len(schedule), "sha3_read_state",
-                              {"bits": bits}))
+    actions = [HostAction(0, "sha3_load_block", {})]
+    if first:
+        actions.insert(0, HostAction(0, "sha3_init", {}))
+    if final:
+        actions.append(HostAction(len(schedule), "sha3_read_state",
+                                  {"bits": bits}))
     return KernelProgram(
-        name=f"sha3-{bits}-{nblocks}blk" + ("-keyed" if key_prep else ""),
+        name=f"sha3-{bits}" + "-keyed" * key_prep + "-first" * first
+        + "-final" * final,
         commands=commands, functions=functions, schedule=schedule,
         host_actions=actions, block_width=BLOCK_WIDTH)
 
 
-# Bounded: each message length may need its own block count.
-@lru_cache(maxsize=128)
-def _controller(bits: int, nblocks: int, keyed: bool) -> Controller:
-    return Controller(build_sha3_program(bits, nblocks, keyed))
+@lru_cache(maxsize=None)
+def _controller(bits: int, key_prep: bool, first: bool,
+                final: bool) -> Controller:
+    return Controller(build_sha3_program(bits, key_prep, first, final))
 
 
 def stage(bits: int, msgs: list[bytes],
-          pad_byte: int | None = None) -> tuple[Controller, dict]:
-    """Absorb 1..4 messages, one per sponge lane; unused lanes repeat the
-    first.
+          pad_byte: int | None = None) -> list[tuple[Controller, dict]]:
+    """The runs that absorb 1..4 messages, one per sponge lane; unused
+    lanes repeat the first.
 
-    The messages must pad to equal block counts (``ValueError``
-    otherwise).  ``pad_byte`` selects the keyed program, which XORs that
-    byte into every byte of the first block (HMAC's ipad or opad).
+    One (validated program, fresh env) pair per rate block, in order:
+    run them on one subarray, and the last leaves one digest per sponge
+    lane under :data:`~pimcrypt.controller.OUTPUT`.  Each message is any
+    bytes-like object (``TypeError`` otherwise), and the messages must
+    pad to equal block counts (``ValueError`` otherwise).  ``pad_byte``,
+    ``None`` or an int 0..255 (``ValueError`` otherwise), selects the
+    keyed program for the first block, which XORs that byte into every
+    byte of it (HMAC's ipad or opad).
     """
     r = rate(bits)
+    if pad_byte is not None and (type(pad_byte) is not int
+                                 or not 0 <= pad_byte <= 0xFF):
+        raise ValueError(f"pad_byte must be None or an int 0..255, "
+                         f"got {pad_byte!r}")
     if not 1 <= len(msgs) <= SHA3_LANES:
         raise ValueError(f"1..{SHA3_LANES} messages per run")
-    padded = [pad_sha3(m, r) for m in msgs]
+    padded = [pad_sha3(bytes(memoryview(m)), r) for m in msgs]
     if len(set(map(len, padded))) != 1:
         raise ValueError("batched messages must pad to equal block counts")
-    env = {"blocks": _stage_blocks(padded, r)}
+    blocks = _stage_blocks(padded, r)
+    last = len(blocks) - 1
+    # Each run's env holds the blocks left to absorb, its own first: the
+    # first run's holds every block of the sponge.
+    runs = [(_controller(bits, pad_byte is not None and i == 0, i == 0,
+                         i == last), {"blocks": blocks[i:]})
+            for i in range(len(blocks))]
     if pad_byte is not None:
-        env["pad_byte"] = pad_byte
-    return _controller(bits, len(env["blocks"]), pad_byte is not None), env
+        runs[0][1]["pad_byte"] = pad_byte
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +329,8 @@ def _init(sub, env):
 
 
 @host_action("sha3_load_block")
-def _load_block(sub, env, index):
-    sub.write_rows(_STAGE0, env["blocks"][index])
+def _load_block(sub, env):
+    sub.write_rows(_STAGE0, env["blocks"][0])
 
 
 @host_action("sha3_read_state")

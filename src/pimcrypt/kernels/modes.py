@@ -21,8 +21,12 @@ decryption, CTR and GCM's CTR) then fill passes of
 :data:`~pimcrypt.fabric.SUBARRAYS` passes run in lockstep as the lanes
 of one wide subarray: one controller run drives them all, as the modeled
 controller drives every compute subarray with one command stream.
-Modeled commands and cycles still count every pass.  The SHA3 absorb is
-a serial chain too, one pass at a time on one lane.
+Modeled commands and cycles still count every pass.
+
+One loop, :func:`_absorb`, runs every SHA3 sponge.  The sponge is a
+serial chain too, one block at a time on one lane: ``keccak.stage``
+returns one run per block, and every run goes on the same subarray,
+whose state rows carry the sponge from one block to the next.
 
 GHASH splits one message across K lanes in lockstep (aggregated Horner,
 :func:`_ghash`): K is a power of two up to 8 that grows with the block
@@ -454,15 +458,25 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
 
 def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
             pad_byte: int | None = None) -> list[bytes]:
-    """The digests of ``msgs``, absorbed by one ``keccak.stage`` run."""
-    digests = _run(keccak.stage(bits, msgs, pad_byte),
-                   Subarray(block_width=keccak.BLOCK_WIDTH), stats)
-    return digests[:len(msgs)]
+    """The SHA3 loop: the digests of 1..4 ``msgs``, one sponge per
+    segment.  Every block's ``keccak.stage`` run goes on one subarray, so
+    the state rows and the latch carry over, and each program counts its
+    runs into ``stats`` with one merge."""
+    sub = Subarray(block_width=keccak.BLOCK_WIDTH)
+    runs: dict[Controller, int] = {}
+    for ctrl, env in keccak.stage(bits, msgs, pad_byte):
+        ctrl.run(sub, env)
+        runs[ctrl] = runs.get(ctrl, 0) + 1
+    if stats is not None:
+        for ctrl, n in runs.items():
+            stats.merge(ctrl.run_stats(sub, n))
+    return env[OUTPUT][:len(msgs)]
 
 
 def sha3_digest_batch(bits: int, msgs: list[bytes],
                       stats: ExecutionStats | None = None) -> list[bytes]:
-    """Hash up to four equal-block-count messages in one fabric run."""
+    """Hash up to four equal-block-count messages side by side, one
+    sponge per 64-bit row segment."""
     return _absorb(bits, [_bytes(m) for m in msgs], stats)
 
 

@@ -192,31 +192,44 @@ class KernelPass:
     """One representative pass of a kernel: what ``measure_kernels``
     measures and ``pimcrypt trace`` shows.
 
-    ``build`` returns the pass's ordered runs as (validated program,
-    env) pairs from the kernels' staging functions, which the mode
-    functions use too: fresh envs on every call, as host actions mutate
-    them, and programs from the kernels' caches.
+    ``build`` returns the pass's runs as (validated program, env) pairs
+    from the kernels' staging functions, which the mode functions use
+    too: one list per subarray, in run order, with fresh envs on every
+    call, as host actions mutate them, and programs from the kernels'
+    caches.  Each list runs on a fresh subarray: a SHA3 sponge's block
+    runs share one, and an HMAC's inner and outer sponges have one
+    each.
     """
     family: str               # calibration family: aes / sha3 / ghash
     payload_bytes: int        # per subarray pass
-    build: Callable[[], list[tuple[Controller, dict]]]
+    build: Callable[[], list[list[tuple[Controller, dict]]]]
 
     def run(self, cost: CycleCostModel,
             trace: list | None = None) -> ExecutionStats:
-        """The pass's statistics on a one-lane subarray under ``cost``.
+        """The pass's statistics on one-lane subarrays under ``cost``.
 
         Without ``trace`` nothing runs: each run's statistics are fixed
         by its validated program, the lane count and the cost model
-        (``Controller.run_stats``), so counting them is exact.  With a
-        ``trace`` list every program runs on a fresh subarray through
-        the reference interpreter, which appends its records there."""
-        stats = ExecutionStats()
-        for ctrl, env in self.build():
-            sub = Subarray(block_width=ctrl.program.block_width,
+        (``Controller.run_stats``), so counting them is exact, and each
+        program counts its runs with one merge.  With a ``trace`` list
+        every run goes through the reference interpreter, which appends
+        its records there."""
+        stats, subs = ExecutionStats(), self.build()
+        if trace is None:
+            # One kernel's runs, so one block width.
+            sub = Subarray(block_width=subs[0][0][0].program.block_width,
                            cost_model=cost)
-            if trace is None:
-                stats.merge(ctrl.run_stats(sub))
-            else:
+            counts: dict[Controller, int] = {}
+            for runs in subs:
+                for ctrl, _ in runs:
+                    counts[ctrl] = counts.get(ctrl, 0) + 1
+            for ctrl, n in counts.items():
+                stats.merge(ctrl.run_stats(sub, n))
+            return stats
+        for runs in subs:
+            sub = Subarray(block_width=runs[0][0].program.block_width,
+                           cost_model=cost)
+            for ctrl, env in runs:
                 ctrl.run(sub, env, trace=trace, stats=stats)
         return stats
 
@@ -230,19 +243,20 @@ def _ramp(start: int, n: int) -> bytes:
     return (_BYTES * (2 + n // 256))[start % 256:][:n]
 
 
-def _aes_runs(variant: int, direction: str) -> list[tuple[Controller, dict]]:
+def _aes_runs(variant: int,
+             direction: str) -> list[list[tuple[Controller, dict]]]:
     blocks = [_ramp(17 * i, 16) for i in range(aes.BLOCKS_PER_PASS)]
     key = aes.Key(bytes(range(variant // 8)), direction)
     chain = {"pre" if direction == "encrypt" else "post": blocks[::-1]}
-    return [key.stage(blocks, **chain)]
+    return [[key.stage(blocks, **chain)]]
 
 
-def _sha3_runs(bits: int) -> list[tuple[Controller, dict]]:
+def _sha3_runs(bits: int) -> list[list[tuple[Controller, dict]]]:
     msg = _ramp(0, 3 * keccak.RATE_BYTES[bits])
-    return [keccak.stage(bits, [msg])]          # pads to 4 blocks
+    return [keccak.stage(bits, [msg])]          # 4 blocks, 4 runs
 
 
-def _hmac_runs(bits: int) -> list[tuple[Controller, dict]]:
+def _hmac_runs(bits: int) -> list[list[tuple[Controller, dict]]]:
     rate = keccak.RATE_BYTES[bits]
     key = msg = _ramp(0, rate)
     # inner: key block + 2 message blocks; outer: key block + digest block
@@ -250,9 +264,9 @@ def _hmac_runs(bits: int) -> list[tuple[Controller, dict]]:
             for tail in (msg, bytes(bits // 8))]
 
 
-def _ghash_runs() -> list[tuple[Controller, dict]]:
+def _ghash_runs() -> list[list[tuple[Controller, dict]]]:
     blocks = [bytes([i] * 16) for i in range(ghash.BLOCKS_PER_PASS)]
-    return [ghash.stage([bytes(range(16))], [blocks], True, False)]
+    return [[ghash.stage([bytes(range(16))], [blocks], True, False)]]
 
 
 def kernel_passes() -> dict[str, KernelPass]:

@@ -185,14 +185,16 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     lambda: ghash.build_ghash_program(0),
     lambda: ghash.build_ghash_program(9),
     lambda: keccak.build_sha3_program(100, 1),
-    lambda: keccak.build_sha3_program(256, 0),
-    lambda: keccak.build_sha3_program(256, -1),
+    lambda: keccak.build_sha3_program(256, "yes"),
+    lambda: keccak.build_sha3_program(256, first=1),
+    lambda: keccak.build_sha3_program(256, final=None),
     lambda: HOST_ACTIONS["aes_load"](Subarray(block_width=aes.BLOCK_WIDTH),
                                      {"blocks": [bytes(16)] * 17}),
 ], ids=["ecb-encrypt", "ecb-decrypt", "cbc-encrypt", "cbc-decrypt",
         "hash-alg", "hmac-alg", "missing-key", "8-byte-ctr-iv",
         "odd-length-disasm", "ecb_crypt", "aes-192", "ghash-0-blocks",
-        "ghash-9-blocks", "sha3-100", "sha3-0-blocks", "sha3--1-blocks",
+        "ghash-9-blocks", "sha3-100", "sha3-str-key-prep",
+        "sha3-int-first", "sha3-none-final",
         "aes_load-17-blocks"])
 def test_rejected_inputs(case, tmp_path):
     if callable(case):

@@ -1,10 +1,11 @@
 """Fabric SHA3/Keccak vs the independent oracle, plus structural properties."""
 
 import hashlib
+from array import array
 
 import pytest
 
-from pimcrypt import controller, oracle
+from pimcrypt import controller, oracle, perfmodel
 from pimcrypt.fabric import Subarray
 from pimcrypt.isa import Opcode
 from pimcrypt.kernels import keccak, modes
@@ -87,12 +88,79 @@ def test_round_command_counts():
 
 
 def test_permute_function_count():
-    prog = keccak.build_sha3_program(256, 1)
+    prog = keccak.build_sha3_program(256)
     assert prog.functions["StatePermute"].count == 671
     # 24 rounds scheduled per absorbed block
     rounds = sum(i.iterations for i in prog.schedule
                  if i.function == "StatePermute")
     assert rounds == 24
+
+
+def _absorbed(runs):
+    """The digests the staged runs of one sponge leave."""
+    sub = Subarray(block_width=keccak.BLOCK_WIDTH)
+    for ctrl, env in runs:
+        ctrl.run(sub, env)
+    return env[controller.OUTPUT]
+
+
+def test_stage_returns_one_run_per_block():
+    rate = keccak.RATE_BYTES[256]
+    runs = keccak.stage(256, [bytes(3 * rate)])      # pads to 4 blocks
+    assert [ctrl.program.name for ctrl, _ in runs] == [
+        "sha3-256-first", "sha3-256", "sha3-256", "sha3-256-final"]
+    keyed = keccak.stage(256, [bytes(10)], 0x36)
+    assert [ctrl.program.name for ctrl, _ in keyed] == [
+        "sha3-256-keyed-first-final"]
+
+
+def test_stage_reads_any_bytes_like_message_by_its_bytes():
+    # An array of 136 8-byte items is 1088 bytes, not 136.
+    msg = array("Q", range(136))
+    assert _absorbed(keccak.stage(256, [msg]))[0] == \
+        hashlib.sha3_256(msg.tobytes()).digest()
+    for bad in ("abc", 5, [1, 2]):
+        with pytest.raises(TypeError):
+            keccak.stage(256, [bad])
+
+
+@pytest.mark.parametrize("pad_byte", [256, -1, "x", 1.5, True])
+def test_stage_rejects_a_pad_byte_before_any_run(pad_byte):
+    with pytest.raises(ValueError):
+        keccak.stage(256, [b"abc"], pad_byte)
+
+
+@pytest.mark.parametrize("bits", [224, 256, 384, 512])
+def test_mode_calls_count_what_the_registry_measures(bits):
+    # The registry's passes are a 4-block sponge and an HMAC with a
+    # one-block key and message; the mode calls run them block by block.
+    rate = keccak.RATE_BYTES[bits]
+    ms = perfmodel.measure_kernels()
+    stats = controller.ExecutionStats()
+    modes.sha3_digest(bits, bytes(3 * rate), stats)
+    assert stats == ms[f"sha3-{bits}"].stats
+    stats = controller.ExecutionStats()
+    modes.hmac_sha3(bits, bytes(rate), bytes(rate), stats)
+    assert stats == ms[f"hmac-sha3-{bits}"].stats
+
+
+def test_program_count_does_not_grow_with_message_lengths(monkeypatch):
+    built = []
+    build = keccak.build_sha3_program
+    monkeypatch.setattr(keccak, "build_sha3_program",
+                        lambda *args: built.append(args) or build(*args))
+    keccak._controller.cache_clear()
+    rate = keccak.RATE_BYTES[256]
+    # 200 distinct lengths, 1 to 5 blocks; the first two warm up.
+    lengths = [0, 2 * rate] + [3 * i + 1 for i in range(198)]
+    for i, n in enumerate(lengths):
+        msg = bytes(range(256)) * (n // 256) + bytes(range(n % 256))
+        assert modes.sha3_digest(256, msg) == hashlib.sha3_256(msg).digest()
+        if i == 1:
+            warm = list(built)
+    # first and final, first, middle and final: one program each
+    assert len(warm) == 4
+    assert built == warm
 
 
 def test_constants_match_oracle():

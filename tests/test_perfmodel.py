@@ -37,10 +37,11 @@ def test_measured_stats_are_those_of_running_each_pass(cost):
     ms = pm.measure_kernels(cost)
     for name, kp in pm.kernel_passes().items():
         ran, cycles = ExecutionStats(), 0
-        for ctrl, env in kp.build():
-            sub = Subarray(block_width=ctrl.program.block_width,
+        for runs in kp.build():
+            sub = Subarray(block_width=runs[0][0].program.block_width,
                            cost_model=cost)
-            ctrl.run(sub, env, stats=ran)
+            for ctrl, env in runs:
+                ctrl.run(sub, env, stats=ran)
             cycles += sub.cycle_count
         assert ms[name].stats == ran, name
         assert ms[name].cycles == ran.cycles == cycles, name
