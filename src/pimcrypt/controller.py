@@ -55,6 +55,7 @@ iterations, commands and cycles equal the sums of K one-lane runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .fabric import (ROWS, BlockWidthMismatch, CompiledRun, CompiledWindow,
                      CycleCostModel, PendingActivation, Subarray,
@@ -72,6 +73,7 @@ __all__ = [
     "FunctionStats",
     "ExecutionStats",
     "Controller",
+    "count_runs",
     "OUTPUT",
 ]
 
@@ -303,10 +305,13 @@ class Controller:
         that runs one program over and over can count every run with one
         merge."""
         stats = ExecutionStats()
+        self._count(stats, sub, runs)
+        return stats
+
+    def _count(self, stats: ExecutionStats, sub: Subarray, runs: int) -> None:
         for name, fs in self._plan_for(sub)[1].per_function.items():
             stats.add(name, runs * fs.invocations, runs * fs.iterations,
                       runs * fs.commands, runs * fs.cycles)
-        return stats
 
     def _interpret(self, sub: Subarray, inv: Invocation, trace: list,
                    stats: ExecutionStats | None) -> None:
@@ -349,3 +354,15 @@ class Controller:
         if trace is None and stats is not None:
             stats.merge(static)
         return stats
+
+
+def count_runs(stats: ExecutionStats,
+               runs: Iterable[tuple[Controller, Subarray]]) -> None:
+    """Count untraced ``runs``, (program, subarray) pairs, into ``stats``:
+    what :meth:`Controller.run_stats` gives, added once per distinct
+    pair."""
+    counts: dict[tuple[Controller, Subarray], int] = {}
+    for pair in runs:
+        counts[pair] = counts.get(pair, 0) + 1
+    for (ctrl, sub), n in counts.items():
+        ctrl._count(stats, sub, n)

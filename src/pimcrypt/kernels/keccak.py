@@ -205,6 +205,19 @@ def pad_sha3(msg: bytes, rate: int) -> bytes:
     return bytes(padded)
 
 
+@lru_cache(maxsize=None)
+def _permute_window() -> tuple[tuple[CommandWord, ...],
+                               tuple[StrideRule, ...]]:
+    """StatePermute's commands and stride rules, which every SHA3
+    program shares: generated once, not once per program."""
+    theta, rho, chi = gen_theta(), gen_rho_pi(), gen_chi()
+    iota, iota_strides = gen_iota()
+    iota_off = len(theta) + len(rho) + len(chi)
+    return (tuple(theta + rho + chi + iota),
+            tuple(StrideRule(iota_off + s.offset, s.increment)
+                  for s in iota_strides))
+
+
 def build_sha3_program(bits: int, key_prep: bool = False, first: bool = True,
                        final: bool = True) -> KernelProgram:
     """Absorb one staged rate-block: load it, XOR the pad-constant row
@@ -222,13 +235,8 @@ def build_sha3_program(bits: int, key_prep: bool = False, first: bool = True,
         if type(flag) is not bool:
             raise ValueError(f"{name} must be a bool, got {flag!r}")
     rate_lanes = rate(bits) // 8
-    theta, rho, chi = gen_theta(), gen_rho_pi(), gen_chi()
-    iota, iota_strides = gen_iota()
-    perm = theta + rho + chi + iota
-    iota_off = len(theta) + len(rho) + len(chi)
     windows = {
-        "StatePermute": (perm, [StrideRule(iota_off + s.offset, s.increment)
-                                for s in iota_strides]),
+        "StatePermute": _permute_window(),
         "AddState": (gen_add_state(rate_lanes), ()),
     }
     schedule = [Invocation("AddState"), Invocation("StatePermute", 24, 0)]
@@ -282,11 +290,11 @@ def stage(bits: int, msgs: list[bytes],
         raise ValueError("batched messages must pad to equal block counts")
     blocks = _stage_blocks(padded, r)
     last = len(blocks) - 1
-    # Each run's env holds the blocks left to absorb, its own first: the
-    # first run's holds every block of the sponge.
+    # Each run loads its env's first block; the first run's env holds
+    # every block of the sponge, as sha3_init is where a tracer sees it.
     runs = [(_controller(bits, pad_byte is not None and i == 0, i == 0,
-                         i == last), {"blocks": blocks[i:]})
-            for i in range(len(blocks))]
+                         i == last), {"blocks": blocks if i == 0 else [row]})
+            for i, row in enumerate(blocks)]
     if pad_byte is not None:
         runs[0][1]["pad_byte"] = pad_byte
     return runs

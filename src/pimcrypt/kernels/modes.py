@@ -64,7 +64,7 @@ from __future__ import annotations
 import hmac as _hmac_mod
 from typing import Callable
 
-from ..controller import OUTPUT, Controller, ExecutionStats
+from ..controller import OUTPUT, Controller, ExecutionStats, count_runs
 from ..fabric import SUBARRAYS, Subarray
 from . import aes, ghash, keccak
 
@@ -118,7 +118,7 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
     if post:
         post = [zero] * (len(blocks) - len(post)) + post
     chained, out = [prev], []        # chained[i]: the value step i XORs
-    subs, runs = {}, {}              # runs: by (program, lane count)
+    subs, runs = {}, []              # runs: (program, subarray) pairs
     while len(chained) <= steps or len(out) < len(blocks):
         i, lo = len(chained) - 1, len(out)
         head = [step(i, out)] if i < steps else []
@@ -133,10 +133,9 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
         got = _run(staged, subs[lanes], None)
         chained += got[:len(head)]
         out += got[len(head):]
-        runs[staged[0], lanes] = runs.get((staged[0], lanes), 0) + 1
+        runs.append((staged[0], subs[lanes]))
     if stats is not None:
-        for (ctrl, lanes), n in runs.items():
-            stats.merge(ctrl.run_stats(subs[lanes], n))
+        count_runs(stats, runs)
     return chained[1:] + out
 
 
@@ -463,13 +462,11 @@ def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
     the state rows and the latch carry over, and each program counts its
     runs into ``stats`` with one merge."""
     sub = Subarray(block_width=keccak.BLOCK_WIDTH)
-    runs: dict[Controller, int] = {}
-    for ctrl, env in keccak.stage(bits, msgs, pad_byte):
+    runs = keccak.stage(bits, msgs, pad_byte)
+    for ctrl, env in runs:
         ctrl.run(sub, env)
-        runs[ctrl] = runs.get(ctrl, 0) + 1
     if stats is not None:
-        for ctrl, n in runs.items():
-            stats.merge(ctrl.run_stats(sub, n))
+        count_runs(stats, ((ctrl, sub) for ctrl, _ in runs))
     return env[OUTPUT][:len(msgs)]
 
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping
 
-from .controller import Controller, ExecutionStats, FunctionStats
+from .controller import (Controller, ExecutionStats, FunctionStats,
+                         count_runs)
 from .fabric import SUBARRAYS, CycleCostModel, Subarray
 from .kernels import aes, ghash, keccak
 
@@ -219,12 +220,8 @@ class KernelPass:
             # One kernel's runs, so one block width.
             sub = Subarray(block_width=subs[0][0][0].program.block_width,
                            cost_model=cost)
-            counts: dict[Controller, int] = {}
-            for runs in subs:
-                for ctrl, _ in runs:
-                    counts[ctrl] = counts.get(ctrl, 0) + 1
-            for ctrl, n in counts.items():
-                stats.merge(ctrl.run_stats(sub, n))
+            count_runs(stats, ((ctrl, sub) for runs in subs
+                               for ctrl, _ in runs))
             return stats
         for runs in subs:
             sub = Subarray(block_width=runs[0][0].program.block_width,

@@ -184,7 +184,7 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     lambda: aes.build_aes_program(192, "encrypt"),
     lambda: ghash.build_ghash_program(0),
     lambda: ghash.build_ghash_program(9),
-    lambda: keccak.build_sha3_program(100, 1),
+    lambda: keccak.build_sha3_program(100),
     lambda: keccak.build_sha3_program(256, "yes"),
     lambda: keccak.build_sha3_program(256, first=1),
     lambda: keccak.build_sha3_program(256, final=None),

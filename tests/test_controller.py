@@ -3,7 +3,8 @@ import pytest
 from pimcrypt.controller import (COMMAND_ARRAY_BYTES, Controller,
                                  ControllerError, ExecutionStats,
                                  FunctionDescriptor, HostAction, Invocation,
-                                 KernelProgram, StrideRule, host_action)
+                                 KernelProgram, StrideRule, count_runs,
+                                 host_action)
 from pimcrypt.fabric import (BlockWidthMismatch, PendingActivation, Subarray,
                              WindowRejected, compile_window)
 from pimcrypt.isa import CommandWord, LogicKind, Opcode
@@ -40,6 +41,12 @@ def test_a_run_counts_only_into_the_stats_it_is_given():
     assert stats.per_function["Copy"].invocations == 2
     # what two runs count, without running them
     assert ctrl.run_stats(Subarray(), 2) == stats
+    # count_runs: one merge per distinct (program, subarray) pair
+    one, four = Subarray(), Subarray(lanes=4)
+    counted = ExecutionStats()
+    count_runs(counted, [(ctrl, one), (ctrl, four), (ctrl, one)])
+    assert counted.commands == 2 * 6 + 4 * 6
+    assert counted.per_function["Copy"].invocations == 2 + 4
 
 
 def test_stride_rules_walk_rows():

@@ -114,6 +114,19 @@ def test_stage_returns_one_run_per_block():
         "sha3-256-keyed-first-final"]
 
 
+def test_staged_envs_grow_linearly_with_the_block_count():
+    # The first env holds every block, for sha3_init; each later env
+    # only the block its run loads.
+    rate = keccak.RATE_BYTES[256]
+    msg = (bytes(range(256)) * 200)[:300 * rate]    # pads to 301 blocks
+    runs = keccak.stage(256, [msg])
+    n = len(runs)
+    assert n == 301
+    assert [len(env["blocks"]) for _, env in runs] == [n] + [1] * (n - 1)
+    assert [env["blocks"][0] for _, env in runs] == runs[0][1]["blocks"]
+    assert _absorbed(runs)[0] == hashlib.sha3_256(msg).digest()
+
+
 def test_stage_reads_any_bytes_like_message_by_its_bytes():
     # An array of 136 8-byte items is 1088 bytes, not 136.
     msg = array("Q", range(136))
