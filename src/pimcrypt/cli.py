@@ -206,7 +206,7 @@ def cmd_trace(args) -> int:
         raise CliError(f"--alg must be one of {', '.join(passes)}",
                        USAGE_ERROR)
     records = []
-    stats = passes[args.alg].run(_cost(args), trace=records)
+    stats = passes[args.alg].trace(_cost(args), records)
     lines = []
     for i, rec in enumerate(records):
         line = (f"{i:6d}  {rec.word:04x}  {rec.text.strip():<24} "

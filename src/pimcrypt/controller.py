@@ -35,17 +35,16 @@ count and the cost model, never on data.  So :meth:`Controller.run`
 builds, once per lane count and cost model, a plan: the schedule cut at
 the host-action slots into stretches of invocations, each bound as one
 :class:`~pimcrypt.fabric.CompiledRun`, and the run's
-:class:`ExecutionStats`.  A run then does the host actions, one fabric
-call per stretch and, if the caller passed an :class:`ExecutionStats`,
-one merge into it; a caller that passed none is counted nothing, and
-:meth:`Controller.run_stats` gives what any number of runs count.  A run
-given a ``trace`` list goes through the reference interpreter instead,
-one command sequence per iteration, and counts its statistics from what
-the interpreter reports.
-A run that starts during a pending activation raises
-:class:`~pimcrypt.fabric.PendingActivation`, and one on a subarray of
-another block width :class:`~pimcrypt.fabric.BlockWidthMismatch`,
-before anything runs.
+:class:`ExecutionStats`.  A run then does the host actions and one
+fabric call per stretch, and counts nothing: :func:`count_runs` adds
+what any number of runs count from their plans, without running them.
+:meth:`Controller.trace` runs the program on the reference interpreter
+instead, one command sequence per iteration, appends the interpreter's
+records to the caller's list and returns the statistics they count.
+Either raises :class:`~pimcrypt.fabric.PendingActivation` for a run that
+starts during a pending activation, and
+:class:`~pimcrypt.fabric.BlockWidthMismatch` for one on a subarray of
+another block width, before anything runs.
 
 A run on a subarray with K lanes is K passes in lockstep, one per lane,
 and its :class:`ExecutionStats` count all of them: invocations,
@@ -299,41 +298,7 @@ class Controller:
             self._plans[key] = plan = self._plan(*key)
         return plan
 
-    def run_stats(self, sub: Subarray, runs: int = 1) -> ExecutionStats:
-        """What ``runs`` untraced runs on ``sub`` count.  They depend only
-        on the program, the lane count and the cost model, so a caller
-        that runs one program over and over can count every run with one
-        merge."""
-        stats = ExecutionStats()
-        self._count(stats, sub, runs)
-        return stats
-
-    def _count(self, stats: ExecutionStats, sub: Subarray, runs: int) -> None:
-        for name, fs in self._plan_for(sub)[1].per_function.items():
-            stats.add(name, runs * fs.invocations, runs * fs.iterations,
-                      runs * fs.commands, runs * fs.cycles)
-
-    def _interpret(self, sub: Subarray, inv: Invocation, trace: list,
-                   stats: ExecutionStats | None) -> None:
-        """Run one invocation on the reference interpreter, appending its
-        records to ``trace`` and counting them in ``stats`` if given."""
-        records = []
-        first = inv.iteration_base
-        for g in range(first, first + inv.iterations):
-            records += sub.run_traced(self._commands_for(inv.function, g))
-        trace += records
-        if stats is not None:
-            stats.add(inv.function, sub.lanes, inv.iterations * sub.lanes,
-                      len(records) * sub.lanes,
-                      sum(r.cycles for r in records))
-
-    def run(self, sub: Subarray, env: dict | None = None,
-            trace: list | None = None,
-            stats: ExecutionStats | None = None) -> ExecutionStats | None:
-        """Run the program on ``sub`` with the host actions reading and
-        writing ``env``; count the run into ``stats``, if given, and
-        return it."""
-        env = env if env is not None else {}
+    def _check(self, sub: Subarray) -> None:
         if sub.block_width != self.program.block_width:
             raise BlockWidthMismatch(
                 f"program {self.program.name} has block width "
@@ -342,27 +307,52 @@ class Controller:
         if sub.pending_row is not None:
             raise PendingActivation(f"run starts during the activation of "
                                     f"row {sub.pending_row}")
-        runs, static = self._plan_for(sub)
-        for (actions, invocations), compiled in zip(self._segments, runs):
+
+    def run(self, sub: Subarray, env: dict | None = None) -> None:
+        """Run the program on ``sub`` with the host actions reading and
+        writing ``env``.  Counts nothing; see :func:`count_runs`."""
+        self._check(sub)
+        env = env if env is not None else {}
+        for (actions, _), compiled in zip(self._segments,
+                                          self._plan_for(sub)[0]):
             for kind, params in actions:
                 HOST_ACTIONS[kind](sub, env, **params)
-            if trace is not None:
-                for inv in invocations:
-                    self._interpret(sub, inv, trace, stats)
-            elif compiled is not None:
+            if compiled is not None:
                 sub.run(compiled)
-        if trace is None and stats is not None:
-            stats.merge(static)
+
+    def trace(self, sub: Subarray, records: list,
+              env: dict | None = None) -> ExecutionStats:
+        """Run the program on ``sub`` on the reference interpreter, as
+        :meth:`run` does on the compiled plan; append the interpreter's
+        records to ``records`` and return the statistics they count."""
+        self._check(sub)
+        env = env if env is not None else {}
+        stats = ExecutionStats()
+        for actions, invocations in self._segments:
+            for kind, params in actions:
+                HOST_ACTIONS[kind](sub, env, **params)
+            for inv in invocations:
+                start = len(records)
+                for g in range(inv.iteration_base,
+                               inv.iteration_base + inv.iterations):
+                    records += sub.run_traced(
+                        self._commands_for(inv.function, g))
+                ran = records[start:]
+                stats.add(inv.function, sub.lanes,
+                          inv.iterations * sub.lanes, len(ran) * sub.lanes,
+                          sum(r.cycles for r in ran))
         return stats
 
 
 def count_runs(stats: ExecutionStats,
                runs: Iterable[tuple[Controller, Subarray]]) -> None:
-    """Count untraced ``runs``, (program, subarray) pairs, into ``stats``:
-    what :meth:`Controller.run_stats` gives, added once per distinct
-    pair."""
+    """Count untraced ``runs``, (program, subarray) pairs, into ``stats``
+    without running them: each distinct pair adds its plan's statistics
+    once, times the number of its runs."""
     counts: dict[tuple[Controller, Subarray], int] = {}
     for pair in runs:
         counts[pair] = counts.get(pair, 0) + 1
     for (ctrl, sub), n in counts.items():
-        ctrl._count(stats, sub, n)
+        for name, fs in ctrl._plan_for(sub)[1].per_function.items():
+            stats.add(name, n * fs.invocations, n * fs.iterations,
+                      n * fs.commands, n * fs.cycles)

@@ -292,7 +292,7 @@ def _load(sub, env, nblocks):
     sub.write_rows(_MLO, _MASK_ROWS)
     sub.write_row(_H, lanes_to_row([block_to_row(h) for h in keys]))
     sub.write_rows(_STAGE0, quarter_rows(lane_blocks, nblocks))
-    if env.pop("ghash_first", False):
+    if env["ghash_first"]:
         sub.write_rows(_P, [0, 0])       # P and Z
 
 

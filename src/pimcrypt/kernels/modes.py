@@ -23,7 +23,7 @@ of one wide subarray: one controller run drives them all, as the modeled
 controller drives every compute subarray with one command stream.
 Modeled commands and cycles still count every pass.
 
-One loop, :func:`_absorb`, runs every SHA3 sponge.  The sponge is a
+One function, :func:`_absorb`, runs every SHA3 sponge.  The sponge is a
 serial chain too, one block at a time on one lane: ``keccak.stage``
 returns one run per block, and every run goes on the same subarray,
 whose state rows carry the sponge from one block to the next.
@@ -55,8 +55,10 @@ type, ``str`` and ``int`` included, raises ``TypeError``: an ``int`` is
 not read as a length, as ``bytes(5)`` would read it.
 
 Every run counts into the caller's
-:class:`~pimcrypt.controller.ExecutionStats` once, and nothing is
-counted when the caller passed none.
+:class:`~pimcrypt.controller.ExecutionStats` once, through
+:func:`~pimcrypt.controller.count_runs` from the run's program, and
+nothing is counted when the caller passed none.  :func:`_aes` runs its
+passes and :func:`_run` every other kernel's staged runs.
 """
 
 from __future__ import annotations
@@ -77,12 +79,16 @@ class TagMismatch(Exception):
     pass
 
 
-def _run(staged: tuple[Controller, dict], sub: Subarray,
+def _run(sub: Subarray, runs: list[tuple[Controller, dict]],
          stats: ExecutionStats | None) -> list[bytes]:
-    """Run one staged (program, env) pair on ``sub``, counted into
-    ``stats`` if given; returns the run's output blocks or digests."""
-    ctrl, env = staged
-    ctrl.run(sub, env, stats=stats)
+    """Run staged (program, env) ``runs`` in order on ``sub``, which
+    keeps its rows from one run to the next, and count them all into
+    ``stats``, if given, with one :func:`count_runs`; returns the last
+    run's output blocks or digests."""
+    for ctrl, env in runs:
+        ctrl.run(sub, env)
+    if stats is not None:
+        count_runs(stats, ((ctrl, sub) for ctrl, _ in runs))
     return env[OUTPUT]
 
 
@@ -110,9 +116,9 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
     the block outputs of the passes before it, and tiles 1..15 the next
     up to 15 blocks, which XOR zero before the rounds.  Then each run
     takes up to ``BLOCKS_PER_PASS * SUBARRAYS`` blocks on as many lanes
-    as they fill.  Runs share one subarray per lane count, and each
-    (program, lane count) pair counts its runs into ``stats`` with one
-    merge.
+    as they fill.  Runs share one subarray per lane count, and
+    :func:`count_runs` counts them all into ``stats`` once the loop
+    ends.
     """
     zero, room = bytes(16), aes.BLOCKS_PER_PASS * SUBARRAYS
     if post:
@@ -130,7 +136,7 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
         lanes = -(-(len(head) + len(tiles)) // aes.BLOCKS_PER_PASS)
         if lanes not in subs:
             subs[lanes] = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
-        got = _run(staged, subs[lanes], None)
+        got = _run(subs[lanes], [staged], None)
         chained += got[:len(head)]
         out += got[len(head):]
         runs.append((staged[0], subs[lanes]))
@@ -338,7 +344,7 @@ def _hash_powers(hash_key: bytes, k: int,
         sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(powers))
         staged = ghash.stage([powers[-1]] * len(powers),
                              [[p] for p in powers], True, True)
-        powers += _run(staged, sub, stats)
+        powers += _run(sub, [staged], stats)
     return powers
 
 
@@ -365,12 +371,12 @@ def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
     # well, and the passes are those of the serial form.
     last = m - 1 if k > 1 else m
     bounds = sorted({*range(0, last, ghash.BLOCKS_PER_PASS), last, m})
-    sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=k)
-    for lo, hi in zip(bounds, bounds[1:]):
-        keys = powers[::-1] if hi == m else [powers[-1]] * k
-        staged = ghash.stage(keys, [lane[lo:hi] for lane in lanes],
-                             lo == 0, hi == m)
-        digests = _run(staged, sub, stats)
+    # Staging reads no output, so every pass is staged before any runs.
+    staged = [ghash.stage(powers[::-1] if hi == m else [powers[-1]] * k,
+                          [lane[lo:hi] for lane in lanes], lo == 0, hi == m)
+              for lo, hi in zip(bounds, bounds[1:])]
+    digests = _run(Subarray(block_width=ghash.BLOCK_WIDTH, lanes=k), staged,
+                   stats)
     if mask is not None:
         digests.append(mask)
     return digests[0] if len(digests) == 1 else _xor_blocks(digests, stats)
@@ -378,8 +384,8 @@ def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
 
 def _xor_blocks(blocks: list[bytes], stats: ExecutionStats | None) -> bytes:
     """The XOR of 2..32 blocks, run by the one-lane GHASH fold program."""
-    return _run(ghash.stage_fold(blocks),
-                Subarray(block_width=ghash.BLOCK_WIDTH), stats)[0]
+    return _run(Subarray(block_width=ghash.BLOCK_WIDTH),
+                [ghash.stage_fold(blocks)], stats)[0]
 
 
 def ghash_digest(hash_key: bytes, data: bytes,
@@ -457,17 +463,11 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
 
 def _absorb(bits: int, msgs: list[bytes], stats: ExecutionStats | None,
             pad_byte: int | None = None) -> list[bytes]:
-    """The SHA3 loop: the digests of 1..4 ``msgs``, one sponge per
-    segment.  Every block's ``keccak.stage`` run goes on one subarray, so
-    the state rows and the latch carry over, and each program counts its
-    runs into ``stats`` with one merge."""
-    sub = Subarray(block_width=keccak.BLOCK_WIDTH)
-    runs = keccak.stage(bits, msgs, pad_byte)
-    for ctrl, env in runs:
-        ctrl.run(sub, env)
-    if stats is not None:
-        count_runs(stats, ((ctrl, sub) for ctrl, _ in runs))
-    return env[OUTPUT][:len(msgs)]
+    """The digests of 1..4 ``msgs``, one sponge per 64-bit segment of one
+    subarray: :func:`_run` runs every block's ``keccak.stage`` run on it,
+    so the state rows and the latch carry over."""
+    return _run(Subarray(block_width=keccak.BLOCK_WIDTH),
+                keccak.stage(bits, msgs, pad_byte), stats)[:len(msgs)]
 
 
 def sha3_digest_batch(bits: int, msgs: list[bytes],

@@ -7,15 +7,16 @@ Throughput of one kernel is modeled as
 where cycles are those of one representative pass of the kernel program
 on the simulated fabric (1 cycle per command plus 1 per 1-bit shift step
 by default).  ``kernel_passes`` is the one registry of those passes:
-``measure_kernels`` counts it, ``pimcrypt trace`` runs it command by
-command, and the engine tests run it on both engines.  The registry only
+``measure_kernels`` counts it (``KernelPass.count``), ``pimcrypt trace``
+runs it command by command (``KernelPass.trace``), and the engine tests
+run it on both engines.  The registry only
 chooses the pass's inputs; each kernel module stages them
 (``aes.Key.stage``, ``ghash.stage``, ``keccak.stage``), as it does for
 every mode call.
 
 The count is exact without running a command: a run's statistics depend
 only on its validated program, the lane count and the cost model, never
-on data, so ``Controller.run_stats`` gives what a run on the fabric
+on data, so ``controller.count_runs`` gives what a run on the fabric
 counts, and the engine tests check it against the reference
 interpreter's own count on every registry pass.  The control-overhead
 table (commands per iteration and iterations per function) is read from
@@ -195,39 +196,38 @@ class KernelPass:
 
     ``build`` returns the pass's runs as (validated program, env) pairs
     from the kernels' staging functions, which the mode functions use
-    too: one list per subarray, in run order, with fresh envs on every
-    call, as host actions mutate them, and programs from the kernels'
-    caches.  Each list runs on a fresh subarray: a SHA3 sponge's block
-    runs share one, and an HMAC's inner and outer sponges have one
-    each.
+    too: one list per subarray, in run order, with programs from the
+    kernels' caches.  Host actions write only the run's output into an
+    env, so a staged run can run again.  Each list runs on a fresh
+    subarray: a SHA3 sponge's block runs share one, and an HMAC's inner
+    and outer sponges have one each.
     """
     family: str               # calibration family: aes / sha3 / ghash
     payload_bytes: int        # per subarray pass
     build: Callable[[], list[list[tuple[Controller, dict]]]]
 
-    def run(self, cost: CycleCostModel,
-            trace: list | None = None) -> ExecutionStats:
-        """The pass's statistics on one-lane subarrays under ``cost``.
-
-        Without ``trace`` nothing runs: each run's statistics are fixed
-        by its validated program, the lane count and the cost model
-        (``Controller.run_stats``), so counting them is exact, and each
-        program counts its runs with one merge.  With a ``trace`` list
-        every run goes through the reference interpreter, which appends
-        its records there."""
+    def count(self, cost: CycleCostModel) -> ExecutionStats:
+        """The pass's statistics on one-lane subarrays under ``cost``,
+        counted without running a command: each run's statistics are
+        fixed by its validated program, the lane count and the cost
+        model (``controller.count_runs``)."""
         stats, subs = ExecutionStats(), self.build()
-        if trace is None:
-            # One kernel's runs, so one block width.
-            sub = Subarray(block_width=subs[0][0][0].program.block_width,
-                           cost_model=cost)
-            count_runs(stats, ((ctrl, sub) for runs in subs
-                               for ctrl, _ in runs))
-            return stats
-        for runs in subs:
+        # One kernel's runs, so one block width.
+        sub = Subarray(block_width=subs[0][0][0].program.block_width,
+                       cost_model=cost)
+        count_runs(stats, ((ctrl, sub) for runs in subs for ctrl, _ in runs))
+        return stats
+
+    def trace(self, cost: CycleCostModel, records: list) -> ExecutionStats:
+        """Run the pass on the reference interpreter, on one-lane
+        subarrays under ``cost``: append its records to ``records`` and
+        return the statistics they count."""
+        stats = ExecutionStats()
+        for runs in self.build():
             sub = Subarray(block_width=runs[0][0].program.block_width,
                            cost_model=cost)
             for ctrl, env in runs:
-                ctrl.run(sub, env, trace=trace, stats=stats)
+                stats.merge(ctrl.trace(sub, records, env))
         return stats
 
 
@@ -289,7 +289,7 @@ def measure_kernels(cost: CycleCostModel = CycleCostModel()
     """Count every registry pass under ``cost``, by name."""
     out = {}
     for name, kp in kernel_passes().items():
-        stats = kp.run(cost)
+        stats = kp.count(cost)
         out[name] = KernelMeasurement(name, kp.family, stats.cycles,
                                       kp.payload_bytes, stats)
     return out

@@ -343,7 +343,7 @@ def test_bench_text_names_every_measured_kernel(capsys):
 def test_every_traced_command_stream_and_latch_is_pinned(alg):
     # What `trace --trace 2` prints per command: word, cycles and latch.
     records = []
-    perfmodel.kernel_passes()[alg].run(CycleCostModel(), trace=records)
+    perfmodel.kernel_passes()[alg].trace(CycleCostModel(), records)
     digest = hashlib.sha256()
     for rec in records:
         digest.update(f"{rec.word:04x} {rec.cycles} {rec.latch:064x}\n"

@@ -20,9 +20,10 @@ def test_copy_program():
     cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1)]
     prog = prog_of(cmds, {"Copy": FunctionDescriptor("Copy", 0, 2)},
                    [Invocation("Copy")])
-    sub = Subarray()
+    sub, ctrl, stats = Subarray(), Controller(prog), ExecutionStats()
     sub.write_row(0, 42)
-    stats = Controller(prog).run(sub, stats=ExecutionStats())
+    ctrl.run(sub)
+    count_runs(stats, [(ctrl, sub)])
     assert sub.read_row(1) == 42
     assert stats.commands == 2 and stats.cycles == 2
 
@@ -32,16 +33,15 @@ def test_a_run_counts_only_into_the_stats_it_is_given():
     ctrl = Controller(prog_of(cmds, {"Copy": FunctionDescriptor("Copy", 0, 2)},
                               [Invocation("Copy", 3, 0)]))
     assert ctrl.run(Subarray()) is None
+    # a traced run returns what its records count
     trace = []
-    assert ctrl.run(Subarray(), trace=trace) is None and len(trace) == 6
-    stats = ExecutionStats()
-    assert ctrl.run(Subarray(), stats=stats) is stats
-    ctrl.run(Subarray(), trace=[], stats=stats)
-    assert stats.commands == 12 and stats.cycles == 12
-    assert stats.per_function["Copy"].invocations == 2
-    # what two runs count, without running them
-    assert ctrl.run_stats(Subarray(), 2) == stats
-    # count_runs: one merge per distinct (program, subarray) pair
+    stats = ctrl.trace(Subarray(), trace)
+    assert len(trace) == 6 and stats.commands == 6 and stats.cycles == 6
+    assert stats.per_function["Copy"].invocations == 1
+    once = ExecutionStats()
+    count_runs(once, [(ctrl, Subarray())])
+    assert once == stats
+    # count_runs: one count per distinct (program, subarray) pair
     one, four = Subarray(), Subarray(lanes=4)
     counted = ExecutionStats()
     count_runs(counted, [(ctrl, one), (ctrl, four), (ctrl, one)])
@@ -125,7 +125,10 @@ def test_stats_per_function():
              CommandWord.wr_row(1)])
     fd = FunctionDescriptor("S", 0, 3)
     prog = prog_of(cmds, {"S": fd}, [Invocation("S", 5, 0)])
-    stats = Controller(prog).run(Subarray(), stats=ExecutionStats())
+    ctrl, sub, stats = Controller(prog), Subarray(), ExecutionStats()
+    ctrl.run(sub)
+    count_runs(stats, [(ctrl, sub)])
+    assert stats == ctrl.trace(Subarray(), [])
     fs = stats.per_function["S"]
     assert fs.invocations == 1 and fs.iterations == 5
     assert fs.commands == 15 and fs.cycles == 5 * (3 + 2)
@@ -269,7 +272,7 @@ def test_run_during_a_pending_activation_raises_before_anything_runs():
         sub.write_row(0, 5)
         sub.execute(CommandWord.act_row(3))
         with pytest.raises(PendingActivation):
-            ctrl.run(sub, trace=trace)
+            ctrl.run(sub) if trace is None else ctrl.trace(sub, trace)
         assert calls == [] and sub.read_row(1) == 0 and sub.cycle_count == 1
 
 
@@ -282,5 +285,5 @@ def test_run_on_another_block_width_raises_and_leaves_the_subarray():
         sub = Subarray(block_width=16)
         sub.write_row(0, 5)
         with pytest.raises(BlockWidthMismatch, match="64.*16"):
-            ctrl.run(sub, trace=trace)
+            ctrl.run(sub) if trace is None else ctrl.trace(sub, trace)
         assert sub.block_width == 16 and sub.read_row(1) == 0

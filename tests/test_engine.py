@@ -27,7 +27,8 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from pimcrypt import fabric, perfmodel
 from pimcrypt.controller import (Controller, ControllerError,
                                  ExecutionStats, FunctionDescriptor,
-                                 Invocation, KernelProgram, StrideRule)
+                                 Invocation, KernelProgram, StrideRule,
+                                 count_runs)
 from pimcrypt.fabric import (COLS, CompiledRun, CycleCostModel,
                              RowOutOfRange, Subarray, compile_window)
 from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
@@ -60,9 +61,12 @@ def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
     env = dict(env)
     stats, error = None, None
     try:
-        stats = Controller(prog).run(sub, env,
-                                     trace=[] if reference else None,
-                                     stats=ExecutionStats())
+        ctrl = Controller(prog)
+        if reference:
+            stats = ctrl.trace(sub, [], env)
+        else:
+            ctrl.run(sub, env)
+            count_runs(stats := ExecutionStats(), [(ctrl, sub)])
     except Exception as exc:   # the type is what both engines must share
         error = type(exc)
     return (error, stats, sub.grid, sub.sa_latch, sub.pending_row,
@@ -170,9 +174,9 @@ def test_static_stats_equal_the_reference_stats(cost, lanes, references):
     # Statistics do not depend on data, so the reference run's stats on
     # a random grid are those a traced run on any grid counts.
     for ctrl, env, reference in references[cost, lanes]:
-        width = ctrl.program.block_width
-        static = ctrl.run(Subarray(width, cost, lanes), dict(env),
-                          stats=ExecutionStats())
+        static = ExecutionStats()
+        count_runs(static, [(ctrl, Subarray(ctrl.program.block_width, cost,
+                                            lanes))])
         assert static == reference[1], ctrl.program.name
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from pimcrypt import oracle
-from pimcrypt.controller import OUTPUT, ExecutionStats
+from pimcrypt.controller import OUTPUT, ExecutionStats, count_runs
 from pimcrypt.fabric import Subarray, lanes_to_row
 from pimcrypt.kernels import ghash, modes
 
@@ -126,9 +126,9 @@ def test_how_the_lanes_split_a_message(monkeypatch, rng):
     h2 = oracle.ghash(h, h)        # the GHASH of one block X is X * H
     passes = []
     run = modes._run
-    monkeypatch.setattr(modes, "_run", lambda staged, sub, stats: passes.append(
-        (staged[0].program.name, sub.lanes, dict(staged[1])))
-        or run(staged, sub, stats))
+    monkeypatch.setattr(modes, "_run", lambda sub, runs, stats: passes.extend(
+        (ctrl.program.name, sub.lanes, env) for ctrl, env in runs)
+        or run(sub, runs, stats))
     assert modes.ghash_digest(h, data) == oracle.ghash(h, data)
     power, *lane_passes, fold = passes
     assert power[:2] == ("ghash-1blk", 1)
@@ -173,7 +173,8 @@ def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
         for lo, hi, final in ((0, 8, False), (8, 11, True)):
             ctrl, env = ghash.stage(
                 lane_keys, [b[lo:hi] for b in lane_blocks], lo == 0, final)
-            ctrl.run(sub, env, stats=stats)
+            ctrl.run(sub, env)
+            count_runs(stats, [(ctrl, sub)])
         return env[OUTPUT]
 
     wide, single = ExecutionStats(), ExecutionStats()
@@ -221,8 +222,9 @@ def test_staging_rejects_keys_and_blocks_that_are_not_16_bytes(where, size):
 def test_fold_xors_its_rows(nrows, rng):
     rows = [rng.randbytes(16) for _ in range(nrows)]
     ctrl, env = ghash.stage_fold(rows)
-    stats = ctrl.run(Subarray(block_width=ghash.BLOCK_WIDTH), env,
-                     stats=ExecutionStats())
+    sub, stats = Subarray(block_width=ghash.BLOCK_WIDTH), ExecutionStats()
+    ctrl.run(sub, env)
+    count_runs(stats, [(ctrl, sub)])
     want = bytes(16)
     for row in rows:
         want = bytes(a ^ b for a, b in zip(want, row))
