@@ -315,8 +315,11 @@ def build_aes_program(variant: int, direction: str,
     ``aes_load`` stages, and after them with those the ``aes_load_chain``
     action restages, so each tile can run a CBC step or a counter block
     (CCM).  :meth:`Key.stage` picks the mode from the lists it is given.
+    ``ValueError`` unless ``variant`` is the int 128 or 256 and
+    ``direction`` and ``chain`` are among the above.
     """
-    if variant not in (128, 256) or direction not in _DIRECTIONS:
+    if (type(variant) is not int or variant not in (128, 256)
+            or direction not in _DIRECTIONS):
         raise ValueError("variant must be 128/256, direction encrypt/decrypt")
     if chain not in _CHAINS:
         raise ValueError(f"chain must be one of {_CHAINS}, got {chain!r}")
@@ -501,13 +504,15 @@ class Key:
     """One call's key for one direction: its round-key rows in load
     order, split at AES-256's key reload.  Built per call, so no key
     material outlives it.  ``ValueError`` unless ``key`` is 16 or 32
-    bytes and ``direction`` encrypt or decrypt.
+    bytes and ``direction`` encrypt or decrypt, ``TypeError`` unless
+    ``key`` is bytes-like.
     """
 
     def __init__(self, key: bytes, direction: str):
         if direction not in _DIRECTIONS:
             raise ValueError(f"direction must be encrypt or decrypt, "
                              f"got {direction!r}")
+        key, = _check_blocks("AES key", [key], (16, 32))
         words = expand_key_words(key)[::1 if direction == "encrypt" else -1]
         self.variant, self.direction = 8 * len(key), direction
         split = _FIRST_LOAD if len(key) == 32 else None
@@ -522,10 +527,10 @@ class Key:
         the program's chain mode: ``pre`` alone ``"pre"``, ``post`` alone
         ``"post"``, both ``"both"``; an empty list counts as not given.
         ``ValueError`` unless every block, ``pre`` and ``post`` entry is
-        16 bytes."""
-        for what, given in (("AES block", blocks), ("pre block", pre or ()),
-                            ("post block", post or ())):
-            _check_blocks(what, given)
+        16 bytes, ``TypeError`` unless each is bytes-like."""
+        blocks = _check_blocks("AES block", blocks)
+        pre = _check_blocks("pre block", () if pre is None else pre)
+        post = _check_blocks("post block", () if post is None else post)
         # _CHAINS lists None, "pre", "post" and "both" in this order.
         chain = _CHAINS[bool(pre) + 2 * bool(post)]
         return (_controller(self.variant, self.direction, chain),

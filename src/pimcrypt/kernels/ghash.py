@@ -33,8 +33,8 @@ from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
                           Invocation, KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW, LaneRows, lanes_to_row, row_to_lanes
 from ..isa import CommandWord, LogicKind
-from .layout import (LayoutMap, _check_blocks, _logic, _shift_into,
-                     pack_functions)
+from .layout import (LayoutMap, _check_blocks, _check_flags, _logic,
+                     _shift_into, pack_functions)
 
 __all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "stage", "stage_fold",
            "build_ghash_program", "build_ghash_fold_program",
@@ -147,11 +147,12 @@ def build_ghash_program(nblocks: int, final: bool = True) -> KernelProgram:
 
     ``final`` appends the closing fold; omit it when more passes follow
     (the unreduced product row then carries the state).  ``ValueError``
-    unless ``nblocks`` is an int in range.
+    unless ``nblocks`` is an int in range and ``final`` a bool.
     """
     if type(nblocks) is not int or not 1 <= nblocks <= BLOCKS_PER_PASS:
         raise ValueError(f"nblocks must be an int 1..{BLOCKS_PER_PASS}, "
                          f"got {nblocks!r}")
+    _check_flags(final=final)
     aligning, strides = gen_byte_aligning()
     reduce_cmds = _gen_reduce()
     commands, functions = pack_functions({
@@ -216,17 +217,18 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
     the running product, ``final`` reduces it and reads out each lane's
     digest.  ``ValueError`` unless there is at least one lane, one hash
-    key per lane, every lane has as many blocks, and every hash key and
-    block is 16 bytes."""
+    key per lane, every lane has as many blocks, every hash key and block
+    is 16 bytes and both flags are bools; ``TypeError`` for a key or
+    block that is not bytes-like."""
+    _check_flags(first=first, final=final)
     if not blocks or len(set(map(len, blocks))) != 1:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
                          f"want one or more lanes of equal length")
     if len(hash_keys) != len(blocks):
         raise ValueError(f"{len(hash_keys)} hash keys for {len(blocks)} "
                          f"block lists")
-    _check_blocks("GHASH hash key", hash_keys)
-    for lane in blocks:
-        _check_blocks("GHASH block", lane)
+    hash_keys = _check_blocks("GHASH hash key", hash_keys)
+    blocks = [_check_blocks("GHASH block", lane) for lane in blocks]
     return (_controller(len(blocks[0]), final),
             {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
 
@@ -234,8 +236,9 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
 def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
     """XOR 2..32 ``blocks`` on one lane: the GHASH bit order permutes a
     block's bits, so the XOR of the rows is the row of the blocks' XOR.
-    ``ValueError`` unless every block is 16 bytes."""
-    _check_blocks("GHASH block", blocks)
+    ``ValueError`` unless every block is 16 bytes, ``TypeError`` unless
+    every block is bytes-like."""
+    blocks = _check_blocks("GHASH block", blocks)
     return _fold_controller(len(blocks)), {"fold_blocks": blocks}
 
 

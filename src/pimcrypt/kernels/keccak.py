@@ -36,7 +36,8 @@ from ..controller import (OUTPUT, Controller, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
-from .layout import LayoutMap, _logic, _shift_into, pack_functions
+from .layout import (LayoutMap, _check_flags, _logic, _shift_into,
+                     pack_functions)
 
 __all__ = ["SHA3_LAYOUT", "SHA3_LANES", "RATE_BYTES", "rate", "stage",
            "build_sha3_program", "gen_theta", "gen_rho_pi", "gen_pi",
@@ -230,10 +231,7 @@ def build_sha3_program(bits: int, key_prep: bool = False, first: bool = True,
     out after the permutation.  ``ValueError`` unless ``bits`` is a SHA3
     output size and every flag a bool.
     """
-    for name, flag in (("key_prep", key_prep), ("first", first),
-                       ("final", final)):
-        if type(flag) is not bool:
-            raise ValueError(f"{name} must be a bool, got {flag!r}")
+    _check_flags(key_prep=key_prep, first=first, final=final)
     rate_lanes = rate(bits) // 8
     windows = {
         "StatePermute": _permute_window(),

@@ -6,8 +6,9 @@ actions never hard-code row numbers twice.  ``_logic`` emits the
 ``dst = a <kind> b``, ``_shift_into`` the ``rd_row`` + ``shift`` +
 ``wr_row`` triple that computes ``dst = src`` shifted,
 :func:`pack_functions` lays a kernel's function windows out in one
-command array, and ``_check_blocks`` rejects staged 16-byte blocks of
-another length.
+command array, ``_check_blocks`` converts staged blocks and keys to
+``bytes`` and rejects any of another length or type, and
+``_check_flags`` rejects build flags that are not bools.
 """
 
 from __future__ import annotations
@@ -59,12 +60,28 @@ def _shift_into(src: int, count: int, dst: int,
             CommandWord.wr_row(dst)]
 
 
-def _check_blocks(what: str, blocks) -> None:
-    """``ValueError`` unless every one of ``blocks`` is 16 bytes long."""
-    lengths = set(map(len, blocks)) - {16}
+def _check_blocks(what: str, blocks,
+                  sizes: tuple[int, ...] = (16,)) -> list[bytes]:
+    """``blocks`` as a list of ``bytes``: ``TypeError`` unless each is a
+    bytes-like object, ``ValueError`` unless each is 16 bytes long, or
+    one of ``sizes`` bytes."""
+    try:
+        out = [b if type(b) is bytes else bytes(memoryview(b))
+               for b in blocks]
+    except TypeError as exc:
+        raise TypeError(f"{what}: {exc}") from None
+    lengths = set(map(len, out)).difference(sizes)
     if lengths:
-        raise ValueError(f"{what} must be 16 bytes, got lengths "
-                         f"{sorted(lengths)}")
+        raise ValueError(f"{what} must be {' or '.join(map(str, sizes))} "
+                         f"bytes, got lengths {sorted(lengths)}")
+    return out
+
+
+def _check_flags(**flags) -> None:
+    """``ValueError`` unless every keyword argument is a bool."""
+    for name, flag in flags.items():
+        if type(flag) is not bool:
+            raise ValueError(f"{name} must be a bool, got {flag!r}")
 
 
 def pack_functions(windows: dict[str, tuple[list[CommandWord], tuple]]

@@ -278,6 +278,27 @@ def test_stage_rejects_blocks_that_are_not_16_bytes(where, size):
         aes.Key(bytes(16), "encrypt").stage(**lists)
 
 
+@pytest.mark.parametrize("key,blocks", [
+    ([0] * 16, [bytes(16)]),
+    ("0" * 16, [bytes(16)]),
+    (bytes(16), [[0] * 16]),
+    (bytes(16), ["0" * 16]),
+], ids=["int-list-key", "str-key", "int-list-block", "str-block"])
+def test_staging_rejects_keys_and_blocks_that_are_not_bytes_like(key, blocks):
+    # A list of byte values used to run as the bytes it lists, and a str
+    # to be staged and raise only once run.
+    with pytest.raises(TypeError):
+        aes.Key(key, "encrypt").stage(blocks)
+
+
+def test_staging_converts_bytes_like_keys_and_blocks(rng):
+    key, block = rng.randbytes(16), rng.randbytes(16)
+    ctrl, env = aes.Key(bytearray(key), "encrypt").stage(
+        [memoryview(block)], post=[bytearray(16)])
+    ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env)
+    assert env[OUTPUT] == [oracle.aes_encrypt_block(key, block)]
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 

@@ -182,8 +182,11 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     ["disasm"],
     lambda: modes.ecb_crypt(bytes(16), bytes(15)),
     lambda: aes.build_aes_program(192, "encrypt"),
+    lambda: aes.build_aes_program(128.0, "encrypt"),
     lambda: ghash.build_ghash_program(0),
     lambda: ghash.build_ghash_program(9),
+    lambda: ghash.build_ghash_program(8, 1),
+    lambda: ghash.stage([bytes(16)], [[bytes(16)]], True, "no"),
     lambda: keccak.build_sha3_program(100),
     lambda: keccak.build_sha3_program(256, "yes"),
     lambda: keccak.build_sha3_program(256, first=1),
@@ -192,8 +195,9 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
                                      {"blocks": [bytes(16)] * 17}),
 ], ids=["ecb-encrypt", "ecb-decrypt", "cbc-encrypt", "cbc-decrypt",
         "hash-alg", "hmac-alg", "missing-key", "8-byte-ctr-iv",
-        "odd-length-disasm", "ecb_crypt", "aes-192", "ghash-0-blocks",
-        "ghash-9-blocks", "sha3-100", "sha3-str-key-prep",
+        "odd-length-disasm", "ecb_crypt", "aes-192", "aes-float-variant",
+        "ghash-0-blocks", "ghash-9-blocks", "ghash-int-final",
+        "ghash-stage-str-final", "sha3-100", "sha3-str-key-prep",
         "sha3-int-first", "sha3-none-final",
         "aes_load-17-blocks"])
 def test_rejected_inputs(case, tmp_path):

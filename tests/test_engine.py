@@ -1,11 +1,11 @@
 """Compiled engine vs the reference interpreter, and lanes vs lone runs.
 
 ``Controller.run`` runs compiled windows, one fabric call per stretch
-between host actions, with statistics fixed when its plan is built,
-unless it is given a ``trace`` list, which selects the reference
-interpreter and counts statistics from it; both must leave the same
-grid, latch, pending activation, cycle count, statistics and host
-outputs, and raise the same exception type.  A run on K lanes must leave
+between host actions, and ``controller.count_runs`` counts the
+statistics its plan fixes; ``Controller.trace`` runs the reference
+interpreter and returns the statistics its records count.  Both must
+leave the same grid, latch, pending activation, cycle count,
+statistics and host outputs, and raise the same exception type.  A run on K lanes must leave
 each lane as a one-lane run on that lane's grid would, and count the
 cycles and statistics of all K.  Load rejects exactly the windows the
 compiler declines, so no loaded program runs on the reference untraced.

@@ -186,6 +186,17 @@ def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
     assert wide == single
 
 
+def test_a_staged_run_runs_again_from_a_cleared_product():
+    # ghash_load used to pop the env's first-pass flag, so a second run of
+    # the same staged env kept P and Z from the first.
+    h, block = bytes(range(16)), bytes([7] * 16)
+    ctrl, env = ghash.stage([h], [[block]], True, True)
+    sub = Subarray(block_width=ghash.BLOCK_WIDTH)
+    for _ in range(2):
+        ctrl.run(sub, env)
+        assert env[OUTPUT] == [oracle.ghash(h, block)]
+
+
 def test_ghash_load_rejects_more_lists_than_lanes():
     ctrl, env = ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True)
     with pytest.raises(ValueError, match="for 1 lanes"):
@@ -216,6 +227,36 @@ def test_staging_rejects_keys_and_blocks_that_are_not_16_bytes(where, size):
         else:
             blocks[1] = [bytes(16), bytes(size)]
             ghash.stage(keys, blocks, True, True)
+
+
+@pytest.mark.parametrize("where", ["key", "block", "fold"])
+def test_staging_converts_bytes_like_keys_and_blocks(where, rng):
+    # A memoryview used to be staged and raise AttributeError once run.
+    h, block, other = (rng.randbytes(16) for _ in range(3))
+    sub = Subarray(block_width=ghash.BLOCK_WIDTH)
+    if where == "fold":
+        ctrl, env = ghash.stage_fold([memoryview(block), bytearray(other)])
+        want = bytes(a ^ b for a, b in zip(block, other))
+    else:
+        view = memoryview(h if where == "key" else block)
+        ctrl, env = ghash.stage([view if where == "key" else h],
+                                [[view if where == "block" else block]],
+                                True, True)
+        want = oracle.ghash(h, block)
+    ctrl.run(sub, env)
+    assert env[OUTPUT] == [want]
+
+
+@pytest.mark.parametrize("where", ["key", "block", "fold"])
+def test_staging_rejects_keys_and_blocks_that_are_not_bytes_like(where):
+    # A str used to be staged and raise TypeError only once run.
+    with pytest.raises(TypeError, match="GHASH"):
+        if where == "fold":
+            ghash.stage_fold([bytes(16), "0" * 16])
+        elif where == "key":
+            ghash.stage(["0" * 16], [[bytes(16)]], True, True)
+        else:
+            ghash.stage([bytes(16)], [["0" * 16]], True, True)
 
 
 @pytest.mark.parametrize("nrows", [2, 3, 9])
