@@ -63,8 +63,8 @@ def _shift_into(src: int, count: int, dst: int,
 def _check_blocks(what: str, blocks,
                   sizes: tuple[int, ...] = (16,)) -> list[bytes]:
     """``blocks`` as a list of ``bytes``: ``TypeError`` unless each is a
-    bytes-like object, ``ValueError`` unless each is 16 bytes long, or
-    one of ``sizes`` bytes."""
+    bytes-like object, ``ValueError`` unless each is as long as one of
+    ``sizes`` (16 bytes by default)."""
     try:
         out = [b if type(b) is bytes else bytes(memoryview(b))
                for b in blocks]

@@ -224,8 +224,8 @@ def test_both_chains_xor_before_and_after_the_rounds(lanes, klen, direction,
     blocks, pre, post = ([rng.randbytes(16) for _ in range(16 * lanes - 3)]
                          for _ in range(3))
     ctrl, env = aes.Key(key, direction).stage(blocks, pre, post)
-    sub, stats = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes), \
-        ExecutionStats()
+    sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
+    stats = ExecutionStats()
     ctrl.run(sub, env)
     count_runs(stats, [(ctrl, sub)])
     out = env[OUTPUT]

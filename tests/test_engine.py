@@ -4,17 +4,17 @@
 between host actions, and ``controller.count_runs`` counts the
 statistics its plan fixes; ``Controller.trace`` runs the reference
 interpreter and returns the statistics its records count.  Both must
-leave the same grid, latch, pending activation, cycle count,
-statistics and host outputs, and raise the same exception type.  A run on K lanes must leave
-each lane as a one-lane run on that lane's grid would, and count the
-cycles and statistics of all K.  Load rejects exactly the windows the
-compiler declines, so no loaded program runs on the reference untraced.
-A compiled window indexes the grid for the rows its strides reach and
-keeps every other row in a local, even where a strided access aliases a
-row the window also names by constant index.  The one window the
-compiler lowers whole, GHASH's multiply-accumulate loop, must agree with
-the reference for any iteration count, and windows one change away from
-it must take the generic lowering.
+leave the same grid, latch, pending activation, cycle count, statistics
+and host outputs, and raise the same exception type.  A run on K lanes
+must leave each lane as a one-lane run on that lane's grid would, and
+count the cycles and statistics of all K.  Load rejects exactly the
+windows the compiler declines, so no loaded program runs on the
+reference untraced.  A compiled window indexes the grid for the rows its
+strides reach and keeps every other row in a local, even where a strided
+access aliases a row the window also names by constant index.  The one
+window the compiler lowers whole, GHASH's multiply-accumulate loop, must
+agree with the reference for any iteration count, and windows one change
+away from it must take the generic lowering.
 """
 
 import random
@@ -66,7 +66,8 @@ def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
             stats = ctrl.trace(sub, [], env)
         else:
             ctrl.run(sub, env)
-            count_runs(stats := ExecutionStats(), [(ctrl, sub)])
+            stats = ExecutionStats()
+            count_runs(stats, [(ctrl, sub)])
     except Exception as exc:   # the type is what both engines must share
         error = type(exc)
     return (error, stats, sub.grid, sub.sa_latch, sub.pending_row,
