@@ -220,6 +220,7 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     key per lane, every lane has as many blocks, every hash key and block
     is 16 bytes and both flags are bools; ``TypeError`` for a key or
     block that is not bytes-like."""
+    # Before the program cache, which would take 1 for True.
     _check_flags(first=first, final=final)
     if not blocks or len(set(map(len, blocks))) != 1:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
