@@ -257,10 +257,10 @@ def expand_key_words(key: bytes) -> list[bytes]:
     copies of the old key and t' in every word.  The S-box table comes
     from the fabric's own SubBytes circuit (:func:`_sbox`), so the
     fabric path shares no code with the oracle.  Raises ``ValueError``
-    unless ``key`` is 16 or 32 bytes.
+    unless ``key`` is 16 or 32 bytes, ``TypeError`` unless it is
+    bytes-like.
     """
-    if len(key) not in (16, 32):
-        raise ValueError(f"AES key must be 16 or 32 bytes, got {len(key)}")
+    key, = _check_blocks("AES key", [key], (16, 32))
     sbox = _sbox()
     step = len(key) // 16           # nk / 4
     keys = [int.from_bytes(key[16 * i:16 * i + 16], "big")
@@ -512,10 +512,10 @@ class Key:
         if direction not in _DIRECTIONS:
             raise ValueError(f"direction must be encrypt or decrypt, "
                              f"got {direction!r}")
-        key, = _check_blocks("AES key", [key], (16, 32))
         words = expand_key_words(key)[::1 if direction == "encrypt" else -1]
-        self.variant, self.direction = 8 * len(key), direction
-        split = _FIRST_LOAD if len(key) == 32 else None
+        self.variant = 128 if len(words) == 11 else 256   # else 15 keys
+        self.direction = direction
+        split = _FIRST_LOAD if self.variant == 256 else None
         self.env = {"key_rows": key_rows(words[:split])}
         if split:
             self.env["key_rows2"] = key_rows(words[split:])

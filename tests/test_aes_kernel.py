@@ -114,6 +114,13 @@ def test_key_schedule_rejects_other_key_lengths(klen):
         aes.expand_key_words(bytes(klen))
 
 
+@pytest.mark.parametrize("key", [[0] * 16, "0" * 16], ids=["int-list", "str"])
+def test_key_schedule_rejects_a_key_that_is_not_bytes_like(key):
+    # A list of byte values used to expand as the bytes it lists.
+    with pytest.raises(TypeError):
+        aes.expand_key_words(key)
+
+
 @pytest.mark.parametrize("chain", ["bogus", "", "PRE", 0])
 def test_aes_program_rejects_an_unknown_chain(chain):
     with pytest.raises(ValueError, match="chain must be"):
