@@ -14,7 +14,8 @@ latch, a 256-bit register with a one-bit shifter:
   across every segment of the latch
 
 An ``act_row`` must be immediately followed by a ``logic_op``; any other
-pairing raises :class:`PendingActivation`.
+pairing, or a host read or write in between, raises
+:class:`PendingActivation`.
 
 Rows are stored as 256-bit Python ints with bit ``c`` holding column ``c``.
 A *left* shift moves data toward column 0, a *right* shift toward column
@@ -260,11 +261,7 @@ class Subarray:
     # -- host port (zero fabric cycles, models the DMA path) -------------
 
     def write_row(self, row: int, value: int) -> None:
-        if not 0 <= row < ROWS:
-            raise RowOutOfRange(f"row {row}")
-        if self.pending_row is not None:
-            raise PendingActivation("host access during dual-row activation")
-        self.grid[row] = value & self.row_mask
+        self.write_rows(row, [value])
 
     def write_rows(self, first: int, values: list[int]) -> None:
         """Write ``values`` to rows ``first``, ``first + 1``, ... in one
@@ -285,9 +282,7 @@ class Subarray:
             self.grid[first:end] = [value & mask for value in values]
 
     def read_row(self, row: int) -> int:
-        if not 0 <= row < ROWS:
-            raise RowOutOfRange(f"row {row}")
-        return self.grid[row]
+        return self.read_rows(row, 1)[0]
 
     def read_rows(self, first: int, count: int) -> list[int]:
         """Rows ``first .. first + count - 1`` in one host transfer."""

@@ -56,8 +56,7 @@ from ..controller import (OUTPUT, Controller, HostAction, Invocation,
 from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
 from . import circuits
-from .layout import (LayoutMap, _check_blocks, _logic, _shift_into,
-                     pack_functions)
+from .layout import LayoutMap, _logic, _shift_into, as_bytes, pack_functions
 
 __all__ = ["AES_LAYOUT", "BLOCKS_PER_PASS", "Key", "build_aes_program",
            "expand_key_words", "key_rows", "gen_bit_slice_fwd",
@@ -260,7 +259,7 @@ def expand_key_words(key: bytes) -> list[bytes]:
     unless ``key`` is 16 or 32 bytes, ``TypeError`` unless it is
     bytes-like.
     """
-    key, = _check_blocks("AES key", [key], (16, 32))
+    key, = as_bytes("AES key", [key], (16, 32))
     sbox = _sbox()
     step = len(key) // 16           # nk / 4
     keys = [int.from_bytes(key[16 * i:16 * i + 16], "big")
@@ -526,11 +525,16 @@ class Key:
         the cipher and its ``post`` block after it.  The lists given pick
         the program's chain mode: ``pre`` alone ``"pre"``, ``post`` alone
         ``"post"``, both ``"both"``; an empty list counts as not given.
-        ``ValueError`` unless every block, ``pre`` and ``post`` entry is
-        16 bytes, ``TypeError`` unless each is bytes-like."""
-        blocks = _check_blocks("AES block", blocks)
-        pre = _check_blocks("pre block", () if pre is None else pre)
-        post = _check_blocks("post block", () if post is None else post)
+        ``layout.as_bytes`` converts every list: ``ValueError`` unless
+        every entry is 16 bytes and each list given is as long as
+        ``blocks``, ``TypeError`` unless each entry is bytes-like."""
+        blocks = as_bytes("AES block", blocks)
+        pre = as_bytes("pre block", () if pre is None else pre)
+        post = as_bytes("post block", () if post is None else post)
+        for name, chained in (("pre", pre), ("post", post)):
+            if chained and len(chained) != len(blocks):
+                raise ValueError(f"{name} blocks: {len(chained)} for "
+                                 f"{len(blocks)} blocks")
         # _CHAINS lists None, "pre", "post" and "both" in this order.
         chain = _CHAINS[bool(pre) + 2 * bool(post)]
         return (_controller(self.variant, self.direction, chain),
@@ -555,10 +559,6 @@ def _load(sub, env, chain=False):
     tiles = BLOCKS_PER_PASS * sub.lanes
     if len(blocks) > tiles:
         raise ValueError(f"{len(blocks)} blocks for {tiles} tiles")
-    for chained in (env["chain_blocks"], env["post_chain_blocks"]):
-        if chained and len(chained) != len(blocks):
-            raise ValueError(f"{len(chained)} chain blocks for "
-                             f"{len(blocks)} blocks")
     _load_keys(sub, env)
     rows = _stage_rows(blocks)
     rows += _MASK_ROWS.for_lanes(sub.lanes)

@@ -33,8 +33,8 @@ from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
                           Invocation, KernelProgram, StrideRule, host_action)
 from ..fabric import EXT_ROW, LaneRows, lanes_to_row, row_to_lanes
 from ..isa import CommandWord, LogicKind
-from .layout import (LayoutMap, _check_blocks, _check_flags, _logic,
-                     _shift_into, pack_functions)
+from .layout import (LayoutMap, _check_flags, _logic, _shift_into, as_bytes,
+                     pack_functions)
 
 __all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "stage", "stage_fold",
            "build_ghash_program", "build_ghash_fold_program",
@@ -228,8 +228,8 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     if len(hash_keys) != len(blocks):
         raise ValueError(f"{len(hash_keys)} hash keys for {len(blocks)} "
                          f"block lists")
-    hash_keys = _check_blocks("GHASH hash key", hash_keys)
-    blocks = [_check_blocks("GHASH block", lane) for lane in blocks]
+    hash_keys = as_bytes("GHASH hash key", hash_keys)
+    blocks = [as_bytes("GHASH block", lane) for lane in blocks]
     return (_controller(len(blocks[0]), final),
             {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
 
@@ -239,7 +239,7 @@ def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
     block's bits, so the XOR of the rows is the row of the blocks' XOR.
     ``ValueError`` unless every block is 16 bytes, ``TypeError`` unless
     every block is bytes-like."""
-    blocks = _check_blocks("GHASH block", blocks)
+    blocks = as_bytes("GHASH block", blocks)
     return _fold_controller(len(blocks)), {"fold_blocks": blocks}
 
 

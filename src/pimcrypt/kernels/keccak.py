@@ -36,7 +36,7 @@ from ..controller import (OUTPUT, Controller, HostAction, Invocation,
                           KernelProgram, StrideRule, host_action)
 from ..fabric import COLS, LaneRows
 from ..isa import CommandWord, LogicKind
-from .layout import (LayoutMap, _check_flags, _logic, _shift_into,
+from .layout import (LayoutMap, _check_flags, _logic, _shift_into, as_bytes,
                      pack_functions)
 
 __all__ = ["SHA3_LAYOUT", "SHA3_LANES", "RATE_BYTES", "rate", "stage",
@@ -269,21 +269,22 @@ def stage(bits: int, msgs: list[bytes],
 
     One (validated program, fresh env) pair per rate block, in order:
     run them on one subarray, and the last leaves one digest per sponge
-    lane under :data:`~pimcrypt.controller.OUTPUT`.  Each message is any
-    bytes-like object (``TypeError`` otherwise), and the messages must
-    pad to equal block counts (``ValueError`` otherwise).  ``pad_byte``,
-    ``None`` or an int 0..255 (``ValueError`` otherwise), selects the
-    keyed program for the first block, which XORs that byte into every
-    byte of it (HMAC's ipad or opad).
+    lane under :data:`~pimcrypt.controller.OUTPUT`.  ``layout.as_bytes``
+    reads each bytes-like message as its bytes (``TypeError`` for any
+    other), and they must pad to equal block counts (``ValueError``
+    otherwise).  ``pad_byte``, ``None`` or an int 0..255 (``ValueError``
+    otherwise), selects the keyed program for the first block, which
+    XORs that byte into every byte of it (HMAC's ipad or opad).
     """
     r = rate(bits)
     if pad_byte is not None and (type(pad_byte) is not int
                                  or not 0 <= pad_byte <= 0xFF):
         raise ValueError(f"pad_byte must be None or an int 0..255, "
                          f"got {pad_byte!r}")
+    msgs = as_bytes("SHA3 message", msgs, None)
     if not 1 <= len(msgs) <= SHA3_LANES:
         raise ValueError(f"1..{SHA3_LANES} messages per run")
-    padded = [pad_sha3(bytes(memoryview(m)), r) for m in msgs]
+    padded = [pad_sha3(m, r) for m in msgs]
     if len(set(map(len, padded))) != 1:
         raise ValueError("batched messages must pad to equal block counts")
     blocks = _stage_blocks(padded, r)

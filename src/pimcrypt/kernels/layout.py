@@ -6,7 +6,8 @@ actions never hard-code row numbers twice.  ``_logic`` emits the
 ``dst = a <kind> b``, ``_shift_into`` the ``rd_row`` + ``shift`` +
 ``wr_row`` triple that computes ``dst = src`` shifted,
 :func:`pack_functions` lays a kernel's function windows out in one
-command array, ``_check_blocks`` converts staged blocks and keys to
+command array, :func:`as_bytes` is the one conversion of host inputs
+(keys, staged blocks, SHA3 messages, every ``modes`` argument) to
 ``bytes`` and rejects any of another length or type, and
 ``_check_flags`` rejects build flags that are not bools.
 """
@@ -17,7 +18,7 @@ from ..controller import FunctionDescriptor
 from ..fabric import ROWS
 from ..isa import CommandWord, LogicKind
 
-__all__ = ["LayoutMap", "LayoutError", "pack_functions"]
+__all__ = ["LayoutMap", "LayoutError", "as_bytes", "pack_functions"]
 
 
 class LayoutError(Exception):
@@ -60,17 +61,18 @@ def _shift_into(src: int, count: int, dst: int,
             CommandWord.wr_row(dst)]
 
 
-def _check_blocks(what: str, blocks,
-                  sizes: tuple[int, ...] = (16,)) -> list[bytes]:
-    """``blocks`` as a list of ``bytes``: ``TypeError`` unless each is a
-    bytes-like object, ``ValueError`` unless each is as long as one of
-    ``sizes`` (16 bytes by default)."""
+def as_bytes(what: str, values,
+             sizes: tuple[int, ...] | None = (16,)) -> list[bytes]:
+    """``values`` as a list of ``bytes``, each read as its bytes:
+    ``TypeError`` unless each is a bytes-like object, ``ValueError``
+    unless each is as long as one of ``sizes`` (16 bytes by default, any
+    length if ``None``); both messages start with ``what``."""
     try:
         out = [b if type(b) is bytes else bytes(memoryview(b))
-               for b in blocks]
+               for b in values]
     except TypeError as exc:
         raise TypeError(f"{what}: {exc}") from None
-    lengths = set(map(len, out)).difference(sizes)
+    lengths = set() if sizes is None else set(map(len, out)).difference(sizes)
     if lengths:
         raise ValueError(f"{what} must be {' or '.join(map(str, sizes))} "
                          f"bytes, got lengths {sorted(lengths)}")

@@ -49,10 +49,11 @@ checked where the key is staged, whatever the data), and CBC and CTR an
 IV or counter block that is not one block, raising ``ValueError``.
 
 Every public function takes its keys, IVs, nonces, AAD and messages as
-any bytes-like object (``bytes``, ``bytearray``, ``memoryview``, ...),
-converted to ``bytes`` once at entry, and returns ``bytes``.  Any other
-type, ``str`` and ``int`` included, raises ``TypeError``: an ``int`` is
-not read as a length, as ``bytes(5)`` would read it.
+any bytes-like object, read as its bytes by ``layout.as_bytes`` where
+it is handed over (the AES key in ``aes.Key``, SHA3 messages in
+``keccak.stage``), and returns ``bytes``.  Any other type, ``str`` and
+``int`` included, raises a ``TypeError`` that names the argument: an
+``int`` is not read as a length, as ``bytes(5)`` would read it.
 
 Every run counts into the caller's
 :class:`~pimcrypt.controller.ExecutionStats` once, through
@@ -69,6 +70,7 @@ from typing import Callable
 from ..controller import OUTPUT, Controller, ExecutionStats, count_runs
 from ..fabric import SUBARRAYS, Subarray
 from . import aes, ghash, keccak
+from .layout import as_bytes
 
 __all__ = ["TagMismatch", "ecb_crypt", "cbc_encrypt", "cbc_decrypt",
            "ctr_crypt", "ccm_encrypt", "ccm_decrypt", "gcm_encrypt",
@@ -90,12 +92,6 @@ def _run(sub: Subarray, runs: list[tuple[Controller, dict]],
     if stats is not None:
         count_runs(stats, ((ctrl, sub) for ctrl, _ in runs))
     return env[OUTPUT]
-
-
-def _bytes(value) -> bytes:
-    """``value``, any bytes-like object, as ``bytes``; ``TypeError`` for
-    anything else, ``str`` and ``int`` included."""
-    return value if type(value) is bytes else bytes(memoryview(value))
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +153,15 @@ def _pad16(data: bytes) -> bytes:
 
 def ecb_crypt(key: bytes, data: bytes, direction: str = "encrypt",
               stats: ExecutionStats | None = None) -> bytes:
-    key, data = _bytes(key), _bytes(data)
+    data, = as_bytes("ECB input", [data], None)
     return b"".join(_aes(aes.Key(key, direction), _split_blocks(data), [],
                          stats))
 
 
-def _check_block(name: str, value: bytes) -> None:
-    if len(value) != 16:
-        raise ValueError(f"{name} must be 16 bytes, got {len(value)}")
-
-
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
-    key, iv, plaintext = _bytes(key), _bytes(iv), _bytes(plaintext)
-    _check_block("CBC IV", iv)
+    iv, = as_bytes("CBC IV", [iv])
+    plaintext, = as_bytes("CBC input", [plaintext], None)
     blocks = _split_blocks(plaintext)
     return b"".join(_aes(aes.Key(key, "encrypt"), [], [], stats, len(blocks),
                          lambda i, _: blocks[i], iv))
@@ -178,8 +169,8 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes,
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
-    key, iv, ciphertext = _bytes(key), _bytes(iv), _bytes(ciphertext)
-    _check_block("CBC IV", iv)
+    iv, = as_bytes("CBC IV", [iv])
+    ciphertext, = as_bytes("CBC input", [ciphertext], None)
     ct = _split_blocks(ciphertext)
     return b"".join(_aes(aes.Key(key, "decrypt"), ct, [iv] + ct[:-1], stats))
 
@@ -205,8 +196,8 @@ def _ctr(k: aes.Key, counter0: bytes, data: bytes,
 
 def ctr_crypt(key: bytes, counter0: bytes, data: bytes,
               stats: ExecutionStats | None = None) -> bytes:
-    key, counter0, data = _bytes(key), _bytes(counter0), _bytes(data)
-    _check_block("CTR counter block", counter0)
+    counter0, = as_bytes("CTR counter block", [counter0])
+    data, = as_bytes("CTR input", [data], None)
     return _ctr(aes.Key(key, "encrypt"), counter0, data, stats)
 
 
@@ -281,7 +272,8 @@ def _ccm_check(nonce: bytes, tag_len: int, length: int,
 def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    key, nonce, aad, plaintext = map(_bytes, (key, nonce, aad, plaintext))
+    nonce, aad, plaintext = as_bytes("CCM input", [nonce, aad, plaintext],
+                                     None)
     _ccm_check(nonce, tag_len, len(plaintext))
     post = [bytes(16)] + _split_blocks(_pad16(plaintext))
     mac, out = _ccm(aes.Key(key, "encrypt"), nonce, aad, tag_len,
@@ -294,7 +286,8 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
 def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    key, nonce, aad, ciphertext = map(_bytes, (key, nonce, aad, ciphertext))
+    nonce, aad, ciphertext = as_bytes("CCM input", [nonce, aad, ciphertext],
+                                      None)
     _ccm_check(nonce, tag_len, len(ciphertext), True)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
     post = [_pad16(tag)] + _split_blocks(_pad16(ct))
@@ -390,8 +383,8 @@ def _xor_blocks(blocks: list[bytes], stats: ExecutionStats | None) -> bytes:
 
 def ghash_digest(hash_key: bytes, data: bytes,
                  stats: ExecutionStats | None = None) -> bytes:
-    hash_key, data = _bytes(hash_key), _bytes(data)
-    _check_block("GHASH hash key", hash_key)
+    hash_key, = as_bytes("GHASH hash key", [hash_key])
+    data, = as_bytes("GHASH input", [data], None)
     blocks = _split_blocks(data)
     return _ghash(hash_key, blocks, stats) if blocks else bytes(16)
 
@@ -438,7 +431,7 @@ def _gcm_tag(h: bytes, ej0: bytes, aad: bytes, ct: bytes,
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
-    key, iv, aad, plaintext = map(_bytes, (key, iv, aad, plaintext))
+    iv, aad, plaintext = as_bytes("GCM input", [iv, aad, plaintext], None)
     _, h, _, ej0, ct = _gcm_start(key, iv, tag_len, plaintext, stats)
     return ct + _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
 
@@ -448,7 +441,7 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
                 stats: ExecutionStats | None = None) -> bytes:
     """Checks the tag before any payload counter block runs, so a
     tampered input is never decrypted."""
-    key, iv, aad, ciphertext = map(_bytes, (key, iv, aad, ciphertext))
+    iv, aad, ciphertext = as_bytes("GCM input", [iv, aad, ciphertext], None)
     k, h, j0, ej0, _ = _gcm_start(key, iv, tag_len, b"", stats)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
     expect = _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
@@ -474,7 +467,7 @@ def sha3_digest_batch(bits: int, msgs: list[bytes],
                       stats: ExecutionStats | None = None) -> list[bytes]:
     """Hash up to four equal-block-count messages side by side, one
     sponge per 64-bit row segment."""
-    return _absorb(bits, [_bytes(m) for m in msgs], stats)
+    return _absorb(bits, msgs, stats)
 
 
 def sha3_digest(bits: int, msg: bytes,
@@ -484,7 +477,7 @@ def sha3_digest(bits: int, msg: bytes,
 
 def hmac_sha3(bits: int, key: bytes, msg: bytes,
               stats: ExecutionStats | None = None) -> bytes:
-    key, msg = _bytes(key), _bytes(msg)
+    key, msg = as_bytes("HMAC input", [key, msg], None)
     rate = keccak.rate(bits)
     if len(key) > rate:
         key = sha3_digest(bits, key, stats)

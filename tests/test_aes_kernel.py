@@ -265,12 +265,12 @@ def test_stage_takes_its_chain_mode_from_the_lists_given(suffix, given, rng):
 
 @pytest.mark.parametrize("given", [("pre",), ("post",), ("pre", "post")],
                          ids=["pre", "post", "both"])
-def test_aes_load_rejects_chain_lists_of_another_length(given):
+def test_stage_rejects_chain_lists_of_another_length(given):
     # One chain block for three blocks: the missing tiles would XOR zero.
+    # Staging rejects it, before any run.
     chains = {name: [b"\x01" * 16] for name in given}
-    ctrl, env = aes.Key(bytes(16), "encrypt").stage([bytes(16)] * 3, **chains)
-    with pytest.raises(ValueError, match="1 chain blocks for 3 blocks"):
-        ctrl.run(Subarray(block_width=aes.BLOCK_WIDTH), env)
+    with pytest.raises(ValueError, match="^(pre|post) blocks: 1 for 3 blocks"):
+        aes.Key(bytes(16), "encrypt").stage([bytes(16)] * 3, **chains)
 
 
 @pytest.mark.parametrize("size", [0, 15, 17, 32])

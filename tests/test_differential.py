@@ -7,10 +7,18 @@ drawn.  A flipped byte must raise ``TagMismatch``, and a key, IV, nonce
 or tag length out of range exactly ``ValueError``.  ``cryptography``
 takes GCM IVs of 8 bytes or more, so shorter ones, and ``ghash_digest``,
 which it does not expose, are checked against ``pimcrypt.oracle``.
+
+The same invalid key, IV, nonce and size draws also go through
+``cli.main``, which must exit 2 (usage error) without raising, and a
+flipped byte must exit 1 (mismatch).  The CLI takes no tag length, so
+the tag length draws stay with the API.
 """
 
 import hashlib
 import hmac
+import io
+import sys
+from unittest import mock
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -18,7 +26,7 @@ from cryptography.hazmat.primitives.ciphers import modes as cm
 from cryptography.hazmat.primitives.ciphers.aead import AESCCM, AESGCM
 from hypothesis import given, settings, strategies as st
 
-from pimcrypt import oracle
+from pimcrypt import cli, oracle
 from pimcrypt.kernels import modes
 from pimcrypt.kernels.modes import TagMismatch
 
@@ -50,6 +58,24 @@ def _value_error(call) -> None:
     assert type(info.value) is ValueError
 
 
+def _cli(argv: list[str], data: bytes = b"") -> int:
+    """The exit code of ``pimcrypt`` with ``argv`` and ``data`` on stdin;
+    what it writes is dropped."""
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    with mock.patch.object(sys, "stdin", stdin), \
+            mock.patch.object(sys, "stdout", io.TextIOWrapper(io.BytesIO())), \
+            mock.patch.object(sys, "stderr", io.StringIO()):
+        return cli.main(argv)
+
+
+def _crypt(mode: str, decrypt: bool, key: bytes, data: bytes,
+           iv: bytes | None = None, aad: bytes = b"") -> int:
+    """The exit code of ``pimcrypt encrypt`` or ``decrypt`` in ``mode``."""
+    argv = ["decrypt" if decrypt else "encrypt", "--mode", mode,
+            "--key", key.hex(), "--aad", aad.hex()]
+    return _cli(argv + (["--iv", iv.hex()] if iv is not None else []), data)
+
+
 def _flip(data: bytes, where: int, mask: int) -> bytes:
     out = bytearray(data)
     out[where % len(out)] ^= mask
@@ -71,6 +97,8 @@ def test_ecb_crypt(key, data, decrypt, bad):
         _aes(key, cm.ECB(), decrypt, data)
     _value_error(lambda: modes.ecb_crypt(bytes(bad), data, direction))
     _value_error(lambda: modes.ecb_crypt(key, data + b"x", direction))
+    assert _crypt("ecb", decrypt, bytes(bad), data) == cli.USAGE_ERROR
+    assert _crypt("ecb", decrypt, key, data + b"x") == cli.USAGE_ERROR
 
 
 @examples
@@ -81,6 +109,8 @@ def test_cbc_encrypt(key, iv, data, bad, bad_iv):
         _aes(key, cm.CBC(iv), False, data)
     _value_error(lambda: modes.cbc_encrypt(bytes(bad), iv, data))
     _value_error(lambda: modes.cbc_encrypt(key, bytes(bad_iv), data))
+    assert _crypt("cbc", False, bytes(bad), data, iv) == cli.USAGE_ERROR
+    assert _crypt("cbc", False, key, data, bytes(bad_iv)) == cli.USAGE_ERROR
 
 
 @examples
@@ -91,6 +121,8 @@ def test_cbc_decrypt(key, iv, data, bad, bad_iv):
         _aes(key, cm.CBC(iv), True, data)
     _value_error(lambda: modes.cbc_decrypt(bytes(bad), iv, data))
     _value_error(lambda: modes.cbc_decrypt(key, bytes(bad_iv), data))
+    assert _crypt("cbc", True, bytes(bad), data, iv) == cli.USAGE_ERROR
+    assert _crypt("cbc", True, key, data, bytes(bad_iv)) == cli.USAGE_ERROR
 
 
 @examples
@@ -101,6 +133,10 @@ def test_ctr_crypt(key, counter0, data, bad, bad_counter):
         _aes(key, cm.CTR(counter0), False, data)
     _value_error(lambda: modes.ctr_crypt(bytes(bad), counter0, data))
     _value_error(lambda: modes.ctr_crypt(key, bytes(bad_counter), data))
+    assert _crypt("ctr", False, bytes(bad), data, counter0) == \
+        cli.USAGE_ERROR
+    assert _crypt("ctr", False, key, data, bytes(bad_counter)) == \
+        cli.USAGE_ERROR
 
 
 ccm_nonces = st.integers(7, 13).flatmap(_exactly)
@@ -117,6 +153,10 @@ def test_ccm_encrypt(key, nonce, aad, pt, tag_len, bad, bad_nonce, bad_tag):
     _value_error(lambda: modes.ccm_encrypt(bytes(bad), nonce, aad, pt))
     _value_error(lambda: modes.ccm_encrypt(key, bytes(bad_nonce), aad, pt))
     _value_error(lambda: modes.ccm_encrypt(key, nonce, aad, pt, bad_tag))
+    assert _crypt("ccm", False, bytes(bad), pt, nonce, aad) == \
+        cli.USAGE_ERROR
+    assert _crypt("ccm", False, key, pt, bytes(bad_nonce), aad) == \
+        cli.USAGE_ERROR
 
 
 @examples
@@ -135,6 +175,14 @@ def test_ccm_decrypt(key, nonce, aad, pt, tag_len, where, mask, bad,
     _value_error(lambda: modes.ccm_decrypt(key, bytes(bad_nonce), aad,
                                            sealed))
     _value_error(lambda: modes.ccm_decrypt(key, nonce, aad, sealed, bad_tag))
+    # The CLI takes 16-byte tags.
+    full = AESCCM(key).encrypt(nonce, pt, aad)
+    assert _crypt("ccm", True, key, _flip(full, where, mask), nonce, aad) == \
+        cli.MISMATCH_ERROR
+    assert _crypt("ccm", True, bytes(bad), full, nonce, aad) == \
+        cli.USAGE_ERROR
+    assert _crypt("ccm", True, key, full, bytes(bad_nonce), aad) == \
+        cli.USAGE_ERROR
 
 
 def _gcm_sealed(key: bytes, iv: bytes, aad: bytes, pt: bytes,
@@ -157,6 +205,8 @@ def test_gcm_encrypt(key, iv, aad, pt, tag_len, bad, bad_tag):
     _value_error(lambda: modes.gcm_encrypt(bytes(bad), iv, aad, pt))
     _value_error(lambda: modes.gcm_encrypt(key, b"", aad, pt))
     _value_error(lambda: modes.gcm_encrypt(key, iv, aad, pt, bad_tag))
+    assert _crypt("gcm", False, bytes(bad), pt, iv, aad) == cli.USAGE_ERROR
+    assert _crypt("gcm", False, key, pt, b"", aad) == cli.USAGE_ERROR
 
 
 @examples
@@ -172,6 +222,12 @@ def test_gcm_decrypt(key, iv, aad, pt, tag_len, where, mask, bad, bad_tag):
     _value_error(lambda: modes.gcm_decrypt(bytes(bad), iv, aad, sealed))
     _value_error(lambda: modes.gcm_decrypt(key, b"", aad, sealed))
     _value_error(lambda: modes.gcm_decrypt(key, iv, aad, sealed, bad_tag))
+    # The CLI takes 16-byte tags.
+    full = _gcm_sealed(key, iv, aad, pt, 16)
+    assert _crypt("gcm", True, key, _flip(full, where, mask), iv, aad) == \
+        cli.MISMATCH_ERROR
+    assert _crypt("gcm", True, bytes(bad), full, iv, aad) == cli.USAGE_ERROR
+    assert _crypt("gcm", True, key, full, b"", aad) == cli.USAGE_ERROR
 
 
 @examples
@@ -188,6 +244,7 @@ def test_sha3_digest(bits, msg, bad):
     assert modes.sha3_digest(bits, msg) == \
         hashlib.new(f"sha3_{bits}", msg).digest()
     _value_error(lambda: modes.sha3_digest(bad, msg))
+    assert _cli(["hash", "--alg", f"sha3-{bad}"], msg) == cli.USAGE_ERROR
 
 
 @examples
@@ -197,6 +254,8 @@ def test_hmac_sha3(bits, key, msg, bad):
     assert modes.hmac_sha3(bits, key, msg) == \
         hmac.new(key, msg, f"sha3_{bits}").digest()
     _value_error(lambda: modes.hmac_sha3(bad, key, msg))
+    assert _cli(["hmac", "--alg", f"sha3-{bad}", "--key", key.hex()],
+                msg) == cli.USAGE_ERROR
 
 
 def test_every_public_function_has_a_differential_test():

@@ -64,6 +64,18 @@ def test_pending_activation_protocol():
         sub.execute(CommandWord.logic_op(1, LogicKind.AND))
 
 
+@pytest.mark.parametrize("access", [
+    lambda s: s.read_row(3), lambda s: s.read_rows(3, 1),
+    lambda s: s.write_row(3, 1), lambda s: s.write_rows(3, [1])],
+    ids=["read_row", "read_rows", "write_row", "write_rows"])
+def test_host_port_refuses_access_during_dual_row_activation(access):
+    # read_row used to return the row while the other three raised.
+    sub = Subarray()
+    sub.execute(CommandWord.act_row(3))
+    with pytest.raises(PendingActivation):
+        access(sub)
+
+
 def test_ext_bit_broadcasts_segmentwise():
     sub = Subarray(block_width=16)
     pattern = sum(1 << (16 * s) for s in range(16) if s % 2)

@@ -7,7 +7,8 @@ env the host actions read and write; ``perfmodel`` stages its
 representative passes through the kernels, not through ``modes``.
 Each row layout lives in one module; ``hostio`` keeps only the SHA3 row
 split that ``perfbench/tracing.py`` imports, and no package module
-imports it.
+imports it.  ``layout.as_bytes`` is the one conversion of bytes-like
+inputs.
 """
 
 import ast
@@ -107,6 +108,22 @@ def test_perfmodel_stages_through_the_kernels_not_modes():
             imported |= {a.name for a in node.names}
     assert not any(name.split(".")[-1] == "modes" for name in imported)
     assert not hasattr(perfmodel.KernelPass, "runs")
+
+
+def test_layout_holds_the_one_bytes_like_conversion():
+    # A memoryview is a conversion unless it is cast to packing words at
+    # once, as keccak's row packing does.
+    converting = []
+    for path in pathlib.Path(pimcrypt.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        casts = {id(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "cast"}
+        converting += [path.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "memoryview"
+                       and id(node) not in casts]
+    assert converting == ["layout.py"]
+    assert not {"_bytes", "_check_block"} & vars(modes).keys()
 
 
 def test_no_package_module_imports_hostio():

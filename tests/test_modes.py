@@ -1,5 +1,7 @@
 """Mode orchestration on the fabric vs the oracle: round-trips and tampering."""
 
+from array import array
+
 import pytest
 
 from pimcrypt import oracle
@@ -455,24 +457,38 @@ def test_ccm_rejects_a_ciphertext_shorter_than_its_tag():
 
 def _bytes_args():
     """Every public function of ``modes`` with valid arguments, the
-    positions of its bytes-like ones, and its output on ``bytes``."""
+    positions of its bytes-like ones with the name a ``TypeError`` for
+    each starts with, and its output on ``bytes``.  Every bytes-like
+    argument is an even number of bytes, so an ``array('H')`` holds
+    it."""
     key, key32 = bytes(range(16)), bytes(range(32))
     iv, block = bytes(16), bytes(range(1, 17))
     msg, aad = bytes(range(40)), b"header"
-    ccm = modes.ccm_encrypt(key, bytes(13), aad, msg)
+    ccm = modes.ccm_encrypt(key, bytes(12), aad, msg)
     gcm = modes.gcm_encrypt(key32, bytes(12), aad, msg)
+    cbc = {0: "AES key", 1: "CBC IV", 2: "CBC input"}
     return {
-        "ecb_crypt": ((key, block * 2), (0, 1)),
-        "cbc_encrypt": ((key, iv, block * 2), (0, 1, 2)),
-        "cbc_decrypt": ((key, iv, block * 2), (0, 1, 2)),
-        "ctr_crypt": ((key, block, msg), (0, 1, 2)),
-        "ccm_encrypt": ((key, bytes(13), aad, msg), (0, 1, 2, 3)),
-        "ccm_decrypt": ((key, bytes(13), aad, ccm), (0, 1, 2, 3)),
-        "gcm_encrypt": ((key32, bytes(12), aad, msg), (0, 1, 2, 3)),
-        "gcm_decrypt": ((key32, bytes(12), aad, gcm), (0, 1, 2, 3)),
-        "ghash_digest": ((block, msg[:32]), (0, 1)),
-        "sha3_digest": ((256, msg), (1,)),
-        "hmac_sha3": ((256, key, msg), (1, 2)),
+        "ecb_crypt": ((key, block * 2), {0: "AES key", 1: "ECB input"}),
+        "cbc_encrypt": ((key, iv, block * 2), cbc),
+        "cbc_decrypt": ((key, iv, block * 2), cbc),
+        "ctr_crypt": ((key, block, msg),
+                      {0: "AES key", 1: "CTR counter block", 2: "CTR input"}),
+        "ccm_encrypt": ((key, bytes(12), aad, msg),
+                        {0: "AES key", 1: "CCM input", 2: "CCM input",
+                         3: "CCM input"}),
+        "ccm_decrypt": ((key, bytes(12), aad, ccm),
+                        {0: "AES key", 1: "CCM input", 2: "CCM input",
+                         3: "CCM input"}),
+        "gcm_encrypt": ((key32, bytes(12), aad, msg),
+                        {0: "AES key", 1: "GCM input", 2: "GCM input",
+                         3: "GCM input"}),
+        "gcm_decrypt": ((key32, bytes(12), aad, gcm),
+                        {0: "AES key", 1: "GCM input", 2: "GCM input",
+                         3: "GCM input"}),
+        "ghash_digest": ((block, msg[:32]),
+                         {0: "GHASH hash key", 1: "GHASH input"}),
+        "sha3_digest": ((256, msg), {1: "SHA3 message"}),
+        "hmac_sha3": ((256, key, msg), {1: "HMAC input", 2: "HMAC input"}),
     }
 
 
@@ -481,18 +497,19 @@ _BYTES_ARGS = _bytes_args()
 
 @pytest.mark.parametrize("name", sorted(set(modes.__all__) - {"TagMismatch"}))
 def test_bytes_like_arguments(name):
-    # Any bytes-like value is read as its bytes; str is no bytes-like
-    # value, and an int is not read as a length.
+    # Any bytes-like value is read as its bytes, a non-byte array's too;
+    # str is no bytes-like value, an int is not read as a length, and
+    # the TypeError names the argument it rejects.
     fn = getattr(modes, name)
     args, where = _BYTES_ARGS[name]
     want = fn(*args)
     assert type(want) is bytes
-    for kind in (bytearray, memoryview):
+    for kind in (bytearray, memoryview, lambda a: array("H", a)):
         got = fn(*(kind(a) if i in where else a for i, a in enumerate(args)))
         assert type(got) is bytes and got == want, kind
-    for i in where:
+    for i, what in where.items():
         for bad in (args[i].hex(), len(args[i])):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=f"^{what}: "):
                 fn(*(bad if j == i else a for j, a in enumerate(args)))
 
 
