@@ -44,7 +44,9 @@ records to the caller's list and returns the statistics they count.
 Either raises :class:`~pimcrypt.fabric.PendingActivation` for a run that
 starts during a pending activation, and
 :class:`~pimcrypt.fabric.BlockWidthMismatch` for one on a subarray of
-another block width, before anything runs.
+another block width, before anything runs.  An exception a host action
+raises keeps its type and message and gains a note naming the program,
+the host action's kind and its schedule position.
 
 A run on a subarray with K lanes is K passes in lockstep, one per lane,
 and its :class:`ExecutionStats` count all of them: invocations,
@@ -178,9 +180,9 @@ class Controller:
         self.program = program
         self._windows: dict[str, CompiledWindow] = {}
         self._validate()
-        actions_at: dict[int, list[tuple[str, dict]]] = {}
+        actions_at: dict[int, list[HostAction]] = {}
         for a in program.host_actions:
-            actions_at.setdefault(a.position, []).append((a.kind, a.params))
+            actions_at.setdefault(a.position, []).append(a)
         cuts = sorted(actions_at.keys() | {0})
         # The schedule cut at host-action slots: (host actions, the
         # invocations after them) in run order.
@@ -308,6 +310,15 @@ class Controller:
             raise PendingActivation(f"run starts during the activation of "
                                     f"row {sub.pending_row}")
 
+    def _host(self, actions, sub: Subarray, env: dict) -> None:
+        for a in actions:
+            try:
+                HOST_ACTIONS[a.kind](sub, env, **a.params)
+            except Exception as exc:
+                exc.add_note(f"program {self.program.name}: host action "
+                             f"{a.kind} at schedule position {a.position}")
+                raise
+
     def run(self, sub: Subarray, env: dict | None = None) -> None:
         """Run the program on ``sub`` with the host actions reading and
         writing ``env``.  Counts nothing; see :func:`count_runs`."""
@@ -315,8 +326,7 @@ class Controller:
         env = env if env is not None else {}
         for (actions, _), compiled in zip(self._segments,
                                           self._plan_for(sub)[0]):
-            for kind, params in actions:
-                HOST_ACTIONS[kind](sub, env, **params)
+            self._host(actions, sub, env)
             if compiled is not None:
                 sub.run(compiled)
 
@@ -329,8 +339,7 @@ class Controller:
         env = env if env is not None else {}
         stats = ExecutionStats()
         for actions, invocations in self._segments:
-            for kind, params in actions:
-                HOST_ACTIONS[kind](sub, env, **params)
+            self._host(actions, sub, env)
             for inv in invocations:
                 start = len(records)
                 for g in range(inv.iteration_base,

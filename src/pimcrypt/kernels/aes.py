@@ -59,7 +59,7 @@ from . import circuits
 from .layout import LayoutMap, _logic, _shift_into, as_bytes, pack_functions
 
 __all__ = ["AES_LAYOUT", "BLOCKS_PER_PASS", "Key", "build_aes_program",
-           "expand_key_words", "key_rows", "gen_bit_slice_fwd",
+           "controller", "expand_key_words", "key_rows", "gen_bit_slice_fwd",
            "gen_bit_slice_inv", "gen_add_round_key", "gen_sub_bytes",
            "gen_shift_rows", "gen_mix_columns", "gen_chain_xor"]
 
@@ -493,9 +493,13 @@ def key_rows(round_keys: list[bytes]) -> LaneRows:
                      for r in range(n) for field in fields[r::n]])
 
 
-# Programs depend on their build arguments alone, never on key or data.
-@lru_cache(maxsize=None)
-def _controller(variant: int, direction: str, chain: str | None) -> Controller:
+# Typed, so that 128.0 never finds 128's program unchecked.
+@lru_cache(maxsize=None, typed=True)
+def controller(variant: int, direction: str, chain: str | None,
+               /) -> Controller:
+    """The validated program of a run's shape, one object per shape, as no
+    program depends on key or data; :meth:`Key.stage` picks its runs'
+    programs here.  ``ValueError`` as :func:`build_aes_program`."""
     return Controller(build_aes_program(variant, direction, chain))
 
 
@@ -537,7 +541,7 @@ class Key:
                                  f"{len(blocks)} blocks")
         # _CHAINS lists None, "pre", "post" and "both" in this order.
         chain = _CHAINS[bool(pre) + 2 * bool(post)]
-        return (_controller(self.variant, self.direction, chain),
+        return (controller(self.variant, self.direction, chain),
                 dict(self.env, blocks=blocks, chain_blocks=pre or post,
                      post_chain_blocks=post))
 

@@ -36,10 +36,10 @@ from ..isa import CommandWord, LogicKind
 from .layout import (LayoutMap, _check_flags, _logic, _shift_into, as_bytes,
                      pack_functions)
 
-__all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "stage", "stage_fold",
-           "build_ghash_program", "build_ghash_fold_program",
-           "gen_byte_arrange", "gen_byte_aligning", "gen_galois_mult",
-           "mask_values"]
+__all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "controller", "fold_controller",
+           "stage", "stage_fold", "build_ghash_program",
+           "build_ghash_fold_program", "gen_byte_arrange", "gen_byte_aligning",
+           "gen_galois_mult", "mask_values"]
 
 GHASH_LAYOUT = LayoutMap({
     "mult": (0, 1),        # V: shifted copy of H
@@ -201,13 +201,19 @@ def build_ghash_fold_program(nrows: int) -> KernelProgram:
         block_width=BLOCK_WIDTH)
 
 
-@lru_cache(maxsize=None)
-def _controller(nblocks: int, final: bool) -> Controller:
+# Typed, so that 1 never finds True's program unchecked.
+@lru_cache(maxsize=None, typed=True)
+def controller(nblocks: int, final: bool, /) -> Controller:
+    """The validated program of a pass of ``nblocks`` blocks per lane, one
+    object per shape (``first`` is an env flag); :func:`stage` picks its
+    runs' programs here.  ``ValueError`` as :func:`build_ghash_program`."""
     return Controller(build_ghash_program(nblocks, final))
 
 
-@lru_cache(maxsize=None)
-def _fold_controller(nrows: int) -> Controller:
+@lru_cache(maxsize=None, typed=True)
+def fold_controller(nrows: int, /) -> Controller:
+    """The validated fold of ``nrows`` rows, which :func:`stage_fold`
+    picks.  ``ValueError`` as :func:`build_ghash_fold_program`."""
     return Controller(build_ghash_fold_program(nrows))
 
 
@@ -220,7 +226,6 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     key per lane, every lane has as many blocks, every hash key and block
     is 16 bytes and both flags are bools; ``TypeError`` for a key or
     block that is not bytes-like."""
-    # Before the program cache, which would take 1 for True.
     _check_flags(first=first, final=final)
     if not blocks or len(set(map(len, blocks))) != 1:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
@@ -230,7 +235,7 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
                          f"block lists")
     hash_keys = as_bytes("GHASH hash key", hash_keys)
     blocks = [as_bytes("GHASH block", lane) for lane in blocks]
-    return (_controller(len(blocks[0]), final),
+    return (controller(len(blocks[0]), final),
             {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
 
 
@@ -240,7 +245,7 @@ def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
     ``ValueError`` unless every block is 16 bytes, ``TypeError`` unless
     every block is bytes-like."""
     blocks = as_bytes("GHASH block", blocks)
-    return _fold_controller(len(blocks)), {"fold_blocks": blocks}
+    return fold_controller(len(blocks)), {"fold_blocks": blocks}
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ from ..isa import CommandWord, LogicKind
 from .layout import (LayoutMap, _check_flags, _logic, _shift_into, as_bytes,
                      pack_functions)
 
-__all__ = ["SHA3_LAYOUT", "SHA3_LANES", "RATE_BYTES", "rate", "stage",
-           "build_sha3_program", "gen_theta", "gen_rho_pi", "gen_pi",
-           "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
+__all__ = ["SHA3_LAYOUT", "SHA3_LANES", "RATE_BYTES", "rate", "controllers",
+           "stage", "build_sha3_program", "gen_theta", "gen_rho_pi",
+           "gen_pi", "gen_chi", "gen_iota", "gen_add_state", "pad_sha3"]
 
 SHA3_LAYOUT = LayoutMap({
     "lanes": (0, 25),
@@ -256,10 +256,23 @@ def build_sha3_program(bits: int, key_prep: bool = False, first: bool = True,
         host_actions=actions, block_width=BLOCK_WIDTH)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _controller(bits: int, key_prep: bool, first: bool,
                 final: bool) -> Controller:
     return Controller(build_sha3_program(bits, key_prep, first, final))
+
+
+def controllers(bits: int, nblocks: int, keyed: bool, /) -> list[Controller]:
+    """A sponge's validated programs, one per rate block in run order and
+    one object per flag set; :func:`stage` picks its runs' programs here.
+    ``ValueError`` unless ``bits`` is a SHA3 output size, ``nblocks`` an
+    int >= 1 and ``keyed`` (HMAC key preparation) a bool."""
+    _check_flags(keyed=keyed)
+    if type(nblocks) is not int or nblocks < 1:
+        raise ValueError(f"nblocks must be an int >= 1, got {nblocks!r}")
+    last = nblocks - 1
+    return [_controller(bits, keyed and i == 0, i == 0, i == last)
+            for i in range(nblocks)]
 
 
 def stage(bits: int, msgs: list[bytes],
@@ -288,12 +301,11 @@ def stage(bits: int, msgs: list[bytes],
     if len(set(map(len, padded))) != 1:
         raise ValueError("batched messages must pad to equal block counts")
     blocks = _stage_blocks(padded, r)
-    last = len(blocks) - 1
     # Each run loads its env's first block; the first run's env holds
     # every block of the sponge, as sha3_init is where a tracer sees it.
-    runs = [(_controller(bits, pad_byte is not None and i == 0, i == 0,
-                         i == last), {"blocks": blocks if i == 0 else [row]})
-            for i, row in enumerate(blocks)]
+    runs = [(ctrl, {"blocks": blocks if i == 0 else [row]})
+            for i, (ctrl, row) in enumerate(zip(
+                controllers(bits, len(blocks), pad_byte is not None), blocks))]
     if pad_byte is not None:
         runs[0][1]["pad_byte"] = pad_byte
     return runs

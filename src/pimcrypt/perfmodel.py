@@ -6,22 +6,24 @@ Throughput of one kernel is modeled as
 
 where cycles are those of one representative pass of the kernel program
 on the simulated fabric (1 cycle per command plus 1 per 1-bit shift step
-by default).  ``kernel_passes`` is the one registry of those passes:
-``measure_kernels`` counts it (``KernelPass.count``), ``pimcrypt trace``
-runs it command by command (``KernelPass.trace``), and the engine tests
-run it on both engines.  The registry only
-chooses the pass's inputs; each kernel module stages them
-(``aes.Key.stage``, ``ghash.stage``, ``keccak.stage``), as it does for
-every mode call.
+by default).  ``kernel_passes`` is the one registry of those passes, each
+written once as its shape and its inputs: ``measure_kernels`` counts
+them from the shape alone (``KernelPass.count``), ``pimcrypt trace``
+stages the inputs and runs them command by command (``KernelPass.trace``),
+and the engine tests stage and run them on both engines.  Each kernel
+module names a shape's validated programs (``aes.controller``,
+``keccak.controllers``, ``ghash.controller``) and stages inputs through
+those same programs (``aes.Key.stage``, ``keccak.stage``,
+``ghash.stage``), as it does for every mode call.
 
-The count is exact without running a command: a run's statistics depend
-only on its validated program, the lane count and the cost model, never
-on data, so ``controller.count_runs`` gives what a run on the fabric
-counts, and the engine tests check it against the reference
-interpreter's own count on every registry pass.  The control-overhead
-table (commands per iteration and iterations per function) is read from
-the measured passes' per-function statistics, so nothing here builds a
-program.
+The count is exact without staging an input or running a command: a
+run's statistics depend only on its validated program, the lane count
+and the cost model, never on data, so ``controller.count_runs`` gives
+what a run on the fabric counts, and the engine tests check it against
+the reference interpreter's own count on every registry pass.  The
+control-overhead table (commands per iteration and iterations per
+function) is read from the measured passes' per-function statistics, so
+nothing here builds a program.
 
 The reference hardware is a 256 KiB SRAM of 4 KiB subarrays (64 total)
 with 25/50/100% of them compute-enabled, clocked and powered like the
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Mapping
 
 from .controller import (Controller, ExecutionStats, FunctionStats,
@@ -194,34 +195,37 @@ class KernelPass:
     """One representative pass of a kernel: what ``measure_kernels``
     measures and ``pimcrypt trace`` shows.
 
-    ``build`` returns the pass's runs as (validated program, env) pairs
-    from the kernels' staging functions, which the mode functions use
-    too: one list per subarray, in run order, with programs from the
-    kernels' caches.  Host actions write only the run's output into an
-    env, so a staged run can run again.  Each list runs on a fresh
-    subarray: a SHA3 sponge's block runs share one, and an HMAC's inner
-    and outer sponges have one each.
+    Both callables return one list per subarray, in run order: a SHA3
+    sponge's block runs share one, and an HMAC's inner and outer sponges
+    have one each.  ``programs`` names the validated programs from the
+    pass's shape alone, through the kernels' shape functions, and stages
+    nothing.  ``build`` stages the pass's inputs through the kernels'
+    staging functions, which the mode functions use too, and returns
+    (program, env) runs of the same programs.  Host actions write only
+    the run's output into an env, so a staged run can run again.
     """
     family: str               # calibration family: aes / sha3 / ghash
     payload_bytes: int        # per subarray pass
+    programs: Callable[[], list[list[Controller]]]
     build: Callable[[], list[list[tuple[Controller, dict]]]]
 
     def count(self, cost: CycleCostModel) -> ExecutionStats:
         """The pass's statistics on one-lane subarrays under ``cost``,
-        counted without running a command: each run's statistics are
-        fixed by its validated program, the lane count and the cost
-        model (``controller.count_runs``)."""
-        stats, subs = ExecutionStats(), self.build()
+        counted from its programs alone, with no input staged and no
+        command run: each run's statistics are fixed by its validated
+        program, the lane count and the cost model
+        (``controller.count_runs``)."""
+        stats, subs = ExecutionStats(), self.programs()
         # One kernel's runs, so one block width.
-        sub = Subarray(block_width=subs[0][0][0].program.block_width,
+        sub = Subarray(block_width=subs[0][0].program.block_width,
                        cost_model=cost)
-        count_runs(stats, ((ctrl, sub) for runs in subs for ctrl, _ in runs))
+        count_runs(stats, ((ctrl, sub) for ctrls in subs for ctrl in ctrls))
         return stats
 
     def trace(self, cost: CycleCostModel, records: list) -> ExecutionStats:
-        """Run the pass on the reference interpreter, on one-lane
-        subarrays under ``cost``: append its records to ``records`` and
-        return the statistics they count."""
+        """Stage the pass and run it on the reference interpreter, on
+        one-lane subarrays under ``cost``: append its records to
+        ``records`` and return the statistics they count."""
         stats = ExecutionStats()
         for runs in self.build():
             sub = Subarray(block_width=runs[0][0].program.block_width,
@@ -240,47 +244,49 @@ def _ramp(start: int, n: int) -> bytes:
     return (_BYTES * (2 + n // 256))[start % 256:][:n]
 
 
-def _aes_runs(variant: int,
-             direction: str) -> list[list[tuple[Controller, dict]]]:
-    blocks = [_ramp(17 * i, 16) for i in range(aes.BLOCKS_PER_PASS)]
-    key = aes.Key(bytes(range(variant // 8)), direction)
-    chain = {"pre" if direction == "encrypt" else "post": blocks[::-1]}
-    return [[key.stage(blocks, **chain)]]
+_AES_BLOCKS = [_ramp(17 * i, 16) for i in range(aes.BLOCKS_PER_PASS)]
 
 
-def _sha3_runs(bits: int) -> list[list[tuple[Controller, dict]]]:
-    msg = _ramp(0, 3 * keccak.RATE_BYTES[bits])
-    return [keccak.stage(bits, [msg])]          # 4 blocks, 4 runs
+def _aes_pass(variant: int, direction: str) -> KernelPass:
+    # CBC's chain XOR: before the rounds to encrypt, after them to decrypt.
+    chain = "pre" if direction == "encrypt" else "post"
+    key, blocks = bytes(range(variant // 8)), _AES_BLOCKS
+    return KernelPass(
+        "aes", 16 * len(blocks),
+        lambda: [[aes.controller(variant, direction, chain)]],
+        lambda: [[aes.Key(key, direction).stage(
+            blocks, **{chain: blocks[::-1]})]])
 
 
-def _hmac_runs(bits: int) -> list[list[tuple[Controller, dict]]]:
-    rate = keccak.RATE_BYTES[bits]
-    key = msg = _ramp(0, rate)
-    # inner: key block + 2 message blocks; outer: key block + digest block
-    return [keccak.stage(bits, [key + tail], 0x36)
-            for tail in (msg, bytes(bits // 8))]
-
-
-def _ghash_runs() -> list[list[tuple[Controller, dict]]]:
-    blocks = [bytes([i] * 16) for i in range(ghash.BLOCKS_PER_PASS)]
-    return [[ghash.stage([bytes(range(16))], [blocks], True, False)]]
+def _sha3_pass(bits: int, payload_bytes: int, msgs: list[bytes],
+               pad_byte: int | None = None) -> KernelPass:
+    # One sponge per message; n bytes pad to n // rate + 1 blocks.
+    rate = keccak.rate(bits)
+    return KernelPass(
+        "sha3", payload_bytes,
+        lambda: [keccak.controllers(bits, len(m) // rate + 1,
+                                    pad_byte is not None) for m in msgs],
+        lambda: [keccak.stage(bits, [m], pad_byte) for m in msgs])
 
 
 def kernel_passes() -> dict[str, KernelPass]:
     """The representative pass of every measured kernel, by name."""
-    passes = {}
-    for variant in (128, 256):
-        for direction in ("encrypt", "decrypt"):
-            passes[f"aes-{variant}-{direction}"] = KernelPass(
-                "aes", 16 * aes.BLOCKS_PER_PASS,
-                partial(_aes_runs, variant, direction))
+    passes = {f"aes-{variant}-{direction}": _aes_pass(variant, direction)
+              for variant in (128, 256)
+              for direction in ("encrypt", "decrypt")}
     for bits, rate in keccak.RATE_BYTES.items():
-        passes[f"sha3-{bits}"] = KernelPass(
-            "sha3", keccak.SHA3_LANES * 3 * rate, partial(_sha3_runs, bits))
-        passes[f"hmac-sha3-{bits}"] = KernelPass(
-            "sha3", keccak.SHA3_LANES * rate, partial(_hmac_runs, bits))
-    passes["ghash"] = KernelPass("ghash", 16 * ghash.BLOCKS_PER_PASS,
-                                 _ghash_runs)
+        key = msg = _ramp(0, rate)
+        passes[f"sha3-{bits}"] = _sha3_pass(      # 4 blocks, 4 runs
+            bits, keccak.SHA3_LANES * 3 * rate, [_ramp(0, 3 * rate)])
+        # inner: key block + 2 message blocks; outer: key block + digest
+        passes[f"hmac-sha3-{bits}"] = _sha3_pass(
+            bits, keccak.SHA3_LANES * rate,
+            [key + msg, key + bytes(bits // 8)], 0x36)
+    blocks = [bytes([i] * 16) for i in range(ghash.BLOCKS_PER_PASS)]
+    passes["ghash"] = KernelPass(
+        "ghash", 16 * len(blocks),
+        lambda: [[ghash.controller(len(blocks), False)]],
+        lambda: [[ghash.stage([bytes(range(16))], [blocks], True, False)]])
     return passes
 
 

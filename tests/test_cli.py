@@ -135,9 +135,9 @@ def test_trace_accepts_exactly_the_measured_kernels(capsys):
 
 def test_bench_json(capsys):
     assert run(["bench", "--format", "json"]) == 0
-    import json
     payload = json.loads(capsys.readouterr().out)
-    assert "calibration" in payload and payload["rows"]
+    assert payload["rows"] and all(r["ok"] is True for r in payload["rows"])
+    assert sorted(payload["calibration"]) == ["aes", "ghash", "sha3"]
 
 
 @pytest.mark.parametrize("mode,iv", [("gcm", "00" * 12), ("ccm", "00" * 13)])

@@ -8,6 +8,7 @@ from pimcrypt.controller import (COMMAND_ARRAY_BYTES, Controller,
 from pimcrypt.fabric import (BlockWidthMismatch, PendingActivation, Subarray,
                              WindowRejected, compile_window)
 from pimcrypt.isa import CommandWord, LogicKind, Opcode
+from pimcrypt.kernels import aes, ghash
 
 
 def prog_of(commands, functions, schedule, actions=(), width=256):
@@ -289,3 +290,24 @@ def test_run_on_another_block_width_raises_and_leaves_the_subarray():
         with pytest.raises(BlockWidthMismatch, match="64.*16"):
             ctrl.run(sub) if trace is None else ctrl.trace(sub, trace)
         assert sub.block_width == 16 and sub.read_row(1) == 0
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["run", "trace"])
+@pytest.mark.parametrize("stage,message,note", [
+    (lambda: aes.Key(bytes(16), "encrypt").stage([bytes(16)] * 17),
+     "17 blocks for 16 tiles",
+     "program aes-128-encrypt: host action aes_load at schedule position 0"),
+    (lambda: ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True),
+     "2 hash keys and 2 block lists for 1 lanes",
+     "program ghash-1blk: host action ghash_load at schedule position 0"),
+], ids=["aes_load", "ghash_load"])
+def test_a_failing_host_action_names_its_program_kind_and_slot(
+        stage, message, note, traced):
+    # Staged for more tiles or lanes than a one-lane subarray has, so the
+    # load finds the count only once it runs.
+    ctrl, env = stage()
+    sub = Subarray(block_width=ctrl.program.block_width)
+    with pytest.raises(ValueError) as info:
+        ctrl.trace(sub, [], env) if traced else ctrl.run(sub, env)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert info.value.__notes__ == [note]

@@ -17,6 +17,7 @@ import pathlib
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pimcrypt
 from pimcrypt import cli, perfmodel
@@ -68,6 +69,41 @@ def _staged_runs() -> list[tuple[Controller, dict]]:
     runs.append(ghash.stage_fold(blocks))
     runs += keccak.stage(256, [b"abc", b"de"], 0x5C)
     return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_each_kernel_stages_the_programs_its_shape_names(data):
+    # Each kernel module picks programs in one place, its shape function,
+    # so a staged run holds the very object the shape names.
+    variant = data.draw(st.sampled_from([128, 256]))
+    direction = data.draw(st.sampled_from(["encrypt", "decrypt"]))
+    blocks = [bytes([i]) * 16 for i in
+              range(data.draw(st.integers(1, aes.BLOCKS_PER_PASS)))]
+    pre, post = (blocks if data.draw(st.booleans()) else None
+                 for _ in range(2))
+    ctrl, _ = aes.Key(bytes(variant // 8), direction).stage(blocks, pre, post)
+    chain = {(0, 0): None, (1, 0): "pre", (0, 1): "post", (1, 1): "both"}[
+        pre is not None, post is not None]
+    assert ctrl is aes.controller(variant, direction, chain)
+
+    bits = data.draw(st.sampled_from(sorted(keccak.RATE_BYTES)))
+    rate, nblocks = keccak.RATE_BYTES[bits], data.draw(st.integers(1, 4))
+    msgs = [bytes(data.draw(st.integers((nblocks - 1) * rate,
+                                        nblocks * rate - 1)))
+            for _ in range(data.draw(st.integers(1, keccak.SHA3_LANES)))]
+    pad_byte = data.draw(st.none() | st.integers(0, 255))
+    staged = [id(ctrl) for ctrl, _ in keccak.stage(bits, msgs, pad_byte)]
+    shaped = keccak.controllers(bits, nblocks, pad_byte is not None)
+    assert staged == [*map(id, shaped)] and len(staged) == nblocks
+
+    n, final = data.draw(st.integers(1, 8)), data.draw(st.booleans())
+    hblocks = [bytes([i]) * 16 for i in range(n)]
+    ctrl, _ = ghash.stage([bytes(16)], [hblocks], data.draw(st.booleans()),
+                          final)
+    assert ctrl is ghash.controller(n, final)
+    rows = [bytes([i]) * 16 for i in range(data.draw(st.integers(2, 32)))]
+    assert ghash.stage_fold(rows)[0] is ghash.fold_controller(len(rows))
 
 
 def test_modes_names_no_host_action_env_key():

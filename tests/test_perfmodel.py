@@ -9,6 +9,7 @@ import pytest
 from pimcrypt import perfmodel as pm
 from pimcrypt.controller import ExecutionStats, count_runs
 from pimcrypt.fabric import CycleCostModel, Subarray
+from pimcrypt.kernels import aes, ghash, keccak
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_counts.json").read_text())
@@ -29,12 +30,15 @@ def test_golden_cycles(measurements):
         assert measurements[name].cycles == expect, name
 
 
-@pytest.mark.parametrize("cost", [CycleCostModel(), CycleCostModel(2, 1),
-                                  CycleCostModel(1, 0)], ids=repr)
-def test_measured_stats_are_those_of_running_each_pass(cost):
-    # measure_kernels counts the passes without running them; running
-    # every staged run on the compiled engine counts the same.
-    ms = pm.measure_kernels(cost)
+COSTS = pytest.mark.parametrize(
+    "cost", [CycleCostModel(), CycleCostModel(2, 1), CycleCostModel(1, 0)],
+    ids=repr)
+
+
+def ran_stats(cost) -> dict:
+    """Every registry pass staged and run on the compiled engine, by name:
+    the statistics its runs count and the cycles its subarrays clock."""
+    out = {}
     for name, kp in pm.kernel_passes().items():
         ran, cycles = ExecutionStats(), 0
         for runs in kp.build():
@@ -44,8 +48,45 @@ def test_measured_stats_are_those_of_running_each_pass(cost):
                 ctrl.run(sub, env)
                 count_runs(ran, [(ctrl, sub)])
             cycles += sub.cycle_count
+        out[name] = ran, cycles
+    return out
+
+
+@COSTS
+def test_measured_stats_are_those_of_running_each_pass(cost):
+    # measure_kernels counts the passes without running them; running
+    # every staged run on the compiled engine counts the same.
+    ms = pm.measure_kernels(cost)
+    for name, (ran, cycles) in ran_stats(cost).items():
         assert ms[name].stats == ran, name
         assert ms[name].cycles == ran.cycles == cycles, name
+
+
+@COSTS
+def test_measuring_stages_no_input(cost, monkeypatch):
+    # The count reads each pass's programs from its shape alone: no key
+    # is expanded, no key or message row packed, no run staged.
+    ran = ran_stats(cost)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_kernels staged an input")
+
+    for owner, name in ((aes, "expand_key_words"), (aes, "key_rows"),
+                        (aes.Key, "stage"), (keccak, "_stage_blocks"),
+                        (keccak, "stage"), (ghash, "stage")):
+        monkeypatch.setattr(owner, name, refuse)
+    ms = pm.measure_kernels(cost)
+    assert {name: m.stats for name, m in ms.items()} == {
+        name: stats for name, (stats, _) in ran.items()}
+    if cost == CycleCostModel():
+        assert {name: m.cycles for name, m in ms.items()} == GOLDEN["cycles"]
+
+
+def test_a_pass_counts_the_programs_it_stages():
+    # The same objects, per subarray and in run order.
+    for name, kp in pm.kernel_passes().items():
+        staged = [[id(ctrl) for ctrl, _ in runs] for runs in kp.build()]
+        assert [[*map(id, ctrls)] for ctrls in kp.programs()] == staged, name
 
 
 def test_measuring_runs_no_command(monkeypatch):

@@ -233,3 +233,45 @@ def test_build_sha3_program(data):
     else:
         args[where] = data.draw(NOT_BOOL)
     rejected(lambda: keccak.build_sha3_program(**args))
+
+
+# Each shape function's valid arguments, and wrong values for each: among
+# them one equal to the valid value but of another type.
+SHAPES = {
+    aes.controller: ((128, "encrypt", None), (
+        st.one_of(NOT_INT, st.booleans(), st.just(128.0),
+                  st.integers().filter(lambda v: v not in (128, 256))),
+        st.one_of(NOT_BOOL, st.text(max_size=10)).filter(
+            lambda d: d not in aes._DIRECTIONS),
+        st.one_of(st.integers(), st.booleans(), st.text(max_size=6)).filter(
+            lambda c: c not in aes._CHAINS))),
+    keccak.controllers: ((256, 2, False), (
+        st.one_of(NOT_INT, st.booleans(), st.just(256.0),
+                  st.integers().filter(lambda b: b not in keccak.RATE_BYTES)),
+        st.one_of(NOT_INT, st.booleans(), st.just(2.0),
+                  st.integers(max_value=0)),
+        NOT_BOOL)),
+    ghash.controller: ((8, True), (
+        st.one_of(NOT_INT, st.booleans(), st.just(8.0),
+                  st.integers().filter(
+                      lambda n: not 1 <= n <= ghash.BLOCKS_PER_PASS)),
+        st.one_of(NOT_BOOL, st.just(1)))),
+    ghash.fold_controller: ((2,), (
+        st.one_of(NOT_INT, st.booleans(), st.just(2.0),
+                  st.integers().filter(lambda n: not 2 <= n <= 32)),)),
+}
+
+
+@SETTINGS
+@given(st.data())
+def test_shape_functions(data):
+    # Each is cached by its arguments' values and types, so a wrong one
+    # never finds the cached program of the valid value it equals (True
+    # and 1, 128 and 128.0): it reaches the builder's checks.
+    shape = data.draw(st.sampled_from(list(SHAPES)), label="shape")
+    valid, wrong = SHAPES[shape]
+    shape(*valid)
+    where = data.draw(st.integers(0, len(valid) - 1))
+    args = list(valid)
+    args[where] = data.draw(wrong[where])
+    rejected(lambda: shape(*args))
