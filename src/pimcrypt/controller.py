@@ -36,8 +36,8 @@ builds, once per lane count and cost model, a plan: the schedule cut at
 the host-action slots into stretches of invocations, each bound as one
 :class:`~pimcrypt.fabric.CompiledRun`, and the run's
 :class:`ExecutionStats`.  A run then does the host actions and one
-fabric call per stretch, and counts nothing: :func:`count_runs` adds
-what any number of runs count from their plans, without running them.
+fabric call per stretch, and counts nothing: :meth:`Controller.count`
+and :func:`count_runs` add what runs count from the plan, running none.
 :meth:`Controller.trace` runs the program on the reference interpreter
 instead, one command sequence per iteration, appends the interpreter's
 records to the caller's list and returns the statistics they count.
@@ -55,6 +55,7 @@ iterations, commands and cycles equal the sums of K one-lane runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -147,10 +148,17 @@ class ExecutionStats:
         self.commands += commands
         self.cycles += cycles
 
-    def merge(self, other: "ExecutionStats") -> None:
-        for name, fs in other.per_function.items():
-            self.add(name, fs.invocations, fs.iterations, fs.commands,
-                     fs.cycles)
+    def merge(self, other: "ExecutionStats", times: int = 1) -> None:
+        """Add ``times`` times ``other``'s counts, sharing no object."""
+        for name, o in other.per_function.items():
+            fs = (self.per_function.get(name)
+                  or self.per_function.setdefault(name, FunctionStats()))
+            fs.invocations += times * o.invocations
+            fs.iterations += times * o.iterations
+            fs.commands += times * o.commands
+            fs.cycles += times * o.cycles
+        self.commands += times * other.commands
+        self.cycles += times * other.cycles
 
 
 def _ints(*values) -> bool:
@@ -293,12 +301,20 @@ class Controller:
             runs.append(CompiledRun(calls, lanes, cost) if calls else None)
         return runs, stats
 
-    def _plan_for(self, sub: Subarray) -> tuple:
-        key = (sub.lanes, sub.cost_model)
-        plan = self._plans.get(key)
+    def _plan_for(self, lanes: int, cost: CycleCostModel) -> tuple:
+        plan = self._plans.get((lanes, cost))
         if plan is None:
-            self._plans[key] = plan = self._plan(*key)
+            self._plans[lanes, cost] = plan = self._plan(lanes, cost)
         return plan
+
+    def count(self, stats: ExecutionStats, lanes: int,
+              cost: CycleCostModel) -> None:
+        """Add what one run on ``lanes`` lanes under ``cost`` counts."""
+        if not isinstance(cost, CycleCostModel):
+            raise TypeError(f"cost {cost!r} is no CycleCostModel")
+        if type(lanes) is not int or lanes < 1:
+            raise ValueError(f"lanes must be a positive int, got {lanes!r}")
+        stats.merge(self._plan_for(lanes, cost)[1])
 
     def _check(self, sub: Subarray) -> None:
         if sub.block_width != self.program.block_width:
@@ -324,8 +340,8 @@ class Controller:
         writing ``env``.  Counts nothing; see :func:`count_runs`."""
         self._check(sub)
         env = env if env is not None else {}
-        for (actions, _), compiled in zip(self._segments,
-                                          self._plan_for(sub)[0]):
+        for (actions, _), compiled in zip(
+                self._segments, self._plan_for(sub.lanes, sub.cost_model)[0]):
             self._host(actions, sub, env)
             if compiled is not None:
                 sub.run(compiled)
@@ -358,10 +374,5 @@ def count_runs(stats: ExecutionStats,
     """Count untraced ``runs``, (program, subarray) pairs, into ``stats``
     without running them: each distinct pair adds its plan's statistics
     once, times the number of its runs."""
-    counts: dict[tuple[Controller, Subarray], int] = {}
-    for pair in runs:
-        counts[pair] = counts.get(pair, 0) + 1
-    for (ctrl, sub), n in counts.items():
-        for name, fs in ctrl._plan_for(sub)[1].per_function.items():
-            stats.add(name, n * fs.invocations, n * fs.iterations,
-                      n * fs.commands, n * fs.cycles)
+    for (ctrl, sub), n in Counter(runs).items():
+        stats.merge(ctrl._plan_for(sub.lanes, sub.cost_model)[1], n)

@@ -247,6 +247,8 @@ class Subarray:
             raise BlockWidthMismatch(f"unsupported block width {block_width}")
         if type(lanes) is not int or lanes < 1:
             raise ValueError(f"lanes must be a positive int, got {lanes!r}")
+        if not isinstance(cost_model, CycleCostModel):
+            raise TypeError(f"cost_model {cost_model!r} is no CycleCostModel")
         self.lanes = lanes
         # Multiplying a one-lane value by this repeats it in every lane.
         self._fill = lanes_to_row([1] * lanes)

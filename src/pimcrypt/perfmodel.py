@@ -6,24 +6,23 @@ Throughput of one kernel is modeled as
 
 where cycles are those of one representative pass of the kernel program
 on the simulated fabric (1 cycle per command plus 1 per 1-bit shift step
-by default).  ``kernel_passes`` is the one registry of those passes, each
-written once as its shape and its inputs: ``measure_kernels`` counts
-them from the shape alone (``KernelPass.count``), ``pimcrypt trace``
-stages the inputs and runs them command by command (``KernelPass.trace``),
-and the engine tests stage and run them on both engines.  Each kernel
-module names a shape's validated programs (``aes.controller``,
-``keccak.controllers``, ``ghash.controller``) and stages inputs through
-those same programs (``aes.Key.stage``, ``keccak.stage``,
-``ghash.stage``), as it does for every mode call.
+by default).  ``kernel_passes`` is the one registry of those passes, a
+read-only table built once, each pass written as its shape and inputs:
+``measure_kernels`` counts them from the shape (``KernelPass.count``),
+``pimcrypt trace`` stages the inputs and runs them command by command
+(``KernelPass.trace``), and the engine tests stage and run them on both
+engines, all through the kernels' shape functions (``aes.controller``,
+``keccak.controllers``, ``ghash.controller``) and staging functions.
 
-The count is exact without staging an input or running a command: a
-run's statistics depend only on its validated program, the lane count
-and the cost model, never on data, so ``controller.count_runs`` gives
-what a run on the fabric counts, and the engine tests check it against
-the reference interpreter's own count on every registry pass.  The
-control-overhead table (commands per iteration and iterations per
-function) is read from the measured passes' per-function statistics, so
-nothing here builds a program.
+The count is exact without staging an input, building a subarray or
+running a command: a run's statistics depend only on its program, the
+lane count and the cost model, never on data, so each ``Controller``
+caches them with its plan, a pass adds up those of its programs
+(``Controller.count``), and the engine tests check the sums against the
+reference interpreter's own count on every registry pass.  The
+control-overhead table is read from the measured passes' per-function
+statistics.  ``compare_to_paper`` builds every row's table, label,
+reference and tolerance once, and a call computes only the values.
 
 The reference hardware is a 256 KiB SRAM of 4 KiB subarrays (64 total)
 with 25/50/100% of them compute-enabled, clocked and powered like the
@@ -47,11 +46,12 @@ part, embedded here purely as comparison targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
+from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .controller import (Controller, ExecutionStats, FunctionStats,
-                         count_runs)
+from .controller import Controller, ExecutionStats, FunctionStats
 from .fabric import SUBARRAYS, CycleCostModel, Subarray
 from .kernels import aes, ghash, keccak
 
@@ -92,9 +92,6 @@ class FabricConfig:
     @property
     def active_subarrays(self) -> float:
         return SUBARRAYS * self.isc_fraction
-
-    def cal(self, family: str) -> float:
-        return self.calibration.get(family, 1.0)
 
 
 @dataclass(frozen=True)
@@ -211,15 +208,11 @@ class KernelPass:
 
     def count(self, cost: CycleCostModel) -> ExecutionStats:
         """The pass's statistics on one-lane subarrays under ``cost``,
-        counted from its programs alone, with no input staged and no
-        command run: each run's statistics are fixed by its validated
-        program, the lane count and the cost model
-        (``controller.count_runs``)."""
-        stats, subs = ExecutionStats(), self.programs()
-        # One kernel's runs, so one block width.
-        sub = Subarray(block_width=subs[0][0].program.block_width,
-                       cost_model=cost)
-        count_runs(stats, ((ctrl, sub) for ctrls in subs for ctrl in ctrls))
+        added up from what its programs' controllers cache: no input
+        staged, no subarray built and no command run."""
+        stats = ExecutionStats()
+        for ctrl in (ctrl for ctrls in self.programs() for ctrl in ctrls):
+            ctrl.count(stats, 1, cost)
         return stats
 
     def trace(self, cost: CycleCostModel, records: list) -> ExecutionStats:
@@ -269,7 +262,8 @@ def _sha3_pass(bits: int, payload_bytes: int, msgs: list[bytes],
         lambda: [keccak.stage(bits, [m], pad_byte) for m in msgs])
 
 
-def kernel_passes() -> dict[str, KernelPass]:
+@cache
+def kernel_passes() -> Mapping[str, KernelPass]:
     """The representative pass of every measured kernel, by name."""
     passes = {f"aes-{variant}-{direction}": _aes_pass(variant, direction)
               for variant in (128, 256)
@@ -287,7 +281,7 @@ def kernel_passes() -> dict[str, KernelPass]:
         "ghash", 16 * len(blocks),
         lambda: [[ghash.controller(len(blocks), False)]],
         lambda: [[ghash.stage([bytes(range(16))], [blocks], True, False)]])
-    return passes
+    return MappingProxyType(passes)
 
 
 def measure_kernels(cost: CycleCostModel = CycleCostModel()
@@ -310,8 +304,9 @@ def mode_cycles(measurements: dict[str, KernelMeasurement]
         for direction in ("encrypt", "decrypt"):
             base = measurements[f"aes-{variant}-{direction}"]
             out[(variant, direction, "cbc")] = base
-            out[(variant, direction, "ccm")] = replace(
-                base, name=base.name + "-ccm", cycles=2 * base.cycles)
+            out[(variant, direction, "ccm")] = KernelMeasurement(
+                base.name + "-ccm", base.family, 2 * base.cycles,
+                base.payload_bytes, base.stats)
             out[(variant, direction, "gcm")] = KernelMeasurement(
                 base.name + "-gcm", "aes+ghash",
                 base.cycles + 2 * g.cycles, base.payload_bytes, base.stats)
@@ -322,18 +317,24 @@ def mode_cycles(measurements: dict[str, KernelMeasurement]
 # Model
 # ---------------------------------------------------------------------------
 
+def _rate(m: KernelMeasurement, calibration: Mapping[str, float],
+          active: float, frequency: float) -> float:
+    """Bytes per second of ``m`` on ``active`` subarrays at ``frequency``."""
+    if m.family == "aes+ghash":
+        # composed modes: calibrate the AES and GHASH cycle shares apart
+        aes_cyc = m.stats.cycles / calibration.get("aes", 1.0)
+        g_cyc = (m.cycles - m.stats.cycles) / calibration.get("ghash", 1.0)
+        cycles, cal = aes_cyc + g_cyc, 1.0
+    else:
+        cycles, cal = m.cycles, calibration.get(m.family, 1.0)
+    return cal * active * m.payload_bytes * frequency / cycles
+
+
 def throughput(m: KernelMeasurement, config: FabricConfig,
                mode: PowerMode) -> float:
     """Bytes per second for one kernel across the active fabric."""
-    if m.family == "aes+ghash":
-        # composed modes: calibrate the AES and GHASH cycle shares apart
-        aes_cyc = m.stats.cycles / config.cal("aes")
-        g_cyc = (m.cycles - m.stats.cycles) / config.cal("ghash")
-        cycles, cal = aes_cyc + g_cyc, 1.0
-    else:
-        cycles, cal = m.cycles, config.cal(m.family)
-    return cal * config.active_subarrays * m.payload_bytes \
-        * mode.frequency / cycles
+    return _rate(m, config.calibration, config.active_subarrays,
+                 mode.frequency)
 
 
 def energy_efficiency(tput: float, mode: PowerMode,
@@ -342,19 +343,28 @@ def energy_efficiency(tput: float, mode: PowerMode,
     return tput / (mode.power * config.isc_power_factor)
 
 
+def baseline_efficiency(tput_110mhz: float, mode: PowerMode,
+                        cpu: bool = False) -> float:
+    """Efficiency of a quoted CPU/ASIC baseline, frequency-scaled from its
+    110 MHz figure (MB/s).  The CPU cannot compute in sleep mode."""
+    if cpu and mode.frequency <= POWER_MODES["sleep"].frequency:
+        return 0.0
+    tput = tput_110mhz * 1e6 * mode.frequency / POWER_MODES["run0"].frequency
+    return tput / mode.power
+
+
 def _exact_calibration(m: KernelMeasurement, target_mbs: float) -> float:
     """The calibration that lands ``m`` exactly on a published cell: its
     MB/s at 100% compute-enabled subarrays in RUN-Range0."""
     return target_mbs * 1e6 * m.cycles / (
-        FabricConfig().active_subarrays * POWER_MODES["run0"].frequency
-        * m.payload_bytes)
+        SUBARRAYS * POWER_MODES["run0"].frequency * m.payload_bytes)
 
 
 def calibrate(measurements: dict[str, KernelMeasurement] | None = None
               ) -> dict[str, float]:
     """Fit one scalar per kernel family to the published absolutes."""
     ms = measurements or measure_kernels()
-    base = FabricConfig().active_subarrays * POWER_MODES["run0"].frequency
+    base = SUBARRAYS * POWER_MODES["run0"].frequency
     aes_cals = [_exact_calibration(ms[f"aes-{v}-{d}"],
                                    PAPER["aes_throughput"][1.0][(v, d, "cbc")])
                 for v in (128, 256) for d in ("encrypt", "decrypt")]
@@ -434,85 +444,82 @@ class PerfReport:
                          for r in self.rows]}
 
 
-def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
-                     calibration: dict[str, float] | None = None
-                     ) -> PerfReport:
-    ms = measurements or measure_kernels()
-    cal = calibration or calibrate(ms)
-    rows: list[ReportRow] = []
-    run0 = POWER_MODES["run0"]
-    per_mode = mode_cycles(ms)
+# Energy tables isolate the power model: the throughput feeding them is
+# pinned to the corresponding published cell with its own scalar, so a
+# residual family-calibration error is not double-counted there.
+# (table, kernel, pinned MB/s, power factor, tolerance, published cells)
+_ENERGY = (("aes-128-cbc efficiency (GB/s/W)", "aes-128-encrypt",
+            PAPER["aes_throughput"][1.0][(128, "encrypt", "cbc")],
+            PAPER["aes_power_factor"], 0.01, PAPER["aes_energy"]),
+           ("sha3-256 efficiency (GB/s/W)", "sha3-256",
+            PAPER["sha3_throughput"][1.0][256], 1.0, 0.06,
+            PAPER["sha3_energy"]))
 
+
+@cache
+def _report_cells() -> tuple[list[tuple], list[tuple], list[float]]:
+    """What ``PAPER`` fixes: each row's (table, label, reference,
+    tolerance), the baseline rows' values, and (kernel, active, frequency,
+    watts, unit) of each row before them, with 1 W for throughput."""
+    cells, rated, baseline = [], [], []
     # throughput tables, calibrated, all fractions: cell key -> kernel
-    sizes = keccak.RATE_BYTES
-    for table, kernels in (
-            ("aes", {key: ("aes-%d-%s-%s" % key, m)
-                     for key, m in per_mode.items()}),
-            ("sha3", {b: (f"sha3-{b}", ms[f"sha3-{b}"]) for b in sizes}),
-            ("hmac", {b: (f"hmac-{b}", ms[f"hmac-sha3-{b}"]) for b in sizes})):
-        for frac, cells in PAPER[f"{table}_throughput"].items():
-            config = FabricConfig(isc_fraction=frac, calibration=cal)
-            for key, target in cells.items():
-                label, m = kernels[key]
-                rows.append(ReportRow(
-                    f"{table} throughput (MB/s)", f"{label} @{int(frac*100)}%",
-                    throughput(m, config, run0) / 1e6, target,
-                    THROUGHPUT_TOLERANCE))
-
-    # Energy tables isolate the power model: the throughput feeding them
-    # is pinned to the corresponding published cell with its own scalar,
-    # so a residual family-calibration error is not double-counted here.
-    energy = (("aes-128-cbc", ms["aes-128-encrypt"],
-               PAPER["aes_throughput"][1.0][(128, "encrypt", "cbc")],
-               PAPER["aes_power_factor"], 0.01),
-              ("sha3-256", ms["sha3-256"],
-               PAPER["sha3_throughput"][1.0][256], 1.0, 0.06))
+    for table, label, kernel in (
+            ("aes", lambda key: "aes-%d-%s-%s" % key, lambda key: key),
+            ("sha3", "sha3-{}".format, "sha3-{}".format),
+            ("hmac", "hmac-{}".format, "hmac-sha3-{}".format)):
+        for frac, refs in PAPER[f"{table}_throughput"].items():
+            for key, ref in refs.items():
+                cells.append((f"{table} throughput (MB/s)",
+                              f"{label(key)} @{int(frac*100)}%", ref,
+                              THROUGHPUT_TOLERANCE))
+                rated.append((kernel(key), SUBARRAYS * frac,
+                              POWER_MODES["run0"].frequency, 1, 1e6))
     for frac in (0.25, 0.5, 1.0):
         for mname, mode in POWER_MODES.items():
-            for table, m, target, power_factor, tolerance in energy:
-                config = FabricConfig(
-                    isc_fraction=frac, isc_power_factor=power_factor,
-                    calibration={m.family: _exact_calibration(m, target)})
-                rows.append(ReportRow(
-                    f"{table} efficiency (GB/s/W)",
-                    f"@{int(frac*100)}% {mode.name}",
-                    energy_efficiency(throughput(m, config, mode), mode,
-                                      config) / 1e9,
-                    PAPER[f"{m.family}_energy"][frac][mname], tolerance))
-    for label, tput0, cells in (
+            for table, _, _, power_factor, tolerance, refs in _ENERGY:
+                cells.append((table, f"@{int(frac*100)}% {mode.name}",
+                              refs[frac][mname], tolerance))
+                rated.append((table, SUBARRAYS * frac, mode.frequency,
+                              mode.power * power_factor, 1e9))
+    for label, tput0, refs in (
             ("cpu aes", PAPER["aes_cpu"][(128, "encrypt", "cbc")],
              PAPER["aes_energy"]["cpu"]),
             ("asic aes", PAPER["aes_asic"][(128, "encrypt", "cbc")],
              PAPER["aes_energy"]["asic"]),
             ("cpu sha3", PAPER["sha3_cpu"][256], PAPER["sha3_energy"]["cpu"])):
         for mname, mode in POWER_MODES.items():
-            rows.append(ReportRow(
-                "baseline efficiency (GB/s/W)", f"{label} {mode.name}",
-                baseline_efficiency(tput0, mode, cpu="cpu" in label) / 1e9,
-                cells[mname], 1e-3))
-
+            cells.append(("baseline efficiency (GB/s/W)",
+                          f"{label} {mode.name}", refs[mname], 1e-3))
+            baseline.append(baseline_efficiency(tput0, mode,
+                                                cpu="cpu" in label) / 1e9)
     # control-overhead counts (our achieved vs published, loose window)
-    achieved = control_counts(ms)
     for name, (inst, iters) in PAPER["control_counts"].items():
-        ours_inst, ours_iter = achieved[name]
-        rows.append(ReportRow("control overhead (#inst per iteration)",
-                              name, ours_inst, inst, 0.20))
-        rows.append(ReportRow("control overhead (#iterations)",
-                              name, ours_iter, iters, 1e-9))
-    total = sum(v[0] for v in achieved.values())
-    rows.append(ReportRow("control overhead (storage KB)", "total",
-                          2 * total / 1000, PAPER["control_total_kb"], 0.20))
-    return PerfReport(rows, cal)
+        cells += [("control overhead (#inst per iteration)", name, inst, 0.2),
+                  ("control overhead (#iterations)", name, iters, 1e-9)]
+    cells.append(("control overhead (storage KB)", "total",
+                  PAPER["control_total_kb"], 0.20))
+    return cells, rated, baseline
 
 
-def baseline_efficiency(tput_110mhz: float, mode: PowerMode,
-                        cpu: bool = False) -> float:
-    """Efficiency of a quoted CPU/ASIC baseline, frequency-scaled from its
-    110 MHz figure (MB/s).  The CPU cannot compute in sleep mode."""
-    if cpu and mode.frequency <= POWER_MODES["sleep"].frequency:
-        return 0.0
-    tput = tput_110mhz * 1e6 * mode.frequency / POWER_MODES["run0"].frequency
-    return tput / mode.power
+def compare_to_paper(measurements: dict[str, KernelMeasurement] | None = None,
+                     calibration: dict[str, float] | None = None
+                     ) -> PerfReport:
+    ms = measurements or measure_kernels()
+    cal = calibration or calibrate(ms)
+    cells, rated, baseline = _report_cells()
+    rates = {key: (m, cal) for key, m in {**ms, **mode_cycles(ms)}.items()}
+    for table, kernel, target, *_ in _ENERGY:
+        m = ms[kernel]
+        rates[table] = m, {m.family: _exact_calibration(m, target)}
+    ours = [_rate(*rates[kernel], active, frequency) / watts / unit
+            for kernel, active, frequency, watts, unit in rated] + baseline
+    achieved = control_counts(ms)
+    for name in PAPER["control_counts"]:
+        ours += achieved[name]            # per-iteration row, then count
+    ours.append(2 * sum(v[0] for v in achieved.values()) / 1000)
+    return PerfReport([ReportRow(table, label, value, ref, tol)
+                       for (table, label, ref, tol), value
+                       in zip(cells, ours, strict=True)], cal)
 
 
 def control_counts(measurements: dict[str, KernelMeasurement] | None = None

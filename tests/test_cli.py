@@ -343,6 +343,27 @@ def test_bench_text_names_every_measured_kernel(capsys):
         assert names == list(perfmodel.kernel_passes())
 
 
+# SHA-256 of what `bench --format json` writes under each cost model:
+# every row's label, value, reference, delta and verdict, byte for byte.
+BENCH_JSON_SHA256 = {
+    1: "300b2afb3cc44f77e820588347e21b40c98e29c279ad5552387f224cfbfe7616",
+    2: "0a3e25c74869426ee603cbaefa3e6e6c62165ad005cef8130c415b51b1415474",
+}
+
+
+@pytest.mark.parametrize("cycles_per_command", list(BENCH_JSON_SHA256))
+def test_bench_json_is_pinned(tmp_path, cycles_per_command):
+    out = tmp_path / "bench.json"
+    assert run(["bench", "--format", "json", "--cycles-per-command",
+                str(cycles_per_command), "--out", str(out)]) == 0
+    ms = perfmodel.measure_kernels(CycleCostModel(cycles_per_command))
+    report = perfmodel.compare_to_paper(ms, perfmodel.calibrate(ms))
+    assert out.read_bytes() == json.dumps(report.to_dict(),
+                                          indent=2).encode()
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == BENCH_JSON_SHA256[cycles_per_command])
+
+
 @pytest.mark.parametrize("alg", list(GOLDEN["trace_sha256"]))
 def test_every_traced_command_stream_and_latch_is_pinned(alg):
     # What `trace --trace 2` prints per command: word, cycles and latch.

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from pimcrypt import perfmodel as pm
-from pimcrypt.controller import ExecutionStats, count_runs
+from pimcrypt.controller import ExecutionStats, FunctionStats, count_runs
 from pimcrypt.fabric import CycleCostModel, Subarray
 from pimcrypt.kernels import aes, ghash, keccak
 
@@ -97,6 +97,40 @@ def test_measuring_runs_no_command(monkeypatch):
     monkeypatch.setattr(Subarray, "execute", refuse)
     ms = pm.measure_kernels()
     assert {name: m.cycles for name, m in ms.items()} == GOLDEN["cycles"]
+
+
+def test_measuring_builds_no_subarray(monkeypatch):
+    # A pass sums its programs' cached statistics: it needs no subarray,
+    # not even to name a lane count and cost model.
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_kernels built a subarray")
+
+    monkeypatch.setattr(Subarray, "__init__", refuse)
+    ms = pm.measure_kernels()
+    assert {name: m.cycles for name, m in ms.items()} == GOLDEN["cycles"]
+
+
+def test_what_a_call_hands_out_is_the_callers_own():
+    # Changing one call's statistics or registry changes no later count:
+    # neither a controller's cached plan statistics nor the registry
+    # itself is handed out.
+    traced = {name: kp.trace(CycleCostModel(), [])
+              for name, kp in pm.kernel_passes().items()}
+    for m in pm.measure_kernels().values():
+        m.stats.commands = m.stats.cycles = -1
+        for fs in m.stats.per_function.values():
+            fs.invocations = fs.iterations = fs.commands = fs.cycles = -1
+        m.stats.per_function["Bogus"] = FunctionStats(1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        pm.kernel_passes()["aes-128-encrypt"] = pm.kernel_passes()["ghash"]
+    ms = pm.measure_kernels()
+    assert {name: m.cycles for name, m in ms.items()} == GOLDEN["cycles"]
+    assert {name: m.stats for name, m in ms.items()} == traced
+    for name, kp in pm.kernel_passes().items():
+        counted = ExecutionStats()
+        count_runs(counted, [(ctrl, Subarray(ctrl.program.block_width))
+                             for ctrls in kp.programs() for ctrl in ctrls])
+        assert counted == traced[name], name
 
 
 def test_fraction_scaling_exact(measurements):

@@ -1,5 +1,6 @@
 """Every public staging and build function rejects a wrong input with a
-typed error.
+typed error, and every function that takes a cost model rejects one that
+is no ``CycleCostModel`` with a ``TypeError``.
 
 Each test starts from valid arguments, draws one of them wrong (a wrong
 length, count or type) and asserts ``ValueError`` or ``TypeError``:
@@ -14,7 +15,9 @@ empty: an empty iterable is an empty list of blocks.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimcrypt.fabric import Subarray
+from pimcrypt import perfmodel
+from pimcrypt.controller import ExecutionStats
+from pimcrypt.fabric import CycleCostModel, Subarray
 from pimcrypt.kernels import aes, ghash, keccak
 
 TYPED = (ValueError, TypeError)
@@ -275,3 +278,40 @@ def test_shape_functions(data):
     args = list(valid)
     args[where] = data.draw(wrong[where])
     rejected(lambda: shape(*args))
+
+
+# No cost model: a number, a tuple of a cost model's two fields, a str.
+NOT_A_COST_MODEL = st.one_of(NOT_INT, st.integers(), st.booleans(),
+                             st.tuples(st.integers(1, 3), st.integers(0, 3)))
+PASS_NAMES = st.sampled_from(list(perfmodel.kernel_passes()))
+
+
+@pytest.mark.parametrize("call", [
+    lambda data, cost: Subarray(cost_model=cost),
+    lambda data, cost: perfmodel.measure_kernels(cost),
+    lambda data, cost: perfmodel.kernel_passes()[
+        data.draw(PASS_NAMES)].count(cost),
+    lambda data, cost: perfmodel.kernel_passes()[
+        data.draw(PASS_NAMES)].trace(cost, []),
+], ids=["Subarray", "measure_kernels", "KernelPass.count",
+        "KernelPass.trace"])
+@SETTINGS
+@given(st.data())
+def test_cost_model(call, data):
+    # Named in the error, never an AttributeError from deep in a count.
+    with pytest.raises(TypeError, match="CycleCostModel"):
+        call(data, data.draw(NOT_A_COST_MODEL, label="cost"))
+
+
+NOT_A_COUNT = st.one_of(NOT_INT, st.booleans(), st.integers(max_value=0))
+
+
+@SETTINGS
+@given(st.data())
+def test_controller_count(data):
+    # Lanes are an int >= 1 and the cost a CycleCostModel.
+    args = [1, CycleCostModel()]
+    where = data.draw(st.integers(0, 1))
+    args[where] = data.draw((NOT_A_COUNT, NOT_A_COST_MODEL)[where])
+    with pytest.raises(TYPED):
+        ghash.controller(8, False).count(ExecutionStats(), *args)
