@@ -71,6 +71,11 @@ broadcast row E left by one, each written back; V, P, M and U four
 distinct rows other than E).  Its N iterations are one carry-less
 multiply per lane (:class:`CompiledWindow` gives the closed form), so
 an untraced GHASH pass no longer runs 128 Python iterations per block.
+Each lane multiplies by table: 256 products of its V by every byte, one
+lookup per byte of E.  V is GHASH's H^K, key material, so the tables
+live in the subarray that runs the window (:attr:`Subarray.tables`,
+keyed by the V row, at most :data:`_TABLE_ROWS` rows, emptied by
+``reset``), and die with it.
 The reference still runs the commands one at a time, and the commands,
 cycles and statistics are those of the N iterations.
 """
@@ -235,10 +240,17 @@ class LaneRows(tuple):
 
 class Subarray:
     """One subarray, or ``lanes`` of them in lockstep: grid, SA latch,
-    pending-activation state, cycle count."""
+    pending-activation state, cycle count.
+
+    ``tables`` holds the fused multiply's byte tables of each lane, keyed
+    by the V row they were built from; :meth:`run` hands it to every
+    compiled window.  It keeps at most :data:`_TABLE_ROWS` rows, dropping
+    the oldest first, and :meth:`reset` empties it.
+    """
 
     __slots__ = ("grid", "sa_latch", "pending_row", "block_width",
-                 "cycle_count", "cost_model", "lanes", "row_mask", "_fill")
+                 "cycle_count", "cost_model", "lanes", "row_mask", "_fill",
+                 "tables")
 
     def __init__(self, block_width: int = 256,
                  cost_model: CycleCostModel = CycleCostModel(),
@@ -259,6 +271,7 @@ class Subarray:
         self.block_width = block_width
         self.cycle_count = 0
         self.cost_model = cost_model
+        self.tables: dict[int, list[list[int]]] = {}
 
     # -- host port (zero fabric cycles, models the DMA path) -------------
 
@@ -300,6 +313,7 @@ class Subarray:
         self.sa_latch = 0
         self.pending_row = None
         self.cycle_count = 0
+        self.tables.clear()
 
     # -- command execution ------------------------------------------------
 
@@ -409,9 +423,9 @@ class Subarray:
                 raise ValueError(
                     f"run bound for {cmds.lanes} lanes and {cmds.cost_model} "
                     f"on a {self.lanes}-lane subarray with {self.cost_model}")
-            grid, latch = self.grid, self.sa_latch
+            grid, latch, tables = self.grid, self.sa_latch, self.tables
             for fn, first, iterations in cmds.calls:
-                latch = fn(grid, latch, first, iterations)
+                latch = fn(grid, latch, first, iterations, tables)
             self.sa_latch = latch
             self.cycle_count += cmds.cycles
             return cmds.cycles
@@ -439,14 +453,20 @@ def _text(word: int) -> str:
 # Compiled execution
 # ---------------------------------------------------------------------------
 
+# A bound window: fn(grid, latch, first, iterations, tables) -> latch.
+_Bound = Callable[[list, int, int, int, dict], int]
+
+
 class CompiledWindow:
     """A function window lowered to Python.
 
-    ``bind(lanes)`` returns ``fn(grid, latch, first, iterations)``, which
-    runs global iterations ``first .. first + iterations - 1``
-    (``iterations`` >= 1; only ``first`` for a window compiled without a
-    loop) on the row list of a ``lanes``-lane subarray and returns the
-    final latch.  One iteration is ``commands`` commands
+    ``bind(lanes)`` returns ``fn(grid, latch, first, iterations,
+    tables)``, which runs global iterations ``first .. first +
+    iterations - 1`` (``iterations`` >= 1; only ``first`` for a window
+    compiled without a loop) on the row list of a ``lanes``-lane
+    subarray and returns the final latch.  ``tables`` is that subarray's
+    :attr:`Subarray.tables`; only a fused window reads or fills it.  One
+    iteration is ``commands`` commands
     shifting ``shift_steps`` bit positions in total.  ``code`` is compiled
     once; each lane count binds the one-lane ``masks`` (name, value)
     replicated into every lane.  ``source``, the text ``code`` was
@@ -467,6 +487,15 @@ class CompiledWindow:
     where V and E on the right are the rows before the call, so for
     N > 256, V, E, M and U end as zero.  The latch it returns is the new
     E, as the last command of the loop leaves it.
+
+    The product is a Horner pass over the low min(N, 256) bits of E, one
+    byte at a time from the top: shift the sum left by 8 and XOR in
+    clmul(V, byte), read from the lane's table of all 256 bytes.  A
+    table is built from V's 16 nibble products and kept in ``tables``
+    under the V row, so GHASH, whose V is the hash key row H^K for every
+    block of a pass, builds it once per row and subarray.  Holding at
+    most :data:`_TABLE_ROWS` rows, the oldest dropped first, ``tables``
+    lives and dies with the subarray, and the window keeps no V.
     """
 
     __slots__ = ("source", "code", "masks", "commands", "shift_steps",
@@ -480,9 +509,9 @@ class CompiledWindow:
         self.commands = commands
         self.shift_steps = shift_steps
         self.fused = fused
-        self._bound: dict[int, Callable[[list, int, int, int], int]] = {}
+        self._bound: dict[int, _Bound] = {}
 
-    def bind(self, lanes: int) -> Callable[[list, int, int, int], int]:
+    def bind(self, lanes: int) -> _Bound:
         fn = self._bound.get(lanes)
         if fn is None:
             fill = lanes_to_row([1] * lanes)
@@ -600,44 +629,65 @@ def _mac_rows(words) -> tuple[int, int, int, int] | None:
     return None
 
 
-# Swaps the ASCII digits "0"/"1" with the byte values 0/1: it spreads a
-# binary string one bit per byte, and packs such bytes back into digits.
-_DIGIT_BYTES = bytes.maketrans(b"01\0\1", b"\0\1" b"01")
+# The most V rows whose byte tables one subarray keeps: a GHASH subarray
+# multiplies by two, the hash key row of its passes and that of its
+# last pass.
+_TABLE_ROWS = 4
+
+
+def _byte_table(v: int) -> list[int]:
+    """clmul(v, b) for each byte value b, from v's 16 nibble products."""
+    nibbles = [0, v]
+    for b in range(2, 16):
+        nibbles.append(nibbles[b - 1] ^ v if b & 1 else nibbles[b >> 1] << 1)
+    return [high ^ low for high in [x << 4 for x in nibbles]
+            for low in nibbles]
 
 
 def _multiply_accumulate(lanes: int):
-    """``mac(v, e, p, n)`` for a ``lanes``-lane subarray: rows V, E, M,
-    U and P after ``n`` multiply-accumulate steps on rows V, E (the
-    broadcast row) and P, each lane on its own.  See
-    :class:`CompiledWindow` for the closed form."""
+    """``mac(v, e, p, n, tables)`` for a ``lanes``-lane subarray: rows V,
+    E, M, U and P after ``n`` multiply-accumulate steps on rows V, E (the
+    broadcast row) and P, each lane on its own, with the lanes' byte
+    tables of V kept in ``tables``.  See :class:`CompiledWindow` for the
+    closed form."""
     fill = lanes_to_row([1] * lanes)
-    digits = f"0{COLS * lanes}b"
-    # Lane k's digits, most significant first, lane K-1 first.
-    starts = range(0, COLS * lanes, COLS)
-    # Bit 0 of each of the 256 byte fields of a lane's product.
-    field_bits = int.from_bytes(b"\1" * COLS, "big")
-    masks: dict[int, tuple[int, int, int]] = {}
+    size = _LANE_BYTES * lanes
+    # Where each lane's bytes end in a row's big-endian bytes, lane 0 last.
+    ends = range(size, 0, -_LANE_BYTES)
+    # Per n: the low min(n, 256) bits of every lane, their byte count,
+    # and for n <= 256 the masks of V << n, E >> n and V << n - 1.
+    steps: dict[int, tuple[int, int, tuple[int, int, int] | None]] = {}
 
-    def mac(v, e, p, n):
-        # Carry-less V * (E mod 2**k) per lane: spread each bit into a
-        # byte, multiply once, keep each byte's parity.  Byte j sums at
-        # most j + 1 products, so only byte 255 can reach 256, and its
-        # carry lands in a byte that is dropped.
-        k = n if n < COLS else COLS
-        sv = format(v, digits).encode().translate(_DIGIT_BYTES)
-        se = format(e, digits).encode().translate(_DIGIT_BYTES)
-        product = b"".join(
-            (int.from_bytes(sv[s:s + COLS], "big")
-             * int.from_bytes(se[s + COLS - k:s + COLS], "big")
-             & field_bits).to_bytes(COLS, "big") for s in starts)
-        p ^= int(product.translate(_DIGIT_BYTES), 2)
-        if n > COLS:
-            return 0, 0, 0, 0, p
-        shifted = masks.get(n)
+    def mac(v, e, p, n, tables):
+        lane_tables = tables.get(v)
+        if lane_tables is None:
+            if len(tables) >= _TABLE_ROWS:
+                del tables[next(iter(tables))]
+            # Lanes that hold one value share its table.
+            values = row_to_lanes(v, lanes)
+            built = {x: _byte_table(x) for x in set(values)}
+            lane_tables = tables[v] = [built[x] for x in values]
+        step = steps.get(n)
+        if step is None:
+            k = n if n < COLS else COLS
+            shifted = None if n > COLS else (
+                _shift_mask(COLS, n, True) * fill,
+                _shift_mask(COLS, n, False) * fill,
+                _shift_mask(COLS, n - 1, True) * fill)
+            step = steps[n] = (((1 << k) - 1) * fill, (k + 7) // 8, shifted)
+        low_bits, width, shifted = step
+        # Carry-less V * (E mod 2**k) per lane, Horner over E's bytes.
+        data = (e & low_bits).to_bytes(size, "big")
+        product = at = 0
+        for end, table in zip(ends, lane_tables):
+            acc = 0
+            for byte in data[end - width:end]:
+                acc = acc << 8 ^ table[byte]
+            product |= (acc & _ROW_MASK) << at
+            at += COLS
+        p ^= product
         if shifted is None:
-            shifted = masks[n] = (_shift_mask(COLS, n, True) * fill,
-                                  _shift_mask(COLS, n, False) * fill,
-                                  _shift_mask(COLS, n - 1, True) * fill)
+            return 0, 0, 0, 0, p
         high, low, previous = shifted
         last = e >> (n - 1) & fill
         m = (last << COLS) - last
@@ -650,10 +700,10 @@ def _multiply_accumulate(lanes: int):
 def _lower_mac(v: int, p: int, m: int, u: int) -> CompiledWindow:
     e = EXT_ROW
     source = "\n".join(
-        ["def window(g, L, first, iterations):"]
+        ["def window(g, L, first, iterations, tables):"]
         + [f"    r{i} = g[{i}]" for i in sorted((v, e, p))]
         + [f"    r{v}, r{e}, r{m}, r{u}, r{p} = "
-           f"mac(r{v}, r{e}, r{p}, iterations)"]
+           f"mac(r{v}, r{e}, r{p}, iterations, tables)"]
         + [f"    g[{i}] = r{i}" for i in sorted((v, e, p, m, u))]
         + [f"    return r{e}"])
     return CompiledWindow(source, (), 14, 2, fused=True)
@@ -771,7 +821,8 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
             ["    for G in range(first, first + iterations):"]
             + [f"        {line}" for line in body or ["pass"]])
     source = "\n".join(
-        [f"def window(g, L, {'G' if single else 'first'}, iterations):"]
+        [f"def window(g, L, {'G' if single else 'first'}, iterations, "
+         f"tables):"]
         + [f"    r{i} = g[{i}]" for i in sorted(loads)]
         + loop
         + [f"    g[{i}] = r{i}" for i in sorted(writes)]

@@ -42,8 +42,10 @@ runs one AES pass per formatted block and no separate CTR run: the
 encrypt tag, MAC xor S0, is a fold on the fabric, and decryption
 compares the MAC with S0 xor tag, which the tile of S0 computes.
 
-Each call expands its own AES key (``aes.Key``), so no key material
-outlives the call.  Every AES mode rejects a key that is not 16 or 32
+Each call expands its own AES key (``aes.Key``) and builds its own
+subarrays, which alone keep the GHASH multiply's byte tables of the
+powers of H (``fabric.Subarray.tables``), so no key material outlives
+the call.  Every AES mode rejects a key that is not 16 or 32
 bytes, ECB a direction other than ``"encrypt"`` or ``"decrypt"`` (both
 checked where the key is staged, whatever the data), and CBC and CTR an
 IV or counter block that is not one block, raising ``ValueError``.
@@ -311,9 +313,10 @@ def ccm_decrypt(key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes,
 # lane on, less than the AES passes a GCM call saves over perfbench's
 # aead-bulk mix (at 32 it is more).  Host time per block falls with K
 # only as each pass's fixed work spreads over more lanes, since the fused
-# GaloisMult window costs one carry-less multiply per lane and block: on
-# a 2-core x86_64 a full 8-block pass took 12.6, 9.0, 7.3 and 6.1 us per
-# block at K = 1, 2, 4 and 8, and 5.6 us at K = 16.
+# GaloisMult window costs one table-driven carry-less multiply per lane
+# and block: on a 2-core x86_64 a full 8-block pass, on a subarray that
+# already holds the hash key's byte tables, took 12.7, 6.7, 4.8 and 3.8
+# us per block at K = 1, 2, 4 and 8, and 3.3 us at K = 16.
 _GHASH_MAX_LANES = 8
 _GHASH_BLOCKS_PER_LANE = 48
 

@@ -13,8 +13,10 @@ reference untraced.  A compiled window indexes the grid for the rows its
 strides reach and keeps every other row in a local, even where a strided
 access aliases a row the window also names by constant index.  The one
 window the compiler lowers whole, GHASH's multiply-accumulate loop, must
-agree with the reference for any iteration count, and windows one change
-away from it must take the generic lowering.
+agree with the reference for any iteration count and with a plain
+carry-less multiply over repeated calls on one subarray, whose byte
+tables no other subarray shares, and windows one change away from it
+must take the generic lowering.
 """
 
 import random
@@ -506,6 +508,113 @@ def test_near_miss_multiply_loops_agree(name, iterations, lanes, ones, seed):
             mac_window(**change), change.get("width", COLS), iterations, 5,
             cost, lanes=lanes, grid_seed=seed,
             ones=(0, fabric.EXT_ROW) if ones else ()).fused
+
+
+def clmul(a, b):
+    """Carry-less product of two non-negative ints, shift and XOR."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        b >>= 1
+    return product
+
+
+def mac_lane(v, e, p, n):
+    """One lane's V, E, M, U and P after ``n`` fused steps, by the
+    closed form of :class:`~pimcrypt.fabric.CompiledWindow`."""
+    k = min(n, COLS)
+    m = LANE if n <= COLS and e >> (n - 1) & 1 else 0
+    return ((v << n) & LANE, e >> n, m, (v << (n - 1)) & LANE & m,
+            p ^ clmul(v, e & ((1 << k) - 1)) & LANE)
+
+
+def fused_window():
+    """The multiply-accumulate step on rows 0-3, compiled as a loop."""
+    return compile_window(tuple(c.encode() for c in mac_window()), (), COLS,
+                          frozenset())
+
+
+lane_values = st.one_of(st.integers(0, LANE), st.just(LANE), st.just(0))
+
+
+@st.composite
+def mac_calls(draw):
+    """A lane count and a list of (V, E, P, N) calls, each row one value
+    per lane.  V comes from a pool of rows, one of them another's lanes
+    in reverse order, so calls repeat V, change it and reorder it, and
+    there can be more distinct V rows than a subarray keeps tables for."""
+    lanes = draw(st.sampled_from([1, 2, 3, 8]))
+    row = st.lists(lane_values, min_size=lanes, max_size=lanes)
+    pool = draw(st.lists(row, min_size=1, max_size=fabric._TABLE_ROWS + 2))
+    pool.append(pool[0][::-1])
+    calls = draw(st.lists(st.tuples(
+        st.sampled_from(pool), row, row,
+        st.one_of(st.sampled_from(MAC_ITERATIONS), st.integers(1, 300))),
+        min_size=1, max_size=12))
+    return lanes, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(mac_calls(), st.sampled_from(COST_MODELS))
+def test_bound_multiply_is_a_carry_less_multiply(case, cost):
+    # Repeated calls on one subarray, so one table store: a table kept
+    # for a V row it was not built from, or for another lane, fails.
+    lanes, calls = case
+    v_row, p_row, m_row, u_row = 0, 1, 2, 3
+    window = fused_window()
+    sub = Subarray(cost_model=cost, lanes=lanes)
+    for v, e, p, n in calls:
+        sub.write_row(v_row, fabric.lanes_to_row(v))
+        sub.write_row(fabric.EXT_ROW, fabric.lanes_to_row(e))
+        sub.write_row(p_row, fabric.lanes_to_row(p))
+        run = CompiledRun([(window, 0, n)], lanes, cost)
+        assert sub.run(run) == n * lanes * window.cycles(cost)
+        want = [mac_lane(*lane, n) for lane in zip(v, e, p)]
+        got = [fabric.row_to_lanes(sub.grid[r], lanes)
+               for r in (v_row, fabric.EXT_ROW, m_row, u_row, p_row)]
+        assert got == [list(col) for col in zip(*want)]
+        assert sub.sa_latch == sub.grid[fabric.EXT_ROW]
+        assert len(sub.tables) <= fabric._TABLE_ROWS
+
+
+def fused_run(sub, v_rows):
+    """Multiply by each V row in turn on ``sub``; returns its store."""
+    run = CompiledRun([(fused_window(), 0, 128)], sub.lanes, sub.cost_model)
+    for v in v_rows:
+        sub.write_row(0, v)
+        sub.write_row(fabric.EXT_ROW, v ^ LANE * sub._fill)
+        sub.run(run)
+    return sub.tables
+
+
+def test_byte_tables_live_with_the_subarray():
+    one, two = Subarray(lanes=2), Subarray(lanes=2)
+    a, b = (fabric.lanes_to_row([x, x + 1]) for x in (3, 7))
+    assert fused_run(one, [a]) is not fused_run(two, [b])
+    assert list(one.tables) == [a] and list(two.tables) == [b]
+    one.reset()
+    assert not one.tables and list(two.tables) == [b]
+    # Only the store holds V rows: the bound multiply's own dict is
+    # keyed by iteration count.
+    mac = fused_window().bind(2).__globals__["mac"]
+    for cell in mac.__closure__:
+        if isinstance(cell.cell_contents, dict):
+            assert all(key < 2 ** 16 for key in cell.cell_contents)
+
+
+def test_byte_tables_are_capped():
+    sub = Subarray(lanes=3)
+    v_rows = [fabric.lanes_to_row([x, 2 * x, 3 * x + 1])
+              for x in range(1, fabric._TABLE_ROWS + 4)]
+    tables = fused_run(sub, v_rows)
+    # The oldest rows are dropped first.
+    assert list(tables) == v_rows[-fabric._TABLE_ROWS:]
+    assert all(len(lane) == 256 for lanes in tables.values()
+               for lane in lanes)
+    fused_run(sub, [v_rows[-1]])
+    assert list(tables) == v_rows[-fabric._TABLE_ROWS:]
 
 
 rows = st.integers(0, 127)

@@ -399,6 +399,24 @@ def test_gcm_counter_wraps_with_the_ghash_in_lanes(rng):
     assert modes.gcm_decrypt(key, iv, b"", sealed) == pt
 
 
+def test_interleaved_keys_share_windows_but_no_tables(rng):
+    # One message length, so every call runs the same bound GHASH
+    # windows on K = 4 lanes; the fused multiply's tables of H^K are the
+    # call's own, so no call can multiply by the other key's.
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    keys = [rng.randbytes(16), rng.randbytes(32)]
+    hash_keys = [rng.randbytes(16), rng.randbytes(16)]
+    iv, aad = rng.randbytes(16), rng.randbytes(13)
+    pt, data = rng.randbytes(16 * 200 - 5), rng.randbytes(16 * 202)
+    assert modes._ghash_lanes(202) == 4
+    sealed = [AESGCM(key).encrypt(iv, pt, aad) for key in keys]
+    for i in (0, 1, 1, 0):
+        assert (modes.ghash_digest(hash_keys[i], data)
+                == oracle.ghash(hash_keys[i], data))
+        assert modes.gcm_encrypt(keys[i], iv, aad, pt) == sealed[i]
+        assert modes.gcm_decrypt(keys[1 - i], iv, aad, sealed[1 - i]) == pt
+
+
 @pytest.mark.parametrize("ivlen,passes", [(12, 1), (16, 2)])
 def test_gcm_encrypt_runs_e0_ej0_and_the_counter_blocks_together(
         ivlen, passes, rng):
