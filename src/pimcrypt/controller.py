@@ -20,15 +20,13 @@ a kernel re-runs a tail of another function without storing it twice.
 
 :class:`Controller` validates a program when it is loaded: it must fit
 the command array, use a block width a subarray supports, hold int
-windows, strides and iteration counts, keep every stride-rewritten
-index on the fabric, and every function window must compile
-(:func:`~pimcrypt.fabric.compile_window`).  Anything else raises
-:class:`ControllerError`, naming the function and command offset for a
-window the compiler declines, before a command runs.  Load also computes
-each window's shared rows, every row its stride rules reach over the
-global iterations the schedule runs: the compiled window indexes the
-grid for those rows and keeps every other row in a local.  A window no
-invocation runs for more than one iteration is compiled without a loop.
+windows, strides and iteration counts of at least 1, schedule known
+functions and place known host actions inside the schedule, and every
+function window must compile
+(:func:`~pimcrypt.fabric.compile_window`) for the runs the schedule
+invokes it with, which also checks its stride rules.  Anything else
+raises :class:`ControllerError`, naming the function and command offset
+for a window the compiler declines, before a command runs.
 
 A run's statistics and cycles depend only on the program, the lane
 count and the cost model, never on data.  So :meth:`Controller.run`
@@ -59,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .fabric import (ROWS, BlockWidthMismatch, CompiledRun, CompiledWindow,
+from .fabric import (BlockWidthMismatch, CompiledRun, CompiledWindow,
                      CycleCostModel, PendingActivation, Subarray,
                      WindowRejected, compile_window, supported_width)
 from .isa import CommandWord
@@ -213,7 +211,7 @@ class Controller:
         if not supported_width(prog.block_width):
             raise ControllerError(
                 f"unsupported block width {prog.block_width!r}")
-        spans: dict[str, range] = {}
+        runs = {name: [] for name in prog.functions}
         for f in prog.functions.values():
             if not _ints(f.base, f.count, *(v for s in f.strides
                                             for v in (s.offset, s.increment))):
@@ -221,13 +219,6 @@ class Controller:
                                       f"window or stride")
             if f.base < 0 or f.base + f.count > len(prog.commands):
                 raise ControllerError(f"function {f.name} window out of range")
-            for s in f.strides:
-                if not 0 <= s.offset < f.count:
-                    raise ControllerError(
-                        f"stride offset {s.offset} outside function {f.name}")
-            spans[f.name] = range(f.base, f.base + f.count)
-        iter_spans: dict[str, set[int]] = {name: set() for name in spans}
-        looped: set[str] = set()     # functions some invocation repeats
         for inv in prog.schedule:
             if inv.function not in prog.functions:
                 raise ControllerError(f"schedule names unknown function "
@@ -237,42 +228,23 @@ class Controller:
                                       f"non-int iterations or base")
             if inv.iterations < 1:
                 raise ControllerError("invocation iterations must be >= 1")
-            if inv.iterations > 1:
-                looped.add(inv.function)
-            iter_spans[inv.function].update(
-                range(inv.iteration_base, inv.iteration_base + inv.iterations))
+            runs[inv.function].append((inv.iteration_base, inv.iterations))
         for a in prog.host_actions:
             if not 0 <= a.position <= len(prog.schedule):
                 raise ControllerError(f"host action position {a.position}")
             if a.kind not in HOST_ACTIONS:
                 raise ControllerError(f"unknown host action kind {a.kind!r}")
-        # The indices a window's strides reach are its shared rows.
-        reach = {f.name: [(s, g, prog.commands[f.base + s.offset].index
-                           + g * s.increment)
-                          for s in f.strides
-                          for g in iter_spans[f.name] or {0}]
-                 for f in prog.functions.values()}
         # Every window must compile, so no run needs the reference.
-        for f in prog.functions.values():
+        for name, f in prog.functions.items():
             words = prog.commands[f.base:f.base + f.count]
             try:
-                self._windows[f.name] = compile_window(
+                self._windows[name] = compile_window(
                     tuple(c.encode() for c in words),
                     tuple((s.offset, s.increment) for s in f.strides),
-                    prog.block_width,
-                    frozenset(idx for _, _, idx in reach[f.name]),
-                    f.name not in looped)
+                    prog.block_width, runs[name])
             except WindowRejected as exc:
                 raise ControllerError(f"function {f.name} command "
                                       f"{exc.offset}: {exc}") from None
-        # The compiler declines a strided shift or ext_bit, so every
-        # stride-rewritten index is a row and must stay on the fabric.
-        for name, indices in reach.items():
-            for s, g, idx in indices:
-                if not 0 <= idx < ROWS:
-                    raise ControllerError(
-                        f"stride drives {name}+{s.offset} to index "
-                        f"{idx} at iteration {g}")
 
     # -- execution ---------------------------------------------------------
 

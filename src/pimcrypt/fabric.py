@@ -48,20 +48,20 @@ interpreter: it decodes, checks and runs one command at a time, and
 :meth:`Subarray.run` uses it for a plain command sequence; it runs traced
 runs and the differential tests.  :func:`compile_window` lowers a whole
 function window, once per distinct window content, to straight-line
-Python over the row list, or raises :class:`WindowRejected` for a window
+Python over the row list for the runs (first global iteration,
+iterations) it is given, or raises :class:`WindowRejected` for a window
 the reference could reject or that it does not lower, which the
 controller turns into a load-time error.  A :class:`CompiledRun` holds
-the invocations between two host actions, bound once per lane count and
-cost model, and ``run`` executes it in one call.  Both engines leave the
-same grid, latch and cycle count.  A window's source is compiled once
-with its masks as names and bound to lane-replicated masks once per lane
-count.  Its *shared* rows, every row a stride rule can address over the
-global iterations the program runs (the controller computes them at
-load), are indexed in the row list on every access; every other row
-lives in a local for the whole call, loaded before the loop and stored
-after it, so no strided access can miss a write to a local.  A window
-that every invocation runs for one iteration (every AES window, for
-instance) is lowered without the loop.
+the invocations between two host actions, each one its window was
+compiled for, bound once per lane count and cost model, and ``run``
+executes it in one call.  Both engines leave the same grid, latch and
+cycle count.  A window's source is compiled once with its masks as names
+and bound to lane-replicated masks once per lane count.  Its *shared*
+rows, every row a stride rule addresses in its runs, are indexed in the
+row list on every access; every other row lives in a local for the
+whole call, loaded before the loop and stored after it, so no strided
+access can miss a write to a local.  A window whose runs are all one
+iteration (every AES window, for instance) is lowered without the loop.
 
 One looped window is lowered as a whole rather than command by command:
 the bit-serial multiply-accumulate step GHASH's GaloisMult repeats, on
@@ -74,8 +74,7 @@ an untraced GHASH pass no longer runs 128 Python iterations per block.
 Each lane multiplies by table: 256 products of its V by every byte, one
 lookup per byte of E.  V is GHASH's H^K, key material, so the tables
 live in the subarray that runs the window (:attr:`Subarray.tables`,
-keyed by the V row, at most :data:`_TABLE_ROWS` rows, emptied by
-``reset``), and die with it.
+the tables of one V row, emptied by ``reset``), and die with it.
 The reference still runs the commands one at a time, and the commands,
 cycles and statistics are those of the N iterations.
 """
@@ -84,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .isa import (BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, decode,
                   disassemble)
@@ -244,8 +243,8 @@ class Subarray:
 
     ``tables`` holds the fused multiply's byte tables of each lane, keyed
     by the V row they were built from; :meth:`run` hands it to every
-    compiled window.  It keeps at most :data:`_TABLE_ROWS` rows, dropping
-    the oldest first, and :meth:`reset` empties it.
+    compiled window.  It keeps the last V row's tables only, and
+    :meth:`reset` empties it.
     """
 
     __slots__ = ("grid", "sa_latch", "pending_row", "block_width",
@@ -492,14 +491,18 @@ class CompiledWindow:
     byte at a time from the top: shift the sum left by 8 and XOR in
     clmul(V, byte), read from the lane's table of all 256 bytes.  A
     table is built from V's 16 nibble products and kept in ``tables``
-    under the V row, so GHASH, whose V is the hash key row H^K for every
-    block of a pass, builds it once per row and subarray.  Holding at
-    most :data:`_TABLE_ROWS` rows, the oldest dropped first, ``tables``
-    lives and dies with the subarray, and the window keeps no V.
+    under the V row, in place of any other row's, so GHASH, whose V is
+    the hash key row H^K for every block of a pass, builds it once per
+    pass.  ``tables`` lives and dies with the subarray, and the window
+    keeps no V.
+
+    ``runs`` holds every (first global iteration, iterations) pair it
+    was compiled for, by any caller: the invocations a
+    :class:`CompiledRun` accepts.
     """
 
     __slots__ = ("source", "code", "masks", "commands", "shift_steps",
-                 "fused", "_bound")
+                 "fused", "runs", "_bound")
 
     def __init__(self, source: str, masks: tuple[tuple[str, int], ...],
                  commands: int, shift_steps: int, fused: bool = False):
@@ -509,6 +512,7 @@ class CompiledWindow:
         self.commands = commands
         self.shift_steps = shift_steps
         self.fused = fused
+        self.runs: set[tuple[int, int]] = set()
         self._bound: dict[int, _Bound] = {}
 
     def bind(self, lanes: int) -> _Bound:
@@ -534,17 +538,21 @@ class CompiledRun:
     two host-action slots, passed to :meth:`Subarray.run`.
 
     ``calls`` holds one (bound window, first global iteration,
-    iterations) triple per invocation.  The subarray must have no
-    pending activation, the block width the windows were compiled for,
-    ``lanes`` lanes and ``cost_model``.  ``len`` is the number of
-    commands executed and ``cycles`` their cycles, both counted in
-    every lane.
+    iterations) triple per invocation, one of the window's ``runs``
+    (``ValueError`` if not).  The subarray must have no pending
+    activation, the block width the windows were compiled for, ``lanes``
+    lanes and ``cost_model``.  ``len`` is the number of commands
+    executed and ``cycles`` their cycles, both counted in every lane.
     """
 
     __slots__ = ("calls", "lanes", "cost_model", "commands", "cycles")
 
     def __init__(self, invocations: list[tuple[CompiledWindow, int, int]],
                  lanes: int, cost_model: CycleCostModel):
+        for window, first, iterations in invocations:
+            if (first, iterations) not in window.runs:
+                raise ValueError(f"window not compiled for {iterations} "
+                                 f"iterations from global iteration {first}")
         self.calls = tuple((window.bind(lanes), first, iterations)
                            for window, first, iterations in invocations)
         self.lanes = lanes
@@ -567,37 +575,66 @@ _OPTIONS = {Opcode.RD_ROW: (0xF, 0b1000), Opcode.WR_ROW: (0xF, 0b1000),
             Opcode.LOGIC_OP: (0b1001, 0), Opcode.EXT_BIT: (0b0001, 0)}
 
 # Compiled windows by (encoded words, stride pairs, block width, shared
-# rows).
+# rows, loop form): what the lowering reads.
 _COMPILED: dict[tuple, CompiledWindow] = {}
 
 
 def compile_window(words: tuple[int, ...],
                    strides: tuple[tuple[int, int], ...],
                    block_width: int,
-                   shared: frozenset[int],
-                   single: bool = False) -> CompiledWindow:
-    """Compile a window of encoded command words.
+                   runs: Iterable[tuple[int, int]]) -> CompiledWindow:
+    """Compile a window of encoded command words for the invocations
+    ``runs``.
 
     ``strides`` holds int ``(offset, increment)`` pairs: the command at
     ``offset`` addresses row ``index + increment * G`` in global
-    iteration ``G``.  ``shared`` holds every row those commands address
-    over the iterations the window will run.  The caller must have
-    checked that ``block_width`` is supported and that every such row is
-    on the grid, and must run the window only for those iterations, as
-    :class:`~pimcrypt.controller.Controller` does.  ``single`` lowers
-    the window without a loop: it then runs one iteration, global
-    iteration ``first``, whatever ``iterations`` says, so the caller
-    must pass 1, as the controller does for a window no invocation runs
-    more than once.  Raises :class:`WindowRejected` for a window the
+    iteration ``G``.  ``runs`` holds the int ``(first global iteration,
+    iterations >= 1)`` pairs the window will be invoked with, the only
+    ones a :class:`CompiledRun` accepts; none checks the window for
+    iteration 0.  The rows the stride rules address in those runs are
+    the window's shared rows, and if every run is one iteration the
+    window is lowered without a loop.
+
+    Raises :class:`BlockWidthMismatch` for an unsupported block width,
+    ``ValueError`` for a stride or run that is no such int pair, and
+    :class:`WindowRejected` for a stride offset outside the window, a
+    stride target off the grid in one of those runs, a window the
     reference could raise on (an option it rejects, a row off the grid,
-    an ext_bit width it rejects, an unpaired activation), and for a
-    strided shift or ext_bit or two stride rules on one command, which
-    are not lowered.
+    an ext_bit width it rejects, an unpaired activation), and a strided
+    shift or ext_bit or two stride rules on one command, which are not
+    lowered.
     """
-    key = (words, strides, block_width, shared, single)
+    if not supported_width(block_width):
+        raise BlockWidthMismatch(f"unsupported block width {block_width!r}")
+    runs = tuple(runs)
+    if not all(type(a) is type(b) is int for a, b in strides + runs) or any(
+            iterations < 1 for _, iterations in runs):
+        raise ValueError("strides and runs must be int pairs, iterations >= 1")
+    shared = set()
+    offsets = [offset for offset, _ in strides]
+    for offset, increment in strides:
+        if not 0 <= offset < len(words):
+            raise WindowRejected(offset, f"stride offset {offset} outside "
+                                 f"the window of {len(words)} commands")
+        if offsets.count(offset) > 1:
+            # the rows are checked for each rule, not for their sum
+            raise WindowRejected(offset, "two stride rules on one command")
+        index = (words[offset] >> 4) & 0xFF
+        for first, iterations in runs or ((0, 1),):
+            # A nonzero increment leaves the grid within ROWS + 1
+            # iterations, and a zero one addresses one row.
+            for g in range(first, first + min(iterations, ROWS + 1)):
+                row = index + increment * g
+                if not 0 <= row < ROWS:
+                    raise WindowRejected(offset, f"stride targets row {row} "
+                                         f"at iteration {g}")
+                shared.add(row)
+    key = (words, strides, block_width, frozenset(shared),
+           all(iterations == 1 for _, iterations in runs))
     window = _COMPILED.get(key)
     if window is None:
         _COMPILED[key] = window = _lower(*key)
+    window.runs.update(runs)
     return window
 
 
@@ -629,12 +666,6 @@ def _mac_rows(words) -> tuple[int, int, int, int] | None:
     return None
 
 
-# The most V rows whose byte tables one subarray keeps: a GHASH subarray
-# multiplies by two, the hash key row of its passes and that of its
-# last pass.
-_TABLE_ROWS = 4
-
-
 def _byte_table(v: int) -> list[int]:
     """clmul(v, b) for each byte value b, from v's 16 nibble products."""
     nibbles = [0, v]
@@ -648,8 +679,8 @@ def _multiply_accumulate(lanes: int):
     """``mac(v, e, p, n, tables)`` for a ``lanes``-lane subarray: rows V,
     E, M, U and P after ``n`` multiply-accumulate steps on rows V, E (the
     broadcast row) and P, each lane on its own, with the lanes' byte
-    tables of V kept in ``tables``.  See :class:`CompiledWindow` for the
-    closed form."""
+    tables of V kept in ``tables`` in place of any others.  See
+    :class:`CompiledWindow` for the closed form."""
     fill = lanes_to_row([1] * lanes)
     size = _LANE_BYTES * lanes
     # Where each lane's bytes end in a row's big-endian bytes, lane 0 last.
@@ -661,8 +692,8 @@ def _multiply_accumulate(lanes: int):
     def mac(v, e, p, n, tables):
         lane_tables = tables.get(v)
         if lane_tables is None:
-            if len(tables) >= _TABLE_ROWS:
-                del tables[next(iter(tables))]
+            # GHASH never returns to a V row it has left.
+            tables.clear()
             # Lanes that hold one value share its table.
             values = row_to_lanes(v, lanes)
             built = {x: _byte_table(x) for x in set(values)}
@@ -714,12 +745,7 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
         rows = _mac_rows(words)
         if rows is not None:
             return _lower_mac(*rows)
-    increments: dict[int, int] = {}
-    for offset, increment in strides:
-        if offset in increments:
-            # validation checks each rule, not their sum
-            raise WindowRejected(offset, "two stride rules on one command")
-        increments[offset] = increment
+    increments = dict(strides)
     # A shared row, one a stride rule can address in some iteration, is
     # read and written as ``g[...]`` by every command, strided or
     # constant.  Every other row is only ever named by a constant index,

@@ -73,6 +73,16 @@ def test_iteration_base_offsets_strides():
     assert sub.read_row(20) == 9
 
 
+def test_schedule_names_functions_by_their_key():
+    # The descriptor's own name only labels errors.
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
+    fd = FunctionDescriptor("F", 0, 2, strides=(StrideRule(0, 1),))
+    sub = Subarray()
+    sub.write_row(1, 5)
+    Controller(prog_of(cmds, {"Copy": fd}, [Invocation("Copy", 2, 0)])).run(sub)
+    assert sub.read_row(10) == 5
+
+
 def test_capacity_limit():
     cmds = [CommandWord.rd_row(0)] * (COMMAND_ARRAY_BYTES // 2 + 1)
     with pytest.raises(ControllerError):
@@ -227,7 +237,7 @@ def test_load_rejects_what_the_compiler_declines(name):
     with pytest.raises(WindowRejected) as declined:
         compile_window(tuple(c.encode() for c in cmds),
                        tuple((s.offset, s.increment) for s in strides), width,
-                       frozenset(c.index for c in cmds))
+                       [(0, 1)])
     assert declined.value.offset == offset
     fd = FunctionDescriptor("Bad", 0, len(cmds), strides=strides)
     with pytest.raises(ControllerError,

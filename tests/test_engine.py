@@ -24,7 +24,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from pimcrypt import fabric, perfmodel
 from pimcrypt.controller import (Controller, ControllerError,
@@ -436,8 +436,9 @@ def assert_loop_agrees(cmds, width, iterations, first, cost, **setup):
     """Run ``cmds`` as a looped window compiled without strides, from
     global iteration ``first``, and on the reference; both must leave
     the same rows, latch and cycles.  Returns the compiled window."""
+    # A looped run beside it keeps N = 1 on the looped lowering.
     window = compile_window(tuple(c.encode() for c in cmds), (), width,
-                            frozenset())
+                            [(first, iterations), (first, 2)])
     ends = []
     for compiled in (True, False):
         sub = random_subarray(width, cost, **setup)
@@ -530,10 +531,12 @@ def mac_lane(v, e, p, n):
             p ^ clmul(v, e & ((1 << k) - 1)) & LANE)
 
 
-def fused_window():
-    """The multiply-accumulate step on rows 0-3, compiled as a loop."""
+def fused_window(iterations):
+    """The multiply-accumulate step on rows 0-3, compiled as a loop for
+    ``iterations`` from global iteration 0."""
+    # A looped run beside it keeps N = 1 on the looped lowering.
     return compile_window(tuple(c.encode() for c in mac_window()), (), COLS,
-                          frozenset())
+                          [(0, iterations), (0, 2)])
 
 
 lane_values = st.one_of(st.integers(0, LANE), st.just(LANE), st.just(0))
@@ -543,11 +546,11 @@ lane_values = st.one_of(st.integers(0, LANE), st.just(LANE), st.just(0))
 def mac_calls(draw):
     """A lane count and a list of (V, E, P, N) calls, each row one value
     per lane.  V comes from a pool of rows, one of them another's lanes
-    in reverse order, so calls repeat V, change it and reorder it, and
-    there can be more distinct V rows than a subarray keeps tables for."""
+    in reverse order, so calls repeat V, change it, reorder it and return
+    to a row they left, whose tables the subarray no longer keeps."""
     lanes = draw(st.sampled_from([1, 2, 3, 8]))
     row = st.lists(lane_values, min_size=lanes, max_size=lanes)
-    pool = draw(st.lists(row, min_size=1, max_size=fabric._TABLE_ROWS + 2))
+    pool = draw(st.lists(row, min_size=1, max_size=4))
     pool.append(pool[0][::-1])
     calls = draw(st.lists(st.tuples(
         st.sampled_from(pool), row, row,
@@ -563,9 +566,9 @@ def test_bound_multiply_is_a_carry_less_multiply(case, cost):
     # for a V row it was not built from, or for another lane, fails.
     lanes, calls = case
     v_row, p_row, m_row, u_row = 0, 1, 2, 3
-    window = fused_window()
     sub = Subarray(cost_model=cost, lanes=lanes)
     for v, e, p, n in calls:
+        window = fused_window(n)
         sub.write_row(v_row, fabric.lanes_to_row(v))
         sub.write_row(fabric.EXT_ROW, fabric.lanes_to_row(e))
         sub.write_row(p_row, fabric.lanes_to_row(p))
@@ -576,12 +579,13 @@ def test_bound_multiply_is_a_carry_less_multiply(case, cost):
                for r in (v_row, fabric.EXT_ROW, m_row, u_row, p_row)]
         assert got == [list(col) for col in zip(*want)]
         assert sub.sa_latch == sub.grid[fabric.EXT_ROW]
-        assert len(sub.tables) <= fabric._TABLE_ROWS
+        assert list(sub.tables) == [fabric.lanes_to_row(v)]
 
 
 def fused_run(sub, v_rows):
     """Multiply by each V row in turn on ``sub``; returns its store."""
-    run = CompiledRun([(fused_window(), 0, 128)], sub.lanes, sub.cost_model)
+    run = CompiledRun([(fused_window(128), 0, 128)], sub.lanes,
+                      sub.cost_model)
     for v in v_rows:
         sub.write_row(0, v)
         sub.write_row(fabric.EXT_ROW, v ^ LANE * sub._fill)
@@ -598,23 +602,25 @@ def test_byte_tables_live_with_the_subarray():
     assert not one.tables and list(two.tables) == [b]
     # Only the store holds V rows: the bound multiply's own dict is
     # keyed by iteration count.
-    mac = fused_window().bind(2).__globals__["mac"]
+    mac = fused_window(128).bind(2).__globals__["mac"]
     for cell in mac.__closure__:
         if isinstance(cell.cell_contents, dict):
             assert all(key < 2 ** 16 for key in cell.cell_contents)
 
 
 def test_byte_tables_are_capped():
+    # A subarray keeps the tables of the last V row only.
     sub = Subarray(lanes=3)
-    v_rows = [fabric.lanes_to_row([x, 2 * x, 3 * x + 1])
-              for x in range(1, fabric._TABLE_ROWS + 4)]
+    v_rows = [fabric.lanes_to_row([x, 2 * x, 3 * x + 1]) for x in range(1, 5)]
     tables = fused_run(sub, v_rows)
-    # The oldest rows are dropped first.
-    assert list(tables) == v_rows[-fabric._TABLE_ROWS:]
+    assert list(tables) == v_rows[-1:]
     assert all(len(lane) == 256 for lanes in tables.values()
                for lane in lanes)
+    kept = tables[v_rows[-1]]
     fused_run(sub, [v_rows[-1]])
-    assert list(tables) == v_rows[-fabric._TABLE_ROWS:]
+    assert list(tables) == v_rows[-1:] and tables[v_rows[-1]] is kept
+    fused_run(sub, v_rows[:1])
+    assert list(tables) == v_rows[:1]
 
 
 rows = st.integers(0, 127)
@@ -733,22 +739,28 @@ def test_generated_one_iteration_windows_agree(prog, seed, pending, lanes):
 
 
 @settings(max_examples=300, deadline=None)
-@given(windows(), st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 2)),
-                           max_size=2))
-def test_load_rejects_exactly_what_the_compiler_declines(window, strides):
+@given(windows(), st.lists(st.tuples(st.integers(0, 60), st.integers(-3, 3)),
+                           max_size=2),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=3),
+       st.integers(0, 2 ** 32))
+def test_load_rejects_exactly_what_the_compiler_declines(window, strides,
+                                                         runs, seed):
+    # Stride offsets up to one past the window, negative increments and
+    # run sets from nonzero bases, or none: an unscheduled window.
     width, cmds = window
-    rules = [StrideRule(off % len(cmds), inc) for off, inc in strides]
-    # Iteration 0 only; load rejects a strided row off the grid first.
-    assume(all(cmds[r.offset].index < 128 or cmds[r.offset].opcode
-               is Opcode.SHIFT for r in rules))
-    prog = program(cmds, rules, [Invocation("F", 1, 0)], width)
+    rules = [StrideRule(off % (len(cmds) + 1), inc) for off, inc in strides]
+    prog = replace(program(cmds, rules, width=width),
+                   schedule=[Invocation("F", n, base) for base, n in runs])
     try:
         compile_window(tuple(c.encode() for c in cmds),
                        tuple((r.offset, r.increment) for r in rules), width,
-                       frozenset(cmds[r.offset].index for r in rules))
+                       runs)
     except fabric.WindowRejected as exc:
         with pytest.raises(ControllerError,
                            match=f"^function F command {exc.offset}: "):
             Controller(prog)
     else:
         Controller(prog)
+        for cost in COST_MODELS:
+            assert assert_engines_agree(prog, {}, cost,
+                                        grid_seed=seed)[0] is None

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from pimcrypt.fabric import (COLS, BlockWidthMismatch, CompiledRun,
                              CycleCostModel, EXT_ROW, LaneRows,
                              PendingActivation, RowOutOfRange, Subarray,
-                             UnsupportedOption, compile_window, row_to_lanes)
-from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind
+                             UnsupportedOption, WindowRejected,
+                             compile_window, row_to_lanes)
+from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, IsaError, LogicKind
 
 row_values = st.integers(0, (1 << 256) - 1)
 
@@ -155,10 +156,12 @@ def test_cost_model_allows_free_shifts():
     assert sub.run([CommandWord.shift(5)]) == 1
 
 
-@pytest.mark.parametrize("width", [512, 8, 16.0])
+@pytest.mark.parametrize("width", [512, 8, 16.0, 48])
 def test_unsupported_block_width_rejected(width):
     with pytest.raises(BlockWidthMismatch):
         Subarray(block_width=width)
+    with pytest.raises(BlockWidthMismatch):
+        compile_window((CommandWord.rd_row(0).encode(),), (), width, [(0, 1)])
 
 
 def test_write_rows_is_write_row_per_row():
@@ -244,7 +247,7 @@ def test_lane_rows_are_written_as_a_masked_replicated_write():
 
 def test_compiled_run_must_match_lanes_and_cost():
     window = compile_window((CommandWord.rd_row(0).encode(),), (), 256,
-                            frozenset())
+                            [(0, 2)])
     run = CompiledRun([(window, 0, 2)], 2, CycleCostModel(3, 1))
     assert len(run) == 4 and run.cycles == 12
     for sub in (Subarray(lanes=1, cost_model=CycleCostModel(3, 1)),
@@ -253,3 +256,59 @@ def test_compiled_run_must_match_lanes_and_cost():
             sub.run(run)
     sub = Subarray(lanes=2, cost_model=CycleCostModel(3, 1))
     assert sub.run(run) == 12 and sub.cycle_count == 12
+
+
+@pytest.mark.parametrize("runs,row,iteration", [
+    ([(0, 2)], -1, 1), ([(1, 1)], -1, 1), ([(0, 1), (3, 1)], -3, 3)])
+def test_a_stride_off_the_grid_is_rejected(runs, row, iteration):
+    # Compiled, rd_row 0 with increment -1 would read row 128 + row; the
+    # reference rejects the command the rule makes.
+    words = (CommandWord.rd_row(0).encode(), CommandWord.wr_row(5).encode())
+    with pytest.raises(WindowRejected,
+                       match=f"row {row} at iteration {iteration}$"
+                       ) as rejected:
+        compile_window(words, ((0, -1),), 256, runs)
+    assert rejected.value.offset == 0
+    with pytest.raises(IsaError):
+        CommandWord.rd_row(row)
+
+
+def test_a_stride_offset_outside_the_window_is_rejected():
+    with pytest.raises(WindowRejected,
+                       match="stride offset 3 outside") as rejected:
+        compile_window((CommandWord.rd_row(0).encode(),), ((3, 1),), 256,
+                       [(0, 1)])
+    assert rejected.value.offset == 3
+
+
+@pytest.mark.parametrize("strides,runs", [
+    ((), [(0, 0)]), ((), [(0, -1)]), (((0, 1.0),), [(0, 1)]),
+    ((), [(0.0, 1)]), ((), [(0, True)])])
+def test_malformed_strides_and_runs_are_rejected(strides, runs):
+    with pytest.raises(ValueError, match="int pairs"):
+        compile_window((CommandWord.rd_row(0).encode(),), strides, 256, runs)
+
+
+def test_a_run_the_window_was_not_compiled_for_is_refused():
+    # Row 2 lives in a local, written before the strided read, which in
+    # iteration 1 reads row 2: the window was compiled for iteration 0
+    # only, where it reads row 1, so row 2 is not a shared row and the
+    # read would see row 2 as it was before the window ran.
+    cmds = [CommandWord.rd_row(3), CommandWord.wr_row(2),
+            CommandWord.rd_row(1), CommandWord.wr_row(4)]
+    window = compile_window(tuple(c.encode() for c in cmds), ((2, 1),), 256,
+                            [(0, 1)])
+    for first, iterations in ((1, 1), (0, 2), (0, 0)):
+        with pytest.raises(ValueError, match="not compiled for"):
+            CompiledRun([(window, first, iterations)], 1, CycleCostModel())
+    sub = Subarray()
+    sub.write_rows(2, [9, 7])
+    sub.run([cmds[0], cmds[1], CommandWord.rd_row(2), cmds[3]])
+    assert sub.read_row(4) == 7
+    # Compiled for both iterations, row 2 is shared and the run agrees.
+    window = compile_window(tuple(c.encode() for c in cmds), ((2, 1),), 256,
+                            [(0, 1), (1, 1)])
+    sub = Subarray()
+    sub.write_rows(2, [9, 7])
+    sub.run(CompiledRun([(window, 1, 1)], 1, CycleCostModel()))
+    assert sub.read_row(4) == 7
