@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 from . import oracle, perfmodel
 from .fabric import CycleCostModel
@@ -66,8 +67,9 @@ def _hex(value: str | None, name: str, lengths: tuple[int, ...] = ()) -> bytes:
     return data
 
 
-def _verify(label: str, got: bytes, expect: bytes, enabled: bool) -> None:
-    if enabled and got != expect:
+def _verify(label: str, got: bytes, reference, enabled: bool) -> None:
+    """Compare ``got`` with ``reference()``, called only when enabled."""
+    if enabled and got != reference():
         raise CliError(f"{label}: fabric/reference mismatch", MISMATCH_ERROR)
 
 
@@ -75,56 +77,38 @@ def _verify(label: str, got: bytes, expect: bytes, enabled: bool) -> None:
 # Crypto subcommands
 # ---------------------------------------------------------------------------
 
+# The IV or nonce lengths each mode that takes one accepts (any for GCM).
+_IV_LENGTHS = {"cbc": (16,), "ctr": (16,), "ccm": tuple(range(7, 14)),
+               "gcm": ()}
+
+
 def cmd_encrypt(args, decrypt: bool = False) -> int:
     data = _read(args.infile)
     key = _hex(args.key, "key", (16, 32))
-    verify = not args.no_verify
     mode = args.mode
     direction = "decrypt" if decrypt else "encrypt"
+    if mode == "ecb":
+        block = getattr(oracle, f"aes_{direction}_block")
+        run = partial(modes.ecb_crypt, key, data, direction)
+
+        def reference():
+            return b"".join(block(key, data[i:i + 16])
+                            for i in range(0, len(data), 16))
+    else:
+        params = [_hex(args.iv, "iv", _IV_LENGTHS[mode])]
+        if mode in ("ccm", "gcm"):
+            params.append(_hex(args.aad or "", "aad"))
+        name = "ctr_crypt" if mode == "ctr" else f"{mode}_{direction}"
+        run = partial(getattr(modes, name), key, *params, data)
+        reference = partial(getattr(oracle, name), key, *params, data)
     try:
-        if mode == "ecb":
-            out = modes.ecb_crypt(key, data, direction)
-            ref_one = (oracle.aes_decrypt_block if decrypt
-                       else oracle.aes_encrypt_block)
-            ref = b"".join(ref_one(key, data[i:i + 16])
-                           for i in range(0, len(data), 16))
-        elif mode == "cbc":
-            iv = _hex(args.iv, "iv", (16,))
-            if decrypt:
-                out = modes.cbc_decrypt(key, iv, data)
-                ref = oracle.cbc_decrypt(key, iv, data)
-            else:
-                out = modes.cbc_encrypt(key, iv, data)
-                ref = oracle.cbc_encrypt(key, iv, data)
-        elif mode == "ctr":
-            iv = _hex(args.iv, "iv", (16,))
-            out = modes.ctr_crypt(key, iv, data)
-            ref = oracle.ctr_crypt(key, iv, data)
-        elif mode == "ccm":
-            nonce = _hex(args.iv, "iv", tuple(range(7, 14)))
-            aad = _hex(args.aad or "", "aad")
-            if decrypt:
-                out = modes.ccm_decrypt(key, nonce, aad, data)
-                ref = oracle.ccm_decrypt(key, nonce, aad, data)
-            else:
-                out = modes.ccm_encrypt(key, nonce, aad, data)
-                ref = oracle.ccm_encrypt(key, nonce, aad, data)
-        elif mode == "gcm":
-            iv = _hex(args.iv, "iv")
-            aad = _hex(args.aad or "", "aad")
-            if decrypt:
-                out = modes.gcm_decrypt(key, iv, aad, data)
-                ref = oracle.gcm_decrypt(key, iv, aad, data)
-            else:
-                out = modes.gcm_encrypt(key, iv, aad, data)
-                ref = oracle.gcm_encrypt(key, iv, aad, data)
-        else:
-            raise CliError(f"unknown mode {mode}", USAGE_ERROR)
+        out = run()
+        _verify(f"aes-{len(key)*8}-{mode}", out, reference,
+                not args.no_verify)
     except (modes.TagMismatch, oracle.TagMismatch) as exc:
         raise CliError(str(exc), MISMATCH_ERROR)
     except ValueError as exc:      # parameters the mode rejects
         raise CliError(str(exc), USAGE_ERROR)
-    _verify(f"aes-{len(key)*8}-{mode}", out, ref, verify)
     _write(args.outfile, out)
     return 0
 
@@ -150,7 +134,7 @@ def cmd_hash(args) -> int:
     bits = _sha3_bits(args.alg)
     msg = _read(args.infile)
     out = modes.sha3_digest(bits, msg)
-    _verify(args.alg, out, oracle.sha3(bits, msg), not args.no_verify)
+    _verify(args.alg, out, partial(oracle.sha3, bits, msg), not args.no_verify)
     _write(args.outfile, out.hex().encode() + b"\n")
     return 0
 
@@ -160,7 +144,7 @@ def cmd_hmac(args) -> int:
     key = _hex(args.key, "key")
     msg = _read(args.infile)
     out = modes.hmac_sha3(bits, key, msg)
-    _verify(f"hmac-{args.alg}", out, oracle.hmac_sha3(bits, key, msg),
+    _verify(f"hmac-{args.alg}", out, partial(oracle.hmac_sha3, bits, key, msg),
             not args.no_verify)
     _write(args.outfile, out.hex().encode() + b"\n")
     return 0

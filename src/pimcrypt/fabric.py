@@ -43,7 +43,11 @@ only one that knows the lane layout: :func:`lanes_to_row` joins one
 again, and a :class:`LaneRows` of one-lane rows is written repeated in
 every lane of whatever subarray it is written to.
 
-Two engines execute commands.  :meth:`Subarray.execute` is the reference
+Two engines execute commands, and both read one per-opcode table of
+what a command accepts and names (``_COMMANDS``): the option nibble it
+accepts, and whether its index names a grid row, as rd_row's, wr_row's,
+act_row's and an AND, OR or XOR logic_op's do (a NOT's, a shift count
+and an ext_bit column do not).  :meth:`Subarray.execute` is the reference
 interpreter: it decodes, checks and runs one command at a time, and
 :meth:`Subarray.run` uses it for a plain command sequence; it runs traced
 runs and the differential tests.  :func:`compile_window` lowers a whole
@@ -57,7 +61,7 @@ compiled for, bound once per lane count and cost model, and ``run``
 executes it in one call.  Both engines leave the same grid, latch and
 cycle count.  A window's source is compiled once with its masks as names
 and bound to lane-replicated masks once per lane count.  Its *shared*
-rows, every row a stride rule addresses in its runs, are indexed in the
+rows, every row a strided command names in its runs, are indexed in the
 row list on every access; every other row lives in a local for the
 whole call, loaded before the loop and stored after it, so no strided
 access can miss a write to a local.  A window whose runs are all one
@@ -174,6 +178,23 @@ class TraceRecord(NamedTuple):
     text: str
     cycles: int
     latch: int
+
+
+# Per opcode, for the reference and the compiler alike: the (mask, value)
+# the option nibble must match, and whether the index names a grid row (a
+# logic_op's does unless it is a NOT; a shift's is a count, an ext_bit's a
+# column, whose width code must also name the block width).
+_COMMANDS = {
+    Opcode.RD_ROW: (0xF, 0b1000, True), Opcode.WR_ROW: (0xF, 0b1000, True),
+    Opcode.ACT_ROW: (0xF, 0b0001, True), Opcode.LOGIC_OP: (0b1001, 0, True),
+    Opcode.SHIFT: (0b1001, 0b1000, False), Opcode.EXT_BIT: (0b0001, 0, False)}
+_NO_COMMAND = (0, 1, False)     # an unassigned opcode: no option matches
+
+
+def _names_row(op: int, option: int) -> bool:
+    """Whether a command's index names a grid row, by :data:`_COMMANDS`."""
+    return _COMMANDS.get(op, _NO_COMMAND)[2] and not (
+        op == Opcode.LOGIC_OP and option >> 1 & 0b11 == LogicKind.NOT)
 
 
 # Cache of segment-confinement masks, keyed by (width, count, right).
@@ -318,89 +339,63 @@ class Subarray:
 
     def execute(self, cmd: CommandWord) -> int:
         """Execute one command in every lane; returns the cycles it
-        consumed, summed over lanes."""
+        consumed, summed over lanes.  Checks the pending activation, then
+        the option and row rules of ``_COMMANDS``, then an ext_bit's width."""
         op = cmd.opcode
         index = cmd.index
         option = cmd.option
+        logic = op is Opcode.LOGIC_OP
+        if (self.pending_row is not None) != logic:
+            raise PendingActivation(
+                "logic_op without preceding act_row" if logic
+                else f"act_row {self.pending_row} not followed by logic_op")
+        need, value, _ = _COMMANDS[op]
+        if option & need != value:
+            raise UnsupportedOption(f"{op.name.lower()} option {option:#06b}")
+        if index >= ROWS and _names_row(op, option):
+            raise RowOutOfRange(f"{op.name.lower()} row {index}")
         cost = self.cost_model.cycles_per_command
 
-        if self.pending_row is not None and op is not Opcode.LOGIC_OP:
-            raise PendingActivation(
-                f"act_row {self.pending_row} not followed by logic_op")
-
-        if op is Opcode.LOGIC_OP:
-            if self.pending_row is None:
-                raise PendingActivation("logic_op without preceding act_row")
-            if option & 0b1001:
-                raise UnsupportedOption(f"logic_op option {option:#06b}")
+        if logic:
             src1 = self.grid[self.pending_row]
-            kind = (option >> 1) & 0b11
+            kind = option >> 1
             if kind == LogicKind.NOT:
                 self.sa_latch = src1 ^ self.row_mask
+            elif kind == LogicKind.AND:
+                self.sa_latch = src1 & self.grid[index]
+            elif kind == LogicKind.OR:
+                self.sa_latch = src1 | self.grid[index]
             else:
-                if index >= ROWS:
-                    raise RowOutOfRange(f"logic_op row {index}")
-                src2 = self.grid[index]
-                if kind == LogicKind.AND:
-                    self.sa_latch = src1 & src2
-                elif kind == LogicKind.OR:
-                    self.sa_latch = src1 | src2
-                else:
-                    self.sa_latch = src1 ^ src2
+                self.sa_latch = src1 ^ self.grid[index]
             self.pending_row = None
 
         elif op is Opcode.ACT_ROW:
-            if option != 0b0001:
-                raise UnsupportedOption(f"act_row option {option:#06b} not armed")
-            if index >= ROWS:
-                raise RowOutOfRange(f"act_row {index}")
             self.pending_row = index
 
         elif op is Opcode.RD_ROW:
-            if option != 0b1000:
-                raise UnsupportedOption("rd_row supports only the sa route")
-            if index >= ROWS:
-                raise RowOutOfRange(f"rd_row {index}")
             self.sa_latch = self.grid[index]
 
         elif op is Opcode.WR_ROW:
-            if option & 0b0111:
-                raise UnsupportedOption(f"wr_row option {option:#06b}")
-            if not option & 0b1000:
-                raise UnsupportedOption("wr_row data-bus route is host-only")
-            if index >= ROWS:
-                raise RowOutOfRange(f"wr_row {index}")
             self.grid[index] = self.sa_latch
 
         elif op is Opcode.SHIFT:
-            if not option & 0b1000:
-                raise UnsupportedOption("shift without valid flag")
-            if option & 0b0001:
-                raise UnsupportedOption(f"shift option {option:#06b}")
             width = self.block_width
-            count = index
-            if count:
-                if count >= width:
+            if index:       # the shift count
+                if index >= width:
                     # Every bit would cross its segment boundary.
                     self.sa_latch = 0
                 else:  # right (toward column 255) or left
                     right = bool(option & 0b0100)
-                    mask = _shift_mask(width, count, right) * self._fill
-                    self.sa_latch = (self.sa_latch << count if right
-                                     else self.sa_latch >> count) & mask
-                cost += count * self.cost_model.cycles_per_shift_step
+                    mask = _shift_mask(width, index, right) * self._fill
+                    self.sa_latch = (self.sa_latch << index if right
+                                     else self.sa_latch >> index) & mask
+                cost += index * self.cost_model.cycles_per_shift_step
 
         else:  # EXT_BIT
-            if option & 0b0001:
-                raise UnsupportedOption(f"ext_bit option {option:#06b}")
-            code = (option >> 1) & 0b111
-            if code >= len(BLOCK_WIDTHS):
-                raise BlockWidthMismatch(f"ext_bit width code {code:#05b}")
-            width = BLOCK_WIDTHS[code]
-            if width != self.block_width:
-                raise BlockWidthMismatch(
-                    f"ext_bit width {width} but fabric configured for "
-                    f"{self.block_width}")
+            code, width = option >> 1, self.block_width
+            if code >= len(BLOCK_WIDTHS) or BLOCK_WIDTHS[code] != width:
+                raise BlockWidthMismatch(f"ext_bit width code {code} on "
+                                         f"block width {width}")
             src = self.grid[EXT_ROW]
             latch = 0
             seg_fill = (1 << width) - 1
@@ -568,12 +563,6 @@ class CompiledRun:
 
 _LOGIC_SYMBOLS = {LogicKind.AND: "&", LogicKind.OR: "|", LogicKind.XOR: "^"}
 
-# The (mask, value) each opcode's option nibble must match to compile;
-# an ext_bit's width code must also name the block width.
-_OPTIONS = {Opcode.RD_ROW: (0xF, 0b1000), Opcode.WR_ROW: (0xF, 0b1000),
-            Opcode.SHIFT: (0b1001, 0b1000), Opcode.ACT_ROW: (0xF, 0b0001),
-            Opcode.LOGIC_OP: (0b1001, 0), Opcode.EXT_BIT: (0b0001, 0)}
-
 # Compiled windows by (encoded words, stride pairs, block width, shared
 # rows, loop form): what the lowering reads.
 _COMPILED: dict[tuple, CompiledWindow] = {}
@@ -587,22 +576,25 @@ def compile_window(words: tuple[int, ...],
     ``runs``.
 
     ``strides`` holds int ``(offset, increment)`` pairs: the command at
-    ``offset`` addresses row ``index + increment * G`` in global
-    iteration ``G``.  ``runs`` holds the int ``(first global iteration,
+    ``offset`` has index ``index + increment * G`` in global iteration
+    ``G``.  ``runs`` holds the int ``(first global iteration,
     iterations >= 1)`` pairs the window will be invoked with, the only
     ones a :class:`CompiledRun` accepts; none checks the window for
-    iteration 0.  The rows the stride rules address in those runs are
-    the window's shared rows, and if every run is one iteration the
-    window is lowered without a loop.
+    iteration 0.  The per-opcode table ``_COMMANDS``, which the
+    reference reads too, says which options a command accepts and
+    whether its index names a row: the rows strided commands name in
+    those runs are the window's shared rows.  A strided NOT names no
+    row, so its stride has no effect.  If every run is one iteration
+    the window is lowered without a loop.
 
     Raises :class:`BlockWidthMismatch` for an unsupported block width,
     ``ValueError`` for a stride or run that is no such int pair, and
-    :class:`WindowRejected` for a stride offset outside the window, a
-    stride target off the grid in one of those runs, a window the
-    reference could raise on (an option it rejects, a row off the grid,
-    an ext_bit width it rejects, an unpaired activation), and a strided
-    shift or ext_bit or two stride rules on one command, which are not
-    lowered.
+    :class:`WindowRejected` for a window the reference could raise on
+    in one of those runs (an option it rejects, a row off the grid, a
+    strided index outside the 8-bit field, an ext_bit width it rejects,
+    an unpaired activation), and for a stride offset outside the window,
+    a strided shift or ext_bit or two stride rules on one command, which
+    are not lowered.
     """
     if not supported_width(block_width):
         raise BlockWidthMismatch(f"unsupported block width {block_width!r}")
@@ -619,16 +611,24 @@ def compile_window(words: tuple[int, ...],
         if offsets.count(offset) > 1:
             # the rows are checked for each rule, not for their sum
             raise WindowRejected(offset, "two stride rules on one command")
-        index = (words[offset] >> 4) & 0xFF
+        word = words[offset]
+        op, index = word >> 12, (word >> 4) & 0xFF
+        if op in (Opcode.SHIFT, Opcode.EXT_BIT):
+            raise WindowRejected(offset, "strided shift or ext_bit")
+        # A row's targets must be on the grid and are shared; any other
+        # index (a NOT's) need only stay in the 8-bit field.
+        what, end = (("row", ROWS) if _names_row(op, word & 0xF)
+                     else ("index", 0x100))
         for first, iterations in runs or ((0, 1),):
-            # A nonzero increment leaves the grid within ROWS + 1
-            # iterations, and a zero one addresses one row.
-            for g in range(first, first + min(iterations, ROWS + 1)):
-                row = index + increment * g
-                if not 0 <= row < ROWS:
-                    raise WindowRejected(offset, f"stride targets row {row} "
-                                         f"at iteration {g}")
-                shared.add(row)
+            # A nonzero increment leaves the range within end + 1
+            # iterations, and a zero one addresses one target.
+            for g in range(first, first + min(iterations, end + 1)):
+                target = index + increment * g
+                if not 0 <= target < end:
+                    raise WindowRejected(offset, f"stride targets {what} "
+                                         f"{target} at iteration {g}")
+                if what == "row":
+                    shared.add(target)
     key = (words, strides, block_width, frozenset(shared),
            all(iterations == 1 for _, iterations in runs))
     window = _COMPILED.get(key)
@@ -764,8 +764,6 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
     def row(offset: int, index: int, written: bool = False) -> str:
         if offset in increments:
             return f"g[{index} + {increments[offset]} * G]"
-        if index >= ROWS:
-            raise WindowRejected(offset, f"row {index} off the grid")
         if index in shared:
             return f"g[{index}]"
         if written:
@@ -786,15 +784,16 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
     steps = 0
     for offset, word in enumerate(words):
         op, index, option = word >> 12, (word >> 4) & 0xFF, word & 0xF
-        need, value = _OPTIONS.get(op, (0, 1))
+        need, value, _ = _COMMANDS.get(op, _NO_COMMAND)
         if option & need != value:
             raise WindowRejected(offset, f"word {word:#06x} has an opcode "
                                  f"or option the fabric rejects")
-        if op in (Opcode.SHIFT, Opcode.EXT_BIT) and offset in increments:
-            raise WindowRejected(offset, "strided shift or ext_bit")
         if (pending is not None) != (op == Opcode.LOGIC_OP):
             raise WindowRejected(offset if pending is None else pending[0],
                                  "unpaired act_row or logic_op")
+        if (index >= ROWS and offset not in increments
+                and _names_row(op, option)):
+            raise WindowRejected(offset, f"row {index} off the grid")
         if op == Opcode.LOGIC_OP:
             kind = (option >> 1) & 0b11
             if kind == LogicKind.NOT:

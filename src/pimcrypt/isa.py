@@ -16,7 +16,8 @@ rejected by :func:`decode`.  The option nibble carries per-opcode flags:
 * ``ext_bit``              bits 3..1 encode the block width.
 
 ``decode`` is a pure field split plus opcode check, so every option nibble
-round-trips; option semantics are enforced by the fabric at execute time.
+round-trips; option semantics are enforced by the fabric's per-opcode
+table, at load and at execute.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from pimcrypt import oracle
 from pimcrypt.controller import OUTPUT, ExecutionStats, count_runs
 from pimcrypt.fabric import Subarray
 from pimcrypt.kernels import aes, circuits, modes
+from pimcrypt.kernels.layout import LayoutError, LayoutMap
 
 FIPS_KEY128 = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_KEY256 = bytes.fromhex(
@@ -161,6 +162,32 @@ def test_scheduled_sub_bytes_is_exhaustively_right(inverse):
         sub.execute(cmd)
     assert [sub.read_row(aes.AES_LAYOUT.row("planes", b))
             for b in range(8)] == _byte_planes(SBOX_TABLES[inverse])
+
+
+def test_a_circuit_with_no_free_row_exceeds_the_temp_budget():
+    # Both inputs live on past gate 0 and no scratch row is left for t.
+    gates = [circuits.Gate("and", "t", "x0", "x1"),
+             circuits.Gate("xor", "y", "x0", "x1"),
+             circuits.Gate("xor", "z", "t", "y")]
+    with pytest.raises(circuits.TempBudgetExceeded,
+                       match="no free row for t at gate 0"):
+        circuits.schedule(gates, {"x0": 0, "x1": 1}, {"z": 2}, [])
+
+
+@pytest.mark.parametrize("regions,message", [
+    ({"a": (-1, 2)}, "region a exceeds the grid"),
+    ({"a": (120, 9)}, "region a exceeds the grid"),
+    ({"a": (0, 4), "b": (3, 2)}, "region b overlaps another region"),
+])
+def test_a_layout_keeps_its_regions_on_the_grid_and_apart(regions, message):
+    with pytest.raises(LayoutError, match=message):
+        LayoutMap(regions)
+
+
+@pytest.mark.parametrize("i", [-1, 4])
+def test_a_layout_row_stays_inside_its_region(i):
+    with pytest.raises(LayoutError, match=f"row {i} outside region a"):
+        LayoutMap({"a": (10, 4)}).row("a", i)
 
 
 # Pinned counts for the control-kernel budget. [DERIVED]

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file IO, and asm/disasm identity."""
 
 import hashlib
+import inspect
 import io
 import json
 import pathlib
@@ -107,6 +108,37 @@ def test_no_verify_identical_output(tmp_path, rng):
     assert run(common + ["--out", str(a)]) == 0
     assert run(common + ["--out", str(b), "--no-verify"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+MODE_ARGS = {"ecb": [], "cbc": ["--iv", IV], "ctr": ["--iv", IV],
+             "ccm": ["--iv", "00" * 12, "--aad", "abcd"],
+             "gcm": ["--iv", "00" * 12, "--aad", "abcd"]}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--mode", mode, "--key", KEY, *MODE_ARGS[mode]]
+    for command in ("encrypt", "decrypt") for mode in MODE_ARGS] + [
+    ["hash", "--alg", "sha3-256"],
+    ["hmac", "--alg", "sha3-256", "--key", KEY]],
+    ids=lambda argv: " ".join(argv[:3]))
+def test_no_verify_runs_no_oracle_function(tmp_path, monkeypatch, argv):
+    src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(bytes(range(48)))
+    if argv[0] == "decrypt":
+        # Decrypt a sealed message, so CCM's and GCM's tags check.
+        assert run(["encrypt", *argv[1:], "--in", str(src),
+                    "--out", str(out)]) == 0
+        src.write_bytes(out.read_bytes())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle function ran")
+    for name, value in vars(oracle).items():
+        if inspect.isfunction(value):
+            monkeypatch.setattr(oracle, name, refuse)
+    argv += ["--in", str(src), "--out", str(out)]
+    assert run(argv + ["--no-verify"]) == 0
+    with pytest.raises(AssertionError, match="oracle function ran"):
+        run(argv)
 
 
 def test_trace_emits_records(tmp_path, capsys):

@@ -9,14 +9,17 @@ and host outputs, and raise the same exception type.  A run on K lanes
 must leave each lane as a one-lane run on that lane's grid would, and
 count the cycles and statistics of all K.  Load rejects exactly the
 windows the compiler declines, so no loaded program runs on the
-reference untraced.  A compiled window indexes the grid for the rows its
-strides reach and keeps every other row in a local, even where a strided
-access aliases a row the window also names by constant index.  The one
-window the compiler lowers whole, GHASH's multiply-accumulate loop, must
-agree with the reference for any iteration count and with a plain
-carry-less multiply over repeated calls on one subarray, whose byte
-tables no other subarray shares, and windows one change away from it
-must take the generic lowering.
+reference untraced, and the compiler declines exactly the windows the
+reference faults on in one of their runs and the forms it does not
+lower; a strided NOT, whose index names no row, loads.  A compiled
+window indexes the grid for the rows its strides reach and keeps every
+other row in a local, even where a strided access aliases a row the
+window also names by constant index.  The one window the compiler
+lowers whole, GHASH's multiply-accumulate loop, must agree with the
+reference for any iteration count and with a plain carry-less multiply
+over repeated calls on one subarray, whose byte tables no other
+subarray shares, and windows one change away from it must take the
+generic lowering.
 """
 
 import random
@@ -33,7 +36,8 @@ from pimcrypt.controller import (Controller, ControllerError,
                                  count_runs)
 from pimcrypt.fabric import (COLS, CompiledRun, CycleCostModel,
                              RowOutOfRange, Subarray, compile_window)
-from pimcrypt.isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode
+from pimcrypt.isa import (BLOCK_WIDTHS, CommandWord, IsaError, LogicKind,
+                          Opcode)
 from pimcrypt.kernels import aes, ghash, keccak, modes
 
 COST_MODELS = [CycleCostModel(), CycleCostModel(3, 2)]
@@ -628,7 +632,8 @@ indices = st.integers(0, 255)
 
 
 def segments(width):
-    """One valid command, or one act_row + logic_op + wr_row triple."""
+    """One valid command, or one act_row + logic_op + wr_row triple; a
+    NOT's index, which names no row, may be any 8-bit value."""
     return st.one_of(
         st.builds(lambda r: [CommandWord.rd_row(r)], rows),
         st.builds(lambda r: [CommandWord.wr_row(r)], rows),
@@ -637,7 +642,9 @@ def segments(width):
                   st.booleans()),
         st.builds(lambda c: [CommandWord.ext_bit(c, width)],
                   st.one_of(st.integers(0, 2), indices)),
-        st.builds(logic, rows, st.sampled_from(list(LogicKind)), rows, rows))
+        st.builds(logic, rows, st.sampled_from(list(LogicKind)), rows, rows),
+        st.builds(lambda a, i, dst: logic(a, LogicKind.NOT, i, dst), rows,
+                  indices, rows))
 
 
 @st.composite
@@ -662,6 +669,12 @@ def windows(draw):
 ROW_OPCODES = (Opcode.RD_ROW, Opcode.WR_ROW, Opcode.ACT_ROW, Opcode.LOGIC_OP)
 
 
+def names_row(cmd):
+    """Whether ``cmd``'s index is a grid row: a NOT reads no second row."""
+    return cmd.opcode in ROW_OPCODES and not (
+        cmd.opcode is Opcode.LOGIC_OP and cmd.option >> 1 == LogicKind.NOT)
+
+
 def accepted_options(opcode, width):
     """The option nibbles the fabric accepts; shift ignores bit 1."""
     return {Opcode.RD_ROW: [0b1000], Opcode.WR_ROW: [0b1000],
@@ -673,12 +686,14 @@ def accepted_options(opcode, width):
 @st.composite
 def loadable_programs(draw, max_iterations=3):
     """A one-function program that loads: like :func:`windows`, but the
-    option mutation draws a nibble the fabric accepts, the splice puts a
-    valid rd_row, wr_row, shift or ext_bit word between two segments, and
-    at most two stride rules sit on distinct row-addressing commands and
-    keep their rows on the grid for every iteration the schedule runs;
-    some row-addressing commands without a rule address rows a rule
-    reaches.  Each invocation runs 1 to ``max_iterations`` iterations."""
+    option mutation draws a nibble the fabric accepts (a NOT's off the
+    grid stays a NOT), the splice puts a valid rd_row, wr_row, shift or
+    ext_bit word between two segments, and at most two stride rules sit
+    on distinct row-addressing commands or NOTs and keep their rows on
+    the grid, and a NOT's index in its 8-bit field, for every iteration
+    the schedule runs; some row-addressing commands without a rule
+    address rows a rule reaches.  Each invocation runs 1 to
+    ``max_iterations`` iterations."""
     width = draw(st.sampled_from(BLOCK_WIDTHS[:5]))
     parts = draw(st.lists(segments(width), min_size=1, max_size=10))
     change = draw(st.sampled_from(["none", "option", "splice"]))
@@ -691,8 +706,10 @@ def loadable_programs(draw, max_iterations=3):
     cmds = sum(parts, [])
     if change == "option":
         i = draw(st.integers(0, len(cmds) - 1))
-        cmds[i] = CommandWord(cmds[i].opcode, cmds[i].index, draw(
-            st.sampled_from(accepted_options(cmds[i].opcode, width))))
+        op, index = cmds[i].opcode, cmds[i].index
+        cmds[i] = CommandWord(op, index, draw(st.sampled_from([
+            o for o in accepted_options(op, width)
+            if index < 128 or not names_row(CommandWord(op, index, o))])))
     invocations = draw(st.lists(st.tuples(st.integers(1, max_iterations),
                                           st.integers(0, 3)),
                                 min_size=1, max_size=3))
@@ -701,12 +718,13 @@ def loadable_programs(draw, max_iterations=3):
     rules = []
     for off in draw(st.lists(st.sampled_from(strided), max_size=2,
                              unique=True)) if strided else []:
-        index = cmds[off].index
+        index, end = cmds[off].index, 128 if names_row(cmds[off]) else 256
         rules.append(StrideRule(off, draw(st.integers(-2, 2).filter(
-            lambda inc: 0 <= index + inc * last < 128))))
+            lambda inc: 0 <= index + inc * last < end))))
     # Move some constant row accesses onto rows a stride reaches, so that
     # strided and constant accesses alias often, not by chance.
     reach = sorted({cmds[r.offset].index + r.increment * g for r in rules
+                    if names_row(cmds[r.offset])
                     for n, base in invocations for g in range(base, base + n)})
     constant = [i for i in strided if i not in {r.offset for r in rules}]
     if reach and constant:
@@ -746,7 +764,9 @@ def test_generated_one_iteration_windows_agree(prog, seed, pending, lanes):
 def test_load_rejects_exactly_what_the_compiler_declines(window, strides,
                                                          runs, seed):
     # Stride offsets up to one past the window, negative increments and
-    # run sets from nonzero bases, or none: an unscheduled window.
+    # run sets from nonzero bases, or none: an unscheduled window.  Load
+    # rejects a window if and only if the reference faults on one of its
+    # runs or the window is a form the compiler does not lower.
     width, cmds = window
     rules = [StrideRule(off % (len(cmds) + 1), inc) for off, inc in strides]
     prog = replace(program(cmds, rules, width=width),
@@ -756,11 +776,67 @@ def test_load_rejects_exactly_what_the_compiler_declines(window, strides,
                        tuple((r.offset, r.increment) for r in rules), width,
                        runs)
     except fabric.WindowRejected as exc:
+        declined = True
         with pytest.raises(ControllerError,
                            match=f"^function F command {exc.offset}: "):
             Controller(prog)
     else:
+        declined = False
         Controller(prog)
         for cost in COST_MODELS:
             assert assert_engines_agree(prog, {}, cost,
                                         grid_seed=seed)[0] is None
+    assert declined == (unlowered(cmds, rules)
+                        or reference_faults(cmds, rules, width, runs))
+
+
+def unlowered(cmds, rules):
+    """Whether a rule sits outside the window, on a shift or ext_bit, or
+    on a command another rule strides."""
+    offsets = [r.offset for r in rules]
+    return len(set(offsets)) < len(offsets) or any(
+        off >= len(cmds) or cmds[off].opcode in (Opcode.SHIFT, Opcode.EXT_BIT)
+        for off in offsets)
+
+
+def reference_faults(cmds, rules, width, runs):
+    """Whether the reference, resolving ``rules`` as the controller does,
+    raises on one of ``runs`` (iteration 0 if there are none) or leaves
+    an activation pending after them."""
+    sub = Subarray(block_width=width)
+    try:
+        for base, n in runs or [(0, 1)]:
+            for g in range(base, base + n):
+                resolved = list(cmds)
+                for r in rules:
+                    old = resolved[r.offset]
+                    resolved[r.offset] = CommandWord(
+                        old.opcode, old.index + r.increment * g, old.option)
+                sub.run(resolved)
+    except (fabric.FabricError, IsaError):
+        return True
+    return sub.pending_row is not None
+
+
+@pytest.mark.parametrize("index", [120, 200])
+def test_a_strided_not_loads_and_agrees(index):
+    # A NOT reads only its activated row, so its index names no row and
+    # a stride that drives it past row 127 moves nothing: the window
+    # loads and leaves the rows, latch and cycles of the reference.
+    prog = program(logic(1, LogicKind.NOT, index, 2), [StrideRule(1, 5)],
+                   [Invocation("F", 3, 0)])
+    assert "* G]" not in Controller(prog)._window("F").source
+    for cost in COST_MODELS:
+        assert assert_engines_agree(prog, {}, cost, grid_seed=index)[0] is None
+        assert_lanes_agree(prog, cost, 2, grid_seed=index)
+
+
+def test_a_strided_not_past_the_index_field_is_rejected():
+    # In iteration 2 the stride makes index 260, which no command word
+    # holds: the reference cannot resolve it, and load rejects it.
+    cmds = logic(1, LogicKind.NOT, 250, 2)
+    with pytest.raises(ControllerError,
+                       match="command 1: stride targets index 260 at "
+                             "iteration 2$"):
+        Controller(program(cmds, [StrideRule(1, 5)], [Invocation("F", 3, 0)]))
+    assert reference_faults(cmds, [StrideRule(1, 5)], 256, [(0, 3)])

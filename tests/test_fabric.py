@@ -164,6 +164,12 @@ def test_unsupported_block_width_rejected(width):
         compile_window((CommandWord.rd_row(0).encode(),), (), width, [(0, 1)])
 
 
+@pytest.mark.parametrize("lanes", [0, -1, True, 1.0])
+def test_a_lane_count_below_one_or_not_an_int_is_rejected(lanes):
+    with pytest.raises(ValueError, match="lanes must be a positive int"):
+        Subarray(lanes=lanes)
+
+
 def test_write_rows_is_write_row_per_row():
     # Values are masked to the lanes' columns, as write_row masks them.
     values = [-1, 1 << 600, (1 << 512) + 7, 3]

@@ -85,6 +85,25 @@ def test_asm_errors_name_line():
     assert "2" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    (".row ACC", "malformed label declaration"),
+    (".row ACC x1", "bad label value"),
+    ("bogus_op 3", "unknown mnemonic"),
+    ("rd_row", "missing operand"),
+    ("rd_row @ACC, sa", "undeclared label"),
+    ("rd_row one, sa", "bad operand"),
+    ("rd_row 1", "rd_row needs an option flag"),
+    ("rd_row 1, opt=z", "bad option"),
+    ("rd_row 1, left", "unknown flag .left. for rd_row"),
+    ("rd_row 1, sa, sa", "too many fields"),
+    ("rd_row 256, sa", "index 256 out of range"),
+])
+def test_each_asm_error_names_its_line(text, message):
+    with pytest.raises(AsmError, match=f"^line 3: {message}") as exc:
+        assemble(f"# header\nrd_row 1, sa\n{text}\n")
+    assert exc.value.lineno == 3
+
+
 @pytest.mark.parametrize("opcode,index,option", [
     (Opcode.RD_ROW, 1.0, 8), (Opcode.RD_ROW, 1, 8.0),
     (Opcode.RD_ROW, True, 8), (Opcode.RD_ROW, 1, True),
