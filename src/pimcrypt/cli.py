@@ -3,8 +3,8 @@
 Crypto subcommands run on the simulated fabric and, by default, verify
 every output against the independent reference implementation (exit 1
 on any mismatch).  ``bench`` reproduces the embedded baseline tables;
-``asm``/``disasm`` expose the ISA tooling, and ``trace`` shows command by
-command the representative pass ``bench`` measures.
+``asm``/``disasm`` expose the ISA tooling, and ``trace`` disassembles,
+command by command, the representative pass ``bench`` measures.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O
 error.
@@ -20,8 +20,8 @@ from functools import partial
 
 from . import oracle, perfmodel
 from .fabric import CycleCostModel
-from .isa import (AsmError, InvalidOpcode, assemble, disassemble, from_bytes,
-                  to_bytes)
+from .isa import (AsmError, InvalidOpcode, assemble, decode, disassemble,
+                  from_bytes, to_bytes)
 from .kernels import keccak, modes
 
 USAGE_ERROR, MISMATCH_ERROR, IO_ERROR = 2, 1, 3
@@ -191,10 +191,10 @@ def cmd_trace(args) -> int:
                        USAGE_ERROR)
     records = []
     stats = passes[args.alg].trace(_cost(args), records)
+    texts = disassemble([decode(rec.word) for rec in records]).split("\n")
     lines = []
-    for i, rec in enumerate(records):
-        line = (f"{i:6d}  {rec.word:04x}  {rec.text.strip():<24} "
-                f"{rec.cycles:4d}")
+    for i, (rec, text) in enumerate(zip(records, texts)):
+        line = f"{i:6d}  {rec.word:04x}  {text:<24} {rec.cycles:4d}"
         if args.trace > 1:
             line += f"  latch={rec.latch:064x}"
         lines.append(line)

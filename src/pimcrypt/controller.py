@@ -18,15 +18,16 @@ A *kernel program* bundles:
 Two functions may alias overlapping command-array ranges; aliasing is how
 a kernel re-runs a tail of another function without storing it twice.
 
-:class:`Controller` validates a program when it is loaded: it must fit
-the command array, use a block width a subarray supports, hold int
-windows, strides and iteration counts of at least 1, schedule known
-functions and place known host actions inside the schedule, and every
-function window must compile
+:class:`Controller` checks a program's own rules when it is loaded: it
+must fit the command array, hold int function windows inside it,
+schedule known functions and place known host actions inside the
+schedule.  Every function window must then compile
 (:func:`~pimcrypt.fabric.compile_window`) for the runs the schedule
-invokes it with, which also checks its stride rules.  Anything else
-raises :class:`ControllerError`, naming the function and command offset
-for a window the compiler declines, before a command runs.
+invokes it with: the compiler alone judges stride rules, runs and the
+block width.  Anything else raises :class:`ControllerError` before a
+command runs, naming the function, and the command offset for a window
+the compiler declines.  A program with no function window is not
+compiled, so its block width is judged when it runs.
 
 A run's statistics and cycles depend only on the program, the lane
 count and the cost model, never on data.  So :meth:`Controller.run`
@@ -59,7 +60,7 @@ from typing import Iterable
 
 from .fabric import (BlockWidthMismatch, CompiledRun, CompiledWindow,
                      CycleCostModel, PendingActivation, Subarray,
-                     WindowRejected, compile_window, supported_width)
+                     WindowRejected, compile_window)
 from .isa import CommandWord
 
 __all__ = [
@@ -159,10 +160,6 @@ class ExecutionStats:
         self.cycles += times * other.cycles
 
 
-def _ints(*values) -> bool:
-    return all(type(v) is int for v in values)
-
-
 # Registry mapping host-action kinds to callables
 # ``fn(subarray, env, **params)``.  Kernels register theirs at import time.
 HOST_ACTIONS: dict[str, callable] = {}
@@ -208,30 +205,21 @@ class Controller:
             raise ControllerError(
                 f"program needs {nbytes} B but command array holds "
                 f"{COMMAND_ARRAY_BYTES} B")
-        if not supported_width(prog.block_width):
-            raise ControllerError(
-                f"unsupported block width {prog.block_width!r}")
         runs = {name: [] for name in prog.functions}
         for f in prog.functions.values():
-            if not _ints(f.base, f.count, *(v for s in f.strides
-                                            for v in (s.offset, s.increment))):
-                raise ControllerError(f"function {f.name} has a non-int "
-                                      f"window or stride")
-            if f.base < 0 or f.base + f.count > len(prog.commands):
-                raise ControllerError(f"function {f.name} window out of range")
+            if not (type(f.base) is type(f.count) is int
+                    and 0 <= f.base <= f.base + f.count <= len(prog.commands)):
+                raise ControllerError(f"function {f.name} window not int "
+                                      f"or out of range")
         for inv in prog.schedule:
             if inv.function not in prog.functions:
                 raise ControllerError(f"schedule names unknown function "
                                       f"{inv.function!r}")
-            if not _ints(inv.iterations, inv.iteration_base):
-                raise ControllerError(f"invocation of {inv.function} has "
-                                      f"non-int iterations or base")
-            if inv.iterations < 1:
-                raise ControllerError("invocation iterations must be >= 1")
             runs[inv.function].append((inv.iteration_base, inv.iterations))
         for a in prog.host_actions:
-            if not 0 <= a.position <= len(prog.schedule):
-                raise ControllerError(f"host action position {a.position}")
+            if (type(a.position) is not int
+                    or not 0 <= a.position <= len(prog.schedule)):
+                raise ControllerError(f"host action position {a.position!r}")
             if a.kind not in HOST_ACTIONS:
                 raise ControllerError(f"unknown host action kind {a.kind!r}")
         # Every window must compile, so no run needs the reference.
@@ -245,6 +233,8 @@ class Controller:
             except WindowRejected as exc:
                 raise ControllerError(f"function {f.name} command "
                                       f"{exc.offset}: {exc}") from None
+            except (ValueError, BlockWidthMismatch) as exc:
+                raise ControllerError(f"function {f.name}: {exc}") from None
 
     # -- execution ---------------------------------------------------------
 
@@ -289,11 +279,11 @@ class Controller:
         stats.merge(self._plan_for(lanes, cost)[1])
 
     def _check(self, sub: Subarray) -> None:
-        if sub.block_width != self.program.block_width:
+        width = self.program.block_width
+        if sub.block_width != width or type(width) is not int:
             raise BlockWidthMismatch(
-                f"program {self.program.name} has block width "
-                f"{self.program.block_width}; the subarray has "
-                f"{sub.block_width}")
+                f"program {self.program.name} has block width {width}; "
+                f"the subarray has {sub.block_width}")
         if sub.pending_row is not None:
             raise PendingActivation(f"run starts during the activation of "
                                     f"row {sub.pending_row}")

@@ -47,24 +47,26 @@ Two engines execute commands, and both read one per-opcode table of
 what a command accepts and names (``_COMMANDS``): the option nibble it
 accepts, and whether its index names a grid row, as rd_row's, wr_row's,
 act_row's and an AND, OR or XOR logic_op's do (a NOT's, a shift count
-and an ext_bit column do not).  :meth:`Subarray.execute` is the reference
-interpreter: it decodes, checks and runs one command at a time, and
-:meth:`Subarray.run` uses it for a plain command sequence; it runs traced
-runs and the differential tests.  :func:`compile_window` lowers a whole
+and an ext_bit column do not).  A word's fields and names are
+:mod:`~pimcrypt.isa`'s: this module neither decodes nor disassembles.
+:meth:`Subarray.execute` is the reference interpreter, one command at a
+time, for plain command sequences, traced runs (a :class:`TraceRecord`
+per command) and the differential tests.  :func:`compile_window`, which
+alone judges a window's stride rules, runs and block width, lowers a
 function window, once per distinct window content, to straight-line
 Python over the row list for the runs (first global iteration,
 iterations) it is given, or raises :class:`WindowRejected` for a window
 the reference could reject or that it does not lower, which the
 controller turns into a load-time error.  A :class:`CompiledRun` holds
-the invocations between two host actions, each one its window was
-compiled for, bound once per lane count and cost model, and ``run``
-executes it in one call.  Both engines leave the same grid, latch and
-cycle count.  A window's source is compiled once with its masks as names
-and bound to lane-replicated masks once per lane count.  Its *shared*
-rows, every row a strided command names in its runs, are indexed in the
-row list on every access; every other row lives in a local for the
-whole call, loaded before the loop and stored after it, so no strided
-access can miss a write to a local.  A window whose runs are all one
+the invocations between two host actions, bound once per lane count and
+cost model, and ``run`` checks the subarray and executes it in one call.
+Both engines leave the same grid, latch and cycle count.  A window's
+source is compiled once with its masks as names and bound to
+lane-replicated masks once per lane count.  Its *shared* rows, every
+row a strided command names in its runs, are indexed in the row list on
+every access; every other row lives in a local for the whole call,
+loaded before the loop and stored after it, so no strided access can
+miss a write to a local.  A window whose runs are all one
 iteration (every AES window, for instance) is lowered without the loop.
 
 One looped window is lowered as a whole rather than command by command:
@@ -89,8 +91,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .isa import (BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, decode,
-                  disassemble)
+from .isa import BLOCK_WIDTHS, CommandWord, LogicKind, Opcode, split_word
 
 __all__ = [
     "ROWS",
@@ -174,8 +175,8 @@ class CycleCostModel:
 
 
 class TraceRecord(NamedTuple):
+    """A command the reference ran, its cycles and the latch it left."""
     word: int
-    text: str
     cycles: int
     latch: int
 
@@ -197,21 +198,15 @@ def _names_row(op: int, option: int) -> bool:
         op == Opcode.LOGIC_OP and option >> 1 & 0b11 == LogicKind.NOT)
 
 
-# Cache of segment-confinement masks, keyed by (width, count, right).
-_SHIFT_MASKS: dict[tuple[int, int, bool], int] = {}
-
-
+@lru_cache(maxsize=None)
 def _shift_mask(width: int, count: int, right: bool) -> int:
-    key = (width, count, right)
-    mask = _SHIFT_MASKS.get(key)
-    if mask is None:
-        keep = 0
-        for c in range(COLS):
-            pos = c % width
-            if (pos >= count) if right else (pos < width - count):
-                keep |= 1 << c
-        _SHIFT_MASKS[key] = mask = keep
-    return mask
+    """The columns a shift by ``count`` keeps inside their segments."""
+    keep = 0
+    for c in range(COLS):
+        pos = c % width
+        if (pos >= count) if right else (pos < width - count):
+            keep |= 1 << c
+    return keep
 
 
 def supported_width(width) -> bool:
@@ -219,6 +214,12 @@ def supported_width(width) -> bool:
     an int ext_bit width that divides the 256 columns."""
     return (type(width) is int and width in BLOCK_WIDTHS
             and COLS % width == 0)
+
+
+@lru_cache(maxsize=None)
+def _lane_fill(lanes: int) -> int:
+    """Multiplying a one-lane value by this repeats it in every lane."""
+    return lanes_to_row([1] * lanes)
 
 
 def lanes_to_row(values: list[int]) -> int:
@@ -253,7 +254,7 @@ class LaneRows(tuple):
         """The rows repeated in each of ``lanes`` lanes."""
         rows = self._wide.get(lanes)
         if rows is None:
-            fill = lanes_to_row([1] * lanes)
+            fill = _lane_fill(lanes)
             rows = self._wide[lanes] = [value * fill for value in self]
         return rows
 
@@ -282,8 +283,7 @@ class Subarray:
         if not isinstance(cost_model, CycleCostModel):
             raise TypeError(f"cost_model {cost_model!r} is no CycleCostModel")
         self.lanes = lanes
-        # Multiplying a one-lane value by this repeats it in every lane.
-        self._fill = lanes_to_row([1] * lanes)
+        self._fill = _lane_fill(lanes)
         self.row_mask = _ROW_MASK * self._fill
         self.grid = [0] * ROWS
         self.sa_latch = 0
@@ -411,12 +411,23 @@ class Subarray:
 
     def run(self, cmds) -> int:
         """Execute a command sequence on the reference interpreter, or a
-        :class:`CompiledRun`; returns the cycles consumed."""
+        :class:`CompiledRun`; returns the cycles consumed.  A compiled run
+        raises ``ValueError`` on other lanes or another cost model,
+        :class:`BlockWidthMismatch` on another block width, and
+        :class:`PendingActivation` during an activation, before it runs
+        anything."""
         if type(cmds) is CompiledRun:
             if cmds.lanes != self.lanes or cmds.cost_model != self.cost_model:
                 raise ValueError(
                     f"run bound for {cmds.lanes} lanes and {cmds.cost_model} "
                     f"on a {self.lanes}-lane subarray with {self.cost_model}")
+            if cmds.block_width != self.block_width:
+                raise BlockWidthMismatch(
+                    f"run compiled for block width {cmds.block_width} on a "
+                    f"subarray of block width {self.block_width}")
+            if self.pending_row is not None:
+                raise PendingActivation(f"run starts during the activation "
+                                        f"of row {self.pending_row}")
             grid, latch, tables = self.grid, self.sa_latch, self.tables
             for fn, first, iterations in cmds.calls:
                 latch = fn(grid, latch, first, iterations, tables)
@@ -429,18 +440,9 @@ class Subarray:
         return total
 
     def run_traced(self, cmds) -> list[TraceRecord]:
-        records = []
-        for cmd in cmds:
-            cycles = self.execute(cmd)
-            word = cmd.encode()
-            records.append(TraceRecord(word, _text(word), cycles,
-                                       self.sa_latch))
-        return records
-
-
-@lru_cache(maxsize=None)
-def _text(word: int) -> str:
-    return disassemble([decode(word)])
+        # Each record's latch is read after its command executes.
+        return [TraceRecord(cmd.encode(), self.execute(cmd), self.sa_latch)
+                for cmd in cmds]
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +462,9 @@ class CompiledWindow:
     compiled without a loop) on the row list of a ``lanes``-lane
     subarray and returns the final latch.  ``tables`` is that subarray's
     :attr:`Subarray.tables`; only a fused window reads or fills it.  One
-    iteration is ``commands`` commands
-    shifting ``shift_steps`` bit positions in total.  ``code`` is compiled
-    once; each lane count binds the one-lane ``masks`` (name, value)
+    iteration is ``commands`` commands shifting ``shift_steps`` bit
+    positions in total, on ``block_width``.  ``code`` is compiled once;
+    each lane count binds the one-lane ``masks`` (name, value)
     replicated into every lane.  ``source``, the text ``code`` was
     compiled from, indexes the row list only for the window's shared
     rows, those its stride rules can address; it keeps every other row
@@ -484,12 +486,10 @@ class CompiledWindow:
 
     The product is a Horner pass over the low min(N, 256) bits of E, one
     byte at a time from the top: shift the sum left by 8 and XOR in
-    clmul(V, byte), read from the lane's table of all 256 bytes.  A
-    table is built from V's 16 nibble products and kept in ``tables``
-    under the V row, in place of any other row's, so GHASH, whose V is
-    the hash key row H^K for every block of a pass, builds it once per
-    pass.  ``tables`` lives and dies with the subarray, and the window
-    keeps no V.
+    clmul(V, byte), read from the lane's table of all 256 bytes, built
+    from V's 16 nibble products and kept in ``tables`` under the V row,
+    so GHASH, whose V is H^K for every block of a pass, builds it once
+    per pass.  The window keeps no V.
 
     ``runs`` holds every (first global iteration, iterations) pair it
     was compiled for, by any caller: the invocations a
@@ -497,15 +497,17 @@ class CompiledWindow:
     """
 
     __slots__ = ("source", "code", "masks", "commands", "shift_steps",
-                 "fused", "runs", "_bound")
+                 "block_width", "fused", "runs", "_bound")
 
     def __init__(self, source: str, masks: tuple[tuple[str, int], ...],
-                 commands: int, shift_steps: int, fused: bool = False):
+                 commands: int, shift_steps: int, block_width: int,
+                 fused: bool = False):
         self.source = source
         self.code = compile(source, "<compiled window>", "exec")
         self.masks = masks
         self.commands = commands
         self.shift_steps = shift_steps
+        self.block_width = block_width
         self.fused = fused
         self.runs: set[tuple[int, int]] = set()
         self._bound: dict[int, _Bound] = {}
@@ -513,7 +515,7 @@ class CompiledWindow:
     def bind(self, lanes: int) -> _Bound:
         fn = self._bound.get(lanes)
         if fn is None:
-            fill = lanes_to_row([1] * lanes)
+            fill = _lane_fill(lanes)
             namespace = {name: value * fill for name, value in self.masks}
             if self.fused:
                 namespace["mac"] = _multiply_accumulate(lanes)
@@ -533,14 +535,16 @@ class CompiledRun:
     two host-action slots, passed to :meth:`Subarray.run`.
 
     ``calls`` holds one (bound window, first global iteration,
-    iterations) triple per invocation, one of the window's ``runs``
-    (``ValueError`` if not).  The subarray must have no pending
-    activation, the block width the windows were compiled for, ``lanes``
-    lanes and ``cost_model``.  ``len`` is the number of commands
-    executed and ``cycles`` their cycles, both counted in every lane.
+    iterations) triple per invocation, one of the window's ``runs``, all
+    compiled for ``block_width`` (``ValueError`` if not).  The subarray
+    must have no pending activation, ``block_width``, ``lanes`` lanes and
+    ``cost_model``, or :meth:`Subarray.run` raises.  ``len`` is the
+    number of commands executed and ``cycles`` their cycles, both
+    counted in every lane.
     """
 
-    __slots__ = ("calls", "lanes", "cost_model", "commands", "cycles")
+    __slots__ = ("calls", "lanes", "cost_model", "block_width", "commands",
+                 "cycles")
 
     def __init__(self, invocations: list[tuple[CompiledWindow, int, int]],
                  lanes: int, cost_model: CycleCostModel):
@@ -548,6 +552,11 @@ class CompiledRun:
             if (first, iterations) not in window.runs:
                 raise ValueError(f"window not compiled for {iterations} "
                                  f"iterations from global iteration {first}")
+        widths = {window.block_width for window, _, _ in invocations}
+        if len(widths) != 1:
+            raise ValueError(f"a run needs windows of one block width, "
+                             f"got {sorted(widths)}")
+        self.block_width, = widths
         self.calls = tuple((window.bind(lanes), first, iterations)
                            for window, first, iterations in invocations)
         self.lanes = lanes
@@ -611,13 +620,12 @@ def compile_window(words: tuple[int, ...],
         if offsets.count(offset) > 1:
             # the rows are checked for each rule, not for their sum
             raise WindowRejected(offset, "two stride rules on one command")
-        word = words[offset]
-        op, index = word >> 12, (word >> 4) & 0xFF
+        op, index, option = split_word(words[offset])
         if op in (Opcode.SHIFT, Opcode.EXT_BIT):
             raise WindowRejected(offset, "strided shift or ext_bit")
         # A row's targets must be on the grid and are shared; any other
         # index (a NOT's) need only stay in the 8-bit field.
-        what, end = (("row", ROWS) if _names_row(op, word & 0xF)
+        what, end = (("row", ROWS) if _names_row(op, option)
                      else ("index", 0x100))
         for first, iterations in runs or ((0, 1),):
             # A nonzero increment leaves the range within end + 1
@@ -659,7 +667,7 @@ def _mac_rows(words) -> tuple[int, int, int, int] | None:
     four distinct grid rows other than the broadcast row, else None."""
     if len(words) != 14:
         return None
-    rows = tuple((words[i] >> 4) & 0xFF for i in (2, 5, 1, 4))
+    rows = tuple(split_word(words[i])[1] for i in (2, 5, 1, 4))
     if (len(set(rows)) == 4 and EXT_ROW not in rows
             and max(rows) < ROWS and words == _mac_words(*rows)):
         return rows
@@ -681,7 +689,7 @@ def _multiply_accumulate(lanes: int):
     broadcast row) and P, each lane on its own, with the lanes' byte
     tables of V kept in ``tables`` in place of any others.  See
     :class:`CompiledWindow` for the closed form."""
-    fill = lanes_to_row([1] * lanes)
+    fill = _lane_fill(lanes)
     size = _LANE_BYTES * lanes
     # Where each lane's bytes end in a row's big-endian bytes, lane 0 last.
     ends = range(size, 0, -_LANE_BYTES)
@@ -737,7 +745,7 @@ def _lower_mac(v: int, p: int, m: int, u: int) -> CompiledWindow:
            f"mac(r{v}, r{e}, r{p}, iterations, tables)"]
         + [f"    g[{i}] = r{i}" for i in sorted((v, e, p, m, u))]
         + [f"    return r{e}"])
-    return CompiledWindow(source, (), 14, 2, fused=True)
+    return CompiledWindow(source, (), 14, 2, COLS, fused=True)
 
 
 def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
@@ -783,7 +791,7 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
     pending = None          # (offset, row) of an act_row awaiting logic_op
     steps = 0
     for offset, word in enumerate(words):
-        op, index, option = word >> 12, (word >> 4) & 0xFF, word & 0xF
+        op, index, option = split_word(word)
         need, value, _ = _COMMANDS.get(op, _NO_COMMAND)
         if option & need != value:
             raise WindowRejected(offset, f"word {word:#06x} has an opcode "
@@ -854,4 +862,4 @@ def _lower(words, strides, block_width, shared, single) -> CompiledWindow:
         + [f"    return {'L' if carried else latch}"])
     return CompiledWindow(source, tuple((name, value)
                                         for value, name in masks.items()),
-                          len(words), steps)
+                          len(words), steps, block_width)

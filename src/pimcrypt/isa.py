@@ -1,23 +1,23 @@
 """16-bit control ISA: command words, encode/decode, assembler/disassembler.
 
-A command word packs three fields::
+A command word packs three fields, which :func:`split_word` alone takes
+apart::
 
     [15:12] opcode   [11:4] index   [3:0] option
 
-Six opcodes are assigned; the remaining ten 4-bit patterns are invalid and
-rejected by :func:`decode`.  The option nibble carries per-opcode flags:
+Six opcodes are assigned, each named by the lower-case name of its
+:class:`Opcode`; the other ten 4-bit patterns are rejected by
+:func:`decode`.  Each opcode's named option patterns are written once,
+in ``_OPTIONS``, which the :class:`CommandWord` constructors,
+:func:`assemble` and :func:`disassemble` read: ``sa`` (through the
+sense-amp latch) or ``bus`` for rd_row and wr_row, ``left`` (toward
+column 0) or ``right`` for shift, ``arm`` for act_row, which assembly
+may leave out as the opcode's only pattern, the :class:`LogicKind` for
+logic_op and the block width for ext_bit.
 
-* ``rd_row`` / ``wr_row``  bit 3 routes through the sense-amp latch (1) or
-  the external data bus (0); bits 2..0 must be zero.
-* ``shift``                bit 3 = shift valid, bit 2 = direction
-  (0 = left, toward column 0; 1 = right, toward column 255); bit 0 is zero.
-* ``act_row``              bit 0 arms the dual-row activation.
-* ``logic_op``             bits 2..1 select AND/OR/XOR/NOT; bits 3, 0 zero.
-* ``ext_bit``              bits 3..1 encode the block width.
-
-``decode`` is a pure field split plus opcode check, so every option nibble
-round-trips; option semantics are enforced by the fabric's per-opcode
-table, at load and at execute.
+``decode`` is a pure field split plus opcode check, so every option
+nibble round-trips; which options and rows a command may use is the
+fabric's per-opcode table, read at load and at execute.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "IsaError",
     "InvalidOpcode",
     "AsmError",
+    "split_word",
     "decode",
     "to_bytes",
     "from_bytes",
@@ -77,7 +78,16 @@ class LogicKind(IntEnum):
 #: Supported ext_bit broadcast widths, indexed by the 3-bit width code.
 BLOCK_WIDTHS = (16, 32, 64, 128, 256, 512)
 
-_VALID_OPCODES = {op.value for op in Opcode}
+# Each assigned opcode's named option patterns.
+_OPTIONS: dict[Opcode, dict[str, int]] = {
+    Opcode.RD_ROW: {"sa": 0b1000, "bus": 0b0000},
+    Opcode.WR_ROW: {"sa": 0b1000, "bus": 0b0000},
+    Opcode.SHIFT: {"left": 0b1000, "right": 0b1100},
+    Opcode.ACT_ROW: {"arm": 0b0001},
+    Opcode.LOGIC_OP: {kind.name.lower(): kind << 1 for kind in LogicKind},
+    Opcode.EXT_BIT: {f"w{width}": code << 1
+                     for code, width in enumerate(BLOCK_WIDTHS)},
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,40 +110,53 @@ class CommandWord:
     def encode(self) -> int:
         return (self.opcode << 12) | (self.index << 4) | self.option
 
-    # -- constructors for the canonical option patterns ------------------
+    # -- constructors for the named option patterns ----------------------
+
+    @classmethod
+    def _named(cls, opcode: Opcode, index: int, flag: str) -> "CommandWord":
+        option = _OPTIONS[opcode].get(flag)
+        if option is None:
+            raise IsaError(f"{opcode.name.lower()} has no option {flag!r}")
+        return cls(opcode, index, option)
 
     @classmethod
     def rd_row(cls, row: int, sa: bool = True) -> "CommandWord":
-        return cls(Opcode.RD_ROW, row, 0b1000 if sa else 0b0000)
+        return cls._named(Opcode.RD_ROW, row, "sa" if sa else "bus")
 
     @classmethod
     def wr_row(cls, row: int, sa: bool = True) -> "CommandWord":
-        return cls(Opcode.WR_ROW, row, 0b1000 if sa else 0b0000)
+        return cls._named(Opcode.WR_ROW, row, "sa" if sa else "bus")
 
     @classmethod
     def shift(cls, count: int, right: bool = False) -> "CommandWord":
-        return cls(Opcode.SHIFT, count, 0b1100 if right else 0b1000)
+        return cls._named(Opcode.SHIFT, count, "right" if right else "left")
 
     @classmethod
     def act_row(cls, row: int) -> "CommandWord":
-        return cls(Opcode.ACT_ROW, row, 0b0001)
+        return cls._named(Opcode.ACT_ROW, row, "arm")
 
     @classmethod
     def logic_op(cls, row: int, kind: LogicKind) -> "CommandWord":
-        return cls(Opcode.LOGIC_OP, row, (kind & 0b11) << 1)
+        return cls._named(Opcode.LOGIC_OP, row,
+                          LogicKind(kind & 0b11).name.lower())
 
     @classmethod
     def ext_bit(cls, col: int, width: int) -> "CommandWord":
-        return cls(Opcode.EXT_BIT, col, BLOCK_WIDTHS.index(width) << 1)
+        return cls._named(Opcode.EXT_BIT, col, f"w{width}")
+
+
+def split_word(word: int) -> tuple[int, int, int]:
+    """A word's (opcode, index, option) fields, unchecked."""
+    return word >> 12, word >> 4 & 0xFF, word & 0xF
 
 
 def decode(word: int) -> CommandWord:
     if not 0 <= word <= 0xFFFF:
         raise IsaError(f"word {word:#x} is not a 16-bit value")
-    opcode = word >> 12
-    if opcode not in _VALID_OPCODES:
+    opcode, index, option = split_word(word)
+    if opcode not in _OPTIONS:
         raise InvalidOpcode(f"unassigned opcode {opcode:#06b} in word {word:#06x}")
-    return CommandWord(Opcode(opcode), (word >> 4) & 0xFF, word & 0xF)
+    return CommandWord(Opcode(opcode), index, option)
 
 
 def to_bytes(cmds: list[CommandWord]) -> bytes:
@@ -156,30 +179,7 @@ def from_bytes(data: bytes) -> list[CommandWord]:
 # Non-canonical option nibbles are written/accepted as ``opt=0xN``.
 # ---------------------------------------------------------------------------
 
-_MNEMONICS = {
-    "rd_row": Opcode.RD_ROW,
-    "wr_row": Opcode.WR_ROW,
-    "shift": Opcode.SHIFT,
-    "act_row": Opcode.ACT_ROW,
-    "logic_op": Opcode.LOGIC_OP,
-    "ext_bit": Opcode.EXT_BIT,
-}
-_OPCODE_NAMES = {v: k for k, v in _MNEMONICS.items()}
-
-_LOGIC_NAMES = {"and": 0b0000, "or": 0b0010, "xor": 0b0100, "not": 0b0110}
-_WIDTH_NAMES = {f"w{w}": i << 1 for i, w in enumerate(BLOCK_WIDTHS)}
-
-
-def _flag_table(opcode: Opcode) -> dict[str, int]:
-    if opcode in (Opcode.RD_ROW, Opcode.WR_ROW):
-        return {"sa": 0b1000, "bus": 0b0000}
-    if opcode is Opcode.SHIFT:
-        return {"left": 0b1000, "right": 0b1100}
-    if opcode is Opcode.ACT_ROW:
-        return {"arm": 0b0001}
-    if opcode is Opcode.LOGIC_OP:
-        return _LOGIC_NAMES
-    return _WIDTH_NAMES
+_BY_MNEMONIC = {op.name.lower(): op for op in Opcode}
 
 
 def assemble(text: str) -> list[CommandWord]:
@@ -199,7 +199,7 @@ def assemble(text: str) -> list[CommandWord]:
                 raise AsmError(lineno, f"bad label value {parts[2]!r}") from None
             continue
         mnem, _, rest = line.partition(" ")
-        opcode = _MNEMONICS.get(mnem)
+        opcode = _BY_MNEMONIC.get(mnem)
         if opcode is None:
             raise AsmError(lineno, f"unknown mnemonic {mnem!r}")
         fields = [f.strip() for f in rest.split(",")] if rest.strip() else []
@@ -215,11 +215,11 @@ def assemble(text: str) -> list[CommandWord]:
                 index = int(operand, 0)
             except ValueError:
                 raise AsmError(lineno, f"bad operand {operand!r}") from None
-        flags = _flag_table(opcode)
+        flags = _OPTIONS[opcode]
         if len(fields) == 1:
-            option = 0b0001 if opcode is Opcode.ACT_ROW else None
-            if option is None:
+            if len(flags) != 1:
                 raise AsmError(lineno, f"{mnem} needs an option flag")
+            option, = flags.values()
         elif len(fields) == 2:
             tok = fields[1]
             if tok.startswith("opt="):
@@ -240,21 +240,16 @@ def assemble(text: str) -> list[CommandWord]:
     return cmds
 
 
-def _flag_for(cmd: CommandWord) -> str | None:
-    for name, bits in _flag_table(cmd.opcode).items():
-        if bits == cmd.option:
-            return name
-    return None
-
-
 def disassemble(cmds: list[CommandWord]) -> str:
     lines = []
     for cmd in cmds:
-        flag = _flag_for(cmd)
-        if cmd.opcode is Opcode.ACT_ROW and flag == "arm":
-            lines.append(f"act_row {cmd.index}")
-        elif flag is not None:
-            lines.append(f"{_OPCODE_NAMES[cmd.opcode]} {cmd.index}, {flag}")
-        else:
-            lines.append(f"{_OPCODE_NAMES[cmd.opcode]} {cmd.index}, opt={cmd.option:#x}")
+        flags = _OPTIONS[cmd.opcode]
+        flag = next((name for name, bits in flags.items()
+                     if bits == cmd.option), None)
+        line = f"{cmd.opcode.name.lower()} {cmd.index}"
+        if flag is None:
+            line += f", opt={cmd.option:#x}"
+        elif len(flags) > 1:
+            line += f", {flag}"
+        lines.append(line)
     return "\n".join(lines)

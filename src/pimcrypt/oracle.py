@@ -320,7 +320,10 @@ def _ghash_key(h: bytes, data: bytes) -> int:
 
 
 def ghash_bitserial(h: bytes, data: bytes) -> bytes:
-    """GHASH via the NIST bit-serial multiply, structured per the standard."""
+    """GHASH by the bit-serial multiply of SP 800-38D (Algorithm 1).
+
+    It stays as the standard's own form: tests check the reflected
+    carry-less :func:`ghash` against it without ``cryptography``."""
     hint = _ghash_key(h, data)
     y = 0
     for i in range(0, len(data), 16):

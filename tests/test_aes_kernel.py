@@ -5,6 +5,7 @@ import pytest
 from pimcrypt import oracle
 from pimcrypt.controller import OUTPUT, ExecutionStats, count_runs
 from pimcrypt.fabric import Subarray
+from pimcrypt.isa import CommandWord
 from pimcrypt.kernels import aes, circuits, modes
 from pimcrypt.kernels.layout import LayoutError, LayoutMap
 
@@ -172,6 +173,19 @@ def test_a_circuit_with_no_free_row_exceeds_the_temp_budget():
     with pytest.raises(circuits.TempBudgetExceeded,
                        match="no free row for t at gate 0"):
         circuits.schedule(gates, {"x0": 0, "x1": 1}, {"z": 2}, [])
+
+
+def test_an_output_left_off_its_row_is_copied_there_last():
+    # s = a ^ b lands on b's row, the dying operand outside the output
+    # rows, so the schedule ends with the copy to s's row 1.
+    gates = [circuits.Gate("xor", "s", "a", "b")]
+    cmds = circuits.schedule(gates, {"a": 1, "b": 2}, {"s": 1}, [])
+    assert cmds[-2:] == [CommandWord.rd_row(2), CommandWord.wr_row(1)]
+    a, b = 0b1100 << 200 | 0xA5, 0b1010 << 200 | 0x3C
+    sub = Subarray()
+    sub.write_rows(1, [a, b])
+    sub.run(cmds)
+    assert sub.read_row(1) == circuits.evaluate(gates, {"a": a, "b": b})["s"]
 
 
 @pytest.mark.parametrize("regions,message", [

@@ -189,6 +189,25 @@ def test_malformed_program_rejected_at_load(fd, inv, action, message):
         Controller(prog_of(cmds, {"F": fd}, [inv], [action] if action else ()))
 
 
+@pytest.mark.parametrize("base,count", [(0, -1), (2, -1)])
+def test_a_window_of_negative_count_is_rejected_at_load(base, count):
+    # commands[0:-1] would load a window of all but the last command.
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
+    with pytest.raises(ControllerError, match="out of range"):
+        Controller(prog_of(cmds, {"F": FunctionDescriptor("F", base, count)},
+                           [Invocation("F")]))
+
+
+@pytest.mark.parametrize("position", [1.0, True, "1"])
+def test_a_host_action_position_that_is_no_int_is_rejected_at_load(position):
+    # 1.0 and "1" used to raise TypeError while the schedule was cut.
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
+    prog = prog_of(cmds, {"F": FunctionDescriptor("F", 0, 2)},
+                   [Invocation("F")] * 2, [HostAction(position, "aes_load")])
+    with pytest.raises(ControllerError, match="host action position"):
+        Controller(prog)
+
+
 # name: (window, stride rules, block width, offset of the command at fault)
 DECLINED = {
     "logic_op without act_row": (
@@ -300,6 +319,39 @@ def test_run_on_another_block_width_raises_and_leaves_the_subarray():
         with pytest.raises(BlockWidthMismatch, match="64.*16"):
             ctrl.run(sub) if trace is None else ctrl.trace(sub, trace)
         assert sub.block_width == 16 and sub.read_row(1) == 0
+
+
+@pytest.mark.parametrize("width", [512, 8, 16.0])
+def test_a_program_without_windows_is_judged_on_its_width_when_it_runs(width):
+    # Load compiles no window, so it judges no block width; the run
+    # refuses every subarray before its first host action, also one of
+    # block width 16 for 16.0.
+    calls = []
+
+    @host_action("t_unreached")
+    def _unreached(sub, env):
+        calls.append(sub)
+
+    ctrl = Controller(prog_of([], {}, [], [HostAction(0, "t_unreached")],
+                              width=width))
+    for trace in (None, []):
+        sub = Subarray(block_width=16)
+        with pytest.raises(BlockWidthMismatch, match=f"block width {width}"):
+            ctrl.run(sub) if trace is None else ctrl.trace(sub, trace)
+    assert calls == []
+
+
+@pytest.mark.parametrize("fd,inv,width,message", [
+    (FunctionDescriptor("F", 0, 2), Invocation("F"), 8,
+     "unsupported block width 8"),
+    (FunctionDescriptor("F", 0, 2, strides=(StrideRule(0, 1.0),)),
+     Invocation("F"), 256, "int pairs"),
+    (FunctionDescriptor("F", 0, 2), Invocation("F", 0), 256, "int pairs"),
+], ids=["block width", "stride", "iterations"])
+def test_the_compilers_errors_name_the_function(fd, inv, width, message):
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(10)]
+    with pytest.raises(ControllerError, match=f"^function F: .*{message}"):
+        Controller(prog_of(cmds, {"F": fd}, [inv], width=width))
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["run", "trace"])

@@ -264,6 +264,46 @@ def test_compiled_run_must_match_lanes_and_cost():
     assert sub.run(run) == 12 and sub.cycle_count == 12
 
 
+def test_a_compiled_run_refuses_another_block_width():
+    # Compiled for 16-column segments, the shift would be confined to
+    # them on a 256-wide subarray too.
+    cmds = [CommandWord.rd_row(0), CommandWord.shift(4), CommandWord.wr_row(1)]
+    window = compile_window(tuple(c.encode() for c in cmds), (), 16, [(0, 1)])
+    run = CompiledRun([(window, 0, 1)], 1, CycleCostModel())
+    sub = Subarray()
+    sub.write_row(0, (1 << 256) - 1)
+    with pytest.raises(BlockWidthMismatch, match="width 16 .* width 256"):
+        sub.run(run)
+    assert sub.read_row(1) == 0 and sub.sa_latch == 0
+    assert sub.cycle_count == 0
+
+
+def test_a_compiled_run_refuses_a_pending_activation():
+    # The reference raises on rd_row during the activation, and leaves
+    # it pending.
+    cmds = [CommandWord.rd_row(0), CommandWord.wr_row(1)]
+    window = compile_window(tuple(c.encode() for c in cmds), (), 256,
+                            [(0, 1)])
+    run = CompiledRun([(window, 0, 1)], 1, CycleCostModel())
+    for engine in (run, cmds):
+        sub = Subarray()
+        sub.write_row(0, 5)
+        sub.execute(CommandWord.act_row(3))
+        with pytest.raises(PendingActivation):
+            sub.run(engine)
+        assert sub.pending_row == 3 and sub.cycle_count == 1
+        assert sub.grid[1] == 0 and sub.sa_latch == 0
+
+
+def test_a_compiled_run_takes_windows_of_one_block_width():
+    words = (CommandWord.rd_row(0).encode(),)
+    windows = [compile_window(words, (), width, [(0, 1)])
+               for width in (16, 32)]
+    with pytest.raises(ValueError, match="one block width"):
+        CompiledRun([(window, 0, 1) for window in windows], 1,
+                    CycleCostModel())
+
+
 @pytest.mark.parametrize("runs,row,iteration", [
     ([(0, 2)], -1, 1), ([(1, 1)], -1, 1), ([(0, 1), (3, 1)], -3, 3)])
 def test_a_stride_off_the_grid_is_rejected(runs, row, iteration):

@@ -1,12 +1,17 @@
 """Mode orchestration on the fabric vs the oracle: round-trips and tampering."""
 
+import functools
+import gc
+import random
+import sys
+import types
 from array import array
 
 import pytest
 
-from pimcrypt import oracle
+from pimcrypt import fabric, oracle
 from pimcrypt.controller import ExecutionStats
-from pimcrypt.kernels import aes, modes
+from pimcrypt.kernels import aes, ghash, modes
 from pimcrypt.kernels.modes import TagMismatch
 
 
@@ -645,3 +650,96 @@ def test_cbc_and_gcm_counts_are_pinned(klen, counts, rng):
         stats = ExecutionStats()
         call(stats)
         assert (stats.commands, stats.cycles) == counts[name], name
+
+
+# What a key-material search walks through besides pimcrypt's own objects.
+_REACHES = (dict, list, tuple, set, frozenset, types.FunctionType,
+            types.CellType, functools.partial, functools._lru_cache_wrapper)
+
+
+def _ours(obj) -> bool:
+    return str(getattr(type(obj), "__module__", "")).startswith("pimcrypt")
+
+
+def _held(secrets: dict) -> list[tuple[str, str]]:
+    """(holder type, secret name) for each value of ``secrets`` that a
+    live object of a pimcrypt type, a pimcrypt module, or a dict, list,
+    tuple, set, function, closure cell or cache one of them reaches,
+    holds.  Ints below 2**64 are left out: small ints are everywhere."""
+    secrets = {value: name for value, name in secrets.items()
+               if type(value) is bytes or value.bit_length() > 64}
+    gc.collect()
+    todo = [module.__dict__ for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "pimcrypt"]
+    todo += [obj for obj in gc.get_objects() if _ours(obj)]
+    seen, held = set(), []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        for child in gc.get_referents(obj):
+            if type(child) in (int, bytes) and child in secrets:
+                held.append((type(obj).__name__, secrets[child]))
+            elif isinstance(child, _REACHES) or _ours(child):
+                todo.append(child)
+    return held
+
+
+def _aes_secrets(key: bytes) -> dict:
+    words = aes.expand_key_words(key)
+    return {key: "key", **{w: "round key" for w in words},
+            **{row: "round-key row" for row in aes.key_rows(words)}}
+
+
+def _hash_key_secrets(h: bytes) -> dict:
+    # Entries 0 and 1 of H's byte table are 0 and H's row.
+    row = ghash.block_to_row(h)
+    table = fabric._byte_table(row)[2:]
+    return {h: "H", row: "H's row", **dict.fromkeys(table, "byte table of H")}
+
+
+def _gcm_secrets(key: bytes) -> dict:
+    return {**_aes_secrets(key),
+            **_hash_key_secrets(oracle.aes_encrypt_block(key, bytes(16)))}
+
+
+_MODE_CALLS = {
+    "ecb": (lambda k, r: [modes.ecb_crypt(k, r.randbytes(48)),
+                          modes.ecb_crypt(k, r.randbytes(48), "decrypt")],
+            _aes_secrets),
+    "cbc": (lambda k, r: [modes.cbc_encrypt(k, r.randbytes(16),
+                                            r.randbytes(48)),
+                          modes.cbc_decrypt(k, r.randbytes(16),
+                                            r.randbytes(48))],
+            _aes_secrets),
+    "ctr": (lambda k, r: modes.ctr_crypt(k, r.randbytes(16), r.randbytes(40)),
+            _aes_secrets),
+    "ccm": (lambda k, r: modes.ccm_decrypt(
+        k, b"nonce-13bytes", b"aad", modes.ccm_encrypt(
+            k, b"nonce-13bytes", b"aad", r.randbytes(40))),
+            _aes_secrets),
+    "gcm-12-byte-iv": (lambda k, r: modes.gcm_decrypt(
+        k, bytes(12), b"aad", modes.gcm_encrypt(k, bytes(12), b"aad",
+                                                r.randbytes(40))),
+                       _gcm_secrets),
+    "gcm-16-byte-iv": (lambda k, r: modes.gcm_decrypt(
+        k, bytes(16), b"aad", modes.gcm_encrypt(k, bytes(16), b"aad",
+                                                r.randbytes(40))),
+                       _gcm_secrets),
+    "ghash": (lambda k, r: modes.ghash_digest(k, r.randbytes(64)),
+              _hash_key_secrets),
+    "hmac": (lambda k, r: modes.hmac_sha3(256, k, r.randbytes(40)),
+             lambda k: {k: "key", k + bytes(136 - len(k)): "key block"}),
+}
+
+
+@pytest.mark.parametrize("mode", _MODE_CALLS)
+def test_no_key_material_outlives_the_call(mode):
+    # A key no other test uses, so whatever holds it was left by this
+    # call; the caches and programs of earlier calls are all alive.
+    r = random.Random(f"no key material outlives the {mode} call")
+    key = r.randbytes(16)
+    call, secrets = _MODE_CALLS[mode]
+    call(key, r)
+    assert _held(secrets(key)) == []
