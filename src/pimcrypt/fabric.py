@@ -243,19 +243,21 @@ class LaneRows(tuple):
     Host actions hold their constant rows (masks, a call's round keys)
     this way; one instance serves every lane count, building its rows
     for a lane count on first use (:meth:`for_lanes`) and keeping them.
+    Row ``i`` is ``values[i] * unit``, a field repeated within one lane.
     """
 
-    def __new__(cls, values):
-        rows = super().__new__(cls, [value & _ROW_MASK for value in values])
-        rows._wide = {}
+    def __new__(cls, values, unit: int = 1):
+        fields = [value & _ROW_MASK for value in values]
+        rows = super().__new__(cls, [field * unit for field in fields])
+        rows._fields, rows._unit, rows._wide = fields, unit, {}
         return rows
 
     def for_lanes(self, lanes: int) -> list[int]:
         """The rows repeated in each of ``lanes`` lanes."""
         rows = self._wide.get(lanes)
         if rows is None:
-            fill = _lane_fill(lanes)
-            rows = self._wide[lanes] = [value * fill for value in self]
+            unit = self._unit * _lane_fill(lanes)
+            rows = self._wide[lanes] = [field * unit for field in self._fields]
         return rows
 
 

@@ -29,8 +29,9 @@ On a subarray with K lanes one run is K passes in lockstep:
 cipher, and returns the run's validated program and a fresh env.
 ``aes_load`` writes the masks and round keys repeated in every lane:
 both are :class:`~pimcrypt.fabric.LaneRows`, the masks one per process
-and the keys one per call.  ``aes_unload`` leaves one output block per
-staged block under :data:`~pimcrypt.controller.OUTPUT`.
+and the keys one per call, each key row a 16-column field times one
+every-tile-every-lane constant per lane count.  ``aes_unload`` leaves one
+output block per staged block under :data:`~pimcrypt.controller.OUTPUT`.
 
 A pass uses the round-key-0 rows (8..15) as SubBytes scratch once the
 first AddRoundKey has consumed them, so it leaves the key region dirty:
@@ -489,8 +490,8 @@ def key_rows(round_keys: list[bytes]) -> LaneRows:
     fields = struct.unpack(f"<{8 * n}H", b"".join(
         plane.to_bytes(2 * n, "little") for plane in planes))
     # fields[b * n + r] is plane b of key r, so fields[r::n] is key r's.
-    return LaneRows([field * _EVERY_TILE
-                     for r in range(n) for field in fields[r::n]])
+    return LaneRows([field for r in range(n) for field in fields[r::n]],
+                    _EVERY_TILE)
 
 
 # Typed, so that 128.0 never finds 128's program unchecked.

@@ -19,7 +19,8 @@ appends the closing fold.
 On a subarray with lanes every lane runs its own GHASH in lockstep:
 :func:`stage` takes one hash key and one block list per lane and returns
 the run's validated program and a fresh env, and ``ghash_unload`` leaves
-one digest per lane under :data:`~pimcrypt.controller.OUTPUT`.  The fold
+one digest per lane under :data:`~pimcrypt.controller.OUTPUT`; a
+message's passes are converted once (:func:`message_rows`).  The fold
 program (:func:`stage_fold`) runs on one lane and XORs staged digests
 into the digest row: the lane digests of one message split across
 lanes, and for a GCM tag also E(J0).
@@ -27,17 +28,18 @@ lanes, and for a GCM tag also E(J0).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain, islice
 
 from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
                           Invocation, KernelProgram, StrideRule, host_action)
-from ..fabric import EXT_ROW, LaneRows, lanes_to_row, row_to_lanes
+from ..fabric import EXT_ROW, LaneRows, row_to_lanes
 from ..isa import CommandWord, LogicKind
 from .layout import (LayoutMap, _check_flags, _logic, _shift_into, as_bytes,
                      pack_functions)
 
 __all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "controller", "fold_controller",
-           "stage", "stage_fold", "build_ghash_program",
+           "message_rows", "stage", "stage_fold", "build_ghash_program",
            "build_ghash_fold_program", "gen_byte_arrange", "gen_byte_aligning",
            "gen_galois_mult", "mask_values"]
 
@@ -145,9 +147,10 @@ def gen_galois_mult() -> list[CommandWord]:
 def build_ghash_program(nblocks: int, final: bool = True) -> KernelProgram:
     """Accumulate ``nblocks`` (1..``BLOCKS_PER_PASS``) staged blocks into Z.
 
-    ``final`` appends the closing fold; omit it when more passes follow
-    (the unreduced product row then carries the state).  ``ValueError``
-    unless ``nblocks`` is an int in range and ``final`` a bool.
+    ``final`` appends the closing fold and reads the digests out; omit
+    it when more passes follow (the unreduced product row then carries
+    the state).  ``ValueError`` unless ``nblocks`` is an int in range
+    and ``final`` a bool.
     """
     if type(nblocks) is not int or not 1 <= nblocks <= BLOCKS_PER_PASS:
         raise ValueError(f"nblocks must be an int 1..{BLOCKS_PER_PASS}, "
@@ -169,10 +172,10 @@ def build_ghash_program(nblocks: int, final: bool = True) -> KernelProgram:
     for j in range(nblocks):
         schedule.append(Invocation("ByteAligning", 1, j))
         schedule.append(Invocation("GaloisMult", 128, 0))
+    actions = [HostAction(0, "ghash_load", {"nblocks": nblocks})]
     if final:
         schedule.append(Invocation("Reduce"))
-    actions = [HostAction(0, "ghash_load", {"nblocks": nblocks}),
-               HostAction(len(schedule), "ghash_unload", {})]
+        actions.append(HostAction(len(schedule), "ghash_unload", {}))
     return KernelProgram(
         name=f"ghash-{nblocks}blk" + ("" if final else "-cont"),
         commands=commands, functions=functions, schedule=schedule,
@@ -218,14 +221,15 @@ def fold_controller(nrows: int, /) -> Controller:
 
 
 def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
-          final: bool) -> tuple[Controller, dict]:
+          final: bool, rows: tuple | None = None) -> tuple[Controller, dict]:
     """One pass of up to ``BLOCKS_PER_PASS`` blocks per lane, lane k with
     hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
     the running product, ``final`` reduces it and reads out each lane's
-    digest.  ``ValueError`` unless there is at least one lane, one hash
-    key per lane, every lane has as many blocks, every hash key and block
-    is 16 bytes and both flags are bools; ``TypeError`` for a key or
-    block that is not bytes-like."""
+    digest, writing ``rows`` (from :func:`message_rows`) if given, else
+    converting its keys and blocks.  ``ValueError`` unless there is at
+    least one lane, one hash key per lane, every lane has as many blocks,
+    every hash key and block is 16 bytes and both flags are bools;
+    ``TypeError`` for a key or block that is not bytes-like."""
     _check_flags(first=first, final=final)
     if not blocks or len(set(map(len, blocks))) != 1:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
@@ -236,7 +240,8 @@ def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
     hash_keys = as_bytes("GHASH hash key", hash_keys)
     blocks = [as_bytes("GHASH block", lane) for lane in blocks]
     return (controller(len(blocks[0]), final),
-            {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks})
+            {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks,
+             "ghash_rows": rows})
 
 
 def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
@@ -277,12 +282,25 @@ def quarter_rows(lane_blocks: list[list[bytes]], nblocks: int) -> list[int]:
     big-endian byte string, the lanes of each block highest first.
     """
     lanes, pad = len(lane_blocks), bytes(16)
-    data = (pad + pad.join(lane[j] for j in range(nblocks)
-                           for lane in reversed(lane_blocks))
+    data = (pad + pad.join(islice(chain.from_iterable(zip(*lane_blocks[::-1])),
+                                  nblocks * lanes))
             ).translate(_BIT_REVERSED)
     quarters, step = _QUARTERS.for_lanes(lanes), 32 * lanes
-    return [int.from_bytes(data[i:i + step], "big") & quarter
-            for i in range(0, len(data), step) for quarter in quarters]
+    return [row & quarter for i in range(0, len(data), step)
+            for row in (int.from_bytes(data[i:i + step], "big"),)
+            for quarter in quarters]
+
+
+def message_rows(lanes: list[list[bytes]]):
+    """``rows(hash_keys, lo, hi)``: :func:`stage`'s ``rows`` for steps
+    ``lo`` .. ``hi`` - 1 of a message on lanes (``lanes[k]``: lane k's
+    blocks), converting each block and hash-key list once.  Lane k of a
+    hash-key row is ``block_to_row`` of key k: 32 little-endian bytes."""
+    quarters = quarter_rows(lanes, len(lanes[0]))
+    key_row = cache(lambda keys: int.from_bytes(
+        bytes(16).join(keys).translate(_BIT_REVERSED), "little"))
+    return lambda hash_keys, lo, hi: (key_row(tuple(hash_keys)),
+                                      quarters[4 * lo:4 * hi])
 
 
 # The mask rows are contiguous: fold, swap, then zero.
@@ -298,9 +316,11 @@ def _load(sub, env, nblocks):
     if not len(keys) == len(lane_blocks) <= sub.lanes:
         raise ValueError(f"{len(keys)} hash keys and {len(lane_blocks)} "
                          f"block lists for {sub.lanes} lanes")
+    hash_row, rows = (env.get("ghash_rows")
+                      or message_rows(lane_blocks)(keys, 0, nblocks))
     sub.write_rows(_MLO, _MASK_ROWS)
-    sub.write_row(_H, lanes_to_row([block_to_row(h) for h in keys]))
-    sub.write_rows(_STAGE0, quarter_rows(lane_blocks, nblocks))
+    sub.write_row(_H, hash_row)
+    sub.write_rows(_STAGE0, rows)
     if env["ghash_first"]:
         sub.write_rows(_P, [0, 0])       # P and Z
 

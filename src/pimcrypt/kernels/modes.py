@@ -43,12 +43,14 @@ encrypt tag, MAC xor S0, is a fold on the fabric, and decryption
 compares the MAC with S0 xor tag, which the tile of S0 computes.
 
 Each call expands its own AES key (``aes.Key``) and builds its own
-subarrays, which alone keep the GHASH multiply's byte tables of the
-powers of H (``fabric.Subarray.tables``), so no key material outlives
-the call.  Every AES mode rejects a key that is not 16 or 32
-bytes, ECB a direction other than ``"encrypt"`` or ``"decrypt"`` (both
-checked where the key is staged, whatever the data), and CBC and CTR an
-IV or counter block that is not one block, raising ``ValueError``.
+subarrays, one per lane count, which alone keep the GHASH multiply's
+byte tables of the powers of H (``fabric.Subarray.tables``), so no key
+material outlives the call; a GCM call's J0 GHASH, powers of H, message
+passes and fold share its GHASH subarrays.  Every AES mode rejects a key
+that is not 16 or 32 bytes, ECB a direction other than ``"encrypt"`` or
+``"decrypt"`` (both checked where the key is staged, whatever the data),
+and CBC and CTR an IV or counter block that is not one block, raising
+``ValueError``.
 
 Every public function takes its keys, IVs, nonces, AAD and messages as
 any bytes-like object, read as its bytes by ``layout.as_bytes`` where
@@ -67,6 +69,9 @@ passes and :func:`_run` every other kernel's staged runs.
 from __future__ import annotations
 
 import hmac as _hmac_mod
+import struct
+from functools import cache
+from itertools import chain, repeat
 from typing import Callable
 
 from ..controller import OUTPUT, Controller, ExecutionStats, count_runs
@@ -96,6 +101,15 @@ def _run(sub: Subarray, runs: list[tuple[Controller, dict]],
     return env[OUTPUT]
 
 
+_Subarrays = Callable[[int], Subarray]
+
+
+def _subarrays(block_width: int) -> _Subarrays:
+    """``subs(lanes)``: a call's subarray of ``lanes`` lanes, built on first
+    use, with the rows and GHASH byte tables the last run there left."""
+    return cache(lambda lanes: Subarray(block_width=block_width, lanes=lanes))
+
+
 # ---------------------------------------------------------------------------
 # AES
 # ---------------------------------------------------------------------------
@@ -122,7 +136,7 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
     if post:
         post = [zero] * (len(blocks) - len(post)) + post
     chained, out = [prev], []        # chained[i]: the value step i XORs
-    subs, runs = {}, []              # runs: (program, subarray) pairs
+    subs, runs = _subarrays(aes.BLOCK_WIDTH), []  # runs: (program, subarray)
     while len(chained) <= steps or len(out) < len(blocks):
         i, lo = len(chained) - 1, len(out)
         head = [step(i, out)] if i < steps else []
@@ -131,13 +145,11 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
         staged = k.stage(head + tiles,
                          head and [chained[-1]] + [zero] * len(tiles),
                          after and [zero] * len(head) + after)
-        lanes = -(-(len(head) + len(tiles)) // aes.BLOCKS_PER_PASS)
-        if lanes not in subs:
-            subs[lanes] = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
-        got = _run(subs[lanes], [staged], None)
+        sub = subs(-(-(len(head) + len(tiles)) // aes.BLOCKS_PER_PASS))
+        got = _run(sub, [staged], None)
         chained += got[:len(head)]
         out += got[len(head):]
-        runs.append((staged[0], subs[lanes]))
+        runs.append((staged[0], sub))
     if stats is not None:
         count_runs(stats, runs)
     return chained[1:] + out
@@ -146,7 +158,7 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
 def _split_blocks(data: bytes) -> list[bytes]:
     if len(data) % 16:
         raise ValueError("data length must be a multiple of 16 bytes")
-    return [data[i:i + 16] for i in range(0, len(data), 16)]
+    return [*struct.unpack("16s" * (len(data) // 16), data)]
 
 
 def _pad16(data: bytes) -> bytes:
@@ -180,11 +192,12 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
 def _counter_blocks(counter0: bytes, n: int, width: int = 128) -> list[bytes]:
     """``counter0`` and the ``n - 1`` blocks after it, counting in the low
     ``width`` bits only: GCM's inc32 (SP 800-38D) wraps the low 32 bits;
-    CTR counts over the whole block, as ``cryptography`` does."""
-    c = int.from_bytes(counter0, "big")
-    low = (1 << width) - 1
-    return [(c & ~low | (c + i) & low).to_bytes(16, "big")
-            for i in range(n)]
+    CTR counts over the whole block, as ``cryptography`` does.  Two
+    ranges, split where the low bits wrap, hold ``n`` <= 2**``width``."""
+    c, period = int.from_bytes(counter0, "big"), 1 << width
+    base, wrapped = c - c % period, max(0, c % period + n - period)
+    counters = chain(range(c, c + n - wrapped), range(base, base + wrapped))
+    return [*map(int.to_bytes, counters, repeat(16), repeat("big"))]
 
 
 def _ctr(k: aes.Key, counter0: bytes, data: bytes,
@@ -281,7 +294,7 @@ def ccm_encrypt(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes,
     mac, out = _ccm(aes.Key(key, "encrypt"), nonce, aad, tag_len,
                     len(plaintext), post, False, stats)
     # out[0] is S0 = E(Ctr_0), and the tag is MAC xor S0.
-    tag = _xor_blocks([mac, out[0]], stats)
+    tag = _xor_blocks([mac, out[0]], _subarrays(ghash.BLOCK_WIDTH), stats)
     return b"".join(out[1:])[:len(plaintext)] + tag[:tag_len]
 
 
@@ -330,22 +343,21 @@ def _ghash_lanes(nblocks: int) -> int:
     return k
 
 
-def _hash_powers(hash_key: bytes, k: int,
+def _hash_powers(hash_key: bytes, k: int, subs: _Subarrays,
                  stats: ExecutionStats | None) -> list[bytes]:
     """H^1 .. H^K for a power of two K.  Each doubling is one 1-block
     final pass on as many lanes as powers are known: lane j multiplies
     H^(j+1) by the highest known power."""
     powers = [hash_key]
     while len(powers) < k:
-        sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(powers))
         staged = ghash.stage([powers[-1]] * len(powers),
                              [[p] for p in powers], True, True)
-        powers += _run(sub, [staged], stats)
+        powers += _run(subs(len(powers)), [staged], stats)
     return powers
 
 
-def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
-           mask: bytes | None = None) -> bytes:
+def _ghash(hash_key: bytes, blocks: list[bytes], subs: _Subarrays,
+           stats: ExecutionStats | None, mask: bytes | None = None) -> bytes:
     """GHASH_H of one or more ``blocks``, XORed with ``mask`` (E(J0) for a
     GCM tag) if given.
 
@@ -358,30 +370,32 @@ def _ghash(hash_key: bytes, blocks: list[bytes], stats: ExecutionStats | None,
     serial form, and the fold program XORs the lane digests and ``mask``.
     """
     k = _ghash_lanes(len(blocks))
-    powers = _hash_powers(hash_key, k, stats)
+    powers = _hash_powers(hash_key, k, subs, stats)
     m = -(-len(blocks) // k)
     padded = [bytes(16)] * (k * m - len(blocks)) + blocks
     lanes = [padded[j::k] for j in range(k)]
+    rows = ghash.message_rows(lanes)     # each block converted once
     # Passes of up to BLOCKS_PER_PASS block steps share each lane's hash
     # key, so the last step runs alone; with K = 1 its key is H^K as
     # well, and the passes are those of the serial form.
     last = m - 1 if k > 1 else m
     bounds = sorted({*range(0, last, ghash.BLOCKS_PER_PASS), last, m})
     # Staging reads no output, so every pass is staged before any runs.
-    staged = [ghash.stage(powers[::-1] if hi == m else [powers[-1]] * k,
-                          [lane[lo:hi] for lane in lanes], lo == 0, hi == m)
-              for lo, hi in zip(bounds, bounds[1:])]
-    digests = _run(Subarray(block_width=ghash.BLOCK_WIDTH, lanes=k), staged,
-                   stats)
+    staged = [ghash.stage(keys, [lane[lo:hi] for lane in lanes], lo == 0,
+                          hi == m, rows(keys, lo, hi))
+              for lo, hi in zip(bounds, bounds[1:])
+              for keys in [powers[::-1] if hi == m else [powers[-1]] * k]]
+    digests = _run(subs(k), staged, stats)
     if mask is not None:
         digests.append(mask)
-    return digests[0] if len(digests) == 1 else _xor_blocks(digests, stats)
+    return (digests[0] if len(digests) == 1
+            else _xor_blocks(digests, subs, stats))
 
 
-def _xor_blocks(blocks: list[bytes], stats: ExecutionStats | None) -> bytes:
+def _xor_blocks(blocks: list[bytes], subs: _Subarrays,
+                stats: ExecutionStats | None) -> bytes:
     """The XOR of 2..32 blocks, run by the one-lane GHASH fold program."""
-    return _run(Subarray(block_width=ghash.BLOCK_WIDTH),
-                [ghash.stage_fold(blocks)], stats)[0]
+    return _run(subs(1), [ghash.stage_fold(blocks)], stats)[0]
 
 
 def ghash_digest(hash_key: bytes, data: bytes,
@@ -389,11 +403,12 @@ def ghash_digest(hash_key: bytes, data: bytes,
     hash_key, = as_bytes("GHASH hash key", [hash_key])
     data, = as_bytes("GHASH input", [data], None)
     blocks = _split_blocks(data)
-    return _ghash(hash_key, blocks, stats) if blocks else bytes(16)
+    return (_ghash(hash_key, blocks, _subarrays(ghash.BLOCK_WIDTH), stats)
+            if blocks else bytes(16))
 
 
 def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
-               stats: ExecutionStats | None
+               subs: _Subarrays, stats: ExecutionStats | None
                ) -> tuple[aes.Key, bytes, bytes, bytes, bytes]:
     """The call's key, the hash key H, the pre-counter block J0, E(J0)
     and the GCTR encryption of ``plaintext``, from inc32(J0).
@@ -414,7 +429,7 @@ def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
     else:
         h = _aes(k, [zero], [], stats)[0]
         material = _pad16(iv) + bytes(8) + (8 * len(iv)).to_bytes(8, "big")
-        head, j0 = [], _ghash(h, _split_blocks(material), stats)
+        head, j0 = [], _ghash(h, _split_blocks(material), subs, stats)
     payload = _split_blocks(_pad16(plaintext))
     out = _aes(k, head + _counter_blocks(j0, 1 + len(payload), 32), payload,
                stats)
@@ -423,20 +438,21 @@ def _gcm_start(key: bytes, iv: bytes, tag_len: int, plaintext: bytes,
     return k, h, j0, out[0], b"".join(out[1:])[:len(plaintext)]
 
 
-def _gcm_tag(h: bytes, ej0: bytes, aad: bytes, ct: bytes,
+def _gcm_tag(h: bytes, ej0: bytes, aad: bytes, ct: bytes, subs: _Subarrays,
              stats: ExecutionStats | None) -> bytes:
     """E(J0) xor GHASH_H(A, C), both on the fabric."""
     data = (_pad16(aad) + _pad16(ct) + (8 * len(aad)).to_bytes(8, "big")
             + (8 * len(ct)).to_bytes(8, "big"))
-    return _ghash(h, _split_blocks(data), stats, ej0)
+    return _ghash(h, _split_blocks(data), subs, stats, ej0)
 
 
 def gcm_encrypt(key: bytes, iv: bytes, aad: bytes, plaintext: bytes,
                 tag_len: int = 16,
                 stats: ExecutionStats | None = None) -> bytes:
     iv, aad, plaintext = as_bytes("GCM input", [iv, aad, plaintext], None)
-    _, h, _, ej0, ct = _gcm_start(key, iv, tag_len, plaintext, stats)
-    return ct + _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
+    subs = _subarrays(ghash.BLOCK_WIDTH)
+    _, h, _, ej0, ct = _gcm_start(key, iv, tag_len, plaintext, subs, stats)
+    return ct + _gcm_tag(h, ej0, aad, ct, subs, stats)[:tag_len]
 
 
 def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
@@ -445,9 +461,10 @@ def gcm_decrypt(key: bytes, iv: bytes, aad: bytes, ciphertext: bytes,
     """Checks the tag before any payload counter block runs, so a
     tampered input is never decrypted."""
     iv, aad, ciphertext = as_bytes("GCM input", [iv, aad, ciphertext], None)
-    k, h, j0, ej0, _ = _gcm_start(key, iv, tag_len, b"", stats)
+    subs = _subarrays(ghash.BLOCK_WIDTH)
+    k, h, j0, ej0, _ = _gcm_start(key, iv, tag_len, b"", subs, stats)
     ct, tag = ciphertext[:-tag_len], ciphertext[-tag_len:]
-    expect = _gcm_tag(h, ej0, aad, ct, stats)[:tag_len]
+    expect = _gcm_tag(h, ej0, aad, ct, subs, stats)[:tag_len]
     if not _hmac_mod.compare_digest(expect, tag):
         raise TagMismatch("GCM tag mismatch")
     return _ctr(k, _counter_blocks(j0, 2, 32)[1], ct, stats, 32)

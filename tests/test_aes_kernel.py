@@ -3,8 +3,9 @@
 import pytest
 
 from pimcrypt import oracle
-from pimcrypt.controller import OUTPUT, ExecutionStats, count_runs
-from pimcrypt.fabric import Subarray
+from pimcrypt.controller import (HOST_ACTIONS, OUTPUT, ExecutionStats,
+                                 count_runs)
+from pimcrypt.fabric import Subarray, lanes_to_row, row_to_lanes
 from pimcrypt.isa import CommandWord
 from pimcrypt.kernels import aes, circuits, modes
 from pimcrypt.kernels.layout import LayoutError, LayoutMap
@@ -384,3 +385,38 @@ def test_a_chain_on_one_subarray_matches_cryptography(klen, rng):
         out.append(prev)
     cbc = Cipher(algorithms.AES(key), cm.CBC(iv)).encryptor()
     assert b"".join(out) == cbc.update(b"".join(blocks)) + cbc.finalize()
+
+
+@pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("variant,loads", [(128, {"key_rows": 88}),
+                                           (256, {"key_rows": 64,
+                                                  "key_rows2": 56})])
+def test_key_loads_write_each_one_lane_row_in_every_lane(variant, loads,
+                                                         direction, rng):
+    # The key rows are built per lane count from their 16-column fields;
+    # each must still be its one-lane row repeated in every lane, in
+    # aes_load and in both halves of AES-256's key load.
+    k = aes.Key(rng.randbytes(variant // 8), direction)
+    key0 = aes.AES_LAYOUT.row("keys", 0)
+    assert {name: len(k.env[name]) for name in loads} == loads
+    for lanes in (1, 2, 16, 17, 33, 64):
+        sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
+        _, env = k.stage([rng.randbytes(16)])
+        HOST_ACTIONS["aes_load"](sub, env)
+        written = [("key_rows", sub.read_rows(key0, loads["key_rows"]))]
+        for name, count in loads.items():
+            HOST_ACTIONS["aes_load_keys"](sub, env, env_key=name)
+            written.append((name, sub.read_rows(key0, count)))
+        for name, rows in written:
+            assert rows == [lanes_to_row([row] * lanes)
+                            for row in k.env[name]]
+
+
+def test_write_rows_fills_every_lane_with_the_key_rows(rng):
+    # Whatever type the key loads pass, a 3-lane subarray holds each
+    # one-lane row in each lane.
+    rows = aes.Key(rng.randbytes(16), "encrypt").env["key_rows"]
+    sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=3)
+    sub.write_rows(0, rows)
+    assert [row_to_lanes(value, 3) for value in sub.read_rows(0, len(rows))] \
+        == [[row] * 3 for row in rows]

@@ -3,7 +3,9 @@
 
 Keys are 16 or 32 bytes, messages up to 512 bytes, GCM IVs 1..32 bytes,
 CCM nonces 7..13 bytes, AAD up to 64 bytes, and every tag length is
-drawn.  A flipped byte must raise ``TagMismatch``, and a key, IV, nonce
+drawn; a few longer draws (GCM up to 8400 bytes with 8-, 12- and
+16-byte IVs, CTR and ECB up to 17 KiB) reach the multi-lane GHASH and
+AES runs.  A flipped byte must raise ``TagMismatch``, and a key, IV, nonce
 or tag length out of range exactly ``ValueError``.  ``cryptography``
 takes GCM IVs of 8 bytes or more, so shorter ones, and ``ghash_digest``,
 which it does not expose, are checked against ``pimcrypt.oracle``.
@@ -17,6 +19,7 @@ the tag length draws stay with the API.
 import hashlib
 import hmac
 import io
+import random
 import sys
 from unittest import mock
 
@@ -228,6 +231,31 @@ def test_gcm_decrypt(key, iv, aad, pt, tag_len, where, mask, bad, bad_tag):
         cli.MISMATCH_ERROR
     assert _crypt("gcm", True, bytes(bad), full, iv, aad) == cli.USAGE_ERROR
     assert _crypt("gcm", True, key, full, b"", aad) == cli.USAGE_ERROR
+
+
+# Long messages for the multi-lane paths: GCM's GHASH on K = 1..8 lanes,
+# and AES runs on up to 64 lanes and, for ECB always, past them.  The
+# bytes come from a drawn seed, so an example costs no 17 KiB draw.
+@settings(max_examples=10, deadline=None)
+@given(key=keys, iv_len=st.sampled_from([8, 12, 16]), seed=st.integers(0),
+       gcm_len=st.integers(1400, 8400), aad_len=st.integers(0, 64),
+       ctr_len=st.integers(1, 17 * 1024), ecb_blocks=st.integers(1025, 1088),
+       where=st.integers(1, 16), mask=st.integers(1, 255))
+def test_multi_lane_runs(key, iv_len, seed, gcm_len, aad_len, ctr_len,
+                         ecb_blocks, where, mask):
+    rng = random.Random(seed)
+    iv, aad, pt = (rng.randbytes(n) for n in (iv_len, aad_len, gcm_len))
+    sealed = AESGCM(key).encrypt(iv, pt, aad)
+    assert modes.gcm_encrypt(key, iv, aad, pt) == sealed
+    assert modes.gcm_decrypt(key, iv, aad, sealed) == pt
+    tampered = sealed[:-where] + _flip(sealed[-where:], 0, mask)
+    with pytest.raises(TagMismatch):
+        modes.gcm_decrypt(key, iv, aad, tampered)
+    counter0, data = rng.randbytes(16), rng.randbytes(ctr_len)
+    assert modes.ctr_crypt(key, counter0, data) == \
+        _aes(key, cm.CTR(counter0), False, data)
+    blocks = rng.randbytes(16 * ecb_blocks)
+    assert modes.ecb_crypt(key, blocks) == _aes(key, cm.ECB(), False, blocks)
 
 
 @examples

@@ -452,6 +452,56 @@ def test_a_tampered_gcm_decrypt_runs_no_counter_blocks(ivlen, rng):
     assert good.per_function["BitSliceFwd"].invocations == aes_passes + 3
 
 
+def _with_byte_tables(monkeypatch, call):
+    """``call()``, and how many byte tables the fused GHASH multiply
+    built in it."""
+    built = []
+    table = fabric._byte_table
+    monkeypatch.setattr(fabric, "_byte_table",
+                        lambda v: built.append(v) or table(v))
+    return call(), len(built)
+
+
+@pytest.mark.parametrize("size,ivlen,tables", [(400, 12, 1), (400, 16, 1),
+                                               (8192, 12, 12)])
+def test_a_gcm_call_shares_its_ghash_subarrays(size, ivlen, tables,
+                                               monkeypatch, rng):
+    # J0's GHASH, the powers of H, the message's passes and the fold run
+    # on one subarray per lane count, so the table of H built for a
+    # 16-byte IV's J0 serves the message's one-lane passes as well.  An
+    # 8 KiB message hashes on K = 8 lanes: one table each for H, H^2 and
+    # H^4 as the powers double, one for H^8, and 8 for the last pass,
+    # which multiplies lane j by H^(8 - j); that many at most.
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    key, iv, pt = rng.randbytes(16), rng.randbytes(ivlen), rng.randbytes(size)
+    sealed = AESGCM(key).encrypt(iv, pt, b"")
+    out, built = _with_byte_tables(
+        monkeypatch, lambda: modes.gcm_encrypt(key, iv, b"", pt))
+    assert out == sealed
+    assert built == tables if size == 400 else built <= tables
+    back, built = _with_byte_tables(
+        monkeypatch, lambda: modes.gcm_decrypt(key, iv, b"", sealed))
+    assert back == pt
+    assert built == tables if size == 400 else built <= tables
+
+
+@pytest.mark.parametrize("width,counter0", [
+    (32, bytes(range(12)) + b"\xff\xff\xff\xff"),
+    (32, bytes(range(12)) + b"\xff\xff\xff\x00"),
+    (128, b"\xff" * 16),
+    (128, b"\xff" * 15 + b"\x00"),
+    (128, bytes(15) + b"\x07"),
+], ids=["inc32-wrap", "inc32-ff00", "128-wrap", "128-ff00", "128-low"])
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_counter_blocks_count_in_their_low_bits(width, counter0, n):
+    # One block at a time: the low ``width`` bits count and wrap, and the
+    # bits above them never change.
+    c, low = int.from_bytes(counter0, "big"), (1 << width) - 1
+    want = [((c & ~low) | ((c + i) & low)).to_bytes(16, "big")
+            for i in range(n)]
+    assert modes._counter_blocks(counter0, n, width) == want
+
+
 @pytest.mark.parametrize("tag_len", [4, 6, 8, 10, 12, 14, 16])
 def test_ccm_matches_cryptography_across_lengths(tag_len, rng):
     from cryptography.hazmat.primitives.ciphers.aead import AESCCM
