@@ -36,7 +36,7 @@ the host-action slots into stretches of invocations, each bound as one
 :class:`~pimcrypt.fabric.CompiledRun`, and the run's
 :class:`ExecutionStats`.  A run then does the host actions and one
 fabric call per stretch, and counts nothing: :meth:`Controller.count`
-and :func:`count_runs` add what runs count from the plan, running none.
+adds what a run counts from the plan, running none.
 :meth:`Controller.trace` runs the program on the reference interpreter
 instead, one command sequence per iteration, appends the interpreter's
 records to the caller's list and returns the statistics they count.
@@ -54,9 +54,7 @@ iterations, commands and cycles equal the sums of K one-lane runs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .fabric import (BlockWidthMismatch, CompiledRun, CompiledWindow,
                      CycleCostModel, PendingActivation, Subarray,
@@ -74,7 +72,6 @@ __all__ = [
     "FunctionStats",
     "ExecutionStats",
     "Controller",
-    "count_runs",
     "OUTPUT",
 ]
 
@@ -147,17 +144,17 @@ class ExecutionStats:
         self.commands += commands
         self.cycles += cycles
 
-    def merge(self, other: "ExecutionStats", times: int = 1) -> None:
-        """Add ``times`` times ``other``'s counts, sharing no object."""
+    def merge(self, other: "ExecutionStats") -> None:
+        """Add ``other``'s counts, sharing no object."""
         for name, o in other.per_function.items():
             fs = (self.per_function.get(name)
                   or self.per_function.setdefault(name, FunctionStats()))
-            fs.invocations += times * o.invocations
-            fs.iterations += times * o.iterations
-            fs.commands += times * o.commands
-            fs.cycles += times * o.cycles
-        self.commands += times * other.commands
-        self.cycles += times * other.cycles
+            fs.invocations += o.invocations
+            fs.iterations += o.iterations
+            fs.commands += o.commands
+            fs.cycles += o.cycles
+        self.commands += other.commands
+        self.cycles += other.cycles
 
 
 # Registry mapping host-action kinds to callables
@@ -299,7 +296,7 @@ class Controller:
 
     def run(self, sub: Subarray, env: dict | None = None) -> None:
         """Run the program on ``sub`` with the host actions reading and
-        writing ``env``.  Counts nothing; see :func:`count_runs`."""
+        writing ``env``.  Counts nothing; see :meth:`count`."""
         self._check(sub)
         env = env if env is not None else {}
         for (actions, _), compiled in zip(
@@ -330,11 +327,3 @@ class Controller:
                           sum(r.cycles for r in ran))
         return stats
 
-
-def count_runs(stats: ExecutionStats,
-               runs: Iterable[tuple[Controller, Subarray]]) -> None:
-    """Count untraced ``runs``, (program, subarray) pairs, into ``stats``
-    without running them: each distinct pair adds its plan's statistics
-    once, times the number of its runs."""
-    for (ctrl, sub), n in Counter(runs).items():
-        stats.merge(ctrl._plan_for(sub.lanes, sub.cost_model)[1], n)

@@ -37,11 +37,18 @@ controller loads a program), so a lane boundary is a segment boundary;
 segment-confined shifts, ``ext_bit`` and NOT use their masks replicated
 into every lane and act on each lane exactly as on a lone subarray.
 Cycles count every lane: a command costs K times its single-subarray
-cycles, so K lanes cost what K one-lane runs do.  This module is the
-only one that knows the lane layout: :func:`lanes_to_row` joins one
-256-column value per lane into a row and :func:`row_to_lanes` splits it
-again, and a :class:`LaneRows` of one-lane rows is written repeated in
-every lane of whatever subarray it is written to.
+cycles, so K lanes cost what K one-lane runs do.  The lane layout is a
+contract the kernels rely on, not a secret of this module: lane ``k``
+is columns ``256k .. 256k+255`` of a little-endian int, so its bytes
+are bytes ``32k .. 32k+31`` of the row's 32K little-endian bytes.
+:func:`lanes_to_row` joins one 256-column value per lane into a row
+and :func:`row_to_lanes` splits it again, and a :class:`LaneRows` of
+one-lane rows is written repeated in every lane of whatever subarray it
+is written to.  The kernels build and split wide rows from byte strings
+on that layout: ``ghash.quarter_rows`` and the GHASH hash-key row join
+one block or key per lane, ``keccak``'s ``sha3_read_state`` splits
+segment s of lane k as sponge 4k + s, and AES staging treats a K-lane
+row as 16K tiles.
 
 Two engines execute commands, and both read one per-opcode table of
 what a command accepts and names (``_COMMANDS``): the option nibble it

@@ -17,19 +17,20 @@ than eight blocks just runs more passes and only the final pass
 appends the closing fold.
 
 On a subarray with lanes every lane runs its own GHASH in lockstep:
-:func:`stage` takes one hash key and one block list per lane and returns
-the run's validated program and a fresh env, and ``ghash_unload`` leaves
-one digest per lane under :data:`~pimcrypt.controller.OUTPUT`; a
-message's passes are converted once (:func:`message_rows`).  The fold
-program (:func:`stage_fold`) runs on one lane and XORs staged digests
-into the digest row: the lane digests of one message split across
-lanes, and for a GCM tag also E(J0).
+:func:`stage` takes one hash key and one block list per lane, cuts the
+message into passes and returns their validated programs and fresh
+envs, and ``ghash_unload`` leaves one digest per lane under
+:data:`~pimcrypt.controller.OUTPUT`.  The fold program
+(:func:`stage_fold`) runs on one lane and XORs staged digests into the
+digest row: the lane digests of one message split across lanes, and for
+a GCM tag also E(J0).  The staging functions convert keys and blocks to
+rows, and the load actions only write them.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from itertools import chain, islice
+from functools import lru_cache
+from itertools import chain
 
 from ..controller import (OUTPUT, Controller, FunctionDescriptor, HostAction,
                           Invocation, KernelProgram, StrideRule, host_action)
@@ -39,7 +40,7 @@ from .layout import (LayoutMap, _check_flags, _logic, _shift_into, as_bytes,
                      pack_functions)
 
 __all__ = ["GHASH_LAYOUT", "BLOCKS_PER_PASS", "controller", "fold_controller",
-           "message_rows", "stage", "stage_fold", "build_ghash_program",
+           "stage", "stage_fold", "build_ghash_program",
            "build_ghash_fold_program", "gen_byte_arrange", "gen_byte_aligning",
            "gen_galois_mult", "mask_values"]
 
@@ -208,8 +209,9 @@ def build_ghash_fold_program(nrows: int) -> KernelProgram:
 @lru_cache(maxsize=None, typed=True)
 def controller(nblocks: int, final: bool, /) -> Controller:
     """The validated program of a pass of ``nblocks`` blocks per lane, one
-    object per shape (``first`` is an env flag); :func:`stage` picks its
-    runs' programs here.  ``ValueError`` as :func:`build_ghash_program`."""
+    object per shape (the first-pass flag is in the env); :func:`stage`
+    picks its runs' programs here.  ``ValueError`` as
+    :func:`build_ghash_program`."""
     return Controller(build_ghash_program(nblocks, final))
 
 
@@ -220,28 +222,46 @@ def fold_controller(nrows: int, /) -> Controller:
     return Controller(build_ghash_fold_program(nrows))
 
 
-def stage(hash_keys: list[bytes], blocks: list[list[bytes]], first: bool,
-          final: bool, rows: tuple | None = None) -> tuple[Controller, dict]:
-    """One pass of up to ``BLOCKS_PER_PASS`` blocks per lane, lane k with
-    hash key ``hash_keys[k]`` and blocks ``blocks[k]``: ``first`` clears
-    the running product, ``final`` reduces it and reads out each lane's
-    digest, writing ``rows`` (from :func:`message_rows`) if given, else
-    converting its keys and blocks.  ``ValueError`` unless there is at
-    least one lane, one hash key per lane, every lane has as many blocks,
-    every hash key and block is 16 bytes and both flags are bools;
-    ``TypeError`` for a key or block that is not bytes-like."""
-    _check_flags(first=first, final=final)
-    if not blocks or len(set(map(len, blocks))) != 1:
+def stage(hash_keys: list[bytes], blocks: list[list[bytes]],
+          final: bool = True, last_keys: list[bytes] | None = None
+          ) -> list[tuple[Controller, dict]]:
+    """The runs, in order on one subarray, of one GHASH per lane: lane k
+    runs Horner over ``blocks[k]`` with ``hash_keys[k]``, its last step
+    with ``last_keys[k]`` if given (the aggregated form's H^(K-j)).
+
+    A pass runs up to ``BLOCKS_PER_PASS`` steps under one key row, so
+    with ``last_keys`` the last step runs in a pass of its own: the cut
+    depends on the arguments given, never on the key values.  The first
+    pass clears the running product; with ``final`` the last reduces it
+    and leaves each lane's digest under
+    :data:`~pimcrypt.controller.OUTPUT`.  Keys and blocks are converted
+    once per message: one :func:`quarter_rows` call and one row per key
+    list.  ``ValueError`` unless there are one or more lanes of equal,
+    non-zero block counts, one hash key and last key per lane, 16-byte
+    keys and blocks and a bool ``final``; ``TypeError`` for a key or
+    block that is not bytes-like."""
+    _check_flags(final=final)
+    counts = set(map(len, blocks))
+    if len(counts) != 1 or 0 in counts:
         raise ValueError(f"block lists of lengths {[*map(len, blocks)]}: "
-                         f"want one or more lanes of equal length")
-    if len(hash_keys) != len(blocks):
-        raise ValueError(f"{len(hash_keys)} hash keys for {len(blocks)} "
-                         f"block lists")
-    hash_keys = as_bytes("GHASH hash key", hash_keys)
+                         f"want one or more lanes of equal, non-zero length")
+    for name, keys in (("hash keys", hash_keys), ("last keys", last_keys)):
+        if keys is not None and len(keys) != len(blocks):
+            raise ValueError(f"{len(keys)} {name} for {len(blocks)} "
+                             f"block lists")
+    key_row = _key_row(as_bytes("GHASH hash key", hash_keys))
+    last_row = (key_row if last_keys is None
+                else _key_row(as_bytes("GHASH hash key", last_keys)))
     blocks = [as_bytes("GHASH block", lane) for lane in blocks]
-    return (controller(len(blocks[0]), final),
-            {"hash_keys": hash_keys, "ghash_first": first, "xblocks": blocks,
-             "ghash_rows": rows})
+    steps = len(blocks[0])
+    split = steps - (last_keys is not None)     # the steps under hash_keys
+    bounds = sorted({*range(0, split, BLOCKS_PER_PASS), split, steps})
+    rows = quarter_rows(blocks)
+    return [(controller(hi - lo, final and hi == steps),
+             {"ghash_rows": (last_row if hi > split else key_row,
+                             rows[4 * lo:4 * hi]),
+              "ghash_first": lo == 0, "ghash_lanes": len(blocks)})
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
@@ -250,7 +270,8 @@ def stage_fold(blocks: list[bytes]) -> tuple[Controller, dict]:
     ``ValueError`` unless every block is 16 bytes, ``TypeError`` unless
     every block is bytes-like."""
     blocks = as_bytes("GHASH block", blocks)
-    return fold_controller(len(blocks)), {"fold_blocks": blocks}
+    return (fold_controller(len(blocks)),
+            {"fold_rows": [*map(block_to_row, blocks)]})
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +292,9 @@ def row_to_block(value: int) -> bytes:
     return low.to_bytes(16, "little").translate(_BIT_REVERSED)
 
 
-def quarter_rows(lane_blocks: list[list[bytes]], nblocks: int) -> list[int]:
-    """The stage rows of blocks 0..``nblocks`` - 1 of every lane: lane k
-    holds block j of ``lane_blocks[k]`` byte-reversed, one 32-column
+def quarter_rows(lane_blocks: list[list[bytes]]) -> list[int]:
+    """The stage rows of every block of lanes of equal block counts: lane
+    k holds block j of ``lane_blocks[k]`` byte-reversed, one 32-column
     quarter per row, four rows per block.
 
     Lane k's 256 columns of block j's row are ``block_to_row`` of the
@@ -282,8 +303,7 @@ def quarter_rows(lane_blocks: list[list[bytes]], nblocks: int) -> list[int]:
     big-endian byte string, the lanes of each block highest first.
     """
     lanes, pad = len(lane_blocks), bytes(16)
-    data = (pad + pad.join(islice(chain.from_iterable(zip(*lane_blocks[::-1])),
-                                  nblocks * lanes))
+    data = (pad + pad.join(chain.from_iterable(zip(*lane_blocks[::-1])))
             ).translate(_BIT_REVERSED)
     quarters, step = _QUARTERS.for_lanes(lanes), 32 * lanes
     return [row & quarter for i in range(0, len(data), step)
@@ -291,16 +311,11 @@ def quarter_rows(lane_blocks: list[list[bytes]], nblocks: int) -> list[int]:
             for quarter in quarters]
 
 
-def message_rows(lanes: list[list[bytes]]):
-    """``rows(hash_keys, lo, hi)``: :func:`stage`'s ``rows`` for steps
-    ``lo`` .. ``hi`` - 1 of a message on lanes (``lanes[k]``: lane k's
-    blocks), converting each block and hash-key list once.  Lane k of a
-    hash-key row is ``block_to_row`` of key k: 32 little-endian bytes."""
-    quarters = quarter_rows(lanes, len(lanes[0]))
-    key_row = cache(lambda keys: int.from_bytes(
-        bytes(16).join(keys).translate(_BIT_REVERSED), "little"))
-    return lambda hash_keys, lo, hi: (key_row(tuple(hash_keys)),
-                                      quarters[4 * lo:4 * hi])
+def _key_row(hash_keys: list[bytes]) -> int:
+    """The hash-key row: lane k is ``block_to_row`` of key k, 32
+    little-endian bytes."""
+    return int.from_bytes(bytes(16).join(hash_keys).translate(_BIT_REVERSED),
+                          "little")
 
 
 # The mask rows are contiguous: fold, swap, then zero.
@@ -310,14 +325,12 @@ _QUARTERS = LaneRows(((1 << 32) - 1) << (32 * k) for k in range(4))
 
 @host_action("ghash_load")
 def _load(sub, env, nblocks):
-    # Lane k hashes xblocks[k] with hash_keys[k]; lanes past the lists
-    # run on zero rows, as AES tiles past the blocks do.
-    keys, lane_blocks = env["hash_keys"], env["xblocks"]
-    if not len(keys) == len(lane_blocks) <= sub.lanes:
-        raise ValueError(f"{len(keys)} hash keys and {len(lane_blocks)} "
-                         f"block lists for {sub.lanes} lanes")
-    hash_row, rows = (env.get("ghash_rows")
-                      or message_rows(lane_blocks)(keys, 0, nblocks))
+    # Lanes past the staged ones run on zero rows, as AES tiles past the
+    # blocks do.
+    if env["ghash_lanes"] > sub.lanes:
+        raise ValueError(f"{env['ghash_lanes']} lanes staged for a "
+                         f"{sub.lanes}-lane subarray")
+    hash_row, rows = env["ghash_rows"]
     sub.write_rows(_MLO, _MASK_ROWS)
     sub.write_row(_H, hash_row)
     sub.write_rows(_STAGE0, rows)
@@ -327,7 +340,7 @@ def _load(sub, env, nblocks):
 
 @host_action("ghash_fold_load")
 def _fold_load(sub, env):
-    sub.write_rows(_STAGE0, [block_to_row(b) for b in env["fold_blocks"]])
+    sub.write_rows(_STAGE0, env["fold_rows"])
 
 
 @host_action("ghash_unload")

@@ -31,7 +31,8 @@ whose state rows carry the sponge from one block to the next.
 GHASH splits one message across K lanes in lockstep (aggregated Horner,
 :func:`_ghash`): K is a power of two up to 8 that grows with the block
 count, lane j hashes every K-th block with H^K and finishes with
-H^(K-j), the powers of H are fabric multiplies computed inside the call,
+H^(K-j) (one ``ghash.stage`` call, which cuts the lanes into passes),
+the powers of H are fabric multiplies computed inside the call,
 and a one-lane fold program XORs the lane digests.  A GCM call runs one
 AES run for E(0), E(J0) and its counter blocks where the IV allows; the
 fold XORs E(J0) into the tag.  GCM decryption computes E(0) and E(J0),
@@ -60,10 +61,11 @@ it is handed over (the AES key in ``aes.Key``, SHA3 messages in
 ``int`` is not read as a length, as ``bytes(5)`` would read it.
 
 Every run counts into the caller's
-:class:`~pimcrypt.controller.ExecutionStats` once, through
-:func:`~pimcrypt.controller.count_runs` from the run's program, and
-nothing is counted when the caller passed none.  :func:`_aes` runs its
-passes and :func:`_run` every other kernel's staged runs.
+:class:`~pimcrypt.controller.ExecutionStats` once, as it runs, through
+:meth:`~pimcrypt.controller.Controller.count` from the run's program,
+and nothing is counted when the caller passed none.  :func:`_run` runs
+and counts every kernel's staged runs, the passes of :func:`_aes`
+among them.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from functools import cache
 from itertools import chain, repeat
 from typing import Callable
 
-from ..controller import OUTPUT, Controller, ExecutionStats, count_runs
+from ..controller import OUTPUT, Controller, ExecutionStats
 from ..fabric import SUBARRAYS, Subarray
 from . import aes, ghash, keccak
 from .layout import as_bytes
@@ -91,13 +93,13 @@ class TagMismatch(Exception):
 def _run(sub: Subarray, runs: list[tuple[Controller, dict]],
          stats: ExecutionStats | None) -> list[bytes]:
     """Run staged (program, env) ``runs`` in order on ``sub``, which
-    keeps its rows from one run to the next, and count them all into
-    ``stats``, if given, with one :func:`count_runs`; returns the last
-    run's output blocks or digests."""
+    keeps its rows from one run to the next, and count each into
+    ``stats``, if given; returns the last run's output blocks or
+    digests."""
     for ctrl, env in runs:
         ctrl.run(sub, env)
-    if stats is not None:
-        count_runs(stats, ((ctrl, sub) for ctrl, _ in runs))
+        if stats is not None:
+            ctrl.count(stats, sub.lanes, sub.cost_model)
     return env[OUTPUT]
 
 
@@ -129,14 +131,13 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
     up to 15 blocks, which XOR zero before the rounds.  Then each run
     takes up to ``BLOCKS_PER_PASS * SUBARRAYS`` blocks on as many lanes
     as they fill.  Runs share one subarray per lane count, and
-    :func:`count_runs` counts them all into ``stats`` once the loop
-    ends.
+    :func:`_run` runs and counts each.
     """
     zero, room = bytes(16), aes.BLOCKS_PER_PASS * SUBARRAYS
     if post:
         post = [zero] * (len(blocks) - len(post)) + post
     chained, out = [prev], []        # chained[i]: the value step i XORs
-    subs, runs = _subarrays(aes.BLOCK_WIDTH), []  # runs: (program, subarray)
+    subs = _subarrays(aes.BLOCK_WIDTH)
     while len(chained) <= steps or len(out) < len(blocks):
         i, lo = len(chained) - 1, len(out)
         head = [step(i, out)] if i < steps else []
@@ -146,12 +147,9 @@ def _aes(k: aes.Key, blocks: list[bytes], post: list[bytes],
                          head and [chained[-1]] + [zero] * len(tiles),
                          after and [zero] * len(head) + after)
         sub = subs(-(-(len(head) + len(tiles)) // aes.BLOCKS_PER_PASS))
-        got = _run(sub, [staged], None)
+        got = _run(sub, [staged], stats)
         chained += got[:len(head)]
         out += got[len(head):]
-        runs.append((staged[0], sub))
-    if stats is not None:
-        count_runs(stats, runs)
     return chained[1:] + out
 
 
@@ -350,9 +348,8 @@ def _hash_powers(hash_key: bytes, k: int, subs: _Subarrays,
     H^(j+1) by the highest known power."""
     powers = [hash_key]
     while len(powers) < k:
-        staged = ghash.stage([powers[-1]] * len(powers),
-                             [[p] for p in powers], True, True)
-        powers += _run(subs(len(powers)), [staged], stats)
+        powers += _run(subs(len(powers)), ghash.stage(
+            [powers[-1]] * len(powers), [[p] for p in powers]), stats)
     return powers
 
 
@@ -373,19 +370,11 @@ def _ghash(hash_key: bytes, blocks: list[bytes], subs: _Subarrays,
     powers = _hash_powers(hash_key, k, subs, stats)
     m = -(-len(blocks) // k)
     padded = [bytes(16)] * (k * m - len(blocks)) + blocks
-    lanes = [padded[j::k] for j in range(k)]
-    rows = ghash.message_rows(lanes)     # each block converted once
-    # Passes of up to BLOCKS_PER_PASS block steps share each lane's hash
-    # key, so the last step runs alone; with K = 1 its key is H^K as
-    # well, and the passes are those of the serial form.
-    last = m - 1 if k > 1 else m
-    bounds = sorted({*range(0, last, ghash.BLOCKS_PER_PASS), last, m})
-    # Staging reads no output, so every pass is staged before any runs.
-    staged = [ghash.stage(keys, [lane[lo:hi] for lane in lanes], lo == 0,
-                          hi == m, rows(keys, lo, hi))
-              for lo, hi in zip(bounds, bounds[1:])
-              for keys in [powers[::-1] if hi == m else [powers[-1]] * k]]
-    digests = _run(subs(k), staged, stats)
+    # With K = 1 the last key is H^K itself, so there are no last keys
+    # and the passes are those of the serial form.
+    digests = _run(subs(k), ghash.stage(
+        [powers[-1]] * k, [padded[j::k] for j in range(k)],
+        last_keys=powers[::-1] if k > 1 else None), stats)
     if mask is not None:
         digests.append(mask)
     return (digests[0] if len(digests) == 1

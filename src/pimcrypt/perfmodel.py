@@ -280,7 +280,7 @@ def kernel_passes() -> Mapping[str, KernelPass]:
     passes["ghash"] = KernelPass(
         "ghash", 16 * len(blocks),
         lambda: [[ghash.controller(len(blocks), False)]],
-        lambda: [[ghash.stage([bytes(range(16))], [blocks], True, False)]])
+        lambda: [ghash.stage([bytes(range(16))], [blocks], final=False)])
     return MappingProxyType(passes)
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from pimcrypt import oracle
-from pimcrypt.controller import (HOST_ACTIONS, OUTPUT, ExecutionStats,
-                                 count_runs)
+from pimcrypt.controller import HOST_ACTIONS, OUTPUT, ExecutionStats
 from pimcrypt.fabric import Subarray, lanes_to_row, row_to_lanes
 from pimcrypt.isa import CommandWord
 from pimcrypt.kernels import aes, circuits, modes
@@ -234,7 +233,7 @@ def test_pass_cycles(variant, direction, rng):
     assert ctrl.program.name == f"aes-{variant}-{direction}"
     sub, stats = Subarray(block_width=aes.BLOCK_WIDTH), ExecutionStats()
     ctrl.run(sub, env)
-    count_runs(stats, [(ctrl, sub)])
+    ctrl.count(stats, sub.lanes, sub.cost_model)
     assert stats.cycles == sub.cycle_count == GOLDEN_CYCLES[(variant,
                                                             direction)]
 
@@ -276,7 +275,7 @@ def test_both_chains_xor_before_and_after_the_rounds(lanes, klen, direction,
     sub = Subarray(block_width=aes.BLOCK_WIDTH, lanes=lanes)
     stats = ExecutionStats()
     ctrl.run(sub, env)
-    count_runs(stats, [(ctrl, sub)])
+    ctrl.count(stats, sub.lanes, sub.cost_model)
     out = env[OUTPUT]
     assert out == [_xor(cipher(key, _xor(b, a)), c)
                    for b, a, c in zip(blocks, pre, post)]

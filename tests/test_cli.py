@@ -218,7 +218,7 @@ def test_overlong_ccm_message_is_usage_error(tmp_path, command, extra):
     lambda: ghash.build_ghash_program(0),
     lambda: ghash.build_ghash_program(9),
     lambda: ghash.build_ghash_program(8, 1),
-    lambda: ghash.stage([bytes(16)], [[bytes(16)]], True, "no"),
+    lambda: ghash.stage([bytes(16)], [[bytes(16)]], final="no"),
     lambda: keccak.build_sha3_program(100),
     lambda: keccak.build_sha3_program(256, "yes"),
     lambda: keccak.build_sha3_program(256, first=1),

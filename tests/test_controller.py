@@ -3,10 +3,10 @@ import pytest
 from pimcrypt.controller import (COMMAND_ARRAY_BYTES, Controller,
                                  ControllerError, ExecutionStats,
                                  FunctionDescriptor, HostAction, Invocation,
-                                 KernelProgram, StrideRule, count_runs,
-                                 host_action)
-from pimcrypt.fabric import (BlockWidthMismatch, PendingActivation, Subarray,
-                             WindowRejected, compile_window)
+                                 KernelProgram, StrideRule, host_action)
+from pimcrypt.fabric import (BlockWidthMismatch, CycleCostModel,
+                             PendingActivation, Subarray, WindowRejected,
+                             compile_window)
 from pimcrypt.isa import CommandWord, LogicKind, Opcode
 from pimcrypt.kernels import aes, ghash
 
@@ -24,7 +24,7 @@ def test_copy_program():
     sub, ctrl, stats = Subarray(), Controller(prog), ExecutionStats()
     sub.write_row(0, 42)
     ctrl.run(sub)
-    count_runs(stats, [(ctrl, sub)])
+    ctrl.count(stats, sub.lanes, sub.cost_model)
     assert sub.read_row(1) == 42
     assert stats.commands == 2 and stats.cycles == 2
 
@@ -40,14 +40,14 @@ def test_a_run_counts_only_into_the_stats_it_is_given():
     assert len(trace) == 6 and stats.commands == 6 and stats.cycles == 6
     assert stats.per_function["Copy"].invocations == 1
     once = ExecutionStats()
-    count_runs(once, [(ctrl, Subarray())])
+    ctrl.count(once, 1, CycleCostModel())
     assert once == stats
-    # count_runs: one count per distinct (program, subarray) pair
-    one, four = Subarray(), Subarray(lanes=4)
+    # a run on 4 lanes counts 4 times what a run on 1 lane does
     counted = ExecutionStats()
-    count_runs(counted, [(ctrl, one), (ctrl, four), (ctrl, one)])
-    assert counted.commands == 2 * 6 + 4 * 6
-    assert counted.per_function["Copy"].invocations == 2 + 4
+    for lanes in (1, 4):
+        ctrl.count(counted, lanes, CycleCostModel())
+    assert counted.commands == 6 + 4 * 6
+    assert counted.per_function["Copy"].invocations == 1 + 4
 
 
 def test_stride_rules_walk_rows():
@@ -138,7 +138,7 @@ def test_stats_per_function():
     prog = prog_of(cmds, {"S": fd}, [Invocation("S", 5, 0)])
     ctrl, sub, stats = Controller(prog), Subarray(), ExecutionStats()
     ctrl.run(sub)
-    count_runs(stats, [(ctrl, sub)])
+    ctrl.count(stats, sub.lanes, sub.cost_model)
     assert stats == ctrl.trace(Subarray(), [])
     fs = stats.per_function["S"]
     assert fs.invocations == 1 and fs.iterations == 5
@@ -359,8 +359,8 @@ def test_the_compilers_errors_name_the_function(fd, inv, width, message):
     (lambda: aes.Key(bytes(16), "encrypt").stage([bytes(16)] * 17),
      "17 blocks for 16 tiles",
      "program aes-128-encrypt: host action aes_load at schedule position 0"),
-    (lambda: ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True),
-     "2 hash keys and 2 block lists for 1 lanes",
+    (lambda: ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2)[0],
+     "2 lanes staged for a 1-lane subarray",
      "program ghash-1blk: host action ghash_load at schedule position 0"),
 ], ids=["aes_load", "ghash_load"])
 def test_a_failing_host_action_names_its_program_kind_and_slot(

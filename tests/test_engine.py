@@ -1,8 +1,8 @@
 """Compiled engine vs the reference interpreter, and lanes vs lone runs.
 
 ``Controller.run`` runs compiled windows, one fabric call per stretch
-between host actions, and ``controller.count_runs`` counts the
-statistics its plan fixes; ``Controller.trace`` runs the reference
+between host actions, and ``Controller.count`` counts the statistics
+its plan fixes; ``Controller.trace`` runs the reference
 interpreter and returns the statistics its records count.  Both must
 leave the same grid, latch, pending activation, cycle count, statistics
 and host outputs, and raise the same exception type.  A run on K lanes
@@ -32,8 +32,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from pimcrypt import fabric, perfmodel
 from pimcrypt.controller import (Controller, ControllerError,
                                  ExecutionStats, FunctionDescriptor,
-                                 Invocation, KernelProgram, StrideRule,
-                                 count_runs)
+                                 Invocation, KernelProgram, StrideRule)
 from pimcrypt.fabric import (COLS, CompiledRun, CycleCostModel,
                              RowOutOfRange, Subarray, compile_window)
 from pimcrypt.isa import (BLOCK_WIDTHS, CommandWord, IsaError, LogicKind,
@@ -73,7 +72,7 @@ def outcome(prog, env, cost, reference, grid_seed=0, pending=None, lanes=1):
         else:
             ctrl.run(sub, env)
             stats = ExecutionStats()
-            count_runs(stats, [(ctrl, sub)])
+            ctrl.count(stats, sub.lanes, sub.cost_model)
     except Exception as exc:   # the type is what both engines must share
         error = type(exc)
     return (error, stats, sub.grid, sub.sa_latch, sub.pending_row,
@@ -182,8 +181,7 @@ def test_static_stats_equal_the_reference_stats(cost, lanes, references):
     # a random grid are those a traced run on any grid counts.
     for ctrl, env, reference in references[cost, lanes]:
         static = ExecutionStats()
-        count_runs(static, [(ctrl, Subarray(ctrl.program.block_width, cost,
-                                            lanes))])
+        ctrl.count(static, lanes, cost)
         assert static == reference[1], ctrl.program.name
 
 
@@ -220,8 +218,8 @@ def test_compiled_code_is_shared_across_lane_counts(monkeypatch):
 
 @pytest.mark.parametrize("cost", COST_MODELS)
 def test_final_ghash_program_agrees(cost):
-    env = {"hash_keys": [bytes(range(16))], "ghash_first": True,
-           "xblocks": [[bytes([i] * 16) for i in range(8)]]}
+    (_, env), = ghash.stage([bytes(range(16))],
+                            [[bytes([i] * 16) for i in range(8)]])
     error, stats, *_ = assert_engines_agree(
         ghash.build_ghash_program(8, final=True), env, cost)
     assert error is None and stats.per_function["Reduce"].invocations == 1

@@ -1,9 +1,13 @@
 """Fabric GHASH vs the independent oracle, plus pinned command counts."""
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pimcrypt import oracle
-from pimcrypt.controller import OUTPUT, ExecutionStats, count_runs
+from pimcrypt.controller import OUTPUT, ExecutionStats
 from pimcrypt.fabric import Subarray, lanes_to_row
 from pimcrypt.kernels import ghash, modes
 
@@ -55,7 +59,7 @@ def test_quarter_rows_match_one_row_per_block(rng):
                 row = lanes_to_row([ghash.block_to_row(blocks[j][::-1])
                                     for blocks in lane_blocks])
                 want += [row & quarter for quarter in quarters]
-            assert ghash.quarter_rows(lane_blocks, nblocks) == want
+            assert ghash.quarter_rows(lane_blocks) == want
 
 
 # Pinned counts for the control-kernel budget. [DERIVED]
@@ -131,15 +135,21 @@ def test_how_the_lanes_split_a_message(monkeypatch, rng):
         or run(sub, runs, stats))
     assert modes.ghash_digest(h, data) == oracle.ghash(h, data)
     power, *lane_passes, fold = passes
+
+    def rows(keys, lane_blocks):
+        # A pass's rows are those of one pass of its keys and blocks.
+        (_, env), = ghash.stage(keys, lane_blocks)
+        return env["ghash_rows"]
+
     assert power[:2] == ("ghash-1blk", 1)
-    assert power[2]["hash_keys"] == [h] and power[2]["xblocks"] == [[h]]
+    assert power[2]["ghash_rows"] == rows([h], [[h]])
     assert [(name, lanes) for name, lanes, _ in lane_passes] == \
         [("ghash-8blk-cont", 2)] * 6 + [("ghash-1blk", 2)]
     for i, (_, _, env) in enumerate(lane_passes):
         steps = range(8 * i, min(8 * i + 8, 49))
-        assert env["xblocks"] == [[padded[2 * s + j] for s in steps]
-                                  for j in range(2)]
-        assert env["hash_keys"] == ([h2, h] if i == 6 else [h2, h2])
+        assert env["ghash_rows"] == rows(
+            [h2, h] if i == 6 else [h2, h2],
+            [[padded[2 * s + j] for s in steps] for j in range(2)])
         assert env["ghash_first"] == (i == 0)
     assert fold[:2] == ("ghash-fold-2", 1)
 
@@ -162,6 +172,21 @@ def test_lane_split_costs(nblocks, lanes, rng):
         assert fs["Fold"].commands == 3 * (lanes - 1)
 
 
+@pytest.mark.parametrize("hash_key", [bytes(16), b"\x80" + bytes(15)],
+                         ids=["zero", "one"])
+def test_a_lane_split_counts_the_same_for_any_hash_key(hash_key, rng):
+    # H = 0 and H = 1 make every power of H equal, so each lane's last key
+    # equals its others; the passes must not depend on it.  At 112 blocks
+    # (K = 2, 56 steps) a merged last step would save a pass.
+    counted = []
+    for h in (hash_key, rng.randbytes(16)):
+        stats = ExecutionStats()
+        data = rng.randbytes(16 * 112)
+        assert modes.ghash_digest(h, data, stats) == oracle.ghash(h, data)
+        counted.append(stats)
+    assert counted[0] == counted[1]
+
+
 def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
     # Each lane has its own hash key and blocks; a non-final 8-block pass
     # and a final 3-block pass carry the product between them.
@@ -170,11 +195,12 @@ def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
 
     def passes(lane_keys, lane_blocks, stats):
         sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=len(lane_keys))
-        for lo, hi, final in ((0, 8, False), (8, 11, True)):
-            ctrl, env = ghash.stage(
-                lane_keys, [b[lo:hi] for b in lane_blocks], lo == 0, final)
+        runs = ghash.stage(lane_keys, lane_blocks)
+        assert [ctrl.program.name for ctrl, _ in runs] == \
+            ["ghash-8blk-cont", "ghash-3blk"]
+        for ctrl, env in runs:
             ctrl.run(sub, env)
-            count_runs(stats, [(ctrl, sub)])
+            ctrl.count(stats, sub.lanes, sub.cost_model)
         return env[OUTPUT]
 
     wide, single = ExecutionStats(), ExecutionStats()
@@ -186,11 +212,45 @@ def test_a_three_lane_pass_equals_three_one_lane_runs(rng):
     assert wide == single
 
 
+def _xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 8]), st.integers(1, 40), st.booleans(),
+       st.integers(0, 2**32))
+def test_stage_runs_each_lanes_horner_and_converts_once(k, n, has_last,
+                                                       seed):
+    # Lane j's digest is Horner over its blocks with its hash key, the
+    # last step under its last key if given; however many passes that
+    # takes, the message is converted by one quarter_rows call and at
+    # most K + 2 as_bytes calls.
+    rng = random.Random(seed)
+    keys = [rng.randbytes(16) for _ in range(k)]
+    last = [rng.randbytes(16) for _ in range(k)] if has_last else None
+    lanes = [[rng.randbytes(16) for _ in range(n)] for _ in range(k)]
+    with mock.patch.object(ghash, "quarter_rows",
+                           wraps=ghash.quarter_rows) as quarters, \
+            mock.patch.object(ghash, "as_bytes",
+                              wraps=ghash.as_bytes) as conversions:
+        runs = ghash.stage(keys, lanes, last_keys=last)
+    assert quarters.call_count == 1 and conversions.call_count <= k + 2
+    sub = Subarray(block_width=ghash.BLOCK_WIDTH, lanes=k)
+    for ctrl, env in runs:
+        ctrl.run(sub, env)
+    want = []
+    for j in range(k):
+        carried = oracle.ghash(keys[j], b"".join(lanes[j][:-1]))
+        want.append(oracle.ghash((last or keys)[j],
+                                 _xor(carried, lanes[j][-1])))
+    assert env[OUTPUT] == want
+
+
 def test_a_staged_run_runs_again_from_a_cleared_product():
     # ghash_load used to pop the env's first-pass flag, so a second run of
     # the same staged env kept P and Z from the first.
     h, block = bytes(range(16)), bytes([7] * 16)
-    ctrl, env = ghash.stage([h], [[block]], True, True)
+    (ctrl, env), = ghash.stage([h], [[block]])
     sub = Subarray(block_width=ghash.BLOCK_WIDTH)
     for _ in range(2):
         ctrl.run(sub, env)
@@ -198,24 +258,24 @@ def test_a_staged_run_runs_again_from_a_cleared_product():
 
 
 def test_ghash_load_rejects_more_lists_than_lanes():
-    ctrl, env = ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2, True, True)
-    with pytest.raises(ValueError, match="for 1 lanes"):
+    (ctrl, env), = ghash.stage([bytes(16)] * 2, [[bytes(16)]] * 2)
+    with pytest.raises(ValueError, match="for a 1-lane subarray"):
         ctrl.run(Subarray(block_width=ghash.BLOCK_WIDTH), env)
 
 
-@pytest.mark.parametrize("lengths", [[1, 2], [2, 1], []],
-                         ids=["1-2", "2-1", "no-lanes"])
+@pytest.mark.parametrize("lengths", [[1, 2], [2, 1], [], [0, 0]],
+                         ids=["1-2", "2-1", "no-lanes", "empty-lanes"])
 def test_stage_rejects_unequal_or_no_block_lists(lengths):
     # [1, 2] used to drop lane 1's second block and return lane 0's
     # one-block digest for it; the others raised IndexError.
     h = bytes(range(16))
     blocks = [[bytes([n]) * 16 for n in range(count)] for count in lengths]
     with pytest.raises(ValueError, match="block lists"):
-        ghash.stage([h] * len(lengths), blocks, True, True)
+        ghash.stage([h] * len(lengths), blocks)
 
 
 @pytest.mark.parametrize("size", [0, 15, 17])
-@pytest.mark.parametrize("where", ["key", "block", "fold"])
+@pytest.mark.parametrize("where", ["key", "last-key", "block", "fold"])
 def test_staging_rejects_keys_and_blocks_that_are_not_16_bytes(where, size):
     # These used to run and return a digest without a word.
     keys, blocks = [bytes(16)] * 2, [[bytes(16)] * 2, [bytes(16)] * 2]
@@ -223,10 +283,12 @@ def test_staging_rejects_keys_and_blocks_that_are_not_16_bytes(where, size):
         if where == "fold":
             ghash.stage_fold([bytes(16), bytes(size)])
         elif where == "key":
-            ghash.stage([bytes(16), bytes(size)], blocks, True, True)
+            ghash.stage([bytes(16), bytes(size)], blocks)
+        elif where == "last-key":
+            ghash.stage(keys, blocks, last_keys=[bytes(16), bytes(size)])
         else:
             blocks[1] = [bytes(16), bytes(size)]
-            ghash.stage(keys, blocks, True, True)
+            ghash.stage(keys, blocks)
 
 
 @pytest.mark.parametrize("where", ["key", "block", "fold"])
@@ -239,9 +301,8 @@ def test_staging_converts_bytes_like_keys_and_blocks(where, rng):
         want = bytes(a ^ b for a, b in zip(block, other))
     else:
         view = memoryview(h if where == "key" else block)
-        ctrl, env = ghash.stage([view if where == "key" else h],
-                                [[view if where == "block" else block]],
-                                True, True)
+        (ctrl, env), = ghash.stage([view if where == "key" else h],
+                                   [[view if where == "block" else block]])
         want = oracle.ghash(h, block)
     ctrl.run(sub, env)
     assert env[OUTPUT] == [want]
@@ -254,9 +315,9 @@ def test_staging_rejects_keys_and_blocks_that_are_not_bytes_like(where):
         if where == "fold":
             ghash.stage_fold([bytes(16), "0" * 16])
         elif where == "key":
-            ghash.stage(["0" * 16], [[bytes(16)]], True, True)
+            ghash.stage(["0" * 16], [[bytes(16)]])
         else:
-            ghash.stage([bytes(16)], [["0" * 16]], True, True)
+            ghash.stage([bytes(16)], [["0" * 16]])
 
 
 @pytest.mark.parametrize("nrows", [2, 3, 9])
@@ -265,7 +326,7 @@ def test_fold_xors_its_rows(nrows, rng):
     ctrl, env = ghash.stage_fold(rows)
     sub, stats = Subarray(block_width=ghash.BLOCK_WIDTH), ExecutionStats()
     ctrl.run(sub, env)
-    count_runs(stats, [(ctrl, sub)])
+    ctrl.count(stats, sub.lanes, sub.cost_model)
     want = bytes(16)
     for row in rows:
         want = bytes(a ^ b for a, b in zip(want, row))
@@ -295,4 +356,6 @@ def test_programs_reject_counts_that_are_not_ints(build):
 def test_stage_rejects_a_hash_key_count_other_than_the_lanes(keys):
     # No key for the one lane used to stage and fail only once run.
     with pytest.raises(ValueError, match="hash keys for 1 block lists"):
-        ghash.stage([bytes(16)] * keys, [[bytes(16)]], True, True)
+        ghash.stage([bytes(16)] * keys, [[bytes(16)]])
+    with pytest.raises(ValueError, match="last keys for 1 block lists"):
+        ghash.stage([bytes(16)], [[bytes(16)]], last_keys=[bytes(16)] * keys)

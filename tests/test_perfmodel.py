@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from pimcrypt import perfmodel as pm
-from pimcrypt.controller import ExecutionStats, FunctionStats, count_runs
+from pimcrypt.controller import ExecutionStats, FunctionStats
 from pimcrypt.fabric import CycleCostModel, Subarray
 from pimcrypt.kernels import aes, ghash, keccak
 
@@ -46,7 +46,7 @@ def ran_stats(cost) -> dict:
                            cost_model=cost)
             for ctrl, env in runs:
                 ctrl.run(sub, env)
-                count_runs(ran, [(ctrl, sub)])
+                ctrl.count(ran, sub.lanes, sub.cost_model)
             cycles += sub.cycle_count
         out[name] = ran, cycles
     return out
@@ -128,8 +128,8 @@ def test_what_a_call_hands_out_is_the_callers_own():
     assert {name: m.stats for name, m in ms.items()} == traced
     for name, kp in pm.kernel_passes().items():
         counted = ExecutionStats()
-        count_runs(counted, [(ctrl, Subarray(ctrl.program.block_width))
-                             for ctrls in kp.programs() for ctrl in ctrls])
+        for ctrl in (ctrl for ctrls in kp.programs() for ctrl in ctrls):
+            ctrl.count(counted, 1, CycleCostModel())
         assert counted == traced[name], name
 
 

@@ -115,26 +115,29 @@ def test_aes_key_stage(data):
 @given(st.data())
 def test_ghash_stage(data):
     lanes = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(1, ghash.BLOCKS_PER_PASS))
+    n = data.draw(st.integers(1, 2 * ghash.BLOCKS_PER_PASS + 1))
     args = {"hash_keys": blocks(lanes), "blocks": [blocks(n)] * lanes,
-            "first": True, "final": data.draw(st.booleans())}
+            "final": data.draw(st.booleans())}
+    if data.draw(st.booleans()):
+        args["last_keys"] = blocks(lanes)[::-1]
     where = data.draw(st.sampled_from(
-        ["hash_keys", "lane", "count", "first", "final"]))
-    if where == "hash_keys":
-        args[where] = wrong_list(data, args[where])
+        ["hash_keys", "last_keys", "lane", "count", "final"]))
+    if where in ("hash_keys", "last_keys"):
+        args[where] = wrong_list(data, blocks(lanes))
     elif where == "lane":
         k = data.draw(st.integers(0, lanes - 1))
         args["blocks"] = [wrong_list(data, lane) if j == k else lane
                           for j, lane in enumerate(args["blocks"])]
     elif where == "count":
-        # Another key count, no lanes, lanes of unequal or out-of-range
-        # block counts, or more lanes than the subarray has.
+        # Another hash-key or last-key count, no lanes, lanes of unequal
+        # or no blocks, or more lanes than the subarray has.
         args.update(data.draw(st.sampled_from([
             {"hash_keys": blocks(lanes + 1)},
+            {"last_keys": blocks(lanes + 1)},
+            {"last_keys": []},
             {"hash_keys": [], "blocks": []},
             {"hash_keys": blocks(2), "blocks": [blocks(n), blocks(n + 1)]},
             {"blocks": [blocks(0)] * lanes},
-            {"blocks": [blocks(ghash.BLOCKS_PER_PASS + 1)] * lanes},
             {"hash_keys": blocks(lanes + 1),
              "blocks": [blocks(n)] * (lanes + 1)},
         ])))
